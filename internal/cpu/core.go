@@ -231,14 +231,10 @@ const (
 type Core struct {
 	cfg      Config
 	provider Provider
-	// skipSup caches the provider's SkipSupport view (nil when the
-	// provider does not implement it), so the per-cycle skip scan never
-	// repeats the type assertion.
-	skipSup SkipSupport
-	dcache  mem.Device
-	icache  mem.Device // nil = fixed-latency fetch pipe
-	memory  *mem.Memory
-	threads []*Thread
+	dcache   mem.Device
+	icache   mem.Device // nil = fixed-latency fetch pipe
+	memory   *mem.Memory
+	threads  []*Thread
 
 	cur     int // running thread, -1 before first schedule
 	seq     uint64
@@ -350,7 +346,6 @@ func New(cfg Config, provider Provider, dcache mem.Device, memory *mem.Memory) *
 		e := &c.sq.buf[i]
 		e.doneFn = e.complete
 	}
-	c.skipSup, _ = provider.(SkipSupport)
 	c.Stats.InstsPerThread = make([]uint64, cfg.Threads)
 	return c
 }
@@ -403,14 +398,77 @@ func (c *Core) Tick(cycle uint64) {
 		return
 	}
 	c.Stats.Cycles++
-	c.commitStage()
-	c.memStage()
-	c.exStage()
-	c.decodeStage()
-	c.fetchStage()
-	c.csl()
-	c.drainSQ()
-	c.provider.Tick(cycle)
+	c.count(c.stages(false).stalls, 1)
+}
+
+// stallSet is the set of stall counters one cycle charges.
+type stallSet uint8
+
+const (
+	stallMemWait    stallSet = 1 << iota // MEM holds an issued, unfinished load
+	stallDecodeFwd                       // decode waits on an in-flight producer
+	stallDecodeReg                       // decode waits in Acquire
+	stallFetch                           // fetch buffer full
+	stallSwitchWait                      // CSL waits (Mask 1/2, CanSwitchTo)
+)
+
+// step is what one cycle's stages decided: the stall counters they
+// charge, the earliest cycle a timed wait in them ends (0 = none), and,
+// in probe mode only, whether the cycle would change any other state.
+// Each stage takes the probe flag and, if it can stall, the cycle's step,
+// adds its stall bits and wake to it, and returns whether it acts; in
+// probe mode it returns true at the first state change it would make,
+// without making it, and a tick's stages never report acting.
+type step struct {
+	wake   uint64
+	stalls stallSet
+	acts   bool
+}
+
+// minDeadline folds deadline d into cur, where 0 means "none yet".
+func minDeadline(cur, d uint64) uint64 {
+	if cur == 0 || d < cur {
+		return d
+	}
+	return cur
+}
+
+// stages runs one cycle's stages in order, then the provider's background
+// engines. In probe mode nothing changes: the chain stops at the first
+// stage that would act, and a provider with work queued acts.
+func (c *Core) stages(probe bool) step {
+	var s step
+	if c.commitStage(probe) || c.memStage(probe, &s) || c.exStage(probe, &s) ||
+		c.decodeStage(probe, &s) || c.fetchStage(probe, &s) || c.csl(probe, &s) ||
+		c.drainSQ(probe) {
+		s.acts = true
+		return s
+	}
+	if probe {
+		s.acts = !c.provider.SkipQuiescent()
+	} else {
+		c.provider.Tick(c.cycle)
+	}
+	return s
+}
+
+// count charges n cycles of the stalls in b to their counters.
+func (c *Core) count(b stallSet, n uint64) {
+	if b&stallMemWait != 0 {
+		c.Stats.MemWaitCycles += n
+	}
+	if b&stallDecodeFwd != 0 {
+		c.Stats.DecodeFwdStalls += n
+	}
+	if b&stallDecodeReg != 0 {
+		c.Stats.DecodeRegStalls += n
+	}
+	if b&stallFetch != 0 {
+		c.Stats.FetchStalls += n
+	}
+	if b&stallSwitchWait != 0 {
+		c.Stats.SwitchWaits += n
+	}
 }
 
 // ---- commit ----
@@ -437,10 +495,13 @@ type CommitEvent struct {
 // commit path then pays one branch).
 func (c *Core) SetOnCommit(fn func(CommitEvent)) { c.onCommit = fn }
 
-func (c *Core) commitStage() {
+func (c *Core) commitStage(probe bool) bool {
 	f := c.wb
 	if f == nil {
-		return
+		return false
+	}
+	if probe {
+		return true // retires, or counts a full store queue
 	}
 	in := f.in
 
@@ -448,7 +509,7 @@ func (c *Core) commitStage() {
 	if in.IsStore() {
 		if c.sq.n >= c.cfg.SQEntries {
 			c.Stats.SQFullStalls++
-			return
+			return false
 		}
 		c.memory.Write(f.effAddr, in.MemBytes(), f.valRd)
 		e := c.sq.push()
@@ -533,18 +594,22 @@ func (c *Core) commitStage() {
 			c.pendingAt = c.cycle
 		}
 	}
+	return false
 }
 
 // ---- memory stage ----
 
-func (c *Core) memStage() {
+func (c *Core) memStage(probe bool, st *step) bool {
 	f := c.mm
 	if f == nil {
-		return
+		return false
 	}
 	in := f.in
 	if in.IsLoad() {
 		if !f.loadIssued {
+			if probe {
+				return true // issues, or counts a store-load stall
+			}
 			// An older store stalled at commit (store queue full) has not
 			// written functional memory yet; a load overlapping its address
 			// must wait, or its completion callback would read around the
@@ -554,22 +619,26 @@ func (c *Core) memStage() {
 				s.effAddr < f.effAddr+mem.Addr(in.MemBytes()) &&
 				f.effAddr < s.effAddr+mem.Addr(s.in.MemBytes()) {
 				c.Stats.StoreLoadStalls++
-				return
+				return false
 			}
 			c.issueLoad(f)
 			if !f.loadIssued {
-				return // port/MSHR busy, retry next cycle
+				return false // port/MSHR busy, retry next cycle
 			}
 		}
 		if !f.loadDone {
-			c.Stats.MemWaitCycles++
-			return
+			st.stalls |= stallMemWait
+			return false
 		}
 	}
 	if c.wb == nil {
+		if probe {
+			return true
+		}
 		c.wb = f
 		c.mm = nil
 	}
+	return false
 }
 
 func (c *Core) issueLoad(f *inflight) {
@@ -645,14 +714,17 @@ func (h *loadReq) missed(cycle uint64) {
 
 // ---- execute ----
 
-func (c *Core) exStage() {
+func (c *Core) exStage(probe bool, st *step) bool {
 	f := c.ex
 	if f == nil {
-		return
+		return false
 	}
 	in := f.in
 
 	if !f.resultReady {
+		if probe {
+			return true
+		}
 		f.exReadyAt = c.cycle
 		switch {
 		case in.IsMem():
@@ -695,17 +767,23 @@ func (c *Core) exStage() {
 		}
 		f.resultReady = true
 	}
+	if c.mm != nil {
+		return false // waits for MEM to drain, with no deadline of its own
+	}
 	if c.cycle < f.exReadyAt {
-		return
+		st.wake = minDeadline(st.wake, f.exReadyAt)
+		return false
 	}
-	if c.mm == nil {
-		if c.tracer != nil {
-			c.tracer.Emit(c.cycle, telemetry.EvStage, c.traceCore, int32(f.thread),
-				telemetry.StageMem, uint64(f.pc), f.seq)
-		}
-		c.mm = f
-		c.ex = nil
+	if probe {
+		return true
 	}
+	if c.tracer != nil {
+		c.tracer.Emit(c.cycle, telemetry.EvStage, c.traceCore, int32(f.thread),
+			telemetry.StageMem, uint64(f.pc), f.seq)
+	}
+	c.mm = f
+	c.ex = nil
+	return false
 }
 
 // redirect discards the fetch buffer and restarts fetch at target. The
@@ -764,16 +842,16 @@ func (c *Core) flagsProducer() (isa.Flags, bool, bool) {
 	return isa.Flags{}, false, false
 }
 
-func (c *Core) decodeStage() {
+func (c *Core) decodeStage(probe bool, st *step) bool {
 	f := c.dec
 	if f == nil {
-		return
+		return false
 	}
 	// Stall decode while an unresolved control-flow instruction is ahead:
 	// the scalar core does not fetch or decode down an unknown path.
 	if older := c.ex; older != nil && older.in.IsBranch() &&
 		!older.branchResolved && older.in.Op != isa.B && older.in.Op != isa.BL {
-		return
+		return false
 	}
 	in := f.in
 
@@ -797,10 +875,10 @@ srcLoop:
 		if n >= len(got) {
 			break
 		}
-		v, found, stall := c.producerOf(r)
-		if stall {
-			c.Stats.DecodeFwdStalls++
-			return
+		v, found, wait := c.producerOf(r)
+		if wait {
+			st.stalls |= stallDecodeFwd
+			return false
 		}
 		got[n] = operand{reg: r, val: v, ok: found}
 		n++
@@ -810,10 +888,10 @@ srcLoop:
 	}
 	var flagsIn isa.Flags
 	if in.ReadsFlags() {
-		fl, found, stall := c.flagsProducer()
-		if stall {
-			c.Stats.DecodeFwdStalls++
-			return
+		fl, found, wait := c.flagsProducer()
+		if wait {
+			st.stalls |= stallDecodeFwd
+			return false
 		}
 		if found {
 			flagsIn = fl
@@ -822,12 +900,17 @@ srcLoop:
 		}
 	}
 
-	if !c.provider.Acquire(f.thread, in, need) {
-		c.Stats.DecodeRegStalls++
-		return
-	}
-	if c.ex != nil {
-		return // structural: EX occupied
+	ready, acts := c.provider.Acquire(f.thread, in, need, probe)
+	switch {
+	case acts:
+		return true
+	case !ready:
+		st.stalls |= stallDecodeReg
+		return false
+	case c.ex != nil:
+		return false // structural: EX occupied
+	case probe:
+		return true
 	}
 
 	// Read non-forwarded values from the provider.
@@ -873,6 +956,7 @@ srcLoop:
 	}
 	c.ex = f
 	c.dec = nil
+	return false
 }
 
 // operand is one source value gathered at decode.
@@ -898,12 +982,15 @@ func operandVal(ops []operand, r isa.Reg) uint64 {
 
 // ---- fetch ----
 
-func (c *Core) fetchStage() {
+func (c *Core) fetchStage(probe bool, st *step) bool {
 	if c.cur < 0 || c.threads[c.cur].Halted {
-		return
+		return false
 	}
 	// Move a ready slot into decode.
 	if c.dec == nil && c.fetchQ.n > 0 && c.fetchReady(c.fetchQ.at(0)) {
+		if probe {
+			return true
+		}
 		pc := c.fetchQ.at(0).pc
 		c.fetchQ.pop()
 		th := c.threads[c.cur]
@@ -925,24 +1012,35 @@ func (c *Core) fetchStage() {
 	if c.icache != nil {
 		for i := 0; i < c.fetchQ.n; i++ {
 			if s := c.fetchQ.at(i); !s.issued {
+				if probe {
+					return true
+				}
 				c.issueFetch(s)
 				break
 			}
 		}
 	}
-	// Enqueue the next fetch.
-	if c.fetchQ.n < c.cfg.FetchBufSize {
-		c.fetchID++
-		s := c.fetchQ.push()
-		*s = fetchSlot{id: c.fetchID, pc: c.fetchPC,
-			readyAt: c.cycle + uint64(c.cfg.FetchLatency)}
-		if c.icache != nil {
-			c.issueFetch(s)
+	// Enqueue the next fetch. A full buffer stalls; with decode empty, its
+	// unready fixed-latency head matures at readyAt.
+	if c.fetchQ.n >= c.cfg.FetchBufSize {
+		st.stalls |= stallFetch
+		if c.dec == nil && c.icache == nil {
+			st.wake = minDeadline(st.wake, c.fetchQ.at(0).readyAt)
 		}
-		c.fetchPC++
-	} else {
-		c.Stats.FetchStalls++
+		return false
 	}
+	if probe {
+		return true
+	}
+	c.fetchID++
+	s := c.fetchQ.push()
+	*s = fetchSlot{id: c.fetchID, pc: c.fetchPC,
+		readyAt: c.cycle + uint64(c.cfg.FetchLatency)}
+	if c.icache != nil {
+		c.issueFetch(s)
+	}
+	c.fetchPC++
+	return false
 }
 
 // fetchReady reports whether a fetch slot's instruction bytes are
@@ -1021,9 +1119,13 @@ func (c *Core) oldestInflight() *inflight {
 	return nil
 }
 
-func (c *Core) csl() {
-	if c.pendingSwitch == switchNone || c.cycle < c.pendingAt {
-		return
+func (c *Core) csl(probe bool, st *step) bool {
+	if c.pendingSwitch == switchNone {
+		return false
+	}
+	if c.cycle < c.pendingAt {
+		st.wake = minDeadline(st.wake, c.pendingAt)
+		return false
 	}
 	reason := c.pendingSwitch
 
@@ -1031,15 +1133,18 @@ func (c *Core) csl() {
 		// The missing load may have completed while the switch was
 		// masked; if so the switch is moot.
 		if c.mm == nil || !c.mm.in.IsLoad() || c.mm.loadDone {
+			if probe {
+				return true
+			}
 			c.pendingSwitch = switchNone
-			return
+			return false
 		}
 		// Mask 1: older long-running instructions must drain first — the
 		// missing load must be the oldest in-flight instruction (the
 		// rollback queue's oldest-is-memory signal).
 		if c.oldestInflight() != c.mm {
-			c.Stats.SwitchWaits++
-			return
+			st.stalls |= stallSwitchWait
+			return false
 		}
 		// Mask 3: the commit-stage signal stops the CSL from cycling
 		// through threads when memory latency cannot be covered. A single
@@ -1048,34 +1153,49 @@ func (c *Core) csl() {
 		// with no thread committing anything, hold the current thread
 		// until its load returns instead of spinning.
 		if !c.committedSinceSwitch && c.zeroCommitSwitches >= c.liveThreads()-1 {
+			if probe {
+				return true
+			}
 			c.pendingSwitch = switchNone
 			c.Stats.SwitchCancels++
 			if c.cfg.Trace != nil {
 				c.cfg.Trace(c.cycle, fmt.Sprintf("t%d cancel (full rotation)", c.cur))
 			}
-			return
+			return false
 		}
 	}
 
 	// Mask 2: the BSI blocks switches during outstanding fills/spills.
 	if c.provider.BlockSwitch() {
-		c.Stats.SwitchWaits++
-		return
+		st.stalls |= stallSwitchWait
+		return false
 	}
 
 	next := c.nextThread()
 	if next < 0 || (next == c.cur && reason != switchStart) {
+		if probe {
+			return true
+		}
 		c.pendingSwitch = switchNone
-		return
+		return false
 	}
 	th := c.threads[next]
 	if !th.Started {
+		if probe {
+			return true
+		}
 		th.Started = true
 		c.provider.ThreadStarted(next)
 	}
-	if !c.provider.CanSwitchTo(next) {
-		c.Stats.SwitchWaits++
-		return
+	ready, acts := c.provider.CanSwitchTo(next, probe)
+	switch {
+	case acts:
+		return true
+	case !ready:
+		st.stalls |= stallSwitchWait
+		return false
+	case probe:
+		return true
 	}
 
 	// Perform the switch.
@@ -1120,6 +1240,7 @@ func (c *Core) csl() {
 	if c.cfg.Trace != nil {
 		c.cfg.Trace(c.cycle, fmt.Sprintf("switch t%d->t%d reason=%d zc=%d", prev, next, reason, c.zeroCommitSwitches))
 	}
+	return false
 }
 
 // flushPipeline squashes all in-flight instructions and, when thread >= 0,
@@ -1176,11 +1297,14 @@ func (c *Core) nextThread() int {
 
 // ---- store queue ----
 
-func (c *Core) drainSQ() {
+func (c *Core) drainSQ(probe bool) bool {
 	// Issue the oldest unsent store; the dcache port arbiter naturally
 	// prioritizes loads because the MEM stage runs earlier in the cycle.
 	for i := 0; i < c.sq.n; i++ {
 		if e := c.sq.at(i); !e.sent {
+			if probe {
+				return true
+			}
 			e.req.Done = e.doneFn
 			if c.dcache.Access(&e.req) {
 				e.sent = true
@@ -1189,226 +1313,27 @@ func (c *Core) drainSQ() {
 		}
 	}
 	for c.sq.n > 0 && c.sq.at(0).done {
+		if probe {
+			return true
+		}
 		c.sq.pop()
 	}
+	return false
 }
 
 // ---- clock skip-ahead ----
 
-// skipClass records which stall counters a pure-stall cycle increments,
-// mirroring exactly what a normally ticked cycle would have counted.
-type skipClass struct {
-	memWait    bool // MEM holds an issued, unfinished load
-	decodeFwd  bool // decode stalled on an in-flight producer
-	decodeReg  bool // decode stalled on a statelessly rejected Acquire
-	fetchFull  bool // fetch buffer full (live thread, no free slot)
-	switchWait bool // CSL pure-waiting (Mask 1/2 or CanSwitchTo not ready)
-}
-
-// minDeadline folds deadline d into cur, where 0 means "none yet".
-func minDeadline(cur, d uint64) uint64 {
-	if cur == 0 || d < cur {
-		return d
-	}
-	return cur
-}
-
-// skipScan classifies the core's current stall, read-only. ok reports
-// whether ticking the core at now+1 would be a pure stall: a cycle that
-// increments exactly the counters named by cls and changes no other state
-// (no stage movement, no memory-system access, no provider mutation, no
-// trace event). deadline, when non-zero, is the first future cycle at
-// which this classification stops being self-evidently stable (an EX
-// latency expiring, a fixed-latency fetch slot maturing, a masked switch
-// becoming eligible); external completions are bounded by the memory-side
-// NextEvent scan instead. The soundness argument lives in DESIGN.md §15.
-func (c *Core) skipScan(now uint64) (cls skipClass, deadline uint64, ok bool) {
-	// Commit: anything latched in WB retires (or probes the store queue).
-	if c.wb != nil {
-		return cls, 0, false
-	}
-	// MEM: only an issued, unfinished load is a pure wait; an unissued
-	// load retries the dcache port and a finished op moves to WB.
-	if f := c.mm; f != nil {
-		if !f.in.IsLoad() || !f.loadIssued || f.loadDone {
-			return cls, 0, false
-		}
-		cls.memWait = true
-	}
-	// EX: an op still counting down its latency matures at exReadyAt; a
-	// finished op behind an occupied MEM stage waits without a deadline.
-	if f := c.ex; f != nil {
-		if !f.resultReady {
-			return cls, 0, false
-		}
-		if c.mm == nil {
-			if now >= f.exReadyAt {
-				return cls, 0, false // would move to MEM
-			}
-			deadline = minDeadline(deadline, f.exReadyAt)
-		}
-	}
-	// Decode: a forwarding stall is pure; past the operand scan,
-	// decodeStage re-Acquires the latched instruction every cycle, so the
-	// cycle is only skippable when the provider proves the repeated call
-	// is a stateless no-op (PeekAcquire). A stateless success behind an
-	// occupied EX is the uncounted structural stall; a stateless
-	// rejection counts DecodeRegStalls; a success with EX free would
-	// dispatch. (The unresolved-branch guard cannot be the active stall
-	// here: a branch in EX resolves the cycle its result is computed, and
-	// !resultReady already bailed above.)
-	if f := c.dec; f != nil {
-		fwdStalled, need := c.decodeScan()
-		switch {
-		case fwdStalled:
-			cls.decodeFwd = true
-		case c.skipSup == nil:
-			return cls, 0, false
-		default:
-			ready, pure := c.skipSup.PeekAcquire(f.thread, f.in, need)
-			if !pure {
-				return cls, 0, false
-			}
-			if ready {
-				if c.ex == nil {
-					return cls, 0, false // would dispatch to EX
-				}
-			} else {
-				cls.decodeReg = true
-			}
-		}
-	}
-	// Fetch: a live thread with buffer space enqueues; an unissued icache
-	// slot retries its port; a ready head moves into decode.
-	if c.cur >= 0 && !c.threads[c.cur].Halted {
-		if c.fetchQ.n < c.cfg.FetchBufSize {
-			return cls, 0, false
-		}
-		if c.icache != nil {
-			for i := 0; i < c.fetchQ.n; i++ {
-				if !c.fetchQ.at(i).issued {
-					return cls, 0, false
-				}
-			}
-		}
-		if c.dec == nil && c.fetchQ.n > 0 {
-			s := c.fetchQ.at(0)
-			if c.icache == nil {
-				if s.readyAt <= now {
-					return cls, 0, false
-				}
-				deadline = minDeadline(deadline, s.readyAt)
-			} else if s.ready {
-				return cls, 0, false
-			}
-		}
-		cls.fetchFull = true
-	}
-	// CSL: a masked switch wakes at pendingAt; past that, only the
-	// SwitchWaits paths of csl are pure.
-	if c.pendingSwitch != switchNone {
-		if now < c.pendingAt {
-			deadline = minDeadline(deadline, c.pendingAt)
-		} else {
-			wait, pure := c.cslPureWait()
-			if !pure {
-				return cls, 0, false
-			}
-			cls.switchWait = wait
-		}
-	}
-	// Store queue: an unsent entry retries its dcache access; a completed
-	// head would be popped.
-	for i := 0; i < c.sq.n; i++ {
-		if !c.sq.at(i).sent {
-			return cls, 0, false
-		}
-	}
-	if c.sq.n > 0 && c.sq.at(0).done {
-		return cls, 0, false
-	}
-	return cls, deadline, true
-}
-
-// decodeScan mirrors decodeStage's operand scan read-only. fwdStalled
-// reports that decode would stall on an in-flight producer this cycle
-// (the pure DecodeFwdStalls wait); otherwise need lists the sources the
-// provider must supply — exactly the needSrcs the real Acquire call gets
-// — for the PeekAcquire preview. need aliases the core's scratch buffer
-// and is only valid until the next stage call.
-func (c *Core) decodeScan() (fwdStalled bool, need []isa.Reg) {
-	in := c.dec.in
-	srcs := in.SrcRegs(c.scratchSrc[:0])
-	need = c.scratchNeed[:0]
-	var seen [4]isa.Reg
-	n := 0
-srcLoop:
-	for _, r := range srcs {
-		if r == isa.XZR {
-			continue
-		}
-		for i := 0; i < n; i++ {
-			if seen[i] == r {
-				continue srcLoop
-			}
-		}
-		if n >= len(seen) {
-			break
-		}
-		_, found, stall := c.producerOf(r)
-		if stall {
-			return true, nil
-		}
-		seen[n] = r
-		n++
-		if !found {
-			need = append(need, r)
-		}
-	}
-	if in.ReadsFlags() {
-		if _, _, stall := c.flagsProducer(); stall {
-			return true, nil
-		}
-	}
-	return false, need
-}
-
-// cslPureWait mirrors csl's decision chain read-only for an unmasked
-// pending switch. wait reports that csl would increment SwitchWaits and
-// return (a pure stall); pure=false means csl would mutate state (clear
-// or cancel the switch, start a thread, claim provider resources, or
-// perform the switch) and the cycle must be ticked normally.
-func (c *Core) cslPureWait() (wait, pure bool) {
-	reason := c.pendingSwitch
-	if reason == switchMiss {
-		if c.mm == nil || !c.mm.in.IsLoad() || c.mm.loadDone {
-			return false, false // moot: csl clears the pending switch
-		}
-		if c.oldestInflight() != c.mm {
-			return true, true // Mask 1
-		}
-		if !c.committedSinceSwitch && c.zeroCommitSwitches >= c.liveThreads()-1 {
-			return false, false // Mask 3 cancels the switch
-		}
-	}
-	if c.provider.BlockSwitch() {
-		return true, true // Mask 2
-	}
-	next := c.nextThread()
-	if next < 0 || (next == c.cur && reason != switchStart) {
-		return false, false
-	}
-	if !c.threads[next].Started {
-		return false, false
-	}
-	if c.skipSup == nil {
-		return false, false
-	}
-	ready, p := c.skipSup.PeekCanSwitch(next)
-	if !p || ready {
-		return false, false
-	}
-	return true, true
+// probe runs the stages in probe mode as a Tick at cycle at would see
+// them, leaving the core's clock where it was. Nothing changes: the
+// result says whether that cycle would act and, if not, which stall
+// counters it would charge and when its earliest timed wait ends. The
+// soundness argument lives in DESIGN.md §15.
+func (c *Core) probe(at uint64) step {
+	now := c.cycle
+	c.cycle = at
+	s := c.stages(true)
+	c.cycle = now
+	return s
 }
 
 // NextEvent reports the earliest future cycle at which ticking this core
@@ -1421,35 +1346,30 @@ func (c *Core) NextEvent(now uint64) (uint64, bool) {
 	if c.Done() {
 		return 0, false
 	}
-	if c.skipSup == nil || !c.skipSup.SkipQuiescent() {
+	s := c.probe(now + 1)
+	switch {
+	case s.acts:
 		return now + 1, true
-	}
-	_, deadline, skippable := c.skipScan(now)
-	if !skippable {
-		return now + 1, true
-	}
-	if deadline == 0 {
+	case s.wake == 0:
 		return 0, false
 	}
-	if deadline <= now+1 {
-		return now + 1, true
-	}
-	return deadline, true
+	return s.wake, true
 }
 
 // SkipTo advances the core's clock from its current cycle to last (the
 // final cycle of a skipped run), applying exactly the per-cycle effects
-// normal ticking would have had: Stats.Cycles, the stall counters of the
-// current stall class, the trace-clock stamp, and one provider Tick (a
+// normal ticking would have had: Stats.Cycles, the stall counters the
+// probed cycle charges, the trace-clock stamp, and one provider Tick (a
 // quiescent no-op that keeps the provider's cycle stamp in sync, so
 // policy timestamps stay byte-identical with the unskipped run). The
 // caller must have validated the run with NextEvent on every component:
 // each cycle in (c.cycle, last] is a pure stall.
+//
+//virec:hotpath
 func (c *Core) SkipTo(last uint64) {
 	if last <= c.cycle {
 		return
 	}
-	n := last - c.cycle
 	if c.stamper != nil {
 		c.stamper.StampCycle(last)
 	}
@@ -1457,27 +1377,14 @@ func (c *Core) SkipTo(last uint64) {
 		c.cycle = last
 		return
 	}
-	cls, _, ok := c.skipScan(c.cycle)
-	if !ok {
+	s := c.probe(c.cycle + 1)
+	if s.acts {
 		panic("cpu: SkipTo on a core that is not purely stalled")
 	}
+	n := last - c.cycle
 	c.cycle = last
 	c.Stats.Cycles += n
-	if cls.memWait {
-		c.Stats.MemWaitCycles += n
-	}
-	if cls.decodeFwd {
-		c.Stats.DecodeFwdStalls += n
-	}
-	if cls.decodeReg {
-		c.Stats.DecodeRegStalls += n
-	}
-	if cls.fetchFull {
-		c.Stats.FetchStalls += n
-	}
-	if cls.switchWait {
-		c.Stats.SwitchWaits += n
-	}
+	c.count(s.stalls, n)
 	c.provider.Tick(last)
 }
 

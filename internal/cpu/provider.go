@@ -12,16 +12,24 @@ import (
 //
 // All methods are called from the core's single-threaded Tick loop, in
 // deterministic order; implementations never need locking.
+//
+// Acquire and CanSwitchTo are decision chains that also run in probe mode
+// (probe=true), which is how clock skip-ahead proves a cycle is a pure
+// stall: the call changes nothing, and at the first state change it would
+// make (a counter, a lock set, a fill or transfer pushed, a slot or bank
+// claimed, a switch begun) it stops and reports acts=true instead.
+// Otherwise it returns what the real call would return. In normal mode
+// acts is always false.
 type Provider interface {
 	// Acquire attempts to make every register of in resident for thread:
 	// the sources listed in needSrcs must have readable committed values
-	// and each destination needs a writable slot. It returns true when
-	// the instruction can leave decode this cycle. It is retried every
-	// cycle until it succeeds and must be idempotent; implementations
-	// start fills/evictions on first call and report progress after.
-	// Sources satisfied by pipeline forwarding are excluded from
-	// needSrcs but the full instruction is visible for dest handling.
-	Acquire(thread int, in *isa.Inst, needSrcs []isa.Reg) bool
+	// and each destination needs a writable slot. ready reports that the
+	// instruction can leave decode this cycle. It is retried every cycle
+	// until it succeeds and must be idempotent; implementations start
+	// fills/evictions on first call and report progress after. Sources
+	// satisfied by pipeline forwarding are excluded from needSrcs but the
+	// full instruction is visible for dest handling.
+	Acquire(thread int, in *isa.Inst, needSrcs []isa.Reg, probe bool) (ready, acts bool)
 
 	// ReadValue returns the committed value of a resident source
 	// register. Only called after Acquire returned true.
@@ -48,8 +56,9 @@ type Provider interface {
 	// CanSwitchTo reports whether execution of next may begin now (the
 	// ViReC system-register ping-pong buffer must hold next's state;
 	// software switching must have finished save/restore; prefetch
-	// providers must have the incoming bank loaded).
-	CanSwitchTo(next int) bool
+	// providers must have the incoming bank loaded). A first query may
+	// start that transfer, which acts in probe mode.
+	CanSwitchTo(next int, probe bool) (ready, acts bool)
 
 	// BlockSwitch reports whether context switching must be masked this
 	// cycle (the ViReC BSI blocks switches while a register fill or
@@ -68,38 +77,14 @@ type Provider interface {
 	// Tick advances background activity (BSI transfers, prefetch engine)
 	// once per core cycle, after the pipeline stages have run.
 	Tick(cycle uint64)
-}
 
-// SkipSupport is an optional Provider extension that enables timed-model
-// clock skip-ahead. A provider implementing it lets the core prove that a
-// whole run of future cycles would be pure stalls — identical stall
-// counters, no state change — so the simulator can jump the clock over
-// them. Providers that do not implement SkipSupport simply never skip;
-// correctness is unaffected, only speed.
-type SkipSupport interface {
-	// SkipQuiescent reports whether Tick would be a state-preserving
-	// no-op right now (no queued BSI transactions to issue; in-flight
-	// dcache transactions whose completions arrive via callbacks are
-	// fine). A true result must remain true until an external event
-	// (dcache completion) or a core-initiated call mutates the provider.
+	// SkipQuiescent reports whether Tick would change nothing but the
+	// provider's cycle stamp right now (no queued BSI transactions to
+	// issue; in-flight dcache transactions whose completions arrive via
+	// callbacks are fine). A true result must remain true until an
+	// external event (dcache completion) or a core-initiated call mutates
+	// the provider.
 	SkipQuiescent() bool
-
-	// PeekCanSwitch is a side-effect-free preview of CanSwitchTo(next).
-	// pure reports whether the real CanSwitchTo call would have been
-	// side-effect-free; when pure is false (the call would start a
-	// restore/claim), the core must not skip and instead performs the
-	// real call on a normally ticked cycle.
-	PeekCanSwitch(next int) (ready, pure bool)
-
-	// PeekAcquire is a side-effect-free preview of a *repeated* Acquire
-	// call for an instruction already latched in decode (the first call
-	// always happens on a normally ticked cycle). pure reports that the
-	// real call would change no provider state — not even a counter —
-	// and return ready; when pure is false the cycle must be ticked
-	// normally. Decode's structural stall behind an occupied EX stage
-	// re-Acquires every cycle, so this is what makes long memory-stall
-	// windows skippable.
-	PeekAcquire(thread int, in *isa.Inst, needSrcs []isa.Reg) (ready, pure bool)
 }
 
 // RegLayout describes the reserved memory region that backs register

@@ -15,7 +15,7 @@ type flatProvider struct {
 	banks [][isa.NumRegs]uint64
 }
 
-func (p *flatProvider) Acquire(int, *isa.Inst, []isa.Reg) bool { return true }
+func (p *flatProvider) Acquire(int, *isa.Inst, []isa.Reg, bool) (bool, bool) { return true, false }
 func (p *flatProvider) ReadValue(t int, r isa.Reg) uint64 {
 	if r == isa.XZR {
 		return 0
@@ -30,12 +30,13 @@ func (p *flatProvider) WriteValue(t int, r isa.Reg, v uint64) {
 func (p *flatProvider) InstDecoded(int, uint64, *isa.Inst) {}
 func (p *flatProvider) InstCommitted(int, uint64)          {}
 func (p *flatProvider) PipelineFlushed(int)                {}
-func (p *flatProvider) CanSwitchTo(int) bool               { return true }
+func (p *flatProvider) CanSwitchTo(int, bool) (bool, bool) { return true, false }
 func (p *flatProvider) BlockSwitch() bool                  { return false }
 func (p *flatProvider) OnSwitch(int, int)                  {}
 func (p *flatProvider) ThreadStarted(int)                  {}
 func (p *flatProvider) ThreadHalted(int)                   {}
 func (p *flatProvider) Tick(uint64)                        {}
+func (p *flatProvider) SkipQuiescent() bool                { return true }
 
 // heldDev accepts every request and completes none until the test says
 // so, which lets a test deliver a completion at any point it chooses.

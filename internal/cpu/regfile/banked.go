@@ -33,7 +33,9 @@ func NewBanked(threads int, dcache mem.Device, memory *mem.Memory, layout cpu.Re
 var _ cpu.Provider = (*Banked)(nil)
 
 // Acquire always succeeds: every register of every thread is resident.
-func (p *Banked) Acquire(thread int, in *isa.Inst, needSrcs []isa.Reg) bool { return true }
+func (p *Banked) Acquire(thread int, in *isa.Inst, needSrcs []isa.Reg, probe bool) (ready, acts bool) {
+	return true, false
+}
 
 // ReadValue returns the banked value.
 //
@@ -65,25 +67,15 @@ func (p *Banked) PipelineFlushed(thread int) {}
 
 // CanSwitchTo allows a switch once the thread's initial context load has
 // finished (instant for already-running threads).
-func (p *Banked) CanSwitchTo(next int) bool { return p.loading[next] == 0 }
+func (p *Banked) CanSwitchTo(next int, probe bool) (ready, acts bool) {
+	return p.loading[next] == 0, false
+}
 
 // BlockSwitch never masks switches.
 func (p *Banked) BlockSwitch() bool { return false }
 
-// SkipQuiescent reports whether Tick would be a pure no-op (cpu.SkipSupport).
+// SkipQuiescent reports whether Tick would be a pure no-op.
 func (p *Banked) SkipQuiescent() bool { return p.bsi.quiet() }
-
-// PeekCanSwitch previews CanSwitchTo without side effects; the banked
-// readiness check is already pure.
-func (p *Banked) PeekCanSwitch(next int) (ready, pure bool) {
-	return p.loading[next] == 0, true
-}
-
-// PeekAcquire previews a repeated Acquire, which for a banked file is
-// always a stateless success.
-func (p *Banked) PeekAcquire(thread int, in *isa.Inst, needSrcs []isa.Reg) (ready, pure bool) {
-	return true, true
-}
 
 // OnSwitch is a bank-select: free.
 func (p *Banked) OnSwitch(prev, next int) {}

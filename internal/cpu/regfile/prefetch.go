@@ -105,12 +105,12 @@ func (p *Prefetch) bankIdx(thread int) int {
 // Acquire succeeds when the thread's bank holds every needed source; a
 // register outside the oracle set triggers an on-demand fill (counted —
 // a real design would mispredict here).
-func (p *Prefetch) Acquire(thread int, in *isa.Inst, needSrcs []isa.Reg) bool {
+func (p *Prefetch) Acquire(thread int, in *isa.Inst, needSrcs []isa.Reg, probe bool) (ready, acts bool) {
 	b := p.bankIdx(thread)
 	if b < 0 || p.loading[b] > 0 {
-		return false
+		return false, false
 	}
-	ready := true
+	ready = true
 	for _, r := range needSrcs {
 		if r == isa.XZR || p.resident[b][r] {
 			continue
@@ -120,6 +120,9 @@ func (p *Prefetch) Acquire(thread int, in *isa.Inst, needSrcs []isa.Reg) bool {
 		if p.onDemand[key] {
 			continue
 		}
+		if probe {
+			return false, true
+		}
 		p.onDemand[key] = true
 		p.OnDemandFills++
 		p.bsi.pushLoad(bsiOp{addr: p.layout.RegAddr(thread, r), kind: mem.Read,
@@ -128,11 +131,14 @@ func (p *Prefetch) Acquire(thread int, in *isa.Inst, needSrcs []isa.Reg) bool {
 	// Destinations are writable without their old value.
 	var dstBuf [2]isa.Reg
 	for _, d := range in.DstRegs(dstBuf[:0]) {
-		if d != isa.XZR {
+		if d != isa.XZR && !p.resident[b][d] {
+			if probe {
+				return false, true
+			}
 			p.resident[b][d] = true
 		}
 	}
-	return ready
+	return ready, false
 }
 
 // ReadValue reads the thread's bank.
@@ -170,9 +176,12 @@ func (p *Prefetch) PipelineFlushed(thread int) {}
 
 // CanSwitchTo requires the incoming thread's bank to be fully loaded; the
 // first query for an unbuffered thread claims and begins loading a bank.
-func (p *Prefetch) CanSwitchTo(next int) bool {
+func (p *Prefetch) CanSwitchTo(next int, probe bool) (ready, acts bool) {
 	if b := p.bankIdx(next); b >= 0 {
-		return p.loading[b] == 0
+		return p.loading[b] == 0, false
+	}
+	if probe {
+		return false, true
 	}
 	// Claim the bank not holding the current thread.
 	cur := -1
@@ -186,7 +195,7 @@ func (p *Prefetch) CanSwitchTo(next int) bool {
 		victim = 1
 	}
 	p.recycleBank(victim, next)
-	return false
+	return false, false
 }
 
 // recycleBank stores the old occupant's context back to memory and loads
@@ -237,41 +246,8 @@ func (p *Prefetch) storeBank(b, thread int) {
 // BlockSwitch never masks: switch readiness is in CanSwitchTo.
 func (p *Prefetch) BlockSwitch() bool { return false }
 
-// SkipQuiescent reports whether Tick would be a pure no-op (cpu.SkipSupport).
+// SkipQuiescent reports whether Tick would be a pure no-op.
 func (p *Prefetch) SkipQuiescent() bool { return p.bsi.quiet() }
-
-// PeekCanSwitch previews CanSwitchTo without side effects. A query for an
-// unbuffered thread would claim and recycle a bank, so it reports
-// pure=false and forces a normally ticked cycle.
-func (p *Prefetch) PeekCanSwitch(next int) (ready, pure bool) {
-	if b := p.bankIdx(next); b >= 0 {
-		return p.loading[b] == 0, true
-	}
-	return false, false
-}
-
-// PeekAcquire previews a repeated Acquire. Unbuffered-thread and
-// bank-loading rejections are stateless; with every needed source
-// resident the success path is stateless too. A non-resident source with
-// no on-demand fill under way would push a BSI load, so that case forces
-// a normally ticked cycle.
-func (p *Prefetch) PeekAcquire(thread int, in *isa.Inst, needSrcs []isa.Reg) (ready, pure bool) {
-	b := p.bankIdx(thread)
-	if b < 0 || p.loading[b] > 0 {
-		return false, true
-	}
-	ready = true
-	for _, r := range needSrcs {
-		if r == isa.XZR || p.resident[b][r] {
-			continue
-		}
-		if !p.onDemand[regKey{thread, r}] {
-			return false, false // Acquire would start a fill
-		}
-		ready = false
-	}
-	return ready, true
-}
 
 // OnSwitch starts prefetching the round-robin successor into the bank
 // vacated by prev, overlapping next's execution.

@@ -21,6 +21,18 @@ type harness struct {
 	cycle  uint64
 }
 
+// acquire runs a provider's Acquire in normal mode.
+func acquire(p cpu.Provider, thread int, in *isa.Inst, need []isa.Reg) bool {
+	ready, _ := p.Acquire(thread, in, need, false)
+	return ready
+}
+
+// canSwitch runs a provider's CanSwitchTo in normal mode.
+func canSwitch(p cpu.Provider, next int) bool {
+	ready, _ := p.CanSwitchTo(next, false)
+	return ready
+}
+
 func newHarness(latency uint64) *harness {
 	return &harness{
 		dev:    mem.NewDelayDevice(latency),
@@ -48,11 +60,11 @@ func TestBankedInitialContextLoad(t *testing.T) {
 	p := NewBanked(2, h.dev, h.memory, h.layout)
 	h.seed(0, isa.X5, 777)
 	p.ThreadStarted(0)
-	if p.CanSwitchTo(0) {
+	if canSwitch(p, 0) {
 		t.Error("switch must wait for the initial context load")
 	}
 	h.tick(p, 100)
-	if !p.CanSwitchTo(0) {
+	if !canSwitch(p, 0) {
 		t.Fatal("context load never completed")
 	}
 	if got := p.ReadValue(0, isa.X5); got != 777 {
@@ -79,13 +91,13 @@ func TestViReCFillFromBackingStore(t *testing.T) {
 	h.seed(0, isa.X3, 1234)
 	in := &isa.Inst{Op: isa.ADDI, Rd: isa.X4, Rn: isa.X3, Imm: 1}
 	need := []isa.Reg{isa.X3}
-	if p.Acquire(0, in, need) {
+	if acquire(p, 0, in, need) {
 		t.Fatal("first Acquire must miss (fill needed)")
 	}
-	for i := 0; i < 200 && !p.Acquire(0, in, need); i++ {
+	for i := 0; i < 200 && !acquire(p, 0, in, need); i++ {
 		h.tick(p, 1)
 	}
-	if !p.Acquire(0, in, need) {
+	if !acquire(p, 0, in, need) {
 		t.Fatal("fill never completed")
 	}
 	if got := p.ReadValue(0, isa.X3); got != 1234 {
@@ -108,7 +120,7 @@ func TestViReCSpillRoundTrip(t *testing.T) {
 	p := NewViReC(ViReCConfig{PhysRegs: 8, Policy: vrmu.LRC}, 2, h.dev, h.memory, h.layout)
 	for r := isa.Reg(0); r < 8; r++ {
 		in := &isa.Inst{Op: isa.MOVZ, Rd: r, Imm: int64(r)}
-		for i := 0; i < 100 && !p.Acquire(0, in, nil); i++ {
+		for i := 0; i < 100 && !acquire(p, 0, in, nil); i++ {
 			h.tick(p, 1)
 		}
 		p.InstDecoded(0, uint64(r)+1, in)
@@ -122,10 +134,10 @@ func TestViReCSpillRoundTrip(t *testing.T) {
 		h.seed(1, r, uint64(200+r))
 		in := &isa.Inst{Op: isa.ADDI, Rd: isa.X9, Rn: r, Imm: 0}
 		need := []isa.Reg{r}
-		for i := 0; i < 300 && !p.Acquire(1, in, need); i++ {
+		for i := 0; i < 300 && !acquire(p, 1, in, need); i++ {
 			h.tick(p, 1)
 		}
-		if !p.Acquire(1, in, need) {
+		if !acquire(p, 1, in, need) {
 			t.Fatalf("thread 1 fill of %s never completed", r)
 		}
 		seq++
@@ -144,7 +156,7 @@ func TestViReCBlockSwitchDuringFill(t *testing.T) {
 	h := newHarness(50)
 	p := NewViReC(ViReCConfig{PhysRegs: 8, Policy: vrmu.LRC}, 2, h.dev, h.memory, h.layout)
 	in := &isa.Inst{Op: isa.ADDI, Rd: isa.X4, Rn: isa.X3, Imm: 1}
-	p.Acquire(0, in, []isa.Reg{isa.X3})
+	acquire(p, 0, in, []isa.Reg{isa.X3})
 	h.tick(p, 2) // fill issued, outstanding
 	if !p.BlockSwitch() {
 		t.Error("switches must be masked while a fill is outstanding")
@@ -159,17 +171,17 @@ func TestViReCSysregPingPong(t *testing.T) {
 	h := newHarness(10)
 	p := NewViReC(ViReCConfig{PhysRegs: 8, Policy: vrmu.LRC}, 4, h.dev, h.memory, h.layout)
 	// First switch target: needs a sysreg load.
-	if p.CanSwitchTo(0) {
+	if canSwitch(p, 0) {
 		t.Error("first switch must wait for system registers")
 	}
 	h.tick(p, 100)
-	if !p.CanSwitchTo(0) {
+	if !canSwitch(p, 0) {
 		t.Fatal("sysreg load never completed")
 	}
 	p.OnSwitch(-1, 0)
 	// The successor (thread 1) is prefetched during execution.
 	h.tick(p, 100)
-	if !p.CanSwitchTo(1) {
+	if !canSwitch(p, 1) {
 		t.Error("next thread's sysregs must be prefetched by the ping-pong buffer")
 	}
 }
@@ -178,7 +190,7 @@ func TestViReCHaltReleasesState(t *testing.T) {
 	h := newHarness(5)
 	p := NewViReC(ViReCConfig{PhysRegs: 8, Policy: vrmu.LRC}, 2, h.dev, h.memory, h.layout)
 	in := &isa.Inst{Op: isa.MOVZ, Rd: isa.X1, Imm: 5}
-	for i := 0; i < 100 && !p.Acquire(0, in, nil); i++ {
+	for i := 0; i < 100 && !acquire(p, 0, in, nil); i++ {
 		h.tick(p, 1)
 	}
 	p.InstDecoded(0, 1, in)
@@ -199,7 +211,7 @@ func TestSoftwareSwitchCost(t *testing.T) {
 	h.seed(1, isa.X1, 22)
 	// Restore thread 0 (no save: bank empty).
 	start := h.cycle
-	for !p.CanSwitchTo(0) {
+	for !canSwitch(p, 0) {
 		h.tick(p, 1)
 		if h.cycle > start+10000 {
 			t.Fatal("restore never completed")
@@ -216,7 +228,7 @@ func TestSoftwareSwitchCost(t *testing.T) {
 	}
 	// Switch to thread 1: save + restore, at least 66 accesses.
 	start = h.cycle
-	for !p.CanSwitchTo(1) {
+	for !canSwitch(p, 1) {
 		h.tick(p, 1)
 		if h.cycle > start+10000 {
 			t.Fatal("switch never completed")
@@ -241,7 +253,7 @@ func TestPrefetchDoubleBuffer(t *testing.T) {
 	for th := 0; th < 3; th++ {
 		h.seed(th, isa.X2, uint64(th*10))
 	}
-	for i := 0; i < 1000 && !p.CanSwitchTo(0); i++ {
+	for i := 0; i < 1000 && !canSwitch(p, 0); i++ {
 		h.tick(p, 1)
 	}
 	p.OnSwitch(-1, 0)
@@ -249,7 +261,7 @@ func TestPrefetchDoubleBuffer(t *testing.T) {
 		t.Errorf("t0.x2 = %d, want 0", got)
 	}
 	// Thread 1 should be prefetched into the other bank during t0's run.
-	for i := 0; i < 1000 && !p.CanSwitchTo(1); i++ {
+	for i := 0; i < 1000 && !canSwitch(p, 1); i++ {
 		h.tick(p, 1)
 	}
 	p.OnSwitch(0, 1)
@@ -257,7 +269,7 @@ func TestPrefetchDoubleBuffer(t *testing.T) {
 		t.Errorf("t1.x2 = %d, want 10", got)
 	}
 	// Rotating on: thread 2 replaces thread 0's bank.
-	for i := 0; i < 1000 && !p.CanSwitchTo(2); i++ {
+	for i := 0; i < 1000 && !canSwitch(p, 2); i++ {
 		h.tick(p, 1)
 	}
 	p.OnSwitch(1, 2)
@@ -272,16 +284,16 @@ func TestPrefetchExactOnDemandFallback(t *testing.T) {
 	p.SetUsedRegs(0, []isa.Reg{isa.X1}) // oracle misses x2
 	h.seed(0, isa.X1, 5)
 	h.seed(0, isa.X2, 6)
-	for i := 0; i < 1000 && !p.CanSwitchTo(0); i++ {
+	for i := 0; i < 1000 && !canSwitch(p, 0); i++ {
 		h.tick(p, 1)
 	}
 	p.OnSwitch(-1, 0)
 	in := &isa.Inst{Op: isa.ADDI, Rd: isa.X3, Rn: isa.X2, Imm: 0}
 	need := []isa.Reg{isa.X2}
-	if p.Acquire(0, in, need) {
+	if acquire(p, 0, in, need) {
 		t.Fatal("x2 outside the oracle set must miss initially")
 	}
-	for i := 0; i < 1000 && !p.Acquire(0, in, need); i++ {
+	for i := 0; i < 1000 && !acquire(p, 0, in, need); i++ {
 		h.tick(p, 1)
 	}
 	if got := p.ReadValue(0, isa.X2); got != 6 {
@@ -367,7 +379,7 @@ func TestViReCGroupEviction(t *testing.T) {
 	// Fill thread 0's x0..x7 (one backing line) and commit values.
 	for r := isa.Reg(0); r < 8; r++ {
 		in := &isa.Inst{Op: isa.MOVZ, Rd: r, Imm: int64(r)}
-		for i := 0; i < 100 && !p.Acquire(0, in, nil); i++ {
+		for i := 0; i < 100 && !acquire(p, 0, in, nil); i++ {
 			h.tick(p, 1)
 		}
 		p.InstDecoded(0, uint64(r)+1, in)
@@ -380,7 +392,7 @@ func TestViReCGroupEviction(t *testing.T) {
 	h.seed(1, isa.X9, 1)
 	in := &isa.Inst{Op: isa.ADDI, Rd: isa.X10, Rn: isa.X9, Imm: 0}
 	need := []isa.Reg{isa.X9}
-	for i := 0; i < 300 && !p.Acquire(1, in, need); i++ {
+	for i := 0; i < 300 && !acquire(p, 1, in, need); i++ {
 		h.tick(p, 1)
 	}
 	if p.GroupEvictions == 0 {
@@ -405,7 +417,7 @@ func TestViReCPrefetchNext(t *testing.T) {
 	h.seed(1, isa.X2, 42)
 	h.seed(1, isa.X3, 43)
 	// Switching -1 -> 0 prefetches the successor (thread 1).
-	for i := 0; i < 500 && !p.CanSwitchTo(0); i++ {
+	for i := 0; i < 500 && !canSwitch(p, 0); i++ {
 		h.tick(p, 1)
 	}
 	p.OnSwitch(-1, 0)
@@ -420,7 +432,7 @@ func TestViReCPrefetchNext(t *testing.T) {
 	p.OnSwitch(0, 1)
 	in := &isa.Inst{Op: isa.ADD, Rd: isa.X4, Rn: isa.X2, Rm: isa.X3}
 	need := []isa.Reg{isa.X2, isa.X3}
-	if !p.Acquire(1, in, need) {
+	if !acquire(p, 1, in, need) {
 		t.Fatal("prefetched registers must hit")
 	}
 	if got := p.ReadValue(1, isa.X2); got != 42 {
@@ -434,7 +446,7 @@ func TestViReCCommitReallocAfterEviction(t *testing.T) {
 	h := newHarness(5)
 	p := NewViReC(ViReCConfig{PhysRegs: 8, Policy: vrmu.LRC}, 2, h.dev, h.memory, h.layout)
 	in := &isa.Inst{Op: isa.MOVZ, Rd: isa.X1, Imm: 5}
-	for i := 0; i < 100 && !p.Acquire(0, in, nil); i++ {
+	for i := 0; i < 100 && !acquire(p, 0, in, nil); i++ {
 		h.tick(p, 1)
 	}
 	p.InstDecoded(0, 1, in)
@@ -448,7 +460,7 @@ func TestViReCCommitReallocAfterEviction(t *testing.T) {
 	seq := uint64(10)
 	for r := isa.Reg(0); r < 8; r++ {
 		in2 := &isa.Inst{Op: isa.MOVZ, Rd: r, Imm: 1}
-		for i := 0; i < 200 && !p.Acquire(1, in2, nil); i++ {
+		for i := 0; i < 200 && !acquire(p, 1, in2, nil); i++ {
 			h.tick(p, 1)
 		}
 		seq++
@@ -469,13 +481,13 @@ func TestViReCNoDummyDestWaitsForFill(t *testing.T) {
 		1, h.dev, h.memory, h.layout)
 	h.seed(0, isa.X1, 9)
 	in := &isa.Inst{Op: isa.MOVZ, Rd: isa.X1, Imm: 5}
-	if p.Acquire(0, in, nil) {
+	if acquire(p, 0, in, nil) {
 		t.Fatal("NoDummyDest: destination must wait for a real fill")
 	}
-	for i := 0; i < 200 && !p.Acquire(0, in, nil); i++ {
+	for i := 0; i < 200 && !acquire(p, 0, in, nil); i++ {
 		h.tick(p, 1)
 	}
-	if !p.Acquire(0, in, nil) {
+	if !acquire(p, 0, in, nil) {
 		t.Fatal("fill never completed")
 	}
 	if got := p.ReadValue(0, isa.X1); got != 9 {
@@ -488,24 +500,24 @@ func TestPrefetchFullHandlesHaltedRotation(t *testing.T) {
 	// rotating among the survivors.
 	h := newHarness(2)
 	p := NewPrefetch(PrefetchFull, 3, h.dev, h.memory, h.layout)
-	for i := 0; i < 1000 && !p.CanSwitchTo(0); i++ {
+	for i := 0; i < 1000 && !canSwitch(p, 0); i++ {
 		h.tick(p, 1)
 	}
 	p.OnSwitch(-1, 0)
 	p.ThreadHalted(0)
-	for i := 0; i < 1000 && !p.CanSwitchTo(1); i++ {
+	for i := 0; i < 1000 && !canSwitch(p, 1); i++ {
 		h.tick(p, 1)
 	}
 	p.OnSwitch(0, 1)
-	for i := 0; i < 1000 && !p.CanSwitchTo(2); i++ {
+	for i := 0; i < 1000 && !canSwitch(p, 2); i++ {
 		h.tick(p, 1)
 	}
 	p.OnSwitch(1, 2)
 	// Back to 1.
-	for i := 0; i < 1000 && !p.CanSwitchTo(1); i++ {
+	for i := 0; i < 1000 && !canSwitch(p, 1); i++ {
 		h.tick(p, 1)
 	}
-	if !p.CanSwitchTo(1) {
+	if !canSwitch(p, 1) {
 		t.Error("rotation among survivors broke after a halt")
 	}
 }

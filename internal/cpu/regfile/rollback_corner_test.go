@@ -23,7 +23,7 @@ func newViReC(t *testing.T, h *harness, latencyRegs int) *ViReC {
 func acquireUntil(t *testing.T, h *harness, p *ViReC, thread int, in *isa.Inst, need []isa.Reg) {
 	t.Helper()
 	for i := 0; i < 500; i++ {
-		if p.Acquire(thread, in, need) {
+		if acquire(p, thread, in, need) {
 			return
 		}
 		h.tick(p, 1)
@@ -74,7 +74,7 @@ func TestFlushWhileFillInFlight(t *testing.T) {
 			h.seed(0, isa.X3, 1234)
 
 			in := &isa.Inst{Op: isa.ADDI, Rd: isa.X4, Rn: isa.X3, Imm: 1}
-			if p.Acquire(0, in, []isa.Reg{isa.X3}) {
+			if acquire(p, 0, in, []isa.Reg{isa.X3}) {
 				t.Fatal("first Acquire must miss while the fill runs")
 			}
 			h.tick(p, 2) // fill issued, still outstanding

@@ -47,12 +47,15 @@ var _ cpu.Provider = (*Software)(nil)
 // of software switching being irrevocable once the trap handler runs.
 //
 //virec:hotpath
-func (p *Software) Acquire(thread int, in *isa.Inst, needSrcs []isa.Reg) bool {
+func (p *Software) Acquire(thread int, in *isa.Inst, needSrcs []isa.Reg, probe bool) (ready, acts bool) {
 	if p.owner != thread || p.pending > 0 {
-		return false
+		return false, false
 	}
 	if p.target == -1 {
-		return true
+		return true, false
+	}
+	if probe {
+		return false, true // hands the bank over to or back from a reload
 	}
 	if !p.reloading {
 		// Retarget the in-progress state at the owner itself so a later
@@ -61,12 +64,12 @@ func (p *Software) Acquire(thread int, in *isa.Inst, needSrcs []isa.Reg) bool {
 		p.reloading = true
 		p.target = thread
 		p.restore(thread)
-		return false
+		return false, false
 	}
 	// Reload finished.
 	p.reloading = false
 	p.target = -1
-	return true
+	return true, false
 }
 
 // ReadValue reads the single bank.
@@ -111,14 +114,17 @@ func (p *Software) PipelineFlushed(thread int) {}
 // CanSwitchTo reports whether the incoming thread's context is fully
 // restored into the bank. The first call for a new target kicks off the
 // save/restore sequence.
-func (p *Software) CanSwitchTo(next int) bool {
+func (p *Software) CanSwitchTo(next int, probe bool) (ready, acts bool) {
 	if p.owner == next || p.target == next {
-		return p.pending == 0
+		return p.pending == 0, false
 	}
 	if p.pending == 0 {
+		if probe {
+			return false, true
+		}
 		p.beginSwitch(next)
 	}
-	return false
+	return false, false
 }
 
 // beginSwitch enqueues the save of the current owner followed by the
@@ -163,35 +169,8 @@ func (p *Software) bsiDone(op bsiOp) {
 // BlockSwitch never masks; the save/restore cost is in CanSwitchTo.
 func (p *Software) BlockSwitch() bool { return false }
 
-// SkipQuiescent reports whether Tick would be a pure no-op (cpu.SkipSupport).
+// SkipQuiescent reports whether Tick would be a pure no-op.
 func (p *Software) SkipQuiescent() bool { return p.bsi.quiet() }
-
-// PeekCanSwitch previews CanSwitchTo without side effects. A first call
-// for a fresh target would kick off the save/restore sequence, so that
-// case reports pure=false and forces a normally ticked cycle.
-func (p *Software) PeekCanSwitch(next int) (ready, pure bool) {
-	if p.owner == next || p.target == next {
-		return p.pending == 0, true
-	}
-	if p.pending == 0 {
-		return false, false // CanSwitchTo would begin the switch
-	}
-	return false, true
-}
-
-// PeekAcquire previews a repeated Acquire. The wrong-owner and
-// transfer-in-progress rejections are stateless; the owner with no reload
-// pending succeeds statelessly; any reload handover mutates and forces a
-// normally ticked cycle.
-func (p *Software) PeekAcquire(thread int, in *isa.Inst, needSrcs []isa.Reg) (ready, pure bool) {
-	if p.owner != thread || p.pending > 0 {
-		return false, true
-	}
-	if p.target == -1 {
-		return true, true
-	}
-	return false, false
-}
 
 // OnSwitch installs the new owner.
 func (p *Software) OnSwitch(prev, next int) {

@@ -430,13 +430,16 @@ func (p *ViReC) bsiDone(op bsiOp) {
 // for destination-only registers.
 //
 //virec:hotpath
-func (p *ViReC) Acquire(thread int, in *isa.Inst, needSrcs []isa.Reg) bool {
+func (p *ViReC) Acquire(thread int, in *isa.Inst, needSrcs []isa.Reg, probe bool) (ready, acts bool) {
 	if p.rq.Full() {
-		return false
+		return false, false
 	}
 	// New instruction at decode: reset the lock set (the previous
-	// instruction has dispatched or been squashed).
+	// instruction has dispatched or been squashed) and count its accesses.
 	if p.lockedInst != in || p.lockedThread != thread {
+		if probe {
+			return false, true
+		}
 		p.lockedInst = in
 		p.lockedThread = thread
 		clear(p.lockedPhys)
@@ -467,18 +470,24 @@ func (p *ViReC) Acquire(thread int, in *isa.Inst, needSrcs []isa.Reg) bool {
 		}
 	}
 
-	ready := true
+	ready = true
 	for _, r := range needSrcs {
 		if r == isa.XZR {
 			continue
 		}
 		if p.resident(thread, r) {
+			// Not a state change, so a probe runs it too: the slot was
+			// locked when this instruction latched, or by allocate when
+			// it claimed the slot for the fill that made it resident.
 			p.lockIfPresent(thread, r)
 			continue
 		}
 		ready = false
 		if _, filling := p.pending[regKey{thread, r}]; filling {
 			continue // fill already under way
+		}
+		if probe {
+			return false, true
 		}
 		phys := p.allocate(thread, r)
 		if phys < 0 {
@@ -511,6 +520,9 @@ func (p *ViReC) Acquire(thread int, in *isa.Inst, needSrcs []isa.Reg) bool {
 		if isSrc {
 			continue // the source path is already filling it
 		}
+		if probe {
+			return false, true
+		}
 		phys := p.allocate(thread, d)
 		if phys < 0 {
 			ready = false
@@ -534,7 +546,7 @@ func (p *ViReC) Acquire(thread int, in *isa.Inst, needSrcs []isa.Reg) bool {
 			})
 		}
 	}
-	return ready
+	return ready, false
 }
 
 // ReadValue returns the cached value after touching the entry (pseudo-LRU
@@ -734,9 +746,12 @@ func (p *ViReC) loadSysregs(i, thread int) {
 
 // CanSwitchTo requires the next thread's system registers to be resident
 // in the ping-pong buffer; a miss starts the load and stalls the switch.
-func (p *ViReC) CanSwitchTo(next int) bool {
+func (p *ViReC) CanSwitchTo(next int, probe bool) (ready, acts bool) {
 	if i := p.sysSlotOf(next); i >= 0 {
-		return p.sysBuf[i].ready
+		return p.sysBuf[i].ready, false
+	}
+	if probe {
+		return false, true
 	}
 	// Not buffered: claim a slot not holding the current thread.
 	victim := 0
@@ -749,7 +764,7 @@ func (p *ViReC) CanSwitchTo(next int) bool {
 			noCrit: true, thread: int32(old.thread)})
 	}
 	p.loadSysregs(victim, next)
-	return false
+	return false, false
 }
 
 // BlockSwitch masks context switches while register transactions are
@@ -757,54 +772,9 @@ func (p *ViReC) CanSwitchTo(next int) bool {
 func (p *ViReC) BlockSwitch() bool { return p.bsi.Outstanding() > 0 }
 
 // SkipQuiescent reports whether Tick would be a pure no-op across all
-// three BSIs (cpu.SkipSupport).
+// three BSIs.
 func (p *ViReC) SkipQuiescent() bool {
 	return p.bsi.quiet() && p.sysBsi.quiet() && p.pfBsi.quiet()
-}
-
-// PeekCanSwitch previews CanSwitchTo without side effects. A miss in the
-// ping-pong buffer would claim a slot and start a sysreg load, so that
-// case reports pure=false and forces a normally ticked cycle.
-func (p *ViReC) PeekCanSwitch(next int) (ready, pure bool) {
-	if i := p.sysSlotOf(next); i >= 0 {
-		return p.sysBuf[i].ready, true
-	}
-	return false, false
-}
-
-// PeekAcquire previews a repeated Acquire for the instruction already
-// latched in decode. The full-rollback-queue rejection is stateless. Past
-// that, a repeated call for the latched instruction only re-runs
-// lockIfPresent (idempotent) as long as every needed source and every
-// destination is resident with no fill pending; the hit/miss counting and
-// lock-set reset happen once, when the instruction is first latched on a
-// normally ticked cycle. Any non-resident register would allocate and
-// start a fill, so it forces a normally ticked cycle.
-func (p *ViReC) PeekAcquire(thread int, in *isa.Inst, needSrcs []isa.Reg) (ready, pure bool) {
-	if p.rq.Full() {
-		return false, true
-	}
-	if p.lockedInst != in || p.lockedThread != thread {
-		return false, false // first call latches and counts
-	}
-	for _, r := range needSrcs {
-		if r != isa.XZR && !p.resident(thread, r) {
-			return false, false
-		}
-	}
-	var dsts [2]isa.Reg
-	for _, d := range in.DstRegs(dsts[:0]) {
-		if d == isa.XZR {
-			continue
-		}
-		if !p.tags.Contains(thread, d) {
-			return false, false
-		}
-		if _, filling := p.pending[regKey{thread, d}]; filling {
-			return false, true // held until the fill lands (BSI busy)
-		}
-	}
-	return true, true
 }
 
 // OnSwitch updates the T bits and rotates the system-register ping-pong

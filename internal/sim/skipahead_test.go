@@ -181,33 +181,59 @@ func TestSkipAheadEquivalenceFixedLatency(t *testing.T) {
 }
 
 // TestSkipAheadActuallySkips guards against the equivalence suite passing
-// vacuously: on a pointer chase with two threads, long memory stalls must
-// dominate, and the skip path must not silently degrade into ticking
-// every cycle. SkipAheadCycles counts cycles the run never ticked.
+// vacuously: on a pointer chase, long memory stalls must dominate, and the
+// skip path must not silently degrade into ticking every cycle.
+// SkipAheadCycles counts cycles the run never ticked. Besides the 20%
+// floor on the two-thread full-context ViReC chase, every provider has a
+// floor of skipped cycles on a 60%-context chase: a provider whose probe
+// degrades to "always acts" passes every equivalence test but fails here.
 func TestSkipAheadActuallySkips(t *testing.T) {
 	ch, _ := workloads.ByName("chase")
-	s, err := sim.New(sim.Config{
-		Kind:           sim.ViReC,
-		ThreadsPerCore: 2,
-		Workload:       ch,
-		Iters:          64,
-		ContextPct:     100,
-		Policy:         vrmu.LRC,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	skipped := s.SkipAheadCycles()
-	if skipped == 0 {
-		t.Fatal("skip-ahead never engaged on a pointer chase")
-	}
-	if frac := float64(skipped) / float64(res.Cycles); frac < 0.2 {
-		t.Errorf("skip-ahead compressed only %.1f%% of %d cycles; expected memory stalls to dominate a chase",
-			frac*100, res.Cycles)
+	for _, tc := range []struct {
+		kind       sim.CoreKind
+		threads    int
+		ctx        int
+		minFrac    float64 // of all cycles
+		minSkipped uint64
+	}{
+		{sim.ViReC, 2, 100, 0.2, 1},
+		{sim.Banked, 1, 60, 0, 2536},
+		{sim.Banked, 2, 60, 0, 1698},
+		{sim.Software, 1, 60, 0, 2536},
+		{sim.Software, 2, 60, 0, 2857},
+		{sim.PrefetchFull, 1, 60, 0, 2536},
+		{sim.PrefetchFull, 2, 60, 0, 1650},
+		{sim.PrefetchExact, 1, 60, 0, 2479},
+		{sim.PrefetchExact, 2, 60, 0, 1750},
+		{sim.ViReC, 1, 60, 0, 2466},
+		{sim.ViReC, 2, 60, 0, 1671},
+	} {
+		t.Run(fmt.Sprintf("%s/t%d/ctx%d", tc.kind, tc.threads, tc.ctx), func(t *testing.T) {
+			s, err := sim.New(sim.Config{
+				Kind:           tc.kind,
+				ThreadsPerCore: tc.threads,
+				Workload:       ch,
+				Iters:          64,
+				ContextPct:     tc.ctx,
+				Policy:         vrmu.LRC,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := s.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			skipped := s.SkipAheadCycles()
+			if skipped < tc.minSkipped {
+				t.Errorf("skip-ahead compressed %d of %d cycles, want at least %d",
+					skipped, res.Cycles, tc.minSkipped)
+			}
+			if frac := float64(skipped) / float64(res.Cycles); frac < tc.minFrac {
+				t.Errorf("skip-ahead compressed only %.1f%% of %d cycles; expected memory stalls to dominate a chase",
+					frac*100, res.Cycles)
+			}
+		})
 	}
 }
 
