@@ -100,23 +100,31 @@ func TestTracedOffAddsNoAllocs(t *testing.T) {
 // TestSteadyStateAllocs pins the allocation-free instruction and request
 // lifecycle: in-flight records, fetch slots, store-queue entries and every
 // core and BSI request are recycled, so a run four times as long must not
-// allocate more. The gather rig runs over an always-missing dcache (no
-// cache state to allocate), so every load switches threads and every
-// provider moves registers through its BSI. One allocation per
-// instruction would add thousands; the slack only absorbs free-list and
-// queue growth reaching a slightly deeper backlog.
+// allocate more. The provider rows run the gather rig over an
+// always-missing dcache (no cache state to allocate), so every load
+// switches threads and every provider moves registers through its BSI.
+// The memory-side row runs a 1 KB dcache over the DRAM model instead:
+// most loads miss, and each miss takes an MSHR and a DRAM queue entry
+// (gather stores nothing, so no writebacks). One allocation per
+// instruction or per miss would add thousands; the slack only absorbs
+// free-list and queue growth reaching a slightly deeper backlog.
 func TestSteadyStateAllocs(t *testing.T) {
-	kinds := []struct {
+	rows := []struct {
 		name string
 		kind providerKind
+		opt  rigOpt
 	}{
-		{"banked", pBanked}, {"software", pSoftware}, {"virec", pViReC},
-		{"prefetch-full", pPrefetchFull}, {"prefetch-exact", pPrefetchExact},
+		{"banked", pBanked, rigOpt{threads: 4, alwaysMiss: true}},
+		{"software", pSoftware, rigOpt{threads: 4, alwaysMiss: true}},
+		{"virec", pViReC, rigOpt{threads: 4, alwaysMiss: true}},
+		{"prefetch-full", pPrefetchFull, rigOpt{threads: 4, alwaysMiss: true}},
+		{"prefetch-exact", pPrefetchExact, rigOpt{threads: 4, alwaysMiss: true}},
+		{"banked-dcache-dram", pBanked, rigOpt{threads: 4, dcacheKB: 1, realDRAM: true}},
 	}
-	for _, k := range kinds {
-		t.Run(k.name, func(t *testing.T) {
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
 			runAllocs := func(count int) (allocs, insts uint64) {
-				r := newRig(k.kind, rigOpt{threads: 4, alwaysMiss: true})
+				r := newRig(row.kind, row.opt)
 				setupGather(r, 4, count)
 				r.load(gatherProg(), 0, 1, 2, 3)
 				var before, after runtime.MemStats

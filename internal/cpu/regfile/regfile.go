@@ -68,20 +68,22 @@ func (b *base) liveThreads() int {
 // bsiOp is one register transaction queued at the backing store interface.
 // Ops are queued by value; when the transaction lands, the bsi hands the op
 // back to its owning provider, which runs the completion named by done.
+// Fields run from widest to narrowest, so an op packs into 24 bytes.
 type bsiOp struct {
-	addr   mem.Addr
-	kind   mem.Kind
-	noCrit bool // metadata-only (dummy-destination bookkeeping)
-	sticky bool // sticky-pin the line (system registers)
-	unpin  bool // release a sticky pin (thread halt)
-	done   opDone
+	addr mem.Addr
 
 	// The (thread, register) the transaction moves: telemetry attribution
 	// and completion target. slot is the physical register, bank or
 	// ping-pong buffer slot the completion updates.
 	thread int32
-	reg    isa.Reg
 	slot   int32
+	reg    isa.Reg
+
+	kind   mem.Kind
+	noCrit bool // metadata-only (dummy-destination bookkeeping)
+	sticky bool // sticky-pin the line (system registers)
+	unpin  bool // release a sticky pin (thread halt)
+	done   opDone
 }
 
 // opDone names the completion an op runs when it lands. Each provider

@@ -2,6 +2,7 @@ package regfile
 
 import (
 	"testing"
+	"unsafe"
 
 	"github.com/virec/virec/internal/cpu"
 	"github.com/virec/virec/internal/isa"
@@ -308,6 +309,14 @@ func TestPrefetchExactOnDemandFallback(t *testing.T) {
 type opRecorder func(op bsiOp)
 
 func (f opRecorder) bsiDone(op bsiOp) { f(op) }
+
+// TestBSIOpPacks pins the op at 24 bytes: the prefetch providers' spill
+// queue holds hundreds of thousands of ops in a long run.
+func TestBSIOpPacks(t *testing.T) {
+	if n := unsafe.Sizeof(bsiOp{}); n != 24 {
+		t.Errorf("bsiOp is %d bytes, want 24", n)
+	}
+}
 
 func TestBSIPrioritizesLoads(t *testing.T) {
 	dev := mem.NewDelayDevice(5)

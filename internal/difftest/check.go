@@ -204,8 +204,21 @@ func Check(k *Kernel, opts CheckOpts) *Report {
 		scenarios = Matrix()
 	}
 	rep := &Report{Seed: k.Seed}
+	if len(scenarios) == 0 {
+		return rep
+	}
+	// One golden reference serves every scenario: it runs the most threads
+	// any scenario does, and a scenario reads its first sc.Threads.
+	widest := scenarios[0]
+	for _, sc := range scenarios[1:] {
+		if sc.Threads > widest.Threads {
+			widest = sc
+		}
+	}
+	ref := buildReference(k, scenarioConfig(k, widest, opts), widest.Threads)
+	defer ref.mem.Release()
 	for _, sc := range scenarios {
-		commits, d := runScenario(k, sc, opts)
+		commits, d := runScenario(k, sc, opts, ref)
 		rep.Commits += commits
 		rep.Scenarios++
 		if d != nil {
@@ -220,6 +233,14 @@ func Check(k *Kernel, opts CheckOpts) *Report {
 type refThread struct {
 	entries []interp.TraceEntry
 	final   interp.Context
+}
+
+// reference is a kernel's golden execution for its first threads. It is
+// read-only once built.
+type reference struct {
+	threads []refThread // the threads that halted, in order
+	mem     *mem.Memory
+	err     error // why thread len(threads) has no reference, if it has none
 }
 
 func effSeed(s uint64) uint64 {
@@ -259,8 +280,10 @@ func scenarioConfig(k *Kernel, sc Scenario, opts CheckOpts) sim.Config {
 // buildReference executes the kernel functionally, once per hardware
 // thread, against the exact address-space layout and offload payload the
 // simulator will use. Threads touch disjoint slabs by construction, so
-// they share one reference memory.
-func buildReference(k *Kernel, cfg sim.Config, threads int) ([]refThread, *mem.Memory, error) {
+// they share one reference memory, and thread th's reference does not
+// depend on how many threads follow it. It stops at the first thread that
+// does not halt.
+func buildReference(k *Kernel, cfg sim.Config, threads int) *reference {
 	refMem := mem.NewMemory()
 	refs := make([]refThread, threads)
 	seed := effSeed(k.Seed)
@@ -282,15 +305,17 @@ func buildReference(k *Kernel, cfg sim.Config, threads int) ([]refThread, *mem.M
 			ref.entries = append(ref.entries, e)
 		})
 		if !res.Halted {
-			return nil, nil, fmt.Errorf("reference thread %d did not halt within %d instructions", th, budget)
+			return &reference{threads: refs[:th], mem: refMem,
+				err: fmt.Errorf("reference thread %d did not halt within %d instructions", th, budget)}
 		}
 	}
-	return refs, refMem, nil
+	return &reference{threads: refs, mem: refMem}
 }
 
-// runScenario co-simulates one scenario in lock step and returns the
-// number of commits compared plus the first divergence, if any.
-func runScenario(k *Kernel, sc Scenario, opts CheckOpts) (uint64, *Divergence) {
+// runScenario co-simulates one scenario in lock step against the first
+// sc.Threads threads of ref and returns the number of commits compared
+// plus the first divergence, if any.
+func runScenario(k *Kernel, sc Scenario, opts CheckOpts, ref *reference) (uint64, *Divergence) {
 	cfg := scenarioConfig(k, sc, opts)
 	name := sc.String()
 	fail := func(kind string, th, idx, pc int, format string, args ...any) *Divergence {
@@ -298,15 +323,16 @@ func runScenario(k *Kernel, sc Scenario, opts CheckOpts) (uint64, *Divergence) {
 			PC: pc, Detail: fmt.Sprintf(format, args...)}
 	}
 
-	refs, refMem, err := buildReference(k, cfg, sc.Threads)
-	if err != nil {
-		return 0, fail("run-error", 0, 0, 0, "%v", err)
+	if sc.Threads > len(ref.threads) {
+		return 0, fail("run-error", 0, 0, 0, "%v", ref.err)
 	}
+	refs, refMem := ref.threads, ref.mem
 
 	sys, err := sim.New(cfg)
 	if err != nil {
 		return 0, fail("run-error", 0, 0, 0, "sim.New: %v", err)
 	}
+	defer sys.Memory.Release()
 
 	var commits uint64
 	var d *Divergence

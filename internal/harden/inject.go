@@ -1,7 +1,6 @@
 package harden
 
 import (
-	"container/heap"
 	"fmt"
 
 	"github.com/virec/virec/internal/mem"
@@ -50,8 +49,9 @@ type Injector struct {
 	regSets  []int  // cache sets covered by the reserved register region
 	stormTag uint64 // base tag for storm addresses, clear of real regions
 	now      uint64
-	busyTill uint64 // accesses rejected while now < busyTill
-	delayed  evHeap // completions held back for jitter
+	busyTill uint64    // accesses rejected while now < busyTill
+	delayed  evHeap    // completions held back for jitter
+	free     []*jitter // jitter holders not in use
 	seq      uint64
 
 	// Stats is exported read-only for reporting.
@@ -104,10 +104,43 @@ func splitmixNext(s *uint64) uint64 {
 // next advances the injector's splitmix64 stream.
 func (inj *Injector) next() uint64 { return splitmixNext(&inj.rng) }
 
+// jitter is a recycled holder for one jittered access. Its done, bound
+// once, stands in for the requester's Done at the cache and holds the
+// completion back by extra cycles. The holder goes back on the injector's
+// free list when the held completion fires, or at once when the cache
+// rejects the access.
+type jitter struct {
+	inj   *Injector
+	orig  func(uint64) // the requester's Done
+	extra uint64
+	done  func(uint64) // hold, bound once
+}
+
+func (j *jitter) hold(cycle uint64) {
+	inj := j.inj
+	inj.seq++
+	inj.delayed.push(event{cycle: cycle + j.extra, seq: inj.seq, j: j})
+}
+
+// newJitter takes a jitter holder off the free list.
+func (inj *Injector) newJitter() *jitter {
+	if n := len(inj.free); n > 0 {
+		j := inj.free[n-1]
+		inj.free = inj.free[:n-1]
+		return j
+	}
+	//virec:alloc-ok free-list growth, bounded by the jittered accesses in flight at once
+	j := &jitter{inj: inj}
+	j.done = j.hold
+	return j
+}
+
 // Access forwards a request to the cache, possibly rejecting it (busy
 // burst, blocked fill) or arming a delayed completion (jitter). A
 // rejected request leaves the caller's retry loop to present it again, so
 // its Done callback is restored untouched.
+//
+//virec:hotpath
 func (inj *Injector) Access(r *mem.Request) bool {
 	if inj.plan.BlockRegisterFills && r.RegisterFill && r.Kind == mem.Read && !r.PinSticky {
 		inj.Stats.BlockedFills++
@@ -119,10 +152,13 @@ func (inj *Injector) Access(r *mem.Request) bool {
 	}
 	if inj.plan.MaxJitter > 0 && r.Done != nil {
 		if extra := inj.next() % (inj.plan.MaxJitter + 1); extra > 0 {
-			orig := r.Done
-			r.Done = func(cycle uint64) { inj.schedule(cycle+extra, orig) }
+			j := inj.newJitter()
+			j.orig, j.extra = r.Done, extra
+			r.Done = j.done
 			if !inj.target.Access(r) {
-				r.Done = orig
+				r.Done = j.orig
+				j.orig = nil
+				inj.free = append(inj.free, j)
 				return false
 			}
 			inj.Stats.Jittered++
@@ -136,11 +172,16 @@ func (inj *Injector) Access(r *mem.Request) bool {
 // Tick releases due delayed completions and rolls the dice for new busy
 // bursts and eviction storms. The simulation loop calls it once per cycle
 // after the memory hierarchy has ticked.
+//
+//virec:hotpath
 func (inj *Injector) Tick(cycle uint64) {
 	inj.now = cycle
 	for len(inj.delayed) > 0 && inj.delayed[0].cycle <= cycle {
-		ev := heap.Pop(&inj.delayed).(event)
-		ev.fn(ev.cycle)
+		ev := inj.delayed.pop()
+		orig := ev.j.orig
+		ev.j.orig = nil
+		inj.free = append(inj.free, ev.j)
+		orig(ev.cycle)
 	}
 	if inj.plan.BusyPermille > 0 && cycle >= inj.busyTill &&
 		int(inj.next()%1000) < inj.plan.BusyPermille {
@@ -174,6 +215,7 @@ func (inj *Injector) storm() {
 	for k := 0; k < inj.plan.StormLines; k++ {
 		tag := inj.stormTag + inj.next()%4096
 		addr := mem.Addr((tag*uint64(inj.numSets) + uint64(set)) * mem.LineBytes)
+		//virec:alloc-ok a storm fetch has no Done, so nothing hands it back for reuse
 		req := &mem.Request{Addr: addr, Size: mem.LineBytes, Kind: mem.Read}
 		if inj.target.Access(req) {
 			inj.Stats.StormFetches++
@@ -247,12 +289,6 @@ func (inj *Injector) SkipTo(upTo uint64) {
 	}
 }
 
-// schedule queues fn to run at the given cycle during a future Tick.
-func (inj *Injector) schedule(cycle uint64, fn func(uint64)) {
-	inj.seq++
-	heap.Push(&inj.delayed, event{cycle: cycle, seq: inj.seq, fn: fn})
-}
-
 // Pending returns the number of completions currently held back by
 // jitter (diagnostics and tests).
 func (inj *Injector) Pending() int { return len(inj.delayed) }
@@ -265,27 +301,62 @@ func (inj *Injector) DiagDump() string {
 		s.Jittered, s.JitterCycles, s.BusyBursts, s.BusyRejects, s.Storms, s.StormFetches, s.BlockedFills, len(inj.delayed))
 }
 
+// event is a held completion: its jitter holder fires at cycle.
 type event struct {
 	cycle uint64
 	seq   uint64
-	fn    func(uint64)
+	j     *jitter
 }
 
+// evHeap is a min-heap ordered by (cycle, seq), with monomorphic sift
+// routines like the cache's and DRAM's: container/heap would box every
+// held completion into an interface value.
 type evHeap []event
 
-func (h evHeap) Len() int { return len(h) }
-func (h evHeap) Less(i, j int) bool {
+func (h evHeap) less(i, j int) bool {
 	if h[i].cycle != h[j].cycle {
 		return h[i].cycle < h[j].cycle
 	}
 	return h[i].seq < h[j].seq
 }
-func (h evHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *evHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *evHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+
+//virec:hotpath
+func (h *evHeap) push(ev event) {
+	*h = append(*h, ev)
+	s := *h
+	for i := len(s) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !s.less(i, parent) {
+			break
+		}
+		s[i], s[parent] = s[parent], s[i]
+		i = parent
+	}
+}
+
+//virec:hotpath
+func (h *evHeap) pop() event {
+	s := *h
+	top := s[0]
+	n := len(s) - 1
+	s[0] = s[n]
+	s[n] = event{} // drop the holder reference
+	s = s[:n]
+	*h = s
+	for i := 0; ; {
+		l, r := 2*i+1, 2*i+2
+		smallest := i
+		if l < n && s.less(l, smallest) {
+			smallest = l
+		}
+		if r < n && s.less(r, smallest) {
+			smallest = r
+		}
+		if smallest == i {
+			break
+		}
+		s[i], s[smallest] = s[smallest], s[i]
+		i = smallest
+	}
+	return top
 }

@@ -71,13 +71,21 @@ type line struct {
 	lastUse uint64
 }
 
+// mshr tracks one outstanding line fill. MSHRs are recycled through the
+// cache's free list: each embeds its fill request, whose Done is bound once
+// to fillDone, and keeps its waiting slice's capacity.
 type mshr struct {
+	c           *Cache
 	lineAddr    mem.Addr
 	set         int
 	issued      bool
 	waiting     []*mem.Request
 	dirtyOnFill bool // a merged write marks the line dirty when it lands
+	fill        mem.Request
+	done        func(uint64) // fillDone, bound once
 }
+
+func (m *mshr) fillDone(cycle uint64) { m.c.fillDone(m, cycle) }
 
 type hitEvent struct {
 	cycle uint64
@@ -145,6 +153,7 @@ type Cache struct {
 	sets    [][]line
 	numSets int
 	mshrs   map[mem.Addr]*mshr
+	free    []*mshr // MSHRs not in use, at most Config.MSHRs
 	below   mem.Device
 
 	pendingHits hitHeap
@@ -215,9 +224,24 @@ func (c *Cache) inRegRegion(a mem.Addr) bool {
 		uint64(a-c.cfg.RegRegionBase) < c.cfg.RegRegionSize
 }
 
+// newMSHR takes an MSHR off the free list.
+func (c *Cache) newMSHR() *mshr {
+	if n := len(c.free); n > 0 {
+		m := c.free[n-1]
+		c.free = c.free[:n-1]
+		return m
+	}
+	//virec:alloc-ok free-list growth, bounded by Config.MSHRs
+	m := &mshr{c: c}
+	m.done = m.fillDone
+	return m
+}
+
 // Access presents a request to the cache. It returns false if the port is
 // saturated this cycle, no MSHR is free for a miss, or every way in the
 // target set is pinned or filling.
+//
+//virec:hotpath
 func (c *Cache) Access(r *mem.Request) bool {
 	if c.acceptedNow >= c.cfg.Ports {
 		c.Stats.PortRejects++
@@ -270,9 +294,19 @@ func (c *Cache) Access(r *mem.Request) bool {
 	c.Stats.Misses++
 	c.signalMiss(r)
 
-	m := &mshr{lineAddr: la, set: set, waiting: []*mem.Request{r}}
-	if r.Kind == mem.Write {
-		m.dirtyOnFill = true
+	m := c.newMSHR()
+	m.lineAddr, m.set, m.issued = la, set, false
+	m.waiting = append(m.waiting, r)
+	m.dirtyOnFill = r.Kind == mem.Write
+	// The fill carries the first waiter's routing hints so lower levels
+	// can classify traffic. A rejected fill is retried as is.
+	m.fill = mem.Request{
+		Addr:         la,
+		Size:         mem.LineBytes,
+		Kind:         mem.Read,
+		Inst:         r.Inst,
+		RegisterFill: r.RegisterFill,
+		Done:         m.done,
 	}
 	c.mshrs[la] = m
 	c.issueFill(m)
@@ -387,22 +421,7 @@ func (c *Cache) lineAddrOf(set int, tag uint64) mem.Addr {
 }
 
 func (c *Cache) issueFill(m *mshr) {
-	if m.issued {
-		return
-	}
-	fill := &mem.Request{
-		Addr: m.lineAddr,
-		Size: mem.LineBytes,
-		Kind: mem.Read,
-		Done: func(cycle uint64) { c.fillDone(m, cycle) },
-	}
-	// Preserve routing hints from the first waiter so lower levels can
-	// classify traffic.
-	if len(m.waiting) > 0 {
-		fill.Inst = m.waiting[0].Inst
-		fill.RegisterFill = m.waiting[0].RegisterFill
-	}
-	if c.below.Access(fill) {
+	if !m.issued && c.below.Access(&m.fill) {
 		m.issued = true
 	}
 }
@@ -438,10 +457,15 @@ func (c *Cache) fillDone(m *mshr, cycle uint64) {
 		r.Complete(cycle)
 	}
 	delete(c.mshrs, m.lineAddr)
+	clear(m.waiting)
+	m.waiting = m.waiting[:0]
+	c.free = append(c.free, m)
 }
 
 // Tick retires due hits, retries unissued fills and drains the writeback
 // queue. It must be called once per cycle before the lower level's Tick.
+//
+//virec:hotpath
 func (c *Cache) Tick(cycle uint64) {
 	c.now = cycle
 	c.acceptedNow = 0

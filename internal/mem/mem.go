@@ -12,6 +12,8 @@
 // write-through visible early.
 package mem
 
+import "sync"
+
 // Addr is a byte address in the flat physical address space.
 type Addr uint64
 
@@ -99,11 +101,16 @@ type Device interface {
 	Tick(cycle uint64)
 }
 
-// Memory is the flat functional backing store. It allocates 4 KiB pages
-// lazily so sparse address spaces (per-core data regions, register
-// regions) stay cheap. The zero value is ready to use.
+// Memory is the flat functional backing store. It takes 4 KiB pages
+// lazily from a pool of zeroed pages shared by every Memory, so sparse
+// address spaces (per-core data regions, register regions) stay cheap and
+// a released Memory's pages serve the next one. The zero value is ready to
+// use.
 type Memory struct {
 	pages map[Addr]*page
+	// parent, when set, makes this Memory a copy-on-write overlay of it
+	// (see Overlay).
+	parent *Memory
 }
 
 const pageBytes = 4096
@@ -112,27 +119,65 @@ type page struct {
 	data [pageBytes]byte
 }
 
+// pagePool holds zeroed pages. It is safe for concurrent use, so parallel
+// sweep workers share it.
+var pagePool = sync.Pool{New: func() any { return new(page) }}
+
 // NewMemory returns an empty flat memory.
 func NewMemory() *Memory {
 	return &Memory{pages: make(map[Addr]*page)}
 }
 
+// page returns the page holding a. Without create it returns nil for a
+// page never written; an overlay then reads through to its parent. With
+// create, a missing page is taken from the pool, and an overlay first
+// copies its parent's page into it.
 func (m *Memory) page(a Addr, create bool) *page {
+	base := a &^ (pageBytes - 1)
+	if p := m.pages[base]; p != nil {
+		return p
+	}
+	var src *page
+	if m.parent != nil {
+		src = m.parent.page(a, false)
+	}
+	if !create {
+		return src
+	}
 	if m.pages == nil {
-		if !create {
-			return nil
-		}
 		//virec:alloc-ok lazy page table, built once per Memory
 		m.pages = make(map[Addr]*page)
 	}
-	base := a &^ (pageBytes - 1)
-	p := m.pages[base]
-	if p == nil && create {
-		//virec:alloc-ok one allocation per touched page, never freed
-		p = &page{}
-		m.pages[base] = p
+	//virec:alloc-ok a pooled page, allocated only when the pool is empty; Release returns it
+	p := pagePool.Get().(*page)
+	if src != nil {
+		*p = *src
 	}
+	m.pages[base] = p
 	return p
+}
+
+// Release zeroes the memory's pages and returns them to the shared pool,
+// leaving m empty. Only m's owner may release it, and only once nothing
+// (a core, a provider, a verifier) reads m any more. Releasing an overlay
+// returns only the pages it copied, never its parent's.
+func (m *Memory) Release() {
+	for _, p := range m.pages {
+		*p = page{}
+		pagePool.Put(p)
+	}
+	clear(m.pages)
+	m.parent = nil
+}
+
+// Overlay returns a copy-on-write view of m. Reads fall through to m until
+// the overlay first writes a page; that write copies the page (a pooled
+// one) into the overlay, so m never sees the overlay's writes. The
+// contract: nobody writes m while the overlay is in use, since the overlay
+// would see such a write on every page it has not copied. Release the
+// overlay when done with it.
+func (m *Memory) Overlay() *Memory {
+	return &Memory{parent: m}
 }
 
 // ByteAt returns the byte at address a (zero if never written).
@@ -175,14 +220,3 @@ func (m *Memory) Write64(a Addr, v uint64) { m.Write(a, 8, v) }
 // Footprint returns the number of touched bytes (allocated pages × 4 KiB),
 // useful for sanity checks in tests.
 func (m *Memory) Footprint() int { return len(m.pages) * pageBytes }
-
-// Clone returns a deep copy of the memory (oracle pre-runs execute
-// against a copy so the architectural state stays pristine).
-func (m *Memory) Clone() *Memory {
-	out := NewMemory()
-	for base, p := range m.pages {
-		cp := *p
-		out.pages[base] = &cp
-	}
-	return out
-}

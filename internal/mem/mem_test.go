@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -149,20 +150,112 @@ func TestDelayDeviceDeterministicTies(t *testing.T) {
 	}
 }
 
-func TestMemoryClone(t *testing.T) {
+// TestMemoryOverlay pins the copy-on-write contract the oracle pre-runs
+// rely on: an overlay reads its parent, keeps its own writes, and
+// releasing it leaves the parent intact.
+func TestMemoryOverlay(t *testing.T) {
 	m := NewMemory()
 	m.Write64(0x1000, 42)
 	m.Write64(0x100000, 77)
-	c := m.Clone()
-	if c.Read64(0x1000) != 42 || c.Read64(0x100000) != 77 {
-		t.Error("clone missing data")
+	o := m.Overlay()
+	if o.Read64(0x1000) != 42 || o.Read64(0x100000) != 77 {
+		t.Error("overlay does not read through to its parent")
 	}
-	c.Write64(0x1000, 99)
-	if m.Read64(0x1000) != 42 {
-		t.Error("clone writes leaked into the original")
+	o.Write64(0x1000, 99)
+	o.Write64(0x3000, 5) // a page the parent never wrote
+	if o.Read64(0x1000) != 99 || o.Read64(0x1008) != 0 || o.Read64(0x3000) != 5 {
+		t.Error("overlay lost its own writes")
 	}
-	m.Write64(0x2000, 5)
-	if c.Read64(0x2000) == 5 {
-		t.Error("original writes leaked into the clone")
+	if o.Read64(0x100000) != 77 {
+		t.Error("overlay stopped reading a page it never wrote")
 	}
+	if m.Read64(0x1000) != 42 || m.Read64(0x3000) != 0 {
+		t.Error("overlay writes leaked into the parent")
+	}
+	if o.Footprint() != 2*pageBytes {
+		t.Errorf("overlay holds %d bytes, want the 2 pages it wrote", o.Footprint())
+	}
+	o.Release()
+	if m.Read64(0x1000) != 42 || m.Read64(0x100000) != 77 || m.Footprint() != 2*pageBytes {
+		t.Error("releasing the overlay changed the parent")
+	}
+}
+
+// TestMemoryReleaseRecyclesZeroedPages checks that pages Release hands to
+// the pool come back zeroed, so a new memory never sees an old one's data,
+// and that a memory built after a release takes its pages from the pool
+// instead of allocating them.
+func TestMemoryReleaseRecyclesZeroedPages(t *testing.T) {
+	const pages = 256
+	touch := func(m *Memory) {
+		for i := Addr(0); i < pages; i++ {
+			m.Write64(i*pageBytes, ^uint64(0))
+			m.Write64(i*pageBytes+pageBytes/2, ^uint64(0))
+			m.Write64(i*pageBytes+pageBytes-8, ^uint64(0))
+		}
+	}
+	old := NewMemory()
+	touch(old)
+	old.Release()
+	if old.Footprint() != 0 || old.Read64(0) != 0 {
+		t.Error("a released memory still holds data")
+	}
+	fresh := NewMemory()
+	for i := Addr(0); i < pages; i++ {
+		fresh.SetByte(i*pageBytes+1, 0)
+		for off, b := range fresh.pages[i*pageBytes].data {
+			if b != 0 {
+				t.Fatalf("page %d of the new memory has byte %#x at offset %d", i, b, off)
+			}
+		}
+	}
+	fresh.Release()
+
+	// The map and the Memory itself still allocate; the pages must not.
+	// (The race detector's pool drops a quarter of what it is given.)
+	allocs := testing.AllocsPerRun(5, func() {
+		m := NewMemory()
+		touch(m)
+		m.Release()
+	})
+	if allocs > pages/2 {
+		t.Errorf("a %d-page memory built after a release made %.0f allocations", pages, allocs)
+	}
+}
+
+// TestMemoryPoolConcurrent builds, overlays and releases memories from
+// several goroutines at once, as parallel sweep workers do. Each must see
+// only its own writes: a fresh page is zero, and a released page never
+// reaches two memories at once.
+func TestMemoryPoolConcurrent(t *testing.T) {
+	const pages = 16
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 50; round++ {
+				v := uint64(g+1)<<32 | uint64(round)
+				m := NewMemory()
+				for i := Addr(0); i < pages; i++ {
+					m.Write64(i*pageBytes, v)
+					if got := m.Read64(i*pageBytes + 8); got != 0 {
+						t.Errorf("goroutine %d: fresh page holds %#x", g, got)
+						return
+					}
+				}
+				o := m.Overlay()
+				o.Write64(0, ^v)
+				for i := Addr(0); i < pages; i++ {
+					if got := m.Read64(i * pageBytes); got != v {
+						t.Errorf("goroutine %d: read %#x, wrote %#x", g, got, v)
+						return
+					}
+				}
+				o.Release()
+				m.Release()
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -433,8 +433,10 @@ func New(cfg Config) (*System, error) {
 	return s, nil
 }
 
-// recordOracles runs each thread functionally on a memory clone and
-// installs its register access sequence into Belady-policy providers.
+// recordOracles runs each thread functionally on a copy-on-write overlay
+// of the offloaded memory and installs its register access sequence into
+// Belady-policy providers. Nothing writes the system memory during the
+// pre-runs, as the overlay contract requires.
 func (s *System) recordOracles() {
 	if len(s.oracles) == 0 {
 		return
@@ -458,7 +460,8 @@ func (s *System) recordOracles() {
 			}
 			var seq []isa.Reg
 			var buf [6]isa.Reg
-			p.Run(&ctx, s.Memory.Clone(), 100_000_000,
+			scratch := s.Memory.Overlay()
+			p.Run(&ctx, scratch, 100_000_000,
 				func(e interp.TraceEntry) {
 					for _, r := range e.Inst.Regs(buf[:0]) {
 						if r != isa.XZR {
@@ -466,6 +469,7 @@ func (s *System) recordOracles() {
 						}
 					}
 				})
+			scratch.Release()
 			v.SetOracleSeq(th, seq)
 		}
 	}
@@ -828,11 +832,14 @@ func (s *System) skipTarget(now uint64, wd *harden.Watchdog) uint64 {
 	return t
 }
 
-// Simulate is the one-call convenience: build and run.
+// Simulate is the one-call convenience: build and run. The system's
+// functional memory goes back to the page pool when Run returns: nothing
+// reads it after that, and the Result holds no reference to it.
 func Simulate(cfg Config) (*Result, error) {
 	s, err := New(cfg)
 	if err != nil {
 		return nil, err
 	}
+	defer s.Memory.Release()
 	return s.Run()
 }
