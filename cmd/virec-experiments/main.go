@@ -139,7 +139,7 @@ func main() {
 
 	if *farmURL != "" {
 		if *metrics != "" || *every > 0 {
-			fmt.Fprintln(os.Stderr, "virec-experiments: -metrics-json/-metrics-every are inline-only; with -farm, pull /api/v1/metrics or watch /api/v1/metrics/stream (virec-top) instead")
+			fmt.Fprintln(os.Stderr, "virec-experiments: -metrics-json/-metrics-every are inline-only; with -farm, watch /api/v1/metrics/stream instead (its first event restates the full snapshot)")
 			os.Exit(2)
 		}
 		if err := runOnFarm(*farmURL, names, *quick, *iters, *format); err != nil {

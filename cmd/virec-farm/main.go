@@ -44,22 +44,19 @@ func main() {
 		codeVersion = flag.String("code-version", farm.CodeVersion, "cache-key code version")
 		noSync      = flag.Bool("no-sync", false, "skip fsync on journal appends (faster, loses power-failure durability)")
 		streamEvery = flag.Duration("stream-every", time.Second, "SSE delta sampling cadence for /api/v1/metrics/stream")
-		heartbeat   = flag.Uint64("heartbeat-every", 1<<16, "cycle cadence of worker sim heartbeats feeding farm metrics (0 disables)")
-		enablePprof = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	)
 	flag.Parse()
 
 	f, err := farm.Open(farm.Options{
-		Dir:            *dir,
-		Workers:        *workers,
-		QueueCap:       *queueCap,
-		MaxRetries:     *maxRetries,
-		BackoffBase:    *backoff,
-		BackoffMax:     *backoffMax,
-		JobDeadline:    *deadline,
-		CodeVersion:    *codeVersion,
-		SyncJournal:    !*noSync,
-		HeartbeatEvery: *heartbeat,
+		Dir:         *dir,
+		Workers:     *workers,
+		QueueCap:    *queueCap,
+		MaxRetries:  *maxRetries,
+		BackoffBase: *backoff,
+		BackoffMax:  *backoffMax,
+		JobDeadline: *deadline,
+		CodeVersion: *codeVersion,
+		SyncJournal: !*noSync,
 	})
 	if err != nil {
 		fatal(err)
@@ -70,10 +67,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	srv := &http.Server{Handler: farm.NewServerWith(f, farm.ServerOptions{
-		StreamInterval: *streamEvery,
-		EnablePprof:    *enablePprof,
-	})}
+	srv := &http.Server{Handler: farm.NewServerWith(f, farm.ServerOptions{StreamInterval: *streamEvery})}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 	fmt.Fprintf(os.Stderr, "virec-farm: serving on %s, data in %s (queue depth %d recovered)\n",

@@ -52,12 +52,6 @@ type Options struct {
 	// OnDeltas observes one finished job's heartbeat stream (see
 	// MetricsEvery). It fires before OnResult for the same sweep.
 	OnDeltas func(stream []*telemetry.Delta)
-
-	// OnLiveDelta, when non-nil (and MetricsEvery > 0), additionally
-	// observes every heartbeat as it is emitted, from whichever worker
-	// goroutine runs the job — unordered across jobs, for live dashboards
-	// only. Deterministic consumers use OnDeltas.
-	OnLiveDelta func(job int, d *telemetry.Delta)
 }
 
 // ctx returns the cancellation context in effect.
@@ -93,17 +87,14 @@ func (b *batch) add(cfg sim.Config) int {
 func (b *batch) run(opt Options) ([]*sim.Result, error) {
 	var results []*sim.Result
 	var err error
-	if opt.MetricsEvery > 0 && (opt.OnDeltas != nil || opt.OnLiveDelta != nil) {
+	if opt.MetricsEvery > 0 && opt.OnDeltas != nil {
 		var streams [][]*telemetry.Delta
-		results, streams, err = sweep.SimsDeltas(
-			opt.ctx(), opt.engine(), b.cfgs, opt.MetricsEvery, opt.OnLiveDelta)
+		results, streams, err = sweep.SimsDeltas(opt.ctx(), opt.engine(), b.cfgs, opt.MetricsEvery)
 		if err != nil {
 			return nil, err
 		}
-		if opt.OnDeltas != nil {
-			for _, s := range streams {
-				opt.OnDeltas(s)
-			}
+		for _, s := range streams {
+			opt.OnDeltas(s)
 		}
 	} else {
 		results, err = sweep.SimsCtx(opt.ctx(), opt.engine(), b.cfgs)

@@ -42,27 +42,55 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 // Put stores result bytes under key, atomically. A concurrent Put of the
 // same key is harmless: both writers hold identical bytes (the key is a
 // content address), and rename is atomic, so readers see one of them.
+//
+// Put fsyncs whatever the journal's sync setting: a done record
+// journaled after it must never name a result that a power loss undid.
 func (c *Cache) Put(key string, result []byte) error {
-	tmp, err := os.CreateTemp(c.dir, "put-*")
-	if err != nil {
-		return fmt.Errorf("farm: cache put: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(result); err != nil {
-		tmp.Close()
-		return fmt.Errorf("farm: cache put: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("farm: cache put: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("farm: cache put: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), c.path(key)); err != nil {
+	if err := replaceFile(c.path(key), result, true); err != nil {
 		return fmt.Errorf("farm: cache put: %w", err)
 	}
 	return nil
+}
+
+// replaceFile atomically replaces path with data: it writes a temp file
+// beside path and renames it into place, so readers see the old or the
+// new contents, never a torn mix. With sync set, the temp file is
+// fsynced before the rename and the directory after it, so a power loss
+// cannot undo the replacement either.
+func replaceFile(path string, data []byte, sync bool) error {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, "tmp-*")
+	if err != nil {
+		return err
+	}
+	defer os.Remove(tmp.Name()) // no-op after a successful rename
+	_, err = tmp.Write(data)
+	if err == nil && sync {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err == nil && sync {
+		err = syncDir(dir)
+	}
+	return err
+}
+
+// syncDir fsyncs a directory, making the renames into it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Len counts the entries currently in the store.

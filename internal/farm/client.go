@@ -6,7 +6,6 @@
 package farm
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -15,8 +14,6 @@ import (
 	"net/http"
 	"strings"
 	"time"
-
-	"github.com/virec/virec/internal/telemetry"
 )
 
 // Client talks to a virec-farm server.
@@ -164,49 +161,6 @@ func (c *Client) WaitResult(ctx context.Context, id uint64) ([]byte, *Job, error
 	}
 }
 
-// Metrics fetches the farm's telemetry snapshot.
-func (c *Client) Metrics(ctx context.Context) (*telemetry.Snapshot, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		c.Base+"/api/v1/metrics", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("farm: metrics: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeError(resp)
-	}
-	var snap telemetry.Snapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("farm: metrics: %w", err)
-	}
-	return &snap, nil
-}
-
-// Jobs fetches the full job listing, sorted by id.
-func (c *Client) Jobs(ctx context.Context) ([]*Job, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+"/api/v1/jobs", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("farm: jobs: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeError(resp)
-	}
-	var jobs []*Job
-	if err := json.NewDecoder(resp.Body).Decode(&jobs); err != nil {
-		return nil, fmt.Errorf("farm: jobs: %w", err)
-	}
-	return jobs, nil
-}
-
 // JobEvents fetches a job's lifecycle event history.
 func (c *Client) JobEvents(ctx context.Context, id uint64) (traceID string, events []JobEvent, err error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
@@ -230,52 +184,6 @@ func (c *Client) JobEvents(ctx context.Context, id uint64) (traceID string, even
 		return "", nil, fmt.Errorf("farm: events: %w", err)
 	}
 	return doc.TraceID, doc.Events, nil
-}
-
-// StreamDeltas consumes the SSE metrics stream, invoking fn for every
-// delta until the connection ends (server shutdown, subscriber overflow)
-// or ctx is cancelled; it returns nil on a clean server-side close so
-// the caller can reconnect. fromSeq >= 0 resumes after that sequence
-// number via Last-Event-ID (the hub replays the gap when it still can,
-// or re-heads the stream with a Reset delta). fn returning an error
-// stops the stream and propagates it.
-func (c *Client) StreamDeltas(ctx context.Context, fromSeq int64, fn func(d *telemetry.Delta) error) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		c.Base+"/api/v1/metrics/stream", nil)
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Accept", "text/event-stream")
-	if fromSeq >= 0 {
-		req.Header.Set("Last-Event-ID", fmt.Sprintf("%d", fromSeq))
-	}
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return fmt.Errorf("farm: stream: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return decodeError(resp)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	for sc.Scan() {
-		line := sc.Text()
-		if !strings.HasPrefix(line, "data: ") {
-			continue // id: lines and blank separators
-		}
-		var d telemetry.Delta
-		if err := json.Unmarshal([]byte(line[len("data: "):]), &d); err != nil {
-			return fmt.Errorf("farm: stream: bad delta: %w", err)
-		}
-		if err := fn(&d); err != nil {
-			return err
-		}
-	}
-	if err := sc.Err(); err != nil && ctx.Err() == nil {
-		return fmt.Errorf("farm: stream: %w", err)
-	}
-	return nil
 }
 
 // decodeError turns a non-200 response into a useful error.

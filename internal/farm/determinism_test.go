@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"os"
 	"testing"
-
-	"github.com/virec/virec/internal/telemetry"
 )
 
 // TestResultBytesIdenticalAcrossExecutionPaths is the farm's counterpart
@@ -19,11 +17,6 @@ import (
 //  3. on a retry after the first attempt crashed, or
 //  4. served from the content-addressed cache by a later farm
 //     generation that has no memory of the job, only the cache dir.
-//
-// Every executing path runs with a streaming observer attached
-// (heartbeat deltas + progress ticks) to pin down the observability
-// hard constraint: observers are side-channel only and must never
-// perturb result bytes.
 func TestResultBytesIdenticalAcrossExecutionPaths(t *testing.T) {
 	specs := []*Spec{
 		testSpec(0xd0),
@@ -37,7 +30,7 @@ func TestResultBytesIdenticalAcrossExecutionPaths(t *testing.T) {
 		}},
 	}
 
-	// Path 1a: inline, no observer (the plain Execute baseline).
+	// Path 1: inline.
 	inline := make([][]byte, len(specs))
 	for i, spec := range specs {
 		out, err := Execute(context.Background(), spec)
@@ -47,44 +40,8 @@ func TestResultBytesIdenticalAcrossExecutionPaths(t *testing.T) {
 		inline[i] = out
 	}
 
-	// Path 1b: inline with a streaming observer attached. The observed
-	// deltas must themselves obey the stream protocol, and the result
-	// bytes must not move by a single byte.
-	for i, spec := range specs {
-		var fold telemetry.Fold
-		deltas, progress := 0, 0
-		obs := &ExecObserver{
-			HeartbeatEvery: 64,
-			OnHeartbeat: func(d *telemetry.Delta) {
-				deltas++
-				if d.Reset {
-					fold = telemetry.Fold{} // new sim stream within the job
-				}
-				if err := fold.Apply(d); err != nil {
-					t.Errorf("%s: observed delta stream invalid: %v", spec.Summary(), err)
-				}
-			},
-			OnProgress: func(p Progress) { progress++ },
-		}
-		out, err := ExecuteObserved(context.Background(), spec, obs)
-		if err != nil {
-			t.Fatalf("observed Execute(%s): %v", spec.Summary(), err)
-		}
-		if !bytes.Equal(out, inline[i]) {
-			t.Errorf("%s: observer perturbed result bytes (%d vs %d bytes)",
-				spec.Summary(), len(out), len(inline[i]))
-		}
-		if spec.Kind == KindSim && deltas == 0 {
-			t.Errorf("%s: observer saw no heartbeat deltas", spec.Summary())
-		}
-		if progress == 0 {
-			t.Errorf("%s: observer saw no progress ticks", spec.Summary())
-		}
-	}
-
-	// Path 2: farm worker, heartbeats streaming into the farm registry.
+	// Path 2: farm worker.
 	opt := testOptions(t)
-	opt.HeartbeatEvery = 64
 	f := openFarm(t, opt)
 	for i, spec := range specs {
 		job, err := f.Submit(spec)
@@ -104,13 +61,8 @@ func TestResultBytesIdenticalAcrossExecutionPaths(t *testing.T) {
 		}
 	}
 
-	if st := f.StatsSnapshot(); st.Heartbeats == 0 || st.SimCycles == 0 {
-		t.Errorf("farm aggregated no heartbeats/cycles: hb=%d cycles=%d", st.Heartbeats, st.SimCycles)
-	}
-
 	// Path 3: post-crash retry — attempt 1 panics, attempt 2 runs clean.
 	opt3 := testOptions(t)
-	opt3.HeartbeatEvery = 64
 	opt3.ExecWrap = func(job *Job, attempt int, next func() ([]byte, error)) ([]byte, error) {
 		if attempt == 1 {
 			panic("injected first-attempt crash")

@@ -7,16 +7,15 @@
 // folds them into the job rather than dropping them).
 //
 // Wall-clock timestamps here are operational metadata only: they flow to
-// the events endpoint and the Chrome trace export, never into result
-// bytes, so the determinism contract is untouched (the byte-identity
-// tests run with tracing always on — it cannot be turned off).
+// the events endpoint, never into result bytes, so the determinism
+// contract is untouched (the byte-identity tests run with event
+// recording always on — it cannot be turned off).
 package farm
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"strings"
 	"time"
 )
 
@@ -79,137 +78,4 @@ func (f *Farm) record(job *Job, rec *record) {
 	rec.TS = time.Now().UnixNano()
 	job.appendEvent(rec)
 	f.append(rec)
-}
-
-// traceChromeEvents renders a job's lifecycle as Chrome trace_event JSON
-// objects (one string per event, for ChromeWriter.RawEvent or direct
-// concatenation). Spans:
-//
-//	queue-wait   enqueue → first start (or now, while still queued)
-//	attempt N    start → the attempt's outcome (done/fail/quarantine)
-//
-// plus an instant per terminal/fail event carrying the crash fingerprint,
-// which is the link into `virec-sim -repro` and the quarantine record.
-// Timestamps are microseconds relative to the first event, matching the
-// trace-viewer's expectations; pid/tid place lifecycle lanes away from
-// the simulator's per-core pids (pid = farmTracePID, tid = job id).
-func traceChromeEvents(job *Job, nowNS int64) []string {
-	const pid = 999999 // above any plausible core index
-	if len(job.Events) == 0 {
-		return nil
-	}
-	base := job.Events[0].TS
-	us := func(ns int64) int64 {
-		d := ns - base
-		if d < 0 {
-			d = 0
-		}
-		return d / 1000
-	}
-	args := func(extra string) string {
-		s := fmt.Sprintf(`"trace_id":%q,"job":%d`, job.TraceID, job.ID)
-		if extra != "" {
-			s += "," + extra
-		}
-		return s
-	}
-	esc := func(s string) string {
-		b, _ := jsonString(s)
-		return b
-	}
-	var out []string
-	out = append(out, fmt.Sprintf(
-		`{"name":"process_name","ph":"M","pid":%d,"args":{"name":"farm"}}`, pid))
-	out = append(out, fmt.Sprintf(
-		`{"name":"thread_name","ph":"M","pid":%d,"tid":%d,"args":{"name":"job %d (%s)"}}`,
-		pid, job.ID, job.ID, strings.ReplaceAll(job.Spec.Summary(), `"`, `'`)))
-
-	span := func(name string, startNS, endNS int64, extra string) {
-		dur := us(endNS) - us(startNS)
-		if dur <= 0 {
-			dur = 1
-		}
-		out = append(out, fmt.Sprintf(
-			`{"name":%s,"ph":"X","ts":%d,"dur":%d,"pid":%d,"tid":%d,"args":{%s}}`,
-			esc(name), us(startNS), dur, pid, job.ID, args(extra)))
-	}
-	instant := func(name string, ns int64, extra string) {
-		out = append(out, fmt.Sprintf(
-			`{"name":%s,"ph":"i","s":"t","ts":%d,"pid":%d,"tid":%d,"args":{%s}}`,
-			esc(name), us(ns), pid, job.ID, args(extra)))
-	}
-
-	var queuedAt, startedAt int64
-	attempt := 0
-	for _, ev := range job.Events {
-		switch ev.Type {
-		case "enqueue":
-			queuedAt = ev.TS
-		case "start":
-			if queuedAt != 0 {
-				span("queue-wait", queuedAt, ev.TS, "")
-				queuedAt = 0
-			}
-			startedAt, attempt = ev.TS, ev.Attempt
-		case "done":
-			if startedAt != 0 {
-				span(fmt.Sprintf("attempt %d", attempt), startedAt, ev.TS, `"outcome":"done"`)
-				startedAt = 0
-			}
-			extra := `"outcome":"done"`
-			if ev.FromCache {
-				extra = `"outcome":"done","from_cache":true`
-			}
-			instant("done", ev.TS, extra)
-		case "fail", "quarantine":
-			extra := fmt.Sprintf(`"outcome":%s,"err":%s`, esc(ev.Type), esc(ev.Err))
-			if ev.Fingerprint != "" {
-				extra += fmt.Sprintf(`,"fingerprint":%s`, esc(ev.Fingerprint))
-			}
-			if startedAt != 0 {
-				span(fmt.Sprintf("attempt %d", attempt), startedAt, ev.TS, extra)
-				startedAt = 0
-			}
-			instant(ev.Type, ev.TS, extra)
-			if ev.Type == "fail" && !ev.Terminal {
-				queuedAt = ev.TS // backoff + requeue read as renewed queue wait
-			}
-		}
-	}
-	// Unclosed phases extend to now: the job is still waiting or running.
-	if queuedAt != 0 {
-		span("queue-wait", queuedAt, nowNS, `"open":true`)
-	}
-	if startedAt != 0 {
-		span(fmt.Sprintf("attempt %d", attempt), startedAt, nowNS, `"open":true`)
-	}
-	return out
-}
-
-// jsonString renders s as a JSON string literal.
-func jsonString(s string) (string, error) {
-	var b strings.Builder
-	b.WriteByte('"')
-	for _, r := range s {
-		switch r {
-		case '"':
-			b.WriteString(`\"`)
-		case '\\':
-			b.WriteString(`\\`)
-		case '\n':
-			b.WriteString(`\n`)
-		case '\t':
-			b.WriteString(`\t`)
-		case '\r':
-			b.WriteString(`\r`)
-		default:
-			if r < 0x20 {
-				fmt.Fprintf(&b, `\u%04x`, r)
-			} else {
-				b.WriteRune(r)
-			}
-		}
-	}
-	b.WriteByte('"')
-	return b.String(), nil
 }

@@ -2,7 +2,6 @@ package farm
 
 import (
 	"context"
-	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -134,47 +133,5 @@ func TestApplyRecordReplayDedup(t *testing.T) {
 	applyRecord(jobs, enq)
 	if len(jobs[1].Events) != 2 {
 		t.Fatalf("enqueue replay reset events: %v", jobs[1].Events)
-	}
-}
-
-func TestTraceChromeEvents(t *testing.T) {
-	job := &Job{
-		ID: 7, Key: "k", TraceID: "abcd1234", Spec: testSpec(1),
-		Events: []JobEvent{
-			{TS: 1_000_000, Type: "enqueue"},
-			{TS: 3_000_000, Type: "start", Attempt: 1},
-			{TS: 9_000_000, Type: "fail", Attempt: 1, Err: `crash "quoted"`, Fingerprint: "fp-1"},
-			{TS: 12_000_000, Type: "start", Attempt: 2},
-			{TS: 20_000_000, Type: "done"},
-		},
-	}
-	objs := traceChromeEvents(job, 25_000_000)
-	text := "[" + strings.Join(objs, ",") + "]"
-	var evs []map[string]any
-	if err := json.Unmarshal([]byte(text), &evs); err != nil {
-		t.Fatalf("trace export is not valid JSON: %v\n%s", err, text)
-	}
-	names := map[string]int{}
-	for _, e := range evs {
-		names[e["name"].(string)]++
-		if args, ok := e["args"].(map[string]any); ok {
-			if tid, ok := args["trace_id"]; ok && tid != "abcd1234" {
-				t.Fatalf("wrong trace id on event %v", e)
-			}
-		}
-	}
-	// Two queue-waits (initial + post-fail requeue), two attempts, the
-	// fail instant and the done instant.
-	if names["queue-wait"] != 2 {
-		t.Errorf("queue-wait spans = %d, want 2\n%s", names["queue-wait"], text)
-	}
-	if names["attempt 1"] != 1 || names["attempt 2"] != 1 {
-		t.Errorf("attempt spans = %d/%d, want 1/1", names["attempt 1"], names["attempt 2"])
-	}
-	if names["fail"] != 1 || names["done"] != 1 {
-		t.Errorf("instants fail=%d done=%d, want 1/1", names["fail"], names["done"])
-	}
-	if !strings.Contains(text, "fp-1") {
-		t.Error("fail span does not carry the crash fingerprint")
 	}
 }

@@ -71,35 +71,18 @@ type Job struct {
 	FromCache   bool     `json:"from_cache,omitempty"`  // completed without executing
 
 	// TraceID is the job's trace identity, minted at submission
-	// (TraceIDFor) and stamped on every lifecycle span and correlated
-	// simulator cycle event.
+	// (TraceIDFor), journaled with its enqueue record and served with its
+	// lifecycle events.
 	TraceID string `json:"trace_id,omitempty"`
 	// Events is the job's lifecycle history (see events.go). Folded into
 	// the checkpoint with the job, so it survives restarts intact.
 	Events []JobEvent `json:"events,omitempty"`
-
-	// Progress is live execution progress, updated by the exec observer
-	// outside the journal (it is ephemeral: not persisted, reset by a
-	// restart). Mutate only under the farm mutex.
-	Progress *Progress `json:"progress,omitempty"`
-}
-
-// Progress is a job's in-flight completion estimate.
-type Progress struct {
-	Done  int    `json:"done"`            // units completed
-	Total int    `json:"total,omitempty"` // units expected (0 = unknown)
-	Unit  string `json:"unit"`            // "scenarios", "sims", "cycles"
-	Cycle uint64 `json:"cycle,omitempty"` // latest simulated cycle (sim jobs)
 }
 
 // clone returns a snapshot safe to use outside the farm mutex.
 func (j *Job) clone() *Job {
 	c := *j
 	c.Events = append([]JobEvent(nil), j.Events...)
-	if j.Progress != nil {
-		p := *j.Progress
-		c.Progress = &p
-	}
 	return &c
 }
 
@@ -117,8 +100,6 @@ type Stats struct {
 	Quarantined uint64 // jobs circuit-broken on a repeated fingerprint
 	Deadlines   uint64 // attempts abandoned at the per-job deadline
 	Restarts    uint64 // worker goroutines restarted after a panic escape
-	Heartbeats  uint64 // telemetry deltas received from running sims
-	SimCycles   uint64 // aggregate simulated cycles observed via heartbeats
 }
 
 // Options configures a Farm.
@@ -154,13 +135,6 @@ type Options struct {
 	// JitterSeed seeds the backoff jitter stream. Zero selects a fixed
 	// default — all farm randomness is explicitly seeded.
 	JitterSeed uint64
-
-	// HeartbeatEvery is the cycle cadence at which worker simulations
-	// stream telemetry deltas back to the farm (live progress, aggregate
-	// throughput counters). 0 disables heartbeats; coarse progress from
-	// difftest/experiment jobs is reported either way. Heartbeats are
-	// side-channel only and cannot alter result bytes.
-	HeartbeatEvery uint64
 
 	// CodeVersion replaces the package CodeVersion in cache keys.
 	CodeVersion string
@@ -212,9 +186,9 @@ func (o *Options) withDefaults() Options {
 // Sentinel errors the admission path returns; the HTTP layer maps them
 // onto status codes.
 var (
-	ErrQueueFull = errors.New("farm: queue full")          // → 429
+	ErrQueueFull = errors.New("farm: queue full")                   // → 429
 	ErrDraining  = errors.New("farm: draining, not accepting jobs") // → 503
-	ErrNotFound  = errors.New("farm: no such job")         // → 404
+	ErrNotFound  = errors.New("farm: no such job")                  // → 404
 )
 
 // Farm is the running service.
@@ -255,6 +229,13 @@ func Open(opt Options) (*Farm, error) {
 	}
 	j, err := openJournal(opt.Dir, opt.SyncJournal)
 	if err != nil {
+		return nil, err
+	}
+	// Fold the recovered state into a fresh checkpoint before the first
+	// append: recovery may have stopped at a torn or corrupt record, and a
+	// record appended after those bytes would be lost with them.
+	if err := j.checkpoint(nextID, jobs); err != nil {
+		j.close()
 		return nil, err
 	}
 	cache, err := OpenCache(filepath.Join(opt.Dir, "cache"))
@@ -374,7 +355,6 @@ func (f *Farm) runJob(job *Job) {
 		return
 	}
 	defer f.cond.Broadcast() // wake Drain/WaitJob watchers
-	job.Progress = nil       // the attempt is over; live progress is stale
 
 	if err == nil {
 		sum := sha256.Sum256(out)
@@ -488,7 +468,7 @@ func (f *Farm) execute(job *Job) ([]byte, error) {
 				ch <- outcome{nil, &workerPanicError{value: r, stack: debug.Stack()}}
 			}
 		}()
-		next := func() ([]byte, error) { return ExecuteObserved(ctx, snap.Spec, f.execObserver(snap.ID)) }
+		next := func() ([]byte, error) { return Execute(ctx, snap.Spec) }
 		if f.opt.ExecWrap != nil {
 			out, err := f.opt.ExecWrap(snap, snap.Attempts, next)
 			ch <- outcome{out, err}
@@ -507,43 +487,6 @@ func (f *Farm) execute(job *Job) ([]byte, error) {
 	case <-f.stopCh:
 		return nil, fmt.Errorf("farm: job %d attempt %d abandoned: farm stopping", snap.ID, snap.Attempts)
 	}
-}
-
-// execObserver builds the side-channel observer for one execution
-// attempt: heartbeat deltas feed the aggregate throughput counters, and
-// progress ticks update the live job's Progress. All updates happen
-// under the farm mutex and touch only observability state — never
-// anything that reaches result bytes.
-func (f *Farm) execObserver(id uint64) *ExecObserver {
-	obs := &ExecObserver{
-		OnProgress: func(p Progress) {
-			f.mu.Lock()
-			if job := f.jobs[id]; job != nil && job.State == StateRunning {
-				job.Progress = &p
-			}
-			f.mu.Unlock()
-		},
-	}
-	if f.opt.HeartbeatEvery > 0 {
-		// lastCycle is per-attempt: experiment jobs stream many sims back
-		// to back, each restarting at a Reset head, and only forward
-		// cycle motion counts toward the aggregate.
-		var lastCycle uint64
-		obs.HeartbeatEvery = f.opt.HeartbeatEvery
-		obs.OnHeartbeat = func(d *telemetry.Delta) {
-			f.mu.Lock()
-			f.stats.Heartbeats++
-			if d.Reset {
-				lastCycle = 0
-			}
-			if d.Cycle > lastCycle {
-				f.stats.SimCycles += d.Cycle - lastCycle
-				lastCycle = d.Cycle
-			}
-			f.mu.Unlock()
-		}
-	}
-	return obs
 }
 
 // workerPanicError wraps a panic that escaped the executor (as opposed
@@ -857,8 +800,6 @@ func (f *Farm) registerMetrics(r *telemetry.Registry, prefix string) {
 	r.Counter(prefix+"/quarantined", &f.stats.Quarantined)
 	r.Counter(prefix+"/deadline_abandons", &f.stats.Deadlines)
 	r.Counter(prefix+"/worker_restarts", &f.stats.Restarts)
-	r.Counter(prefix+"/heartbeats", &f.stats.Heartbeats)
-	r.Counter(prefix+"/sim_cycles", &f.stats.SimCycles)
 	r.Gauge(prefix+"/queue_depth", func() float64 { return float64(f.liveLocked()) })
 	r.Gauge(prefix+"/running", func() float64 { return float64(f.running) })
 	r.Gauge(prefix+"/jobs_total", func() float64 { return float64(len(f.jobs)) })

@@ -36,16 +36,16 @@ import (
 type record struct {
 	Op          string `json:"op"` // enqueue|start|done|fail|quarantine
 	ID          uint64 `json:"id"`
-	TS          int64  `json:"ts,omitempty"`          // unix ns, lifecycle event timestamp
-	TraceID     string `json:"trace_id,omitempty"`    // enqueue: minted trace identity
-	Spec        *Spec  `json:"spec,omitempty"`        // enqueue
-	Key         string `json:"key,omitempty"`         // enqueue: cache key
-	Attempt     int    `json:"attempt,omitempty"`     // start/fail
-	Err         string `json:"err,omitempty"`         // fail/quarantine (truncated)
-	Fingerprint string `json:"fp,omitempty"`          // fail/quarantine
-	ResultHash  string `json:"result,omitempty"`      // done: sha256 of result bytes
-	FromCache   bool   `json:"from_cache,omitempty"`  // done: served without executing
-	Terminal    bool   `json:"terminal,omitempty"`    // fail: retries exhausted
+	TS          int64  `json:"ts,omitempty"`         // unix ns, lifecycle event timestamp
+	TraceID     string `json:"trace_id,omitempty"`   // enqueue: minted trace identity
+	Spec        *Spec  `json:"spec,omitempty"`       // enqueue
+	Key         string `json:"key,omitempty"`        // enqueue: cache key
+	Attempt     int    `json:"attempt,omitempty"`    // start/fail
+	Err         string `json:"err,omitempty"`        // fail/quarantine (truncated)
+	Fingerprint string `json:"fp,omitempty"`         // fail/quarantine
+	ResultHash  string `json:"result,omitempty"`     // done: sha256 of result bytes
+	FromCache   bool   `json:"from_cache,omitempty"` // done: served without executing
+	Terminal    bool   `json:"terminal,omitempty"`   // fail: retries exhausted
 }
 
 // checkpointDoc is the atomically-replaced full-state snapshot.
@@ -126,11 +126,9 @@ func (j *journal) checkpoint(nextID uint64, jobs map[uint64]*Job) error {
 	if err != nil {
 		return fmt.Errorf("farm: checkpoint: %w", err)
 	}
-	tmp := checkpointPath(j.dir) + ".tmp"
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
-		return fmt.Errorf("farm: checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp, checkpointPath(j.dir)); err != nil {
+	// With sync on, the checkpoint must be on disk before the journal it
+	// replaces is truncated, or a power loss could leave neither.
+	if err := replaceFile(checkpointPath(j.dir), append(data, '\n'), j.sync); err != nil {
 		return fmt.Errorf("farm: checkpoint: %w", err)
 	}
 	// Restart the journal: the checkpoint now carries everything.

@@ -1,7 +1,9 @@
 package farm
 
 import (
+	"encoding/json"
 	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -51,6 +53,43 @@ func TestRecoverDiscardsTornFinalRecord(t *testing.T) {
 	}
 	if nextID != 2 {
 		t.Fatalf("nextID = %d, want 2", nextID)
+	}
+}
+
+// TestRestartAfterTornRecordKeepsNewJobs: the generation that restarts
+// after a torn final record must not append onto the torn bytes. If it
+// did, its first record would share their line, recovery would stop
+// there, and a second crash would lose every job acknowledged since the
+// restart and hand out their ids again.
+func TestRestartAfterTornRecordKeepsNewJobs(t *testing.T) {
+	opt := testOptions(t)
+	spec, err := json.Marshal(testSpec(0xa0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeJournalLines(t, opt.Dir,
+		`{"op":"enqueue","id":1,"key":"k1","spec":`+string(spec)+`}`+"\n"+
+			`{"op":"start","id":1,"attempt":1}`+"\n"+
+			`{"op":"done","id":1,"result":"abc`)
+	f := openFarm(t, opt)
+	job, err := f.Submit(testSpec(0xa1))
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	if got := waitDone(t, f, job.ID); got.State != StateDone {
+		t.Fatalf("job %d: state %s, want done", job.ID, got.State)
+	}
+	f.Kill()
+
+	jobs, nextID, err := recoverState(opt.Dir)
+	if err != nil {
+		t.Fatalf("recoverState: %v", err)
+	}
+	if got := jobs[job.ID]; got == nil || got.State != StateDone {
+		t.Fatalf("job %d acknowledged after the restart = %+v, want done", job.ID, got)
+	}
+	if nextID != job.ID+1 {
+		t.Fatalf("nextID = %d, want %d", nextID, job.ID+1)
 	}
 }
 
@@ -168,8 +207,8 @@ func TestCheckpointIsAtomic(t *testing.T) {
 		t.Fatalf("checkpoint: %v", err)
 	}
 	// No .tmp residue: the temp file was renamed into place.
-	if _, err := os.Stat(checkpointPath(dir) + ".tmp"); !os.IsNotExist(err) {
-		t.Fatalf("checkpoint temp file left behind (stat err %v)", err)
+	if tmps, err := filepath.Glob(filepath.Join(dir, "tmp-*")); err != nil || len(tmps) > 0 {
+		t.Fatalf("checkpoint temp files left behind: %v (glob err %v)", tmps, err)
 	}
 	jobs, _, err := recoverState(dir)
 	if err != nil {

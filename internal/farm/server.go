@@ -3,17 +3,12 @@
 // full queue, 503 while draining — so clients can implement retry
 // policies without parsing error prose.
 //
-//	POST /api/v1/jobs              submit a Spec         → 200 Job (202-like; includes cache hits)
-//	GET  /api/v1/jobs              list all jobs         → 200 [Job]
-//	GET  /api/v1/jobs/{id}         job status            → 200 Job | 404
-//	GET  /api/v1/jobs/{id}/result  result bytes          → 200 | 202 still running | 404 | 500 failed
-//	GET  /api/v1/jobs/{id}/events  lifecycle events      → 200 {trace_id, events}
-//	GET  /api/v1/jobs/{id}/trace   Chrome trace export   → 200 (add ?sim=1 to embed cycle events)
-//	GET  /api/v1/metrics           telemetry snapshot    → 200
-//	GET  /api/v1/metrics/stream    SSE delta stream      → 200 text/event-stream
-//	GET  /metrics                  Prometheus exposition → 200
-//	GET  /healthz                  liveness              → 200 "ok"
-//	GET  /debug/pprof/...          profiling (opt-in via ServerOptions.EnablePprof)
+//	POST /api/v1/jobs              submit a Spec     → 200 Job (202-like; includes cache hits)
+//	GET  /api/v1/jobs/{id}         job status        → 200 Job | 404
+//	GET  /api/v1/jobs/{id}/result  result bytes      → 200 | 202 still running | 404 | 500 failed
+//	GET  /api/v1/jobs/{id}/events  lifecycle events  → 200 {trace_id, events}
+//	GET  /api/v1/metrics/stream    SSE delta stream  → 200 text/event-stream (its head is the full snapshot)
+//	GET  /healthz                  liveness          → 200 "ok"
 package farm
 
 import (
@@ -21,22 +16,14 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"net/http/pprof"
-	"sort"
 	"strconv"
 	"time"
-
-	"github.com/virec/virec/internal/sim"
-	"github.com/virec/virec/internal/telemetry"
 )
 
-// ServerOptions tunes the HTTP layer's observability surface.
+// ServerOptions tunes the HTTP layer.
 type ServerOptions struct {
 	// StreamInterval is the SSE sampling cadence (default 1s).
 	StreamInterval time.Duration
-	// EnablePprof mounts net/http/pprof under /debug/pprof/. Off by
-	// default: profiling endpoints on a shared farm are opt-in.
-	EnablePprof bool
 }
 
 // NewServer returns the HTTP handler serving f with default options.
@@ -94,19 +81,6 @@ func NewServerWith(f *Farm, so ServerOptions) http.Handler {
 			writeJSON(w, http.StatusAccepted, job) // not done yet: poll again
 		}
 	})
-	mux.HandleFunc("GET /api/v1/metrics", func(w http.ResponseWriter, r *http.Request) {
-		snap := f.MetricsSnapshot()
-		data, err := snap.MarshalIndentJSON()
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, err)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(append(data, '\n'))
-	})
-	mux.HandleFunc("GET /api/v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, f.Jobs())
-	})
 	mux.HandleFunc("GET /api/v1/jobs/{id}/events", func(w http.ResponseWriter, r *http.Request) {
 		job, ok := lookupJob(f, w, r)
 		if !ok {
@@ -119,31 +93,12 @@ func NewServerWith(f *Farm, so ServerOptions) http.Handler {
 			Events  []JobEvent `json:"events"`
 		}{job.ID, job.TraceID, job.State, job.Events})
 	})
-	mux.HandleFunc("GET /api/v1/jobs/{id}/trace", func(w http.ResponseWriter, r *http.Request) {
-		job, ok := lookupJob(f, w, r)
-		if !ok {
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		serveJobTrace(w, job, r.URL.Query().Get("sim") == "1")
-	})
 	mux.HandleFunc("GET /api/v1/metrics/stream", func(w http.ResponseWriter, r *http.Request) {
 		serveSSE(hub, w, r)
-	})
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		telemetry.WritePrometheus(w, f.MetricsSnapshot())
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
-	if so.EnablePprof {
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	}
 	return mux
 }
 
@@ -186,47 +141,6 @@ func serveSSE(hub *metricsHub, w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-}
-
-// serveJobTrace writes a job's Chrome trace export: lifecycle spans
-// always, plus — for sim-kind jobs when withSim is set — the cycle-level
-// event trace from a deterministic re-run of the simulation, every event
-// stamped with the job's trace id. The re-run is side-channel by
-// construction (the simulator is a pure function of the spec), so the
-// export can be produced at any time without touching cached results.
-func serveJobTrace(w http.ResponseWriter, job *Job, withSim bool) {
-	cw := telemetry.NewChromeWriter(w)
-	cw.SetCommonArgs(fmt.Sprintf(`"trace_id":%q`, job.TraceID))
-	//virec:wallclock-ok trace export timestamp, never in result bytes
-	now := time.Now().UnixNano()
-	for _, obj := range traceChromeEvents(job, now) {
-		cw.RawEvent(obj)
-	}
-	var end uint64
-	if withSim && job.Spec != nil && job.Spec.Kind == KindSim {
-		cfg, err := job.Spec.Sim.simConfig()
-		if err == nil {
-			cfg.TraceEvents = 4096
-			cfg.TraceSink = func(evs []telemetry.Event) { cw.Write(evs) }
-			if res, err := sim.Simulate(cfg); err == nil {
-				end = res.Cycles
-			}
-		}
-	}
-	cw.Close(end)
-}
-
-// Jobs returns a snapshot of every job, sorted by id — the fleet-wide
-// listing virec-top polls.
-func (f *Farm) Jobs() []*Job {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make([]*Job, 0, len(f.jobs))
-	for _, job := range f.jobs {
-		out = append(out, job.clone())
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
-	return out
 }
 
 // lookupJob parses {id} and fetches its status, writing the error

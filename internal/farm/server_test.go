@@ -168,22 +168,42 @@ func TestHTTPResultLifecycle(t *testing.T) {
 	}
 }
 
-func TestHTTPMetricsAndHealth(t *testing.T) {
-	f, client := testServer(t, testOptions(t))
-	job, err := client.Submit(context.Background(), testSpec(0xe4))
+// TestHTTPWaitResultReportsQuarantine: a job that ends in a terminal
+// failure comes back from WaitResult as an error naming its state,
+// together with the job, and its raw result endpoint answers 500.
+func TestHTTPWaitResultReportsQuarantine(t *testing.T) {
+	opt := testOptions(t)
+	opt.ExecWrap = func(job *Job, attempt int, next func() ([]byte, error)) ([]byte, error) {
+		panic("deterministic bug: injected over HTTP")
+	}
+	_, client := testServer(t, opt)
+	ctx := context.Background()
+	job, err := client.Submit(ctx, testSpec(0xe6))
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
-	waitDone(t, f, job.ID)
+	out, final, err := client.WaitResult(ctx, job.ID)
+	if err == nil || !strings.Contains(err.Error(), string(StateQuarantined)) {
+		t.Fatalf("WaitResult err = %v, want one naming %s", err, StateQuarantined)
+	}
+	if out != nil || final == nil || final.State != StateQuarantined {
+		t.Fatalf("WaitResult = %d bytes, job %+v; want no bytes and the quarantined job", len(out), final)
+	}
 
-	snap, err := client.Metrics(context.Background())
+	resp, err := http.Get(fmt.Sprintf("%s/api/v1/jobs/%d/result", client.Base, job.ID))
 	if err != nil {
-		t.Fatalf("Metrics: %v", err)
+		t.Fatalf("GET result: %v", err)
 	}
-	if snap.Counters["farm/submitted"] != 1 {
-		t.Fatalf("farm/submitted over HTTP = %d, want 1", snap.Counters["farm/submitted"])
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("quarantined result status = %d, want 500", resp.StatusCode)
 	}
+}
 
+// TestHTTPMetricsAndHealth checks liveness; the metrics are read from
+// the stream's head (TestSSEStreamFoldsToPullSnapshot).
+func TestHTTPMetricsAndHealth(t *testing.T) {
+	_, client := testServer(t, testOptions(t))
 	resp, err := http.Get(client.Base + "/healthz")
 	if err != nil {
 		t.Fatalf("GET healthz: %v", err)

@@ -1,10 +1,10 @@
 package farm
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -26,6 +26,52 @@ func streamServer(t *testing.T, opt Options) (*Farm, *Client) {
 	return f, c
 }
 
+// streamDeltas consumes the SSE metrics stream, invoking fn for every
+// delta until the connection ends (server shutdown, subscriber overflow)
+// or ctx is cancelled; it returns nil on a clean server-side close so
+// the caller can reconnect. fromSeq >= 0 resumes after that sequence
+// number via Last-Event-ID (the hub replays the gap when it still can,
+// or re-heads the stream with a Reset delta). fn returning an error
+// stops the stream and propagates it.
+func (c *Client) streamDeltas(ctx context.Context, fromSeq int64, fn func(d *telemetry.Delta) error) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
+		c.Base+"/api/v1/metrics/stream", nil)
+	if err != nil {
+		return err
+	}
+	req.Header.Set("Accept", "text/event-stream")
+	if fromSeq >= 0 {
+		req.Header.Set("Last-Event-ID", fmt.Sprintf("%d", fromSeq))
+	}
+	resp, err := c.http().Do(req)
+	if err != nil {
+		return fmt.Errorf("farm: stream: %w", err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return decodeError(resp)
+	}
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
+	for sc.Scan() {
+		line := sc.Text()
+		if !strings.HasPrefix(line, "data: ") {
+			continue // id: lines and blank separators
+		}
+		var d telemetry.Delta
+		if err := json.Unmarshal([]byte(line[len("data: "):]), &d); err != nil {
+			return fmt.Errorf("farm: stream: bad delta: %w", err)
+		}
+		if err := fn(&d); err != nil {
+			return err
+		}
+	}
+	if err := sc.Err(); err != nil && ctx.Err() == nil {
+		return fmt.Errorf("farm: stream: %w", err)
+	}
+	return nil
+}
+
 // TestSSEStreamFoldsToPullSnapshot: consume the live stream while jobs
 // run; the folded stream must validate under the protocol rules and its
 // counters must agree with a pull snapshot taken after quiescence.
@@ -39,7 +85,7 @@ func TestSSEStreamFoldsToPullSnapshot(t *testing.T) {
 	headSeen := make(chan struct{})
 	errCh := make(chan error, 1)
 	go func() {
-		errCh <- client.StreamDeltas(ctx, -1, func(d *telemetry.Delta) error {
+		errCh <- client.streamDeltas(ctx, -1, func(d *telemetry.Delta) error {
 			if deltas == 0 {
 				close(headSeen)
 			}
@@ -66,7 +112,7 @@ func TestSSEStreamFoldsToPullSnapshot(t *testing.T) {
 	time.Sleep(30 * time.Millisecond)
 	cancel()
 	if err := <-errCh; err != nil && ctx.Err() == nil {
-		t.Fatalf("StreamDeltas: %v", err)
+		t.Fatalf("streamDeltas: %v", err)
 	}
 	if deltas < 2 {
 		t.Fatalf("stream produced %d deltas, want at least a head and one change", deltas)
@@ -97,7 +143,7 @@ func TestSSEReconnectResumes(t *testing.T) {
 		n := 0
 		streamCtx, cancel := context.WithCancel(ctx)
 		defer cancel()
-		return ignoreCanceled(streamCtx, client.StreamDeltas(streamCtx, lastSeq, func(d *telemetry.Delta) error {
+		return ignoreCanceled(streamCtx, client.streamDeltas(streamCtx, lastSeq, func(d *telemetry.Delta) error {
 			if err := fold.Apply(d); err != nil {
 				return err
 			}
@@ -154,150 +200,39 @@ func TestSSEStaleCursorGetsReset(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 	defer cancel()
 	var first *telemetry.Delta
-	err = client.StreamDeltas(ctx, 10_000, func(d *telemetry.Delta) error {
+	err = client.streamDeltas(ctx, 10_000, func(d *telemetry.Delta) error {
 		first = d
 		cancel()
 		return nil
 	})
 	if err := ignoreCanceled(ctx, err); err != nil {
-		t.Fatalf("StreamDeltas: %v", err)
+		t.Fatalf("streamDeltas: %v", err)
 	}
 	if first == nil || !first.Reset {
 		t.Fatalf("stale cursor got %+v, want a Reset head", first)
 	}
 }
 
-func TestPrometheusEndpoint(t *testing.T) {
-	f, client := streamServer(t, testOptions(t))
-	job, err := f.Submit(testSpec(0xfa))
-	if err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	waitDone(t, f, job.ID)
-
-	resp, err := http.Get(client.Base + "/metrics")
-	if err != nil {
-		t.Fatalf("GET /metrics: %v", err)
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	text := string(body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d, want 200", resp.StatusCode)
-	}
-	if !strings.Contains(resp.Header.Get("Content-Type"), "text/plain") {
-		t.Fatalf("content-type = %q", resp.Header.Get("Content-Type"))
-	}
-	for _, want := range []string{
-		"# TYPE virec_farm_submitted counter",
-		"virec_farm_submitted 1",
-		"virec_farm_completed 1",
-		"# TYPE virec_farm_queue_depth gauge",
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("/metrics missing %q:\n%s", want, text)
-		}
-	}
-}
-
-// TestJobTraceEndpointCorrelated is the acceptance criterion: one trace
-// export holds both farm lifecycle spans and simulator cycle events,
-// every one stamped with the same trace id.
-func TestJobTraceEndpointCorrelated(t *testing.T) {
-	f, client := streamServer(t, testOptions(t))
-	job, err := f.Submit(testSpec(0xfb))
-	if err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	done := waitDone(t, f, job.ID)
-
-	resp, err := http.Get(fmt.Sprintf("%s/api/v1/jobs/%d/trace?sim=1", client.Base, job.ID))
-	if err != nil {
-		t.Fatalf("GET trace: %v", err)
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	var evs []map[string]any
-	if err := json.Unmarshal(body, &evs); err != nil {
-		t.Fatalf("trace export is not valid JSON: %v\n%.2000s", err, body)
-	}
-
-	lifecycle, cycles := 0, 0
-	for _, e := range evs {
-		args, _ := e["args"].(map[string]any)
-		if args == nil {
-			continue // lane metadata
-		}
-		tid, ok := args["trace_id"].(string)
-		if !ok {
-			continue
-		}
-		if tid != done.TraceID {
-			t.Fatalf("event %v has trace id %q, want %q", e["name"], tid, done.TraceID)
-		}
-		switch e["name"] {
-		case "queue-wait", "attempt 1", "done":
-			lifecycle++
-		default:
-			cycles++ // simulator instants/spans (switch, run, rf events…)
-		}
-	}
-	if lifecycle < 3 {
-		t.Fatalf("only %d correlated lifecycle events", lifecycle)
-	}
-	if cycles == 0 {
-		t.Fatal("no correlated simulator cycle events in the export")
-	}
-}
-
 func TestJobsListAndEventsEndpoints(t *testing.T) {
 	f, client := streamServer(t, testOptions(t))
-	ctx := context.Background()
+	var first *Job
 	for seed := uint64(0xfc); seed < 0xfe; seed++ {
 		job, err := f.Submit(testSpec(seed))
 		if err != nil {
 			t.Fatalf("Submit: %v", err)
 		}
-		waitDone(t, f, job.ID)
+		if done := waitDone(t, f, job.ID); first == nil {
+			first = done
+		}
 	}
-	jobs, err := client.Jobs(ctx)
-	if err != nil {
-		t.Fatalf("Jobs: %v", err)
-	}
-	if len(jobs) != 2 || jobs[0].ID >= jobs[1].ID {
-		t.Fatalf("jobs list = %d entries, want 2 sorted by id", len(jobs))
-	}
-	traceID, events, err := client.JobEvents(ctx, jobs[0].ID)
+	// Ids start at 1, so a client reads the first job's events by id,
+	// without a listing.
+	traceID, events, err := client.JobEvents(context.Background(), 1)
 	if err != nil {
 		t.Fatalf("JobEvents: %v", err)
 	}
-	if traceID != jobs[0].TraceID || len(events) != 3 {
+	if traceID != first.TraceID || len(events) != 3 {
 		t.Fatalf("events endpoint: trace %q, %d events; want %q and 3",
-			traceID, len(events), jobs[0].TraceID)
-	}
-}
-
-func TestPprofGatedByOption(t *testing.T) {
-	f := openFarm(t, testOptions(t))
-	off := httptest.NewServer(NewServer(f))
-	t.Cleanup(off.Close)
-	resp, err := http.Get(off.URL + "/debug/pprof/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode == http.StatusOK {
-		t.Fatal("pprof served without EnablePprof")
-	}
-
-	on := httptest.NewServer(NewServerWith(f, ServerOptions{EnablePprof: true}))
-	t.Cleanup(on.Close)
-	resp, err = http.Get(on.URL + "/debug/pprof/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("pprof with EnablePprof: status %d, want 200", resp.StatusCode)
+			traceID, len(events), first.TraceID)
 	}
 }

@@ -31,8 +31,8 @@ import (
 // suppresses rule 1 for that loop. A `//virec:wallclock-ok` directive on
 // (or above) a clock call suppresses rule 2's time checks for code that
 // legitimately observes wall-clock time without feeding it into
-// simulation state — operational timestamps on farm lifecycle events,
-// throughput rates on a live dashboard. The directive is a claim the
+// simulation state, such as operational timestamps on farm lifecycle
+// events. The directive is a claim the
 // reviewer can grep for: the timestamp never reaches result bytes.
 var Determinism = &Analyzer{
 	Name: "determinism",

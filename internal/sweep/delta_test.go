@@ -52,11 +52,11 @@ func TestSimsDeltasSerialParallelByteIdentical(t *testing.T) {
 	cfgs := deltaCfgs(t)
 	const every = 200
 
-	serialRes, serialStreams, err := SimsDeltas(context.Background(), Serial, cfgs, every, nil)
+	serialRes, serialStreams, err := SimsDeltas(context.Background(), Serial, cfgs, every)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parRes, parStreams, err := SimsDeltas(context.Background(), New(4), cfgs, every, nil)
+	parRes, parStreams, err := SimsDeltas(context.Background(), New(4), cfgs, every)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,23 +85,6 @@ func TestSimsDeltasSerialParallelByteIdentical(t *testing.T) {
 		}
 		if ok, msg := fold.Equal(parRes[i].Metrics); !ok {
 			t.Fatalf("job %d: serial fold != parallel Result.Metrics: %s", i, msg)
-		}
-	}
-}
-
-// TestSimsDeltasLiveObserverSeesEveryDelta checks the live hook fires
-// once per collected delta with the right job index.
-func TestSimsDeltasLiveObserverSeesEveryDelta(t *testing.T) {
-	cfgs := deltaCfgs(t)
-	live := make([]int, len(cfgs))
-	_, streams, err := SimsDeltas(context.Background(), Serial, cfgs, 200,
-		func(job int, d *telemetry.Delta) { live[job]++ })
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, stream := range streams {
-		if live[i] != len(stream) {
-			t.Errorf("job %d: live observer saw %d deltas, stream has %d", i, live[i], len(stream))
 		}
 	}
 }

@@ -216,11 +216,8 @@ func SimsCtx(ctx context.Context, e Engine, cfgs []sim.Config) ([]*sim.Result, e
 // OnHeartbeat callback only ever appends to that job's own slice — one
 // job runs on one goroutine — so no synchronization is needed, and the
 // collected streams are byte-identical between serial and parallel
-// execution. onDelta, when non-nil, additionally observes every delta
-// live (tagged with its job index) from whichever worker goroutine runs
-// the job; live observers needing order must impose their own.
-func SimsDeltas(ctx context.Context, e Engine, cfgs []sim.Config, every uint64,
-	onDelta func(job int, d *telemetry.Delta)) ([]*sim.Result, [][]*telemetry.Delta, error) {
+// execution.
+func SimsDeltas(ctx context.Context, e Engine, cfgs []sim.Config, every uint64) ([]*sim.Result, [][]*telemetry.Delta, error) {
 	if every == 0 {
 		every = 1 << 20
 	}
@@ -229,12 +226,7 @@ func SimsDeltas(ctx context.Context, e Engine, cfgs []sim.Config, every uint64,
 	err := e.ForEachCtx(ctx, len(cfgs), func(i int) error {
 		cfg := cfgs[i]
 		cfg.HeartbeatEvery = every
-		cfg.OnHeartbeat = func(d *telemetry.Delta) {
-			streams[i] = append(streams[i], d)
-			if onDelta != nil {
-				onDelta(i, d)
-			}
-		}
+		cfg.OnHeartbeat = func(d *telemetry.Delta) { streams[i] = append(streams[i], d) }
 		r, err := sim.Simulate(cfg)
 		if err != nil {
 			return err

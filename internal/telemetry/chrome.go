@@ -29,10 +29,7 @@ type ChromeWriter struct {
 	running map[int64]uint64
 	// lanes already announced via metadata events
 	named map[int64]bool
-	// common is a JSON fragment injected into every event's args (job
-	// trace exports use it to stamp the farm trace id on cycle events).
-	common string
-	err    error
+	err   error
 }
 
 // NewChromeWriter starts the JSON array on w.
@@ -45,26 +42,6 @@ func NewChromeWriter(w io.Writer) *ChromeWriter {
 	}
 	_, cw.err = cw.w.WriteString("[\n")
 	return cw
-}
-
-// SetCommonArgs injects a JSON object fragment (`"key":value,...`, no
-// braces) into the args of every subsequently written event. The farm's
-// job-trace export uses it to correlate simulator cycle events with the
-// job's lifecycle spans via a shared trace id.
-func (cw *ChromeWriter) SetCommonArgs(frag string) {
-	cw.common = frag
-}
-
-// RawEvent appends one pre-rendered trace_event JSON object to the
-// array. The caller is responsible for its validity; composite exports
-// (farm lifecycle spans alongside simulator events) render their own
-// span objects through this.
-func (cw *ChromeWriter) RawEvent(obj string) {
-	if cw.err != nil {
-		return
-	}
-	cw.sep()
-	cw.w.WriteString(obj)
 }
 
 func laneKey(core, tid int32) int64 { return int64(core)<<32 | int64(uint32(tid)) }
@@ -95,7 +72,7 @@ func (cw *ChromeWriter) instant(name string, cycle uint64, core, tid int32, args
 	cw.sep()
 	fmt.Fprintf(cw.w,
 		`{"name":%q,"ph":"i","s":"t","ts":%d,"pid":%d,"tid":%d,"args":{%s}}`,
-		name, cycle, core, tid, cw.withCommon(args))
+		name, cycle, core, tid, args)
 }
 
 // span emits a ph:"X" complete event.
@@ -103,18 +80,7 @@ func (cw *ChromeWriter) span(name string, start, dur uint64, core, tid int32, ar
 	cw.sep()
 	fmt.Fprintf(cw.w,
 		`{"name":%q,"ph":"X","ts":%d,"dur":%d,"pid":%d,"tid":%d,"args":{%s}}`,
-		name, start, dur, core, tid, cw.withCommon(args))
-}
-
-// withCommon appends the common-args fragment to an args body.
-func (cw *ChromeWriter) withCommon(args string) string {
-	if cw.common == "" {
-		return args
-	}
-	if args == "" {
-		return cw.common
-	}
-	return args + "," + cw.common
+		name, start, dur, core, tid, args)
 }
 
 var stageNames = [4]string{"decode", "execute", "mem", "commit"}

@@ -169,69 +169,3 @@ func TestDeltaBytesDeterministic(t *testing.T) {
 		t.Fatalf("identical delta streams marshaled differently:\n%s\nvs\n%s", a, b)
 	}
 }
-
-func TestWritePrometheus(t *testing.T) {
-	r, c1, _, g, h := deltaFixture()
-	*c1 = 12
-	*g = 0.5
-	h.Observe(7)
-	h.Observe(250)
-	snap := r.Snapshot()
-	var out bytes.Buffer
-	if err := WritePrometheus(&out, snap); err != nil {
-		t.Fatal(err)
-	}
-	text := out.String()
-	for _, want := range []string{
-		`virec_core_insts{instance="core0"} 12`,
-		`virec_core_util{instance="core0"} 0.5`,
-		`virec_dram_latency_bucket{le="10"} 1`,
-		`virec_dram_latency_bucket{le="+Inf"} 2`,
-		`virec_dram_latency_count 2`,
-		"# TYPE virec_core_insts counter",
-		"# TYPE virec_dram_latency histogram",
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("prometheus output missing %q:\n%s", want, text)
-		}
-	}
-	// Deterministic bytes.
-	var out2 bytes.Buffer
-	if err := WritePrometheus(&out2, snap); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(out.Bytes(), out2.Bytes()) {
-		t.Fatal("prometheus rendering not deterministic")
-	}
-}
-
-func TestChromeWriterCommonArgs(t *testing.T) {
-	var out bytes.Buffer
-	cw := NewChromeWriter(&out)
-	cw.SetCommonArgs(`"trace_id":"t-123"`)
-	cw.RawEvent(`{"name":"queue-wait","ph":"X","ts":0,"dur":5,"pid":1000,"tid":1,"args":{"trace_id":"t-123"}}`)
-	if err := cw.Write([]Event{
-		{Cycle: 3, Kind: EvSwitch, Core: 0, Thread: 1, Arg0: ^uint64(0), Arg1: SwitchStart},
-		{Cycle: 9, Kind: EvRFMiss, Core: 0, Thread: 1, Arg0: 4},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := cw.Close(20); err != nil {
-		t.Fatal(err)
-	}
-	var evs []map[string]any
-	if err := json.Unmarshal(out.Bytes(), &evs); err != nil {
-		t.Fatalf("export not valid JSON: %v\n%s", err, out.String())
-	}
-	withTrace := 0
-	for _, e := range evs {
-		if args, ok := e["args"].(map[string]any); ok && args["trace_id"] == "t-123" {
-			withTrace++
-		}
-	}
-	// The raw span, the switch instant, the rf_miss instant and the
-	// closing run span all carry the trace id (metadata events do not).
-	if withTrace < 4 {
-		t.Fatalf("only %d events carry the common trace id:\n%s", withTrace, out.String())
-	}
-}
