@@ -137,14 +137,12 @@ type regKey struct {
 }
 
 // hintMark is the value-typed record of one instruction's hint marks,
-// applied at commit. Fixed-size arrays keep the decode path allocation
-// free (dead ≤ 4 operand fields, cold ≤ 6 touched registers).
+// applied at commit. A fixed-size array keeps the decode path allocation
+// free (dead ≤ 4 operand fields).
 type hintMark struct {
 	thread int
 	dead   [4]isa.Reg
-	cold   [6]isa.Reg
 	nDead  uint8
-	nCold  uint8
 	remat  isa.Reg // destination to mark rematerializable; XZR = none
 }
 
@@ -642,9 +640,6 @@ func (p *ViReC) InstDecoded(thread int, seq uint64, in *isa.Inst) {
 	if p.hintPend != nil && in.Hints != 0 {
 		hm := hintMark{thread: thread, remat: isa.XZR}
 		hm.nDead = uint8(len(in.DeadRegs(hm.dead[:0])))
-		if in.Hints&isa.HintCold != 0 {
-			hm.nCold = uint8(len(in.Regs(hm.cold[:0])))
-		}
 		if in.Hints&isa.HintRemat != 0 {
 			hm.remat = in.Rd
 		}
@@ -663,15 +658,6 @@ func (p *ViReC) applyHintMark(hm hintMark) {
 	for i := 0; i < int(hm.nDead); i++ {
 		if phys, ok := p.tags.Lookup(hm.thread, hm.dead[i]); ok {
 			p.tags.MarkDead(phys)
-		}
-	}
-	for i := 0; i < int(hm.nCold); i++ {
-		r := hm.cold[i]
-		if r == isa.XZR {
-			continue
-		}
-		if phys, ok := p.tags.Lookup(hm.thread, r); ok {
-			p.tags.MarkCold(phys)
 		}
 	}
 	if hm.remat != isa.XZR {
@@ -990,9 +976,6 @@ func (p *ViReC) DiagDump() string {
 			}
 			if e.Dead {
 				flags += ",dead"
-			}
-			if e.Cold {
-				flags += ",cold"
 			}
 			if e.Remat {
 				flags += ",remat"

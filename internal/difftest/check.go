@@ -115,18 +115,15 @@ func Matrix() []Scenario {
 			out = append(out, Scenario{Kind: sim.ViReC, Policy: pol, Threads: t})
 		}
 	}
-	// Hint-aware policies: hints must be a pure performance channel, so
-	// they face the full thread grid plus their own capacity-squeezed and
+	// LRC+H: hints must be a pure performance channel, so the hint-aware
+	// policy faces the full thread grid plus its own capacity-squeezed and
 	// fault-injected corners (dead-victim picks and spill elision run
 	// hottest under pressure and across rollbacks).
-	for _, pol := range vrmu.HintPolicies() {
-		for _, t := range threads {
-			out = append(out, Scenario{Kind: sim.ViReC, Policy: pol, Threads: t})
-		}
+	for _, t := range threads {
+		out = append(out, Scenario{Kind: sim.ViReC, Policy: vrmu.LRCH, Threads: t})
 	}
 	out = append(out,
 		Scenario{Kind: sim.ViReC, Policy: vrmu.LRCH, Threads: 8, CtxPct: 40},
-		Scenario{Kind: sim.ViReC, Policy: vrmu.LRCRD, Threads: 8, CtxPct: 60},
 		Scenario{Kind: sim.ViReC, Policy: vrmu.LRCH, Threads: 4, Faults: "storm"})
 	// Capacity pressure: the register file holds well under the full
 	// contexts, so spill/fill and rollback paths run hot.

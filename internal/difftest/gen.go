@@ -262,9 +262,9 @@ func (k *Kernel) rebuild() {
 	insts := emit(k.ir)
 	name := fmt.Sprintf("difftest-%016x", k.Seed)
 	k.Prog = &asm.Program{Name: name, Insts: insts}
-	// Hints ride on every generated kernel, so the hint-aware policies get
-	// exercised by the same seed population as everything else; synthesis
-	// is deterministic, so a shrunk or replayed kernel re-derives the same
+	// Hints ride on every generated kernel, so LRC+H gets exercised by
+	// the same seed population as everything else; synthesis is
+	// deterministic, so a shrunk or replayed kernel re-derives the same
 	// flags.
 	check.Apply(k.Prog)
 	k.Spec = makeSpec(name, k.Prog, k.Cfg.ArenaBytes)

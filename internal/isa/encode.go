@@ -17,15 +17,17 @@ import (
 //	byte  1..4   Rd, Rn, Rm, Ra
 //	byte  5      Shift
 //	byte  6      Cond (low nibble) | Mode (high nibble)
-//	byte  7      hint byte: version (bits 6-7) | hint flags (bits 0-5)
+//	byte  7      hint byte: version (bits 6-7) | reserved, zero (bit 5) |
+//	             hint flags (bits 0-4)
 //	bytes 8..15  Imm  (int64)
 //	bytes 16..19 Target (int32)
 //
 // Byte 7 was originally reserved-must-be-zero; it now carries the
 // versioned hint byte. Zero still means "no hints", so every legacy
 // encoding decodes identically, byte for byte. A non-zero byte must have
-// version 1 and at least one flag set (the canonical encoding of "no
-// hints" is the zero byte, keeping decode→encode byte-exact).
+// version 1, bit 5 clear and at least one flag set (the canonical
+// encoding of "no hints" is the zero byte, keeping decode→encode
+// byte-exact).
 const EncodedBytes = 20
 
 // Encode appends the fixed-width binary form of the instruction to dst.
@@ -81,6 +83,8 @@ func Decode(b []byte) (Inst, error) {
 			return in, fmt.Errorf("isa: hint byte %#x has flags but version 0", hb)
 		case ver != 1:
 			return in, fmt.Errorf("isa: unsupported hint version %d", ver)
+		case hb&(1<<5) != 0:
+			return in, fmt.Errorf("isa: hint byte %#x sets reserved bit 5", hb)
 		case flags == 0:
 			return in, fmt.Errorf("isa: non-canonical hint byte %#x (version set, no flags)", hb)
 		}

@@ -22,7 +22,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		{Op: FMADD, Rd: V1, Rn: V2, Rm: V3, Ra: V4},
 		{Op: HALT},
 		{Op: ADD, Rd: X3, Rn: X4, Rm: X5, Hints: HintDeadRn | HintDeadRm},
-		{Op: MOVZ, Rd: X9, Imm: 7, Hints: HintRemat | HintCold},
+		{Op: MOVZ, Rd: X9, Imm: 7, Hints: HintRemat},
 		{Op: LDR, Rd: X4, Rn: X2, Rm: X5, Mode: AddrRegShift, Shift: 3,
 			Hints: HintDeadRm},
 	}
@@ -59,6 +59,8 @@ func TestDecodeRejectsBadFields(t *testing.T) {
 		{"hint version 1 without flags", 7, 0x40},
 		{"hint version 2", 7, 0x81},
 		{"hint version 3", 7, 0xc1},
+		{"hint reserved bit 5 alone", 7, 0x60},
+		{"hint reserved bit 5 with a flag", 7, 0x61},
 	}
 	for _, c := range cases {
 		b := append([]byte(nil), good...)
@@ -74,10 +76,11 @@ func TestDecodeRejectsBadFields(t *testing.T) {
 
 // TestHintByteRoundTrip exhaustively round-trips every hint flag
 // combination through byte 7 and pins the canonical encoding rules: no
-// hints encodes as the legacy zero byte, any hints as version 1 | flags.
+// hints encodes as the legacy zero byte, any hints as version 1 | flags,
+// and a version-1 byte with reserved bit 5 set never decodes.
 func TestHintByteRoundTrip(t *testing.T) {
 	base := Inst{Op: MADD, Rd: X3, Rn: X4, Rm: X5, Ra: X6}
-	for flags := 0; flags < 64; flags++ {
+	for flags := 0; flags < 32; flags++ {
 		in := base
 		in.Hints = Hint(flags)
 		enc := in.Encode(nil)
@@ -94,6 +97,13 @@ func TestHintByteRoundTrip(t *testing.T) {
 		}
 		if got != in {
 			t.Fatalf("hints %#02x: round trip changed %+v to %+v", flags, in, got)
+		}
+	}
+	enc := base.Encode(nil)
+	for hb := 0x60; hb < 0x80; hb++ {
+		enc[7] = byte(hb)
+		if _, err := Decode(enc); err == nil {
+			t.Errorf("decode accepted hint byte %#02x with reserved bit 5 set", hb)
 		}
 	}
 }
@@ -129,7 +139,7 @@ func FuzzEncodeDecode(f *testing.F) {
 	f.Add((&Inst{Op: LDR, Rd: X4, Rn: X2, Rm: X5, Mode: AddrRegShift, Shift: 3}).Encode(nil))
 	f.Add((&Inst{Op: MOVZ, Rd: X9, Imm: -1, Shift: 2}).Encode(nil))
 	f.Add((&Inst{Op: ADD, Rd: X3, Rn: X4, Rm: X5,
-		Hints: HintDeadRn | HintCold}).Encode(nil))
+		Hints: HintDeadRn | HintDeadRm}).Encode(nil))
 	f.Add(make([]byte, EncodedBytes))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in, err := Decode(data)

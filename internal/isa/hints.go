@@ -3,11 +3,12 @@ package isa
 import "strings"
 
 // Hint is the per-instruction register-management hint set synthesized by
-// the static analyzer (internal/asm/check) and carried through byte 7 of
-// the binary encoding. Hints are a pure performance channel: the VRMU may
-// use them to pick better victims or elide spill traffic, but architectural
-// results never depend on them. A missing hint costs nothing; difftest
-// proves a wrong one cannot cost correctness (only cycles).
+// the static analyzer (internal/asm/check) and carried in byte 7 of the
+// EncodedBytes-wide binary encoding. Hints are a pure performance channel:
+// the VRMU may use them to pick better victims or elide spill traffic, but
+// architectural results never depend on them. A missing hint costs
+// nothing; difftest proves a wrong one cannot cost correctness (only
+// cycles).
 //
 // The dead flags name encoding fields, not registers: HintDeadRn on an ADD
 // means "after this instruction commits, the architectural register named
@@ -16,21 +17,21 @@ import "strings"
 // encoding and must never be interpreted as X0.
 type Hint uint8
 
-// Hint flags (bits 0-5 of the encoded hint byte).
+// Hint flags (bits 0-4 of the encoded hint byte).
 const (
 	HintDeadRd Hint = 1 << iota // reg named by Rd dead after commit
 	HintDeadRn                  // reg named by Rn dead after commit
 	HintDeadRm                  // reg named by Rm dead after commit
 	HintDeadRa                  // reg named by Ra dead after commit
 	HintRemat                   // dest value rematerializable from the encoding alone
-	HintCold                    // inst outside all loops and touches only loop-free regs
 
 	// HintDeadAny masks the four field-dead flags.
 	HintDeadAny = HintDeadRd | HintDeadRn | HintDeadRm | HintDeadRa
 
-	// hintFlagMask covers every defined flag; bits 6-7 of the encoded
-	// byte hold the hint-format version and never appear in a Hint.
-	hintFlagMask Hint = 1<<6 - 1
+	// hintFlagMask covers every defined flag. Bit 5 of the encoded byte
+	// is reserved and must be zero; bits 6-7 hold the hint-format
+	// version. Neither ever appears in a Hint.
+	hintFlagMask Hint = 1<<5 - 1
 )
 
 // hintVersionShift positions the 2-bit version field in the encoded byte.
@@ -42,7 +43,7 @@ var hintDeadFlags = [4]Hint{HintDeadRd, HintDeadRn, HintDeadRm, HintDeadRa}
 
 var hintFieldNames = [4]string{"Rd", "Rn", "Rm", "Ra"}
 
-// String renders the flag set, e.g. "dead(Rd,Rm)|remat|cold".
+// String renders the flag set, e.g. "dead(Rd,Rm)|remat".
 func (h Hint) String() string {
 	if h == 0 {
 		return "none"
@@ -63,18 +64,11 @@ func (h Hint) String() string {
 		}
 		b.WriteByte(')')
 	}
-	sep := func() {
+	if h&HintRemat != 0 {
 		if b.Len() > 0 {
 			b.WriteByte('|')
 		}
-	}
-	if h&HintRemat != 0 {
-		sep()
 		b.WriteString("remat")
-	}
-	if h&HintCold != 0 {
-		sep()
-		b.WriteString("cold")
 	}
 	return b.String()
 }

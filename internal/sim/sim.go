@@ -131,12 +131,6 @@ type Config struct {
 	// The slice is reused after the call returns.
 	TraceSink func([]telemetry.Event)
 
-	// MetricsEvery, when > 0 together with OnMetrics, delivers a metrics
-	// snapshot every that many cycles (watching livelocks develop).
-	MetricsEvery uint64
-	// OnMetrics receives the periodic snapshots.
-	OnMetrics func(*telemetry.Snapshot)
-
 	// HeartbeatEvery, when > 0 together with OnHeartbeat, streams an
 	// incremental telemetry.Delta every that many cycles: only the
 	// metrics that changed since the previous heartbeat, sequence-
@@ -646,11 +640,6 @@ func (s *System) Run() (res *Result, err error) {
 				}
 			}
 		}
-		if k := cfg.MetricsEvery; k > 0 && cfg.OnMetrics != nil && cycle%k == k-1 {
-			snap := s.Registry.Snapshot()
-			snap.Cycle = cycle + 1
-			cfg.OnMetrics(snap)
-		}
 		if k := cfg.HeartbeatEvery; k > 0 && cfg.OnHeartbeat != nil && cycle%k == k-1 {
 			var d *telemetry.Delta
 			d, hbPrev = s.Registry.DeltaSince(hbPrev, hbSeq, cycle+1)
@@ -752,8 +741,8 @@ func (s *System) Run() (res *Result, err error) {
 // the target is a provable pure stall system-wide: each core reports a
 // skippable state (Core.NextEvent), every memory device and injector has
 // no event due, and no watchdog deadline or periodic observer boundary
-// (invariant check, metrics, heartbeat) falls inside the window. The
-// loop may then jump the clock without changing any observable behavior.
+// (invariant check, heartbeat) falls inside the window. The loop may then
+// jump the clock without changing any observable behavior.
 //
 //virec:hotpath
 func (s *System) skipTarget(now uint64, wd *harden.Watchdog) uint64 {
@@ -779,11 +768,6 @@ func (s *System) skipTarget(now uint64, wd *harden.Watchdog) uint64 {
 	// or after now+1 must be ticked so its snapshot/check happens exactly
 	// where an unskipped run would take it.
 	if k := cfg.Harden.CheckEvery; k > 0 {
-		if b := (now+1)/k*k + k - 1; b < t {
-			t = b
-		}
-	}
-	if k := cfg.MetricsEvery; k > 0 && cfg.OnMetrics != nil {
 		if b := (now+1)/k*k + k - 1; b < t {
 			t = b
 		}

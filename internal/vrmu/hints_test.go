@@ -7,26 +7,24 @@ import (
 )
 
 func TestHintPolicyNames(t *testing.T) {
-	for _, p := range HintPolicies() {
-		got, err := ParsePolicy(p.String())
-		if err != nil {
-			t.Errorf("ParsePolicy(%q): %v", p.String(), err)
-		}
-		if got != p {
-			t.Errorf("round trip %v -> %v", p, got)
-		}
-		if !p.HintAware() {
-			t.Errorf("%v must be hint-aware", p)
-		}
+	got, err := ParsePolicy(LRCH.String())
+	if err != nil {
+		t.Errorf("ParsePolicy(%q): %v", LRCH.String(), err)
+	}
+	if got != LRCH {
+		t.Errorf("round trip %v -> %v", LRCH, got)
+	}
+	if !LRCH.HintAware() {
+		t.Errorf("%v must be hint-aware", LRCH)
 	}
 	for _, p := range append(AllPolicies(), Belady) {
 		if p.HintAware() {
 			t.Errorf("%v must not be hint-aware", p)
 		}
 	}
-	// Hint policies are opt-in, not part of the Figure-12 default set.
+	// LRC+H is opt-in, not part of the Figure-12 default set.
 	for _, p := range AllPolicies() {
-		if p == LRCH || p == LRCRD {
+		if p == LRCH {
 			t.Errorf("%v leaked into AllPolicies", p)
 		}
 	}
@@ -72,32 +70,6 @@ func TestTouchAndWriteClearDeadMark(t *testing.T) {
 	}
 	if ts.Stats.DeadVictims != 0 {
 		t.Errorf("DeadVictims = %d, want 0 (no dead entry was evicted)", ts.Stats.DeadVictims)
-	}
-}
-
-func TestColdDemotionOrdersLRCRD(t *testing.T) {
-	ts := NewTagStore(2, LRCRD)
-	ts.SetCurrent(0)
-	phys := fill(ts, [2]int{0, 0}, [2]int{0, 1})
-	// x1 is younger (lower age) but cold: LRC+RD must evict it before the
-	// hot x0; plain LRC+H ignores the cold bit.
-	ts.entries[phys[0]].A = maxAge
-	ts.MarkCold(phys[1])
-	ts.MarkCold(phys[1]) // idempotent: one demotion counted
-	if v := ts.SelectVictim(nil); ts.Entry(v).Reg != isa.X1 {
-		t.Errorf("LRC+RD victim = %s, want the cold x1", ts.Entry(v).Reg)
-	}
-	if ts.Stats.ColdDemotions != 1 {
-		t.Errorf("ColdDemotions = %d, want 1", ts.Stats.ColdDemotions)
-	}
-
-	tsH := NewTagStore(2, LRCH)
-	tsH.SetCurrent(0)
-	physH := fill(tsH, [2]int{0, 0}, [2]int{0, 1})
-	tsH.entries[physH[0]].A = maxAge
-	tsH.MarkCold(physH[1])
-	if v := tsH.SelectVictim(nil); tsH.Entry(v).Reg != isa.X0 {
-		t.Errorf("LRC+H victim = %s, want x0 (cold bit must not matter)", tsH.Entry(v).Reg)
 	}
 }
 
