@@ -99,7 +99,7 @@ func main() {
 	if *run {
 		var ctx interp.Context
 		m := mem.NewMemory()
-		res := interp.Run(prog, &ctx, m, *maxInsts, nil)
+		res := interp.Precode(prog).Run(&ctx, m, *maxInsts, nil)
 		fmt.Printf("\nexecuted %d instructions (halted=%v)\n", res.Insts, res.Halted)
 		for r := isa.Reg(0); r < isa.NumRegs; r++ {
 			if v := ctx.Get(r); v != 0 {
@@ -172,7 +172,7 @@ func verifyHints(w io.Writer, maxInsts uint64) int {
 			ctx.Set(r, v)
 		})
 		var pcs []int
-		res := interp.Run(wl.Prog, &ctx, m, maxInsts, func(e interp.TraceEntry) {
+		res := interp.Precode(wl.Prog).Run(&ctx, m, maxInsts, func(e interp.TraceEntry) {
 			pcs = append(pcs, e.PC)
 		})
 		if !res.Halted {

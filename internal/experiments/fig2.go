@@ -27,7 +27,17 @@ func fig2(opt Options) (*Report, error) {
 		var ctx interp.Context
 		p := workloads.Params{Iters: iters, Seed: 1}
 		w.Setup(m, 0x10000, p, func(r isa.Reg, v uint64) { ctx.Set(r, v) })
-		dyn := interp.DynamicRegUsage(w.Prog, &ctx, m, 50_000_000)
+		var seen [isa.NumRegs]bool
+		var buf [6]isa.Reg
+		dyn := 0
+		interp.Precode(w.Prog).Run(&ctx, m, 50_000_000, func(e interp.TraceEntry) {
+			for _, r := range e.Inst.Regs(buf[:0]) {
+				if r != isa.XZR && !seen[r] {
+					seen[r] = true
+					dyn++
+				}
+			}
+		})
 
 		// Integer kernels measure against the 32-register integer
 		// context, FP kernels against the full 64 (as in the helper).
@@ -37,7 +47,7 @@ func fig2(opt Options) (*Report, error) {
 			worst = loopFrac
 		}
 		table.AddRow(w.Name, w.Suite, len(inner), len(total),
-			loopFrac, float64(len(total))/denom, len(dyn))
+			loopFrac, float64(len(total))/denom, dyn)
 	}
 	rep.Tables = append(rep.Tables, table)
 	rep.notef("largest loop working set uses %.0f%% of its register context "+

@@ -12,7 +12,7 @@ import (
 // so every benchmark iteration executes exactly the instruction budget.
 // The pointer chase through a pre-seeded ring keeps memory reads on
 // mapped pages and the program free of stores: iterations are idempotent,
-// so the dispatch loops run from identical state every time.
+// so the dispatch loop runs from identical state every time.
 func dispatchProg(tb testing.TB) (*asm.Program, *mem.Memory, mem.Addr) {
 	tb.Helper()
 	prog := asm.MustAssemble("dispatch", `
@@ -34,10 +34,10 @@ func dispatchProg(tb testing.TB) (*asm.Program, *mem.Memory, mem.Addr) {
 	return prog, m, ringBase
 }
 
-// BenchmarkPrecodeDispatch compares the per-instruction decode loop
-// against threaded-code dispatch on a fixed instruction budget. The
-// precoded/fast case is the hot path behind difftest's golden side and
-// the oracle recorder; CI gates it at zero allocations per run.
+// BenchmarkPrecodeDispatch times the threaded-code dispatch loop on a
+// fixed instruction budget, without and with a trace callback. The traced
+// row is the path difftest's golden side, the oracle recorder and the OoO
+// model run; CI gates both rows at zero allocations per run.
 func BenchmarkPrecodeDispatch(b *testing.B) {
 	prog, m, ringBase := dispatchProg(b)
 	const budget = 1 << 16
@@ -57,13 +57,6 @@ func BenchmarkPrecodeDispatch(b *testing.B) {
 		b.ReportMetric(float64(budget)*float64(b.N)/b.Elapsed().Seconds(), "insts/s")
 	}
 
-	b.Run("legacy", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			reset()
-			check(b, Run(prog, &ctx, m, budget, nil))
-		}
-		report(b)
-	})
 	b.Run("precoded", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			reset()

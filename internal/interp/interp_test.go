@@ -22,7 +22,7 @@ func TestBasicExecution(t *testing.T) {
 	`)
 	var ctx interp.Context
 	m := mem.NewMemory()
-	r := interp.Run(prog, &ctx, m, 1000, nil)
+	r := interp.Precode(prog).Run(&ctx, m, 1000, nil)
 	if !r.Halted {
 		t.Fatal("did not halt")
 	}
@@ -42,7 +42,9 @@ func TestMemoryOps(t *testing.T) {
 	var ctx interp.Context
 	ctx.Set(isa.X2, 0x1000)
 	m := mem.NewMemory()
-	interp.MustRun(prog, &ctx, m, 100)
+	if r := interp.Precode(prog).Run(&ctx, m, 100, nil); r != (interp.Result{Insts: 5, Halted: true}) {
+		t.Fatalf("result = %+v, want 5 insts halted", r)
+	}
 	if ctx.Get(isa.X3) != 42 || ctx.Get(isa.X4) != 42 {
 		t.Errorf("x3=%d x4=%d, want 42", ctx.Get(isa.X3), ctx.Get(isa.X4))
 	}
@@ -62,7 +64,9 @@ func TestCallRet(t *testing.T) {
 	`)
 	var ctx interp.Context
 	m := mem.NewMemory()
-	interp.MustRun(prog, &ctx, m, 100)
+	if r := interp.Precode(prog).Run(&ctx, m, 100, nil); r != (interp.Result{Insts: 5, Halted: true}) {
+		t.Fatalf("result = %+v, want 5 insts halted", r)
+	}
 	if ctx.Get(isa.X1) != 6 {
 		t.Errorf("x1 = %d, want 6", ctx.Get(isa.X1))
 	}
@@ -71,28 +75,17 @@ func TestCallRet(t *testing.T) {
 func TestBudgetExceeded(t *testing.T) {
 	prog := asm.MustAssemble("t", "loop: b loop")
 	var ctx interp.Context
-	r := interp.Run(prog, &ctx, mem.NewMemory(), 50, nil)
+	r := interp.Precode(prog).Run(&ctx, mem.NewMemory(), 50, nil)
 	if r.Halted || r.Insts != 50 {
 		t.Errorf("result = %+v, want 50 insts not halted", r)
 	}
-}
-
-func TestMustRunPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustRun of infinite loop must panic")
-		}
-	}()
-	prog := asm.MustAssemble("t", "loop: b loop")
-	var ctx interp.Context
-	interp.MustRun(prog, &ctx, mem.NewMemory(), 10)
 }
 
 func TestTraceOrder(t *testing.T) {
 	prog := asm.MustAssemble("t", "mov x1, #1\nadd x1, x1, #1\nhalt")
 	var pcs []int
 	var ctx interp.Context
-	interp.Run(prog, &ctx, mem.NewMemory(), 100, func(e interp.TraceEntry) {
+	interp.Precode(prog).Run(&ctx, mem.NewMemory(), 100, func(e interp.TraceEntry) {
 		pcs = append(pcs, e.PC)
 	})
 	want := []int{0, 1, 2}
@@ -108,7 +101,8 @@ func TestTraceOrder(t *testing.T) {
 
 // TestMatchesWorkloadGoldenModels runs every workload kernel through the
 // interpreter and checks the workload's own verifier — two independent
-// implementations of each kernel's semantics agreeing.
+// implementations of each kernel's semantics agreeing on the final
+// registers and memory.
 func TestMatchesWorkloadGoldenModels(t *testing.T) {
 	for _, spec := range workloads.All() {
 		t.Run(spec.Name, func(t *testing.T) {
@@ -119,30 +113,12 @@ func TestMatchesWorkloadGoldenModels(t *testing.T) {
 			verify := spec.Setup(m, 0x10000, p, func(r isa.Reg, v uint64) {
 				ctx.Set(r, v)
 			})
-			interp.MustRun(spec.Prog, &ctx, m, 10_000_000)
+			if r := interp.Precode(spec.Prog).Run(&ctx, m, 10_000_000, nil); !r.Halted {
+				t.Fatalf("did not halt within %d instructions", r.Insts)
+			}
 			if err := verify(ctx.Get, m); err != nil {
 				t.Errorf("%s: %v", spec.Name, err)
 			}
 		})
-	}
-}
-
-func TestDynamicRegUsage(t *testing.T) {
-	prog := asm.MustAssemble("t", `
-		mov x1, #3
-	loop:
-		add x2, x2, x1
-		sub x1, x1, #1
-		cbnz x1, loop
-		halt
-	`)
-	var ctx interp.Context
-	counts := interp.DynamicRegUsage(prog, &ctx, mem.NewMemory(), 1000)
-	if counts[isa.X1] == 0 || counts[isa.X2] == 0 {
-		t.Errorf("counts = %v, expected x1 and x2 used", counts)
-	}
-	if counts[isa.X1] <= counts[isa.X2] {
-		t.Errorf("x1 used %d times, x2 %d; x1 appears in more instructions",
-			counts[isa.X1], counts[isa.X2])
 	}
 }

@@ -1,16 +1,11 @@
 // Threaded-code functional model: a pre-decode pass lowers a program into
 // a dense, operand-resolved micro-op array dispatched by direct index, so
-// the hot execution loop never consults the isa predicates (IsLoad /
-// IsStore / IsBranch are switches over the opcode) or the instruction
-// codec. Straight-line runs are chained into superblocks: every micro-op
-// knows how many non-control micro-ops follow it, so the untraced loop
-// pays one budget check and one bounds check per run instead of per
-// instruction.
+// the execution loop never consults the isa predicates (IsLoad / IsStore /
+// IsBranch are switches over the opcode) or the instruction codec.
 //
-// Precoded execution is architecturally equivalent to Run — same final
-// Context, same memory effects, same Result, same TraceEntry stream —
-// which FuzzPrecode asserts against the legacy decode path and the
-// difftest lock-step matrix asserts against the timed pipeline.
+// The timed pipeline is the reference this loop is held to: difftest's
+// lock-step matrix runs its golden side through Precoded.Run, and
+// FuzzPrecode runs random codec words through both.
 package interp
 
 import (
@@ -77,15 +72,14 @@ type uop struct {
 	size   uint8 // load/store access bytes
 	cond   uint8 // resolved condition for xBCond
 	wr     bool  // destination write enabled (Rd != XZR), xALU only
-	run    int32 // straight-line micro-ops from here (inclusive) to next control op
 	imm    int64 // address offset / ALU immediate / pre-computed constant
 	target int32
 	inst   *isa.Inst // original instruction, for traces and dumps
 }
 
-// haltUopInst backs the architectural halt executed when control runs
-// past the end of the program (asm.Program.At's out-of-range semantics).
-var haltUopInst = isa.Inst{Op: isa.HALT}
+// haltUop is the architectural halt executed when control runs past the
+// end of the program (asm.Program.At's out-of-range semantics).
+var haltUop = uop{exec: xHalt, inst: &isa.Inst{Op: isa.HALT}}
 
 // Precoded is a program lowered to the micro-op array. Build once per
 // program (Precode is linear and allocation-light), run many times.
@@ -95,36 +89,14 @@ type Precoded struct {
 }
 
 // Precode lowers prog into its threaded-code form. Hint bytes and every
-// other codec-level field are resolved here, once; the dispatch loops
-// never touch the instruction encoding again.
+// other codec-level field are resolved here, once; the dispatch loop
+// never touches the instruction encoding again.
 func Precode(prog *asm.Program) *Precoded {
 	p := &Precoded{Name: prog.Name, uops: make([]uop, len(prog.Insts))}
 	for i := range prog.Insts {
 		p.uops[i] = lower(&prog.Insts[i])
 	}
-	// Superblock chaining: run lengths accumulate right-to-left across
-	// straight-line micro-ops and reset to zero at control ops. A branch
-	// target in mid-run simply enters with the remaining length.
-	for i := len(p.uops) - 1; i >= 0; i-- {
-		u := &p.uops[i]
-		if isControl(u.exec) {
-			continue
-		}
-		if i+1 < len(p.uops) {
-			u.run = p.uops[i+1].run + 1
-		} else {
-			u.run = 1
-		}
-	}
 	return p
-}
-
-func isControl(exec uint8) bool {
-	switch exec {
-	case xHalt, xB, xBL, xRet, xBCond, xCbz, xCbnz:
-		return true
-	}
-	return false
 }
 
 // lower resolves one instruction into its micro-op.
@@ -223,33 +195,18 @@ func lower(in *isa.Inst) uop {
 }
 
 // Run executes the pre-decoded program from ctx until HALT or maxInsts
-// instructions, exactly as the legacy Run would: same Context and memory
-// effects, same Result, and (when trace is non-nil) the same TraceEntry
-// stream. The untraced path takes the superblock fast loop.
-func (p *Precoded) Run(ctx *Context, m *mem.Memory, maxInsts uint64, trace func(TraceEntry)) Result {
-	if trace != nil {
-		return p.runTraced(ctx, m, maxInsts, trace)
-	}
-	return p.runFast(ctx, m, maxInsts)
-}
-
-// MustRun executes to HALT and panics if the instruction budget runs out.
-func (p *Precoded) MustRun(ctx *Context, m *mem.Memory, maxInsts uint64) Result {
-	r := p.Run(ctx, m, maxInsts, nil)
-	if !r.Halted {
-		panic(fmt.Sprintf("interp: %s did not halt within %d instructions", p.Name, maxInsts))
-	}
-	return r
-}
-
-// runFast pins the XZR slot to zero for the duration of the run so
-// operand reads are plain array indexes (Context.Get's zero-register
-// special case, resolved once). Pre-decode guarantees no micro-op writes
-// the slot, and every exit restores the saved value, so the pin is
+// instructions. YIELD is a no-op functionally, and a pc outside the
+// program executes as HALT (asm.Program.At). The optional trace callback
+// sees every executed instruction in order, with its committed effects.
+//
+// The XZR slot is pinned to zero for the duration of the run so operand
+// reads are plain array indexes (Context.Get's zero-register special
+// case, resolved once). Pre-decode guarantees no micro-op writes the slot,
+// and the loop's one exit restores the saved value, so the pin is
 // invisible to callers.
 //
 //virec:hotpath
-func (p *Precoded) runFast(ctx *Context, m *mem.Memory, maxInsts uint64) Result {
+func (p *Precoded) Run(ctx *Context, m *mem.Memory, maxInsts uint64, trace func(TraceEntry)) Result {
 	regs := &ctx.Regs
 	savedXZR := regs[isa.XZR]
 	regs[isa.XZR] = 0
@@ -257,139 +214,18 @@ func (p *Precoded) runFast(ctx *Context, m *mem.Memory, maxInsts uint64) Result 
 	pc := ctx.PC
 	uops := p.uops
 	var n uint64
-	for n < maxInsts {
-		if uint(pc) >= uint(len(uops)) {
-			// Out-of-range pc executes the shared halt (Program.At).
-			n++
-			regs[isa.XZR] = savedXZR
-			ctx.PC, ctx.Flags = pc, flags
-			return Result{Insts: n, Halted: true}
-		}
-		if run := uint64(uops[pc].run); run > 0 {
-			// Superblock: straight-line micro-ops, one budget check.
-			if rem := maxInsts - n; run > rem {
-				run = rem
-			}
-			n += run
-			for end := pc + int(run); pc < end; pc++ {
-				u := &uops[pc]
-				switch u.exec {
-				case xAddImm:
-					regs[u.rd] = regs[u.rn] + uint64(u.imm)
-				case xAddReg:
-					regs[u.rd] = regs[u.rn] + regs[u.rm]
-				case xSubImm:
-					regs[u.rd] = regs[u.rn] - uint64(u.imm)
-				case xSubReg:
-					regs[u.rd] = regs[u.rn] - regs[u.rm]
-				case xCmpReg:
-					flags = isa.SubFlags(regs[u.rn], regs[u.rm])
-				case xCmpImm:
-					flags = isa.SubFlags(regs[u.rn], uint64(u.imm))
-				case xConst:
-					regs[u.rd] = uint64(u.imm)
-				case xMovReg:
-					regs[u.rd] = regs[u.rn]
-				case xLoad64:
-					regs[u.rd] = m.Read(mem.Addr(regs[u.rn]+uint64(u.imm)+regs[u.rm]<<u.shift), 8)
-				case xLoad32:
-					regs[u.rd] = m.Read(mem.Addr(regs[u.rn]+uint64(u.imm)+regs[u.rm]<<u.shift), 4)
-				case xLoad32s:
-					raw := m.Read(mem.Addr(regs[u.rn]+uint64(u.imm)+regs[u.rm]<<u.shift), 4)
-					regs[u.rd] = uint64(int64(int32(uint32(raw))))
-				case xLoad16:
-					regs[u.rd] = m.Read(mem.Addr(regs[u.rn]+uint64(u.imm)+regs[u.rm]<<u.shift), 2)
-				case xLoad8:
-					regs[u.rd] = m.Read(mem.Addr(regs[u.rn]+uint64(u.imm)+regs[u.rm]<<u.shift), 1)
-				case xLoadDiscard:
-					// XZR destination: reads have no architectural effect.
-				case xStore:
-					m.Write(mem.Addr(regs[u.rn]+uint64(u.imm)+regs[u.rm]<<u.shift), int(u.size), regs[u.rd])
-				case xALU:
-					r := isa.EvalALU(u.inst, regs[u.rn], regs[u.rm], regs[u.ra], flags)
-					if r.WritesReg && u.wr {
-						regs[u.rd] = r.Value
-					}
-					if r.WritesFlag {
-						flags = r.Flags
-					}
-				case xNop:
-				}
-			}
-			if n >= maxInsts {
-				break
-			}
-			continue
-		}
-		// Control micro-op terminates the superblock.
-		u := &uops[pc]
+	halted := false
+	for !halted && n < maxInsts {
 		n++
-		switch u.exec {
-		case xHalt:
-			regs[isa.XZR] = savedXZR
-			ctx.PC, ctx.Flags = pc, flags
-			return Result{Insts: n, Halted: true}
-		case xB:
-			pc = int(u.target)
-		case xBL:
-			regs[isa.X30] = uint64(pc + 1)
-			pc = int(u.target)
-		case xRet:
-			pc = int(regs[u.rn])
-		case xBCond:
-			if flags.Holds(isa.Cond(u.cond)) {
-				pc = int(u.target)
-			} else {
-				pc++
-			}
-		case xCbz:
-			if regs[u.rn] == 0 {
-				pc = int(u.target)
-			} else {
-				pc++
-			}
-		case xCbnz:
-			if regs[u.rn] != 0 {
-				pc = int(u.target)
-			} else {
-				pc++
-			}
+		u := &haltUop
+		if uint(pc) < uint(len(uops)) {
+			u = &uops[pc]
 		}
-	}
-	regs[isa.XZR] = savedXZR
-	ctx.PC, ctx.Flags = pc, flags
-	return Result{Insts: n, Halted: false}
-}
-
-// runTraced is the per-micro-op loop used when a trace callback is
-// installed: it reproduces the legacy interpreter's TraceEntry stream
-// field-for-field (difftest's golden side depends on this).
-func (p *Precoded) runTraced(ctx *Context, m *mem.Memory, maxInsts uint64, trace func(TraceEntry)) Result {
-	regs := &ctx.Regs
-	savedXZR := regs[isa.XZR]
-	regs[isa.XZR] = 0
-	flags := ctx.Flags
-	pc := ctx.PC
-	uops := p.uops
-	var n uint64
-	for n < maxInsts {
-		if uint(pc) >= uint(len(uops)) {
-			n++
-			trace(TraceEntry{PC: pc, Inst: &haltUopInst})
-			regs[isa.XZR] = savedXZR
-			ctx.PC, ctx.Flags = pc, flags
-			return Result{Insts: n, Halted: true}
-		}
-		u := &uops[pc]
-		n++
 		entry := TraceEntry{PC: pc, Inst: u.inst}
 		next := pc + 1
 		switch u.exec {
 		case xHalt:
-			trace(entry)
-			regs[isa.XZR] = savedXZR
-			ctx.PC, ctx.Flags = pc, flags
-			return Result{Insts: n, Halted: true}
+			halted, next = true, pc
 		case xNop:
 		case xLoad64, xLoad32, xLoad32s, xLoad16, xLoad8:
 			addr := mem.Addr(regs[u.rn] + uint64(u.imm) + regs[u.rm]<<u.shift)
@@ -472,25 +308,26 @@ func (p *Precoded) runTraced(ctx *Context, m *mem.Memory, maxInsts uint64, trace
 				flags = r.Flags
 			}
 		}
-		trace(entry)
+		if trace != nil {
+			trace(entry)
+		}
 		pc = next
 	}
 	regs[isa.XZR] = savedXZR
 	ctx.PC, ctx.Flags = pc, flags
-	return Result{Insts: n, Halted: false}
+	return Result{Insts: n, Halted: halted}
 }
 
-// Dump renders the micro-op array, one line per pc: kind, resolved
-// operands and the superblock run length. The golden test pins a shipped
-// kernel's lowering against it so any pre-decode change is a reviewed
-// diff.
+// Dump renders the micro-op array, one line per pc: kind and resolved
+// operands. The golden test pins a shipped kernel's lowering against it so
+// any pre-decode change is a reviewed diff.
 func (p *Precoded) Dump() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "precode %s: %d uops\n", p.Name, len(p.uops))
 	for i := range p.uops {
 		u := &p.uops[i]
-		fmt.Fprintf(&b, "%4d: %-6s rd=%-2d rn=%-2d rm=%-2d ra=%-2d sh=%d sz=%d cond=%d wr=%-5v imm=%-8d tgt=%-4d run=%d\n",
-			i, xNames[u.exec], u.rd, u.rn, u.rm, u.ra, u.shift, u.size, u.cond, u.wr, u.imm, u.target, u.run)
+		fmt.Fprintf(&b, "%4d: %-6s rd=%-2d rn=%-2d rm=%-2d ra=%-2d sh=%d sz=%d cond=%d wr=%-5v imm=%-8d tgt=%d\n",
+			i, xNames[u.exec], u.rd, u.rn, u.rm, u.ra, u.shift, u.size, u.cond, u.wr, u.imm, u.target)
 	}
 	return b.String()
 }

@@ -1,4 +1,4 @@
-package interp
+package interp_test
 
 import (
 	"os"
@@ -6,131 +6,25 @@ import (
 	"testing"
 
 	"github.com/virec/virec/internal/asm"
+	"github.com/virec/virec/internal/interp"
 	"github.com/virec/virec/internal/isa"
 	"github.com/virec/virec/internal/mem"
 	"github.com/virec/virec/internal/workloads"
 )
 
-// splitmix64 gives the fuzz/equivalence harnesses deterministic register
-// and memory seeds.
-func splitmix64(s *uint64) uint64 {
-	*s += 0x9e3779b97f4a7c15
-	z := *s
-	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
-	z = (z ^ z>>27) * 0x94d049bb133111eb
-	return z ^ z>>31
+// runTrace executes p from ctx with a trace callback and returns the
+// result and the trace.
+func runTrace(p *interp.Precoded, ctx *interp.Context, m *mem.Memory, budget uint64) (interp.Result, []interp.TraceEntry) {
+	var tr []interp.TraceEntry
+	res := p.Run(ctx, m, budget, func(e interp.TraceEntry) { tr = append(tr, e) })
+	return res, tr
 }
 
-// runBoth executes prog from identical initial state through the legacy
-// decode loop and both precoded loops (traced and superblock-fast) and
-// asserts architectural equivalence: trace streams entry-for-entry, final
-// Context bit-for-bit, Result, and final memory at every stored-to
-// address.
-func runBoth(t *testing.T, prog *asm.Program, seedCtx func(*Context), seedMem func(*mem.Memory), budget uint64) {
-	t.Helper()
-
-	newState := func() (*Context, *mem.Memory) {
-		var ctx Context
-		if seedCtx != nil {
-			seedCtx(&ctx)
-		}
-		m := mem.NewMemory()
-		if seedMem != nil {
-			seedMem(m)
-		}
-		return &ctx, m
-	}
-
-	// Legacy decode path (the reference).
-	refCtx, refMem := newState()
-	var refTrace []TraceEntry
-	refRes := Run(prog, refCtx, refMem, budget, func(e TraceEntry) { refTrace = append(refTrace, e) })
-
-	p := Precode(prog)
-
-	// Precoded, traced.
-	trCtx, trMem := newState()
-	var trTrace []TraceEntry
-	trRes := p.Run(trCtx, trMem, budget, func(e TraceEntry) { trTrace = append(trTrace, e) })
-
-	// Precoded, untraced superblock fast loop.
-	fsCtx, fsMem := newState()
-	fsRes := p.Run(fsCtx, fsMem, budget, nil)
-
-	if refRes != trRes || refRes != fsRes {
-		t.Fatalf("results diverge: legacy %+v, precoded traced %+v, precoded fast %+v", refRes, trRes, fsRes)
-	}
-	if len(refTrace) != len(trTrace) {
-		t.Fatalf("trace length: legacy %d, precoded %d", len(refTrace), len(trTrace))
-	}
-	for i := range refTrace {
-		a, b := refTrace[i], trTrace[i]
-		// Compare the instruction by value: the out-of-range halt is a
-		// distinct (but identical) shared instruction in each engine.
-		if *a.Inst != *b.Inst {
-			t.Fatalf("trace[%d]: inst %+v vs %+v", i, *a.Inst, *b.Inst)
-		}
-		a.Inst, b.Inst = nil, nil
-		if a != b {
-			t.Fatalf("trace[%d] (%v): legacy %+v, precoded %+v", i, refTrace[i].Inst.Op, a, b)
-		}
-	}
-	for name, got := range map[string]*Context{"traced": trCtx, "fast": fsCtx} {
-		if *got != *refCtx {
-			t.Fatalf("precoded %s final context diverges:\nlegacy: regs=%v flags=%+v pc=%d\ngot:    regs=%v flags=%+v pc=%d",
-				name, refCtx.Regs, refCtx.Flags, refCtx.PC, got.Regs, got.Flags, got.PC)
-		}
-	}
-	// Final memory must agree wherever the reference stored (overwrites
-	// included, since this compares final state), and neither precoded
-	// memory may have touched pages the reference did not.
-	for _, e := range refTrace {
-		if !e.Inst.IsStore() {
-			continue
-		}
-		size := e.Inst.MemBytes()
-		want := refMem.Read(e.Addr, size)
-		if got := trMem.Read(e.Addr, size); got != want {
-			t.Fatalf("traced memory at %#x: got %#x, want %#x", e.Addr, got, want)
-		}
-		if got := fsMem.Read(e.Addr, size); got != want {
-			t.Fatalf("fast memory at %#x: got %#x, want %#x", e.Addr, got, want)
-		}
-	}
-	if refMem.Footprint() != trMem.Footprint() || refMem.Footprint() != fsMem.Footprint() {
-		t.Fatalf("memory footprints diverge: legacy %d, traced %d, fast %d",
-			refMem.Footprint(), trMem.Footprint(), fsMem.Footprint())
-	}
-}
-
-// TestPrecodeMatchesLegacyOnWorkloads holds the threaded-code engine to
-// the legacy interpreter on every shipped kernel, with the kernel's own
-// Setup providing the initial architectural state.
-func TestPrecodeMatchesLegacyOnWorkloads(t *testing.T) {
-	for _, w := range workloads.All() {
-		t.Run(w.Name, func(t *testing.T) {
-			p := workloads.Params{Iters: 48, Seed: 0x9e3779b97f4a7c15}
-			var entry [isa.NumRegs]uint64
-			setupMem := mem.NewMemory()
-			w.Setup(setupMem, 0x10000, p, func(r isa.Reg, v uint64) {
-				if r != isa.XZR {
-					entry[r] = v
-				}
-			})
-			runBoth(t, w.Prog,
-				func(ctx *Context) { ctx.Regs = entry },
-				func(m *mem.Memory) {
-					var scratch Context
-					w.Setup(m, 0x10000, p, func(r isa.Reg, v uint64) { scratch.Set(r, v) })
-				},
-				100_000_000)
-		})
-	}
-}
-
-// TestPrecodeBudgetExhaustion pins the mid-superblock budget-stop
-// semantics: the fast loop must stop at exactly the same instruction,
-// PC and register state as the legacy loop for every possible budget.
+// TestPrecodeBudgetExhaustion pins the budget-stop semantics for every
+// budget around the program's length: the run stops after exactly
+// min(budget, 20) instructions, its trace is a prefix of the full trace,
+// ctx.PC is the pc that would execute next, and the registers hold the
+// traced writes. An untraced run stops in the same state.
 func TestPrecodeBudgetExhaustion(t *testing.T) {
 	prog := asm.MustAssemble("budget", `
 		mov  x1, #7
@@ -143,27 +37,91 @@ func TestPrecodeBudgetExhaustion(t *testing.T) {
 		b.lt loop
 		halt
 	`)
+	// x5 counts 0, 1, 2: the body runs three times, then HALT at pc 7.
+	wantPCs := []int{0, 1, 2, 3, 4, 5, 6, 1, 2, 3, 4, 5, 6, 1, 2, 3, 4, 5, 6, 7}
+	p := interp.Precode(prog)
+
+	var full interp.Context
+	res, fullTrace := runTrace(p, &full, mem.NewMemory(), 1000)
+	if res != (interp.Result{Insts: 20, Halted: true}) {
+		t.Fatalf("full run = %+v, want 20 insts halted", res)
+	}
+	for i, e := range fullTrace {
+		if e.PC != wantPCs[i] {
+			t.Fatalf("full trace[%d].PC = %d, want %d", i, e.PC, wantPCs[i])
+		}
+	}
+	for r, want := range map[isa.Reg]uint64{isa.X1: 7, isa.X2: 21, isa.X3: 9, isa.X4: 12, isa.X5: 3} {
+		if got := full.Get(r); got != want {
+			t.Errorf("full run: %s = %d, want %d", r, got, want)
+		}
+	}
+
 	for budget := uint64(0); budget <= 40; budget++ {
-		runBoth(t, prog, nil, nil, budget)
+		n := min(budget, 20)
+		var ctx interp.Context
+		res, tr := runTrace(p, &ctx, mem.NewMemory(), budget)
+		if want := (interp.Result{Insts: n, Halted: budget >= 20}); res != want {
+			t.Fatalf("budget %d: result %+v, want %+v", budget, res, want)
+		}
+		if uint64(len(tr)) != n {
+			t.Fatalf("budget %d: %d trace entries, want %d", budget, len(tr), n)
+		}
+		var regs [isa.NumRegs]uint64
+		for i, e := range tr {
+			if e != fullTrace[i] {
+				t.Fatalf("budget %d: trace[%d] = %+v, full trace has %+v", budget, i, e, fullTrace[i])
+			}
+			if e.Wrote {
+				regs[e.Rd] = e.Val
+			}
+		}
+		wantPC := 7
+		if n < 20 {
+			wantPC = wantPCs[n]
+		}
+		if ctx.PC != wantPC {
+			t.Fatalf("budget %d: ctx.PC = %d, want %d", budget, ctx.PC, wantPC)
+		}
+		if ctx.Regs != regs {
+			t.Fatalf("budget %d: regs %v, traced writes give %v", budget, ctx.Regs, regs)
+		}
+		var untraced interp.Context
+		if res2 := p.Run(&untraced, mem.NewMemory(), budget, nil); res2 != res || untraced != ctx {
+			t.Fatalf("budget %d: untraced run %+v %+v, traced %+v %+v", budget, res2, untraced, res, ctx)
+		}
 	}
 }
 
 // TestPrecodeOutOfRangeEntry pins Program.At's out-of-range-pc-is-halt
-// contract, including negative PCs (a RET through a garbage register).
+// contract, including negative PCs (a RET through a garbage register):
+// one instruction executes, a HALT at the entry pc with no effects.
 func TestPrecodeOutOfRangeEntry(t *testing.T) {
 	prog := asm.MustAssemble("oor", `
 		add x1, x1, x2
 		halt
 	`)
+	p := interp.Precode(prog)
 	for _, pc := range []int{-5, 2, 1000} {
-		pc := pc
-		runBoth(t, prog, func(ctx *Context) { ctx.PC = pc }, nil, 16)
+		ctx := interp.Context{PC: pc}
+		ctx.Regs[isa.X2] = 9
+		res, tr := runTrace(p, &ctx, mem.NewMemory(), 16)
+		if res != (interp.Result{Insts: 1, Halted: true}) {
+			t.Errorf("pc %d: result %+v, want 1 inst halted", pc, res)
+		}
+		if len(tr) != 1 || tr[0].PC != pc || tr[0].Inst.Op != isa.HALT ||
+			tr[0].Wrote || tr[0].Addr != 0 || tr[0].Data != 0 {
+			t.Errorf("pc %d: trace %+v, want one bare HALT at pc %d", pc, tr, pc)
+		}
+		if ctx.PC != pc || ctx.Get(isa.X1) != 0 {
+			t.Errorf("pc %d: ctx.PC = %d, x1 = %d; want pc %d, x1 untouched", pc, ctx.PC, ctx.Get(isa.X1), pc)
+		}
 	}
 }
 
-// TestPrecodeXZRPinInvisible verifies the fast loop's pinned-zero XZR
-// slot is restored on every exit path and that a dirty Regs[XZR] value
-// neither leaks into execution nor is clobbered.
+// TestPrecodeXZRPinInvisible verifies the run's pinned-zero XZR slot is
+// restored on every exit path and that a dirty Regs[XZR] value neither
+// leaks into execution nor is clobbered.
 func TestPrecodeXZRPinInvisible(t *testing.T) {
 	prog := asm.MustAssemble("xzr", `
 		add  x1, xzr, x2
@@ -171,87 +129,49 @@ func TestPrecodeXZRPinInvisible(t *testing.T) {
 		ldr  xzr, [x2]
 		halt
 	`)
-	seed := func(ctx *Context) {
-		ctx.Regs[isa.XZR] = 0xdeadbeef // dirty slot: Get must still read 0
-		ctx.Regs[isa.X2] = 0x20000
-	}
-	runBoth(t, prog, seed, nil, 16)       // halt exit
-	runBoth(t, prog, seed, nil, 2)        // budget exit mid-superblock
-	runBoth(t, prog, func(ctx *Context) { // out-of-range halt exit
-		seed(ctx)
-		ctx.PC = 99
-	}, nil, 16)
-}
-
-// FuzzPrecode feeds random codec words through the shared decoder, then
-// requires pre-decode + threaded execution to match the legacy decode
-// path on the resulting program: same trace stream, same final state,
-// same memory effects. Words the codec rejects terminate the program for
-// both engines identically (there is exactly one decoder, exercised
-// here), so malformed encodings cannot diverge the paths.
-func FuzzPrecode(f *testing.F) {
-	chase, _ := workloads.ByName("chase")
-	var chaseBytes []byte
-	for i := range chase.Prog.Insts {
-		chaseBytes = chase.Prog.Insts[i].Encode(chaseBytes)
-	}
-	f.Add(chaseBytes, uint64(1))
-	f.Add([]byte{}, uint64(42))
-	var mk []byte
-	for _, in := range []isa.Inst{
-		{Op: isa.MOVZ, Rd: isa.X1, Imm: 0x1234, Shift: 1},
-		{Op: isa.MOVK, Rd: isa.X1, Imm: 0x9abc, Shift: 2},
-		{Op: isa.STRH, Rd: isa.X1, Rn: isa.X2, Mode: isa.AddrImm, Imm: 8},
-		{Op: isa.LDRSW, Rd: isa.X3, Rn: isa.X2, Rm: isa.X4, Mode: isa.AddrRegShift, Shift: 2},
-		{Op: isa.RET, Rn: isa.X30},
+	p := interp.Precode(prog)
+	const base = 0x20000
+	for _, tc := range []struct {
+		name    string
+		pc      int
+		budget  uint64
+		want    interp.Result
+		wantX1  uint64 // x1 and the word at base are both 0 when the add never ran
+		wantEnd int
+	}{
+		{"halt", 0, 16, interp.Result{Insts: 4, Halted: true}, base, 3},
+		{"budget", 0, 2, interp.Result{Insts: 2}, base, 2},
+		{"out-of-range", 99, 16, interp.Result{Insts: 1, Halted: true}, 0, 99},
 	} {
-		in := in
-		mk = in.Encode(mk)
+		ctx := interp.Context{PC: tc.pc}
+		ctx.Regs[isa.XZR] = 0xdeadbeef // dirty slot: reads must still see 0
+		ctx.Regs[isa.X2] = base
+		m := mem.NewMemory()
+		res := p.Run(&ctx, m, tc.budget, nil)
+		if res != tc.want || ctx.PC != tc.wantEnd {
+			t.Errorf("%s: result %+v pc %d, want %+v pc %d", tc.name, res, ctx.PC, tc.want, tc.wantEnd)
+		}
+		if ctx.Regs[isa.XZR] != 0xdeadbeef {
+			t.Errorf("%s: Regs[XZR] = %#x after exit, want 0xdeadbeef", tc.name, ctx.Regs[isa.XZR])
+		}
+		if got := ctx.Get(isa.X1); got != tc.wantX1 {
+			t.Errorf("%s: x1 = %#x, want %#x", tc.name, got, tc.wantX1)
+		}
+		if got := m.Read64(base); got != tc.wantX1 {
+			t.Errorf("%s: stored word = %#x, want %#x", tc.name, got, tc.wantX1)
+		}
 	}
-	f.Add(mk, uint64(7))
-
-	f.Fuzz(func(t *testing.T, data []byte, regSeed uint64) {
-		var insts []isa.Inst
-		for len(data) >= isa.EncodedBytes {
-			in, err := isa.Decode(data)
-			if err != nil {
-				break // malformed word: program ends here for both engines
-			}
-			insts = append(insts, in)
-			data = data[isa.EncodedBytes:]
-			if len(insts) >= 256 {
-				break
-			}
-		}
-		prog := &asm.Program{Name: "fuzz", Insts: insts}
-		seedCtx := func(ctx *Context) {
-			s := regSeed
-			for r := 0; r < isa.NumRegs; r++ {
-				// Small values keep computed addresses inside a modest
-				// page set; the pointer-shaped registers still roam.
-				ctx.Regs[r] = splitmix64(&s) % (1 << 20)
-			}
-			ctx.Regs[isa.XZR] = splitmix64(&s) // dirty slot must stay inert
-		}
-		seedMem := func(m *mem.Memory) {
-			s := regSeed ^ 0xc0ffee
-			for a := mem.Addr(0); a < 1<<12; a += 8 {
-				m.Write64(a, splitmix64(&s))
-			}
-		}
-		runBoth(t, prog, seedCtx, seedMem, 2048)
-	})
 }
 
 // TestPrecodeGoldenDump pins the micro-op lowering of a shipped kernel.
-// Any pre-decode change — new kinds, operand resolution, superblock run
-// lengths — shows up as a reviewed diff against the golden file.
+// Any pre-decode change — new kinds, operand resolution — shows up as a
+// reviewed diff against the golden file.
 func TestPrecodeGoldenDump(t *testing.T) {
 	w, ok := workloads.ByName("chase")
 	if !ok {
 		t.Fatal("missing chase workload")
 	}
-	got := Precode(w.Prog).Dump()
+	got := interp.Precode(w.Prog).Dump()
 	golden := filepath.Join("testdata", "precode_chase.golden")
 	if os.Getenv("UPDATE_GOLDEN") != "" {
 		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {

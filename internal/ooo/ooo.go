@@ -187,7 +187,7 @@ func Run(cfg Config, prog *asm.Program, ctx *interp.Context, m *mem.Memory) Resu
 		return uint64(cfg.L1HitCycles + cfg.L2HitCycles + cfg.MemCycles)
 	}
 
-	interp.Run(prog, ctx, m, cfg.MaxInsts, func(e interp.TraceEntry) {
+	interp.Precode(prog).Run(ctx, m, cfg.MaxInsts, func(e interp.TraceEntry) {
 		in := e.Inst
 		// Dispatch constraints: fetch bandwidth and ROB occupancy.
 		issue := idx / uint64(cfg.IssueWidth)

@@ -24,7 +24,10 @@ func TestPipelineMatchesInterpreterInstructionCounts(t *testing.T) {
 			var ctx interp.Context
 			p := workloads.Params{Iters: iters, Seed: 0x9e3779b97f4a7c15}
 			w.Setup(m, 0x10000, p, func(r isa.Reg, v uint64) { ctx.Set(r, v) })
-			fn := interp.MustRun(w.Prog, &ctx, m, 100_000_000)
+			fn := interp.Precode(w.Prog).Run(&ctx, m, 100_000_000, nil)
+			if !fn.Halted {
+				t.Fatalf("interpreter did not halt within %d instructions", fn.Insts)
+			}
 
 			// Timed execution, single thread. Switch-on-miss replays
 			// re-fetch squashed instructions but never double-commit:
@@ -119,7 +122,8 @@ func TestFullArchitecturalStateEquivalence(t *testing.T) {
 		kind   sim.CoreKind
 		policy vrmu.Policy
 	}
-	variants := []variant{{kind: sim.Banked}, {kind: sim.Software}}
+	variants := []variant{{kind: sim.Banked}, {kind: sim.Software},
+		{kind: sim.PrefetchFull}, {kind: sim.PrefetchExact}}
 	for _, pol := range vrmu.AllPolicies() {
 		variants = append(variants, variant{kind: sim.ViReC, policy: pol})
 	}
@@ -147,8 +151,11 @@ func TestFullArchitecturalStateEquivalence(t *testing.T) {
 					ctx := &refCtx[th]
 					w.Setup(refMem, base, p, func(r isa.Reg, v uint64) { ctx.Set(r, v) })
 				}
+				pre := interp.Precode(w.Prog)
 				for th := 0; th < threads; th++ {
-					interp.MustRun(w.Prog, &refCtx[th], refMem, 100_000_000)
+					if res := pre.Run(&refCtx[th], refMem, 100_000_000, nil); !res.Halted {
+						t.Fatalf("thread %d: interpreter did not halt within %d instructions", th, res.Insts)
+					}
 				}
 
 				sys, err := sim.New(cfg)

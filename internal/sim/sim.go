@@ -435,9 +435,9 @@ func (s *System) recordOracles() {
 	if len(s.oracles) == 0 {
 		return
 	}
-	// Each distinct kernel is pre-decoded once; every thread then replays
-	// the threaded-code form. Belady oracles over mixes used to pay the
-	// fetch/decode interpreter per thread.
+	// Each distinct kernel is pre-decoded once and every thread replays
+	// the threaded-code form, so a mix pays one pre-decode per kernel,
+	// not one per thread.
 	precoded := make(map[*asm.Program]*interp.Precoded)
 	for coreID, v := range s.oracles {
 		layout := s.layouts[coreID]

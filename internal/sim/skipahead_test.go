@@ -22,11 +22,11 @@ type trace struct {
 	heartbeat [][]byte
 }
 
-// runTraced executes cfg (plus a heartbeat observer) and captures its
+// runCaptured executes cfg (plus a heartbeat observer) and captures its
 // trace. ValidateValues in the incoming cfg already pins the final
 // architectural state to the workload golden model; the trace pins
 // everything else.
-func runTraced(t *testing.T, cfg sim.Config) trace {
+func runCaptured(t *testing.T, cfg sim.Config) trace {
 	t.Helper()
 	var tr trace
 	cfg.HeartbeatEvery = 512
@@ -62,8 +62,8 @@ func requireEquivalent(t *testing.T, cfg sim.Config) {
 	off := cfg
 	off.NoSkipAhead = true
 
-	a := runTraced(t, on)
-	b := runTraced(t, off)
+	a := runCaptured(t, on)
+	b := runCaptured(t, off)
 
 	if a.res.Cycles != b.res.Cycles {
 		t.Fatalf("cycles diverge: skip=%d noskip=%d", a.res.Cycles, b.res.Cycles)

@@ -48,7 +48,7 @@ func TestHintsSoundOnTraces(t *testing.T) {
 			p.Iters = 64 // short run; every static path is covered by the loop shapes
 			w.Setup(m, 0, p, func(r isa.Reg, v uint64) { ctx.Set(r, v) })
 			var pcs []int
-			res := interp.Run(w.Prog, &ctx, m, 10_000_000, func(e interp.TraceEntry) {
+			res := interp.Precode(w.Prog).Run(&ctx, m, 10_000_000, func(e interp.TraceEntry) {
 				pcs = append(pcs, e.PC)
 			})
 			if !res.Halted {

@@ -22,7 +22,9 @@ func RegisterUsage(p *asm.Program) (loops, total []isa.Reg) {
 	for i := range p.Insts {
 		in := &p.Insts[i]
 		if in.IsBranch() && in.Op != isa.RET && int(in.Target) <= i {
-			for j := int(in.Target); j <= i; j++ {
+			// A target below zero executes as a halt (Program.At), so
+			// the body it delimits starts at the program's first pc.
+			for j := max(int(in.Target), 0); j <= i; j++ {
 				inLoop[j] = true
 			}
 		}

@@ -1,8 +1,10 @@
 package workloads_test
 
 import (
+	"slices"
 	"testing"
 
+	"github.com/virec/virec/internal/asm"
 	"github.com/virec/virec/internal/cpu"
 	"github.com/virec/virec/internal/cpu/regfile"
 	"github.com/virec/virec/internal/isa"
@@ -158,6 +160,25 @@ func TestRegisterUsageGather(t *testing.T) {
 		if !found {
 			t.Errorf("gather inner regs missing %s: %v", r, inner)
 		}
+	}
+}
+
+// TestRegisterUsageNegativeBranchTarget: a backward branch whose target
+// lies before the program (it executes as a halt) delimits a body that
+// starts at pc 0, and the analysis must not index below it.
+func TestRegisterUsageNegativeBranchTarget(t *testing.T) {
+	prog := &asm.Program{Name: "negtarget", Insts: []isa.Inst{
+		{Op: isa.ADD, Rd: isa.X1, Rn: isa.X2, Rm: isa.X3},
+		{Op: isa.CBNZ, Rn: isa.X4, Target: -1456459728},
+		{Op: isa.MOV, Rd: isa.X5, Rn: isa.X6},
+		{Op: isa.HALT},
+	}}
+	inner, total := workloads.RegisterUsage(prog)
+	if want := []isa.Reg{isa.X1, isa.X2, isa.X3, isa.X4}; !slices.Equal(inner, want) {
+		t.Errorf("inner = %v, want %v", inner, want)
+	}
+	if want := []isa.Reg{isa.X1, isa.X2, isa.X3, isa.X4, isa.X5, isa.X6}; !slices.Equal(total, want) {
+		t.Errorf("total = %v, want %v", total, want)
 	}
 }
 
