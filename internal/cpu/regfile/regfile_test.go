@@ -539,3 +539,37 @@ func TestBankedXZRWriteDiscarded(t *testing.T) {
 		t.Error("XZR write must be discarded")
 	}
 }
+
+// TestOracleDistanceMatchesLinearScan checks the Belady index against a
+// linear scan of a fixed access sequence at every cursor position: x1 is
+// used often, x2 and v0 once, x3 never, XZR entries are ignored, and the
+// cursor runs past every register's last use. A thread with no installed
+// sequence reports distance 0.
+func TestOracleDistanceMatchesLinearScan(t *testing.T) {
+	h := newHarness(1)
+	p := NewViReC(ViReCConfig{PhysRegs: 8, Policy: vrmu.Belady}, 2, h.dev, h.memory, h.layout)
+	seq := []isa.Reg{isa.X1, isa.X4, isa.XZR, isa.X1, isa.X2, isa.X4, isa.X1, isa.V0, isa.X1, isa.X4}
+	p.SetOracleSeq(1, seq)
+	scan := func(cur int, r isa.Reg) uint64 {
+		for i := cur; i < len(seq); i++ {
+			if seq[i] == r && r != isa.XZR {
+				return uint64(i - cur)
+			}
+		}
+		return 0xffffffff
+	}
+	regs := []isa.Reg{isa.X1, isa.X2, isa.X3, isa.X4, isa.V0, isa.XZR}
+	for cur := 0; cur <= len(seq)+2; cur++ {
+		p.oracleCursor[1] = uint32(cur)
+		for _, r := range regs {
+			if got, want := p.oracleDistance(1, r), scan(cur, r); got != want {
+				t.Errorf("cursor %d, %v: distance %d, want %d", cur, r, got, want)
+			}
+		}
+	}
+	for _, r := range regs {
+		if got := p.oracleDistance(0, r); got != 0 {
+			t.Errorf("thread without a sequence, %v: distance %d, want 0", r, got)
+		}
+	}
+}

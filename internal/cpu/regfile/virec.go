@@ -77,10 +77,11 @@ type ViReC struct {
 	prefetchRegs [][]isa.Reg
 
 	// Oracle state for the Belady policy: per-thread occurrence lists of
-	// each register in the thread's recorded access sequence, a cursor
-	// counting committed accesses, and the register-access counts of
-	// in-flight (decoded, uncommitted) instructions.
-	oracleOcc        []map[isa.Reg][]uint32
+	// each register in the thread's recorded access sequence (nil until
+	// SetOracleSeq), a cursor counting committed accesses, and the
+	// register-access counts of in-flight (decoded, uncommitted)
+	// instructions.
+	oracleOcc        []*[isa.NumRegs][]uint32
 	oracleCursor     []uint32
 	inflightAccesses map[uint64]uint32
 
@@ -179,7 +180,7 @@ func NewViReC(cfg ViReCConfig, threads int, dcache mem.Device, memory *mem.Memor
 	p.sysBuf[1].thread = -1
 	p.prefetchRegs = make([][]isa.Reg, threads)
 	if cfg.Policy == vrmu.Belady {
-		p.oracleOcc = make([]map[isa.Reg][]uint32, threads)
+		p.oracleOcc = make([]*[isa.NumRegs][]uint32, threads)
 		p.oracleCursor = make([]uint32, threads)
 		p.inflightAccesses = make(map[uint64]uint32)
 		tags.SetOracle(p.oracleDistance)
@@ -194,7 +195,21 @@ func NewViReC(cfg ViReCConfig, threads int, dcache mem.Device, memory *mem.Memor
 // per-instruction in.Regs order from a functional pre-run) for the Belady
 // policy's perfect intra-thread future knowledge.
 func (p *ViReC) SetOracleSeq(thread int, seq []isa.Reg) {
-	occ := make(map[isa.Reg][]uint32)
+	// Count each register's uses, then cut one position array into
+	// per-register lists of exactly that length.
+	var n [isa.NumRegs]int
+	used := 0
+	for _, r := range seq {
+		if r != isa.XZR {
+			n[r]++
+			used++
+		}
+	}
+	all := make([]uint32, used)
+	occ := new([isa.NumRegs][]uint32)
+	for r, k := range n {
+		occ[r], all = all[:0:k], all[k:]
+	}
 	for i, r := range seq {
 		if r != isa.XZR {
 			occ[r] = append(occ[r], uint32(i))

@@ -329,7 +329,7 @@ func runScenario(k *Kernel, sc Scenario, opts CheckOpts, ref *reference) (uint64
 	if err != nil {
 		return 0, fail("run-error", 0, 0, 0, "sim.New: %v", err)
 	}
-	defer sys.Memory.Release()
+	defer sys.Release()
 
 	var commits uint64
 	var d *Divergence

@@ -49,9 +49,10 @@ type Injector struct {
 	regSets  []int  // cache sets covered by the reserved register region
 	stormTag uint64 // base tag for storm addresses, clear of real regions
 	now      uint64
-	busyTill uint64    // accesses rejected while now < busyTill
-	delayed  evHeap    // completions held back for jitter
-	free     []*jitter // jitter holders not in use
+	busyTill uint64        // accesses rejected while now < busyTill
+	delayed  evHeap        // completions held back for jitter
+	free     []*jitter     // jitter holders not in use
+	fetches  []*stormFetch // storm fetches not in flight
 	seq      uint64
 
 	// Stats is exported read-only for reporting.
@@ -120,6 +121,29 @@ func (j *jitter) hold(cycle uint64) {
 	inj := j.inj
 	inj.seq++
 	inj.delayed.push(event{cycle: cycle + j.extra, seq: inj.seq, j: j})
+}
+
+// stormFetch is a recycled storm fetch. Its Done, bound once, puts it
+// back on the injector's free list when the cache completes it.
+type stormFetch struct {
+	inj  *Injector
+	req  mem.Request
+	done func(uint64) // complete, bound once
+}
+
+func (f *stormFetch) complete(uint64) { f.inj.fetches = append(f.inj.fetches, f) }
+
+// newStormFetch takes a storm fetch off the free list.
+func (inj *Injector) newStormFetch() *stormFetch {
+	if n := len(inj.fetches); n > 0 {
+		f := inj.fetches[n-1]
+		inj.fetches = inj.fetches[:n-1]
+		return f
+	}
+	//virec:alloc-ok free-list growth, bounded by the storm fetches in flight at once
+	f := &stormFetch{inj: inj}
+	f.done = f.complete
+	return f
 }
 
 // newJitter takes a jitter holder off the free list.
@@ -215,10 +239,12 @@ func (inj *Injector) storm() {
 	for k := 0; k < inj.plan.StormLines; k++ {
 		tag := inj.stormTag + inj.next()%4096
 		addr := mem.Addr((tag*uint64(inj.numSets) + uint64(set)) * mem.LineBytes)
-		//virec:alloc-ok a storm fetch has no Done, so nothing hands it back for reuse
-		req := &mem.Request{Addr: addr, Size: mem.LineBytes, Kind: mem.Read}
-		if inj.target.Access(req) {
+		f := inj.newStormFetch()
+		f.req = mem.Request{Addr: addr, Size: mem.LineBytes, Kind: mem.Read, Done: f.done}
+		if inj.target.Access(&f.req) {
 			inj.Stats.StormFetches++
+		} else {
+			inj.fetches = append(inj.fetches, f)
 		}
 	}
 }

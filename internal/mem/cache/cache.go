@@ -10,6 +10,7 @@ package cache
 
 import (
 	"fmt"
+	"sync"
 
 	"github.com/virec/virec/internal/mem"
 	"github.com/virec/virec/internal/telemetry"
@@ -87,6 +88,16 @@ type mshr struct {
 
 func (m *mshr) fillDone(cycle uint64) { m.c.fillDone(m, cycle) }
 
+// writeback is a recycled dirty-line write to the level below. Its Done,
+// bound once, puts it back on the cache's free list when the write lands.
+type writeback struct {
+	c    *Cache
+	req  mem.Request
+	done func(uint64) // complete, bound once
+}
+
+func (w *writeback) complete(uint64) { w.c.freeWB = append(w.c.freeWB, w) }
+
 type hitEvent struct {
 	cycle uint64
 	seq   uint64
@@ -147,13 +158,41 @@ func (h *hitHeap) pop() hitEvent {
 	return top
 }
 
+// linePools holds zeroed line arrays by line count. Every cache shares
+// them, so a released cache's array serves the next cache of its size.
+// Each pool holds *[]line, so Put allocates nothing.
+var linePools struct {
+	sync.Mutex
+	m map[int]*sync.Pool
+}
+
+// linePool returns the pool of n-line arrays.
+func linePool(n int) *sync.Pool {
+	linePools.Lock()
+	defer linePools.Unlock()
+	p := linePools.m[n]
+	if p == nil {
+		if linePools.m == nil {
+			linePools.m = make(map[int]*sync.Pool)
+		}
+		p = &sync.Pool{New: func() any {
+			lines := make([]line, n)
+			return &lines
+		}}
+		linePools.m[n] = p
+	}
+	return p
+}
+
 // Cache is a set-associative write-back cache. It implements mem.Device.
 type Cache struct {
 	cfg     Config
-	sets    [][]line
+	lines   []line  // way w of set s is lines[s*cfg.Assoc+w]
+	pooled  *[]line // the holder lines came from; nil once released
 	numSets int
 	mshrs   map[mem.Addr]*mshr
-	free    []*mshr // MSHRs not in use, at most Config.MSHRs
+	free    []*mshr      // MSHRs not in use, at most Config.MSHRs
+	freeWB  []*writeback // writebacks not in flight
 	below   mem.Device
 
 	pendingHits hitHeap
@@ -195,18 +234,33 @@ func New(cfg Config, below mem.Device) *Cache {
 	if cfg.MSHRs <= 0 {
 		cfg.MSHRs = 1
 	}
-	sets := make([][]line, numSets)
-	backing := make([]line, numSets*cfg.Assoc)
-	for i := range sets {
-		sets[i], backing = backing[:cfg.Assoc], backing[cfg.Assoc:]
-	}
+	pooled := linePool(numSets * cfg.Assoc).Get().(*[]line)
 	return &Cache{
 		cfg:     cfg,
-		sets:    sets,
+		lines:   *pooled,
+		pooled:  pooled,
 		numSets: numSets,
 		mshrs:   make(map[mem.Addr]*mshr),
 		below:   below,
 	}
+}
+
+// Release zeroes the cache's line array and returns it to the shared
+// pool, where the next cache of the same size finds it. Only the cache's
+// owner may release it, and only once nothing accesses, ticks or inspects
+// it any more: a released cache has no lines, and an access panics.
+func (c *Cache) Release() {
+	if c.pooled == nil {
+		return
+	}
+	clear(c.lines)
+	linePool(len(c.lines)).Put(c.pooled)
+	c.lines, c.pooled = nil, nil
+}
+
+// set returns the ways of set s.
+func (c *Cache) set(s int) []line {
+	return c.lines[s*c.cfg.Assoc : (s+1)*c.cfg.Assoc]
 }
 
 // Config returns the cache configuration.
@@ -251,8 +305,9 @@ func (c *Cache) Access(r *mem.Request) bool {
 	set, tag := c.index(r.Addr)
 
 	// Hit?
-	for w := range c.sets[set] {
-		ln := &c.sets[set][w]
+	ways := c.set(set)
+	for w := range ways {
+		ln := &ways[w]
 		if ln.valid && ln.tag == tag {
 			c.acceptedNow++
 			c.useClock++
@@ -391,8 +446,9 @@ func (c *Cache) signalMiss(r *mem.Request) {
 func (c *Cache) victim(set int) int {
 	best, bestPinned := -1, -1
 	var bestUse, bestPinnedUse uint64
-	for w := range c.sets[set] {
-		ln := &c.sets[set][w]
+	ways := c.set(set)
+	for w := range ways {
+		ln := &ways[w]
 		if !ln.valid {
 			return w
 		}
@@ -420,6 +476,19 @@ func (c *Cache) lineAddrOf(set int, tag uint64) mem.Addr {
 	return mem.Addr((tag*uint64(c.numSets) + uint64(set)) * mem.LineBytes)
 }
 
+// newWriteback takes a writeback off the free list.
+func (c *Cache) newWriteback() *writeback {
+	if n := len(c.freeWB); n > 0 {
+		w := c.freeWB[n-1]
+		c.freeWB = c.freeWB[:n-1]
+		return w
+	}
+	//virec:alloc-ok free-list growth, bounded by the writebacks in flight at once
+	w := &writeback{c: c}
+	w.done = w.complete
+	return w
+}
+
 func (c *Cache) issueFill(m *mshr) {
 	if !m.issued && c.below.Access(&m.fill) {
 		m.issued = true
@@ -431,14 +500,17 @@ func (c *Cache) fillDone(m *mshr, cycle uint64) {
 	way := c.victim(m.set)
 	// victim always finds a way: invalid first, then LRU unpinned, then a
 	// sacrificed pinned line.
-	ln := &c.sets[m.set][way]
+	ln := &c.set(m.set)[way]
 	if ln.valid && ln.dirty {
 		c.Stats.Writebacks++
-		c.writebackQ = append(c.writebackQ, &mem.Request{
+		wb := c.newWriteback()
+		wb.req = mem.Request{
 			Addr: c.lineAddrOf(m.set, ln.tag),
 			Size: mem.LineBytes,
 			Kind: mem.Write,
-		})
+			Done: wb.done,
+		}
+		c.writebackQ = append(c.writebackQ, &wb.req)
 	}
 	if ln.valid && (ln.pin > 0 || ln.sticky) {
 		// A pinned line sacrificed for this fill leaves the pinned set.
@@ -485,11 +557,14 @@ func (c *Cache) Tick(cycle uint64) {
 		}
 		c.fillRetryQ = remaining
 	}
-	for len(c.writebackQ) > 0 {
-		if !c.below.Access(c.writebackQ[0]) {
-			break
-		}
-		c.writebackQ = c.writebackQ[1:]
+	sent := 0
+	for sent < len(c.writebackQ) && c.below.Access(c.writebackQ[sent]) {
+		sent++
+	}
+	if sent > 0 {
+		n := copy(c.writebackQ, c.writebackQ[sent:])
+		clear(c.writebackQ[n:])
+		c.writebackQ = c.writebackQ[:n]
 	}
 }
 
@@ -516,12 +591,10 @@ func (c *Cache) NextEvent(now uint64) (uint64, bool) {
 // PinnedLines returns the number of currently pinned lines (tests, stats).
 func (c *Cache) PinnedLines() int {
 	n := 0
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			ln := &c.sets[s][w]
-			if ln.valid && (ln.pin > 0 || ln.sticky) {
-				n++
-			}
+	for i := range c.lines {
+		ln := &c.lines[i]
+		if ln.valid && (ln.pin > 0 || ln.sticky) {
+			n++
 		}
 	}
 	return n
@@ -533,12 +606,10 @@ func (c *Cache) PinnedLines() int {
 // count by the VRMU's resident lines plus outstanding BSI transactions.
 func (c *Cache) PinnedGeneralRegLines() int {
 	n := 0
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			ln := &c.sets[s][w]
-			if ln.valid && ln.pin > 0 && !ln.sticky {
-				n++
-			}
+	for i := range c.lines {
+		ln := &c.lines[i]
+		if ln.valid && ln.pin > 0 && !ln.sticky {
+			n++
 		}
 	}
 	return n
@@ -580,18 +651,17 @@ func (c *Cache) CheckInvariants() string {
 	if len(c.mshrs) > c.cfg.MSHRs {
 		return fmt.Sprintf("%d MSHRs in use, limit %d", len(c.mshrs), c.cfg.MSHRs)
 	}
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			ln := &c.sets[s][w]
-			if ln.pin > maxPin {
-				return fmt.Sprintf("set %d way %d pin %d > max", s, w, ln.pin)
-			}
-			if (ln.pin > 0 || ln.sticky) && !ln.isReg {
-				return fmt.Sprintf("set %d way %d pinned but not a register line", s, w)
-			}
-			if (ln.pin > 0 || ln.sticky) && c.cfg.PinningDisabled {
-				return fmt.Sprintf("set %d way %d pinned with pinning disabled", s, w)
-			}
+	for i := range c.lines {
+		ln := &c.lines[i]
+		s, w := i/c.cfg.Assoc, i%c.cfg.Assoc
+		if ln.pin > maxPin {
+			return fmt.Sprintf("set %d way %d pin %d > max", s, w, ln.pin)
+		}
+		if (ln.pin > 0 || ln.sticky) && !ln.isReg {
+			return fmt.Sprintf("set %d way %d pinned but not a register line", s, w)
+		}
+		if (ln.pin > 0 || ln.sticky) && c.cfg.PinningDisabled {
+			return fmt.Sprintf("set %d way %d pinned with pinning disabled", s, w)
 		}
 	}
 	if n := c.PinnedLines(); n != c.pinnedNow {

@@ -38,11 +38,12 @@ const (
 // The issuer owns a request. It lends it to a device with Access and gets
 // it back at the completion: once Done has been called, the device neither
 // reads the request again nor keeps a reference to it, so the issuer may
-// overwrite and reissue the same Request (the core, the BSI and the
-// crossbar recycle theirs from free lists). A rejected request (Access
-// returned false) was never lent: the device never completes it, and the
-// issuer may retry it or reuse it at once. A request without a Done is
-// never returned; its issuer must not reuse it.
+// overwrite and reissue the same Request. Every issuer in the simulator
+// sets a Done and recycles its requests from a free list: the core, the
+// BSI, the crossbar, cache fills and writebacks, and the fault injector's
+// storm fetches. A rejected request (Access returned false) was never
+// lent: the device never completes it, and the issuer may retry it or
+// reuse it at once.
 type Request struct {
 	Addr Addr
 	Size int
@@ -195,19 +196,38 @@ func (m *Memory) SetByte(a Addr, v byte) {
 }
 
 // Read returns size little-endian bytes at address a as a uint64.
-// size must be 1, 2, 4 or 8. Accesses may cross page boundaries.
+// size must be 1, 2, 4 or 8. Accesses may cross page boundaries; one
+// that stays inside a page looks the page up once.
 func (m *Memory) Read(a Addr, size int) uint64 {
 	var v uint64
+	if int(a%pageBytes)+size > pageBytes {
+		for i := 0; i < size; i++ {
+			v |= uint64(m.ByteAt(a+Addr(i))) << (8 * uint(i))
+		}
+		return v
+	}
+	p := m.page(a, false)
+	if p == nil {
+		return 0
+	}
+	b := p.data[a%pageBytes:]
 	for i := 0; i < size; i++ {
-		v |= uint64(m.ByteAt(a+Addr(i))) << (8 * uint(i))
+		v |= uint64(b[i]) << (8 * uint(i))
 	}
 	return v
 }
 
 // Write stores the low size bytes of v little-endian at address a.
 func (m *Memory) Write(a Addr, size int, v uint64) {
+	if int(a%pageBytes)+size > pageBytes {
+		for i := 0; i < size; i++ {
+			m.SetByte(a+Addr(i), byte(v>>(8*uint(i))))
+		}
+		return
+	}
+	b := m.page(a, true).data[a%pageBytes:]
 	for i := 0; i < size; i++ {
-		m.SetByte(a+Addr(i), byte(v>>(8*uint(i))))
+		b[i] = byte(v >> (8 * uint(i)))
 	}
 }
 

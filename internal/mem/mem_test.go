@@ -49,6 +49,78 @@ func TestMemoryCrossPage(t *testing.T) {
 	}
 }
 
+// TestMemoryAccessesMatchByteModel checks Read and Write of every width
+// against a byte-by-byte model: at in-page offsets, at the last offset
+// that stays in the page, and at every offset that crosses into the next
+// page. The overlay case first reads every access through to its parent,
+// whose first page holds a pattern and whose second was never written.
+func TestMemoryAccessesMatchByteModel(t *testing.T) {
+	const base = 5 * pageBytes
+	offsets := []Addr{0, 1, 6, pageBytes/2 + 3}
+	for off := Addr(pageBytes - 8); off < pageBytes; off++ {
+		offsets = append(offsets, off)
+	}
+	parent := NewMemory()
+	for a := Addr(base); a < base+pageBytes; a++ {
+		parent.SetByte(a, byte(a*131+7))
+	}
+	for _, overlay := range []bool{false, true} {
+		m, model := NewMemory(), map[Addr]byte{}
+		if overlay {
+			m = parent.Overlay()
+			for a := Addr(base); a < base+pageBytes; a++ {
+				model[a] = parent.ByteAt(a)
+			}
+		}
+		want := func(a Addr, size int) uint64 {
+			var v uint64
+			for i := 0; i < size; i++ {
+				v |= uint64(model[a+Addr(i)]) << (8 * i)
+			}
+			return v
+		}
+		for _, size := range []int{1, 2, 4, 8} {
+			for _, off := range offsets {
+				if got := m.Read(base+off, size); got != want(base+off, size) {
+					t.Errorf("overlay=%v: Read(page+%d, %d) = %#x before any write, want %#x",
+						overlay, off, size, got, want(base+off, size))
+				}
+			}
+		}
+		v := uint64(0x0123456789abcdef)
+		for _, size := range []int{1, 2, 4, 8} {
+			for _, off := range offsets {
+				a := base + off
+				v = v*6364136223846793005 + 1442695040888963407
+				m.Write(a, size, v)
+				for i := 0; i < size; i++ {
+					model[a+Addr(i)] = byte(v >> (8 * i))
+				}
+				if got := m.Read(a, size); got != want(a, size) {
+					t.Errorf("overlay=%v: Read(page+%d, %d) = %#x after a write, want %#x",
+						overlay, off, size, got, want(a, size))
+				}
+				for b := a - 8; b < a+16; b++ {
+					if got := m.ByteAt(b); got != model[b] {
+						t.Fatalf("overlay=%v: Write(page+%d, %d) left byte %#x = %#x, want %#x",
+							overlay, off, size, b, got, model[b])
+					}
+				}
+			}
+		}
+		m.Release()
+	}
+	for a := Addr(base); a < base+2*pageBytes; a++ {
+		want := byte(0)
+		if a < base+pageBytes {
+			want = byte(a*131 + 7)
+		}
+		if parent.ByteAt(a) != want {
+			t.Fatalf("the overlay's writes reached the parent at %#x", a)
+		}
+	}
+}
+
 // Property: read-after-write returns the written value masked to the
 // access width, for arbitrary addresses and sizes.
 func TestMemoryRoundTripProperty(t *testing.T) {

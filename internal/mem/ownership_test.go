@@ -50,7 +50,7 @@ func driveDevice(t *testing.T, rig ownershipRig, scribble bool) []devEvent {
 		}
 		id := i
 		r.Miss = func(cycle uint64) { events = append(events, devEvent{id, true, cycle}) }
-		if (seed>>40)%8 != 0 { // some requests (like writebacks) have no Done
+		if (seed>>40)%8 != 0 { // some requests have no Done; devices still serve them
 			want++
 			r.Done = func(cycle uint64) {
 				if !lent[id] {

@@ -1,6 +1,8 @@
 package sim_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
@@ -8,6 +10,7 @@ import (
 	"github.com/virec/virec/internal/harden"
 	"github.com/virec/virec/internal/sim"
 	"github.com/virec/virec/internal/vrmu"
+	"github.com/virec/virec/internal/workloads"
 )
 
 // TestRunRecoversPanicsToCrashError proves sim.Run converts any panic
@@ -130,5 +133,46 @@ func TestInjectionIsDeterministic(t *testing.T) {
 	}
 	if c.Cycles == a.Cycles {
 		t.Log("note: different seeds produced identical cycle counts (possible but unlikely)")
+	}
+}
+
+// TestSimulateTwiceOnPooledArrays runs one faulted config twice through
+// Simulate and demands byte-identical metrics. The first call releases
+// its pages and cache line arrays, so the second runs on pooled ones: a
+// line or byte that came back from the pool without being zeroed would
+// turn a miss into a hit. The small dcache and the scatter stores make
+// many dirty evictions, and the default plan fires eviction storms, so
+// recycled writebacks and storm fetches run too.
+func TestSimulateTwiceOnPooledArrays(t *testing.T) {
+	scatter, ok := workloads.ByName("scatter")
+	if !ok {
+		t.Fatal("scatter missing")
+	}
+	cfg := sim.Config{
+		Kind: sim.ViReC, ThreadsPerCore: 4,
+		Workload: scatter, Iters: 64,
+		ContextPct: 60, Policy: vrmu.LRC,
+		DCacheBytes:    2048,
+		ValidateValues: true,
+		Harden:         harden.Config{FaultSeed: 77},
+	}
+	run := func() []byte {
+		res, err := sim.Simulate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.CacheStats[0].Writebacks == 0 || res.Metrics.Counters["inject0/storm_fetches"] == 0 {
+			t.Fatalf("the run made %d writebacks and %d storm fetches; it must make both",
+				res.CacheStats[0].Writebacks, res.Metrics.Counters["inject0/storm_fetches"])
+		}
+		b, err := json.Marshal(res.Metrics)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	first, second := run(), run()
+	if !bytes.Equal(first, second) {
+		t.Errorf("a run on pooled arrays reported different metrics:\n first  %.300s\n second %.300s", first, second)
 	}
 }

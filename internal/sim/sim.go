@@ -816,14 +816,26 @@ func (s *System) skipTarget(now uint64, wd *harden.Watchdog) uint64 {
 	return t
 }
 
-// Simulate is the one-call convenience: build and run. The system's
-// functional memory goes back to the page pool when Run returns: nothing
-// reads it after that, and the Result holds no reference to it.
+// Release hands back what New built from shared pools: the functional
+// memory's pages and every cache's line array. Call it once, when nothing
+// reads the system any more; the Result of Run holds no reference to
+// either. A released system cannot run again.
+func (s *System) Release() {
+	s.Memory.Release()
+	for _, c := range s.DCaches {
+		c.Release()
+	}
+	for _, c := range s.ICaches {
+		c.Release()
+	}
+}
+
+// Simulate is the one-call convenience: build, run and release.
 func Simulate(cfg Config) (*Result, error) {
 	s, err := New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	defer s.Memory.Release()
+	defer s.Release()
 	return s.Run()
 }
