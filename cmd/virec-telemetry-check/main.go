@@ -10,8 +10,9 @@
 //     to one cycle of component clock skew (the dcache stamps Access-path
 //     pin events with its own clock, which trails the cores by a cycle).
 //   - -metrics FILE: one or more registry snapshots (a single JSON
-//     document or JSONL). Every histogram must satisfy len(counts) ==
-//     len(bounds)+1 and sum(counts) == count, with ascending bounds.
+//     document or JSONL). Every histogram must pass
+//     telemetry.HistSnapshot.Validate: len(counts) == len(bounds)+1,
+//     ascending bounds, sum(counts) == count and min <= max.
 //   - -deltas FILE: a JSONL stream of telemetry deltas (what virec-sim
 //     -metrics-every and virec-experiments -metrics-every record, and
 //     what /api/v1/metrics/stream serves). The stream is replayed
@@ -236,23 +237,6 @@ func checkDeltas(path string) error {
 	return nil
 }
 
-// snapshot mirrors telemetry.Snapshot's JSON shape.
-type snapshot struct {
-	Cycle      uint64             `json:"cycle"`
-	Counters   map[string]uint64  `json:"counters"`
-	Gauges     map[string]float64 `json:"gauges"`
-	Histograms map[string]hist    `json:"histograms"`
-}
-
-type hist struct {
-	Bounds []uint64 `json:"bounds"`
-	Counts []uint64 `json:"counts"`
-	Count  uint64   `json:"count"`
-	Sum    uint64   `json:"sum"`
-	Min    uint64   `json:"min"`
-	Max    uint64   `json:"max"`
-}
-
 func checkMetrics(path string) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -264,7 +248,7 @@ func checkMetrics(path string) error {
 	dec := json.NewDecoder(f)
 	var docs int
 	for dec.More() {
-		var s snapshot
+		var s telemetry.Snapshot
 		if err := dec.Decode(&s); err != nil {
 			return fmt.Errorf("snapshot %d: %w", docs+1, err)
 		}
@@ -281,25 +265,8 @@ func checkMetrics(path string) error {
 		sort.Strings(names)
 		for _, name := range names {
 			h := s.Histograms[name]
-			if len(h.Counts) != len(h.Bounds)+1 {
-				return fmt.Errorf("snapshot %d: histogram %s: len(counts)=%d, want len(bounds)+1=%d",
-					docs, name, len(h.Counts), len(h.Bounds)+1)
-			}
-			for i := 1; i < len(h.Bounds); i++ {
-				if h.Bounds[i] <= h.Bounds[i-1] {
-					return fmt.Errorf("snapshot %d: histogram %s: bounds not ascending at %d", docs, name, i)
-				}
-			}
-			var sum uint64
-			for _, c := range h.Counts {
-				sum += c
-			}
-			if sum != h.Count {
-				return fmt.Errorf("snapshot %d: histogram %s: sum(counts)=%d != count=%d",
-					docs, name, sum, h.Count)
-			}
-			if h.Count > 0 && h.Min > h.Max {
-				return fmt.Errorf("snapshot %d: histogram %s: min %d > max %d", docs, name, h.Min, h.Max)
+			if err := h.Validate(); err != nil {
+				return fmt.Errorf("snapshot %d: histogram %s: %w", docs, name, err)
 			}
 		}
 	}

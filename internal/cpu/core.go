@@ -36,10 +36,6 @@ type Config struct {
 	FPLatency    int // execute cycles for FADD/FSUB/FMUL/FMADD
 	FPDivLatency int // execute cycles for FDIV/FSQRT
 
-	// Trace, when set, receives one line per interesting event (switch,
-	// load issue/complete, cancel) for debugging; nil in normal runs.
-	Trace func(cycle uint64, event string)
-
 	// ValidateValues enables the golden-model check: every operand read
 	// from the provider is compared against a shadow architectural
 	// context maintained at commit. A mismatch panics — it means the
@@ -61,24 +57,25 @@ func DefaultConfig() Config {
 	}
 }
 
-// Stats accumulates core statistics.
+// Stats accumulates core statistics. Each uint64 field is a counter,
+// registered under its metric tag by RegisterMetrics.
 type Stats struct {
-	Cycles          uint64
-	Insts           uint64
+	Cycles          uint64 `metric:"cycles"`
+	Insts           uint64 `metric:"insts"`
 	InstsPerThread  []uint64
-	ContextSwitches uint64
-	LoadMissSignals uint64 // dcache switch signals received
-	SwitchWaits     uint64 // cycles CSL waited on CanSwitchTo/BlockSwitch
-	DecodeRegStalls uint64 // cycles decode stalled in Acquire
-	DecodeFwdStalls uint64 // cycles decode stalled on forwarding
-	FetchStalls     uint64 // cycles fetch had no slot
-	SQFullStalls    uint64 // cycles commit stalled on a full store queue
-	StoreLoadStalls uint64 // load issues held behind an uncommitted same-address store
-	SwitchCancels   uint64 // switch requests dropped by the commit mask
-	MemWaitCycles   uint64 // cycles the MEM stage held an unfinished load
-	Loads           uint64
-	Stores          uint64
-	BranchFlushes   uint64
+	ContextSwitches uint64 `metric:"ctx_switches"`
+	LoadMissSignals uint64 `metric:"load_miss_signals"` // dcache switch signals received
+	SwitchWaits     uint64 `metric:"switch_waits"`      // cycles CSL waited on CanSwitchTo/BlockSwitch
+	DecodeRegStalls uint64 `metric:"decode_reg_stalls"` // cycles decode stalled in Acquire
+	DecodeFwdStalls uint64 `metric:"decode_fwd_stalls"` // cycles decode stalled on forwarding
+	FetchStalls     uint64 `metric:"fetch_stalls"`      // cycles fetch had no slot
+	SQFullStalls    uint64 `metric:"sq_full_stalls"`    // cycles commit stalled on a full store queue
+	StoreLoadStalls uint64 `metric:"store_load_stalls"` // load issues held behind an uncommitted same-address store
+	SwitchCancels   uint64 `metric:"switch_cancels"`    // switch requests dropped by the commit mask
+	MemWaitCycles   uint64 `metric:"mem_wait_cycles"`   // cycles the MEM stage held an unfinished load
+	Loads           uint64 `metric:"loads"`
+	Stores          uint64 `metric:"stores"`
+	BranchFlushes   uint64 `metric:"branch_flushes"`
 }
 
 // IPC returns committed instructions per cycle.
@@ -657,9 +654,6 @@ func (c *Core) issueLoad(f *inflight) {
 	}
 	f.loadIssued = true
 	c.Stats.Loads++
-	if c.cfg.Trace != nil {
-		c.cfg.Trace(c.cycle, fmt.Sprintf("t%d load issue pc=%d addr=%#x", f.thread, f.pc, f.effAddr))
-	}
 }
 
 // newLoadReq takes a load holder off the free list.
@@ -1158,9 +1152,6 @@ func (c *Core) csl(probe bool, st *step) bool {
 			}
 			c.pendingSwitch = switchNone
 			c.Stats.SwitchCancels++
-			if c.cfg.Trace != nil {
-				c.cfg.Trace(c.cycle, fmt.Sprintf("t%d cancel (full rotation)", c.cur))
-			}
 			return false
 		}
 	}
@@ -1236,9 +1227,6 @@ func (c *Core) csl(probe bool, st *step) bool {
 		}
 		c.tracer.Emit(c.cycle, telemetry.EvSwitch, c.traceCore, int32(next),
 			uint64(int64(prev)), why, 0)
-	}
-	if c.cfg.Trace != nil {
-		c.cfg.Trace(c.cycle, fmt.Sprintf("switch t%d->t%d reason=%d zc=%d", prev, next, reason, c.zeroCommitSwitches))
 	}
 	return false
 }
@@ -1388,9 +1376,6 @@ func (c *Core) SkipTo(last uint64) {
 	c.provider.Tick(last)
 }
 
-// SetTrace installs a debug event hook (tests only).
-func (c *Core) SetTrace(fn func(cycle uint64, event string)) { c.cfg.Trace = fn }
-
 // ---- telemetry ----
 
 // cycleStamper is implemented by providers that timestamp their own trace
@@ -1417,22 +1402,7 @@ func (c *Core) SetTelemetry(tr *telemetry.Tracer, coreID int) {
 // registry under prefix (e.g. "core0"). Counters alias the Stats fields,
 // so registered metrics reconcile exactly with the reported tables.
 func (c *Core) RegisterMetrics(r *telemetry.Registry, prefix string) {
-	s := &c.Stats
-	r.Counter(prefix+"/cycles", &s.Cycles)
-	r.Counter(prefix+"/insts", &s.Insts)
-	r.Counter(prefix+"/ctx_switches", &s.ContextSwitches)
-	r.Counter(prefix+"/load_miss_signals", &s.LoadMissSignals)
-	r.Counter(prefix+"/switch_waits", &s.SwitchWaits)
-	r.Counter(prefix+"/decode_reg_stalls", &s.DecodeRegStalls)
-	r.Counter(prefix+"/decode_fwd_stalls", &s.DecodeFwdStalls)
-	r.Counter(prefix+"/fetch_stalls", &s.FetchStalls)
-	r.Counter(prefix+"/sq_full_stalls", &s.SQFullStalls)
-	r.Counter(prefix+"/store_load_stalls", &s.StoreLoadStalls)
-	r.Counter(prefix+"/switch_cancels", &s.SwitchCancels)
-	r.Counter(prefix+"/mem_wait_cycles", &s.MemWaitCycles)
-	r.Counter(prefix+"/loads", &s.Loads)
-	r.Counter(prefix+"/stores", &s.Stores)
-	r.Counter(prefix+"/branch_flushes", &s.BranchFlushes)
+	r.Stats(prefix, &c.Stats)
 	c.switchInterval = r.Histogram(prefix+"/switch_interval_cycles",
 		telemetry.Pow2Buckets(8, 12))
 	c.sqOccupancy = r.Histogram(prefix+"/sq_occupancy",

@@ -123,13 +123,19 @@ type ViReC struct {
 	traceCore int32
 	cycle     uint64
 
-	// Stats
-	DummyDests       uint64
-	CommitReallocs   uint64
-	GroupEvictions   uint64
-	Prefetches       uint64
-	PrefetchHits     uint64 // prefetched registers found resident on demand
-	HintSpillsElided uint64 // dirty spills demoted off the critical path by a hint
+	Stats
+}
+
+// Stats accumulates the ViReC provider's own counters; the tag store and
+// the BSI engines keep theirs. Each field is a counter, registered under
+// its metric tag by RegisterMetrics.
+type Stats struct {
+	DummyDests       uint64 `metric:"dummy_dests"`
+	CommitReallocs   uint64 `metric:"commit_reallocs"`
+	GroupEvictions   uint64 `metric:"group_evictions"`
+	Prefetches       uint64 `metric:"prefetches"`
+	PrefetchHits     uint64 `metric:"prefetch_hits"`      // prefetched registers found resident on demand
+	HintSpillsElided uint64 `metric:"hint_spills_elided"` // dirty spills demoted off the critical path by a hint
 }
 
 type regKey struct {
@@ -276,12 +282,9 @@ func (p *ViReC) StampCycle(cycle uint64) { p.cycle = cycle }
 // registry reconciles exactly with the experiment tables.
 func (p *ViReC) RegisterMetrics(r *telemetry.Registry, prefix string) {
 	p.tags.RegisterMetrics(r, prefix+"/vrmu")
-	r.Counter(prefix+"/dummy_dests", &p.DummyDests)
-	r.Counter(prefix+"/commit_reallocs", &p.CommitReallocs)
-	r.Counter(prefix+"/group_evictions", &p.GroupEvictions)
-	r.Counter(prefix+"/prefetches", &p.Prefetches)
-	r.Counter(prefix+"/prefetch_hits", &p.PrefetchHits)
-	r.Counter(prefix+"/hint_spills_elided", &p.HintSpillsElided)
+	r.Stats(prefix, &p.Stats)
+	// The three BSI engines share one type, so their counters are named
+	// here rather than by tags.
 	r.Counter(prefix+"/fills_issued", &p.bsi.FillsIssued)
 	r.Counter(prefix+"/spills_issued", &p.bsi.SpillsIssued)
 	r.Counter(prefix+"/sysreg_fills", &p.sysBsi.FillsIssued)

@@ -87,19 +87,19 @@ func (j *Job) clone() *Job {
 }
 
 // Stats counts farm-level events; every field is registered in the
-// telemetry registry under the farm/ prefix.
+// telemetry registry under the farm/ prefix and its metric tag.
 type Stats struct {
-	Submitted   uint64 // specs accepted into the queue (including cache hits)
-	Deduped     uint64 // submissions coalesced onto a still-running job
-	Rejected    uint64 // submissions refused: queue full (HTTP 429)
-	CacheHits   uint64 // submissions served from the result cache (no execution)
-	CacheMisses uint64 // jobs that had to execute
-	Completed   uint64 // jobs that reached done (executed, not cached)
-	Retries     uint64 // failed attempts that were re-queued
-	Failed      uint64 // jobs that exhausted their retries
-	Quarantined uint64 // jobs circuit-broken on a repeated fingerprint
-	Deadlines   uint64 // attempts abandoned at the per-job deadline
-	Restarts    uint64 // worker goroutines restarted after a panic escape
+	Submitted   uint64 `metric:"submitted"`         // specs accepted into the queue (including cache hits)
+	Deduped     uint64 `metric:"deduped"`           // submissions coalesced onto a still-running job
+	Rejected    uint64 `metric:"rejected"`          // submissions refused: queue full (HTTP 429)
+	CacheHits   uint64 `metric:"cache_hits"`        // submissions served from the result cache (no execution)
+	CacheMisses uint64 `metric:"cache_misses"`      // jobs that had to execute
+	Completed   uint64 `metric:"completed"`         // jobs that reached done (executed, not cached)
+	Retries     uint64 `metric:"retries"`           // failed attempts that were re-queued
+	Failed      uint64 `metric:"failed"`            // jobs that exhausted their retries
+	Quarantined uint64 `metric:"quarantined"`       // jobs circuit-broken on a repeated fingerprint
+	Deadlines   uint64 `metric:"deadline_abandons"` // attempts abandoned at the per-job deadline
+	Restarts    uint64 `metric:"worker_restarts"`   // worker goroutines restarted after a panic escape
 }
 
 // Options configures a Farm.
@@ -789,17 +789,7 @@ func (f *Farm) MetricsSnapshot() *telemetry.Snapshot {
 // Gauge closures read farm state without locking: they only run inside
 // MetricsSnapshot, which holds the mutex.
 func (f *Farm) registerMetrics(r *telemetry.Registry, prefix string) {
-	r.Counter(prefix+"/submitted", &f.stats.Submitted)
-	r.Counter(prefix+"/deduped", &f.stats.Deduped)
-	r.Counter(prefix+"/rejected", &f.stats.Rejected)
-	r.Counter(prefix+"/cache_hits", &f.stats.CacheHits)
-	r.Counter(prefix+"/cache_misses", &f.stats.CacheMisses)
-	r.Counter(prefix+"/completed", &f.stats.Completed)
-	r.Counter(prefix+"/retries", &f.stats.Retries)
-	r.Counter(prefix+"/failed", &f.stats.Failed)
-	r.Counter(prefix+"/quarantined", &f.stats.Quarantined)
-	r.Counter(prefix+"/deadline_abandons", &f.stats.Deadlines)
-	r.Counter(prefix+"/worker_restarts", &f.stats.Restarts)
+	r.Stats(prefix, &f.stats)
 	r.Gauge(prefix+"/queue_depth", func() float64 { return float64(f.liveLocked()) })
 	r.Gauge(prefix+"/running", func() float64 { return float64(f.running) })
 	r.Gauge(prefix+"/jobs_total", func() float64 { return float64(len(f.jobs)) })

@@ -64,7 +64,6 @@ type SimSpec struct {
 	FaultSeed uint64 `json:"fault_seed,omitempty"`
 
 	MaxCycles uint64 `json:"max_cycles,omitempty"`
-	NoICache  bool   `json:"no_icache,omitempty"`
 }
 
 // DifftestSpec describes one differential-verification job: generate the
@@ -160,7 +159,6 @@ func (s *SimSpec) simConfig() (sim.Config, error) {
 		PhysRegs:       s.PhysRegs,
 		ContextPct:     s.CtxPct,
 		MaxCycles:      s.MaxCycles,
-		NoICache:       s.NoICache,
 	}
 	if s.Policy != "" {
 		if cfg.Policy, err = vrmu.ParsePolicy(s.Policy); err != nil {

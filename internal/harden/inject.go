@@ -8,28 +8,22 @@ import (
 	"github.com/virec/virec/internal/telemetry"
 )
 
-// InjectStats counts the perturbations an injector applied.
+// InjectStats counts the perturbations an injector applied. Each field is
+// a counter, registered under its metric tag by RegisterMetrics.
 type InjectStats struct {
-	Jittered     uint64 // completions delayed
-	JitterCycles uint64 // total extra cycles added
-	BusyBursts   uint64 // port-busy windows opened
-	BusyRejects  uint64 // accesses rejected inside busy windows
-	Storms       uint64 // eviction storms fired
-	StormFetches uint64 // conflicting line fetches the cache accepted
-	BlockedFills uint64 // register fills rejected by BlockRegisterFills
+	Jittered     uint64 `metric:"jittered"`      // completions delayed
+	JitterCycles uint64 `metric:"jitter_cycles"` // total extra cycles added
+	BusyBursts   uint64 `metric:"busy_bursts"`   // port-busy windows opened
+	BusyRejects  uint64 `metric:"busy_rejects"`  // accesses rejected inside busy windows
+	Storms       uint64 `metric:"storms"`        // eviction storms fired
+	StormFetches uint64 `metric:"storm_fetches"` // conflicting line fetches the cache accepted
+	BlockedFills uint64 `metric:"blocked_fills"` // register fills rejected by BlockRegisterFills
 }
 
 // RegisterMetrics wires the injector's perturbation counters into a
 // telemetry registry under prefix (e.g. "inject0").
 func (inj *Injector) RegisterMetrics(r *telemetry.Registry, prefix string) {
-	s := &inj.Stats
-	r.Counter(prefix+"/jittered", &s.Jittered)
-	r.Counter(prefix+"/jitter_cycles", &s.JitterCycles)
-	r.Counter(prefix+"/busy_bursts", &s.BusyBursts)
-	r.Counter(prefix+"/busy_rejects", &s.BusyRejects)
-	r.Counter(prefix+"/storms", &s.Storms)
-	r.Counter(prefix+"/storm_fetches", &s.StormFetches)
-	r.Counter(prefix+"/blocked_fills", &s.BlockedFills)
+	r.Stats(prefix, &inj.Stats)
 }
 
 // Injector sits between a core (pipeline, store queue and register

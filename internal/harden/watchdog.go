@@ -67,8 +67,8 @@ type SelfChecker interface {
 }
 
 // SystemView is the window the watchdog and invariant checker get onto a
-// composed system. Slices are indexed by core; ICaches and Injectors may
-// be shorter or empty depending on configuration.
+// composed system. Slices are indexed by core, one entry per core;
+// Injectors is empty unless fault injection is on.
 type SystemView struct {
 	Cores     []*cpu.Core
 	DCaches   []*cache.Cache

@@ -28,8 +28,6 @@ import (
 //
 //   - statements marked `//virec:alloc-ok` (intentional, amortized-per-
 //     memory-op or grow-once allocations);
-//   - bodies of `if hook != nil { ... }` guards where hook has func type
-//     (debug/trace hooks are disabled in measured runs);
 //   - arguments of panic calls (failure paths may format freely).
 //
 // append is deliberately not flagged: the scratch-buffer idiom
@@ -135,21 +133,11 @@ func (w *hotWalker) report(pos token.Pos, root, format string, args ...any) {
 // check walks one function body.
 func (w *hotWalker) check(fn *hotFunc, root string, body ast.Node) {
 	info := fn.pkg.Info
-	var visit func(n ast.Node) bool
-	visit = func(n ast.Node) bool {
+	ast.Inspect(body, func(n ast.Node) bool {
 		if stmt, ok := n.(ast.Stmt); ok && w.dirs.has(stmt.Pos(), "alloc-ok") {
 			return false
 		}
 		switch n := n.(type) {
-		case *ast.IfStmt:
-			if isFuncNilGuard(info, n.Cond) {
-				// Walk the condition and else branch, skip the guarded body.
-				ast.Inspect(n.Cond, visit)
-				if n.Else != nil {
-					ast.Inspect(n.Else, visit)
-				}
-				return false
-			}
 		case *ast.CallExpr:
 			if isBuiltinCall(info, n, "panic") {
 				return false
@@ -176,8 +164,7 @@ func (w *hotWalker) check(fn *hotFunc, root string, body ast.Node) {
 			}
 		}
 		return true
-	}
-	ast.Inspect(body, visit)
+	})
 }
 
 // checkCall flags allocation builtins, fmt calls and boxing at call
@@ -293,33 +280,4 @@ func (w *hotWalker) checkComposite(fn *hotFunc, root string, cl *ast.CompositeLi
 		}
 	}
 	return false
-}
-
-// isFuncNilGuard matches `x != nil` where x has func type — the debug-hook
-// guard idiom (`if c.cfg.Trace != nil { ... }`).
-func isFuncNilGuard(info *types.Info, cond ast.Expr) bool {
-	be, ok := cond.(*ast.BinaryExpr)
-	if !ok || be.Op != token.NEQ {
-		return false
-	}
-	var x ast.Expr
-	switch {
-	case isNilIdent(be.Y):
-		x = be.X
-	case isNilIdent(be.X):
-		x = be.Y
-	default:
-		return false
-	}
-	t := info.TypeOf(x)
-	if t == nil {
-		return false
-	}
-	_, isFunc := t.Underlying().(*types.Signature)
-	return isFunc
-}
-
-func isNilIdent(e ast.Expr) bool {
-	id, ok := e.(*ast.Ident)
-	return ok && id.Name == "nil"
 }

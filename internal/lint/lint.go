@@ -1,8 +1,7 @@
 // Package lint is the simulator's static-analysis suite: custom analyzers
-// that mechanically enforce the invariants the last PRs established by
-// hand — byte-identical serial/parallel experiment output (determinism),
-// allocation-free simulator tick paths (hotpath), and a telemetry registry
-// that aliases every stats counter (statsreg).
+// that mechanically enforce invariants established by hand —
+// byte-identical serial/parallel experiment output (determinism) and
+// allocation-free simulator tick paths (hotpath).
 //
 // The suite is built on the standard library's go/parser + go/types only.
 // The usual foundation for custom vet passes, golang.org/x/tools/go/analysis,
@@ -30,8 +29,6 @@
 //	//virec:nondet-ok    on (or immediately above) a map-range statement:
 //	                     the iteration's effects are order-independent in a
 //	                     way the analyzer cannot prove.
-//	//virec:nostat       on a Stats field: intentionally not registered in
-//	                     the telemetry registry.
 package lint
 
 import (
@@ -85,7 +82,7 @@ func (d Diagnostic) String() string {
 
 // All returns the suite in a fixed order.
 func All() []*Analyzer {
-	return []*Analyzer{Determinism, Hotpath, Statsreg}
+	return []*Analyzer{Determinism, Hotpath}
 }
 
 // Run executes the given analyzers over the loaded packages and returns

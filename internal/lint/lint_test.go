@@ -54,8 +54,6 @@ func TestAnalyzers(t *testing.T) {
 	}{
 		{"det", Determinism},
 		{"hot", Hotpath},
-		{"streg", Statsreg},
-		{"streghint", Statsreg},
 	}
 	for _, tc := range cases {
 		t.Run(tc.analyzer.Name, func(t *testing.T) {

@@ -31,9 +31,10 @@ func root(n int) int {
 	//virec:alloc-ok suppression under test
 	q := new(int)
 
-	// A nil-guarded func-typed hook is a disabled-by-default debug path.
+	// A nil guard on a func-typed hook exempts nothing: the guarded body
+	// is still on the hot path.
 	if debugHook != nil {
-		fmt.Println("hook", n)
+		fmt.Println("hook", n) // want "calls fmt.Println"
 	}
 
 	// Failure paths may format freely.

@@ -36,19 +36,20 @@ type Config struct {
 	PinningDisabled bool
 }
 
-// Stats accumulates cache statistics.
+// Stats accumulates cache statistics. Each field is a counter,
+// registered under its metric tag by RegisterMetrics.
 type Stats struct {
-	Hits         uint64
-	Misses       uint64
-	MergedMisses uint64 // secondary misses merged into an MSHR
-	Writebacks   uint64
-	Fills        uint64
-	PortRejects  uint64
-	MSHRRejects  uint64
-	PinnedEvicts uint64 // pinned register lines sacrificed for data misses
-	RegReads     uint64 // register-region reads (fills into the RF)
-	RegWrites    uint64 // register-region writes (spills out of the RF)
-	DataLoadMiss uint64 // misses that raised the context-switch signal
+	Hits         uint64 `metric:"hits"`
+	Misses       uint64 `metric:"misses"`
+	MergedMisses uint64 `metric:"merged_misses"` // secondary misses merged into an MSHR
+	Writebacks   uint64 `metric:"writebacks"`
+	Fills        uint64 `metric:"fills"`
+	PortRejects  uint64 `metric:"port_rejects"`
+	MSHRRejects  uint64 `metric:"mshr_rejects"`
+	PinnedEvicts uint64 `metric:"pinned_evicts"`  // pinned register lines sacrificed for data misses
+	RegReads     uint64 `metric:"reg_reads"`      // register-region reads (fills into the RF)
+	RegWrites    uint64 `metric:"reg_writes"`     // register-region writes (spills out of the RF)
+	DataLoadMiss uint64 `metric:"data_load_miss"` // misses that raised the context-switch signal
 }
 
 // HitRate returns hits / (hits+misses).
@@ -627,18 +628,7 @@ func (c *Cache) SetTelemetry(tr *telemetry.Tracer, coreID int) {
 // RegisterMetrics wires the cache's counters, occupancy gauges and the
 // pinned-line histogram into a registry under prefix (e.g. "dcache0").
 func (c *Cache) RegisterMetrics(r *telemetry.Registry, prefix string) {
-	s := &c.Stats
-	r.Counter(prefix+"/hits", &s.Hits)
-	r.Counter(prefix+"/misses", &s.Misses)
-	r.Counter(prefix+"/merged_misses", &s.MergedMisses)
-	r.Counter(prefix+"/writebacks", &s.Writebacks)
-	r.Counter(prefix+"/fills", &s.Fills)
-	r.Counter(prefix+"/port_rejects", &s.PortRejects)
-	r.Counter(prefix+"/mshr_rejects", &s.MSHRRejects)
-	r.Counter(prefix+"/pinned_evicts", &s.PinnedEvicts)
-	r.Counter(prefix+"/reg_reads", &s.RegReads)
-	r.Counter(prefix+"/reg_writes", &s.RegWrites)
-	r.Counter(prefix+"/data_load_miss", &s.DataLoadMiss)
+	r.Stats(prefix, &c.Stats)
 	r.Gauge(prefix+"/pinned_lines", func() float64 { return float64(c.PinnedLines()) })
 	r.Gauge(prefix+"/mshrs_in_use", func() float64 { return float64(len(c.mshrs)) })
 	c.pinnedHist = r.Histogram(prefix+"/pinned_lines_hist",

@@ -50,15 +50,16 @@ func DefaultConfig() Config {
 	}
 }
 
-// Stats accumulates memory-controller statistics.
+// Stats accumulates memory-controller statistics. Each field is a
+// counter, registered under its metric tag by RegisterMetrics.
 type Stats struct {
-	Reads        uint64
-	Writes       uint64
-	RowHits      uint64
-	RowMisses    uint64 // bank closed
-	RowConflicts uint64 // wrong row open
-	TotalLatency uint64 // sum of read latencies (cycles)
-	Rejected     uint64 // accesses refused because a queue was full
+	Reads        uint64 `metric:"reads"`
+	Writes       uint64 `metric:"writes"`
+	RowHits      uint64 `metric:"row_hits"`
+	RowMisses    uint64 `metric:"row_misses"`         // bank closed
+	RowConflicts uint64 `metric:"row_conflicts"`      // wrong row open
+	TotalLatency uint64 `metric:"total_read_latency"` // sum of read latencies (cycles)
+	Rejected     uint64 `metric:"rejected"`           // accesses refused because a queue was full
 }
 
 // AvgReadLatency returns the mean read latency in cycles.
@@ -72,15 +73,8 @@ func (s *Stats) AvgReadLatency() float64 {
 // RegisterMetrics wires the controller's counters into a telemetry
 // registry under prefix (e.g. "dram"). Counters alias the Stats fields.
 func (d *DRAM) RegisterMetrics(r *telemetry.Registry, prefix string) {
-	s := &d.Stats
-	r.Counter(prefix+"/reads", &s.Reads)
-	r.Counter(prefix+"/writes", &s.Writes)
-	r.Counter(prefix+"/row_hits", &s.RowHits)
-	r.Counter(prefix+"/row_misses", &s.RowMisses)
-	r.Counter(prefix+"/row_conflicts", &s.RowConflicts)
-	r.Counter(prefix+"/total_read_latency", &s.TotalLatency)
-	r.Counter(prefix+"/rejected", &s.Rejected)
-	r.Gauge(prefix+"/avg_read_latency", s.AvgReadLatency)
+	r.Stats(prefix, &d.Stats)
+	r.Gauge(prefix+"/avg_read_latency", d.Stats.AvgReadLatency)
 	r.Gauge(prefix+"/queue_occupancy", func() float64 { return float64(d.QueueOccupancy()) })
 }
 

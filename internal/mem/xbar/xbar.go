@@ -23,20 +23,19 @@ func DefaultConfig() Config {
 	return Config{Latency: 6, PerCycle: 2, QueueDepth: 64}
 }
 
-// Stats accumulates crossbar statistics.
+// Stats accumulates crossbar statistics. Each uint64 field is a counter,
+// registered under its metric tag by RegisterMetrics.
 type Stats struct {
-	Forwarded uint64
-	Rejected  uint64
+	Forwarded uint64 `metric:"forwarded"`
+	Rejected  uint64 `metric:"rejected"`
 	MaxQueue  int
 }
 
 // RegisterMetrics wires the crossbar's counters into a telemetry registry
 // under prefix (e.g. "xbar"). Counters alias the Stats fields.
 func (x *Xbar) RegisterMetrics(r *telemetry.Registry, prefix string) {
-	s := &x.Stats
-	r.Counter(prefix+"/forwarded", &s.Forwarded)
-	r.Counter(prefix+"/rejected", &s.Rejected)
-	r.Gauge(prefix+"/max_queue", func() float64 { return float64(s.MaxQueue) })
+	r.Stats(prefix, &x.Stats)
+	r.Gauge(prefix+"/max_queue", func() float64 { return float64(x.Stats.MaxQueue) })
 }
 
 // event is one traversal in flight: a request toward the controller, or a

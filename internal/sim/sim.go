@@ -90,24 +90,15 @@ type Config struct {
 	Policy     vrmu.Policy
 	ViReCOpts  regfile.ViReCConfig // ablations; PhysRegs/Policy overridden
 
-	// Pipeline overrides (zero = Table 1 defaults).
-	Pipeline cpu.Config
-
-	// DCache geometry (zero = Table 1: 8 KB, 4-way, 2-cycle, 24 MSHRs).
+	// DCache geometry (zero = Table 1: 8 KB, 2-cycle hits; always 4-way
+	// with 24 MSHRs).
 	DCacheBytes      int
 	DCacheHitLatency int
-	DCacheMSHRs      int
 	PinningDisabled  bool
 
-	// NoICache replaces the 32 KB instruction cache (Table 1) with a
-	// fixed-latency fetch pipe; the kernels fit the icache after warmup,
-	// so this mainly removes cold-start fetch misses.
-	NoICache bool
-
-	// Memory system. FixedMemLatency > 0 replaces the DRAM model with a
-	// constant-latency device (latency-sweep experiments).
-	DRAM            dram.Config
-	Xbar            xbar.Config
+	// FixedMemLatency > 0 replaces the DRAM model (Table 1) with a
+	// constant-latency device behind the crossbar (latency-sweep
+	// experiments).
 	FixedMemLatency int
 
 	// ValidateValues enables the golden-model cross-check (slows the run
@@ -181,9 +172,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.DCacheHitLatency == 0 {
 		out.DCacheHitLatency = 2
-	}
-	if out.DCacheMSHRs == 0 {
-		out.DCacheMSHRs = 24
 	}
 	if out.MaxCycles == 0 {
 		out.MaxCycles = 500_000_000
@@ -296,14 +284,14 @@ func New(cfg Config) (*System, error) {
 		s.fixed = mem.NewDelayDevice(uint64(cfg.FixedMemLatency))
 		below = s.fixed
 	} else {
-		s.DRAM = dram.New(cfg.DRAM)
+		s.DRAM = dram.New(dram.DefaultConfig())
 		s.DRAM.RegisterMetrics(s.Registry, "dram")
 		below = s.DRAM
 	}
-	s.Xbar = xbar.New(cfg.Xbar, below)
+	s.Xbar = xbar.New(xbar.DefaultConfig(), below)
 	s.Xbar.RegisterMetrics(s.Registry, "xbar")
 
-	pipeCfg := cfg.Pipeline
+	pipeCfg := cpu.DefaultConfig()
 	pipeCfg.Threads = cfg.ThreadsPerCore
 	pipeCfg.ValidateValues = cfg.ValidateValues
 
@@ -318,7 +306,7 @@ func New(cfg Config) (*System, error) {
 			SizeBytes:       cfg.DCacheBytes,
 			Assoc:           4,
 			HitLatency:      cfg.DCacheHitLatency,
-			MSHRs:           cfg.DCacheMSHRs,
+			MSHRs:           24,
 			Ports:           1,
 			PinningDisabled: cfg.PinningDisabled,
 		}
@@ -343,19 +331,16 @@ func New(cfg Config) (*System, error) {
 			dcDev = inj
 		}
 
-		var ic *cache.Cache
-		if !cfg.NoICache {
-			ic = cache.New(cache.Config{
-				Name:       fmt.Sprintf("icache%d", coreID),
-				SizeBytes:  32 * 1024,
-				Assoc:      4,
-				HitLatency: 2,
-				MSHRs:      4,
-				Ports:      1,
-			}, s.Xbar)
-			ic.RegisterMetrics(s.Registry, fmt.Sprintf("icache%d", coreID))
-			s.ICaches = append(s.ICaches, ic)
-		}
+		ic := cache.New(cache.Config{
+			Name:       fmt.Sprintf("icache%d", coreID),
+			SizeBytes:  32 * 1024,
+			Assoc:      4,
+			HitLatency: 2,
+			MSHRs:      4,
+			Ports:      1,
+		}, s.Xbar)
+		ic.RegisterMetrics(s.Registry, fmt.Sprintf("icache%d", coreID))
+		s.ICaches = append(s.ICaches, ic)
 
 		var provider cpu.Provider
 		switch cfg.Kind {
@@ -406,18 +391,16 @@ func New(cfg Config) (*System, error) {
 		core := cpu.New(pipeCfg, provider, dcDev, s.Memory)
 		core.RegisterMetrics(s.Registry, fmt.Sprintf("core%d", coreID))
 		core.SetTelemetry(s.Tracer, coreID)
-		if ic != nil {
-			core.SetICache(ic)
-			base := progBase + mem.Addr(coreID)*0x10_0000
-			for th := 0; th < cfg.ThreadsPerCore; th++ {
-				// Threads running the same kernel share icache lines;
-				// a mix gives each kernel its own program addresses.
-				slot := 0
-				if len(cfg.WorkloadMix) > 0 {
-					slot = th % len(cfg.WorkloadMix)
-				}
-				core.Thread(th).ProgBase = base + mem.Addr(slot)*0x1000
+		core.SetICache(ic)
+		base := progBase + mem.Addr(coreID)*0x10_0000
+		for th := 0; th < cfg.ThreadsPerCore; th++ {
+			// Threads running the same kernel share icache lines; a mix
+			// gives each kernel its own program addresses.
+			slot := 0
+			if len(cfg.WorkloadMix) > 0 {
+				slot = th % len(cfg.WorkloadMix)
 			}
+			core.Thread(th).ProgBase = base + mem.Addr(slot)*0x1000
 		}
 		s.Cores = append(s.Cores, core)
 	}
@@ -705,9 +688,7 @@ func (s *System) Run() (res *Result, err error) {
 		res.CoreStats = append(res.CoreStats, c.Stats)
 		res.Insts += c.Stats.Insts
 		res.CacheStats = append(res.CacheStats, s.DCaches[coreID].Stats)
-		if coreID < len(s.ICaches) {
-			res.ICacheStats = append(res.ICacheStats, s.ICaches[coreID].Stats)
-		}
+		res.ICacheStats = append(res.ICacheStats, s.ICaches[coreID].Stats)
 		if v, ok := c.Provider().(*regfile.ViReC); ok {
 			res.TagStats = append(res.TagStats, v.Tags().Stats)
 		}

@@ -235,21 +235,6 @@ func TestICacheDefaultOnAndWarm(t *testing.T) {
 	}
 }
 
-func TestNoICacheMode(t *testing.T) {
-	res, err := sim.Simulate(sim.Config{
-		Kind: sim.Banked, ThreadsPerCore: 4,
-		Workload: gather(t), Iters: 64,
-		NoICache:       true,
-		ValidateValues: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.ICacheStats) != 0 {
-		t.Error("NoICache run must not report icache stats")
-	}
-}
-
 func TestWorkloadMix(t *testing.T) {
 	g, _ := workloads.ByName("gather")
 	red, _ := workloads.ByName("reduction")

@@ -193,16 +193,8 @@ func (f *Fold) Apply(d *Delta) error {
 		if !head && !known {
 			return fmt.Errorf("telemetry: delta seq %d introduces unknown histogram %q", d.Seq, name)
 		}
-		if len(h.Counts) != len(h.Bounds)+1 {
-			return fmt.Errorf("telemetry: histogram %q has %d counts for %d bounds at seq %d",
-				name, len(h.Counts), len(h.Bounds), d.Seq)
-		}
-		var sum uint64
-		for _, c := range h.Counts {
-			sum += c
-		}
-		if sum != h.Count {
-			return fmt.Errorf("telemetry: histogram %q bucket sum %d != count %d at seq %d", name, sum, h.Count, d.Seq)
+		if err := h.Validate(); err != nil {
+			return fmt.Errorf("telemetry: histogram %q at seq %d: %w", name, d.Seq, err)
 		}
 		if known && h.Count < old.Count {
 			return fmt.Errorf("telemetry: histogram %q count regressed from %d to %d at seq %d",

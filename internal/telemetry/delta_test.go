@@ -125,6 +125,26 @@ func TestDeltaFoldRejections(t *testing.T) {
 			t.Fatalf("unknown label not rejected: %v", err)
 		}
 	})
+	t.Run("histogram bounds not ascending", func(t *testing.T) {
+		var f Fold
+		bad := &Delta{Seq: 0, Reset: true, Histograms: map[string]HistSnapshot{
+			"a/h": {Bounds: []uint64{10, 10}, Counts: []uint64{0, 0, 0}},
+		}}
+		err := f.Apply(bad)
+		if err == nil || !strings.Contains(err.Error(), "not ascending") {
+			t.Fatalf("unordered bounds not rejected: %v", err)
+		}
+	})
+	t.Run("histogram min above max", func(t *testing.T) {
+		var f Fold
+		bad := &Delta{Seq: 0, Reset: true, Histograms: map[string]HistSnapshot{
+			"a/h": {Bounds: []uint64{10}, Counts: []uint64{1, 0}, Count: 1, Sum: 5, Min: 7, Max: 5},
+		}}
+		err := f.Apply(bad)
+		if err == nil || !strings.Contains(err.Error(), "min 7 > max 5") {
+			t.Fatalf("min > max not rejected: %v", err)
+		}
+	})
 	t.Run("mid-stream head resets", func(t *testing.T) {
 		var f Fold
 		if err := f.Apply(head); err != nil {

@@ -28,6 +28,7 @@ package telemetry
 import (
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"sort"
 )
 
@@ -73,6 +74,29 @@ func (r *Registry) Counter(name string, p *uint64) {
 	}
 	r.claim(name)
 	r.counters[name] = p
+}
+
+// Stats registers every uint64 field of the struct stats points to as the
+// counter prefix+"/"+tag, where tag is the field's `metric:"…"` struct
+// tag. Each counter is a pointer alias through Counter, so a repeated
+// name panics as it would there. A uint64 field without a tag panics,
+// naming the type and field, so no counter can drop out of the
+// namespace. Fields of other types (per-thread slices, values behind a
+// gauge) are skipped.
+func (r *Registry) Stats(prefix string, stats any) {
+	v := reflect.ValueOf(stats).Elem()
+	t := v.Type()
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		if f.Type != reflect.TypeFor[uint64]() {
+			continue
+		}
+		tag := f.Tag.Get("metric")
+		if tag == "" {
+			panic(fmt.Sprintf("telemetry: counter field %s.%s has no metric tag", t, f.Name))
+		}
+		r.Counter(prefix+"/"+tag, v.Field(i).Addr().Interface().(*uint64))
+	}
 }
 
 // Gauge registers an instantaneous value computed at snapshot time.
@@ -121,22 +145,6 @@ func sortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
 		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Names returns every registered metric name, sorted.
-func (r *Registry) Names() []string {
-	out := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.hists))
-	for n := range r.counters {
-		out = append(out, n)
-	}
-	for n := range r.gauges {
-		out = append(out, n)
-	}
-	for n := range r.hists {
-		out = append(out, n)
 	}
 	sort.Strings(out)
 	return out
@@ -240,6 +248,31 @@ type HistSnapshot struct {
 	Sum    uint64   `json:"sum"`
 	Min    uint64   `json:"min"`
 	Max    uint64   `json:"max"`
+}
+
+// Validate checks the histogram is well formed: one count per bound plus
+// the overflow bucket, bounds strictly ascending, bucket counts summing
+// to Count, and Min <= Max once anything was observed.
+func (h *HistSnapshot) Validate() error {
+	if len(h.Counts) != len(h.Bounds)+1 {
+		return fmt.Errorf("%d counts for %d bounds, want len(bounds)+1", len(h.Counts), len(h.Bounds))
+	}
+	for i := 1; i < len(h.Bounds); i++ {
+		if h.Bounds[i] <= h.Bounds[i-1] {
+			return fmt.Errorf("bounds not ascending at %d", i)
+		}
+	}
+	var sum uint64
+	for _, c := range h.Counts {
+		sum += c
+	}
+	if sum != h.Count {
+		return fmt.Errorf("bucket sum %d != count %d", sum, h.Count)
+	}
+	if h.Count > 0 && h.Min > h.Max {
+		return fmt.Errorf("min %d > max %d", h.Min, h.Max)
+	}
+	return nil
 }
 
 // Mean returns the average observed value (0 when empty).

@@ -68,6 +68,63 @@ func TestRegistryCollisionPanics(t *testing.T) {
 	}
 }
 
+// taggedStats mixes tagged counters with fields Registry.Stats skips.
+type taggedStats struct {
+	Hits      uint64 `metric:"hits"`
+	Misses    uint64 `metric:"misses"`
+	PerThread []uint64
+	MaxQueue  int
+}
+
+// untaggedStats keeps a counter Registry.Stats cannot name.
+type untaggedStats struct {
+	Hits    uint64 `metric:"hits"`
+	Refills uint64
+}
+
+func TestRegistryStats(t *testing.T) {
+	t.Run("tagged fields alias", func(t *testing.T) {
+		r := NewRegistry()
+		var st taggedStats
+		r.Stats("c0", &st)
+		st.Hits, st.Misses = 3, 4
+		s := r.Snapshot()
+		if s.Counter("c0/hits") != 3 || s.Counter("c0/misses") != 4 {
+			t.Fatalf("counters = %v, want c0/hits=3 c0/misses=4", s.Counters)
+		}
+	})
+	t.Run("other types skipped", func(t *testing.T) {
+		r := NewRegistry()
+		st := taggedStats{PerThread: []uint64{1}, MaxQueue: 2}
+		r.Stats("c0", &st)
+		s := r.Snapshot()
+		if len(s.Counters) != 2 || len(s.Gauges) != 0 || len(s.Histograms) != 0 {
+			t.Fatalf("snapshot = %+v, want only the two tagged counters", s)
+		}
+	})
+	t.Run("untagged counter panics", func(t *testing.T) {
+		defer func() {
+			msg, _ := recover().(string)
+			if !strings.Contains(msg, "telemetry.untaggedStats.Refills") {
+				t.Fatalf("panic %q does not name the type and field", msg)
+			}
+		}()
+		NewRegistry().Stats("c0", &untaggedStats{})
+	})
+	t.Run("repeated name panics", func(t *testing.T) {
+		r := NewRegistry()
+		var other uint64
+		r.Counter("c0/misses", &other)
+		defer func() {
+			msg, _ := recover().(string)
+			if !strings.Contains(msg, `"c0/misses" registered twice`) {
+				t.Fatalf("panic %q, want a collision on c0/misses", msg)
+			}
+		}()
+		r.Stats("c0", &taggedStats{})
+	})
+}
+
 func TestHistogramEdgeCases(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("lat", []uint64{10, 20, 40})

@@ -133,15 +133,16 @@ type Victim struct {
 	Remat  bool // hint-proven rematerializable: likewise
 }
 
-// Stats accumulates tag-store statistics.
+// Stats accumulates tag-store statistics. Each field is a counter,
+// registered under its metric tag by RegisterMetrics.
 type Stats struct {
-	Hits       uint64
-	Misses     uint64
-	Evictions  uint64
-	DirtyEvict uint64
-	CResets    uint64 // C bits reset by the rollback queue
+	Hits       uint64 `metric:"hits"`
+	Misses     uint64 `metric:"misses"`
+	Evictions  uint64 `metric:"evictions"`
+	DirtyEvict uint64 `metric:"dirty_evicts"`
+	CResets    uint64 `metric:"c_resets"` // C bits reset by the rollback queue
 
-	DeadVictims uint64 // evictions that picked a hint-proven dead entry
+	DeadVictims uint64 `metric:"dead_victims"` // evictions that picked a hint-proven dead entry
 }
 
 // HitRate returns hits/(hits+misses).
@@ -194,13 +195,7 @@ func NewTagStore(numPhys int, policy Policy) *TagStore {
 // RegisterMetrics wires the tag store's counters into a registry under
 // prefix (e.g. "vrmu0"). Counters alias the Stats fields.
 func (t *TagStore) RegisterMetrics(r *telemetry.Registry, prefix string) {
-	s := &t.Stats
-	r.Counter(prefix+"/hits", &s.Hits)
-	r.Counter(prefix+"/misses", &s.Misses)
-	r.Counter(prefix+"/evictions", &s.Evictions)
-	r.Counter(prefix+"/dirty_evicts", &s.DirtyEvict)
-	r.Counter(prefix+"/c_resets", &s.CResets)
-	r.Counter(prefix+"/dead_victims", &s.DeadVictims)
+	r.Stats(prefix, &t.Stats)
 	r.Gauge(prefix+"/occupancy", func() float64 { return float64(t.Occupancy()) })
 }
 
