@@ -297,11 +297,6 @@ func (p *ViReC) RegisterMetrics(r *telemetry.Registry, prefix string) {
 // Tags exposes the tag store for statistics (hit rates, Figure 12).
 func (p *ViReC) Tags() *vrmu.TagStore { return p.tags }
 
-// BSI exposes fill/spill counts for reporting.
-func (p *ViReC) BSIStats() (fills, spills uint64) {
-	return p.bsi.FillsIssued, p.bsi.SpillsIssued
-}
-
 // resident reports whether (thread,reg) has a valid value in the RF.
 func (p *ViReC) resident(thread int, r isa.Reg) bool {
 	if !p.tags.Contains(thread, r) {

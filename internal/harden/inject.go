@@ -43,11 +43,10 @@ type Injector struct {
 	regSets  []int  // cache sets covered by the reserved register region
 	stormTag uint64 // base tag for storm addresses, clear of real regions
 	now      uint64
-	busyTill uint64        // accesses rejected while now < busyTill
-	delayed  evHeap        // completions held back for jitter
-	free     []*jitter     // jitter holders not in use
-	fetches  []*stormFetch // storm fetches not in flight
-	seq      uint64
+	busyTill uint64                  // accesses rejected while now < busyTill
+	delayed  mem.EventQueue[*jitter] // completions held back for jitter
+	free     []*jitter               // jitter holders not in use
+	fetches  []*stormFetch           // storm fetches not in flight
 
 	// Stats is exported read-only for reporting.
 	Stats InjectStats
@@ -111,11 +110,7 @@ type jitter struct {
 	done  func(uint64) // hold, bound once
 }
 
-func (j *jitter) hold(cycle uint64) {
-	inj := j.inj
-	inj.seq++
-	inj.delayed.push(event{cycle: cycle + j.extra, seq: inj.seq, j: j})
-}
+func (j *jitter) hold(cycle uint64) { j.inj.delayed.Push(cycle+j.extra, j) }
 
 // stormFetch is a recycled storm fetch. Its Done, bound once, puts it
 // back on the injector's free list when the cache completes it.
@@ -194,12 +189,12 @@ func (inj *Injector) Access(r *mem.Request) bool {
 //virec:hotpath
 func (inj *Injector) Tick(cycle uint64) {
 	inj.now = cycle
-	for len(inj.delayed) > 0 && inj.delayed[0].cycle <= cycle {
-		ev := inj.delayed.pop()
-		orig := ev.j.orig
-		ev.j.orig = nil
-		inj.free = append(inj.free, ev.j)
-		orig(ev.cycle)
+	for inj.delayed.Due(cycle) {
+		at, j := inj.delayed.Pop()
+		orig := j.orig
+		j.orig = nil
+		inj.free = append(inj.free, j)
+		orig(at)
 	}
 	if inj.plan.BusyPermille > 0 && cycle >= inj.busyTill &&
 		int(inj.next()%1000) < inj.plan.BusyPermille {
@@ -250,16 +245,9 @@ func (inj *Injector) storm() {
 // is bit-exact; the real draws happen in SkipTo and in the normal Tick at
 // the fire cycle. ok=false means nothing fires within the horizon.
 func (inj *Injector) NextFire(horizon uint64) (uint64, bool) {
-	ev, ok := uint64(0), false
-	if len(inj.delayed) > 0 {
-		c := inj.delayed[0].cycle
-		if c <= inj.now {
-			c = inj.now + 1
-		}
-		ev, ok = c, true
-		if c < horizon {
-			horizon = c
-		}
+	ev, ok := inj.delayed.Next(inj.now)
+	if ok && ev < horizon {
+		horizon = ev
 	}
 	if inj.plan.BusyPermille > 0 || inj.plan.StormPermille > 0 {
 		rng := inj.rng
@@ -289,7 +277,7 @@ func (inj *Injector) NextFire(horizon uint64) (uint64, bool) {
 // would have drawn. The caller must have bounded the skip with NextFire:
 // none of the skipped cycles may fire.
 func (inj *Injector) SkipTo(upTo uint64) {
-	if len(inj.delayed) > 0 && inj.delayed[0].cycle <= upTo {
+	if inj.delayed.Due(upTo) {
 		panic("harden: SkipTo across a held completion")
 	}
 	if inj.plan.BusyPermille > 0 || inj.plan.StormPermille > 0 {
@@ -309,74 +297,10 @@ func (inj *Injector) SkipTo(upTo uint64) {
 	}
 }
 
-// Pending returns the number of completions currently held back by
-// jitter (diagnostics and tests).
-func (inj *Injector) Pending() int { return len(inj.delayed) }
-
 // DiagDump summarizes the injector's activity for diagnostic reports.
 func (inj *Injector) DiagDump() string {
 	s := inj.Stats
 	return fmt.Sprintf(
 		"faults: jittered=%d (+%d cycles) busyBursts=%d busyRejects=%d storms=%d stormFetches=%d blockedFills=%d heldCompletions=%d",
-		s.Jittered, s.JitterCycles, s.BusyBursts, s.BusyRejects, s.Storms, s.StormFetches, s.BlockedFills, len(inj.delayed))
-}
-
-// event is a held completion: its jitter holder fires at cycle.
-type event struct {
-	cycle uint64
-	seq   uint64
-	j     *jitter
-}
-
-// evHeap is a min-heap ordered by (cycle, seq), with monomorphic sift
-// routines like the cache's and DRAM's: container/heap would box every
-// held completion into an interface value.
-type evHeap []event
-
-func (h evHeap) less(i, j int) bool {
-	if h[i].cycle != h[j].cycle {
-		return h[i].cycle < h[j].cycle
-	}
-	return h[i].seq < h[j].seq
-}
-
-//virec:hotpath
-func (h *evHeap) push(ev event) {
-	*h = append(*h, ev)
-	s := *h
-	for i := len(s) - 1; i > 0; {
-		parent := (i - 1) / 2
-		if !s.less(i, parent) {
-			break
-		}
-		s[i], s[parent] = s[parent], s[i]
-		i = parent
-	}
-}
-
-//virec:hotpath
-func (h *evHeap) pop() event {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s[n] = event{} // drop the holder reference
-	s = s[:n]
-	*h = s
-	for i := 0; ; {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && s.less(l, smallest) {
-			smallest = l
-		}
-		if r < n && s.less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		s[i], s[smallest] = s[smallest], s[i]
-		i = smallest
-	}
-	return top
+		s.Jittered, s.JitterCycles, s.BusyBursts, s.BusyRejects, s.Storms, s.StormFetches, s.BlockedFills, inj.delayed.Len())
 }

@@ -24,7 +24,7 @@ func (h *recycled) complete(uint64) {
 }
 
 // TestInjectorSteadyStateAllocs pins the allocation-free injector paths:
-// held completions sit in a monomorphic heap, each jittered access
+// held completions sit in a mem.EventQueue, each jittered access
 // borrows a recycled holder, and each storm fetch is a recycled request
 // the cache hands back. So four times the requests through a jittering
 // or storming injector must not allocate more. The small cache misses

@@ -6,13 +6,15 @@ import (
 	"go/types"
 )
 
-// Hotpath preserves the zero-allocation tick paths PR 2 bought with scratch
-// buffers and monomorphic heaps — at compile time, instead of waiting for
-// BenchmarkCoreTick to drift. Functions carrying a `//virec:hotpath`
-// directive in their doc comment (Core.Tick, vrmu.SelectVictim, the
-// cache/DRAM/delay heap operations, register-file providers) are walked
-// transitively through every statically-resolvable call, and each reached
-// function is checked for:
+// Hotpath preserves the zero-allocation tick paths that scratch buffers,
+// free lists and allocation-free event queues bought — at compile time,
+// instead of waiting for BenchmarkCoreTick to drift. Functions carrying a
+// `//virec:hotpath` directive in their doc comment (Core.Tick,
+// vrmu.SelectVictim, mem.EventQueue's Push and Pop, register-file
+// providers) are walked transitively through every statically-resolvable
+// call, methods of generic types included (funcKey names them without
+// type arguments, so an instantiated call reaches the generic
+// declaration), and each reached function is checked for:
 //
 //   - explicit allocation: new, make, slice and map literals, and
 //     address-taken composite literals (&T{...} escapes);

@@ -63,6 +63,21 @@ func boxedLen(v any) int {
 	return 1
 }
 
+// queue is a generic type. The walk names a method by its receiver's type
+// name without type arguments, so a call through an instantiation reaches
+// the generic declaration, and grow is checked though it carries no
+// directive.
+type queue[T any] struct{ items []T }
+
+func (q *queue[T]) grow(n int) {
+	q.items = make([]T, 0, n) // want "make allocates"
+}
+
+//virec:hotpath
+func genericRoot(q *queue[int], n int) {
+	q.grow(n)
+}
+
 // notWalked is neither annotated nor reachable from a root: its
 // allocations are fine.
 func notWalked() []int {

@@ -7,8 +7,8 @@ import (
 )
 
 // BenchmarkCacheTick measures the access + retire hot path: a mixed
-// hit/miss address stream through Access with a Tick per cycle. The
-// hand-rolled hit heap keeps the hit path at 0 allocs/op.
+// hit/miss address stream through Access with a Tick per cycle. Pending
+// hits wait in a mem.EventQueue, which keeps the hit path at 0 allocs/op.
 func BenchmarkCacheTick(b *testing.B) {
 	below := mem.NewDelayDevice(40)
 	c := New(Config{
@@ -42,7 +42,7 @@ func BenchmarkCacheTick(b *testing.B) {
 }
 
 // BenchmarkCacheHit isolates the pure hit path: one resident line probed
-// repeatedly, completing through the pending-hit heap every cycle.
+// repeatedly, completing through the pending-hit queue every cycle.
 func BenchmarkCacheHit(b *testing.B) {
 	below := mem.NewDelayDevice(40)
 	c := New(Config{

@@ -99,66 +99,6 @@ type writeback struct {
 
 func (w *writeback) complete(uint64) { w.c.freeWB = append(w.c.freeWB, w) }
 
-type hitEvent struct {
-	cycle uint64
-	seq   uint64
-	req   *mem.Request
-}
-
-// hitHeap is a hand-rolled min-heap ordered by (cycle, seq). The stdlib
-// container/heap boxes every element into an interface value, which puts
-// one allocation on every cache hit — the single hottest event in the
-// simulator — so the sift routines are monomorphic here instead.
-type hitHeap []hitEvent
-
-func (h hitHeap) less(i, j int) bool {
-	if h[i].cycle != h[j].cycle {
-		return h[i].cycle < h[j].cycle
-	}
-	return h[i].seq < h[j].seq
-}
-
-//virec:hotpath
-func (h *hitHeap) push(ev hitEvent) {
-	*h = append(*h, ev)
-	s := *h
-	for i := len(s) - 1; i > 0; {
-		parent := (i - 1) / 2
-		if !s.less(i, parent) {
-			break
-		}
-		s[i], s[parent] = s[parent], s[i]
-		i = parent
-	}
-}
-
-//virec:hotpath
-func (h *hitHeap) pop() hitEvent {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s[n] = hitEvent{} // drop the *mem.Request reference for the GC
-	s = s[:n]
-	*h = s
-	for i := 0; ; {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && s.less(l, smallest) {
-			smallest = l
-		}
-		if r < n && s.less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		s[i], s[smallest] = s[smallest], s[i]
-		i = smallest
-	}
-	return top
-}
-
 // linePools holds zeroed line arrays by line count. Every cache shares
 // them, so a released cache's array serves the next cache of its size.
 // Each pool holds *[]line, so Put allocates nothing.
@@ -196,10 +136,9 @@ type Cache struct {
 	freeWB  []*writeback // writebacks not in flight
 	below   mem.Device
 
-	pendingHits hitHeap
+	pendingHits mem.EventQueue[*mem.Request]
 	writebackQ  []*mem.Request // retried when below rejects
 	fillRetryQ  []*mshr        // fills the lower level rejected
-	seq         uint64
 	useClock    uint64
 	acceptedNow int
 	now         uint64
@@ -318,12 +257,7 @@ func (c *Cache) Access(r *mem.Request) bool {
 			}
 			c.touchRegLine(ln, r)
 			c.Stats.Hits++
-			c.seq++
-			c.pendingHits.push(hitEvent{
-				cycle: c.now + uint64(c.cfg.HitLatency),
-				seq:   c.seq,
-				req:   r,
-			})
+			c.pendingHits.Push(c.now+uint64(c.cfg.HitLatency), r)
 			return true
 		}
 	}
@@ -542,9 +476,9 @@ func (c *Cache) fillDone(m *mshr, cycle uint64) {
 func (c *Cache) Tick(cycle uint64) {
 	c.now = cycle
 	c.acceptedNow = 0
-	for len(c.pendingHits) > 0 && c.pendingHits[0].cycle <= cycle {
-		ev := c.pendingHits.pop()
-		ev.req.Complete(ev.cycle)
+	for c.pendingHits.Due(cycle) {
+		at, r := c.pendingHits.Pop()
+		r.Complete(at)
 	}
 	if len(c.fillRetryQ) > 0 {
 		remaining := c.fillRetryQ[:0]
@@ -579,14 +513,7 @@ func (c *Cache) NextEvent(now uint64) (uint64, bool) {
 	if len(c.fillRetryQ) > 0 || len(c.writebackQ) > 0 {
 		return now + 1, true
 	}
-	if len(c.pendingHits) > 0 {
-		ev := c.pendingHits[0].cycle
-		if ev <= now {
-			ev = now + 1
-		}
-		return ev, true
-	}
-	return 0, false
+	return c.pendingHits.Next(now)
 }
 
 // PinnedLines returns the number of currently pinned lines (tests, stats).
@@ -662,5 +589,5 @@ func (c *Cache) CheckInvariants() string {
 
 // Idle reports whether no hits, fills or writebacks are outstanding.
 func (c *Cache) Idle() bool {
-	return len(c.pendingHits) == 0 && len(c.mshrs) == 0 && len(c.writebackQ) == 0
+	return c.pendingHits.Len() == 0 && len(c.mshrs) == 0 && len(c.writebackQ) == 0
 }

@@ -1,46 +1,23 @@
 package cache
 
 import (
-	"container/heap"
 	"testing"
 
 	"github.com/virec/virec/internal/mem"
 )
 
-// stubMem is a fixed-latency lower-level device for cache tests.
+// stubMem is the fixed-latency lower-level device for cache tests: a
+// mem.DelayDevice that can reject its first accesses and counts the ones
+// it accepts.
 type stubMem struct {
-	latency  uint64
-	pending  stubHeap
-	seq      uint64
-	now      uint64
+	mem.DelayDevice
 	accesses int
 	writes   int
 	rejectN  int // reject the first rejectN accesses
 }
 
-type stubEvent struct {
-	cycle uint64
-	seq   uint64
-	req   *mem.Request
-}
-
-type stubHeap []stubEvent
-
-func (h stubHeap) Len() int { return len(h) }
-func (h stubHeap) Less(i, j int) bool {
-	if h[i].cycle != h[j].cycle {
-		return h[i].cycle < h[j].cycle
-	}
-	return h[i].seq < h[j].seq
-}
-func (h stubHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *stubHeap) Push(x any)   { *h = append(*h, x.(stubEvent)) }
-func (h *stubHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+func newStub(latency uint64) *stubMem {
+	return &stubMem{DelayDevice: mem.DelayDevice{Latency: latency}}
 }
 
 func (s *stubMem) Access(r *mem.Request) bool {
@@ -52,17 +29,7 @@ func (s *stubMem) Access(r *mem.Request) bool {
 	if r.Kind == mem.Write {
 		s.writes++
 	}
-	s.seq++
-	heap.Push(&s.pending, stubEvent{cycle: s.now + s.latency, seq: s.seq, req: r})
-	return true
-}
-
-func (s *stubMem) Tick(cycle uint64) {
-	s.now = cycle
-	for len(s.pending) > 0 && s.pending[0].cycle <= cycle {
-		ev := heap.Pop(&s.pending).(stubEvent)
-		ev.req.Complete(ev.cycle)
-	}
+	return s.DelayDevice.Access(r)
 }
 
 func newTestCache(cfg Config) (*Cache, *stubMem) {
@@ -81,7 +48,7 @@ func newTestCache(cfg Config) (*Cache, *stubMem) {
 	if cfg.Ports == 0 {
 		cfg.Ports = 1
 	}
-	stub := &stubMem{latency: 50}
+	stub := newStub(50)
 	return New(cfg, stub), stub
 }
 
@@ -259,7 +226,7 @@ func regCache() (*Cache, *stubMem) {
 
 func newTestCacheReg(cfg Config) (*Cache, *stubMem) {
 	cfg.HitLatency = 2
-	stub := &stubMem{latency: 50}
+	stub := newStub(50)
 	return New(cfg, stub), stub
 }
 

@@ -61,7 +61,7 @@ func (c *refCache) access(a mem.Addr) bool {
 // hit/miss classification matches the functional LRU reference exactly.
 func TestMatchesReferenceModelSequential(t *testing.T) {
 	f := func(raw []uint16) bool {
-		stub := &stubMem{latency: 3}
+		stub := newStub(3)
 		c := New(Config{Name: "p", SizeBytes: 512, Assoc: 2, HitLatency: 1,
 			MSHRs: 4, Ports: 4}, stub)
 		ref := newRefCache(512, 2)
@@ -105,7 +105,7 @@ func TestMatchesReferenceModelSequential(t *testing.T) {
 // cache can never write back more lines than it made dirty.
 func TestWritebackCountNeverExceedsDirtyFills(t *testing.T) {
 	f := func(raw []uint16, writeMask uint8) bool {
-		stub := &stubMem{latency: 2}
+		stub := newStub(2)
 		c := New(Config{Name: "p", SizeBytes: 256, Assoc: 2, HitLatency: 1,
 			MSHRs: 4, Ports: 4}, stub)
 		cycle := uint64(0)

@@ -97,74 +97,18 @@ type entry struct {
 	arrived uint64
 }
 
+// completion is an issued access on its way back to the requester.
 type completion struct {
-	cycle uint64
-	seq   uint64 // tie-break for determinism
 	req   *mem.Request
 	read  bool
-	start uint64
-}
-
-// completionHeap is a hand-rolled min-heap ordered by (cycle, seq); seq
-// is unique so the order is total and pops are deterministic. Monomorphic
-// sift routines avoid the per-request interface boxing container/heap
-// would add on this hot path.
-type completionHeap []completion
-
-func (h completionHeap) less(i, j int) bool {
-	if h[i].cycle != h[j].cycle {
-		return h[i].cycle < h[j].cycle
-	}
-	return h[i].seq < h[j].seq
-}
-
-//virec:hotpath
-func (h *completionHeap) push(c completion) {
-	*h = append(*h, c)
-	s := *h
-	for i := len(s) - 1; i > 0; {
-		parent := (i - 1) / 2
-		if !s.less(i, parent) {
-			break
-		}
-		s[i], s[parent] = s[parent], s[i]
-		i = parent
-	}
-}
-
-//virec:hotpath
-func (h *completionHeap) pop() completion {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s[n] = completion{} // drop the *mem.Request reference for the GC
-	s = s[:n]
-	*h = s
-	for i := 0; ; {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && s.less(l, smallest) {
-			smallest = l
-		}
-		if r < n && s.less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		s[i], s[smallest] = s[smallest], s[i]
-		i = smallest
-	}
-	return top
+	start uint64 // arrival cycle, for the read-latency sum
 }
 
 // DRAM is the memory controller plus channels. It implements mem.Device.
 type DRAM struct {
 	cfg      Config
 	channels []channel
-	pending  completionHeap
-	seq      uint64
+	pending  mem.EventQueue[completion]
 	now      uint64
 
 	// Stats is exported read-only for reporting.
@@ -260,12 +204,12 @@ func (d *DRAM) Access(r *mem.Request) bool {
 //virec:hotpath
 func (d *DRAM) Tick(cycle uint64) {
 	d.now = cycle
-	for len(d.pending) > 0 && d.pending[0].cycle <= cycle {
-		c := d.pending.pop()
+	for d.pending.Due(cycle) {
+		at, c := d.pending.Pop()
 		if c.read {
-			d.Stats.TotalLatency += c.cycle - c.start
+			d.Stats.TotalLatency += at - c.start
 		}
-		c.req.Complete(c.cycle)
+		c.req.Complete(at)
 	}
 	for ci := range d.channels {
 		d.issueOne(ci, cycle)
@@ -329,14 +273,8 @@ func (d *DRAM) issueOne(ci int, cycle uint64) {
 		} else {
 			d.Stats.Writes++
 		}
-		d.seq++
-		d.pending.push(completion{
-			cycle: done + uint64(d.cfg.CtrlLatency),
-			seq:   d.seq,
-			req:   e.req,
-			read:  read,
-			start: e.arrived,
-		})
+		d.pending.Push(done+uint64(d.cfg.CtrlLatency),
+			completion{req: e.req, read: read, start: e.arrived})
 		n := copy(c.queue[qi:], c.queue[qi+1:]) + qi
 		c.queue[n] = entry{} // drop the *mem.Request reference for the GC
 		c.queue = c.queue[:n]
@@ -352,10 +290,7 @@ func (d *DRAM) issueOne(ci int, cycle uint64) {
 // ok=false means the controller is fully drained. Read-only; now must be
 // the last ticked cycle.
 func (d *DRAM) NextEvent(now uint64) (uint64, bool) {
-	ev, ok := uint64(0), false
-	if len(d.pending) > 0 {
-		ev, ok = d.pending[0].cycle, true
-	}
+	ev, ok := d.pending.Next(now)
 	for ci := range d.channels {
 		c := &d.channels[ci]
 		window := len(c.queue)
@@ -380,7 +315,7 @@ func (d *DRAM) NextEvent(now uint64) (uint64, bool) {
 		}
 	}
 	if ok && ev <= now {
-		ev = now + 1
+		ev = now + 1 // a request whose constraints have already cleared
 	}
 	return ev, ok
 }
@@ -397,7 +332,7 @@ func (d *DRAM) QueueOccupancy() int {
 
 // Drain reports whether all queues and in-flight accesses are empty.
 func (d *DRAM) Drain() bool {
-	return d.QueueOccupancy() == 0 && len(d.pending) == 0
+	return d.QueueOccupancy() == 0 && d.pending.Len() == 0
 }
 
 // String summarizes the configuration.

@@ -38,68 +38,6 @@ func (x *Xbar) RegisterMetrics(r *telemetry.Registry, prefix string) {
 	r.Gauge(prefix+"/max_queue", func() float64 { return float64(x.Stats.MaxQueue) })
 }
 
-// event is one traversal in flight: a request toward the controller, or a
-// response carrying the original completion back to the requester.
-type event struct {
-	cycle uint64
-	seq   uint64
-	req   *mem.Request // inQ
-	done  func(uint64) // respQ
-}
-
-// eventHeap is a hand-rolled min-heap ordered by (cycle, seq); seq is
-// unique so pops are deterministic. Monomorphic sift routines avoid the
-// per-event interface boxing container/heap would add.
-type eventHeap []event
-
-func (h eventHeap) less(i, j int) bool {
-	if h[i].cycle != h[j].cycle {
-		return h[i].cycle < h[j].cycle
-	}
-	return h[i].seq < h[j].seq
-}
-
-//virec:hotpath
-func (h *eventHeap) push(ev event) {
-	*h = append(*h, ev)
-	s := *h
-	for i := len(s) - 1; i > 0; {
-		parent := (i - 1) / 2
-		if !s.less(i, parent) {
-			break
-		}
-		s[i], s[parent] = s[parent], s[i]
-		i = parent
-	}
-}
-
-//virec:hotpath
-func (h *eventHeap) pop() event {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s[n] = event{} // drop the request and completion references for the GC
-	s = s[:n]
-	*h = s
-	for i := 0; ; {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && s.less(l, smallest) {
-			smallest = l
-		}
-		if r < n && s.less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		s[i], s[smallest] = s[smallest], s[i]
-		i = smallest
-	}
-	return top
-}
-
 // forward is a recycled copy of a request passed to the controller. Its
 // completion queues the original's Done for the return traversal, then
 // puts the holder back on the crossbar's free list.
@@ -117,8 +55,7 @@ func (f *forward) complete(c uint64) {
 	if orig == nil {
 		return
 	}
-	x.seq++
-	x.respQ.push(event{cycle: c + uint64(x.cfg.Latency), seq: x.seq, done: orig})
+	x.respQ.Push(c+uint64(x.cfg.Latency), orig)
 }
 
 // Xbar forwards requests to a lower-level device after its traversal
@@ -127,11 +64,10 @@ func (f *forward) complete(c uint64) {
 type Xbar struct {
 	cfg   Config
 	below mem.Device
-	inQ   eventHeap      // requests in flight toward the controller
-	respQ eventHeap      // responses in flight back to the cores
-	ready []*mem.Request // arrived, awaiting forwarding bandwidth
-	free  []*forward     // forward holders not in flight
-	seq   uint64
+	inQ   mem.EventQueue[*mem.Request] // requests in flight toward the controller
+	respQ mem.EventQueue[func(uint64)] // requesters' Dones in flight back to the cores
+	ready []*mem.Request               // arrived, awaiting forwarding bandwidth
+	free  []*forward                   // forward holders not in flight
 	now   uint64
 
 	// Stats is exported read-only for reporting.
@@ -156,13 +92,12 @@ func New(cfg Config, below mem.Device) *Xbar {
 // Access accepts a request for traversal. Returns false under
 // back-pressure (full queue).
 func (x *Xbar) Access(r *mem.Request) bool {
-	if len(x.inQ)+len(x.ready) >= x.cfg.QueueDepth {
+	if x.inQ.Len()+len(x.ready) >= x.cfg.QueueDepth {
 		x.Stats.Rejected++
 		return false
 	}
-	x.seq++
-	x.inQ.push(event{cycle: x.now + uint64(x.cfg.Latency), seq: x.seq, req: r})
-	if q := len(x.inQ) + len(x.ready); q > x.Stats.MaxQueue {
+	x.inQ.Push(x.now+uint64(x.cfg.Latency), r)
+	if q := x.inQ.Len() + len(x.ready); q > x.Stats.MaxQueue {
 		x.Stats.MaxQueue = q
 	}
 	return true
@@ -187,12 +122,13 @@ func (x *Xbar) newForward() *forward {
 //virec:hotpath
 func (x *Xbar) Tick(cycle uint64) {
 	x.now = cycle
-	for len(x.respQ) > 0 && x.respQ[0].cycle <= cycle {
-		ev := x.respQ.pop()
-		ev.done(ev.cycle)
+	for x.respQ.Due(cycle) {
+		at, done := x.respQ.Pop()
+		done(at)
 	}
-	for len(x.inQ) > 0 && x.inQ[0].cycle <= cycle {
-		x.ready = append(x.ready, x.inQ.pop().req)
+	for x.inQ.Due(cycle) {
+		_, r := x.inQ.Pop()
+		x.ready = append(x.ready, r)
 	}
 	forwarded := 0
 	for forwarded < len(x.ready) && forwarded < x.cfg.PerCycle {
@@ -225,20 +161,14 @@ func (x *Xbar) NextEvent(now uint64) (uint64, bool) {
 	if len(x.ready) > 0 {
 		return now + 1, true
 	}
-	ev, ok := uint64(0), false
-	if len(x.inQ) > 0 {
-		ev, ok = x.inQ[0].cycle, true
-	}
-	if len(x.respQ) > 0 && (!ok || x.respQ[0].cycle < ev) {
-		ev, ok = x.respQ[0].cycle, true
-	}
-	if ok && ev <= now {
-		ev = now + 1
+	ev, ok := x.inQ.Next(now)
+	if resp, rok := x.respQ.Next(now); rok && (!ok || resp < ev) {
+		ev, ok = resp, true
 	}
 	return ev, ok
 }
 
 // Idle reports whether nothing is in flight through the crossbar.
 func (x *Xbar) Idle() bool {
-	return len(x.inQ) == 0 && len(x.respQ) == 0 && len(x.ready) == 0
+	return x.inQ.Len() == 0 && x.respQ.Len() == 0 && len(x.ready) == 0
 }
