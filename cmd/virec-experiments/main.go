@@ -41,7 +41,6 @@ func main() {
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		metrics  = flag.String("metrics-json", "", "write the merged telemetry snapshot of every simulation run as JSON to this file ('-' = stdout)")
-		every    = flag.Uint64("metrics-every", 0, "with -metrics-json: record per-simulation delta streams (every N cycles) as JSONL, merged in submission order, instead of one aggregate snapshot")
 		farmURL  = flag.String("farm", "", "submit experiments to this virec-farm server instead of running inline")
 	)
 	flag.Parse()
@@ -89,47 +88,18 @@ func main() {
 
 	// With -metrics-json every simulation's telemetry snapshot is folded
 	// (in submission order, so the output is deterministic) into one
-	// aggregate document across all requested experiments. Adding
-	// -metrics-every N records the journey instead of the destination:
-	// each simulation streams a delta line every N cycles, and the
-	// streams are written in submission order — so serial and parallel
-	// runs produce byte-identical recordings, validated by
-	// virec-telemetry-check -deltas.
+	// aggregate document across all requested experiments.
 	var agg *telemetry.Snapshot
-	var deltaW *os.File
-	var deltaEnc *json.Encoder
 	if *metrics != "" {
-		if *every > 0 {
-			if *metrics == "-" {
-				deltaEnc = json.NewEncoder(os.Stdout)
-			} else {
-				f, err := os.Create(*metrics)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "virec-experiments:", err)
-					os.Exit(1)
-				}
-				deltaW, deltaEnc = f, json.NewEncoder(f)
+		opt.OnResult = func(res *sim.Result) {
+			if res.Metrics == nil {
+				return
 			}
-			opt.MetricsEvery = *every
-			opt.OnDeltas = func(stream []*telemetry.Delta) {
-				for _, d := range stream {
-					_ = deltaEnc.Encode(d)
-				}
+			if agg == nil {
+				agg = &telemetry.Snapshot{}
 			}
-		} else {
-			opt.OnResult = func(res *sim.Result) {
-				if res.Metrics == nil {
-					return
-				}
-				if agg == nil {
-					agg = &telemetry.Snapshot{}
-				}
-				agg.Merge(res.Metrics)
-			}
+			agg.Merge(res.Metrics)
 		}
-	} else if *every > 0 {
-		fmt.Fprintln(os.Stderr, "virec-experiments: -metrics-every needs -metrics-json")
-		os.Exit(2)
 	}
 
 	names := []string{*exp}
@@ -138,8 +108,8 @@ func main() {
 	}
 
 	if *farmURL != "" {
-		if *metrics != "" || *every > 0 {
-			fmt.Fprintln(os.Stderr, "virec-experiments: -metrics-json/-metrics-every are inline-only; with -farm, watch /api/v1/metrics/stream instead (its first event restates the full snapshot)")
+		if *metrics != "" {
+			fmt.Fprintln(os.Stderr, "virec-experiments: -metrics-json is inline-only; with -farm, watch /api/v1/metrics/stream instead (its first event restates the full snapshot)")
 			os.Exit(2)
 		}
 		if err := runOnFarm(*farmURL, names, *quick, *iters, *format); err != nil {
@@ -170,15 +140,7 @@ func main() {
 		}
 	}
 
-	switch {
-	case deltaEnc != nil:
-		if deltaW != nil {
-			if err := deltaW.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "virec-experiments:", err)
-				os.Exit(1)
-			}
-		}
-	case *metrics != "":
+	if *metrics != "" {
 		if err := writeSnapshot(*metrics, agg); err != nil {
 			fmt.Fprintln(os.Stderr, "virec-experiments:", err)
 			os.Exit(1)

@@ -7,10 +7,7 @@
 // trace_event JSON for chrome://tracing / Perfetto, or JSONL for scripted
 // analysis), and -metrics-json exports the unified metrics registry —
 // every counter, gauge and histogram of every simulated structure — as
-// machine-readable JSON. Adding -metrics-every N turns the export into a
-// live recording: one telemetry delta line every N cycles (the stream
-// protocol virec-telemetry-check -deltas validates and the farm's SSE
-// endpoint serves), closed by the final snapshot.
+// machine-readable JSON, taken once at the end of the run.
 //
 // Usage:
 //
@@ -24,7 +21,6 @@ package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -66,8 +62,7 @@ func main() {
 		traceFmt = flag.String("trace-format", "chrome", "trace format: chrome (load in chrome://tracing or Perfetto) | jsonl")
 		traceBuf = flag.Int("trace-buf", 1<<16, "tracer ring capacity in events (streaming flush batch size)")
 
-		metricsJSON  = flag.String("metrics-json", "", "write the metrics-registry snapshot as JSON to this file ('-' = stdout)")
-		metricsEvery = flag.Uint64("metrics-every", 0, "with -metrics-json: stream a telemetry delta line every N cycles (output becomes JSONL: deltas, then the final snapshot)")
+		metricsJSON = flag.String("metrics-json", "", "write the metrics-registry snapshot as JSON to this file ('-' = stdout)")
 	)
 	flag.Parse()
 
@@ -158,24 +153,10 @@ func main() {
 		}
 	}
 
-	// Periodic metrics stream to the -metrics-json destination as delta
-	// JSONL (the telemetry stream protocol: a reset head, then changed
-	// metrics only); the final full snapshot goes there too as the last
-	// line, distinguished by the absence of a "seq" key. The recording is
-	// exactly what virec-telemetry-check -deltas validates.
 	metricsW, metricsClose, err := openOut(*metricsJSON)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "virec-sim:", err)
 		os.Exit(1)
-	}
-	if *metricsEvery > 0 {
-		if metricsW == nil {
-			fmt.Fprintln(os.Stderr, "virec-sim: -metrics-every needs -metrics-json")
-			os.Exit(2)
-		}
-		enc := json.NewEncoder(metricsW)
-		cfg.HeartbeatEvery = *metricsEvery
-		cfg.OnHeartbeat = func(d *telemetry.Delta) { _ = enc.Encode(d) }
 	}
 
 	system, err := sim.New(cfg)
@@ -207,7 +188,7 @@ func main() {
 			system.Tracer.Total(), *traceOut, *traceFmt)
 	}
 	if metricsW != nil {
-		if err := writeMetrics(metricsW, res.Metrics, *metricsEvery > 0); err == nil {
+		if err := writeMetrics(metricsW, res.Metrics); err == nil {
 			err = metricsClose()
 		} else {
 			metricsClose()
@@ -270,12 +251,8 @@ func openOut(path string) (io.Writer, func() error, error) {
 	}
 }
 
-// writeMetrics writes the final snapshot: a compact line when the output
-// is a periodic-snapshot JSONL stream, indented JSON otherwise.
-func writeMetrics(w io.Writer, snap *telemetry.Snapshot, jsonl bool) error {
-	if jsonl {
-		return json.NewEncoder(w).Encode(snap)
-	}
+// writeMetrics writes a snapshot as indented JSON.
+func writeMetrics(w io.Writer, snap *telemetry.Snapshot) error {
 	data, err := snap.MarshalIndentJSON()
 	if err != nil {
 		return err
@@ -309,7 +286,7 @@ func soak(cfg sim.Config, n, workers int, kind sim.CoreKind, w *workloads.Spec, 
 	if metricsJSON != "" {
 		mw, mclose, err := openOut(metricsJSON)
 		if err == nil {
-			err = writeMetrics(mw, agg, false)
+			err = writeMetrics(mw, agg)
 			if cerr := mclose(); err == nil {
 				err = cerr
 			}

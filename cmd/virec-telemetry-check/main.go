@@ -13,14 +13,12 @@
 //     document or JSONL). Every histogram must pass
 //     telemetry.HistSnapshot.Validate: len(counts) == len(bounds)+1,
 //     ascending bounds, sum(counts) == count and min <= max.
-//   - -deltas FILE: a JSONL stream of telemetry deltas (what virec-sim
-//     -metrics-every and virec-experiments -metrics-every record, and
-//     what /api/v1/metrics/stream serves). The stream is replayed
-//     through the fold: a head (reset) delta must come first, sequence
-//     numbers must be contiguous, labels unknown to the head are
-//     rejected, counters may not regress, histograms must stay
-//     well-formed. A line without a "seq" key is a pulled snapshot; the
-//     fold at that point must equal it exactly.
+//   - -deltas FILE: a JSONL stream of telemetry deltas (the data lines
+//     of a recorded virec-farm /api/v1/metrics/stream). The stream is
+//     replayed through the fold: a head (reset) delta must come first,
+//     sequence numbers must be contiguous, labels unknown to the head
+//     are rejected, counters may not regress, histograms must stay
+//     well-formed.
 //
 // Any violation prints a diagnostic and exits non-zero. Multiple flags
 // may be combined; each file is validated independently.
@@ -42,7 +40,7 @@ func main() {
 		chrome  = flag.String("chrome", "", "validate a Chrome trace_event JSON file")
 		jsonl   = flag.String("jsonl", "", "validate a JSONL event trace file")
 		metrics = flag.String("metrics", "", "validate a metrics snapshot file (JSON or JSONL)")
-		deltas  = flag.String("deltas", "", "validate a JSONL delta stream (replay the fold, check snapshot lines)")
+		deltas  = flag.String("deltas", "", "validate a JSONL delta stream (replay the fold)")
 	)
 	flag.Parse()
 	if *chrome == "" && *jsonl == "" && *metrics == "" && *deltas == "" {
@@ -175,12 +173,9 @@ func checkJSONL(path string) error {
 
 // checkDeltas replays a recorded delta stream through the fold — the
 // same validator the live SSE consumers use — so a recording that passes
-// here is guaranteed to reconstruct the emitter's final state. Lines
-// without a "seq" key are pulled snapshots interleaved in the recording
-// (virec-sim writes one as its last line); the fold must match each one
-// exactly. Multiple concatenated streams (virec-experiments merges one
-// stream per job) are legal: each later head is a mid-stream reset the
-// fold adopts wholesale.
+// here is guaranteed to reconstruct the emitter's final state. A later
+// head (the hub re-heading a reconnecting subscriber) is a mid-stream
+// reset the fold adopts wholesale.
 func checkDeltas(path string) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -190,28 +185,10 @@ func checkDeltas(path string) error {
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 1<<20), 16<<20)
 	var fold telemetry.Fold
-	var line, nDeltas, nSnaps, nHeads int
+	var line, nDeltas, nHeads int
 	for sc.Scan() {
 		line++
 		if len(sc.Bytes()) == 0 {
-			continue
-		}
-		var probe struct {
-			Seq *uint64 `json:"seq"`
-		}
-		if err := json.Unmarshal(sc.Bytes(), &probe); err != nil {
-			return fmt.Errorf("line %d: %w", line, err)
-		}
-		if probe.Seq == nil {
-			// A pulled snapshot: the stream so far must fold to it.
-			var s telemetry.Snapshot
-			if err := json.Unmarshal(sc.Bytes(), &s); err != nil {
-				return fmt.Errorf("line %d: snapshot: %w", line, err)
-			}
-			if eq, why := fold.Equal(&s); !eq {
-				return fmt.Errorf("line %d: fold does not match recorded snapshot: %s", line, why)
-			}
-			nSnaps++
 			continue
 		}
 		var d telemetry.Delta
@@ -232,8 +209,8 @@ func checkDeltas(path string) error {
 	if nDeltas == 0 {
 		return fmt.Errorf("no deltas")
 	}
-	fmt.Printf("  %d deltas (%d stream head(s)), %d snapshot check(s), final cycle %d\n",
-		nDeltas, nHeads, nSnaps, fold.Snap.Cycle)
+	fmt.Printf("  %d deltas (%d stream head(s)), final cycle %d\n",
+		nDeltas, nHeads, fold.Snap.Cycle)
 	return nil
 }
 

@@ -15,7 +15,6 @@ import (
 	"github.com/virec/virec/internal/sim"
 	"github.com/virec/virec/internal/stats"
 	"github.com/virec/virec/internal/sweep"
-	"github.com/virec/virec/internal/telemetry"
 )
 
 // Options tunes experiment size. Quick shrinks iteration counts and sweep
@@ -40,18 +39,6 @@ type Options struct {
 	// Farm job deadlines and graceful drains use this; nil means no
 	// cancellation and leaves behaviour (and output bytes) unchanged.
 	Ctx context.Context
-
-	// MetricsEvery, when > 0 together with OnDeltas, streams heartbeat
-	// deltas from every simulation at that cycle cadence. OnDeltas
-	// receives each job's complete delta stream on the caller's
-	// goroutine after the sweep, in submission order regardless of
-	// Parallel, so the concatenated output is byte-identical between
-	// serial and parallel runs. Each stream starts with a Reset head and
-	// folds to that job's final Result.Metrics.
-	MetricsEvery uint64
-	// OnDeltas observes one finished job's heartbeat stream (see
-	// MetricsEvery). It fires before OnResult for the same sweep.
-	OnDeltas func(stream []*telemetry.Delta)
 }
 
 // ctx returns the cancellation context in effect.
@@ -85,22 +72,9 @@ func (b *batch) add(cfg sim.Config) int {
 
 // run executes every queued sim with opt's engine.
 func (b *batch) run(opt Options) ([]*sim.Result, error) {
-	var results []*sim.Result
-	var err error
-	if opt.MetricsEvery > 0 && opt.OnDeltas != nil {
-		var streams [][]*telemetry.Delta
-		results, streams, err = sweep.SimsDeltas(opt.ctx(), opt.engine(), b.cfgs, opt.MetricsEvery)
-		if err != nil {
-			return nil, err
-		}
-		for _, s := range streams {
-			opt.OnDeltas(s)
-		}
-	} else {
-		results, err = sweep.SimsCtx(opt.ctx(), opt.engine(), b.cfgs)
-		if err != nil {
-			return nil, err
-		}
+	results, err := sweep.SimsCtx(opt.ctx(), opt.engine(), b.cfgs)
+	if err != nil {
+		return nil, err
 	}
 	if opt.OnResult != nil {
 		for _, r := range results {

@@ -122,20 +122,6 @@ type Config struct {
 	// The slice is reused after the call returns.
 	TraceSink func([]telemetry.Event)
 
-	// HeartbeatEvery, when > 0 together with OnHeartbeat, streams an
-	// incremental telemetry.Delta every that many cycles: only the
-	// metrics that changed since the previous heartbeat, sequence-
-	// numbered from 0 with a Reset head. Run always emits one final
-	// delta computed from the same snapshot returned in Result.Metrics,
-	// so folding the stream reproduces the final pull snapshot exactly.
-	// Observers are side-channel only: they must not influence the run
-	// (the determinism tests attach them and pin byte-identity). The
-	// disabled path costs one branch per cycle and zero allocations.
-	HeartbeatEvery uint64
-	// OnHeartbeat receives the periodic deltas. The delta is owned by
-	// the callee; the simulator never mutates it after delivery.
-	OnHeartbeat func(*telemetry.Delta)
-
 	// WrapProvider, when set, may replace each core's register provider
 	// with the value it returns (a nil return keeps the original). The
 	// differential-test harness uses it to interpose deliberately buggy
@@ -147,10 +133,10 @@ type Config struct {
 	// NoSkipAhead disables event-driven clock skip-ahead. With the
 	// default (skip enabled), the run loop jumps the clock over runs of
 	// cycles it can prove are pure stalls on every component — final
-	// architectural state, metrics and heartbeat streams are
-	// byte-identical either way (the skip-ahead equivalence suite and the
-	// difftest -skipahead=off lane hold this). Disabling forces the
-	// classic tick-every-cycle loop.
+	// architectural state and metrics are byte-identical either way, and
+	// invariant sweeps run on the same cycles (the skip-ahead equivalence
+	// suite and the difftest -skipahead=off lane hold this). Disabling
+	// forces the classic tick-every-cycle loop.
 	NoSkipAhead bool
 
 	MaxCycles uint64
@@ -561,16 +547,14 @@ func (s *System) Run() (res *Result, err error) {
 	wd := harden.Watchdog{Window: cfg.Harden.WatchdogWindow}
 	lastInsts := make([]uint64, len(s.Cores))
 	lastCommit := make([]uint64, len(s.Cores))
-	var hbPrev *telemetry.Snapshot
-	var hbSeq uint64
 	// skipProbe gates the skip-ahead attempt. Ticking is always correct,
 	// so a probe may be deferred freely: a failed probe (some component
 	// was busy) backs off exponentially up to 15 cycles, making busy
 	// phases pay the NextEvent scan on at most 1/16 of their cycles,
 	// while stall windows — typically a full memory latency long — are
 	// still caught within a few cycles of opening. A successful skip
-	// resets the backoff so a window capped at an observer boundary
-	// resumes skipping right after the boundary tick.
+	// resets the backoff so a window capped at a watchdog deadline or
+	// invariant-sweep boundary resumes skipping right after that tick.
 	var skipProbe, skipBackoff uint64
 	for ; cycle < cfg.MaxCycles; cycle++ {
 		done := true
@@ -622,12 +606,6 @@ func (s *System) Run() (res *Result, err error) {
 					Dump:      harden.Dump(s.view()),
 				}
 			}
-		}
-		if k := cfg.HeartbeatEvery; k > 0 && cfg.OnHeartbeat != nil && cycle%k == k-1 {
-			var d *telemetry.Delta
-			d, hbPrev = s.Registry.DeltaSince(hbPrev, hbSeq, cycle+1)
-			hbSeq++
-			cfg.OnHeartbeat(d)
 		}
 		if !cfg.NoSkipAhead && cycle >= skipProbe {
 			if t := s.skipTarget(cycle, &wd); t <= cycle+1 {
@@ -709,11 +687,6 @@ func (s *System) Run() (res *Result, err error) {
 	s.Tracer.Flush()
 	res.Metrics = s.Registry.Snapshot()
 	res.Metrics.Cycle = res.Cycles
-	if cfg.HeartbeatEvery > 0 && cfg.OnHeartbeat != nil {
-		// Final heartbeat from the very snapshot the caller receives:
-		// fold(stream) == Result.Metrics is exact, not approximate.
-		cfg.OnHeartbeat(telemetry.DeltaFrom(hbPrev, res.Metrics, hbSeq))
-	}
 	return res, nil
 }
 
@@ -721,9 +694,9 @@ func (s *System) Run() (res *Result, err error) {
 // normally. When it exceeds now+1, every cycle strictly between now and
 // the target is a provable pure stall system-wide: each core reports a
 // skippable state (Core.NextEvent), every memory device and injector has
-// no event due, and no watchdog deadline or periodic observer boundary
-// (invariant check, heartbeat) falls inside the window. The loop may then
-// jump the clock without changing any observable behavior.
+// no event due, and no watchdog deadline or CheckEvery invariant-sweep
+// boundary falls inside the window. The loop may then jump the clock
+// without changing any observable behavior.
 //
 //virec:hotpath
 func (s *System) skipTarget(now uint64, wd *harden.Watchdog) uint64 {
@@ -745,15 +718,10 @@ func (s *System) skipTarget(now uint64, wd *harden.Watchdog) uint64 {
 	if d, ok := wd.Deadline(); ok && d < t {
 		t = d
 	}
-	// Observer boundaries fire at cycle%k == k-1; the first such cycle at
-	// or after now+1 must be ticked so its snapshot/check happens exactly
-	// where an unskipped run would take it.
+	// Invariant sweeps fire at cycle%k == k-1; the first such cycle at or
+	// after now+1 must be ticked so its check happens exactly where an
+	// unskipped run would take it.
 	if k := cfg.Harden.CheckEvery; k > 0 {
-		if b := (now+1)/k*k + k - 1; b < t {
-			t = b
-		}
-	}
-	if k := cfg.HeartbeatEvery; k > 0 && cfg.OnHeartbeat != nil {
 		if b := (now+1)/k*k + k - 1; b < t {
 			t = b
 		}

@@ -3,43 +3,62 @@ package sim_test
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"testing"
 
+	"github.com/virec/virec/internal/cpu"
 	"github.com/virec/virec/internal/harden"
 	"github.com/virec/virec/internal/sim"
-	"github.com/virec/virec/internal/telemetry"
 	"github.com/virec/virec/internal/vrmu"
 	"github.com/virec/virec/internal/workloads"
 )
 
 // trace captures everything a run exposes to the outside world: the
-// measurement result, the marshalled end-of-run metrics snapshot, and the
-// marshalled heartbeat delta stream. Two runs are equivalent iff their
+// measurement result, the marshalled end-of-run metrics snapshot, and
+// marshalled snapshots sampled mid-run. Two runs are equivalent iff their
 // traces are byte-identical.
 type trace struct {
-	res       *sim.Result
-	metrics   []byte
-	heartbeat [][]byte
+	res     *sim.Result
+	metrics []byte
+	samples [][]byte
 }
 
-// runCaptured executes cfg (plus a heartbeat observer) and captures its
-// trace. ValidateValues in the incoming cfg already pins the final
-// architectural state to the workload golden model; the trace pins
-// everything else.
+// sampleEvery is the commit cadence of the mid-run snapshots. Commits
+// happen only on ticked cycles, so sampling caps no skip window: the run
+// keeps the skip schedule it has without an observer.
+const sampleEvery = 64
+
+// runCaptured executes cfg, snapshotting the metrics registry on every
+// sampleEvery-th commit, and captures its trace. ValidateValues in the
+// incoming cfg already pins the final architectural state to the
+// workload golden model; the trace pins everything else.
 func runCaptured(t *testing.T, cfg sim.Config) trace {
 	t.Helper()
-	var tr trace
-	cfg.HeartbeatEvery = 512
-	cfg.OnHeartbeat = func(d *telemetry.Delta) {
-		b, err := json.Marshal(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr.heartbeat = append(tr.heartbeat, b)
-	}
-	res, err := sim.Simulate(cfg)
+	s, err := sim.New(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	defer s.Release()
+	var tr trace
+	var commits int
+	var sampleErr error
+	s.SetOnCommit(func(int, cpu.CommitEvent) {
+		if commits++; commits%sampleEvery != 0 || sampleErr != nil {
+			return
+		}
+		b, err := json.Marshal(s.Registry.Snapshot())
+		if err != nil {
+			sampleErr = err
+			return
+		}
+		tr.samples = append(tr.samples, b)
+	})
+	res, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sampleErr != nil {
+		t.Fatalf("mid-run snapshot: %v", sampleErr)
 	}
 	b, err := json.Marshal(res.Metrics)
 	if err != nil {
@@ -51,8 +70,7 @@ func runCaptured(t *testing.T, cfg sim.Config) trace {
 
 // requireEquivalent runs cfg with skip-ahead on and off and demands
 // byte-identical observable behavior: cycle and instruction counts, the
-// full metrics snapshot, and the heartbeat delta stream, which must also
-// fold to exactly the final snapshot.
+// full metrics snapshot, and every mid-run snapshot sample.
 func requireEquivalent(t *testing.T, cfg sim.Config) {
 	t.Helper()
 	cfg.ValidateValues = true
@@ -74,24 +92,17 @@ func requireEquivalent(t *testing.T, cfg sim.Config) {
 	if string(a.metrics) != string(b.metrics) {
 		t.Fatalf("metrics snapshots diverge:\nskip:   %s\nnoskip: %s", a.metrics, b.metrics)
 	}
-	if len(a.heartbeat) != len(b.heartbeat) {
-		t.Fatalf("heartbeat counts diverge: skip=%d noskip=%d", len(a.heartbeat), len(b.heartbeat))
+	if len(a.samples) == 0 {
+		t.Fatalf("no mid-run samples: %d insts is fewer than %d commits", a.res.Insts, sampleEvery)
 	}
-	var fold telemetry.Fold
-	for i := range a.heartbeat {
-		if string(a.heartbeat[i]) != string(b.heartbeat[i]) {
-			t.Fatalf("heartbeat %d diverges:\nskip:   %s\nnoskip: %s", i, a.heartbeat[i], b.heartbeat[i])
-		}
-		var d telemetry.Delta
-		if err := json.Unmarshal(a.heartbeat[i], &d); err != nil {
-			t.Fatal(err)
-		}
-		if err := fold.Apply(&d); err != nil {
-			t.Fatalf("heartbeat %d breaks the stream protocol: %v", i, err)
-		}
+	if len(a.samples) != len(b.samples) {
+		t.Fatalf("sample counts diverge: skip=%d noskip=%d", len(a.samples), len(b.samples))
 	}
-	if eq, why := fold.Equal(a.res.Metrics); !eq {
-		t.Fatalf("folded heartbeat stream != final metrics: %s", why)
+	for i := range a.samples {
+		if string(a.samples[i]) != string(b.samples[i]) {
+			t.Fatalf("snapshot at commit %d diverges:\nskip:   %s\nnoskip: %s",
+				(i+1)*sampleEvery, a.samples[i], b.samples[i])
+		}
 	}
 }
 
@@ -99,8 +110,8 @@ func requireEquivalent(t *testing.T, cfg sim.Config) {
 // workloads, register providers, replacement policies and fault
 // schedules, a skip-ahead run must be indistinguishable from a
 // tick-every-cycle run — same final architectural state (golden-model
-// validated), same cycle count, byte-identical metrics and heartbeat
-// stream.
+// validated), same cycle count, byte-identical metrics at the end and at
+// every sampled commit.
 func TestSkipAheadEquivalenceGrid(t *testing.T) {
 	type axis struct {
 		kind   sim.CoreKind
@@ -237,53 +248,77 @@ func TestSkipAheadActuallySkips(t *testing.T) {
 	}
 }
 
-// TestSkipAheadHeartbeatBoundaries is the jump-aware observer regression:
-// heavy clock skipping must not swallow, duplicate, or mis-stamp heartbeat
-// deltas. Every skip window is capped at the next heartbeat boundary, so
-// the stream must carry exactly one delta per elapsed interval, stamped at
-// exact multiples of HeartbeatEvery, plus the final delta stamped at the
-// end-of-run cycle.
-func TestSkipAheadHeartbeatBoundaries(t *testing.T) {
-	const every = 1000
+// sweepRecorder wraps a register provider that has no self-check of its
+// own and, at every invariant sweep, records the cycle of the provider's
+// last Tick: the cycle the sweep ran on, since each ticked cycle ends
+// with the provider's Tick.
+type sweepRecorder struct {
+	cpu.Provider
+	last   uint64
+	sweeps []uint64
+}
+
+func (r *sweepRecorder) Tick(cycle uint64) {
+	r.last = cycle
+	r.Provider.Tick(cycle)
+}
+
+func (r *sweepRecorder) CheckInvariants() string {
+	r.sweeps = append(r.sweeps, r.last)
+	return ""
+}
+
+// TestSkipAheadCheckEveryBoundaries is the jump-aware observer
+// regression: heavy clock skipping must not swallow, duplicate or move
+// an invariant sweep. Every skip window is capped at the next CheckEvery
+// boundary, so with skip on and off alike the sweeps must run at exactly
+// k-1, 2k-1, … and once more at the final cycle.
+func TestSkipAheadCheckEveryBoundaries(t *testing.T) {
+	const every = 100
 	ch, _ := workloads.ByName("chase")
-	var deltas []telemetry.Delta
-	s, err := sim.New(sim.Config{
-		Kind:           sim.ViReC,
-		ThreadsPerCore: 2,
-		Workload:       ch,
-		Iters:          64,
-		ContextPct:     100,
-		Policy:         vrmu.LRC,
-		HeartbeatEvery: every,
-		OnHeartbeat:    func(d *telemetry.Delta) { deltas = append(deltas, *d) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if skipped := s.SkipAheadCycles(); skipped < every {
-		t.Fatalf("only %d cycles skipped; the run must skip across heartbeat boundaries to exercise the cap", skipped)
-	}
-	periodic := (res.Cycles - 1) / every
-	if got := uint64(len(deltas)); got != periodic+1 {
-		t.Fatalf("heartbeat count: got %d deltas over %d cycles, want %d periodic + 1 final", got, res.Cycles, periodic)
-	}
-	for i, d := range deltas {
-		if d.Seq != uint64(i) {
-			t.Fatalf("delta %d: seq %d, want %d", i, d.Seq, i)
+	run := func(noSkip bool) (*sim.Result, uint64, []uint64) {
+		var rec *sweepRecorder
+		s, err := sim.New(sim.Config{
+			Kind:            sim.Banked,
+			ThreadsPerCore:  2,
+			Workload:        ch,
+			Iters:           32,
+			FixedMemLatency: 150,
+			NoSkipAhead:     noSkip,
+			Harden:          harden.Config{CheckEvery: every},
+			WrapProvider: func(_ int, p cpu.Provider) cpu.Provider {
+				rec = &sweepRecorder{Provider: p}
+				return rec
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if (d.Reset) != (i == 0) {
-			t.Fatalf("delta %d: reset=%v; only the stream head may restate", i, d.Reset)
+		defer s.Release()
+		res, err := s.Run()
+		if err != nil {
+			t.Fatal(err)
 		}
-		want := uint64(i+1) * every
-		if i == len(deltas)-1 {
-			want = res.Cycles
-		}
-		if d.Cycle != want {
-			t.Fatalf("delta %d stamped cycle %d, want %d", i, d.Cycle, want)
+		return res, s.SkipAheadCycles(), rec.sweeps
+	}
+	res, skipped, on := run(false)
+	if skipped*2 < res.Cycles {
+		t.Fatalf("only %d of %d cycles skipped; the run must skip across sweep boundaries to exercise the cap",
+			skipped, res.Cycles)
+	}
+	var want []uint64
+	for b := uint64(every - 1); b < res.Cycles-1; b += every {
+		want = append(want, b)
+	}
+	want = append(want, res.Cycles-1)
+	_, _, off := run(true)
+	for _, got := range []struct {
+		mode   string
+		sweeps []uint64
+	}{{"skip on", on}, {"skip off", off}} {
+		if !slices.Equal(got.sweeps, want) {
+			t.Errorf("%s: %d sweeps at cycles %v, want %d at %v",
+				got.mode, len(got.sweeps), got.sweeps, len(want), want)
 		}
 	}
 }

@@ -207,39 +207,6 @@ func SimsCtx(ctx context.Context, e Engine, cfgs []sim.Config) ([]*sim.Result, e
 	})
 }
 
-// SimsDeltas runs one simulation per config with heartbeat streaming
-// enabled at the given cadence, collecting each job's delta stream
-// alongside its result, both indexed in submission order. Each job's
-// stream starts with a Reset head (seq 0) and ends with the final delta
-// sim.Run derives from the same snapshot stored in Result.Metrics, so
-// folding stream[i] reproduces results[i].Metrics exactly. A job's
-// OnHeartbeat callback only ever appends to that job's own slice — one
-// job runs on one goroutine — so no synchronization is needed, and the
-// collected streams are byte-identical between serial and parallel
-// execution.
-func SimsDeltas(ctx context.Context, e Engine, cfgs []sim.Config, every uint64) ([]*sim.Result, [][]*telemetry.Delta, error) {
-	if every == 0 {
-		every = 1 << 20
-	}
-	streams := make([][]*telemetry.Delta, len(cfgs))
-	results := make([]*sim.Result, len(cfgs))
-	err := e.ForEachCtx(ctx, len(cfgs), func(i int) error {
-		cfg := cfgs[i]
-		cfg.HeartbeatEvery = every
-		cfg.OnHeartbeat = func(d *telemetry.Delta) { streams[i] = append(streams[i], d) }
-		r, err := sim.Simulate(cfg)
-		if err != nil {
-			return err
-		}
-		results[i] = r
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return results, streams, nil
-}
-
 // SimsMerged runs one simulation per config and additionally folds every
 // job's telemetry snapshot into one aggregate, merged in submission order
 // (counters and histogram buckets add element-wise; the aggregate's Cycle

@@ -27,8 +27,7 @@ import (
 //     is a corruption signal and folding rejects it.
 //
 // JSON field order is fixed by the struct and map keys are sorted by
-// encoding/json, so identical delta sequences marshal to identical bytes
-// — the property the serial ≡ parallel ≡ farm determinism tests pin.
+// encoding/json, so identical delta sequences marshal to identical bytes.
 type Delta struct {
 	Seq   uint64 `json:"seq"`
 	Cycle uint64 `json:"cycle"`
@@ -40,22 +39,11 @@ type Delta struct {
 	Histograms map[string]HistSnapshot `json:"histograms,omitempty"`
 }
 
-// Empty reports whether the delta carries no metric changes (a pure
-// heartbeat: the cycle advanced but nothing counted).
+// Empty reports whether the delta carries no metric changes: the sample
+// advanced but nothing counted, so the farm's hub sends nothing and does
+// not consume a sequence number.
 func (d *Delta) Empty() bool {
 	return !d.Reset && len(d.Counters) == 0 && len(d.Gauges) == 0 && len(d.Histograms) == 0
-}
-
-// DeltaSince computes the delta from prev (a snapshot this registry
-// produced earlier) to the registry's current state, stamped with the
-// given sequence number and cycle. A nil prev produces a stream head:
-// Reset is set and every metric is included. The current state is also
-// returned so the caller can thread it into the next DeltaSince call
-// without snapshotting twice.
-func (r *Registry) DeltaSince(prev *Snapshot, seq, cycle uint64) (*Delta, *Snapshot) {
-	cur := r.Snapshot()
-	cur.Cycle = cycle
-	return DeltaFrom(prev, cur, seq), cur
 }
 
 // DeltaFrom computes the delta between two snapshots of the same
@@ -212,56 +200,4 @@ func (f *Fold) Apply(d *Delta) error {
 	f.started = true
 	f.nextSeq = d.Seq + 1
 	return nil
-}
-
-// Equal reports whether the folded state matches a pulled snapshot
-// exactly: same labels, same counter/gauge values, same histogram
-// contents. A mismatch is described in the returned message.
-func (f *Fold) Equal(s *Snapshot) (bool, string) {
-	if f.Snap == nil {
-		return false, "fold is empty (no head delta applied)"
-	}
-	if s == nil {
-		return false, "comparison snapshot is nil"
-	}
-	if f.Snap.Cycle != s.Cycle {
-		return false, fmt.Sprintf("cycle: folded %d, snapshot %d", f.Snap.Cycle, s.Cycle)
-	}
-	if len(f.Snap.Counters) != len(s.Counters) {
-		return false, fmt.Sprintf("counter cardinality: folded %d, snapshot %d", len(f.Snap.Counters), len(s.Counters))
-	}
-	for _, name := range sortedKeys(s.Counters) {
-		fv, ok := f.Snap.Counters[name]
-		if !ok {
-			return false, fmt.Sprintf("counter %q missing from fold", name)
-		}
-		if fv != s.Counters[name] {
-			return false, fmt.Sprintf("counter %q: folded %d, snapshot %d", name, fv, s.Counters[name])
-		}
-	}
-	if len(f.Snap.Gauges) != len(s.Gauges) {
-		return false, fmt.Sprintf("gauge cardinality: folded %d, snapshot %d", len(f.Snap.Gauges), len(s.Gauges))
-	}
-	for _, name := range sortedKeys(s.Gauges) {
-		fv, ok := f.Snap.Gauges[name]
-		if !ok {
-			return false, fmt.Sprintf("gauge %q missing from fold", name)
-		}
-		if fv != s.Gauges[name] {
-			return false, fmt.Sprintf("gauge %q: folded %v, snapshot %v", name, fv, s.Gauges[name])
-		}
-	}
-	if len(f.Snap.Histograms) != len(s.Histograms) {
-		return false, fmt.Sprintf("histogram cardinality: folded %d, snapshot %d", len(f.Snap.Histograms), len(s.Histograms))
-	}
-	for _, name := range sortedKeys(s.Histograms) {
-		fh, ok := f.Snap.Histograms[name]
-		if !ok {
-			return false, fmt.Sprintf("histogram %q missing from fold", name)
-		}
-		if !histEqual(fh, s.Histograms[name]) {
-			return false, fmt.Sprintf("histogram %q differs between fold and snapshot", name)
-		}
-	}
-	return true, ""
 }

@@ -21,10 +21,18 @@ func deltaFixture() (r *Registry, c1, c2 *uint64, g *float64, h *Histogram) {
 	return
 }
 
+// sample snapshots r at cycle and returns the delta from prev together
+// with the new snapshot, as the farm's hub does on each tick.
+func sample(r *Registry, prev *Snapshot, seq, cycle uint64) (*Delta, *Snapshot) {
+	cur := r.Snapshot()
+	cur.Cycle = cycle
+	return DeltaFrom(prev, cur, seq), cur
+}
+
 func TestDeltaHeadRestatesEverything(t *testing.T) {
 	r, c1, _, _, _ := deltaFixture()
 	*c1 = 5
-	d, snap := r.DeltaSince(nil, 0, 42)
+	d, snap := sample(r, nil, 0, 42)
 	if !d.Reset {
 		t.Fatal("head delta without Reset")
 	}
@@ -44,10 +52,10 @@ func TestDeltaHeadRestatesEverything(t *testing.T) {
 func TestDeltaCarriesOnlyChanges(t *testing.T) {
 	r, c1, c2, _, h := deltaFixture()
 	*c1, *c2 = 5, 3
-	_, prev := r.DeltaSince(nil, 0, 10)
+	_, prev := sample(r, nil, 0, 10)
 	*c1 = 9
 	h.Observe(50)
-	d, _ := r.DeltaSince(prev, 1, 20)
+	d, _ := sample(r, prev, 1, 20)
 	if d.Reset {
 		t.Fatal("non-head delta marked Reset")
 	}
@@ -74,15 +82,23 @@ func TestDeltaFoldReplaysToFinalSnapshot(t *testing.T) {
 		}
 		*g = float64(step)
 		var d *Delta
-		d, prev = r.DeltaSince(prev, step, (step+1)*100)
+		d, prev = sample(r, prev, step, (step+1)*100)
 		if err := fold.Apply(d); err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
 	}
 	final := r.Snapshot()
 	final.Cycle = 500
-	if ok, msg := fold.Equal(final); !ok {
-		t.Fatalf("fold != final snapshot: %s", msg)
+	got, err := json.Marshal(fold.Snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(final)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("fold != final snapshot:\nfold:  %s\nfinal: %s", got, want)
 	}
 }
 
@@ -177,7 +193,7 @@ func TestDeltaBytesDeterministic(t *testing.T) {
 			*c2 += step
 			*g = 1.5 * float64(step)
 			var d *Delta
-			d, prev = r.DeltaSince(prev, step, step*10)
+			d, prev = sample(r, prev, step, step*10)
 			if err := enc.Encode(d); err != nil {
 				t.Fatal(err)
 			}
