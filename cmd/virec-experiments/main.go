@@ -109,7 +109,7 @@ func main() {
 
 	if *farmURL != "" {
 		if *metrics != "" {
-			fmt.Fprintln(os.Stderr, "virec-experiments: -metrics-json is inline-only; with -farm, watch /api/v1/metrics/stream instead (its first event restates the full snapshot)")
+			fmt.Fprintln(os.Stderr, "virec-experiments: -metrics-json is inline-only; with -farm, watch /api/v1/metrics/stream instead (every event is the farm's whole metrics snapshot)")
 			os.Exit(2)
 		}
 		if err := runOnFarm(*farmURL, names, *quick, *iters, *format); err != nil {

@@ -43,7 +43,7 @@ func main() {
 		drainWait   = flag.Duration("drain-timeout", 2*time.Minute, "max wait for in-flight jobs on SIGTERM")
 		codeVersion = flag.String("code-version", farm.CodeVersion, "cache-key code version")
 		noSync      = flag.Bool("no-sync", false, "skip fsync on journal appends (faster, loses power-failure durability)")
-		streamEvery = flag.Duration("stream-every", time.Second, "SSE delta sampling cadence for /api/v1/metrics/stream")
+		streamEvery = flag.Duration("stream-every", time.Second, "how often /api/v1/metrics/stream re-reads the metrics and sends a changed snapshot")
 	)
 	flag.Parse()
 
@@ -90,10 +90,16 @@ func main() {
 		os.Exit(1)
 	}()
 
+	// Drain before shutting HTTP down. Shutdown waits for every handler,
+	// and an open metrics stream returns only once Drain stops the farm,
+	// so the other order holds the exit for the whole drain timeout while
+	// workers keep claiming pending jobs and new clients get "connection
+	// refused" instead of a 503.
 	ctx, cancel := context.WithTimeout(context.Background(), *drainWait)
 	defer cancel()
+	err = f.Drain(ctx)
 	srv.Shutdown(ctx)
-	if err := f.Drain(ctx); err != nil {
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "virec-farm:", err)
 		os.Exit(1)
 	}

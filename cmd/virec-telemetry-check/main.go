@@ -10,15 +10,12 @@
 //     to one cycle of component clock skew (the dcache stamps Access-path
 //     pin events with its own clock, which trails the cores by a cycle).
 //   - -metrics FILE: one or more registry snapshots (a single JSON
-//     document or JSONL). Every histogram must pass
+//     document, JSONL, or the data lines of a recorded virec-farm
+//     /api/v1/metrics/stream). Every histogram must pass
 //     telemetry.HistSnapshot.Validate: len(counts) == len(bounds)+1,
-//     ascending bounds, sum(counts) == count and min <= max.
-//   - -deltas FILE: a JSONL stream of telemetry deltas (the data lines
-//     of a recorded virec-farm /api/v1/metrics/stream). The stream is
-//     replayed through the fold: a head (reset) delta must come first,
-//     sequence numbers must be contiguous, labels unknown to the head
-//     are rejected, counters may not regress, histograms must stay
-//     well-formed.
+//     ascending bounds, sum(counts) == count and min <= max. Counters
+//     are monotone: a counter lower than in the previous document is
+//     rejected.
 //
 // Any violation prints a diagnostic and exits non-zero. Multiple flags
 // may be combined; each file is validated independently.
@@ -29,8 +26,9 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
-	"sort"
+	"slices"
 
 	"github.com/virec/virec/internal/telemetry"
 )
@@ -40,11 +38,10 @@ func main() {
 		chrome  = flag.String("chrome", "", "validate a Chrome trace_event JSON file")
 		jsonl   = flag.String("jsonl", "", "validate a JSONL event trace file")
 		metrics = flag.String("metrics", "", "validate a metrics snapshot file (JSON or JSONL)")
-		deltas  = flag.String("deltas", "", "validate a JSONL delta stream (replay the fold)")
 	)
 	flag.Parse()
-	if *chrome == "" && *jsonl == "" && *metrics == "" && *deltas == "" {
-		fmt.Fprintln(os.Stderr, "virec-telemetry-check: nothing to check; pass -chrome, -jsonl, -metrics and/or -deltas")
+	if *chrome == "" && *jsonl == "" && *metrics == "" {
+		fmt.Fprintln(os.Stderr, "virec-telemetry-check: nothing to check; pass -chrome, -jsonl and/or -metrics")
 		os.Exit(2)
 	}
 
@@ -57,9 +54,6 @@ func main() {
 	}
 	if *metrics != "" {
 		ok = report("metrics", *metrics, checkMetrics(*metrics)) && ok
-	}
-	if *deltas != "" {
-		ok = report("deltas", *deltas, checkDeltas(*deltas)) && ok
 	}
 	if !ok {
 		os.Exit(1)
@@ -171,49 +165,6 @@ func checkJSONL(path string) error {
 	return nil
 }
 
-// checkDeltas replays a recorded delta stream through the fold — the
-// same validator the live SSE consumers use — so a recording that passes
-// here is guaranteed to reconstruct the emitter's final state. A later
-// head (the hub re-heading a reconnecting subscriber) is a mid-stream
-// reset the fold adopts wholesale.
-func checkDeltas(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 16<<20)
-	var fold telemetry.Fold
-	var line, nDeltas, nHeads int
-	for sc.Scan() {
-		line++
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
-		var d telemetry.Delta
-		if err := json.Unmarshal(sc.Bytes(), &d); err != nil {
-			return fmt.Errorf("line %d: delta: %w", line, err)
-		}
-		if err := fold.Apply(&d); err != nil {
-			return fmt.Errorf("line %d: %w", line, err)
-		}
-		nDeltas++
-		if d.Reset {
-			nHeads++
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return err
-	}
-	if nDeltas == 0 {
-		return fmt.Errorf("no deltas")
-	}
-	fmt.Printf("  %d deltas (%d stream head(s)), final cycle %d\n",
-		nDeltas, nHeads, fold.Snap.Cycle)
-	return nil
-}
-
 func checkMetrics(path string) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -224,6 +175,7 @@ func checkMetrics(path string) error {
 	// stream of compact documents (JSONL); a streaming decoder reads both.
 	dec := json.NewDecoder(f)
 	var docs int
+	var prev map[string]uint64
 	for dec.More() {
 		var s telemetry.Snapshot
 		if err := dec.Decode(&s); err != nil {
@@ -233,19 +185,20 @@ func checkMetrics(path string) error {
 		if len(s.Counters) == 0 {
 			return fmt.Errorf("snapshot %d: no counters", docs)
 		}
-		// Validate in sorted order so the first error reported does not
+		// Walk names in sorted order so the first error reported does not
 		// depend on map iteration order.
-		names := make([]string, 0, len(s.Histograms))
-		for name := range s.Histograms {
-			names = append(names, name)
+		for _, name := range slices.Sorted(maps.Keys(s.Counters)) {
+			if old, ok := prev[name]; ok && s.Counters[name] < old {
+				return fmt.Errorf("snapshot %d: counter %s fell from %d to %d", docs, name, old, s.Counters[name])
+			}
 		}
-		sort.Strings(names)
-		for _, name := range names {
+		for _, name := range slices.Sorted(maps.Keys(s.Histograms)) {
 			h := s.Histograms[name]
 			if err := h.Validate(); err != nil {
 				return fmt.Errorf("snapshot %d: histogram %s: %w", docs, name, err)
 			}
 		}
+		prev = s.Counters
 	}
 	if docs == 0 {
 		return fmt.Errorf("no snapshots")

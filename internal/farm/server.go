@@ -7,11 +7,12 @@
 //	GET  /api/v1/jobs/{id}         job status        → 200 Job | 404
 //	GET  /api/v1/jobs/{id}/result  result bytes      → 200 | 202 still running | 404 | 500 failed
 //	GET  /api/v1/jobs/{id}/events  lifecycle events  → 200 {trace_id, events}
-//	GET  /api/v1/metrics/stream    SSE delta stream  → 200 text/event-stream (its head is the full snapshot)
+//	GET  /api/v1/metrics/stream    SSE snapshots     → 200 text/event-stream (each event is the whole snapshot)
 //	GET  /healthz                  liveness          → 200 "ok"
 package farm
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -22,7 +23,8 @@ import (
 
 // ServerOptions tunes the HTTP layer.
 type ServerOptions struct {
-	// StreamInterval is the SSE sampling cadence (default 1s).
+	// StreamInterval is how often an SSE connection re-reads the farm's
+	// metrics (default 1s).
 	StreamInterval time.Duration
 }
 
@@ -34,7 +36,9 @@ func NewServer(f *Farm) http.Handler {
 // NewServerWith returns the HTTP handler serving f.
 func NewServerWith(f *Farm, so ServerOptions) http.Handler {
 	mux := http.NewServeMux()
-	hub := newMetricsHub(f, so.StreamInterval)
+	if so.StreamInterval <= 0 {
+		so.StreamInterval = time.Second
+	}
 	mux.HandleFunc("POST /api/v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		var spec Spec
 		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
@@ -94,7 +98,7 @@ func NewServerWith(f *Farm, so ServerOptions) http.Handler {
 		}{job.ID, job.TraceID, job.State, job.Events})
 	})
 	mux.HandleFunc("GET /api/v1/metrics/stream", func(w http.ResponseWriter, r *http.Request) {
-		serveSSE(hub, w, r)
+		serveSSE(f, so.StreamInterval, w, r)
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")
@@ -102,41 +106,36 @@ func NewServerWith(f *Farm, so ServerOptions) http.Handler {
 	return mux
 }
 
-// serveSSE streams hub deltas as Server-Sent Events. Each event's id is
-// the delta's sequence number; Last-Event-ID resumes after it.
-func serveSSE(hub *metricsHub, w http.ResponseWriter, r *http.Request) {
+// serveSSE streams the farm's metrics as Server-Sent Events. Every event
+// is the whole telemetry.Snapshot: one on connect, then one per interval
+// whenever its JSON differs from what this connection last sent. It
+// returns when the farm drains or stops, or when the client goes away.
+func serveSSE(f *Farm, interval time.Duration, w http.ResponseWriter, r *http.Request) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		httpError(w, http.StatusInternalServerError, fmt.Errorf("farm: streaming unsupported by connection"))
 		return
 	}
-	lastSeen := int64(-1)
-	if s := r.Header.Get("Last-Event-ID"); s != "" {
-		if v, err := strconv.ParseUint(s, 10, 63); err == nil {
-			lastSeen = int64(v)
-		}
-	}
-	ch, backlog, unsubscribe := hub.subscribe(lastSeen)
-	defer unsubscribe()
-
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
-	emit := func(ev hubEvent) {
-		fmt.Fprintf(w, "id: %d\ndata: %s\n\n", ev.seq, ev.data)
-	}
-	for _, ev := range backlog {
-		emit(ev)
-	}
-	fl.Flush()
+	tick := time.NewTicker(interval)
+	defer tick.Stop()
+	var last []byte
 	for {
-		select {
-		case ev, open := <-ch:
-			if !open {
-				return // hub shut down or declared us stalled; client reconnects
-			}
-			emit(ev)
+		data, err := json.Marshal(f.MetricsSnapshot())
+		if err != nil {
+			return
+		}
+		if !bytes.Equal(data, last) {
+			fmt.Fprintf(w, "data: %s\n\n", data)
 			fl.Flush()
+			last = data
+		}
+		select {
+		case <-tick.C:
+		case <-f.stopCh:
+			return
 		case <-r.Context().Done():
 			return
 		}

@@ -201,7 +201,8 @@ func TestHTTPWaitResultReportsQuarantine(t *testing.T) {
 }
 
 // TestHTTPMetricsAndHealth checks liveness; the metrics are read from
-// the stream's head (TestSSEStreamFoldsToPullSnapshot).
+// the stream, whose every event is the whole snapshot
+// (TestSSEStreamSendsWholeSnapshots).
 func TestHTTPMetricsAndHealth(t *testing.T) {
 	_, client := testServer(t, testOptions(t))
 	resp, err := http.Get(client.Base + "/healthz")

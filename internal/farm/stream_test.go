@@ -2,19 +2,22 @@ package farm
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"maps"
 	"net/http"
 	"net/http/httptest"
-	"strings"
+	"slices"
 	"testing"
 	"time"
 
 	"github.com/virec/virec/internal/telemetry"
 )
 
-// streamServer wires a farm with a fast-sampling hub behind httptest.
+// streamServer wires a farm behind httptest with a fast stream cadence.
 func streamServer(t *testing.T, opt Options) (*Farm, *Client) {
 	t.Helper()
 	f := openFarm(t, opt)
@@ -26,190 +29,156 @@ func streamServer(t *testing.T, opt Options) (*Farm, *Client) {
 	return f, c
 }
 
-// streamDeltas consumes the SSE metrics stream, invoking fn for every
-// delta until the connection ends (server shutdown, subscriber overflow)
-// or ctx is cancelled; it returns nil on a clean server-side close so
-// the caller can reconnect. fromSeq >= 0 resumes after that sequence
-// number via Last-Event-ID (the hub replays the gap when it still can,
-// or re-heads the stream with a Reset delta). fn returning an error
-// stops the stream and propagates it.
-func (c *Client) streamDeltas(ctx context.Context, fromSeq int64, fn func(d *telemetry.Delta) error) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		c.Base+"/api/v1/metrics/stream", nil)
+// streamSnapshots reads the SSE metrics stream at base until the server
+// closes it (nil), ctx ends (ctx's error) or fn fails (fn's error). Every
+// non-blank line must be a data line holding exactly a
+// telemetry.Snapshot; fn gets it decoded and as sent.
+func streamSnapshots(ctx context.Context, base string, fn func(s *telemetry.Snapshot, data []byte) error) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/api/v1/metrics/stream", nil)
 	if err != nil {
 		return err
 	}
-	req.Header.Set("Accept", "text/event-stream")
-	if fromSeq >= 0 {
-		req.Header.Set("Last-Event-ID", fmt.Sprintf("%d", fromSeq))
-	}
-	resp, err := c.http().Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		return fmt.Errorf("farm: stream: %w", err)
+		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return decodeError(resp)
+		return fmt.Errorf("stream: status %d", resp.StatusCode)
 	}
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
 	for sc.Scan() {
-		line := sc.Text()
-		if !strings.HasPrefix(line, "data: ") {
-			continue // id: lines and blank separators
+		if len(sc.Bytes()) == 0 {
+			continue
 		}
-		var d telemetry.Delta
-		if err := json.Unmarshal([]byte(line[len("data: "):]), &d); err != nil {
-			return fmt.Errorf("farm: stream: bad delta: %w", err)
+		data, ok := bytes.CutPrefix(sc.Bytes(), []byte("data: "))
+		if !ok {
+			return fmt.Errorf("stream: line %q is not a data line", sc.Bytes())
 		}
-		if err := fn(&d); err != nil {
+		dec := json.NewDecoder(bytes.NewReader(data))
+		dec.DisallowUnknownFields()
+		var s telemetry.Snapshot
+		if err := dec.Decode(&s); err != nil {
+			return fmt.Errorf("stream: event is not a snapshot: %w", err)
+		}
+		if err := fn(&s, bytes.Clone(data)); err != nil {
 			return err
 		}
 	}
-	if err := sc.Err(); err != nil && ctx.Err() == nil {
-		return fmt.Errorf("farm: stream: %w", err)
+	if ctx.Err() != nil {
+		return ctx.Err()
 	}
-	return nil
+	return sc.Err()
 }
 
-// TestSSEStreamFoldsToPullSnapshot: consume the live stream while jobs
-// run; the folded stream must validate under the protocol rules and its
-// counters must agree with a pull snapshot taken after quiescence.
-func TestSSEStreamFoldsToPullSnapshot(t *testing.T) {
+// TestSSEStreamSendsWholeSnapshots: the first event is the snapshot the
+// farm holds at connect time, later events follow the jobs to
+// farm/completed == 3 without any counter falling or an unchanged
+// snapshot repeating, and the last event equals a pull snapshot.
+func TestSSEStreamSendsWholeSnapshots(t *testing.T) {
 	f, client := streamServer(t, testOptions(t))
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
-	var fold telemetry.Fold
-	deltas := 0
-	headSeen := make(chan struct{})
-	errCh := make(chan error, 1)
-	go func() {
-		errCh <- client.streamDeltas(ctx, -1, func(d *telemetry.Delta) error {
-			if deltas == 0 {
-				close(headSeen)
-			}
-			deltas++
-			return fold.Apply(d)
-		})
-	}()
-	// Only submit once the subscriber holds its head, so the job churn
-	// below is guaranteed to arrive as follow-up deltas.
-	select {
-	case <-headSeen:
-	case err := <-errCh:
-		t.Fatalf("stream ended before its head: %v", err)
+	job, err := f.Submit(testSpec(0xf0))
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	waitDone(t, f, job.ID)
+	want, err := json.Marshal(f.MetricsSnapshot())
+	if err != nil {
+		t.Fatal(err)
 	}
 
-	for seed := uint64(0xf0); seed < 0xf3; seed++ {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	errAllDone := errors.New("three jobs completed")
+	first := make(chan []byte, 1)
+	errCh := make(chan error, 1)
+	var prev *telemetry.Snapshot
+	var last []byte
+	go func() {
+		errCh <- streamSnapshots(ctx, client.Base, func(s *telemetry.Snapshot, data []byte) error {
+			if prev == nil {
+				first <- data
+			} else {
+				if bytes.Equal(data, last) {
+					return fmt.Errorf("unchanged snapshot sent twice: %s", data)
+				}
+				for _, name := range slices.Sorted(maps.Keys(prev.Counters)) {
+					if s.Counters[name] < prev.Counters[name] {
+						return fmt.Errorf("counter %s fell from %d to %d", name, prev.Counters[name], s.Counters[name])
+					}
+				}
+			}
+			prev, last = s, data
+			if s.Counters["farm/completed"] == 3 {
+				return errAllDone
+			}
+			return nil
+		})
+	}()
+	select {
+	case got := <-first:
+		if !bytes.Equal(got, want) {
+			t.Fatalf("first event is not the current snapshot:\n got %s\nwant %s", got, want)
+		}
+	case err := <-errCh:
+		t.Fatalf("stream ended before its first event: %v", err)
+	}
+	// Ten stream intervals with nothing changing: a stream that resent
+	// an unchanged snapshot would fail the callback above.
+	time.Sleep(20 * time.Millisecond)
+
+	for seed := uint64(0xf1); seed < 0xf3; seed++ {
 		job, err := f.Submit(testSpec(seed))
 		if err != nil {
 			t.Fatalf("Submit: %v", err)
 		}
 		waitDone(t, f, job.ID)
 	}
-	// Let the hub observe the final state, then stop consuming.
-	time.Sleep(30 * time.Millisecond)
-	cancel()
-	if err := <-errCh; err != nil && ctx.Err() == nil {
-		t.Fatalf("streamDeltas: %v", err)
+	if err := <-errCh; !errors.Is(err, errAllDone) {
+		t.Fatalf("stream ended before farm/completed reached 3: %v", err)
 	}
-	if deltas < 2 {
-		t.Fatalf("stream produced %d deltas, want at least a head and one change", deltas)
+	pulled, err := json.Marshal(f.MetricsSnapshot())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if fold.Snap == nil {
-		t.Fatal("fold is empty")
-	}
-	if got := fold.Snap.Counters["farm/completed"]; got != 3 {
-		t.Fatalf("folded farm/completed = %d, want 3", got)
-	}
-	snap := f.MetricsSnapshot()
-	if fold.Snap.Counters["farm/submitted"] != snap.Counters["farm/submitted"] {
-		t.Fatalf("folded submitted %d != pulled %d",
-			fold.Snap.Counters["farm/submitted"], snap.Counters["farm/submitted"])
+	if !bytes.Equal(last, pulled) {
+		t.Fatalf("last event disagrees with a pull snapshot:\nstream %s\n  pull %s", last, pulled)
 	}
 }
 
-// TestSSEReconnectResumes is the satellite reconnect test: disconnect
-// mid-stream, reconnect with the last-seen sequence number, and require
-// the merged client view to have no gaps and no duplicates (the Fold
-// enforces contiguity; a duplicate would be a seq regression error).
-func TestSSEReconnectResumes(t *testing.T) {
+// TestStreamEndsWhenFarmDrains: an open stream must not outlive the farm,
+// or it would hold an HTTP server shutdown for its whole timeout.
+func TestStreamEndsWhenFarmDrains(t *testing.T) {
 	f, client := streamServer(t, testOptions(t))
-
-	var fold telemetry.Fold
-	lastSeq := int64(-1)
-	consume := func(ctx context.Context, stopAfter int) error {
-		n := 0
-		streamCtx, cancel := context.WithCancel(ctx)
-		defer cancel()
-		return ignoreCanceled(streamCtx, client.streamDeltas(streamCtx, lastSeq, func(d *telemetry.Delta) error {
-			if err := fold.Apply(d); err != nil {
-				return err
-			}
-			lastSeq = int64(d.Seq)
-			if n++; stopAfter > 0 && n >= stopAfter {
-				cancel() // simulate the connection dropping
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	connected := make(chan struct{})
+	ended := make(chan error, 1)
+	go func() {
+		events := 0
+		ended <- streamSnapshots(ctx, client.Base, func(*telemetry.Snapshot, []byte) error {
+			if events++; events == 1 {
+				close(connected)
 			}
 			return nil
-		}))
+		})
+	}()
+	select {
+	case <-connected:
+	case err := <-ended:
+		t.Fatalf("stream ended before its first event: %v", err)
 	}
 
-	job, err := f.Submit(testSpec(0xf8))
-	if err != nil {
-		t.Fatalf("Submit: %v", err)
+	if err := f.Drain(ctx); err != nil {
+		t.Fatalf("Drain: %v", err)
 	}
-	// First connection: take the head (and whatever follows), then drop.
-	if err := consume(context.Background(), 1); err != nil {
-		t.Fatalf("first connection: %v", err)
-	}
-	waitDone(t, f, job.ID)
-	time.Sleep(20 * time.Millisecond) // let broadcasts advance past lastSeq
-
-	// Second connection resumes from lastSeq. Any gap or duplicate would
-	// surface as a Fold error (sequence gap / counter regression).
-	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
-	defer cancel()
-	if err := consume(ctx, 0); err != nil {
-		t.Fatalf("resumed connection: %v", err)
-	}
-	if fold.Snap == nil || fold.Snap.Counters["farm/completed"] != 1 {
-		t.Fatalf("resumed fold incomplete: %+v", fold.Snap)
-	}
-}
-
-func ignoreCanceled(ctx context.Context, err error) error {
-	if err != nil && ctx.Err() != nil {
-		return nil
-	}
-	return err
-}
-
-// TestSSEStaleCursorGetsReset: reconnecting with a sequence far behind
-// the replay ring must yield a fresh Reset head, not an error or a gap.
-func TestSSEStaleCursorGetsReset(t *testing.T) {
-	f, client := streamServer(t, testOptions(t))
-	job, err := f.Submit(testSpec(0xf9))
-	if err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	waitDone(t, f, job.ID)
-
-	// The hub has never broadcast seq 0 relative to this cursor's claim
-	// of 10_000; the ring cannot bridge it.
-	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
-	defer cancel()
-	var first *telemetry.Delta
-	err = client.streamDeltas(ctx, 10_000, func(d *telemetry.Delta) error {
-		first = d
-		cancel()
-		return nil
-	})
-	if err := ignoreCanceled(ctx, err); err != nil {
-		t.Fatalf("streamDeltas: %v", err)
-	}
-	if first == nil || !first.Reset {
-		t.Fatalf("stale cursor got %+v, want a Reset head", first)
+	select {
+	case err := <-ended:
+		if err != nil {
+			t.Fatalf("stream ended with %v, want a clean close", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("stream still open 5s after Drain")
 	}
 }
 

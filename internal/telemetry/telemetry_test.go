@@ -176,6 +176,31 @@ func TestHistogramBadBoundsPanic(t *testing.T) {
 	}
 }
 
+// TestHistSnapshotValidate checks the rules virec-telemetry-check
+// -metrics applies to every histogram of a recorded snapshot.
+func TestHistSnapshotValidate(t *testing.T) {
+	ok := HistSnapshot{Bounds: []uint64{10}, Counts: []uint64{1, 0}, Count: 1, Sum: 5, Min: 5, Max: 5}
+	if err := ok.Validate(); err != nil {
+		t.Fatalf("well-formed histogram rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		name, want string
+		h          HistSnapshot
+	}{
+		{"bounds not ascending", "not ascending",
+			HistSnapshot{Bounds: []uint64{10, 10}, Counts: []uint64{0, 0, 0}}},
+		{"min above max", "min 7 > max 5",
+			HistSnapshot{Bounds: []uint64{10}, Counts: []uint64{1, 0}, Count: 1, Sum: 5, Min: 7, Max: 5}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.h.Validate()
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Validate() = %v, want an error containing %q", err, tc.want)
+			}
+		})
+	}
+}
+
 func TestBucketHelpers(t *testing.T) {
 	lin := LinearBuckets(0, 2, 4)
 	for i, w := range []uint64{0, 2, 4, 6} {
