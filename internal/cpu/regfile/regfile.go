@@ -17,6 +17,8 @@
 package regfile
 
 import (
+	"math"
+
 	"github.com/virec/virec/internal/cpu"
 	"github.com/virec/virec/internal/isa"
 	"github.com/virec/virec/internal/mem"
@@ -77,7 +79,12 @@ type bsiOp struct {
 	// ping-pong buffer slot the completion updates.
 	thread int32
 	slot   int32
-	reg    isa.Reg
+
+	// run is the number of ops an opQueue entry stands for: the entry's op
+	// and its copies at addr+8, addr+16, and so on. Ops outside a queue
+	// have run 0.
+	run uint16
+	reg isa.Reg
 
 	kind   mem.Kind
 	noCrit bool // metadata-only (dummy-destination bookkeeping)
@@ -104,34 +111,59 @@ type bsiOwner interface {
 }
 
 // opQueue is a FIFO of ops held by value in a ring that grows by doubling,
-// so a steady state of queued traffic allocates nothing.
+// so a steady state of queued traffic allocates nothing. One entry holds a
+// run of ops equal in every field but addr, which steps by one register
+// (8 bytes): a full-context store-back is one entry, not 65. Runs change
+// only how the ops are held, never which ops come out or in what order.
 type opQueue struct {
-	buf  []bsiOp
-	head int
-	n    int
+	buf     []bsiOp
+	head    int
+	entries int // ring slots in use
+	n       int // ops queued
 }
 
 func (q *opQueue) push(op bsiOp) {
-	if q.n == len(q.buf) {
+	q.n++
+	if q.entries > 0 {
+		tail := &q.buf[(q.head+q.entries-1)%len(q.buf)]
+		same := op
+		same.addr, same.run = tail.addr, tail.run
+		if op.addr == tail.addr+8*mem.Addr(tail.run) && tail.run < math.MaxUint16 && same == *tail {
+			tail.run++
+			return
+		}
+	}
+	if q.entries == len(q.buf) {
 		q.grow()
 	}
-	q.buf[(q.head+q.n)%len(q.buf)] = op
-	q.n++
+	op.run = 1
+	q.buf[(q.head+q.entries)%len(q.buf)] = op
+	q.entries++
 }
 
 // front returns the oldest op; the queue must be non-empty.
-func (q *opQueue) front() *bsiOp { return &q.buf[q.head] }
+func (q *opQueue) front() bsiOp {
+	op := q.buf[q.head]
+	op.run = 0
+	return op
+}
 
 // pop removes the oldest op.
 func (q *opQueue) pop() {
-	q.head = (q.head + 1) % len(q.buf)
 	q.n--
+	if h := &q.buf[q.head]; h.run > 1 {
+		h.addr += 8
+		h.run--
+		return
+	}
+	q.head = (q.head + 1) % len(q.buf)
+	q.entries--
 }
 
 func (q *opQueue) grow() {
-	//virec:alloc-ok queue growth, bounded by the deepest backlog of a run
+	//virec:alloc-ok queue growth, bounded by the most runs a simulation's backlog holds
 	buf := make([]bsiOp, max(8, 2*len(q.buf)))
-	for i := 0; i < q.n; i++ {
+	for i := 0; i < q.entries; i++ {
 		buf[i] = q.buf[(q.head+i)%len(q.buf)]
 	}
 	q.buf, q.head = buf, 0
@@ -238,7 +270,7 @@ func (b *bsi) Tick(cycle uint64) {
 		}
 		op := q.front()
 		h := b.newReq()
-		h.op = *op
+		h.op = op
 		h.issuedAt = cycle
 		h.track = fromLoads && !op.noCrit && (b.fillLat != nil || b.tracer != nil)
 		h.req = mem.Request{

@@ -1,6 +1,8 @@
 package regfile
 
 import (
+	"math"
+	"math/rand/v2"
 	"testing"
 	"unsafe"
 
@@ -310,11 +312,178 @@ type opRecorder func(op bsiOp)
 
 func (f opRecorder) bsiDone(op bsiOp) { f(op) }
 
-// TestBSIOpPacks pins the op at 24 bytes: the prefetch providers' spill
-// queue holds hundreds of thousands of ops in a long run.
+// TestBSIOpPacks pins the op at 24 bytes, its run count included: BSI
+// queue entries and recycled requests hold ops by value.
 func TestBSIOpPacks(t *testing.T) {
 	if n := unsafe.Sizeof(bsiOp{}); n != 24 {
 		t.Errorf("bsiOp is %d bytes, want 24", n)
+	}
+}
+
+// TestOpQueueMatchesFIFO drives the run queue and a plain slice with the
+// same random pushes and pops: contiguous runs, near-misses that differ
+// from the tail's continuation in one field, address gaps, and a run past
+// the uint16 limit. At every step both must count the same ops and agree
+// on the oldest, so the queue hands back exactly the ops pushed, in order.
+func TestOpQueueMatchesFIFO(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	var q opQueue
+	var ref []bsiOp
+	step := 0
+	check := func() {
+		t.Helper()
+		step++
+		if q.n != len(ref) {
+			t.Fatalf("step %d: queue counts %d ops, reference holds %d", step, q.n, len(ref))
+		}
+		if len(ref) > 0 && q.front() != ref[0] {
+			t.Fatalf("step %d: front = %+v, want %+v", step, q.front(), ref[0])
+		}
+	}
+	last := bsiOp{addr: regBase, kind: mem.Write}
+	push := func(op bsiOp) {
+		q.push(op)
+		ref = append(ref, op)
+		last = op
+		check()
+	}
+	pop := func() {
+		q.pop()
+		ref = ref[1:]
+		check()
+	}
+	for i := 0; i < 20000; i++ {
+		next := last
+		next.addr += 8
+		if i == 10000 {
+			// A run one op past the uint16 limit, after an address gap:
+			// it takes exactly two new entries.
+			before := q.entries
+			next.addr += 8
+			for k := 0; k <= math.MaxUint16; k++ {
+				push(next)
+				next.addr += 8
+			}
+			if q.entries != before+2 {
+				t.Fatalf("a run of %d ops took %d entries, want 2", math.MaxUint16+1, q.entries-before)
+			}
+			continue
+		}
+		switch r := rng.IntN(10); {
+		case r < 4: // continue the run
+		case r < 6: // near-miss: one other field differs
+			switch rng.IntN(8) {
+			case 0:
+				next.thread++
+			case 1:
+				next.slot++
+			case 2:
+				next.reg++
+			case 3:
+				next.kind ^= mem.Write
+			case 4:
+				next.noCrit = !next.noCrit
+			case 5:
+				next.sticky = !next.sticky
+			case 6:
+				next.unpin = !next.unpin
+			default:
+				next.done = (next.done + 1) % (doneCount + 1)
+			}
+		case r < 8: // address gap: forward, backward or repeated
+			next.addr = last.addr + 8*mem.Addr(rng.IntN(5)) - 8
+			if next.addr == last.addr+8 {
+				next.addr += 8
+			}
+		default:
+			for k := rng.IntN(4); k >= 0 && len(ref) > 0; k-- {
+				pop()
+			}
+			continue
+		}
+		push(next)
+	}
+	for len(ref) > 0 {
+		pop()
+	}
+	if q.entries != 0 {
+		t.Errorf("drained queue holds %d entries", q.entries)
+	}
+}
+
+// writeLog is a fixed-latency device that records the address of every
+// write it accepts.
+type writeLog struct {
+	*mem.DelayDevice
+	writes []mem.Addr
+}
+
+func (d *writeLog) Access(r *mem.Request) bool {
+	if r.Kind == mem.Write {
+		d.writes = append(d.writes, r.Addr)
+	}
+	return d.DelayDevice.Access(r)
+}
+
+// TestPrefetchFullStoreBackIsOneRun recycles a bank and checks that the
+// outgoing context's 64 registers and system-register line queue as one
+// entry, count as 65 ops, and reach the dcache as 65 writes in address
+// order.
+func TestPrefetchFullStoreBackIsOneRun(t *testing.T) {
+	h := newHarness(2)
+	dev := &writeLog{DelayDevice: h.dev}
+	p := NewPrefetch(PrefetchFull, 3, dev, h.memory, h.layout)
+	for i := 0; i < 1000 && !canSwitch(p, 0); i++ {
+		h.tick(p, 1)
+	}
+	p.OnSwitch(-1, 0) // prefetches t1 into the other bank
+	for i := 0; i < 1000 && p.bsi.Outstanding() > 0; i++ {
+		h.tick(p, 1)
+	}
+	// Running t1 recycles t0's bank for t2: t0's context goes back.
+	p.OnSwitch(0, 1)
+	const ops = isa.NumRegs + 1
+	st := &p.bsi.stores
+	if st.entries != 1 || st.n != ops {
+		t.Fatalf("store-back queued %d ops in %d entries, want %d in 1", st.n, st.entries, ops)
+	}
+	if got, want := p.bsi.Outstanding(), p.bsi.loads.n+ops; got != want {
+		t.Errorf("Outstanding() = %d, want %d (t2's %d loads and %d stores)", got, want, p.bsi.loads.n, ops)
+	}
+	for i := 0; i < 1000 && p.bsi.Outstanding() > 0; i++ {
+		h.tick(p, 1)
+	}
+	if len(dev.writes) != ops {
+		t.Fatalf("BSI issued %d writes, want %d", len(dev.writes), ops)
+	}
+	for i, a := range dev.writes {
+		if want := h.layout.RegAddr(0, 0) + mem.Addr(8*i); a != want {
+			t.Fatalf("write %d at %#x, want %#x", i, a, want)
+		}
+	}
+	if got, want := dev.writes[ops-1], h.layout.SysRegAddr(0); got != want {
+		t.Errorf("last write at %#x, want t0's system-register line %#x", got, want)
+	}
+}
+
+// TestOpQueueSteadyStateAllocs requires a grown queue to push and pop runs
+// without allocating.
+func TestOpQueueSteadyStateAllocs(t *testing.T) {
+	var q opQueue
+	churn := func() {
+		for th := 0; th < 4; th++ {
+			for r := 0; r <= isa.NumRegs; r++ {
+				q.push(bsiOp{addr: regBase + mem.Addr(th*cpu.ThreadStride+8*r), kind: mem.Write})
+			}
+			q.push(bsiOp{addr: regBase, kind: mem.Read, reg: isa.X3})
+		}
+		for q.n > 0 {
+			q.pop()
+		}
+	}
+	churn() // warm up: grow the ring
+	if allocs := testing.AllocsPerRun(100, churn); allocs != 0 {
+		t.Errorf("steady-state push/pop made %.1f allocations per run, want 0", allocs)
 	}
 }
 

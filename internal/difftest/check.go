@@ -149,6 +149,12 @@ func Matrix() []Scenario {
 		Scenario{Kind: sim.ViReC, Policy: vrmu.LRC, Threads: 4, Faults: "all", NoSkip: true},
 		Scenario{Kind: sim.Banked, Threads: 4, NoSkip: true},
 		Scenario{Kind: sim.Software, Threads: 4, NoSkip: true})
+	// Full-context prefetch rotates whole contexts through two banks.
+	// Exact prefetch stays out: its store-back writes only the oracle set,
+	// so a register written outside it is lost (DESIGN.md §11).
+	out = append(out,
+		Scenario{Kind: sim.PrefetchFull, Threads: 4},
+		Scenario{Kind: sim.PrefetchFull, Threads: 4, NoSkip: true})
 	return out
 }
 
