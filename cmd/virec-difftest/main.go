@@ -225,7 +225,7 @@ func runOnFarm(url string, seeds []uint64, scenarioNames []string, opts difftest
 	for i, id := range ids {
 		out, _, err := client.WaitResult(ctx, id)
 		if err != nil {
-			// The job itself died (crash, quarantine, deadline): harness
+			// The job itself failed (crash, deadline): harness
 			// trouble, not a verified divergence.
 			fmt.Fprintf(os.Stderr, "difftest: seed %d: %v\n", seeds[i], err)
 			crashes++

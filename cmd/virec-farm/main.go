@@ -1,7 +1,7 @@
 // Command virec-farm is the long-running simulation service: a crash-safe
-// persistent job queue with supervised workers and a content-addressed
-// result cache, serving simulation, difftest and experiment jobs over
-// HTTP (see internal/farm).
+// persistent job queue with a worker pool and a content-addressed result
+// cache, serving simulation, difftest and experiment jobs over HTTP (see
+// internal/farm).
 //
 // Usage:
 //
@@ -10,7 +10,8 @@
 // The data directory holds the append-only journal, the atomic
 // checkpoint and the result cache; restarting against the same directory
 // re-queues in-flight jobs, never re-runs completed ones, and serves
-// previously computed results from cache. SIGTERM/SIGINT drain
+// previously computed results from cache. A job that fails stays failed;
+// resubmitting its spec runs it again as a new job. SIGTERM/SIGINT drain
 // gracefully: admission stops, in-flight jobs finish, pending jobs are
 // checkpointed for the next start. A second signal exits immediately
 // (the journal makes even that safe).
@@ -36,12 +37,8 @@ func main() {
 		dir         = flag.String("dir", "farm-data", "persistence root: journal, checkpoint, result cache")
 		workers     = flag.Int("workers", 0, "worker count (0 = all CPUs)")
 		queueCap    = flag.Int("queue-cap", 1024, "max live jobs before submissions get 429")
-		maxRetries  = flag.Int("max-retries", 3, "re-executions per failing job before it is marked failed")
-		backoff     = flag.Duration("backoff", 250*time.Millisecond, "base retry backoff (doubles per attempt, jittered)")
-		backoffMax  = flag.Duration("backoff-max", 15*time.Second, "retry backoff cap")
 		deadline    = flag.Duration("deadline", 15*time.Minute, "per-attempt job deadline (0 disables)")
 		drainWait   = flag.Duration("drain-timeout", 2*time.Minute, "max wait for in-flight jobs on SIGTERM")
-		codeVersion = flag.String("code-version", farm.CodeVersion, "cache-key code version")
 		noSync      = flag.Bool("no-sync", false, "skip fsync on journal appends (faster, loses power-failure durability)")
 		streamEvery = flag.Duration("stream-every", time.Second, "how often /api/v1/metrics/stream re-reads the metrics and sends a changed snapshot")
 	)
@@ -51,11 +48,7 @@ func main() {
 		Dir:         *dir,
 		Workers:     *workers,
 		QueueCap:    *queueCap,
-		MaxRetries:  *maxRetries,
-		BackoffBase: *backoff,
-		BackoffMax:  *backoffMax,
 		JobDeadline: *deadline,
-		CodeVersion: *codeVersion,
 		SyncJournal: !*noSync,
 	})
 	if err != nil {

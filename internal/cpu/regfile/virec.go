@@ -33,8 +33,6 @@ type ViReCConfig struct {
 	// NoRollback disables the rollback queue's C-bit resets, degrading
 	// LRC toward MRT-PLRU with stale commit bits (ablation).
 	NoRollback bool
-	// RollbackDepth is the rollback queue depth (backend instructions).
-	RollbackDepth int
 
 	// GroupEvict enables the paper's future-work group-eviction
 	// extension: when a victim is selected, its committed same-line
@@ -159,20 +157,21 @@ type sysSlot struct {
 	loading bool
 }
 
+// rollbackDepth is the rollback queue depth: the most instructions the
+// in-order backend holds.
+const rollbackDepth = 4
+
 // NewViReC builds the ViReC provider.
 func NewViReC(cfg ViReCConfig, threads int, dcache mem.Device, memory *mem.Memory, layout cpu.RegLayout) *ViReC {
 	if cfg.PhysRegs < 8 {
 		panic(fmt.Sprintf("regfile: ViReC needs >= 8 physical registers, got %d", cfg.PhysRegs))
-	}
-	if cfg.RollbackDepth == 0 {
-		cfg.RollbackDepth = 4
 	}
 	tags := vrmu.NewTagStore(cfg.PhysRegs, cfg.Policy)
 	p := &ViReC{
 		base:        newBase(dcache, memory, layout, threads),
 		cfg:         cfg,
 		tags:        tags,
-		rq:          vrmu.NewRollbackQueue(cfg.RollbackDepth, tags),
+		rq:          vrmu.NewRollbackQueue(rollbackDepth, tags),
 		pending:     make(map[regKey]int),
 		pendingPhys: make([]bool, cfg.PhysRegs),
 		superseded:  make(map[regKey]bool),

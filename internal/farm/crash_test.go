@@ -6,7 +6,6 @@ import (
 	"errors"
 	"sync"
 	"testing"
-	"time"
 )
 
 // execCounter counts completed executions per job key across farm
@@ -167,72 +166,5 @@ func TestCrashMidJobLosesNothingAndRepeatsNothing(t *testing.T) {
 			t.Errorf("job %d: post-crash bytes differ from clean serial run (%d vs %d bytes)",
 				job.ID, len(out), len(want[i]))
 		}
-	}
-}
-
-// TestCrashDuringBackoffRequeuesJob: a job waiting out a retry backoff
-// when the process dies must come back pending, not stuck in backoff
-// (its timer died with the process).
-func TestCrashDuringBackoffRequeuesJob(t *testing.T) {
-	opt := testOptions(t)
-	opt.Workers = 1
-	opt.BackoffBase = 10 * time.Minute // the retry timer must not fire in-test
-	opt.BackoffMax = opt.BackoffBase
-	failed := make(chan struct{}, 1)
-	opt.ExecWrap = func(job *Job, attempt int, next func() ([]byte, error)) ([]byte, error) {
-		defer func() {
-			select {
-			case failed <- struct{}{}:
-			default:
-			}
-		}()
-		return nil, context.DeadlineExceeded // retryable, no fingerprint
-	}
-	f1, err := Open(opt)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	f1.Start()
-	job, err := f1.Submit(testSpec(0xb0))
-	if err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	<-failed
-	// Wait until the failure is journaled (state leaves running).
-	deadlineCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	for {
-		got, err := f1.Status(job.ID)
-		if err != nil {
-			t.Fatalf("Status: %v", err)
-		}
-		if got.State == StateBackoff {
-			break
-		}
-		if deadlineCtx.Err() != nil {
-			t.Fatalf("job never reached backoff (state %s)", got.State)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	f1.Kill()
-
-	opt2 := opt
-	opt2.ExecWrap = nil
-	opt2.BackoffBase = 0 // defaults
-	opt2.BackoffMax = 0
-	f2 := openFarm(t, opt2)
-	got, err := f2.Status(job.ID)
-	if err != nil {
-		t.Fatalf("Status after reopen: %v", err)
-	}
-	if got.State != StatePending && got.State != StateRunning && got.State != StateDone {
-		t.Fatalf("backoff job recovered as %s, want re-queued", got.State)
-	}
-	final := waitDone(t, f2, job.ID)
-	if final.State != StateDone {
-		t.Fatalf("state = %s (error %q), want done", final.State, final.Error)
-	}
-	if final.Attempts < 2 {
-		t.Fatalf("attempts = %d, want >= 2 (the pre-crash failure counts)", final.Attempts)
 	}
 }

@@ -3,6 +3,7 @@ package farm
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"testing"
@@ -14,7 +15,8 @@ import (
 //
 //  1. inline (Execute, no farm at all),
 //  2. by a farm worker,
-//  3. on a retry after the first attempt crashed, or
+//  3. by a new farm generation re-running a job that was mid-attempt
+//     when the previous one crashed, or
 //  4. served from the content-addressed cache by a later farm
 //     generation that has no memory of the job, only the cache dir.
 func TestResultBytesIdenticalAcrossExecutionPaths(t *testing.T) {
@@ -61,33 +63,54 @@ func TestResultBytesIdenticalAcrossExecutionPaths(t *testing.T) {
 		}
 	}
 
-	// Path 3: post-crash retry — attempt 1 panics, attempt 2 runs clean.
+	// Path 3: post-crash re-run. Every first attempt blocks until the
+	// farm is killed, so the journal's last word on each job is "start";
+	// the next generation reopens the directory without the wrap and runs
+	// each job again.
 	opt3 := testOptions(t)
+	opt3.Workers = len(specs)
+	started := make(chan struct{}, len(specs))
+	block := make(chan struct{})
 	opt3.ExecWrap = func(job *Job, attempt int, next func() ([]byte, error)) ([]byte, error) {
-		if attempt == 1 {
-			panic("injected first-attempt crash")
-		}
-		return next()
+		started <- struct{}{}
+		<-block
+		return nil, errors.New("process crashed mid-execution")
 	}
-	f3 := openFarm(t, opt3)
+	f3, err := Open(opt3)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	t.Cleanup(f3.Kill)
+	f3.Start()
+	ids := make([]uint64, len(specs))
 	for i, spec := range specs {
 		job, err := f3.Submit(spec)
 		if err != nil {
 			t.Fatalf("Submit(%s): %v", spec.Summary(), err)
 		}
-		got := waitDone(t, f3, job.ID)
+		ids[i] = job.ID
+	}
+	for range specs {
+		<-started
+	}
+	f3.Kill()
+	close(block) // the abandoned attempts finish; their results are discarded
+	opt3.ExecWrap = nil
+	f3 = openFarm(t, opt3)
+	for i, spec := range specs {
+		got := waitDone(t, f3, ids[i])
 		if got.State != StateDone {
-			t.Fatalf("%s after crash-retry: state %s (error %q)", spec.Summary(), got.State, got.Error)
+			t.Fatalf("%s after crash: state %s (error %q)", spec.Summary(), got.State, got.Error)
 		}
 		if got.Attempts != 2 {
 			t.Fatalf("%s: attempts = %d, want 2", spec.Summary(), got.Attempts)
 		}
-		out, err := f3.Result(job.ID)
+		out, err := f3.Result(ids[i])
 		if err != nil {
 			t.Fatalf("Result(%s): %v", spec.Summary(), err)
 		}
 		if !bytes.Equal(out, inline[i]) {
-			t.Errorf("%s: crash-retry bytes differ from inline", spec.Summary())
+			t.Errorf("%s: post-crash bytes differ from inline", spec.Summary())
 		}
 	}
 

@@ -27,7 +27,6 @@ type JobEvent struct {
 	Err         string `json:"err,omitempty"`
 	Fingerprint string `json:"fp,omitempty"`
 	FromCache   bool   `json:"from_cache,omitempty"`
-	Terminal    bool   `json:"terminal,omitempty"`
 }
 
 // TraceIDFor mints a job's trace identity: deterministic in the job id
@@ -48,7 +47,6 @@ func eventFromRecord(rec *record) JobEvent {
 		Err:         rec.Err,
 		Fingerprint: rec.Fingerprint,
 		FromCache:   rec.FromCache,
-		Terminal:    rec.Terminal,
 	}
 }
 

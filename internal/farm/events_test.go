@@ -2,6 +2,7 @@ package farm
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -40,13 +41,12 @@ func TestJobLifecycleEventsRecorded(t *testing.T) {
 	}
 }
 
-func TestJobEventsRecordRetries(t *testing.T) {
+// TestJobEventsRecordFailure: a failed attempt is the job's last event,
+// and it carries the error and the fingerprint.
+func TestJobEventsRecordFailure(t *testing.T) {
 	opt := testOptions(t)
 	opt.ExecWrap = func(job *Job, attempt int, next func() ([]byte, error)) ([]byte, error) {
-		if attempt == 1 {
-			panic("injected first-attempt crash")
-		}
-		return next()
+		return nil, errors.New("injected failure")
 	}
 	f := openFarm(t, opt)
 	job, err := f.Submit(testSpec(0xe1))
@@ -54,22 +54,17 @@ func TestJobEventsRecordRetries(t *testing.T) {
 		t.Fatalf("Submit: %v", err)
 	}
 	got := waitDone(t, f, job.ID)
-	if got.State != StateDone {
-		t.Fatalf("state = %s, want done", got.State)
+	if got.State != StateFailed {
+		t.Fatalf("state = %s, want failed", got.State)
 	}
 	types := eventTypes(got)
-	want := []string{"enqueue", "start", "fail", "start", "done"}
+	want := []string{"enqueue", "start", "fail"}
 	if strings.Join(types, " ") != strings.Join(want, " ") {
 		t.Fatalf("event sequence = %v, want %v", types, want)
 	}
-	var fail JobEvent
-	for _, ev := range got.Events {
-		if ev.Type == "fail" {
-			fail = ev
-		}
-	}
-	if fail.Fingerprint == "" || !strings.Contains(fail.Err, "injected") {
-		t.Fatalf("fail event lacks fingerprint/error: %+v", fail)
+	fail := got.Events[len(got.Events)-1]
+	if fail.Attempt != 1 || fail.Err != "injected failure" || fail.Fingerprint != "injected failure" {
+		t.Fatalf("fail event = %+v, want attempt 1 with the error and its fingerprint", fail)
 	}
 }
 

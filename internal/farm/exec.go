@@ -2,7 +2,7 @@
 // deliberately a pure function of (spec, code version) — no farm state,
 // no clocks, no randomness beyond the seeds in the spec — so the same
 // spec produces the same bytes whether it runs inline in a CLI, on a
-// farm worker, on a retry after a crash, or never (served from cache).
+// farm worker, on a re-run after a crash, or never (served from cache).
 package farm
 
 import (
@@ -21,8 +21,8 @@ import (
 // result bytes. ctx cancels between simulations (a single simulation is
 // not interruptible); on cancellation the error wraps ctx.Err().
 // Simulation crashes surface as the structured errors sim.Run produces
-// (*sim.CrashError and friends) — the farm's retry and circuit-breaker
-// machinery classifies them by fingerprint.
+// (*sim.CrashError and friends), whose fingerprint the farm records with
+// the job's failure.
 func Execute(ctx context.Context, spec *Spec) ([]byte, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err

@@ -1,22 +1,22 @@
-// Package farm is the fault-tolerant simulation service: a crash-safe
-// persistent job queue, supervised worker pools, and a content-addressed
-// result cache, behind an HTTP API (server.go) and an in-process API
-// (this file).
+// Package farm is the simulation service: a crash-safe persistent job
+// queue, a worker pool and a content-addressed result cache, behind an
+// HTTP API (server.go) and an in-process API (this file).
 //
 // The durability contract: once Submit acknowledges a job it survives
 // process crashes — the journal (journal.go) replays it on restart; a
 // completed job is never re-run (its bytes are in the cache); an
-// in-flight job at crash time is re-queued and retried. The determinism
-// contract: a job's result bytes are identical whether computed inline,
-// by a worker, on a post-crash retry, or served from cache — asserted in
-// determinism_test.go the way parallel_test.go asserts serial ≡ parallel.
+// in-flight job at crash time is re-queued and runs again. The
+// determinism contract: a job's result bytes are identical whether
+// computed inline, by a worker, on a re-run after a crash, or served from
+// cache — asserted in determinism_test.go the way parallel_test.go
+// asserts serial ≡ parallel.
 //
-// The failure policy: structured crashes (sim.CrashError and friends)
-// retry under exponential backoff with seeded jitter, up to MaxRetries;
-// a job that fails twice with the same crash fingerprint is failing
-// deterministically and is quarantined by the circuit breaker instead of
-// burning retries; deadline overruns carry no fingerprint and always
-// retry (flaky infrastructure, not a reproducible bug).
+// The failure policy: a failed attempt is final. Execute is a pure
+// function of (spec, code version), so an attempt that failed would fail
+// again the same way. The job ends failed with its error and crash
+// fingerprint (sim.CrashError and friends; a deadline overrun has none),
+// and resubmitting the spec is the retry: a failed job never absorbs a
+// resubmission. A crash is the only thing that re-runs a job.
 package farm
 
 import (
@@ -25,7 +25,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"math/rand/v2"
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
@@ -43,17 +42,15 @@ type JobState string
 
 // Job lifecycle states.
 const (
-	StatePending     JobState = "pending"     // queued, awaiting a worker
-	StateRunning     JobState = "running"     // claimed by a worker
-	StateBackoff     JobState = "backoff"     // failed, waiting out the retry delay
-	StateDone        JobState = "done"        // result bytes in the cache
-	StateFailed      JobState = "failed"      // retries exhausted
-	StateQuarantined JobState = "quarantined" // deterministic crash, circuit broken
+	StatePending JobState = "pending" // queued, awaiting a worker
+	StateRunning JobState = "running" // claimed by a worker
+	StateDone    JobState = "done"    // result bytes in the cache
+	StateFailed  JobState = "failed"  // the attempt failed; resubmit to retry
 )
 
 // Terminal reports whether the state is final.
 func (s JobState) Terminal() bool {
-	return s == StateDone || s == StateFailed || s == StateQuarantined
+	return s == StateDone || s == StateFailed
 }
 
 // Job is the queue's record of one submission. Fields are exported for
@@ -65,8 +62,8 @@ type Job struct {
 	Key         string   `json:"key"` // content-address of the result
 	State       JobState `json:"state"`
 	Attempts    int      `json:"attempts"`              // execution attempts started
-	Error       string   `json:"error,omitempty"`       // last failure (truncated)
-	Fingerprint string   `json:"fingerprint,omitempty"` // last crash fingerprint
+	Error       string   `json:"error,omitempty"`       // the failure (truncated)
+	Fingerprint string   `json:"fingerprint,omitempty"` // the failure's crash fingerprint
 	ResultHash  string   `json:"result_hash,omitempty"` // sha256 of result bytes
 	FromCache   bool     `json:"from_cache,omitempty"`  // completed without executing
 
@@ -95,11 +92,8 @@ type Stats struct {
 	CacheHits   uint64 `metric:"cache_hits"`        // submissions served from the result cache (no execution)
 	CacheMisses uint64 `metric:"cache_misses"`      // jobs that had to execute
 	Completed   uint64 `metric:"completed"`         // jobs that reached done (executed, not cached)
-	Retries     uint64 `metric:"retries"`           // failed attempts that were re-queued
-	Failed      uint64 `metric:"failed"`            // jobs that exhausted their retries
-	Quarantined uint64 `metric:"quarantined"`       // jobs circuit-broken on a repeated fingerprint
+	Failed      uint64 `metric:"failed"`            // jobs whose attempt failed
 	Deadlines   uint64 `metric:"deadline_abandons"` // attempts abandoned at the per-job deadline
-	Restarts    uint64 `metric:"worker_restarts"`   // worker goroutines restarted after a panic escape
 }
 
 // Options configures a Farm.
@@ -108,36 +102,18 @@ type Options struct {
 	// all live under it. Required.
 	Dir string
 
-	// Workers is the supervised worker count; <= 0 selects GOMAXPROCS.
+	// Workers is the worker count; <= 0 selects GOMAXPROCS.
 	Workers int
 
-	// QueueCap bounds the live jobs (pending + running + backoff).
+	// QueueCap bounds the live jobs (pending + running).
 	// Submissions beyond it are rejected — the admission-control /
 	// backpressure signal the HTTP layer turns into 429. <= 0 means 1024.
 	QueueCap int
 
-	// MaxRetries is the number of re-executions a failing job gets after
-	// its first attempt (so MaxRetries+1 attempts total). Negative means
-	// zero.
-	MaxRetries int
-
-	// BackoffBase and BackoffMax shape the retry delay: attempt k waits
-	// BackoffBase·2^(k-1), capped at BackoffMax, with ±50% seeded jitter.
-	// Zero bases default to 100ms / 10s.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-
-	// JobDeadline bounds one execution attempt; past it the attempt is
-	// recorded as a deadline failure (retryable, no fingerprint) and the
-	// worker moves on. Zero disables.
+	// JobDeadline bounds one execution attempt; past it the job fails
+	// with a deadline error (no fingerprint) and the worker moves on.
+	// Zero disables.
 	JobDeadline time.Duration
-
-	// JitterSeed seeds the backoff jitter stream. Zero selects a fixed
-	// default — all farm randomness is explicitly seeded.
-	JitterSeed uint64
-
-	// CodeVersion replaces the package CodeVersion in cache keys.
-	CodeVersion string
 
 	// SyncJournal fsyncs every journal append. The daemon turns this on;
 	// tests leave it off for speed (the journal is still crash-safe
@@ -149,8 +125,8 @@ type Options struct {
 	CheckpointEvery int
 
 	// ExecWrap, when set, interposes on every execution attempt: tests
-	// use it to inject panic schedules, hangs and failures. next runs the
-	// real executor.
+	// use it to inject panics, hangs and failures. next runs the real
+	// executor.
 	ExecWrap func(job *Job, attempt int, next func() ([]byte, error)) ([]byte, error)
 }
 
@@ -161,21 +137,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if out.QueueCap <= 0 {
 		out.QueueCap = 1024
-	}
-	if out.MaxRetries < 0 {
-		out.MaxRetries = 0
-	}
-	if out.BackoffBase <= 0 {
-		out.BackoffBase = 100 * time.Millisecond
-	}
-	if out.BackoffMax <= 0 {
-		out.BackoffMax = 10 * time.Second
-	}
-	if out.JitterSeed == 0 {
-		out.JitterSeed = 0x9e3779b97f4a7c15
-	}
-	if out.CodeVersion == "" {
-		out.CodeVersion = CodeVersion
 	}
 	if out.CheckpointEvery <= 0 {
 		out.CheckpointEvery = 256
@@ -204,8 +165,6 @@ type Farm struct {
 	ready   []uint64          // FIFO of pending job ids
 	nextID  uint64
 	running int
-	timers  map[uint64]*time.Timer // pending backoff re-queues
-	rng     *rand.Rand             // seeded jitter stream
 	stats   Stats
 
 	draining bool
@@ -213,7 +172,7 @@ type Farm struct {
 	stopCh   chan struct{} // closed on Kill/Drain: abandons in-flight waits
 
 	registry *telemetry.Registry
-	wg       sync.WaitGroup // supervisors
+	wg       sync.WaitGroup // workers
 }
 
 // Open recovers (or initializes) a farm from dir. Workers do not run
@@ -250,8 +209,6 @@ func Open(opt Options) (*Farm, error) {
 		jobs:    jobs,
 		byKey:   make(map[string]uint64),
 		nextID:  nextID,
-		timers:  make(map[uint64]*time.Timer),
-		rng:     rand.New(rand.NewPCG(opt.JitterSeed, 0x5eed)),
 		stopCh:  make(chan struct{}),
 	}
 	f.cond = sync.NewCond(&f.mu)
@@ -275,42 +232,21 @@ func Open(opt Options) (*Farm, error) {
 	return f, nil
 }
 
-// Start launches the supervised workers.
+// Start launches the workers.
 func (f *Farm) Start() {
 	for w := 0; w < f.opt.Workers; w++ {
 		f.wg.Add(1)
-		go f.supervise(w)
+		go f.worker()
 	}
 }
 
-// supervise runs one worker slot, restarting its loop whenever a panic
-// escapes (worker death must not shrink the pool).
-func (f *Farm) supervise(w int) {
+// worker claims and runs jobs until shutdown. It recovers no panic:
+// execute turns an executor panic into a job failure, so the only panic
+// that reaches a worker is append's on a failed journal write, and that
+// one must end the process.
+func (f *Farm) worker() {
 	defer f.wg.Done()
-	for {
-		done := f.workerLoop(w)
-		if done {
-			return
-		}
-		f.mu.Lock()
-		f.stats.Restarts++
-		f.mu.Unlock()
-	}
-}
-
-// workerLoop claims and runs jobs until shutdown. Returns true on clean
-// shutdown, false when a panic was recovered and the loop must restart.
-func (f *Farm) workerLoop(_ int) (done bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			done = false
-		}
-	}()
-	for {
-		job := f.claim()
-		if job == nil {
-			return true
-		}
+	for job := f.claim(); job != nil; job = f.claim() {
 		f.runJob(job)
 	}
 }
@@ -324,23 +260,20 @@ func (f *Farm) claim() *Job {
 			return nil
 		}
 		if len(f.ready) > 0 {
-			id := f.ready[0]
+			job := f.jobs[f.ready[0]]
 			f.ready = f.ready[1:]
-			job := f.jobs[id]
-			if job == nil || job.State != StatePending {
-				continue // superseded while queued
-			}
 			job.State = StateRunning
 			job.Attempts++
 			f.running++
-			f.record(job, &record{Op: "start", ID: id, Attempt: job.Attempts})
+			f.record(job, &record{Op: "start", ID: job.ID, Attempt: job.Attempts})
 			return job
 		}
 		f.cond.Wait()
 	}
 }
 
-// runJob executes one claimed job and applies the outcome policy.
+// runJob executes one claimed job and records its outcome: done, or a
+// final failure.
 func (f *Farm) runJob(job *Job) {
 	out, err := f.execute(job)
 
@@ -357,12 +290,8 @@ func (f *Farm) runJob(job *Job) {
 	defer f.cond.Broadcast() // wake Drain/WaitJob watchers
 
 	if err == nil {
-		sum := sha256.Sum256(out)
-		if perr := f.cache.Put(job.Key, out); perr != nil {
-			// Result computed but not persistable: fail the attempt so
-			// the retry ladder gets another go at the filesystem.
-			err = fmt.Errorf("farm: persisting result: %w", perr)
-		} else {
+		if err = f.cache.Put(job.Key, out); err == nil {
+			sum := sha256.Sum256(out)
 			job.State = StateDone
 			job.ResultHash = hex.EncodeToString(sum[:])
 			job.Error = ""
@@ -370,74 +299,18 @@ func (f *Farm) runJob(job *Job) {
 			f.record(job, &record{Op: "done", ID: job.ID, ResultHash: job.ResultHash})
 			return
 		}
+		err = fmt.Errorf("farm: persisting result: %w", err)
 	}
 
-	fp := failureFingerprint(err)
-	msg := truncateErr(err)
+	job.State = StateFailed
+	job.Error = truncateErr(err)
+	job.Fingerprint = failureFingerprint(err)
+	f.stats.Failed++
 	if errors.Is(err, context.DeadlineExceeded) {
 		f.stats.Deadlines++
 	}
-
-	// Circuit breaker: the same fingerprint twice in a row means the
-	// failure is deterministic — retrying cannot help, quarantine with
-	// the repro pointer instead.
-	if fp != "" && fp == job.Fingerprint {
-		job.State = StateQuarantined
-		job.Error = msg
-		f.stats.Quarantined++
-		f.record(job, &record{Op: "quarantine", ID: job.ID, Err: msg, Fingerprint: fp})
-		return
-	}
-	job.Error = msg
-	job.Fingerprint = fp
-
-	if job.Attempts > f.opt.MaxRetries {
-		job.State = StateFailed
-		f.stats.Failed++
-		f.record(job, &record{Op: "fail", ID: job.ID, Attempt: job.Attempts,
-			Err: msg, Fingerprint: fp, Terminal: true})
-		return
-	}
-
-	job.State = StateBackoff
-	f.stats.Retries++
 	f.record(job, &record{Op: "fail", ID: job.ID, Attempt: job.Attempts,
-		Err: msg, Fingerprint: fp})
-	delay := f.backoff(job.Attempts)
-	id := job.ID
-	f.timers[id] = time.AfterFunc(delay, func() { f.requeue(id) })
-}
-
-// backoff computes the retry delay for the k-th failed attempt:
-// base·2^(k-1) capped at max, jittered ±50% from the seeded stream.
-// Called with the farm mutex held (the rng is not concurrency-safe).
-func (f *Farm) backoff(attempt int) time.Duration {
-	d := f.opt.BackoffBase
-	for i := 1; i < attempt && d < f.opt.BackoffMax; i++ {
-		d *= 2
-	}
-	if d > f.opt.BackoffMax {
-		d = f.opt.BackoffMax
-	}
-	// jitter in [0.5, 1.5)
-	return time.Duration(float64(d) * (0.5 + f.rng.Float64()))
-}
-
-// requeue moves a backoff job back to pending when its timer fires.
-func (f *Farm) requeue(id uint64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	delete(f.timers, id)
-	if f.closed || f.draining {
-		return // recovery/drain will re-queue from the journal state
-	}
-	job := f.jobs[id]
-	if job == nil || job.State != StateBackoff {
-		return
-	}
-	job.State = StatePending
-	f.ready = append(f.ready, id)
-	f.cond.Signal()
+		Err: job.Error, Fingerprint: job.Fingerprint})
 }
 
 // execute runs one attempt with deadline enforcement and panic capture.
@@ -506,8 +379,8 @@ func (e *workerPanicError) fingerprint() string {
 }
 
 // failureFingerprint classifies an execution error into a stable crash
-// identity, or "" for failures that must always retry (deadlines,
-// shutdown races) because they say nothing about the job itself.
+// identity, or "" for deadline and cancellation errors, which say nothing
+// about the job itself.
 func failureFingerprint(err error) string {
 	var ce *sim.CrashError
 	if errors.As(err, &ce) {
@@ -527,12 +400,11 @@ func failureFingerprint(err error) string {
 		return wp.fingerprint()
 	}
 	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-		return "" // flaky infrastructure: always worth a retry
+		return ""
 	}
 	if err != nil {
 		// Other errors (config resolution, verification mismatches…) are
-		// deterministic in practice: fingerprint on the message so the
-		// circuit breaker stops the second identical failure.
+		// deterministic in practice: fingerprint on the message.
 		return firstLine(err.Error())
 	}
 	return ""
@@ -562,7 +434,8 @@ func truncateErr(err error) string {
 // append writes a journal record and triggers a checkpoint when due.
 // Called with the farm mutex held. Journal failures panic: continuing to
 // mutate queue state that can no longer be persisted would silently void
-// the durability contract.
+// the durability contract. Workers do not recover the panic, so it ends
+// the process, and a restart recovers from what the journal holds.
 func (f *Farm) append(rec *record) {
 	if err := f.journal.append(rec); err != nil {
 		panic(err)
@@ -579,7 +452,7 @@ func (f *Farm) append(rec *record) {
 // whose result is already cached completes instantly; a full queue
 // returns ErrQueueFull.
 func (f *Farm) Submit(spec *Spec) (*Job, error) {
-	key, err := spec.CacheKey(f.opt.CodeVersion)
+	key, err := spec.CacheKey(CodeVersion)
 	if err != nil {
 		return nil, err
 	}
@@ -592,10 +465,10 @@ func (f *Farm) Submit(spec *Spec) (*Job, error) {
 	// Dedup: a live or successful job for the same content key absorbs
 	// the submission. Coalescing onto a *done* job is a cache hit — the
 	// submission is satisfied without execution, from bytes the cache
-	// already holds. Failed/quarantined jobs do not absorb — resubmission
-	// is the operator's "try again" signal and gets a fresh job.
+	// already holds. Failed jobs do not absorb — resubmission is the
+	// retry and gets a fresh job.
 	if id, ok := f.byKey[key]; ok {
-		if job := f.jobs[id]; job != nil && job.State != StateFailed && job.State != StateQuarantined {
+		if job := f.jobs[id]; job != nil && job.State != StateFailed {
 			if job.State == StateDone {
 				f.stats.CacheHits++
 			} else {
@@ -645,10 +518,10 @@ func (f *Farm) Submit(spec *Spec) (*Job, error) {
 	return job.clone(), nil
 }
 
-// liveLocked counts jobs occupying queue capacity (mutex held): ready,
-// running, and backoff jobs waiting on a retry timer all hold a slot.
+// liveLocked counts jobs occupying queue capacity (mutex held): pending
+// and running jobs each hold a slot.
 func (f *Farm) liveLocked() int {
-	return f.running + len(f.ready) + len(f.timers)
+	return f.running + len(f.ready)
 }
 
 // Status returns a snapshot of one job.
@@ -725,9 +598,6 @@ func (f *Farm) Drain(ctx context.Context) error {
 	if cerr := f.journal.close(); err == nil {
 		err = cerr
 	}
-	for _, t := range f.timers {
-		t.Stop()
-	}
 	f.cond.Broadcast()
 	f.mu.Unlock()
 
@@ -754,9 +624,6 @@ func (f *Farm) Kill() {
 	}
 	f.closed = true
 	close(f.stopCh)
-	for _, t := range f.timers {
-		t.Stop()
-	}
 	f.journal.close()
 	f.cond.Broadcast()
 	f.mu.Unlock()

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -25,17 +26,11 @@ func testSpec(seed uint64) *Spec {
 	}
 }
 
-// testOptions returns farm options tuned for test speed: tiny backoffs,
-// no fsync, a temp dir per test.
+// testOptions returns farm options tuned for test speed: no fsync, a
+// temp dir per test.
 func testOptions(t *testing.T) Options {
 	t.Helper()
-	return Options{
-		Dir:         t.TempDir(),
-		Workers:     2,
-		MaxRetries:  3,
-		BackoffBase: time.Millisecond,
-		BackoffMax:  4 * time.Millisecond,
-	}
+	return Options{Dir: t.TempDir(), Workers: 2}
 }
 
 // openFarm opens and starts a farm, closing it (crash-style, which is
@@ -85,91 +80,18 @@ func TestSubmitRunsJobToDone(t *testing.T) {
 	}
 }
 
-func TestRetryThenSucceed(t *testing.T) {
-	opt := testOptions(t)
-	opt.ExecWrap = func(job *Job, attempt int, next func() ([]byte, error)) ([]byte, error) {
-		if attempt == 1 {
-			return nil, fmt.Errorf("transient failure on attempt %d", attempt)
-		}
-		return next()
-	}
-	f := openFarm(t, opt)
-	job, err := f.Submit(testSpec(2))
-	if err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	got := waitDone(t, f, job.ID)
-	if got.State != StateDone {
-		t.Fatalf("state = %s (error %q), want done", got.State, got.Error)
-	}
-	if got.Attempts != 2 {
-		t.Fatalf("attempts = %d, want 2", got.Attempts)
-	}
-	if st := f.StatsSnapshot(); st.Retries != 1 {
-		t.Fatalf("Retries = %d, want 1", st.Retries)
-	}
-}
-
-func TestCircuitBreakerQuarantinesDeterministicCrash(t *testing.T) {
-	opt := testOptions(t)
-	opt.MaxRetries = 10 // the breaker must cut long before retries run out
-	opt.ExecWrap = func(job *Job, attempt int, next func() ([]byte, error)) ([]byte, error) {
-		panic("deterministic bug: reconvergence stack underflow")
-	}
-	f := openFarm(t, opt)
-	job, err := f.Submit(testSpec(3))
-	if err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	got := waitDone(t, f, job.ID)
-	if got.State != StateQuarantined {
-		t.Fatalf("state = %s, want quarantined", got.State)
-	}
-	// Same fingerprint twice in a row: exactly 2 attempts, not 11.
-	if got.Attempts != 2 {
-		t.Fatalf("attempts = %d, want 2 (breaker should cut on the repeat)", got.Attempts)
-	}
-	if got.Fingerprint == "" {
-		t.Fatal("quarantined job lost its fingerprint")
-	}
-	if st := f.StatsSnapshot(); st.Quarantined != 1 {
-		t.Fatalf("Quarantined = %d, want 1", st.Quarantined)
-	}
-}
-
-func TestChangingFailuresExhaustRetries(t *testing.T) {
-	opt := testOptions(t)
-	opt.MaxRetries = 2
-	opt.ExecWrap = func(job *Job, attempt int, next func() ([]byte, error)) ([]byte, error) {
-		// A different message each attempt: distinct fingerprints, so the
-		// circuit breaker never trips and the retry ladder runs out.
-		return nil, fmt.Errorf("flaky failure variant %d", attempt)
-	}
-	f := openFarm(t, opt)
-	job, err := f.Submit(testSpec(4))
-	if err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	got := waitDone(t, f, job.ID)
-	if got.State != StateFailed {
-		t.Fatalf("state = %s, want failed", got.State)
-	}
-	if want := opt.MaxRetries + 1; got.Attempts != want {
-		t.Fatalf("attempts = %d, want %d", got.Attempts, want)
-	}
-	if st := f.StatsSnapshot(); st.Failed != 1 || st.Retries != uint64(opt.MaxRetries) {
-		t.Fatalf("stats = %+v, want Failed=1 Retries=%d", st, opt.MaxRetries)
-	}
-}
-
-func TestDeadlineAbandonsAttemptAndRetries(t *testing.T) {
+// TestDeadlineAbandonsAttemptAndFails: an attempt that overruns the job
+// deadline is abandoned and the job fails with it, after one attempt;
+// resubmitting the spec makes a new job, which runs.
+func TestDeadlineAbandonsAttemptAndFails(t *testing.T) {
 	opt := testOptions(t)
 	opt.Workers = 1
 	opt.JobDeadline = 20 * time.Millisecond
 	hang := make(chan struct{})
 	t.Cleanup(func() { close(hang) })
+	var calls atomic.Int32
 	opt.ExecWrap = func(job *Job, attempt int, next func() ([]byte, error)) ([]byte, error) {
-		if attempt == 1 {
+		if calls.Add(1) == 1 {
 			<-hang // overrun the deadline; released at test end
 			return nil, fmt.Errorf("abandoned attempt finally finished")
 		}
@@ -181,14 +103,28 @@ func TestDeadlineAbandonsAttemptAndRetries(t *testing.T) {
 		t.Fatalf("Submit: %v", err)
 	}
 	got := waitDone(t, f, job.ID)
-	if got.State != StateDone {
-		t.Fatalf("state = %s (error %q), want done", got.State, got.Error)
+	if got.State != StateFailed {
+		t.Fatalf("state = %s (error %q), want failed", got.State, got.Error)
 	}
-	if got.Attempts != 2 {
-		t.Fatalf("attempts = %d, want 2", got.Attempts)
+	if got.Attempts != 1 {
+		t.Fatalf("attempts = %d, want 1", got.Attempts)
 	}
-	if st := f.StatsSnapshot(); st.Deadlines != 1 {
-		t.Fatalf("Deadlines = %d, want 1", st.Deadlines)
+	if !strings.Contains(got.Error, "deadline") || got.Fingerprint != "" {
+		t.Fatalf("deadline failure: error %q fingerprint %q, want a deadline error without fingerprint", got.Error, got.Fingerprint)
+	}
+	if st := f.StatsSnapshot(); st.Deadlines != 1 || st.Failed != 1 {
+		t.Fatalf("stats = %+v, want Deadlines=1 Failed=1", st)
+	}
+
+	again, err := f.Submit(testSpec(5))
+	if err != nil {
+		t.Fatalf("resubmit: %v", err)
+	}
+	if again.ID == job.ID {
+		t.Fatalf("resubmission coalesced onto failed job %d", job.ID)
+	}
+	if got := waitDone(t, f, again.ID); got.State != StateDone || got.Attempts != 1 {
+		t.Fatalf("resubmitted job: state %s after %d attempts (error %q), want done after 1", got.State, got.Attempts, got.Error)
 	}
 }
 
@@ -196,7 +132,6 @@ func TestPanicBecomesStructuredFailure(t *testing.T) {
 	// A panic in the executor must surface as a structured, fingerprinted
 	// job failure — never kill the worker pool or the process.
 	opt := testOptions(t)
-	opt.MaxRetries = 0
 	opt.ExecWrap = func(job *Job, attempt int, next func() ([]byte, error)) ([]byte, error) {
 		if job.Spec.Sim.Seed == 6 {
 			panic("executor bug in the sim job path")
@@ -209,8 +144,8 @@ func TestPanicBecomesStructuredFailure(t *testing.T) {
 		t.Fatalf("Submit: %v", err)
 	}
 	got := waitDone(t, f, job.ID)
-	if got.State != StateFailed {
-		t.Fatalf("state = %s, want failed", got.State)
+	if got.State != StateFailed || got.Attempts != 1 {
+		t.Fatalf("state = %s after %d attempts, want failed after 1", got.State, got.Attempts)
 	}
 	if got.Error == "" || got.Fingerprint == "" {
 		t.Fatalf("panic failure lost its diagnosis: error %q fingerprint %q", got.Error, got.Fingerprint)
@@ -349,34 +284,6 @@ func TestDrainFinishesInFlightAndKeepsPending(t *testing.T) {
 	}
 }
 
-func TestBackoffGrowsAndStaysJittered(t *testing.T) {
-	opt := testOptions(t)
-	opt.BackoffBase = 100 * time.Millisecond
-	opt.BackoffMax = time.Second
-	f, err := Open(opt)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	defer f.Kill()
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	prevMax := time.Duration(0)
-	for attempt := 1; attempt <= 6; attempt++ {
-		d := f.backoff(attempt)
-		base := opt.BackoffBase << (attempt - 1)
-		if base > opt.BackoffMax {
-			base = opt.BackoffMax
-		}
-		lo, hi := base/2, base+base/2
-		if d < lo || d >= hi {
-			t.Fatalf("backoff(%d) = %v, want in [%v, %v)", attempt, d, lo, hi)
-		}
-		if base > prevMax {
-			prevMax = base
-		}
-	}
-}
-
 func TestMetricsRegistryCoversStats(t *testing.T) {
 	f := openFarm(t, testOptions(t))
 	job, err := f.Submit(testSpec(40))
@@ -386,8 +293,7 @@ func TestMetricsRegistryCoversStats(t *testing.T) {
 	waitDone(t, f, job.ID)
 	snap := f.MetricsSnapshot()
 	for _, name := range []string{
-		"farm/submitted", "farm/completed", "farm/cache_misses",
-		"farm/retries", "farm/failed", "farm/quarantined",
+		"farm/submitted", "farm/completed", "farm/cache_misses", "farm/failed",
 	} {
 		if _, ok := snap.Counters[name]; !ok {
 			t.Fatalf("counter %s missing from snapshot", name)

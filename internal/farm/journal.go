@@ -11,16 +11,17 @@
 //
 // The recovery rules encode the farm's durability contract:
 //
-//   - a job with an "enqueue" but no terminal record is re-queued
+//   - a job with an "enqueue" but no "done" or "fail" record is re-queued
 //     (pending again, attempt count preserved) — crashes lose no jobs;
 //   - a job whose last record is "start" was in flight when the process
-//     died: it is re-queued, not marked failed — worker death is retried
-//     like any other crash, under the same backoff/quarantine policy;
+//     died: it is re-queued, not marked failed, and runs again — the
+//     farm's only re-run;
 //   - a job with a "done" record is complete and is never re-run — its
 //     result bytes are in the content-addressed cache;
-//   - "fail" records carry the attempt count and crash fingerprint, so a
-//     restarted farm continues the retry/quarantine ladder exactly where
-//     the dead process left it.
+//   - a job with a "fail" record stays failed, with the attempt count,
+//     error and crash fingerprint the record carries. What older farms
+//     wrote for their retry ladder — "quarantine" records and the
+//     "backoff" and "quarantined" checkpoint states — loads as failed.
 package farm
 
 import (
@@ -34,18 +35,17 @@ import (
 
 // record is one journal line.
 type record struct {
-	Op          string `json:"op"` // enqueue|start|done|fail|quarantine
+	Op          string `json:"op"` // enqueue|start|done|fail
 	ID          uint64 `json:"id"`
 	TS          int64  `json:"ts,omitempty"`         // unix ns, lifecycle event timestamp
 	TraceID     string `json:"trace_id,omitempty"`   // enqueue: minted trace identity
 	Spec        *Spec  `json:"spec,omitempty"`       // enqueue
 	Key         string `json:"key,omitempty"`        // enqueue: cache key
 	Attempt     int    `json:"attempt,omitempty"`    // start/fail
-	Err         string `json:"err,omitempty"`        // fail/quarantine (truncated)
-	Fingerprint string `json:"fp,omitempty"`         // fail/quarantine
+	Err         string `json:"err,omitempty"`        // fail (truncated)
+	Fingerprint string `json:"fp,omitempty"`         // fail
 	ResultHash  string `json:"result,omitempty"`     // done: sha256 of result bytes
 	FromCache   bool   `json:"from_cache,omitempty"` // done: served without executing
-	Terminal    bool   `json:"terminal,omitempty"`   // fail: retries exhausted
 }
 
 // checkpointDoc is the atomically-replaced full-state snapshot.
@@ -158,8 +158,7 @@ func (j *journal) close() error {
 
 // recoverState loads the checkpoint (if any) and replays the journal
 // over it, returning the reconstructed job table and next job id. Jobs
-// that were running or waiting out a backoff when the process died come
-// back pending.
+// that were running when the process died come back pending.
 func recoverState(dir string) (map[uint64]*Job, uint64, error) {
 	jobs := make(map[uint64]*Job)
 	var nextID uint64 = 1
@@ -206,13 +205,16 @@ func recoverState(dir string) (map[uint64]*Job, uint64, error) {
 		}
 	}
 
-	// Crash recovery proper: anything not in a terminal or pending state
-	// was in flight (running) or waiting out a backoff timer that died
-	// with the process. Both re-enter the queue.
+	// Crash recovery proper: a running job was in flight when the process
+	// died and re-enters the queue. "backoff" and "quarantined" are
+	// checkpoint states of older farms, which retried a failure; here a
+	// failure is final.
 	for _, job := range jobs {
 		switch job.State {
-		case StateRunning, StateBackoff:
+		case StateRunning:
 			job.State = StatePending
+		case "backoff", "quarantined":
+			job.State = StateFailed
 		}
 	}
 	return jobs, nextID, nil
@@ -258,20 +260,12 @@ func applyRecord(jobs map[uint64]*Job, rec *record) {
 			job.FromCache = rec.FromCache
 			job.Error = ""
 		}
-	case "fail":
+	case "fail", "quarantine": // older farms wrote "quarantine", without an attempt
 		if job := jobs[rec.ID]; job != nil {
-			job.Attempts = rec.Attempt
-			job.Error = rec.Err
-			job.Fingerprint = rec.Fingerprint
-			if rec.Terminal {
-				job.State = StateFailed
-			} else {
-				job.State = StateBackoff
+			job.State = StateFailed
+			if rec.Attempt != 0 {
+				job.Attempts = rec.Attempt
 			}
-		}
-	case "quarantine":
-		if job := jobs[rec.ID]; job != nil {
-			job.State = StateQuarantined
 			job.Error = rec.Err
 			job.Fingerprint = rec.Fingerprint
 		}

@@ -113,6 +113,16 @@ func TestRecoverStopsAtCorruptInteriorLine(t *testing.T) {
 
 func TestRecoverMapsInFlightStatesToPending(t *testing.T) {
 	dir := t.TempDir()
+	// Jobs 4–7 hold what only an older farm, one that retried failures,
+	// wrote: the terminal flag, a quarantine record, and a checkpoint
+	// holding the backoff and quarantined states.
+	checkpoint := `{"next_id": 8, "jobs": [
+ {"id": 6, "key": "k6", "state": "backoff", "attempts": 1, "error": "flaky", "fingerprint": "flaky @ g"},
+ {"id": 7, "key": "k7", "state": "quarantined", "attempts": 2, "error": "bad", "fingerprint": "bad @ h"}
+]}`
+	if err := os.WriteFile(checkpointPath(dir), []byte(checkpoint), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	writeJournalLines(t, dir,
 		`{"op":"enqueue","id":1,"key":"k1"}`+"\n"+
 			`{"op":"start","id":1,"attempt":1}`+"\n"+
@@ -124,33 +134,64 @@ func TestRecoverMapsInFlightStatesToPending(t *testing.T) {
 			`{"op":"done","id":3,"result":"cafe"}`+"\n"+
 			`{"op":"enqueue","id":4,"key":"k4"}`+"\n"+
 			`{"op":"start","id":4,"attempt":2}`+"\n"+
-			`{"op":"fail","id":4,"attempt":2,"err":"boom","fp":"boom @ f","terminal":true}`+"\n")
+			`{"op":"fail","id":4,"attempt":2,"err":"boom","fp":"boom @ f","terminal":true}`+"\n"+
+			`{"op":"enqueue","id":5,"key":"k5"}`+"\n"+
+			`{"op":"start","id":5,"attempt":2}`+"\n"+
+			`{"op":"quarantine","id":5,"err":"crash","fp":"crash @ e"}`+"\n")
 	jobs, nextID, err := recoverState(dir)
 	if err != nil {
 		t.Fatalf("recoverState: %v", err)
 	}
-	if nextID != 5 {
-		t.Fatalf("nextID = %d, want 5", nextID)
+	if nextID != 8 {
+		t.Fatalf("nextID = %d, want 8", nextID)
 	}
-	want := map[uint64]JobState{
-		1: StatePending, // was running: re-queued
-		2: StatePending, // was in backoff: its timer died with the process
-		3: StateDone,    // completed: never re-run
-		4: StateFailed,  // terminal: stays failed
+	type want struct {
+		state    JobState
+		attempts int
+		err, fp  string
 	}
-	for id, state := range want {
+	wants := map[uint64]want{
+		1: {StatePending, 1, "", ""},              // was running: re-queued
+		2: {StateFailed, 1, "boom", "boom @ f"},   // a fail record is final
+		3: {StateDone, 1, "", ""},                 // completed: never re-run
+		4: {StateFailed, 2, "boom", "boom @ f"},   // the old "terminal" flag changes nothing
+		5: {StateFailed, 2, "crash", "crash @ e"}, // quarantine record: attempts from its start
+		6: {StateFailed, 1, "flaky", "flaky @ g"}, // checkpointed backoff
+		7: {StateFailed, 2, "bad", "bad @ h"},     // checkpointed quarantined
+	}
+	for id, w := range wants {
 		job := jobs[id]
 		if job == nil {
 			t.Fatalf("job %d lost", id)
 		}
-		if job.State != state {
-			t.Errorf("job %d: state %s, want %s", id, job.State, state)
+		got := want{job.State, job.Attempts, job.Error, job.Fingerprint}
+		if got != w {
+			t.Errorf("job %d = %+v, want %+v", id, got, w)
 		}
 	}
-	// The retry ladder context survives: job 2's attempt count and
-	// fingerprint carry into the next generation.
-	if jobs[2].Attempts != 1 || jobs[2].Fingerprint == "" {
-		t.Errorf("job 2 lost retry context: %+v", jobs[2])
+
+	// Open folds the recovered table into a checkpoint that holds only
+	// the states this farm knows.
+	f, err := Open(Options{Dir: dir, Workers: 1})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	f.Kill()
+	data, err := os.ReadFile(checkpointPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc checkpointDoc
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Jobs) != len(wants) {
+		t.Fatalf("checkpoint holds %d jobs, want %d", len(doc.Jobs), len(wants))
+	}
+	for _, job := range doc.Jobs {
+		if job.State != wants[job.ID].state {
+			t.Errorf("checkpointed job %d: state %s, want %s", job.ID, job.State, wants[job.ID].state)
+		}
 	}
 }
 

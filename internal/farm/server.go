@@ -79,7 +79,7 @@ func NewServerWith(f *Farm, so ServerOptions) http.Handler {
 			w.Header().Set("Content-Type", "application/json")
 			w.WriteHeader(http.StatusOK)
 			w.Write(out)
-		case StateFailed, StateQuarantined:
+		case StateFailed:
 			writeJSON(w, http.StatusInternalServerError, job)
 		default:
 			writeJSON(w, http.StatusAccepted, job) // not done yet: poll again

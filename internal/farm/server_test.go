@@ -168,10 +168,11 @@ func TestHTTPResultLifecycle(t *testing.T) {
 	}
 }
 
-// TestHTTPWaitResultReportsQuarantine: a job that ends in a terminal
-// failure comes back from WaitResult as an error naming its state,
-// together with the job, and its raw result endpoint answers 500.
-func TestHTTPWaitResultReportsQuarantine(t *testing.T) {
+// TestHTTPWaitResultReportsFailure: a job that fails comes back from
+// WaitResult as an error naming its state, together with the job, its
+// raw result endpoint answers 500, and resubmitting the spec makes a new
+// job.
+func TestHTTPWaitResultReportsFailure(t *testing.T) {
 	opt := testOptions(t)
 	opt.ExecWrap = func(job *Job, attempt int, next func() ([]byte, error)) ([]byte, error) {
 		panic("deterministic bug: injected over HTTP")
@@ -183,11 +184,11 @@ func TestHTTPWaitResultReportsQuarantine(t *testing.T) {
 		t.Fatalf("Submit: %v", err)
 	}
 	out, final, err := client.WaitResult(ctx, job.ID)
-	if err == nil || !strings.Contains(err.Error(), string(StateQuarantined)) {
-		t.Fatalf("WaitResult err = %v, want one naming %s", err, StateQuarantined)
+	if err == nil || !strings.Contains(err.Error(), string(StateFailed)) {
+		t.Fatalf("WaitResult err = %v, want one naming %s", err, StateFailed)
 	}
-	if out != nil || final == nil || final.State != StateQuarantined {
-		t.Fatalf("WaitResult = %d bytes, job %+v; want no bytes and the quarantined job", len(out), final)
+	if out != nil || final == nil || final.State != StateFailed || final.Attempts != 1 {
+		t.Fatalf("WaitResult = %d bytes, job %+v; want no bytes and the job failed after 1 attempt", len(out), final)
 	}
 
 	resp, err := http.Get(fmt.Sprintf("%s/api/v1/jobs/%d/result", client.Base, job.ID))
@@ -196,7 +197,15 @@ func TestHTTPWaitResultReportsQuarantine(t *testing.T) {
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("quarantined result status = %d, want 500", resp.StatusCode)
+		t.Fatalf("failed result status = %d, want 500", resp.StatusCode)
+	}
+
+	again, err := client.Submit(ctx, testSpec(0xe6))
+	if err != nil {
+		t.Fatalf("resubmit: %v", err)
+	}
+	if again.ID == job.ID {
+		t.Fatalf("resubmission coalesced onto failed job %d", job.ID)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Crash fingerprinting: a stable, short identity for a panic that lets
-// infrastructure above the simulator (the simulation farm's circuit
-// breaker, CI triage) distinguish "the same deterministic bug again"
+// infrastructure above the simulator (the simulation farm's job
+// failures, CI triage) distinguish "the same deterministic bug again"
 // from "a different failure", without diffing multi-kilobyte stack dumps.
 // The fingerprint is the panic message plus the innermost non-runtime
 // frame — both reproduce exactly for a deterministic crash, while

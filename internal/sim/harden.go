@@ -25,10 +25,9 @@ type CrashError struct {
 	// Fingerprint is the stable identity of the crash: the scenario
 	// fingerprint (core kind, workload, thread count, seed) plus the
 	// panic message and innermost application frame. A deterministic bug
-	// reproduces the same fingerprint on every retry, which is what lets
-	// retry infrastructure (the simulation farm's circuit breaker)
-	// quarantine it instead of re-running it forever, and what gives a
-	// quarantined job an actionable repro pointer in logs and artifacts.
+	// reproduces the same fingerprint on every run, so a failed farm job
+	// records it as the failure's identity and repro pointer in logs and
+	// artifacts.
 	Fingerprint string
 }
 
