@@ -3,6 +3,7 @@ package regfile
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -713,12 +714,15 @@ func TestBankedXZRWriteDiscarded(t *testing.T) {
 // linear scan of a fixed access sequence at every cursor position: x1 is
 // used often, x2 and v0 once, x3 never, XZR entries are ignored, and the
 // cursor runs past every register's last use. A thread with no installed
-// sequence reports distance 0.
+// sequence reports distance 0. The caller's buffer is overwritten after
+// the install, as the oracle recorder reuses it for the next thread.
 func TestOracleDistanceMatchesLinearScan(t *testing.T) {
 	h := newHarness(1)
 	p := NewViReC(ViReCConfig{PhysRegs: 8, Policy: vrmu.Belady}, 2, h.dev, h.memory, h.layout)
 	seq := []isa.Reg{isa.X1, isa.X4, isa.XZR, isa.X1, isa.X2, isa.X4, isa.X1, isa.V0, isa.X1, isa.X4}
-	p.SetOracleSeq(1, seq)
+	buf := slices.Clone(seq)
+	p.SetOracleSeq(1, buf)
+	clear(buf)
 	scan := func(cur int, r isa.Reg) uint64 {
 		for i := cur; i < len(seq); i++ {
 			if seq[i] == r && r != isa.XZR {

@@ -198,7 +198,8 @@ func NewViReC(cfg ViReCConfig, threads int, dcache mem.Device, memory *mem.Memor
 
 // SetOracleSeq installs a thread's recorded register access sequence (the
 // per-instruction in.Regs order from a functional pre-run) for the Belady
-// policy's perfect intra-thread future knowledge.
+// policy's perfect intra-thread future knowledge. It keeps no reference to
+// seq, so the caller may reuse the buffer.
 func (p *ViReC) SetOracleSeq(thread int, seq []isa.Reg) {
 	// Count each register's uses, then cut one position array into
 	// per-register lists of exactly that length.

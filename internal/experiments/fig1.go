@@ -97,6 +97,7 @@ func fig1(opt Options) (*Report, error) {
 	p := workloads.Params{Iters: iters, Seed: 0x9e3779b97f4a7c15}
 	w.Setup(memory, 0x10000, p, func(r isa.Reg, v uint64) { ctx.Set(r, v) })
 	oooRes := ooo.Run(ooo.DefaultConfig(), w.Prog, &ctx, memory)
+	memory.Release()
 	points = append(points, point{"OoO", 1,
 		perfOf(iters, oooRes.Cycles, 2.0), m.OoOCore()})
 

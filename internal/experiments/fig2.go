@@ -38,6 +38,7 @@ func fig2(opt Options) (*Report, error) {
 				}
 			}
 		})
+		m.Release()
 
 		// Integer kernels measure against the 32-register integer
 		// context, FP kernels against the full 64 (as in the helper).

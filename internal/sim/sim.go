@@ -408,6 +408,8 @@ func (s *System) recordOracles() {
 	// the threaded-code form, so a mix pays one pre-decode per kernel,
 	// not one per thread.
 	precoded := make(map[*asm.Program]*interp.Precoded)
+	// One sequence buffer serves every thread; SetOracleSeq copies it.
+	var seq []isa.Reg
 	for coreID, v := range s.oracles {
 		layout := s.layouts[coreID]
 		for th := 0; th < s.cfg.ThreadsPerCore; th++ {
@@ -421,7 +423,7 @@ func (s *System) recordOracles() {
 			for r := isa.Reg(0); r < isa.NumRegs; r++ {
 				ctx.Set(r, s.Memory.Read64(layout.RegAddr(th, r)))
 			}
-			var seq []isa.Reg
+			seq = seq[:0]
 			var buf [6]isa.Reg
 			scratch := s.Memory.Overlay()
 			p.Run(&ctx, scratch, 100_000_000,

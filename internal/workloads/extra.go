@@ -36,13 +36,13 @@ var selSpec = &Spec{
 		in := base
 		out := base + 8*8192 + 0x140
 		const threshold = 500
-		want := make(map[mem.Addr]uint64)
+		want := words(p.Iters)
 		kept := uint64(0)
 		for i := 0; i < p.Iters; i++ {
 			v := r.next() % 1000
 			m.Write64(in+mem.Addr(8*i), v)
 			if v > threshold {
-				want[out+mem.Addr(8*kept)] = v
+				want = append(want, word{out + mem.Addr(8*kept), v})
 				kept++
 			}
 		}
@@ -74,11 +74,11 @@ var copySpec = &Spec{
 		r := newRng(p)
 		a := base
 		b := base + 8*8192 + 0x140
-		want := make(map[mem.Addr]uint64)
+		want := words(p.Iters)
 		for i := 0; i < p.Iters; i++ {
 			v := r.next()
 			m.Write64(a+mem.Addr(8*i), v)
-			want[b+mem.Addr(8*i)] = v
+			want = append(want, word{b + mem.Addr(8*i), v})
 		}
 		set(isa.X1, uint64(p.Iters))
 		set(isa.X2, uint64(a))
@@ -109,16 +109,13 @@ var scanSpec = &Spec{
 	`),
 	Setup: func(m *mem.Memory, base mem.Addr, p Params, set func(isa.Reg, uint64)) Verify {
 		r := newRng(p)
-		vals := make([]uint64, p.Iters)
-		for i := 0; i < p.Iters; i++ {
-			vals[i] = r.next() % 1000
-			m.Write64(base+mem.Addr(8*i), vals[i])
-		}
-		want := make(map[mem.Addr]uint64)
+		want := words(p.Iters)
 		run := uint64(0)
 		for i := 0; i < p.Iters; i++ {
-			run += vals[i]
-			want[base+mem.Addr(8*i)] = run
+			v := r.next() % 1000
+			m.Write64(base+mem.Addr(8*i), v)
+			run += v
+			want = append(want, word{base + mem.Addr(8*i), run})
 		}
 		set(isa.X1, uint64(p.Iters))
 		set(isa.X2, uint64(base))
@@ -165,12 +162,12 @@ var transposeSpec = &Spec{
 		}
 		a := base
 		b := base + 8*dim*dim + 0x140
-		want := make(map[mem.Addr]uint64)
+		want := words(rows * dim)
 		for i := 0; i < rows; i++ {
 			for j := 0; j < dim; j++ {
 				v := r.next() % 100000
 				m.Write64(a+mem.Addr(8*(i*dim+j)), v)
-				want[b+mem.Addr(8*(j*dim+i))] = v
+				want = append(want, word{b + mem.Addr(8*(j*dim+i)), v})
 			}
 		}
 		set(isa.X1, uint64(rows))

@@ -85,12 +85,12 @@ var fptriadSpec = &Spec{
 		c := base + 8*8192 + 0x140
 		a := c + 8*8192 + 0x1c0
 		const k = 3.25
-		want := make(map[mem.Addr]uint64)
+		want := words(p.Iters)
 		for i := 0; i < p.Iters; i++ {
 			vb, vc := r.fpVal(), r.fpVal()
 			m.Write64(b+mem.Addr(8*i), math.Float64bits(vb))
 			m.Write64(c+mem.Addr(8*i), math.Float64bits(vc))
-			want[a+mem.Addr(8*i)] = math.Float64bits(vb + vc*k)
+			want = append(want, word{a + mem.Addr(8*i), math.Float64bits(vb + vc*k)})
 		}
 		set(isa.X1, uint64(p.Iters))
 		set(isa.X2, uint64(b))

@@ -16,6 +16,7 @@
 package workloads
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -71,11 +72,13 @@ func (s *Spec) ActiveRegs() []isa.Reg {
 // memory, so calling this has no effect on any live simulation state.
 func (s *Spec) EntryRegs(p Params) []isa.Reg {
 	var seen [isa.NumRegs]bool
-	s.Setup(mem.NewMemory(), 0, p, func(r isa.Reg, _ uint64) {
+	m := mem.NewMemory()
+	s.Setup(m, 0, p, func(r isa.Reg, _ uint64) {
 		if r.Valid() {
 			seen[r] = true
 		}
 	})
+	m.Release()
 	var regs []isa.Reg
 	for r := isa.Reg(0); r < isa.NumRegs; r++ {
 		if seen[r] {
@@ -112,19 +115,36 @@ func expectReg(reg isa.Reg, want uint64) Verify {
 	}
 }
 
-// expectMem builds a Verify over memory words. Addresses are checked in
+// word is one 64-bit memory word a golden model expects.
+type word struct {
+	addr mem.Addr
+	val  uint64
+}
+
+// words returns an empty word list with room for n stores. A Setup given
+// a negative iteration count stores nothing.
+func words(n int) []word { return make([]word, 0, max(n, 0)) }
+
+// expectMem builds a Verify over memory words. want lists the golden
+// model's stores in program order, so the last word for an address is the
+// one expected; expectMem takes ownership of it. Addresses are checked in
 // ascending order so a multi-mismatch failure always reports the same
 // (lowest) address.
-func expectMem(want map[mem.Addr]uint64) Verify {
-	addrs := make([]mem.Addr, 0, len(want))
-	for addr := range want {
-		addrs = append(addrs, addr)
+func expectMem(want []word) Verify {
+	slices.SortStableFunc(want, func(a, b word) int { return cmp.Compare(a.addr, b.addr) })
+	n := 0
+	for i, w := range want {
+		if i+1 < len(want) && want[i+1].addr == w.addr {
+			continue // a later store to the same address wins
+		}
+		want[n] = w
+		n++
 	}
-	slices.Sort(addrs)
+	want = want[:n]
 	return func(_ func(isa.Reg) uint64, m *mem.Memory) error {
-		for _, addr := range addrs {
-			if got := m.Read64(addr); got != want[addr] {
-				return fmt.Errorf("mem[%#x] = %d, want %d", addr, got, want[addr])
+		for _, w := range want {
+			if got := m.Read64(w.addr); got != w.val {
+				return fmt.Errorf("mem[%#x] = %d, want %d", w.addr, got, w.val)
 			}
 		}
 		return nil
@@ -204,13 +224,13 @@ var scatterSpec = &Spec{
 		idxBase := base
 		srcBase := base + 4*8192 + 0x140
 		dstBase := srcBase + 8*8192 + 0x1c0
-		want := make(map[mem.Addr]uint64)
+		want := words(p.Iters)
 		for i := 0; i < p.Iters; i++ {
 			idx := (i*531 + r.intn(7)) % tableSize
 			v := r.next() % 1000000
 			m.Write(idxBase+mem.Addr(4*i), 4, uint64(idx))
 			m.Write64(srcBase+mem.Addr(8*i), v)
-			want[dstBase+mem.Addr(8*idx)] = v
+			want = append(want, word{dstBase + mem.Addr(8*idx), v})
 		}
 		set(isa.X1, uint64(p.Iters))
 		set(isa.X2, uint64(idxBase))
@@ -247,13 +267,13 @@ var gsSpec = &Spec{
 		for i := 0; i < tableSize; i++ {
 			m.Write64(src+mem.Addr(8*i), r.next()%1000000)
 		}
-		want := make(map[mem.Addr]uint64)
+		want := words(p.Iters)
 		for i := 0; i < p.Iters; i++ {
 			a := (i*379 + r.intn(11)) % tableSize
 			b := (i*523 + r.intn(13)) % tableSize
 			m.Write(idx1+mem.Addr(4*i), 4, uint64(a))
 			m.Write(idx2+mem.Addr(4*i), 4, uint64(b))
-			want[dst+mem.Addr(8*b)] = m.Read64(src + mem.Addr(8*a))
+			want = append(want, word{dst + mem.Addr(8*b), m.Read64(src + mem.Addr(8*a))})
 		}
 		set(isa.X1, uint64(p.Iters))
 		set(isa.X2, uint64(idx1))
@@ -314,16 +334,16 @@ var chaseSpec = &Spec{
 		r := newRng(p)
 		// Build a random permutation cycle over `nodes` pointer slots,
 		// spaced one per line to defeat the cache.
-		nodes := tableSize
-		perm := make([]int, nodes)
+		const nodes = tableSize
+		var perm [nodes]uint16
 		for i := range perm {
-			perm[i] = i
+			perm[i] = uint16(i)
 		}
 		for i := nodes - 1; i > 0; i-- {
 			j := r.intn(i + 1)
 			perm[i], perm[j] = perm[j], perm[i]
 		}
-		addrOf := func(slot int) mem.Addr { return base + mem.Addr(64*slot) }
+		addrOf := func(slot uint16) mem.Addr { return base + mem.Addr(64*int(slot)) }
 		for i := 0; i < nodes; i++ {
 			m.Write64(addrOf(perm[i]), uint64(addrOf(perm[(i+1)%nodes])))
 		}
@@ -367,13 +387,13 @@ var meaboSpec = &Spec{
 		src := base
 		tbl := base + 8*8192 + 0x140
 		var sum uint64
-		want := make(map[mem.Addr]uint64)
+		want := words(p.Iters)
 		for i := 0; i < p.Iters; i++ {
 			v := r.next() % (1 << 20)
 			m.Write64(src+mem.Addr(8*i), v)
 			x := (v*v + v) ^ v
 			sum += x
-			want[tbl+mem.Addr(8*(v&63))] = x
+			want = append(want, word{tbl + mem.Addr(8*(v&63)), x})
 		}
 		set(isa.X1, uint64(p.Iters))
 		set(isa.X2, uint64(src))
@@ -455,12 +475,12 @@ var triadSpec = &Spec{
 		c := base + 8*8192 + 0x140
 		a := c + 8*8192 + 0x1c0
 		const k = 3
-		want := make(map[mem.Addr]uint64)
+		want := words(p.Iters)
 		for i := 0; i < p.Iters; i++ {
 			vb, vc := r.next()%(1<<30), r.next()%(1<<30)
 			m.Write64(b+mem.Addr(8*i), vb)
 			m.Write64(c+mem.Addr(8*i), vc)
-			want[a+mem.Addr(8*i)] = vb + k*vc
+			want = append(want, word{a + mem.Addr(8*i), vb + k*vc})
 		}
 		set(isa.X1, uint64(p.Iters))
 		set(isa.X2, uint64(b))
@@ -496,12 +516,12 @@ var vecaddSpec = &Spec{
 		a := base
 		b := base + 8*8192 + 0x140
 		c := b + 8*8192 + 0x1c0
-		want := make(map[mem.Addr]uint64)
+		want := words(p.Iters)
 		for i := 0; i < p.Iters; i++ {
 			va, vb := r.next()%(1<<30), r.next()%(1<<30)
 			m.Write64(a+mem.Addr(8*i), va)
 			m.Write64(b+mem.Addr(8*i), vb)
-			want[c+mem.Addr(8*i)] = va + vb
+			want = append(want, word{c + mem.Addr(8*i), va + vb})
 		}
 		set(isa.X1, uint64(p.Iters))
 		set(isa.X2, uint64(a))
@@ -565,15 +585,18 @@ var histogramSpec = &Spec{
 		r := newRng(p)
 		src := base
 		bins := base + 8*8192 + 0x140
-		counts := make(map[int]uint64)
+		var counts [256]uint64
 		for i := 0; i < p.Iters; i++ {
 			v := r.next()
 			m.Write64(src+mem.Addr(8*i), v)
-			counts[int(v&255)]++
+			counts[v&255]++
 		}
-		want := make(map[mem.Addr]uint64)
+		// Only the bins the kernel writes are checked.
+		want := words(min(len(counts), p.Iters))
 		for b, n := range counts {
-			want[bins+mem.Addr(8*b)] = n
+			if n > 0 {
+				want = append(want, word{bins + mem.Addr(8*b), n})
+			}
 		}
 		set(isa.X1, uint64(p.Iters))
 		set(isa.X2, uint64(src))
@@ -627,7 +650,7 @@ var spmvSpec = &Spec{
 		for i := 0; i < tableSize; i++ {
 			m.Write64(x+mem.Addr(8*i), r.next()%1000)
 		}
-		want := make(map[mem.Addr]uint64)
+		want := words(rows)
 		nnz := 0
 		for row := 0; row < rows; row++ {
 			m.Write64(rowptr+mem.Addr(8*row), uint64(nnz))
@@ -640,7 +663,7 @@ var spmvSpec = &Spec{
 				acc += v * m.Read64(x+mem.Addr(8*col))
 				nnz++
 			}
-			want[y+mem.Addr(8*row)] = acc
+			want = append(want, word{y + mem.Addr(8*row), acc})
 		}
 		m.Write64(rowptr+mem.Addr(8*rows), uint64(nnz))
 		set(isa.X1, uint64(rows))
