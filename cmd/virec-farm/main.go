@@ -84,10 +84,10 @@ func main() {
 	}()
 
 	// Drain before shutting HTTP down. Shutdown waits for every handler,
-	// and an open metrics stream returns only once Drain stops the farm,
-	// so the other order holds the exit for the whole drain timeout while
-	// workers keep claiming pending jobs and new clients get "connection
-	// refused" instead of a 503.
+	// and an open metrics stream, like a /result held on a pending job,
+	// returns only once Drain stops the farm, so the other order holds the
+	// exit for the whole drain timeout while workers keep claiming pending
+	// jobs and new clients get "connection refused" instead of a 503.
 	ctx, cancel := context.WithTimeout(context.Background(), *drainWait)
 	defer cancel()
 	err = f.Drain(ctx)

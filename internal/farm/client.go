@@ -1,8 +1,10 @@
 // The farm client: what `virec-experiments -farm URL` and
 // `virec-difftest -farm URL` speak. Submission honors the server's
 // backpressure — a 429 backs off and retries rather than failing the
-// sweep — and WaitResult polls status until the job reaches a terminal
-// state.
+// sweep. WaitResult is one request: the server holds GET .../result
+// until the job ends and answers with the job in its Farm-Job header, so
+// nothing polls status. Result bytes are read into a buffer sized from
+// Content-Length.
 package farm
 
 import (
@@ -22,7 +24,9 @@ type Client struct {
 	Base string
 	// HTTP is the underlying client (http.DefaultClient when nil).
 	HTTP *http.Client
-	// PollInterval spaces status polls in WaitResult (default 250ms).
+	// PollInterval is unused: WaitResult sends one request and never
+	// polls. cmd/virec-bench still sets it, so it goes with the next
+	// change to the benchmark (ROADMAP item 9).
 	PollInterval time.Duration
 	// SubmitBackoff spaces retries after a 429 (default 500ms); a
 	// rejected submission retries until ctx expires.
@@ -39,13 +43,6 @@ func (c *Client) http() *http.Client {
 		return c.HTTP
 	}
 	return http.DefaultClient
-}
-
-func (c *Client) pollInterval() time.Duration {
-	if c.PollInterval > 0 {
-		return c.PollInterval
-	}
-	return 250 * time.Millisecond
 }
 
 func (c *Client) submitBackoff() time.Duration {
@@ -99,14 +96,9 @@ func (c *Client) Submit(ctx context.Context, spec *Spec) (*Job, error) {
 
 // Status fetches a job's current state.
 func (c *Client) Status(ctx context.Context, id uint64) (*Job, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		fmt.Sprintf("%s/api/v1/jobs/%d", c.Base, id), nil)
+	resp, err := c.get(ctx, "status", fmt.Sprintf("/api/v1/jobs/%d", id))
 	if err != nil {
 		return nil, err
-	}
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("farm: status: %w", err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
@@ -119,58 +111,75 @@ func (c *Client) Status(ctx context.Context, id uint64) (*Job, error) {
 	return &job, nil
 }
 
-// Result fetches a done job's result bytes.
-func (c *Client) Result(ctx context.Context, id uint64) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		fmt.Sprintf("%s/api/v1/jobs/%d/result", c.Base, id), nil)
+// WaitResult waits for the job to end and returns its result bytes and
+// the job, or the job's failure as an error. It sends one request, which
+// the server holds until the job ends. If the farm stops first, the
+// server answers 202 and WaitResult returns the job as it stands with
+// ErrStopped.
+func (c *Client) WaitResult(ctx context.Context, id uint64) ([]byte, *Job, error) {
+	resp, err := c.get(ctx, "result", fmt.Sprintf("/api/v1/jobs/%d/result", id))
+	if err != nil {
+		return nil, nil, err
+	}
+	defer resp.Body.Close()
+	meta := resp.Header.Get("Farm-Job")
+	switch {
+	case meta == "" && resp.StatusCode == http.StatusOK:
+		return nil, nil, fmt.Errorf("farm: result: %s without a Farm-Job header", resp.Status)
+	case meta == "":
+		return nil, nil, decodeError(resp)
+	}
+	var job Job
+	if err := json.Unmarshal([]byte(meta), &job); err != nil {
+		return nil, nil, fmt.Errorf("farm: result: bad Farm-Job header: %w", err)
+	}
+	switch resp.StatusCode {
+	case http.StatusOK:
+		out, err := readBody(resp)
+		return out, &job, err
+	case http.StatusAccepted:
+		return nil, &job, ErrStopped
+	}
+	return nil, &job, fmt.Errorf("farm: job %d %s after %d attempts: %s",
+		job.ID, job.State, job.Attempts, job.Error)
+}
+
+// get sends GET Base+path; what names the call in a transport error.
+func (c *Client) get(ctx context.Context, what, path string) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+path, nil)
 	if err != nil {
 		return nil, err
 	}
 	resp, err := c.http().Do(req)
 	if err != nil {
-		return nil, fmt.Errorf("farm: result: %w", err)
+		return nil, fmt.Errorf("farm: %s: %w", what, err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeError(resp)
-	}
-	return io.ReadAll(resp.Body)
+	return resp, nil
 }
 
-// WaitResult polls until the job is terminal, then returns its result
-// bytes (or the job's failure as an error).
-func (c *Client) WaitResult(ctx context.Context, id uint64) ([]byte, *Job, error) {
-	for {
-		job, err := c.Status(ctx, id)
-		if err != nil {
-			return nil, nil, err
-		}
-		switch {
-		case job.State == StateDone:
-			out, err := c.Result(ctx, id)
-			return out, job, err
-		case job.State.Terminal():
-			return nil, job, fmt.Errorf("farm: job %d %s after %d attempts: %s",
-				id, job.State, job.Attempts, job.Error)
-		}
-		select {
-		case <-ctx.Done():
-			return nil, job, ctx.Err()
-		case <-time.After(c.pollInterval()):
-		}
+// maxSizedRead caps the buffer a Content-Length header may size, so a
+// bogus header cannot force a huge allocation. A longer body still
+// reads, growing as it goes.
+const maxSizedRead = 16 << 20
+
+// readBody reads a response body into a buffer of its Content-Length.
+func readBody(resp *http.Response) ([]byte, error) {
+	n := resp.ContentLength
+	if n < 0 || n > maxSizedRead {
+		return io.ReadAll(resp.Body)
 	}
+	out := make([]byte, n)
+	if _, err := io.ReadFull(resp.Body, out); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // JobEvents fetches a job's lifecycle event history.
 func (c *Client) JobEvents(ctx context.Context, id uint64) (traceID string, events []JobEvent, err error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		fmt.Sprintf("%s/api/v1/jobs/%d/events", c.Base, id), nil)
+	resp, err := c.get(ctx, "events", fmt.Sprintf("/api/v1/jobs/%d/events", id))
 	if err != nil {
 		return "", nil, err
-	}
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return "", nil, fmt.Errorf("farm: events: %w", err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {

@@ -150,6 +150,7 @@ var (
 	ErrQueueFull = errors.New("farm: queue full")                   // → 429
 	ErrDraining  = errors.New("farm: draining, not accepting jobs") // → 503
 	ErrNotFound  = errors.New("farm: no such job")                  // → 404
+	ErrStopped   = errors.New("farm: stopped before the job ended") // → 202
 )
 
 // Farm is the running service.
@@ -170,6 +171,7 @@ type Farm struct {
 	draining bool
 	closed   bool
 	stopCh   chan struct{} // closed on Kill/Drain: abandons in-flight waits
+	ended    chan struct{} // closed and replaced each time a worker finishes a job
 
 	registry *telemetry.Registry
 	wg       sync.WaitGroup // workers
@@ -210,6 +212,7 @@ func Open(opt Options) (*Farm, error) {
 		byKey:   make(map[string]uint64),
 		nextID:  nextID,
 		stopCh:  make(chan struct{}),
+		ended:   make(chan struct{}),
 	}
 	f.cond = sync.NewCond(&f.mu)
 	f.registry = telemetry.NewRegistry()
@@ -280,14 +283,16 @@ func (f *Farm) runJob(job *Job) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.running--
+	// Wake every WaitJob and Drain. They re-read the farm under the
+	// mutex, so they see the outcome recorded below.
+	close(f.ended)
+	f.ended = make(chan struct{})
 	if f.closed {
 		// Kill() raced with the execution: the journal still says
 		// "running", so recovery re-queues the job. Recording nothing is
 		// exactly the crash semantics being simulated.
-		f.cond.Broadcast()
 		return
 	}
-	defer f.cond.Broadcast() // wake Drain/WaitJob watchers
 
 	if err == nil {
 		if err = f.cache.Put(job.Key, out); err == nil {
@@ -551,20 +556,35 @@ func (f *Farm) Result(id uint64) ([]byte, error) {
 	return out, nil
 }
 
-// WaitJob blocks until the job reaches a terminal state (or ctx ends).
+// WaitJob blocks until the job reaches a terminal state and returns it.
+// If ctx ends or the farm stops first, it returns the job as it stands
+// with ctx's error or ErrStopped. Between reads it sleeps until some
+// worker finishes a job.
 func (f *Farm) WaitJob(ctx context.Context, id uint64) (*Job, error) {
+	var early error // why the wait ends before the job does
 	for {
-		job, err := f.Status(id)
-		if err != nil {
-			return nil, err
+		f.mu.Lock()
+		job, ended := f.jobs[id], f.ended
+		if job != nil {
+			job = job.clone()
 		}
-		if job.State.Terminal() {
+		f.mu.Unlock()
+		switch {
+		case job == nil:
+			return nil, ErrNotFound
+		case job.State.Terminal():
 			return job, nil
+		case early != nil:
+			return job, early
 		}
+		// After an early end, read the job once more: it may have ended
+		// at the same instant.
 		select {
+		case <-ended:
 		case <-ctx.Done():
-			return job, ctx.Err()
-		case <-time.After(2 * time.Millisecond):
+			early = ctx.Err()
+		case <-f.stopCh:
+			early = ErrStopped
 		}
 	}
 }
@@ -584,12 +604,18 @@ func (f *Farm) Drain(ctx context.Context) error {
 	f.draining = true
 	f.cond.Broadcast()
 	for f.running > 0 && ctx.Err() == nil {
+		ended := f.ended
 		f.mu.Unlock()
 		select {
+		case <-ended:
 		case <-ctx.Done():
-		case <-time.After(2 * time.Millisecond):
+		case <-f.stopCh:
 		}
 		f.mu.Lock()
+		if f.closed { // Kill stopped the farm while we waited
+			f.mu.Unlock()
+			return nil
+		}
 	}
 	timedOut := f.running > 0
 	f.closed = true

@@ -350,3 +350,22 @@ func TestConcurrentSubmitters(t *testing.T) {
 		}
 	}
 }
+
+// TestKillDuringDrain: a Kill while Drain waits for an in-flight job ends
+// the drain instead of stopping the farm a second time.
+func TestKillDuringDrain(t *testing.T) {
+	opt, started, gate := gatedOptions(t)
+	defer close(gate) // let the abandoned attempt finish
+	f := openFarm(t, opt)
+	if _, err := f.Submit(testSpec(0xeb)); err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	<-started
+	drained := make(chan error, 1)
+	go func() { drained <- f.Drain(context.Background()) }()
+	awaitDraining(f, testSpec(0xeb))
+	f.Kill()
+	if err := <-drained; err != nil {
+		t.Fatalf("Drain after Kill: %v", err)
+	}
+}

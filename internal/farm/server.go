@@ -1,14 +1,22 @@
 // The HTTP face of the farm: a small JSON API with explicit
 // backpressure. Admission failures map onto status codes — 429 for a
-// full queue, 503 while draining — so clients can implement retry
-// policies without parsing error prose.
+// full queue, 503 while draining, 413 for a body over 1 MiB — so clients
+// can implement retry policies without parsing error prose.
 //
-//	POST /api/v1/jobs              submit a Spec     → 200 Job (202-like; includes cache hits)
+//	POST /api/v1/jobs              submit a Spec     → 200 Job (202-like; includes cache hits) | 400 | 413 | 429 | 503
 //	GET  /api/v1/jobs/{id}         job status        → 200 Job | 404
-//	GET  /api/v1/jobs/{id}/result  result bytes      → 200 | 202 still running | 404 | 500 failed
+//	GET  /api/v1/jobs/{id}/result  waits, then bytes → 200 | 500 failed | 202 farm stopped first | 404
 //	GET  /api/v1/jobs/{id}/events  lifecycle events  → 200 {trace_id, events}
 //	GET  /api/v1/metrics/stream    SSE snapshots     → 200 text/event-stream (each event is the whole snapshot)
 //	GET  /healthz                  liveness          → 200 "ok"
+//
+// A /result request is held until the job is done or failed, so waiting
+// for a result is one request. The wait ends early, with a 202, only when
+// the farm stops (Drain or Kill). Every answer that names the job (200,
+// 202, 500 failed) carries it in a Farm-Job header: the JSON that
+// GET /api/v1/jobs/{id} serves, without its trailing newline. A 200's
+// body is the result bytes, with an explicit Content-Length; a 202's and
+// a 500's is the job again.
 package farm
 
 import (
@@ -20,6 +28,9 @@ import (
 	"strconv"
 	"time"
 )
+
+// maxSpecBytes bounds a submitted spec's body; a spec is under 2 KB.
+const maxSpecBytes = 1 << 20
 
 // ServerOptions tunes the HTTP layer.
 type ServerOptions struct {
@@ -41,7 +52,13 @@ func NewServerWith(f *Farm, so ServerOptions) http.Handler {
 	}
 	mux.HandleFunc("POST /api/v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		var spec Spec
-		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+		err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes)).Decode(&spec)
+		var tooBig *http.MaxBytesError
+		switch {
+		case errors.As(err, &tooBig):
+			httpError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("farm: spec over %d bytes", tooBig.Limit))
+			return
+		case err != nil:
 			httpError(w, http.StatusBadRequest, fmt.Errorf("farm: bad spec: %w", err))
 			return
 		}
@@ -65,24 +82,31 @@ func NewServerWith(f *Farm, so ServerOptions) http.Handler {
 		}
 	})
 	mux.HandleFunc("GET /api/v1/jobs/{id}/result", func(w http.ResponseWriter, r *http.Request) {
-		job, ok := lookupJob(f, w, r)
+		id, ok := jobID(w, r)
 		if !ok {
 			return
 		}
-		switch job.State {
-		case StateDone:
-			out, err := f.Result(job.ID)
+		job, err := f.WaitJob(r.Context(), id)
+		switch {
+		case errors.Is(err, ErrNotFound):
+			httpError(w, http.StatusNotFound, err)
+		case errors.Is(err, ErrStopped):
+			writeJob(w, http.StatusAccepted, job) // a restarted farm recovers the job
+		case err != nil:
+			// The request ended first: its client has gone.
+		case job.State == StateFailed:
+			writeJob(w, http.StatusInternalServerError, job)
+		default:
+			out, err := f.Result(id)
 			if err != nil {
 				httpError(w, http.StatusInternalServerError, err)
 				return
 			}
+			setJobHeader(w, job)
 			w.Header().Set("Content-Type", "application/json")
+			w.Header().Set("Content-Length", strconv.Itoa(len(out)))
 			w.WriteHeader(http.StatusOK)
 			w.Write(out)
-		case StateFailed:
-			writeJSON(w, http.StatusInternalServerError, job)
-		default:
-			writeJSON(w, http.StatusAccepted, job) // not done yet: poll again
 		}
 	})
 	mux.HandleFunc("GET /api/v1/jobs/{id}/events", func(w http.ResponseWriter, r *http.Request) {
@@ -142,12 +166,21 @@ func serveSSE(f *Farm, interval time.Duration, w http.ResponseWriter, r *http.Re
 	}
 }
 
-// lookupJob parses {id} and fetches its status, writing the error
-// response itself when the job cannot be served.
-func lookupJob(f *Farm, w http.ResponseWriter, r *http.Request) (*Job, bool) {
+// jobID parses {id}, answering 400 itself when it is not a job id.
+func jobID(w http.ResponseWriter, r *http.Request) (uint64, bool) {
 	id, err := strconv.ParseUint(r.PathValue("id"), 10, 64)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("farm: bad job id %q", r.PathValue("id")))
+		return 0, false
+	}
+	return id, true
+}
+
+// lookupJob parses {id} and fetches its status, writing the error
+// response itself when the job cannot be served.
+func lookupJob(f *Farm, w http.ResponseWriter, r *http.Request) (*Job, bool) {
+	id, ok := jobID(w, r)
+	if !ok {
 		return nil, false
 	}
 	job, err := f.Status(id)
@@ -160,6 +193,19 @@ func lookupJob(f *Farm, w http.ResponseWriter, r *http.Request) (*Job, bool) {
 		return nil, false
 	}
 	return job, true
+}
+
+// setJobHeader puts the job in the Farm-Job header, as the status
+// endpoint serves it minus the trailing newline.
+func setJobHeader(w http.ResponseWriter, job *Job) {
+	meta, _ := json.Marshal(job) // a Job always marshals
+	w.Header().Set("Farm-Job", string(meta))
+}
+
+// writeJob answers with the job in both the Farm-Job header and the body.
+func writeJob(w http.ResponseWriter, code int, job *Job) {
+	setJobHeader(w, job)
+	writeJSON(w, code, job)
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -4,23 +4,36 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"runtime"
+	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// testServer wires a farm behind httptest and returns a fast-polling
-// client for it.
+// testServer wires a farm behind httptest and returns a client for it.
 func testServer(t *testing.T, opt Options) (*Farm, *Client) {
 	t.Helper()
-	f := openFarm(t, opt)
-	srv := httptest.NewServer(NewServer(f))
+	return serveFarm(t, openFarm(t, opt), NewServer)
+}
+
+// serveFarm serves f through the handler wrap builds from it and returns
+// a client for it that backs off 2 ms after a 429. Cleanup kills the farm before it closes
+// the server: Close waits for every request, and a held /result returns
+// only once its job ends or the farm stops.
+func serveFarm(t *testing.T, f *Farm, wrap func(*Farm) http.Handler) (*Farm, *Client) {
+	t.Helper()
+	srv := httptest.NewServer(wrap(f))
 	t.Cleanup(srv.Close)
+	t.Cleanup(f.Kill)
 	c := NewClient(srv.URL)
-	c.PollInterval = 2 * time.Millisecond
 	c.SubmitBackoff = 2 * time.Millisecond
 	return f, c
 }
@@ -134,37 +147,306 @@ func TestHTTPBackpressure429(t *testing.T) {
 	waitDone(t, f, first.ID)
 }
 
-func TestHTTPResultLifecycle(t *testing.T) {
-	opt := testOptions(t)
+// gatedOptions runs one worker whose executions wait for the returned
+// gate, each announcing itself on started first.
+func gatedOptions(t *testing.T) (opt Options, started chan uint64, gate chan struct{}) {
+	opt = testOptions(t)
 	opt.Workers = 1
-	gate := make(chan struct{})
+	started = make(chan uint64, 8)
+	gate = make(chan struct{})
 	opt.ExecWrap = func(job *Job, attempt int, next func() ([]byte, error)) ([]byte, error) {
+		started <- job.ID
 		<-gate
 		return next()
 	}
-	f, client := testServer(t, opt)
+	return opt, started, gate
+}
+
+// heldServer serves f and reports, on the returned channel, each /result
+// request once its handler has begun.
+func heldServer(t *testing.T, f *Farm) (*Client, chan struct{}) {
+	t.Helper()
+	entered := make(chan struct{}, 8)
+	_, c := serveFarm(t, f, func(f *Farm) http.Handler {
+		h := NewServer(f)
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if strings.HasSuffix(r.URL.Path, "/result") {
+				entered <- struct{}{}
+			}
+			h.ServeHTTP(w, r)
+		})
+	})
+	return c, entered
+}
+
+// awaitDraining returns once Drain has stopped admission, and with it
+// claiming. spec is a running job's: resubmitting it coalesces onto that
+// job until then.
+func awaitDraining(f *Farm, spec *Spec) {
+	for {
+		if _, err := f.Submit(spec); errors.Is(err, ErrDraining) {
+			return
+		}
+		runtime.Gosched()
+	}
+}
+
+type heldAnswer struct {
+	resp *http.Response
+	body []byte
+	err  error
+}
+
+// getAsync sends GET url on its own goroutine and delivers the answer.
+func getAsync(url string) chan heldAnswer {
+	ch := make(chan heldAnswer, 1)
+	go func() {
+		resp, err := http.Get(url)
+		if err != nil {
+			ch <- heldAnswer{err: err}
+			return
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		ch <- heldAnswer{resp, body, err}
+	}()
+	return ch
+}
+
+// TestHTTPResultLifecycle: a /result request sent while the job runs is
+// held until the job ends. It cannot answer before the gate opens: the
+// job is not done until then, and the answer is a 200 with the bytes
+// Farm.Result returns and a Farm-Job header equal to the status JSON.
+func TestHTTPResultLifecycle(t *testing.T) {
+	opt, started, gate := gatedOptions(t)
+	f := openFarm(t, opt)
+	client, entered := heldServer(t, f)
 	job, err := client.Submit(context.Background(), testSpec(0xe3))
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
+	<-started
 
-	// Result before completion: 202, not an error body masquerading as one.
-	resp, err := http.Get(fmt.Sprintf("%s/api/v1/jobs/%d/result", client.Base, job.ID))
+	answer := getAsync(fmt.Sprintf("%s/api/v1/jobs/%d/result", client.Base, job.ID))
+	<-entered // the request reached the handler while the job was gated
+	close(gate)
+	a := <-answer
+	if a.err != nil {
+		t.Fatalf("GET result: %v", a.err)
+	}
+	if a.resp.StatusCode != http.StatusOK {
+		t.Fatalf("held result status = %d, want 200 (body %s)", a.resp.StatusCode, a.body)
+	}
+	want, err := f.Result(job.ID)
 	if err != nil {
-		t.Fatalf("GET result: %v", err)
+		t.Fatalf("Farm.Result: %v", err)
+	}
+	if !bytes.Equal(a.body, want) {
+		t.Fatalf("held result: %d bytes differ from Farm.Result's %d", len(a.body), len(want))
+	}
+	if got := a.resp.Header.Get("Content-Length"); got != strconv.Itoa(len(want)) {
+		t.Fatalf("Content-Length = %q, want %d", got, len(want))
+	}
+
+	resp, err := http.Get(fmt.Sprintf("%s/api/v1/jobs/%d", client.Base, job.ID))
+	if err != nil {
+		t.Fatalf("GET status: %v", err)
+	}
+	status, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("read status: %v", err)
+	}
+	if got, want := a.resp.Header.Get("Farm-Job"), strings.TrimSuffix(string(status), "\n"); got != want {
+		t.Fatalf("Farm-Job header\n  %s\nwant the status JSON\n  %s", got, want)
+	}
+}
+
+// TestHTTPResultReleasedByDrain: once Drain stops the farm, a /result
+// held on a job that is still pending answers 202, so a waiting client
+// never holds up SIGTERM, and WaitResult turns that 202 into the pending
+// job with ErrStopped. One held on the in-flight job answers 200 when
+// the job finishes.
+func TestHTTPResultReleasedByDrain(t *testing.T) {
+	opt, started, gate := gatedOptions(t)
+	f := openFarm(t, opt)
+	client, entered := heldServer(t, f)
+	ctx := context.Background()
+	running, err := client.Submit(ctx, testSpec(0xe7))
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	<-started
+	pending, err := client.Submit(ctx, testSpec(0xe8))
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+
+	result := func(id uint64) chan heldAnswer {
+		ch := getAsync(fmt.Sprintf("%s/api/v1/jobs/%d/result", client.Base, id))
+		<-entered
+		return ch
+	}
+	runningAnswer, pendingAnswer := result(running.ID), result(pending.ID)
+	type waited struct {
+		job *Job
+		err error
+	}
+	waiting := make(chan waited, 1)
+	go func() {
+		_, job, err := client.WaitResult(ctx, pending.ID)
+		waiting <- waited{job, err}
+	}()
+	<-entered
+	drained := make(chan error, 1)
+	go func() {
+		dctx, cancel := context.WithTimeout(ctx, 30*time.Second)
+		defer cancel()
+		drained <- f.Drain(dctx)
+	}()
+	awaitDraining(f, testSpec(0xe7))
+	close(gate)
+
+	for _, c := range []struct {
+		answer chan heldAnswer
+		id     uint64
+		code   int
+		state  JobState
+	}{
+		{runningAnswer, running.ID, http.StatusOK, StateDone},
+		{pendingAnswer, pending.ID, http.StatusAccepted, StatePending},
+	} {
+		a := <-c.answer
+		if a.err != nil {
+			t.Fatalf("job %d: GET result: %v", c.id, a.err)
+		}
+		var held Job
+		if err := json.Unmarshal([]byte(a.resp.Header.Get("Farm-Job")), &held); err != nil {
+			t.Fatalf("job %d: Farm-Job header: %v", c.id, err)
+		}
+		if a.resp.StatusCode != c.code || held.ID != c.id || held.State != c.state {
+			t.Fatalf("job %d after Drain: status %d naming job %d %s; want %d naming it %s",
+				c.id, a.resp.StatusCode, held.ID, held.State, c.code, c.state)
+		}
+	}
+	if w := <-waiting; !errors.Is(w.err, ErrStopped) || w.job == nil || w.job.ID != pending.ID || w.job.State != StatePending {
+		t.Fatalf("WaitResult on job %d after Drain = job %+v, err %v; want it pending with ErrStopped", pending.ID, w.job, w.err)
+	}
+	if err := <-drained; err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+}
+
+// countingTransport counts the requests a client sends and announces
+// each one as it starts.
+type countingTransport struct {
+	n    atomic.Int64
+	sent chan struct{}
+}
+
+func (c *countingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	c.n.Add(1)
+	select {
+	case c.sent <- struct{}{}:
+	default:
+	}
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+// TestWaitResultIsOneRequest: waiting for a running job and for a done
+// one each costs exactly one request, and the job WaitResult returns is
+// the one Status returns.
+func TestWaitResultIsOneRequest(t *testing.T) {
+	opt, started, gate := gatedOptions(t)
+	f, client := testServer(t, opt)
+	ctx := context.Background()
+	job, err := client.Submit(ctx, testSpec(0xe9))
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	<-started
+	tr := &countingTransport{sent: make(chan struct{}, 1)}
+	client.HTTP = &http.Client{Transport: tr}
+
+	type waited struct {
+		out []byte
+		job *Job
+		err error
+	}
+	ch := make(chan waited, 1)
+	go func() {
+		out, job, err := client.WaitResult(ctx, job.ID)
+		ch <- waited{out, job, err}
+	}()
+	<-tr.sent // sent while the job was still gated
+	close(gate)
+	running := <-ch
+	if running.err != nil {
+		t.Fatalf("WaitResult on a running job: %v", running.err)
+	}
+	if n := tr.n.Load(); n != 1 {
+		t.Fatalf("WaitResult on a running job sent %d requests, want 1", n)
+	}
+
+	tr.n.Store(0)
+	out, done, err := client.WaitResult(ctx, job.ID)
+	if err != nil {
+		t.Fatalf("WaitResult on a done job: %v", err)
+	}
+	if n := tr.n.Load(); n != 1 {
+		t.Fatalf("WaitResult on a done job sent %d requests, want 1", n)
+	}
+
+	want, err := f.Result(job.ID)
+	if err != nil {
+		t.Fatalf("Farm.Result: %v", err)
+	}
+	status, err := client.Status(ctx, job.ID)
+	if err != nil {
+		t.Fatalf("Status: %v", err)
+	}
+	for _, w := range []waited{running, {out, done, nil}} {
+		if !bytes.Equal(w.out, want) {
+			t.Fatalf("WaitResult bytes differ from Farm.Result's (%d vs %d)", len(w.out), len(want))
+		}
+		if !reflect.DeepEqual(w.job, status) {
+			t.Fatalf("WaitResult job\n  %+v\nwant Status's\n  %+v", w.job, status)
+		}
+	}
+}
+
+// TestWaitResultNeedsFarmJobHeader: client and server ship together, so a
+// 200 without the Farm-Job header is an error, not a result.
+func TestWaitResultNeedsFarmJobHeader(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte("{}"))
+	}))
+	defer srv.Close()
+	out, job, err := NewClient(srv.URL).WaitResult(context.Background(), 1)
+	if err == nil || !strings.Contains(err.Error(), "Farm-Job") {
+		t.Fatalf("WaitResult = %q, job %+v, err %v; want an error naming the missing Farm-Job header", out, job, err)
+	}
+}
+
+// TestHTTPSubmitBodyBounded: a submission over 1 MiB is refused with 413
+// before it is decoded whole, and the next one is served normally.
+func TestHTTPSubmitBodyBounded(t *testing.T) {
+	_, client := testServer(t, testOptions(t))
+	spec, err := json.Marshal(testSpec(0xea))
+	if err != nil {
+		t.Fatal(err)
+	}
+	padded := fmt.Sprintf(`{"pad":"%s",%s`, strings.Repeat("x", 2<<20), spec[1:])
+	resp, err := http.Post(client.Base+"/api/v1/jobs", "application/json", strings.NewReader(padded))
+	if err != nil {
+		t.Fatalf("POST padded spec: %v", err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("in-progress result status = %d, want 202", resp.StatusCode)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("2 MiB spec: status %d, want 413", resp.StatusCode)
 	}
-	close(gate)
-	waitDone(t, f, job.ID)
-	out, err := client.Result(context.Background(), job.ID)
-	if err != nil {
-		t.Fatalf("Result: %v", err)
-	}
-	if len(out) == 0 {
-		t.Fatal("empty result")
+	if _, err := client.Submit(context.Background(), testSpec(0xea)); err != nil {
+		t.Fatalf("Submit after the 413: %v", err)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"maps"
 	"net/http"
-	"net/http/httptest"
 	"slices"
 	"testing"
 	"time"
@@ -20,13 +19,9 @@ import (
 // streamServer wires a farm behind httptest with a fast stream cadence.
 func streamServer(t *testing.T, opt Options) (*Farm, *Client) {
 	t.Helper()
-	f := openFarm(t, opt)
-	srv := httptest.NewServer(NewServerWith(f, ServerOptions{StreamInterval: 2 * time.Millisecond}))
-	t.Cleanup(srv.Close)
-	c := NewClient(srv.URL)
-	c.PollInterval = 2 * time.Millisecond
-	c.SubmitBackoff = 2 * time.Millisecond
-	return f, c
+	return serveFarm(t, openFarm(t, opt), func(f *Farm) http.Handler {
+		return NewServerWith(f, ServerOptions{StreamInterval: 2 * time.Millisecond})
+	})
 }
 
 // streamSnapshots reads the SSE metrics stream at base until the server
