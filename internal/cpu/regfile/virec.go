@@ -474,7 +474,7 @@ func (p *ViReC) Acquire(thread int, in *isa.Inst, needSrcs []isa.Reg, probe bool
 				hit := p.tags.Contains(thread, d)
 				p.tags.CountAccess(hit)
 				if !hit && p.tracer != nil {
-					p.tracer.Emit(p.cycle, telemetry.EvRFMiss, p.traceCore, int32(thread), uint64(d), 0, 1)
+					p.tracer.Emit(p.cycle, telemetry.EvRFMiss, p.traceCore, int32(thread), uint64(d), 1, 0)
 				}
 				p.lockIfPresent(thread, d)
 			}

@@ -2,8 +2,10 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
+	"github.com/virec/virec/internal/isa"
 	"github.com/virec/virec/internal/sim"
 	"github.com/virec/virec/internal/sweep"
 	"github.com/virec/virec/internal/telemetry"
@@ -38,18 +40,21 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// traceRun simulates one traced ViReC config and returns the JSONL event
-// stream and the compact metrics-snapshot JSON.
+// traceRun simulates one traced ViReC config, checks its register-file
+// events against the schema, and returns the JSONL event stream and the
+// compact metrics-snapshot JSON.
 func traceRun(t *testing.T, seed uint64) (trace, metrics []byte) {
 	t.Helper()
 	w, _ := workloads.ByName("gather")
 	var buf bytes.Buffer
+	var events []telemetry.Event
 	cfg := sim.Config{
 		Kind: sim.ViReC, ThreadsPerCore: 4,
 		Workload: w, Iters: 24, Seed: seed,
 		ContextPct: 60, Policy: vrmu.LRC,
 		TraceEvents: 256,
 		TraceSink: func(evs []telemetry.Event) {
+			events = append(events, evs...)
 			if err := telemetry.WriteEventsJSONL(&buf, evs); err != nil {
 				t.Fatal(err)
 			}
@@ -59,11 +64,63 @@ func traceRun(t *testing.T, seed uint64) (trace, metrics []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkRegfileEvents(t, events, cfg.ThreadsPerCore)
 	snap, err := res.Metrics.MarshalIndentJSON()
 	if err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes(), snap
+}
+
+// checkRegfileEvents holds a ViReC trace to the argument layout the
+// EventKind docs and DESIGN.md §9 give: rf_miss (reg, src 0 / dst 1),
+// victim (victim's thread in Thread; reg, dirty), fill and spill (addr,
+// reg), fill_done (addr, latency, reg). Every fill_done must close an
+// earlier fill of the same thread, address and register that was issued
+// exactly its latency before.
+func checkRegfileEvents(t *testing.T, evs []telemetry.Event, threads int) {
+	t.Helper()
+	type fillKey struct {
+		thread   int32
+		addr     uint64
+		reg      uint64
+		issuedAt uint64
+	}
+	open := map[fillKey]int{}
+	seen := map[string]int{}
+	for _, e := range evs {
+		bad := false
+		switch e.Kind {
+		case telemetry.EvRFMiss:
+			bad = e.Arg0 >= isa.NumRegs || e.Arg1 > 1 || e.Arg2 != 0
+			seen[fmt.Sprintf("rf_miss/%d", e.Arg1)]++
+		case telemetry.EvVictim:
+			bad = e.Arg0 >= isa.NumRegs || e.Arg1 > 1 || e.Arg2 != 0
+			seen[fmt.Sprintf("victim/%d", e.Arg1)]++
+		case telemetry.EvFill:
+			bad = e.Arg1 >= isa.NumRegs || e.Arg2 != 0
+			open[fillKey{e.Thread, e.Arg0, e.Arg1, e.Cycle}]++
+			seen["fill"]++
+		case telemetry.EvSpill:
+			bad = e.Arg1 >= isa.NumRegs || e.Arg2 != 0
+			seen["spill"]++
+		case telemetry.EvFillDone:
+			k := fillKey{e.Thread, e.Arg0, e.Arg2, e.Cycle - e.Arg1}
+			bad = e.Arg1 == 0 || e.Arg1 > e.Cycle || open[k] == 0
+			open[k]--
+			seen["fill_done"]++
+		default:
+			continue
+		}
+		if bad || e.Thread < 0 || int(e.Thread) >= threads {
+			t.Fatalf("event does not fit the schema: %+v", e)
+		}
+	}
+	for _, kind := range []string{"rf_miss/0", "rf_miss/1", "victim/0", "victim/1", "fill", "spill", "fill_done"} {
+		if seen[kind] == 0 {
+			t.Errorf("trace has no %s event; the layout check is vacuous for it", kind)
+		}
+	}
 }
 
 // TestTraceAndMetricsDeterminism is the telemetry determinism contract:

@@ -21,12 +21,11 @@ import (
 
 // JobEvent is one recorded lifecycle transition.
 type JobEvent struct {
-	TS          int64  `json:"ts"` // unix nanoseconds, wall clock
-	Type        string `json:"type"`
-	Attempt     int    `json:"attempt,omitempty"`
-	Err         string `json:"err,omitempty"`
-	Fingerprint string `json:"fp,omitempty"`
-	FromCache   bool   `json:"from_cache,omitempty"`
+	TS        int64  `json:"ts"` // unix nanoseconds, wall clock
+	Type      string `json:"type"`
+	Attempt   int    `json:"attempt,omitempty"`
+	Err       string `json:"err,omitempty"`
+	FromCache bool   `json:"from_cache,omitempty"`
 }
 
 // TraceIDFor mints a job's trace identity: deterministic in the job id
@@ -41,12 +40,11 @@ func TraceIDFor(id uint64, key string) string {
 // eventFromRecord projects a journal record onto its lifecycle event.
 func eventFromRecord(rec *record) JobEvent {
 	return JobEvent{
-		TS:          rec.TS,
-		Type:        rec.Op,
-		Attempt:     rec.Attempt,
-		Err:         rec.Err,
-		Fingerprint: rec.Fingerprint,
-		FromCache:   rec.FromCache,
+		TS:        rec.TS,
+		Type:      rec.Op,
+		Attempt:   rec.Attempt,
+		Err:       rec.Err,
+		FromCache: rec.FromCache,
 	}
 }
 

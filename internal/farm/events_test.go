@@ -42,7 +42,7 @@ func TestJobLifecycleEventsRecorded(t *testing.T) {
 }
 
 // TestJobEventsRecordFailure: a failed attempt is the job's last event,
-// and it carries the error and the fingerprint.
+// and it carries the error.
 func TestJobEventsRecordFailure(t *testing.T) {
 	opt := testOptions(t)
 	opt.ExecWrap = func(job *Job, attempt int, next func() ([]byte, error)) ([]byte, error) {
@@ -63,8 +63,8 @@ func TestJobEventsRecordFailure(t *testing.T) {
 		t.Fatalf("event sequence = %v, want %v", types, want)
 	}
 	fail := got.Events[len(got.Events)-1]
-	if fail.Attempt != 1 || fail.Err != "injected failure" || fail.Fingerprint != "injected failure" {
-		t.Fatalf("fail event = %+v, want attempt 1 with the error and its fingerprint", fail)
+	if fail.Attempt != 1 || fail.Err != "injected failure" {
+		t.Fatalf("fail event = %+v, want attempt 1 with the error", fail)
 	}
 }
 

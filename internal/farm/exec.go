@@ -21,8 +21,8 @@ import (
 // result bytes. ctx cancels between simulations (a single simulation is
 // not interruptible); on cancellation the error wraps ctx.Err().
 // Simulation crashes surface as the structured errors sim.Run produces
-// (*sim.CrashError and friends), whose fingerprint the farm records with
-// the job's failure.
+// (*sim.CrashError and friends), whose message the farm records with the
+// job's failure.
 func Execute(ctx context.Context, spec *Spec) ([]byte, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err

@@ -13,10 +13,10 @@
 //
 // The failure policy: a failed attempt is final. Execute is a pure
 // function of (spec, code version), so an attempt that failed would fail
-// again the same way. The job ends failed with its error and crash
-// fingerprint (sim.CrashError and friends; a deadline overrun has none),
-// and resubmitting the spec is the retry: a failed job never absorbs a
-// resubmission. A crash is the only thing that re-runs a job.
+// again the same way. The job ends failed with its error, which for a
+// simulator crash names the scenario to replay, and resubmitting the spec
+// is the retry: a failed job never absorbs a resubmission. A crash is the
+// only thing that re-runs a job.
 package farm
 
 import (
@@ -27,13 +27,10 @@ import (
 	"fmt"
 	"path/filepath"
 	"runtime"
-	"runtime/debug"
 	"sort"
 	"sync"
 	"time"
 
-	"github.com/virec/virec/internal/harden"
-	"github.com/virec/virec/internal/sim"
 	"github.com/virec/virec/internal/telemetry"
 )
 
@@ -57,15 +54,14 @@ func (s JobState) Terminal() bool {
 // JSON serialization (checkpoints, the HTTP status endpoint); mutate only
 // under the farm mutex.
 type Job struct {
-	ID          uint64   `json:"id"`
-	Spec        *Spec    `json:"spec"`
-	Key         string   `json:"key"` // content-address of the result
-	State       JobState `json:"state"`
-	Attempts    int      `json:"attempts"`              // execution attempts started
-	Error       string   `json:"error,omitempty"`       // the failure (truncated)
-	Fingerprint string   `json:"fingerprint,omitempty"` // the failure's crash fingerprint
-	ResultHash  string   `json:"result_hash,omitempty"` // sha256 of result bytes
-	FromCache   bool     `json:"from_cache,omitempty"`  // completed without executing
+	ID         uint64   `json:"id"`
+	Spec       *Spec    `json:"spec"`
+	Key        string   `json:"key"` // content-address of the result
+	State      JobState `json:"state"`
+	Attempts   int      `json:"attempts"`              // execution attempts started
+	Error      string   `json:"error,omitempty"`       // the failure (truncated)
+	ResultHash string   `json:"result_hash,omitempty"` // sha256 of result bytes
+	FromCache  bool     `json:"from_cache,omitempty"`  // completed without executing
 
 	// TraceID is the job's trace identity, minted at submission
 	// (TraceIDFor), journaled with its enqueue record and served with its
@@ -111,7 +107,7 @@ type Options struct {
 	QueueCap int
 
 	// JobDeadline bounds one execution attempt; past it the job fails
-	// with a deadline error (no fingerprint) and the worker moves on.
+	// with a deadline error and the worker moves on.
 	// Zero disables.
 	JobDeadline time.Duration
 
@@ -309,13 +305,11 @@ func (f *Farm) runJob(job *Job) {
 
 	job.State = StateFailed
 	job.Error = truncateErr(err)
-	job.Fingerprint = failureFingerprint(err)
 	f.stats.Failed++
 	if errors.Is(err, context.DeadlineExceeded) {
 		f.stats.Deadlines++
 	}
-	f.record(job, &record{Op: "fail", ID: job.ID, Attempt: job.Attempts,
-		Err: job.Error, Fingerprint: job.Fingerprint})
+	f.record(job, &record{Op: "fail", ID: job.ID, Attempt: job.Attempts, Err: job.Error})
 }
 
 // execute runs one attempt with deadline enforcement and panic capture.
@@ -343,7 +337,9 @@ func (f *Farm) execute(job *Job) ([]byte, error) {
 	go func() {
 		defer func() {
 			if r := recover(); r != nil {
-				ch <- outcome{nil, &workerPanicError{value: r, stack: debug.Stack()}}
+				// A panic that escaped the executor, as opposed to one
+				// sim.Run already converted to a CrashError.
+				ch <- outcome{nil, fmt.Errorf("farm: job execution panicked: %v", r)}
 			}
 		}()
 		next := func() ([]byte, error) { return Execute(ctx, snap.Spec) }
@@ -365,63 +361,6 @@ func (f *Farm) execute(job *Job) ([]byte, error) {
 	case <-f.stopCh:
 		return nil, fmt.Errorf("farm: job %d attempt %d abandoned: farm stopping", snap.ID, snap.Attempts)
 	}
-}
-
-// workerPanicError wraps a panic that escaped the executor (as opposed
-// to one sim.Run already converted to a CrashError).
-type workerPanicError struct {
-	value any
-	stack []byte
-}
-
-func (e *workerPanicError) Error() string {
-	return fmt.Sprintf("farm: job execution panicked: %v", e.value)
-}
-
-// fingerprint is stable for a deterministic panic: message + crash site.
-func (e *workerPanicError) fingerprint() string {
-	return harden.Fingerprint(e.value, e.stack)
-}
-
-// failureFingerprint classifies an execution error into a stable crash
-// identity, or "" for deadline and cancellation errors, which say nothing
-// about the job itself.
-func failureFingerprint(err error) string {
-	var ce *sim.CrashError
-	if errors.As(err, &ce) {
-		return ce.Fingerprint
-	}
-	var le *sim.LivelockError
-	if errors.As(err, &le) {
-		// Deterministic for a deterministic sim: same window, same stall.
-		return fmt.Sprintf("livelock: window=%d last-progress=%d", le.Window, le.LastProgress)
-	}
-	var ie *sim.InvariantError
-	if errors.As(err, &ie) {
-		return fmt.Sprintf("invariant@%d: %s", ie.Cycle, firstLine(ie.Violation))
-	}
-	var wp *workerPanicError
-	if errors.As(err, &wp) {
-		return wp.fingerprint()
-	}
-	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-		return ""
-	}
-	if err != nil {
-		// Other errors (config resolution, verification mismatches…) are
-		// deterministic in practice: fingerprint on the message.
-		return firstLine(err.Error())
-	}
-	return ""
-}
-
-func firstLine(s string) string {
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\n' {
-			return s[:i]
-		}
-	}
-	return s
 }
 
 // truncateErr bounds journal/status error text: crash errors embed

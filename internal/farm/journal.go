@@ -18,10 +18,12 @@
 //     farm's only re-run;
 //   - a job with a "done" record is complete and is never re-run — its
 //     result bytes are in the content-addressed cache;
-//   - a job with a "fail" record stays failed, with the attempt count,
-//     error and crash fingerprint the record carries. What older farms
-//     wrote for their retry ladder — "quarantine" records and the
-//     "backoff" and "quarantined" checkpoint states — loads as failed.
+//   - a job with a "fail" record stays failed, with the attempt count
+//     and error the record carries. What older farms wrote for their
+//     retry ladder — "quarantine" records and the "backoff" and
+//     "quarantined" checkpoint states — loads as failed, and the crash
+//     fingerprint they recorded ("fp" on records and events,
+//     "fingerprint" on checkpointed jobs) is ignored.
 package farm
 
 import (
@@ -35,17 +37,16 @@ import (
 
 // record is one journal line.
 type record struct {
-	Op          string `json:"op"` // enqueue|start|done|fail
-	ID          uint64 `json:"id"`
-	TS          int64  `json:"ts,omitempty"`         // unix ns, lifecycle event timestamp
-	TraceID     string `json:"trace_id,omitempty"`   // enqueue: minted trace identity
-	Spec        *Spec  `json:"spec,omitempty"`       // enqueue
-	Key         string `json:"key,omitempty"`        // enqueue: cache key
-	Attempt     int    `json:"attempt,omitempty"`    // start/fail
-	Err         string `json:"err,omitempty"`        // fail (truncated)
-	Fingerprint string `json:"fp,omitempty"`         // fail
-	ResultHash  string `json:"result,omitempty"`     // done: sha256 of result bytes
-	FromCache   bool   `json:"from_cache,omitempty"` // done: served without executing
+	Op         string `json:"op"` // enqueue|start|done|fail
+	ID         uint64 `json:"id"`
+	TS         int64  `json:"ts,omitempty"`         // unix ns, lifecycle event timestamp
+	TraceID    string `json:"trace_id,omitempty"`   // enqueue: minted trace identity
+	Spec       *Spec  `json:"spec,omitempty"`       // enqueue
+	Key        string `json:"key,omitempty"`        // enqueue: cache key
+	Attempt    int    `json:"attempt,omitempty"`    // start/fail
+	Err        string `json:"err,omitempty"`        // fail (truncated)
+	ResultHash string `json:"result,omitempty"`     // done: sha256 of result bytes
+	FromCache  bool   `json:"from_cache,omitempty"` // done: served without executing
 }
 
 // checkpointDoc is the atomically-replaced full-state snapshot.
@@ -267,7 +268,6 @@ func applyRecord(jobs map[uint64]*Job, rec *record) {
 				job.Attempts = rec.Attempt
 			}
 			job.Error = rec.Err
-			job.Fingerprint = rec.Fingerprint
 		}
 	}
 	if job := jobs[rec.ID]; job != nil && rec.TS != 0 {

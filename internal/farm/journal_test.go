@@ -1,9 +1,11 @@
 package farm
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -148,23 +150,23 @@ func TestRecoverMapsInFlightStatesToPending(t *testing.T) {
 	type want struct {
 		state    JobState
 		attempts int
-		err, fp  string
+		err      string
 	}
 	wants := map[uint64]want{
-		1: {StatePending, 1, "", ""},              // was running: re-queued
-		2: {StateFailed, 1, "boom", "boom @ f"},   // a fail record is final
-		3: {StateDone, 1, "", ""},                 // completed: never re-run
-		4: {StateFailed, 2, "boom", "boom @ f"},   // the old "terminal" flag changes nothing
-		5: {StateFailed, 2, "crash", "crash @ e"}, // quarantine record: attempts from its start
-		6: {StateFailed, 1, "flaky", "flaky @ g"}, // checkpointed backoff
-		7: {StateFailed, 2, "bad", "bad @ h"},     // checkpointed quarantined
+		1: {StatePending, 1, ""},     // was running: re-queued
+		2: {StateFailed, 1, "boom"},  // a fail record is final
+		3: {StateDone, 1, ""},        // completed: never re-run
+		4: {StateFailed, 2, "boom"},  // the old "terminal" flag changes nothing
+		5: {StateFailed, 2, "crash"}, // quarantine record: attempts from its start
+		6: {StateFailed, 1, "flaky"}, // checkpointed backoff
+		7: {StateFailed, 2, "bad"},   // checkpointed quarantined
 	}
 	for id, w := range wants {
 		job := jobs[id]
 		if job == nil {
 			t.Fatalf("job %d lost", id)
 		}
-		got := want{job.State, job.Attempts, job.Error, job.Fingerprint}
+		got := want{job.State, job.Attempts, job.Error}
 		if got != w {
 			t.Errorf("job %d = %+v, want %+v", id, got, w)
 		}
@@ -192,6 +194,52 @@ func TestRecoverMapsInFlightStatesToPending(t *testing.T) {
 		if job.State != wants[job.ID].state {
 			t.Errorf("checkpointed job %d: state %s, want %s", job.ID, job.State, wants[job.ID].state)
 		}
+	}
+}
+
+// TestOlderFingerprintedJournalLoads: farms before this one recorded a
+// crash fingerprint on every fail record and event ("fp") and on every
+// failed job ("fingerprint"). Such a directory still loads, with the
+// fingerprints dropped, and a fail record replayed over the checkpoint
+// that already folded it still adds no duplicate event.
+func TestOlderFingerprintedJournalLoads(t *testing.T) {
+	dir := t.TempDir()
+	checkpoint := `{"next_id": 3, "jobs": [
+ {"id": 1, "key": "k1", "state": "failed", "attempts": 1, "error": "boom", "fingerprint": "boom @ f",
+  "events": [{"ts": 1, "type": "enqueue"}, {"ts": 2, "type": "start", "attempt": 1},
+             {"ts": 3, "type": "fail", "attempt": 1, "err": "boom", "fp": "boom @ f"}]}
+]}`
+	if err := os.WriteFile(checkpointPath(dir), []byte(checkpoint), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	writeJournalLines(t, dir,
+		`{"op":"fail","id":1,"ts":3,"attempt":1,"err":"boom","fp":"boom @ f"}`+"\n"+
+			`{"op":"enqueue","id":2,"ts":4,"key":"k2"}`+"\n"+
+			`{"op":"start","id":2,"ts":5,"attempt":1}`+"\n"+
+			`{"op":"fail","id":2,"ts":6,"attempt":1,"err":"crash","fp":"crash @ e"}`+"\n")
+	f, err := Open(Options{Dir: dir, Workers: 1})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	for id, wantErr := range map[uint64]string{1: "boom", 2: "crash"} {
+		job, err := f.Status(id)
+		if err != nil || job.State != StateFailed || job.Attempts != 1 || job.Error != wantErr {
+			t.Fatalf("job %d = %+v, want failed after 1 attempt with error %q", id, job, wantErr)
+		}
+		if got := strings.Join(eventTypes(job), " "); got != "enqueue start fail" {
+			t.Fatalf("job %d events = %s, want enqueue start fail", id, got)
+		}
+		if fail := job.Events[2]; fail.Attempt != 1 || fail.Err != wantErr {
+			t.Fatalf("job %d fail event = %+v", id, fail)
+		}
+	}
+	f.Kill()
+	data, err := os.ReadFile(checkpointPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(data, []byte(`"fp"`)) || bytes.Contains(data, []byte(`"fingerprint"`)) {
+		t.Fatalf("the re-folded checkpoint still carries fingerprints:\n%s", data)
 	}
 }
 

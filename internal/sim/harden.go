@@ -22,23 +22,19 @@ type CrashError struct {
 	Dump  string // harden.Dump snapshot taken at recovery
 	Stack []byte // goroutine stack at the panic site
 
-	// Fingerprint is the stable identity of the crash: the scenario
-	// fingerprint (core kind, workload, thread count, seed) plus the
-	// panic message and innermost application frame. A deterministic bug
-	// reproduces the same fingerprint on every run, so a failed farm job
-	// records it as the failure's identity and repro pointer in logs and
-	// artifacts.
-	Fingerprint string
+	// Scenario names the configuration the crash occurred under
+	// (kind/workload/tN/seed): the pointer for replaying it.
+	Scenario string
 }
 
 func (e *CrashError) Error() string {
-	return fmt.Sprintf("sim: crash at cycle %d: %v\nfingerprint: %s\ndiagnostic dump:\n%s",
-		e.Cycle, e.Panic, e.Fingerprint, e.Dump)
+	return fmt.Sprintf("sim: crash at cycle %d: %v\nscenario: %s\ndiagnostic dump:\n%s",
+		e.Cycle, e.Panic, e.Scenario, e.Dump)
 }
 
-// scenarioFingerprint names the configuration a crash occurred under, in
-// a stable replayable form: kind/workload/tN/seed.
-func (c *Config) scenarioFingerprint() string {
+// scenario names the configuration a crash occurred under, in a stable
+// replayable form: kind/workload/tN/seed.
+func (c *Config) scenario() string {
 	name := "?"
 	if c.Workload != nil {
 		name = c.Workload.Name

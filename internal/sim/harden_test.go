@@ -49,6 +49,9 @@ func TestRunRecoversPanicsToCrashError(t *testing.T) {
 	if !strings.Contains(err.Error(), "commit hook exploded") {
 		t.Errorf("Error() does not mention the panic: %s", err)
 	}
+	if !strings.Contains(err.Error(), "scenario: virec/gather/t4/seed=") {
+		t.Errorf("Error() does not name the scenario to replay: %s", err)
+	}
 }
 
 // TestMaxCyclesErrorNamesPerCoreProgress checks the exhaustion error

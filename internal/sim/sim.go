@@ -211,8 +211,10 @@ type System struct {
 	// Registry is the run's unified metric namespace: every structure's
 	// counters, gauges and histograms live here under per-structure
 	// prefixes (core0/..., rf0/..., dcache0/..., dram/..., xbar/...).
-	// Always built — registration is pointer aliasing, so it costs the
-	// hot paths nothing.
+	// Always built: it costs the hot paths nothing, since it reads the
+	// structures' fields only when Run takes the final snapshot, and each
+	// structure's registration is one list entry with names built once
+	// per process.
 	Registry *telemetry.Registry
 	// Tracer is the cycle-level event tracer, nil unless
 	// Config.TraceEvents > 0.
@@ -533,15 +535,13 @@ func (s *System) Run() (res *Result, err error) {
 	var cycle uint64
 	defer func() {
 		if r := recover(); r != nil {
-			stack := debug.Stack()
 			res = nil
 			err = &CrashError{
-				Panic: r,
-				Cycle: cycle,
-				Dump:  harden.Dump(s.view()),
-				Stack: stack,
-				Fingerprint: fmt.Sprintf("%s: %s",
-					cfg.scenarioFingerprint(), harden.Fingerprint(r, stack)),
+				Panic:    r,
+				Cycle:    cycle,
+				Dump:     harden.Dump(s.view()),
+				Stack:    debug.Stack(),
+				Scenario: cfg.scenario(),
 			}
 		}
 	}()

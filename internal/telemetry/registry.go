@@ -10,15 +10,20 @@
 // Design constraints, in order:
 //
 //   - The simulator's hot paths must not slow down. Counters stay plain
-//     uint64 fields on each structure's Stats struct; the registry holds
-//     *pointers* to them, so the per-event cost of a counter is exactly
+//     uint64 fields on each structure's Stats struct; the registry keeps
+//     one entry per registered structure and reads the fields only when
+//     it takes a snapshot, so the per-event cost of a counter is exactly
 //     what it was before the registry existed. Histogram observation is a
 //     bounded linear scan over a small fixed bucket array, no allocation.
 //     Trace emission behind a nil *Tracer is a load and a branch.
+//   - Registration is cheap too: every simulation registers its whole
+//     namespace, so a Stats struct costs one entry however many counters
+//     it holds, and each (type, prefix) pair's metric names are built
+//     once per process.
 //   - One run, one namespace. Metric names are slash-separated labels
 //     ("core0/ctx_switches", "vrmu0/misses", "dram/row_hits"); a name
-//     collision panics at registration time so a wiring bug cannot
-//     silently corrupt another structure's series.
+//     registered twice panics when the registry is snapshotted, so a
+//     wiring bug cannot silently merge two structures' series.
 //   - Snapshots are deterministic. Snapshot JSON sorts keys (Go's
 //     encoding/json orders map keys), so the same run always produces the
 //     same bytes — the property the sweep engine's byte-identity contract
@@ -29,63 +34,57 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
-	"sort"
+	"sync"
 )
 
-// Registry is one simulation's metric namespace. It is not safe for
-// concurrent use; the sweep engine gives every job its own system and
-// therefore its own registry.
+// Registry is one simulation's metric namespace: an ordered list of
+// registrations, one per counter, gauge or histogram and one per Stats
+// struct. It is not safe for concurrent use; the sweep engine gives every
+// job its own system and therefore its own registry.
 type Registry struct {
-	counters map[string]*uint64
-	gauges   map[string]func() float64
-	hists    map[string]*Histogram
+	metrics []metric
+	// Names registered of each kind, so Snapshot sizes its maps exactly.
+	counters, gauges, hists int
 }
 
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{
-		counters: make(map[string]*uint64),
-		gauges:   make(map[string]func() float64),
-		hists:    make(map[string]*Histogram),
-	}
+// metric is one registration: a named counter, gauge or histogram, or a
+// Stats struct, whose counters are named by its cached fields.
+type metric struct {
+	name string // the metric's name; a Stats struct's prefix
+	val  any    // *uint64, func() float64, *Histogram, or a Stats struct pointer
 }
 
-// claim panics if name is already registered under any metric kind: a
-// collision means two structures were wired with the same prefix, and
-// letting the second silently shadow the first would corrupt the series.
-func (r *Registry) claim(name string) {
-	if name == "" {
-		panic("telemetry: empty metric name")
-	}
-	_, c := r.counters[name]
-	_, g := r.gauges[name]
-	_, h := r.hists[name]
-	if c || g || h {
-		panic(fmt.Sprintf("telemetry: metric %q registered twice", name))
-	}
+// statsFields is one Stats type's tagged uint64 fields under one prefix:
+// each field's index and its prefix+"/"+tag name.
+type statsFields struct {
+	index []int
+	names []string
 }
 
-// Counter registers a monotonically increasing value by pointer. The
-// owner keeps incrementing its own field; the registry reads it only at
-// snapshot time, so registration adds zero cost to the hot path.
-func (r *Registry) Counter(name string, p *uint64) {
-	if p == nil {
-		panic(fmt.Sprintf("telemetry: counter %q registered with a nil pointer", name))
-	}
-	r.claim(name)
-	r.counters[name] = p
+type fieldsKey struct {
+	t      reflect.Type
+	prefix string
 }
 
-// Stats registers every uint64 field of the struct stats points to as the
-// counter prefix+"/"+tag, where tag is the field's `metric:"…"` struct
-// tag. Each counter is a pointer alias through Counter, so a repeated
-// name panics as it would there. A uint64 field without a tag panics,
-// naming the type and field, so no counter can drop out of the
-// namespace. Fields of other types (per-thread slices, values behind a
-// gauge) are skipped.
-func (r *Registry) Stats(prefix string, stats any) {
-	v := reflect.ValueOf(stats).Elem()
-	t := v.Type()
+// fieldCache holds the statsFields of every (type, prefix) registered so
+// far in the process. Sweep workers build systems concurrently, hence the
+// lock. It only grows, by one entry per structure prefix a run wires.
+var fieldCache = struct {
+	sync.Mutex
+	m map[fieldsKey]*statsFields
+}{m: make(map[fieldsKey]*statsFields)}
+
+// fieldsOf returns t's cached fields under prefix, building them on first
+// use. A uint64 field without a metric tag panics, naming the type and
+// field, so no counter can drop out of the namespace.
+func fieldsOf(t reflect.Type, prefix string) *statsFields {
+	fieldCache.Lock()
+	defer fieldCache.Unlock()
+	key := fieldsKey{t, prefix}
+	if fs := fieldCache.m[key]; fs != nil {
+		return fs
+	}
+	fs := &statsFields{}
 	for i := 0; i < t.NumField(); i++ {
 		f := t.Field(i)
 		if f.Type != reflect.TypeFor[uint64]() {
@@ -95,8 +94,48 @@ func (r *Registry) Stats(prefix string, stats any) {
 		if tag == "" {
 			panic(fmt.Sprintf("telemetry: counter field %s.%s has no metric tag", t, f.Name))
 		}
-		r.Counter(prefix+"/"+tag, v.Field(i).Addr().Interface().(*uint64))
+		fs.index = append(fs.index, i)
+		fs.names = append(fs.names, prefix+"/"+tag)
 	}
+	fieldCache.m[key] = fs
+	return fs
+}
+
+// NewRegistry returns an empty registry with room for a one-core
+// system's registrations (25 with a ViReC provider), so most simulations
+// never grow the list.
+func NewRegistry() *Registry { return &Registry{metrics: make([]metric, 0, 32)} }
+
+// add appends one named registration. A repeated name is caught by
+// Snapshot, which sees every name at once.
+func (r *Registry) add(name string, val any) {
+	if name == "" {
+		panic("telemetry: empty metric name")
+	}
+	r.metrics = append(r.metrics, metric{name: name, val: val})
+}
+
+// Counter registers a monotonically increasing value by pointer. The
+// owner keeps incrementing its own field; the registry reads it only at
+// snapshot time, so registration adds zero cost to the hot path.
+func (r *Registry) Counter(name string, p *uint64) {
+	if p == nil {
+		panic(fmt.Sprintf("telemetry: counter %q registered with a nil pointer", name))
+	}
+	r.add(name, p)
+	r.counters++
+}
+
+// Stats registers every uint64 field of the struct stats points to as the
+// counter prefix+"/"+tag, where tag is the field's `metric:"…"` struct
+// tag. It appends one entry however many fields the struct has, and reads
+// the fields at snapshot time as Counter does. A uint64 field without a
+// tag panics, naming the type and field. Fields of other types
+// (per-thread slices, values behind a gauge) are skipped.
+func (r *Registry) Stats(prefix string, stats any) {
+	fs := fieldsOf(reflect.ValueOf(stats).Elem().Type(), prefix)
+	r.metrics = append(r.metrics, metric{name: prefix, val: stats})
+	r.counters += len(fs.names)
 }
 
 // Gauge registers an instantaneous value computed at snapshot time.
@@ -104,50 +143,80 @@ func (r *Registry) Gauge(name string, fn func() float64) {
 	if fn == nil {
 		panic(fmt.Sprintf("telemetry: gauge %q registered with a nil func", name))
 	}
-	r.claim(name)
-	r.gauges[name] = fn
+	r.add(name, fn)
+	r.gauges++
 }
 
 // Histogram registers a fixed-bucket histogram and returns the handle the
 // owner observes into. bounds are inclusive upper bounds in ascending
 // order; one overflow bucket beyond the last bound is added implicitly.
 func (r *Registry) Histogram(name string, bounds []uint64) *Histogram {
-	r.claim(name)
 	h := newHistogram(bounds)
-	r.hists[name] = h
+	r.add(name, h)
+	r.hists++
 	return h
 }
 
-// Snapshot materializes every registered metric into a serializable,
-// self-contained value. Metrics are read in sorted label order, so the
-// sequence of counter loads and gauge calls — not just the marshaled
-// bytes — is identical across runs.
+// Snapshot materializes every registered metric into a serializable value
+// that later counting does not change (histogram bounds, which never
+// change, are shared). Its maps are sized exactly and filled in
+// registration order, so the sequence of counter loads and gauge calls —
+// not just the marshaled bytes — is identical across runs. A name
+// registered twice, under any pair of kinds, panics: a collision means
+// two structures were wired with the same prefix, and letting one shadow
+// the other would corrupt the series.
 func (r *Registry) Snapshot() *Snapshot {
 	s := &Snapshot{
-		Counters:   make(map[string]uint64, len(r.counters)),
-		Gauges:     make(map[string]float64, len(r.gauges)),
-		Histograms: make(map[string]HistSnapshot, len(r.hists)),
+		Counters:   make(map[string]uint64, r.counters),
+		Gauges:     make(map[string]float64, r.gauges),
+		Histograms: make(map[string]HistSnapshot, r.hists),
 	}
-	for _, name := range sortedKeys(r.counters) {
-		s.Counters[name] = *r.counters[name]
+	for _, m := range r.metrics {
+		switch v := m.val.(type) {
+		case *uint64:
+			put(s.Counters, m.name, *v)
+		case func() float64:
+			put(s.Gauges, m.name, v())
+		case *Histogram:
+			put(s.Histograms, m.name, v.snapshot())
+		default:
+			sv := reflect.ValueOf(v).Elem()
+			fs := fieldsOf(sv.Type(), m.name)
+			for i, f := range fs.index {
+				put(s.Counters, fs.names[i], sv.Field(f).Uint())
+			}
+		}
 	}
-	for _, name := range sortedKeys(r.gauges) {
-		s.Gauges[name] = r.gauges[name]()
-	}
-	for _, name := range sortedKeys(r.hists) {
-		s.Histograms[name] = r.hists[name].snapshot()
+	// A name shared across kinds sits in two maps. Gauges and histograms
+	// are few, so look each up in the other kinds' maps.
+	for _, m := range r.metrics {
+		switch m.val.(type) {
+		case func() float64:
+			_, c := s.Counters[m.name]
+			_, h := s.Histograms[m.name]
+			if c || h {
+				panicRepeated(m.name)
+			}
+		case *Histogram:
+			if _, c := s.Counters[m.name]; c {
+				panicRepeated(m.name)
+			}
+		}
 	}
 	return s
 }
 
-// sortedKeys returns a map's keys in ascending order.
-func sortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
+// put stores v under name, which must not be in m yet.
+func put[V any](m map[string]V, name string, v V) {
+	n := len(m)
+	m[name] = v
+	if len(m) == n {
+		panicRepeated(name)
 	}
-	sort.Strings(out)
-	return out
+}
+
+func panicRepeated(name string) {
+	panic(fmt.Sprintf("telemetry: metric %q registered twice", name))
 }
 
 // Histogram is a fixed-bucket histogram of uint64 samples. Observe is
@@ -198,10 +267,12 @@ func (h *Histogram) Observe(v uint64) {
 	h.sum += v
 }
 
-// snapshot copies the histogram state.
+// snapshot copies the histogram state. The bounds are shared, not
+// copied: newHistogram made them the histogram's own, and nothing changes
+// them after registration.
 func (h *Histogram) snapshot() HistSnapshot {
 	out := HistSnapshot{
-		Bounds: append([]uint64(nil), h.bounds...),
+		Bounds: h.bounds,
 		Counts: append([]uint64(nil), h.counts...),
 		Count:  h.count,
 		Sum:    h.sum,
@@ -240,7 +311,8 @@ func Pow2Buckets(start uint64, n int) []uint64 {
 
 // HistSnapshot is a serialized histogram: Counts[i] holds samples with
 // value <= Bounds[i] (and > Bounds[i-1]); the final count is the overflow
-// bucket for samples above the last bound.
+// bucket for samples above the last bound. In a Registry's snapshot,
+// Bounds is shared with the live histogram and must not be modified.
 type HistSnapshot struct {
 	Bounds []uint64 `json:"bounds"`
 	Counts []uint64 `json:"counts"`

@@ -3,7 +3,11 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"reflect"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -28,42 +32,56 @@ func TestCounterAndGaugeSnapshot(t *testing.T) {
 	}
 }
 
+// A name registered twice panics in Snapshot, whatever the two kinds; an
+// empty name or a nil pointer panics at registration.
 func TestRegistryCollisionPanics(t *testing.T) {
 	cases := []struct {
-		name string
-		reg  func(r *Registry)
+		name, want string
+		reg        func(r *Registry)
 	}{
-		{"counter/counter", func(r *Registry) {
+		{"counter/counter", `"x" registered twice`, func(r *Registry) {
 			var a, b uint64
 			r.Counter("x", &a)
 			r.Counter("x", &b)
 		}},
-		{"counter/gauge", func(r *Registry) {
+		{"counter/gauge", `"x" registered twice`, func(r *Registry) {
 			var a uint64
 			r.Counter("x", &a)
 			r.Gauge("x", func() float64 { return 0 })
 		}},
-		{"histogram/counter", func(r *Registry) {
+		{"gauge/counter", `"x" registered twice`, func(r *Registry) {
+			var a uint64
+			r.Gauge("x", func() float64 { return 0 })
+			r.Counter("x", &a)
+		}},
+		{"histogram/counter", `"x" registered twice`, func(r *Registry) {
 			var a uint64
 			r.Histogram("x", []uint64{1, 2})
 			r.Counter("x", &a)
 		}},
-		{"empty name", func(r *Registry) {
+		{"histogram/gauge", `"x" registered twice`, func(r *Registry) {
+			r.Histogram("x", []uint64{1, 2})
+			r.Gauge("x", func() float64 { return 0 })
+		}},
+		{"empty name", "empty metric name", func(r *Registry) {
 			var a uint64
 			r.Counter("", &a)
 		}},
-		{"nil counter", func(r *Registry) {
+		{"nil counter", "nil pointer", func(r *Registry) {
 			r.Counter("x", nil)
 		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			defer func() {
-				if recover() == nil {
-					t.Fatal("registration should have panicked")
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, tc.want) {
+					t.Fatalf("panic %q, want one containing %q", msg, tc.want)
 				}
 			}()
-			tc.reg(NewRegistry())
+			r := NewRegistry()
+			tc.reg(r)
+			r.Snapshot()
 		})
 	}
 }
@@ -122,7 +140,95 @@ func TestRegistryStats(t *testing.T) {
 			}
 		}()
 		r.Stats("c0", &taggedStats{})
+		r.Snapshot()
 	})
+}
+
+// statsOfWidth returns a struct type of n uint64 fields tagged c0..c<n-1>.
+func statsOfWidth(n int) reflect.Type {
+	fields := make([]reflect.StructField, n)
+	for i := range fields {
+		fields[i] = reflect.StructField{
+			Name: fmt.Sprintf("C%d", i),
+			Type: reflect.TypeFor[uint64](),
+			Tag:  reflect.StructTag(fmt.Sprintf(`metric:"c%d"`, i)),
+		}
+	}
+	return reflect.StructOf(fields)
+}
+
+var registrySink *Registry
+
+// TestRegistrationCostPerStructure: once a Stats type's names are cached,
+// registering a structure costs the same whether it holds 2 counters or
+// 40, and a snapshot's allocation count does not grow with the counters
+// either (only its maps' sizes do).
+func TestRegistrationCostPerStructure(t *testing.T) {
+	prefixes := []string{"s0", "s1", "s2", "s3", "s4", "s5", "s6", "s7"}
+	measure := func(width int) (register, snapshot float64) {
+		typ := statsOfWidth(width)
+		structs := make([]any, len(prefixes))
+		for i := range structs {
+			structs[i] = reflect.New(typ).Interface()
+		}
+		build := func() {
+			r := NewRegistry()
+			for i, p := range prefixes {
+				r.Stats(p, structs[i])
+			}
+			registrySink = r
+		}
+		build() // names built and cached here
+		r := registrySink
+		if got := len(r.Snapshot().Counters); got != width*len(prefixes) {
+			t.Fatalf("width %d: %d counters, want %d", width, got, width*len(prefixes))
+		}
+		return testing.AllocsPerRun(100, build), testing.AllocsPerRun(100, func() { r.Snapshot() })
+	}
+	reg2, snap2 := measure(2)
+	reg40, snap40 := measure(40)
+	if reg40 != reg2 {
+		t.Errorf("registering 8 structs: %v allocs with 40 counters each, %v with 2; want the same", reg40, reg2)
+	}
+	if snap40 > snap2 {
+		t.Errorf("Snapshot: %v allocs with 320 counters, %v with 16; want no more", snap40, snap2)
+	}
+}
+
+// raceStats is registered from several goroutines at once.
+type raceStats struct {
+	A uint64 `metric:"a"`
+	B uint64 `metric:"b"`
+}
+
+// raceRuns numbers TestStatsFieldsConcurrent's runs, so that every run
+// (-count=N) builds its cache entries afresh.
+var raceRuns atomic.Int32
+
+// TestStatsFieldsConcurrent registers one Stats type under shared prefixes
+// from several goroutines, as sweep workers building systems do; run it
+// under -race.
+func TestStatsFieldsConcurrent(t *testing.T) {
+	run := raceRuns.Add(1)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				p := fmt.Sprintf("race%d.%d", run, i%5)
+				st := raceStats{A: uint64(g), B: uint64(i)}
+				r := NewRegistry()
+				r.Stats(p, &st)
+				s := r.Snapshot()
+				if len(s.Counters) != 2 || s.Counter(p+"/a") != uint64(g) || s.Counter(p+"/b") != uint64(i) {
+					t.Errorf("goroutine %d: counters %v", g, s.Counters)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestHistogramEdgeCases(t *testing.T) {
@@ -156,6 +262,12 @@ func TestHistogramEdgeCases(t *testing.T) {
 	}
 	if s.Count != 5 || s.Sum != 1060 || s.Min != 0 || s.Max != 999 {
 		t.Fatalf("summary wrong: %+v", s)
+	}
+	// The earlier snapshot is a copy: later observations must not leak in.
+	for _, c := range s0.Counts {
+		if c != 0 {
+			t.Fatalf("empty snapshot's counts changed after the fact: %v", s0.Counts)
+		}
 	}
 
 	// Nil handle is a no-op, not a crash.

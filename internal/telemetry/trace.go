@@ -19,19 +19,22 @@ const (
 	// thread (as uint64(int64); ^0 when none), Arg1 = reason (Switch* constants).
 	EvSwitch
 	// EvRFMiss: a register read/write missed the VRMU tag store.
-	// Arg0 = architectural register.
+	// Arg0 = architectural register, Arg1 = 0 for a source, 1 for a
+	// destination.
 	EvRFMiss
-	// EvVictim: the VRMU evicted a register line to make room.
-	// Arg0 = victim thread, Arg1 = victim register, Arg2 = 1 if dirty.
+	// EvVictim: the VRMU evicted a register line to make room. Thread =
+	// the victim's thread, Arg0 = victim register, Arg1 = 1 if dirty.
 	EvVictim
 	// EvFill: the BSI issued a register fill from the backing store.
-	// Arg0 = backing-store address.
+	// Arg0 = backing-store address, Arg1 = register (0 for a
+	// system-register line).
 	EvFill
 	// EvSpill: the BSI issued a register spill to the backing store.
-	// Arg0 = backing-store address.
+	// Arg0 = backing-store address, Arg1 = register (0 for a
+	// system-register line).
 	EvSpill
 	// EvFillDone: a fill completed. Arg0 = backing-store address,
-	// Arg1 = latency in cycles from issue to completion.
+	// Arg1 = latency in cycles from issue to completion, Arg2 = register.
 	EvFillDone
 	// EvPin: a dcache line holding register state became pinned.
 	// Arg0 = line base address.
@@ -115,7 +118,6 @@ const NoThread int32 = -1
 // systems never share goroutines.
 type Tracer struct {
 	buf   []Event
-	n     int  // valid events when not wrapped; == len(buf) once wrapped
 	next  int  // ring write index
 	wrap  bool // ring has wrapped (ring mode only)
 	total uint64
@@ -151,14 +153,10 @@ func (t *Tracer) Emit(cycle uint64, kind EventKind, core, thread int32, a0, a1, 
 		if t.sink != nil {
 			t.sink(t.buf)
 			t.next = 0
-			t.n = 0
 			return
 		}
 		t.next = 0
 		t.wrap = true
-	}
-	if !t.wrap && t.next > t.n {
-		t.n = t.next
 	}
 }
 
@@ -169,7 +167,6 @@ func (t *Tracer) Flush() {
 	}
 	t.sink(t.buf[:t.next])
 	t.next = 0
-	t.n = 0
 }
 
 // Total returns the number of events emitted over the tracer's lifetime
