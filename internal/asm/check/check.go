@@ -121,12 +121,28 @@ func Analyze(prog *asm.Program, entryDefined []isa.Reg) *Report {
 	return rep
 }
 
-// buildCFG returns each instruction's successor list and findings for
-// branch targets outside the text. Edges through a bad target are dropped
-// (the finding already covers them).
-func buildCFG(prog *asm.Program) ([][]int, []Finding) {
+// succList is one instruction's successors: at most a branch target and
+// a fallthrough, so every instruction's list fits two fixed slots and the
+// whole CFG is one slice.
+type succList struct {
+	pc [2]int32
+	n  int32
+}
+
+func (s *succList) add(pc int) {
+	s.pc[s.n] = int32(pc)
+	s.n++
+}
+
+// all returns the successors, branch target first.
+func (s *succList) all() []int32 { return s.pc[:s.n] }
+
+// buildCFG returns each instruction's successors and findings for branch
+// targets outside the text. Edges through a bad target are dropped (the
+// finding already covers them).
+func buildCFG(prog *asm.Program) ([]succList, []Finding) {
 	n := prog.Len()
-	succs := make([][]int, n)
+	succs := make([]succList, n)
 	var findings []Finding
 	for i := 0; i < n; i++ {
 		in := &prog.Insts[i]
@@ -137,7 +153,7 @@ func buildCFG(prog *asm.Program) ([][]int, []Finding) {
 				findings = append(findings, Finding{PC: i, Kind: BadBranchTarget,
 					Msg: fmt.Sprintf("%s targets instruction %d, text is [0,%d)", in.Op, target, n)})
 			} else {
-				succs[i] = append(succs[i], target)
+				succs[i].add(target)
 			}
 		}
 		switch {
@@ -151,22 +167,23 @@ func buildCFG(prog *asm.Program) ([][]int, []Finding) {
 			// eventually returns to the next instruction). Falling off the
 			// end is an implicit HALT (asm.Program.At), not an edge.
 			if i+1 < n {
-				succs[i] = append(succs[i], i+1)
+				succs[i].add(i + 1)
 			}
 		}
 	}
 	return succs, findings
 }
 
-// reach marks every instruction reachable from entry.
-func reach(succs [][]int, n int) []bool {
+// reach marks every instruction reachable from entry. Each instruction is
+// pushed at most once, so the stack never outgrows n.
+func reach(succs []succList, n int) []bool {
 	reachable := make([]bool, n)
-	stack := []int{0}
+	stack := make([]int32, 1, n)
 	reachable[0] = true
 	for len(stack) > 0 {
 		i := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, s := range succs[i] {
+		for _, s := range succs[i].all() {
 			if !reachable[s] {
 				reachable[s] = true
 				stack = append(stack, s)
@@ -201,7 +218,7 @@ func unreachableRanges(reachable []bool) []Finding {
 
 // useBeforeDef runs the forward must-defined pass and reports reads of
 // registers (or flags) not written on every path from entry.
-func useBeforeDef(prog *asm.Program, succs [][]int, reachable []bool, entryDefined []isa.Reg) []Finding {
+func useBeforeDef(prog *asm.Program, succs []succList, reachable []bool, entryDefined []isa.Reg) []Finding {
 	n := prog.Len()
 	entry := flowState{}
 	entry.regs.add(isa.XZR)
@@ -219,7 +236,8 @@ func useBeforeDef(prog *asm.Program, succs [][]int, reachable []bool, entryDefin
 	}
 	in[0] = entry
 
-	var scratch []isa.Reg
+	var buf [4]isa.Reg // an instruction has at most three sources
+	scratch := buf[:0]
 	out := func(i int) flowState {
 		s := in[i]
 		scratch = prog.Insts[i].DstRegs(scratch[:0])
@@ -239,7 +257,7 @@ func useBeforeDef(prog *asm.Program, succs [][]int, reachable []bool, entryDefin
 				continue
 			}
 			o := out(i)
-			for _, s := range succs[i] {
+			for _, s := range succs[i].all() {
 				next := in[s].meet(o)
 				if next != in[s] {
 					in[s] = next
@@ -273,10 +291,11 @@ func useBeforeDef(prog *asm.Program, succs [][]int, reachable []bool, entryDefin
 // pressure runs the backward liveness pass and returns the maximal live
 // register count, the first instruction where it occurs, and the registers
 // live there.
-func pressure(prog *asm.Program, succs [][]int, reachable []bool) (int, int, []isa.Reg) {
+func pressure(prog *asm.Program, succs []succList, reachable []bool) (int, int, []isa.Reg) {
 	n := prog.Len()
 	liveIn := make([]regMask, n)
-	var scratch []isa.Reg
+	var buf [4]isa.Reg
+	scratch := buf[:0]
 
 	for changed := true; changed; {
 		changed = false
@@ -285,7 +304,7 @@ func pressure(prog *asm.Program, succs [][]int, reachable []bool) (int, int, []i
 				continue
 			}
 			var liveOut regMask
-			for _, s := range succs[i] {
+			for _, s := range succs[i].all() {
 				liveOut |= liveIn[s]
 			}
 			next := liveOut
@@ -314,6 +333,7 @@ func pressure(prog *asm.Program, succs [][]int, reachable []bool) (int, int, []i
 	}
 	var regs []isa.Reg
 	if maxPC >= 0 {
+		regs = make([]isa.Reg, 0, maxLive)
 		for r := isa.Reg(0); r < isa.NumRegs; r++ {
 			if liveIn[maxPC].has(r) {
 				regs = append(regs, r)

@@ -1,6 +1,7 @@
 package check_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -204,5 +205,45 @@ func TestAllWorkloadsClean(t *testing.T) {
 		if rep.MaxLive < 1 {
 			t.Errorf("%s: MaxLive = %d, want >= 1", w.Name, rep.MaxLive)
 		}
+	}
+}
+
+// loopProgram assembles a clean program of exactly n = 6+2k instructions:
+// a counted loop around k blocks, each a conditional branch over an add,
+// so every block adds a branch target and a fallthrough to the CFG.
+func loopProgram(t *testing.T, k int) *asm.Program {
+	t.Helper()
+	var b strings.Builder
+	b.WriteString("movz x1, #1\nmovz x2, #2\nmovz x4, #3\ntop:\n")
+	for i := 0; i < k; i++ {
+		fmt.Fprintf(&b, "cbz x1, s%d\nadd x1, x1, x2\ns%d:\n", i, i)
+	}
+	b.WriteString("sub x4, x4, #1\ncbnz x4, top\nhalt\n")
+	p := mustAssemble(t, b.String())
+	if p.Len() != 6+2*k {
+		t.Fatalf("loopProgram(%d) has %d instructions, want %d", k, p.Len(), 6+2*k)
+	}
+	return p
+}
+
+// TestAnalysisAllocsIndependentOfLength: the CFG is one slice of two-slot
+// successor lists and every dataflow pass works in fixed or exactly sized
+// buffers, so analyzing or synthesizing hints for a clean program costs
+// the same number of allocations at 40 instructions as at 400.
+func TestAnalysisAllocsIndependentOfLength(t *testing.T) {
+	short, long := loopProgram(t, 17), loopProgram(t, 197)
+	for _, p := range []*asm.Program{short, long} {
+		if rep := check.Analyze(p, nil); !rep.Clean() {
+			t.Fatalf("%d-instruction program: findings %v", p.Len(), rep.Findings)
+		}
+	}
+	allocs := func(f func(*asm.Program)) (float64, float64) {
+		return testing.AllocsPerRun(50, func() { f(short) }), testing.AllocsPerRun(50, func() { f(long) })
+	}
+	if a40, a400 := allocs(func(p *asm.Program) { check.Analyze(p, nil) }); a40 != a400 {
+		t.Errorf("Analyze: %v allocs at 40 instructions, %v at 400; want the same", a40, a400)
+	}
+	if a40, a400 := allocs(func(p *asm.Program) { check.Synthesize(p) }); a40 != a400 {
+		t.Errorf("Synthesize: %v allocs at 40 instructions, %v at 400; want the same", a40, a400)
 	}
 }

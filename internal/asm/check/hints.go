@@ -98,11 +98,12 @@ func Apply(prog *asm.Program) *Hints {
 // hintLiveness is the backward liveness pass specialized for hint
 // synthesis: unlike pressure, RET makes every register live (the analysis
 // cannot see the caller, so nothing may be called dead across a return).
-func hintLiveness(prog *asm.Program, succs [][]int, reachable []bool) []regMask {
+func hintLiveness(prog *asm.Program, succs []succList, reachable []bool) []regMask {
 	n := prog.Len()
 	liveIn := make([]regMask, n)
 	liveOut := make([]regMask, n)
-	var scratch []isa.Reg
+	var buf [4]isa.Reg
+	scratch := buf[:0]
 	for changed := true; changed; {
 		changed = false
 		for i := n - 1; i >= 0; i-- {
@@ -113,7 +114,7 @@ func hintLiveness(prog *asm.Program, succs [][]int, reachable []bool) []regMask 
 			if prog.Insts[i].Op == isa.RET {
 				out = ^regMask(0)
 			}
-			for _, s := range succs[i] {
+			for _, s := range succs[i].all() {
 				out |= liveIn[s]
 			}
 			liveOut[i] = out

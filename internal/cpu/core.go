@@ -1398,13 +1398,16 @@ func (c *Core) SetTelemetry(tr *telemetry.Tracer, coreID int) {
 	}
 }
 
+// switchIntervalBuckets are the switch-interval histogram's bounds, shared
+// by every core's histogram and never modified.
+var switchIntervalBuckets = telemetry.Pow2Buckets(8, 12)
+
 // RegisterMetrics wires the core's counters and histograms into a
 // registry under prefix (e.g. "core0"). Counters alias the Stats fields,
 // so registered metrics reconcile exactly with the reported tables.
 func (c *Core) RegisterMetrics(r *telemetry.Registry, prefix string) {
 	r.Stats(prefix, &c.Stats)
-	c.switchInterval = r.Histogram(prefix+"/switch_interval_cycles",
-		telemetry.Pow2Buckets(8, 12))
+	c.switchInterval = r.Histogram(prefix+"/switch_interval_cycles", switchIntervalBuckets)
 	c.sqOccupancy = r.Histogram(prefix+"/sq_occupancy",
 		telemetry.LinearBuckets(0, 1, c.cfg.SQEntries+1))
 }

@@ -167,6 +167,7 @@ func NewViReC(cfg ViReCConfig, threads int, dcache mem.Device, memory *mem.Memor
 		panic(fmt.Sprintf("regfile: ViReC needs >= 8 physical registers, got %d", cfg.PhysRegs))
 	}
 	tags := vrmu.NewTagStore(cfg.PhysRegs, cfg.Policy)
+	tags.Reserve(threads)
 	p := &ViReC{
 		base:        newBase(dcache, memory, layout, threads),
 		cfg:         cfg,
@@ -276,6 +277,10 @@ func (p *ViReC) SetTelemetry(tr *telemetry.Tracer, coreID int) {
 // emitting cycle even though the provider's own Tick runs last.
 func (p *ViReC) StampCycle(cycle uint64) { p.cycle = cycle }
 
+// fillLatencyBuckets are the fill-latency histogram's bounds, shared by
+// every ViReC provider's histogram and never modified.
+var fillLatencyBuckets = telemetry.Pow2Buckets(4, 10)
+
 // RegisterMetrics wires the provider's counters, the tag store, the BSI
 // traffic counters and the fill-latency histogram into a registry under
 // prefix (e.g. "rf0"). Counters alias the exported stats fields, so the
@@ -290,8 +295,7 @@ func (p *ViReC) RegisterMetrics(r *telemetry.Registry, prefix string) {
 	r.Counter(prefix+"/sysreg_fills", &p.sysBsi.FillsIssued)
 	r.Counter(prefix+"/sysreg_spills", &p.sysBsi.SpillsIssued)
 	r.Counter(prefix+"/prefetch_fills", &p.pfBsi.FillsIssued)
-	p.bsi.fillLat = r.Histogram(prefix+"/fill_latency_cycles",
-		telemetry.Pow2Buckets(4, 10))
+	p.bsi.fillLat = r.Histogram(prefix+"/fill_latency_cycles", fillLatencyBuckets)
 }
 
 // Tags exposes the tag store for statistics (hit rates, Figure 12).
@@ -338,7 +342,8 @@ func (p *ViReC) allocate(thread int, r isa.Reg) int {
 	var group []int
 	if p.cfg.GroupEvict {
 		if e := p.tags.Entry(phys); e.Valid {
-			group = p.tags.LineSiblings(e.Thread, e.Reg)
+			var siblings [7]int
+			group = p.tags.LineSiblings(&siblings, e.Thread, e.Reg)
 		}
 	}
 	victim, evicted := p.tags.Insert(thread, r, phys)

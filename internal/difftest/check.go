@@ -234,8 +234,21 @@ func Check(k *Kernel, opts CheckOpts) *Report {
 
 // refThread is one thread's golden execution.
 type refThread struct {
-	entries []interp.TraceEntry
+	entries []refEntry // exactly as long as the thread's execution
 	final   interp.Context
+}
+
+// refEntry is one reference commit: the six fields runScenario compares,
+// in 40 bytes. The instruction is named through the program
+// (Prog.At(pc)), and only when a divergence is reported. pc keeps its
+// full width: a ret can halt a thread at any address.
+type refEntry struct {
+	pc    int
+	rd    isa.Reg
+	wrote bool
+	addr  mem.Addr
+	val   uint64
+	data  uint64
 }
 
 // reference is a kernel's golden execution for its first threads. It is
@@ -286,6 +299,10 @@ func scenarioConfig(k *Kernel, sc Scenario, opts CheckOpts) sim.Config {
 // they share one reference memory, and thread th's reference does not
 // depend on how many threads follow it. It stops at the first thread that
 // does not halt.
+//
+// Each thread runs twice: untraced from a copy of its entry context on a
+// throwaway overlay of the reference memory, which counts its commits,
+// then traced into a trace allocated once at that exact length.
 func buildReference(k *Kernel, cfg sim.Config, threads int) *reference {
 	refMem := mem.NewMemory()
 	refs := make([]refThread, threads)
@@ -304,13 +321,19 @@ func buildReference(k *Kernel, cfg sim.Config, threads int) *reference {
 	pre := interp.Precode(k.Spec.Prog)
 	for th := 0; th < threads; th++ {
 		ref := &refs[th]
-		res := pre.Run(&ref.final, refMem, budget, func(e interp.TraceEntry) {
-			ref.entries = append(ref.entries, e)
-		})
+		entry := ref.final
+		scratch := refMem.Overlay()
+		res := pre.Run(&entry, scratch, budget, nil)
+		scratch.Release()
 		if !res.Halted {
 			return &reference{threads: refs[:th], mem: refMem,
 				err: fmt.Errorf("reference thread %d did not halt within %d instructions", th, budget)}
 		}
+		ref.entries = make([]refEntry, 0, res.Insts)
+		pre.Run(&ref.final, refMem, budget, func(e interp.TraceEntry) {
+			ref.entries = append(ref.entries, refEntry{pc: e.PC, rd: e.Rd, wrote: e.Wrote,
+				addr: e.Addr, val: e.Val, data: e.Data})
+		})
 	}
 	return &reference{threads: refs, mem: refMem}
 }
@@ -353,28 +376,28 @@ func runScenario(k *Kernel, sc Scenario, opts CheckOpts, ref *reference) (uint64
 				ev.Inst, len(ref.entries))
 			return
 		}
-		e := ref.entries[i]
+		e := &ref.entries[i]
 		cursors[th]++
 		commits++
 		switch {
-		case ev.PC != e.PC:
+		case ev.PC != e.pc:
 			d = fail("pc", th, i, ev.PC, "pipeline committed pc %d (%s), reference executed pc %d (%s)",
-				ev.PC, ev.Inst, e.PC, e.Inst)
-		case ev.Wrote != e.Wrote:
+				ev.PC, ev.Inst, e.pc, k.Spec.Prog.At(e.pc))
+		case ev.Wrote != e.wrote:
 			d = fail("writeback", th, i, ev.PC, "%s: pipeline wrote-reg=%v, reference wrote-reg=%v",
-				ev.Inst, ev.Wrote, e.Wrote)
-		case ev.Wrote && ev.Rd != e.Rd:
+				ev.Inst, ev.Wrote, e.wrote)
+		case ev.Wrote && ev.Rd != e.rd:
 			d = fail("writeback", th, i, ev.PC, "%s: pipeline wrote %s, reference wrote %s",
-				ev.Inst, ev.Rd, e.Rd)
-		case ev.Wrote && ev.Val != e.Val:
+				ev.Inst, ev.Rd, e.rd)
+		case ev.Wrote && ev.Val != e.val:
 			d = fail("writeback", th, i, ev.PC, "%s: %s = %#x, reference %#x",
-				ev.Inst, ev.Rd, ev.Val, e.Val)
-		case ev.Inst.IsMem() && ev.Addr != e.Addr:
+				ev.Inst, ev.Rd, ev.Val, e.val)
+		case ev.Inst.IsMem() && ev.Addr != e.addr:
 			d = fail("mem-addr", th, i, ev.PC, "%s: effective address %#x, reference %#x",
-				ev.Inst, ev.Addr, e.Addr)
-		case ev.Inst.IsStore() && ev.Data != e.Data:
+				ev.Inst, ev.Addr, e.addr)
+		case ev.Inst.IsStore() && ev.Data != e.data:
 			d = fail("store-data", th, i, ev.PC, "%s: store data %#x, reference %#x",
-				ev.Inst, ev.Data, e.Data)
+				ev.Inst, ev.Data, e.data)
 		}
 	})
 

@@ -532,20 +532,40 @@ func (g *gen) memLeaf(mult int) *node {
 // ---- emission ----
 
 // emit flattens the IR into instructions, resolving every branch target
-// to an absolute instruction index, and terminates with HALT.
+// to an absolute instruction index, and terminates with HALT. The program
+// is allocated once, at its exact length.
 func emit(nodes []*node) []isa.Inst {
-	var out []isa.Inst
-	var walk func(n *node)
-	walk = func(n *node) {
+	out := emitNodes(make([]isa.Inst, 0, emitLen(nodes)+1), nodes)
+	return append(out, isa.Inst{Op: isa.HALT})
+}
+
+// emitLen returns the number of instructions emitNodes appends for nodes.
+func emitLen(nodes []*node) int {
+	n := 0
+	for _, nd := range nodes {
+		switch nd.kind {
+		case leafNode:
+			n += len(nd.insts)
+		case loopNode:
+			n += 3 + emitLen(nd.body) // movz, body, subi, cbnz
+		case ifNode:
+			n += len(nd.cmp) + 1 + emitLen(nd.body)
+		}
+	}
+	return n
+}
+
+// emitNodes appends the instructions of nodes to out. Branch targets are
+// indexes into out, which holds the program from its first instruction.
+func emitNodes(out []isa.Inst, nodes []*node) []isa.Inst {
+	for _, n := range nodes {
 		switch n.kind {
 		case leafNode:
 			out = append(out, n.insts...)
 		case loopNode:
 			out = append(out, isa.Inst{Op: isa.MOVZ, Rd: n.counter, Imm: n.trip})
 			top := int32(len(out))
-			for _, b := range n.body {
-				walk(b)
-			}
+			out = emitNodes(out, n.body)
 			out = append(out,
 				isa.Inst{Op: isa.SUBI, Rd: n.counter, Rn: n.counter, Imm: 1},
 				isa.Inst{Op: isa.CBNZ, Rn: n.counter, Target: top})
@@ -553,16 +573,11 @@ func emit(nodes []*node) []isa.Inst {
 			out = append(out, n.cmp...)
 			hole := len(out)
 			out = append(out, n.br)
-			for _, b := range n.body {
-				walk(b)
-			}
+			out = emitNodes(out, n.body)
 			out[hole].Target = int32(len(out))
 		}
 	}
-	for _, n := range nodes {
-		walk(n)
-	}
-	return append(out, isa.Inst{Op: isa.HALT})
+	return out
 }
 
 // makeSpec wraps a generated program as a workload: the offload payload

@@ -56,6 +56,16 @@ func FuzzPrecode(f *testing.F) {
 	// With regSeed 1 the chase's trip count x1 is too large to halt within
 	// fuzzBudget; regSeed 3701 sets x1 = 499, so the loop runs to its HALT.
 	f.Add(chaseBytes, uint64(3701))
+	// A ret can leave the program for any address, here 1<<32; both
+	// engines halt there.
+	var far []byte
+	for _, in := range []isa.Inst{
+		{Op: isa.MOVZ, Rd: isa.X1, Imm: 1, Shift: 2},
+		{Op: isa.RET, Rn: isa.X1},
+	} {
+		far = in.Encode(far)
+	}
+	f.Add(far, uint64(7))
 
 	f.Fuzz(func(t *testing.T, data []byte, regSeed uint64) {
 		var insts []isa.Inst

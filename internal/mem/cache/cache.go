@@ -552,14 +552,17 @@ func (c *Cache) SetTelemetry(tr *telemetry.Tracer, coreID int) {
 	c.traceCore = int32(coreID)
 }
 
+// pinnedBuckets are the pinned-line histogram's bounds, shared by every
+// cache's histogram and never modified.
+var pinnedBuckets = telemetry.LinearBuckets(0, 4, 16)
+
 // RegisterMetrics wires the cache's counters, occupancy gauges and the
 // pinned-line histogram into a registry under prefix (e.g. "dcache0").
 func (c *Cache) RegisterMetrics(r *telemetry.Registry, prefix string) {
 	r.Stats(prefix, &c.Stats)
 	r.Gauge(prefix+"/pinned_lines", func() float64 { return float64(c.PinnedLines()) })
 	r.Gauge(prefix+"/mshrs_in_use", func() float64 { return float64(len(c.mshrs)) })
-	c.pinnedHist = r.Histogram(prefix+"/pinned_lines_hist",
-		telemetry.LinearBuckets(0, 4, 16))
+	c.pinnedHist = r.Histogram(prefix+"/pinned_lines_hist", pinnedBuckets)
 }
 
 // CheckInvariants validates internal consistency; tests call it after

@@ -150,6 +150,10 @@ func (r *Registry) Gauge(name string, fn func() float64) {
 // Histogram registers a fixed-bucket histogram and returns the handle the
 // owner observes into. bounds are inclusive upper bounds in ascending
 // order; one overflow bucket beyond the last bound is added implicitly.
+// The histogram keeps bounds, not a copy, and shares them with its
+// snapshots, so they must not change after registration. Owners that
+// register one layout in every simulation build it once, as a package
+// variable.
 func (r *Registry) Histogram(name string, bounds []uint64) *Histogram {
 	h := newHistogram(bounds)
 	r.add(name, h)
@@ -240,9 +244,7 @@ func newHistogram(bounds []uint64) *Histogram {
 			panic(fmt.Sprintf("telemetry: histogram bounds not ascending: %v", bounds))
 		}
 	}
-	cp := make([]uint64, len(bounds))
-	copy(cp, bounds)
-	return &Histogram{bounds: cp, counts: make([]uint64, len(bounds)+1)}
+	return &Histogram{bounds: bounds, counts: make([]uint64, len(bounds)+1)}
 }
 
 // Observe records one sample. Values at or below the first bound land in
@@ -268,8 +270,7 @@ func (h *Histogram) Observe(v uint64) {
 }
 
 // snapshot copies the histogram state. The bounds are shared, not
-// copied: newHistogram made them the histogram's own, and nothing changes
-// them after registration.
+// copied: nothing changes them after registration.
 func (h *Histogram) snapshot() HistSnapshot {
 	out := HistSnapshot{
 		Bounds: h.bounds,

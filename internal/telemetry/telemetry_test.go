@@ -313,6 +313,23 @@ func TestHistSnapshotValidate(t *testing.T) {
 	}
 }
 
+// TestHistogramSharesBounds: a histogram keeps the bounds it is given, so
+// registering one on bounds built once allocates only its handle and its
+// counts.
+func TestHistogramSharesBounds(t *testing.T) {
+	bounds := Pow2Buckets(4, 10)
+	r := NewRegistry()
+	if h := r.Histogram("h", bounds); &h.bounds[0] != &bounds[0] {
+		t.Fatal("Histogram copied its bounds")
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		r.metrics = r.metrics[:0]
+		r.Histogram("h", bounds)
+	}); n != 2 {
+		t.Errorf("registering a histogram: %v allocs, want 2 (the handle and its counts)", n)
+	}
+}
+
 func TestBucketHelpers(t *testing.T) {
 	lin := LinearBuckets(0, 2, 4)
 	for i, w := range []uint64{0, 2, 4, 6} {

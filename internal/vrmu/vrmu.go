@@ -20,6 +20,7 @@ package vrmu
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/virec/virec/internal/isa"
 	"github.com/virec/virec/internal/telemetry"
@@ -162,8 +163,9 @@ type TagStore struct {
 	// the hardware CAM match: slot thread*isa.NumRegs+reg holds the
 	// physical index or -1. A flat array keeps the decode-stage lookup —
 	// the single hottest simulator operation — a bounds check and a load
-	// instead of a map probe, and allocates nothing per access. It grows
-	// on demand as higher thread ids appear.
+	// instead of a map probe, and allocates nothing per access. Reserve
+	// sizes it for a known thread count; otherwise it grows on demand as
+	// higher thread ids appear.
 	cam     []int16
 	policy  Policy
 	clock   uint64
@@ -204,13 +206,27 @@ func camSlot(thread int, reg isa.Reg) int {
 	return thread*int(isa.NumRegs) + int(reg)
 }
 
-// camSet records a mapping, growing the table for new threads.
+// camSet records a mapping, growing the table for new threads. It stays
+// small enough to inline into Insert and Evict.
 func (t *TagStore) camSet(thread int, reg isa.Reg, phys int) {
 	s := camSlot(thread, reg)
 	for len(t.cam) <= s {
 		t.cam = append(t.cam, -1)
 	}
 	t.cam[s] = int16(phys)
+}
+
+// Reserve sizes the CAM table for threads 0..threads-1 in one allocation,
+// so a provider that knows its thread count never grows it during a run.
+func (t *TagStore) Reserve(threads int) {
+	n := camSlot(threads, 0)
+	if n <= len(t.cam) {
+		return
+	}
+	t.cam = slices.Grow(t.cam, n-len(t.cam))
+	for len(t.cam) < n {
+		t.cam = append(t.cam, -1)
+	}
 }
 
 // Size returns the number of physical registers.
@@ -569,17 +585,20 @@ func (t *TagStore) Evict(phys int) (Victim, bool) {
 
 // LineSiblings returns the physical indices of valid entries belonging to
 // the same thread whose architectural registers share reg's backing-store
-// cache line (eight registers per line). reg's own entry is excluded.
-func (t *TagStore) LineSiblings(thread int, reg isa.Reg) []int {
+// cache line (eight registers per line). reg's own entry is excluded, so
+// at most seven siblings exist; they are written into buf, and the result
+// is a slice of it.
+func (t *TagStore) LineSiblings(buf *[7]int, thread int, reg isa.Reg) []int {
 	lineBase := reg &^ 7
-	var out []int
+	n := 0
 	for i := range t.entries {
 		e := &t.entries[i]
 		if e.Valid && e.Thread == thread && e.Reg != reg && e.Reg&^7 == lineBase {
-			out = append(out, i)
+			buf[n] = i
+			n++
 		}
 	}
-	return out
+	return buf[:n]
 }
 
 // InvalidateThread drops every entry of a thread (used when a thread

@@ -439,7 +439,8 @@ func TestEvictAndLineSiblings(t *testing.T) {
 
 	// x1 and x2 share thread 0's first backing line; x9 does not, and
 	// thread 1's x3 never groups with thread 0.
-	sibs := ts.LineSiblings(0, isa.X1)
+	var buf [7]int
+	sibs := ts.LineSiblings(&buf, 0, isa.X1)
 	if len(sibs) != 1 || ts.Entry(sibs[0]).Reg != isa.X2 {
 		t.Errorf("LineSiblings(t0,x1) = %v", sibs)
 	}
@@ -456,6 +457,33 @@ func TestEvictAndLineSiblings(t *testing.T) {
 	}
 	if msg := ts.CheckInvariants(); msg != "" {
 		t.Error(msg)
+	}
+}
+
+// TestReservedTagStoreAllocatesNothing: once its threads are reserved, a
+// tag store maps, groups and evicts registers without growing its CAM or
+// allocating.
+func TestReservedTagStoreAllocatesNothing(t *testing.T) {
+	const threads = 4
+	ts := NewTagStore(2*threads, LRC)
+	ts.Reserve(threads)
+	camLen := len(ts.cam)
+	var buf [7]int
+	if n := testing.AllocsPerRun(100, func() {
+		for th := 0; th < threads; th++ {
+			ts.Insert(th, isa.X1, 2*th)
+			ts.Insert(th, isa.X2, 2*th+1)
+			if sibs := ts.LineSiblings(&buf, th, isa.X1); len(sibs) != 1 || sibs[0] != 2*th+1 {
+				t.Fatalf("LineSiblings(t%d, x1) = %v", th, sibs)
+			}
+			ts.Evict(2 * th)
+			ts.Evict(2*th + 1)
+		}
+	}); n != 0 {
+		t.Errorf("%v allocs per round of inserts, sibling lookups and evictions; want 0", n)
+	}
+	if len(ts.cam) != camLen {
+		t.Errorf("CAM grew from %d to %d slots after Reserve(%d)", camLen, len(ts.cam), threads)
 	}
 }
 
