@@ -1162,7 +1162,7 @@ func (c *Core) csl(probe bool, st *step) bool {
 		return false
 	}
 
-	next := c.nextThread()
+	next := c.successor(c.cur)
 	if next < 0 || (next == c.cur && reason != switchStart) {
 		if probe {
 			return true
@@ -1197,7 +1197,7 @@ func (c *Core) csl(probe bool, st *step) bool {
 	if prev >= 0 {
 		c.provider.PipelineFlushed(prev)
 	}
-	c.provider.OnSwitch(prev, next)
+	c.provider.OnSwitch(prev, next, c.successor(next))
 	c.cur = next
 	c.fetchPC = th.PC
 	c.fetchQ.clear()
@@ -1257,25 +1257,20 @@ func (c *Core) flushPipeline(thread int) {
 }
 
 // liveThreads returns the number of unhalted threads.
-func (c *Core) liveThreads() int {
-	n := 0
-	for _, t := range c.threads {
-		if !t.Halted {
-			n++
-		}
-	}
-	return n
-}
+func (c *Core) liveThreads() int { return len(c.threads) - c.halted }
 
-// nextThread picks the round-robin successor of the current thread.
-func (c *Core) nextThread() int {
+// successor returns the thread the CSL runs after t: the next live thread
+// in round-robin order, counting from thread 0 when t is -1. It is t itself
+// when t is the only live thread, and -1 when none is live. The CSL picks
+// successor(c.cur) and OnSwitch hands providers successor(next), so the
+// schedule is defined once.
+func (c *Core) successor(t int) int {
 	n := len(c.threads)
-	start := c.cur
-	if start < 0 {
-		start = n - 1
+	if t < 0 {
+		t = n - 1
 	}
 	for i := 1; i <= n; i++ {
-		cand := (start + i) % n
+		cand := (t + i) % n
 		if !c.threads[cand].Halted {
 			return cand
 		}

@@ -34,6 +34,20 @@ func (d *missDev) Tick(cycle uint64) {
 	d.DelayDevice.Tick(cycle)
 }
 
+// tapDev hands every request it passes on to fn.
+type tapDev struct {
+	mem.Device
+	fn func(*mem.Request)
+}
+
+func (d *tapDev) Access(r *mem.Request) bool {
+	ok := d.Device.Access(r)
+	if ok {
+		d.fn(r)
+	}
+	return ok
+}
+
 const (
 	regBase  = mem.Addr(0x100000)
 	dataBase = mem.Addr(0x1000)
@@ -70,6 +84,8 @@ type rigOpt struct {
 	// alwaysMiss replaces the dcache with a missDev: no cache state, so
 	// the memory side allocates nothing however long the run.
 	alwaysMiss bool
+	// tap sees every request the core and provider hand the dcache.
+	tap func(*mem.Request)
 }
 
 func newRig(kind providerKind, opt rigOpt) *rig {
@@ -107,6 +123,9 @@ func newRig(kind providerKind, opt rigOpt) *rig {
 	if opt.alwaysMiss {
 		md := &missDev{DelayDevice: mem.NewDelayDevice(opt.memLat)}
 		dev, lower = md, md
+	}
+	if opt.tap != nil {
+		dev = &tapDev{Device: dev, fn: opt.tap}
 	}
 
 	var provider cpu.Provider
@@ -616,14 +635,36 @@ func TestHaltedThreadsAreSkipped(t *testing.T) {
 	}
 }
 
+// TestUnusedThreadSlotsAreHalted runs a 4-thread core with programs on t0
+// and t2 only. Every provider must finish, and none may move a register
+// to or from t1's or t3's context: the successor a provider loads ahead
+// of a switch is the core's, which skips slots without a program.
 func TestUnusedThreadSlotsAreHalted(t *testing.T) {
-	r := newRig(pBanked, rigOpt{threads: 4})
-	r.core.Thread(0).Prog = asm.MustAssemble("only", "mov x1, #3\nhalt")
-	if !r.run(100000) {
-		t.Fatal("core with one programmed thread must finish")
-	}
-	if got := r.core.Thread(0).Shadow(isa.X1); got != 3 {
-		t.Errorf("x1 = %d, want 3", got)
+	layout := cpu.RegLayout{Base: regBase}
+	for name, kind := range allKinds() {
+		t.Run(name, func(t *testing.T) {
+			touched := 0
+			tap := func(req *mem.Request) {
+				for _, th := range []int{1, 3} {
+					if lo := layout.RegAddr(th, 0); req.Addr >= lo && req.Addr < lo+cpu.ThreadStride {
+						touched++
+					}
+				}
+			}
+			r := newRig(kind, rigOpt{threads: 4, tap: tap})
+			r.load(asm.MustAssemble("only", "mov x1, #3\nhalt"), 0, 2)
+			if !r.run(100000) {
+				t.Fatal("core with two programmed threads must finish")
+			}
+			for _, th := range []int{0, 2} {
+				if got := r.core.Thread(th).Shadow(isa.X1); got != 3 {
+					t.Errorf("t%d x1 = %d, want 3", th, got)
+				}
+			}
+			if touched != 0 {
+				t.Errorf("%d register transfers touched an unprogrammed slot's context", touched)
+			}
+		})
 	}
 }
 

@@ -65,8 +65,10 @@ type Provider interface {
 	// spill is outstanding).
 	BlockSwitch() bool
 
-	// OnSwitch commits the context switch from prev to next.
-	OnSwitch(prev, next int)
+	// OnSwitch commits the context switch from prev to next. succ is the
+	// thread the core will run after next (next itself when no other is
+	// live); a provider that loads state ahead of a switch loads succ's.
+	OnSwitch(prev, next, succ int)
 
 	// ThreadStarted runs when a thread is scheduled for the first time.
 	ThreadStarted(thread int)

@@ -32,7 +32,7 @@ func (p *flatProvider) InstCommitted(int, uint64)          {}
 func (p *flatProvider) PipelineFlushed(int)                {}
 func (p *flatProvider) CanSwitchTo(int, bool) (bool, bool) { return true, false }
 func (p *flatProvider) BlockSwitch() bool                  { return false }
-func (p *flatProvider) OnSwitch(int, int)                  {}
+func (p *flatProvider) OnSwitch(int, int, int)             {}
 func (p *flatProvider) ThreadStarted(int)                  {}
 func (p *flatProvider) ThreadHalted(int)                   {}
 func (p *flatProvider) Tick(uint64)                        {}

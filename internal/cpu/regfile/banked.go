@@ -22,7 +22,7 @@ type Banked struct {
 // NewBanked builds a banked provider with one bank per thread.
 func NewBanked(threads int, dcache mem.Device, memory *mem.Memory, layout cpu.RegLayout) *Banked {
 	p := &Banked{
-		base:    newBase(dcache, memory, layout, threads),
+		base:    newBase(memory, layout, threads),
 		banks:   make([][isa.NumRegs]uint64, threads),
 		loading: make([]int, threads),
 	}
@@ -78,7 +78,7 @@ func (p *Banked) BlockSwitch() bool { return false }
 func (p *Banked) SkipQuiescent() bool { return p.bsi.quiet() }
 
 // OnSwitch is a bank-select: free.
-func (p *Banked) OnSwitch(prev, next int) {}
+func (p *Banked) OnSwitch(prev, next, succ int) {}
 
 // ThreadStarted fetches the offloaded context (32 GP registers plus the
 // system-register line) from the reserved region into the bank.
@@ -101,10 +101,8 @@ func (p *Banked) bsiDone(op bsiOp) {
 	p.loading[op.thread]--
 }
 
-// ThreadHalted drops the bank.
-func (p *Banked) ThreadHalted(thread int) {
-	p.halted[thread] = true
-}
+// ThreadHalted is a no-op: the bank is never reused.
+func (p *Banked) ThreadHalted(thread int) {}
 
 // Tick drives the context-load traffic.
 func (p *Banked) Tick(cycle uint64) { p.bsi.Tick(cycle) }

@@ -31,15 +31,16 @@ func (k PrefetchKind) String() string {
 
 // Prefetch implements double-buffer register prefetching: two physical
 // banks, one serving the running thread while the other is reloaded with
-// the round-robin successor's context. A switch stalls until the incoming
-// bank is complete; after the switch the vacated bank's contents are
-// stored back and the next successor's context is prefetched into it,
+// the context of the successor the core names. A switch stalls until the
+// incoming bank is complete; after the switch the vacated bank's contents
+// are stored back and the next successor's context is prefetched into it,
 // overlapping the new thread's execution.
 type Prefetch struct {
 	base
 	bsi  *bsi
 	kind PrefetchKind
 
+	cur      int // running thread, -1 none
 	banks    [2][isa.NumRegs]uint64
 	bankOf   [2]int // thread held by each bank, -1 empty
 	loading  [2]int // outstanding loads into each bank
@@ -56,8 +57,9 @@ type Prefetch struct {
 // NewPrefetch builds a prefetching provider.
 func NewPrefetch(kind PrefetchKind, threads int, dcache mem.Device, memory *mem.Memory, layout cpu.RegLayout) *Prefetch {
 	p := &Prefetch{
-		base:     newBase(dcache, memory, layout, threads),
+		base:     newBase(memory, layout, threads),
 		kind:     kind,
+		cur:      -1,
 		usedSet:  make([][]isa.Reg, threads),
 		onDemand: make(map[regKey]bool),
 	}
@@ -84,7 +86,7 @@ var allRegs = func() (all [isa.NumRegs]isa.Reg) {
 	return all
 }()
 
-// contextOf returns the register set moved for a thread.
+// contextOf returns the register set loaded for a thread.
 func (p *Prefetch) contextOf(thread int) []isa.Reg {
 	if p.kind == PrefetchExact && p.usedSet[thread] != nil {
 		return p.usedSet[thread]
@@ -128,6 +130,11 @@ func (p *Prefetch) Acquire(thread int, in *isa.Inst, needSrcs []isa.Reg, probe b
 		p.bsi.pushLoad(bsiOp{addr: p.layout.RegAddr(thread, r), kind: mem.Read,
 			done: doneDemand, thread: int32(thread), reg: r, slot: int32(b)})
 	}
+	if !ready {
+		// A destination that is also a source must wait for its fill, or
+		// the next Acquire reads the bank's stale value.
+		return false, false
+	}
 	// Destinations are writable without their old value.
 	var dstBuf [2]isa.Reg
 	for _, d := range in.DstRegs(dstBuf[:0]) {
@@ -138,7 +145,7 @@ func (p *Prefetch) Acquire(thread int, in *isa.Inst, needSrcs []isa.Reg, probe b
 			p.resident[b][d] = true
 		}
 	}
-	return ready, false
+	return true, false
 }
 
 // ReadValue reads the thread's bank.
@@ -175,7 +182,8 @@ func (p *Prefetch) InstCommitted(thread int, seq uint64) {}
 func (p *Prefetch) PipelineFlushed(thread int) {}
 
 // CanSwitchTo requires the incoming thread's bank to be fully loaded; the
-// first query for an unbuffered thread claims and begins loading a bank.
+// first query for an unbuffered thread claims the bank not holding the
+// running thread and begins loading it, whichever thread next is.
 func (p *Prefetch) CanSwitchTo(next int, probe bool) (ready, acts bool) {
 	if b := p.bankIdx(next); b >= 0 {
 		return p.loading[b] == 0, false
@@ -183,15 +191,8 @@ func (p *Prefetch) CanSwitchTo(next int, probe bool) (ready, acts bool) {
 	if probe {
 		return false, true
 	}
-	// Claim the bank not holding the current thread.
-	cur := -1
-	for bb := 0; bb < 2; bb++ {
-		if p.bankOf[bb] >= 0 && !p.halted[p.bankOf[bb]] && p.bankOf[bb] != next {
-			cur = bb
-		}
-	}
 	victim := 0
-	if cur == 0 {
+	if p.cur >= 0 && p.bankOf[0] == p.cur {
 		victim = 1
 	}
 	p.recycleBank(victim, next)
@@ -201,7 +202,7 @@ func (p *Prefetch) CanSwitchTo(next int, probe bool) (ready, acts bool) {
 // recycleBank stores the old occupant's context back to memory and loads
 // thread's context into bank b.
 func (p *Prefetch) recycleBank(b, thread int) {
-	if old := p.bankOf[b]; old >= 0 && !p.halted[old] {
+	if old := p.bankOf[b]; old >= 0 {
 		p.storeBank(b, old)
 	}
 	p.bankOf[b] = thread
@@ -232,11 +233,15 @@ func (p *Prefetch) bsiDone(op bsiOp) {
 	}
 }
 
-// storeBank writes a thread's context back to the reserved region:
-// functional values immediately, timing through the BSI.
+// storeBank writes every register resident in bank b, oracle set or not,
+// back to thread's context in the reserved region: functional values
+// immediately, timing through the BSI.
 func (p *Prefetch) storeBank(b, thread int) {
-	for _, r := range p.contextOf(thread) {
-		addr := p.layout.RegAddr(thread, r)
+	for r, ok := range p.resident[b] {
+		if !ok {
+			continue
+		}
+		addr := p.layout.RegAddr(thread, isa.Reg(r))
 		p.memory.Write64(addr, p.banks[b][r])
 		p.bsi.pushStore(bsiOp{addr: addr, kind: mem.Write})
 	}
@@ -249,24 +254,19 @@ func (p *Prefetch) BlockSwitch() bool { return false }
 // SkipQuiescent reports whether Tick would be a pure no-op.
 func (p *Prefetch) SkipQuiescent() bool { return p.bsi.quiet() }
 
-// OnSwitch starts prefetching the round-robin successor into the bank
-// vacated by prev, overlapping next's execution.
-func (p *Prefetch) OnSwitch(prev, next int) {
-	succ := p.nextOf(next)
+// OnSwitch records next as the running thread and starts prefetching
+// succ into the bank next does not hold (the one prev vacated),
+// overlapping next's execution.
+func (p *Prefetch) OnSwitch(prev, next, succ int) {
+	p.cur = next
 	if succ < 0 || succ == next || p.bankIdx(succ) >= 0 {
 		return
 	}
-	b := p.bankIdx(prev)
-	if b < 0 {
-		for bb := 0; bb < 2; bb++ {
-			if p.bankOf[bb] != next {
-				b = bb
-			}
-		}
+	b := 0
+	if p.bankOf[0] == next {
+		b = 1
 	}
-	if b >= 0 && p.bankOf[b] != next {
-		p.recycleBank(b, succ)
-	}
+	p.recycleBank(b, succ)
 }
 
 // ThreadStarted is handled by CanSwitchTo's bank claim.
@@ -274,7 +274,9 @@ func (p *Prefetch) ThreadStarted(thread int) {}
 
 // ThreadHalted releases the thread's bank without storing it back.
 func (p *Prefetch) ThreadHalted(thread int) {
-	p.halted[thread] = true
+	if p.cur == thread {
+		p.cur = -1
+	}
 	if b := p.bankIdx(thread); b >= 0 {
 		p.bankOf[b] = -1
 		p.resident[b] = [isa.NumRegs]bool{}

@@ -25,46 +25,17 @@ import (
 	"github.com/virec/virec/internal/telemetry"
 )
 
-// base carries the plumbing every provider needs.
+// base carries the plumbing every provider needs. It holds no schedule
+// state: the core names the successor in OnSwitch and reports each halt
+// through ThreadHalted.
 type base struct {
-	dcache   mem.Device
 	memory   *mem.Memory
 	layout   cpu.RegLayout
 	nThreads int
-	halted   []bool
 }
 
-func newBase(dcache mem.Device, memory *mem.Memory, layout cpu.RegLayout, nThreads int) base {
-	return base{
-		dcache:   dcache,
-		memory:   memory,
-		layout:   layout,
-		nThreads: nThreads,
-		halted:   make([]bool, nThreads),
-	}
-}
-
-// nextOf returns the round-robin successor of thread t among live
-// threads, or -1 when none remain.
-func (b *base) nextOf(t int) int {
-	for i := 1; i <= b.nThreads; i++ {
-		cand := (t + i) % b.nThreads
-		if !b.halted[cand] {
-			return cand
-		}
-	}
-	return -1
-}
-
-// liveThreads returns the number of unhalted threads.
-func (b *base) liveThreads() int {
-	n := 0
-	for _, h := range b.halted {
-		if !h {
-			n++
-		}
-	}
-	return n
+func newBase(memory *mem.Memory, layout cpu.RegLayout, nThreads int) base {
+	return base{memory: memory, layout: layout, nThreads: nThreads}
 }
 
 // bsiOp is one register transaction queued at the backing store interface.

@@ -131,7 +131,7 @@ func TestViReCSpillRoundTrip(t *testing.T) {
 		p.WriteValue(0, r, uint64(100+r))
 		p.InstCommitted(0, uint64(r)+1)
 	}
-	p.OnSwitch(0, 1)
+	p.OnSwitch(0, 1, 0)
 	// Thread 1 acquires its own registers, evicting thread 0's.
 	seq := uint64(100)
 	for r := isa.Reg(0); r < 8; r++ {
@@ -182,7 +182,7 @@ func TestViReCSysregPingPong(t *testing.T) {
 	if !canSwitch(p, 0) {
 		t.Fatal("sysreg load never completed")
 	}
-	p.OnSwitch(-1, 0)
+	p.OnSwitch(-1, 0, 1)
 	// The successor (thread 1) is prefetched during execution.
 	h.tick(p, 100)
 	if !canSwitch(p, 1) {
@@ -226,7 +226,7 @@ func TestSoftwareSwitchCost(t *testing.T) {
 	if firstCost < 33 {
 		t.Errorf("restore cost %d cycles, want >= 33 (one access per register)", firstCost)
 	}
-	p.OnSwitch(-1, 0)
+	p.OnSwitch(-1, 0, 1)
 	if got := p.ReadValue(0, isa.X1); got != 11 {
 		t.Errorf("restored x1 = %d, want 11", got)
 	}
@@ -241,7 +241,7 @@ func TestSoftwareSwitchCost(t *testing.T) {
 	if cost := h.cycle - start; cost < 66 {
 		t.Errorf("full switch cost %d cycles, want >= 66", cost)
 	}
-	p.OnSwitch(0, 1)
+	p.OnSwitch(0, 1, 0)
 	if got := p.ReadValue(1, isa.X1); got != 22 {
 		t.Errorf("thread 1 x1 = %d, want 22", got)
 	}
@@ -260,7 +260,7 @@ func TestPrefetchDoubleBuffer(t *testing.T) {
 	for i := 0; i < 1000 && !canSwitch(p, 0); i++ {
 		h.tick(p, 1)
 	}
-	p.OnSwitch(-1, 0)
+	p.OnSwitch(-1, 0, 1)
 	if got := p.ReadValue(0, isa.X2); got != 0 {
 		t.Errorf("t0.x2 = %d, want 0", got)
 	}
@@ -268,7 +268,7 @@ func TestPrefetchDoubleBuffer(t *testing.T) {
 	for i := 0; i < 1000 && !canSwitch(p, 1); i++ {
 		h.tick(p, 1)
 	}
-	p.OnSwitch(0, 1)
+	p.OnSwitch(0, 1, 2)
 	if got := p.ReadValue(1, isa.X2); got != 10 {
 		t.Errorf("t1.x2 = %d, want 10", got)
 	}
@@ -276,7 +276,7 @@ func TestPrefetchDoubleBuffer(t *testing.T) {
 	for i := 0; i < 1000 && !canSwitch(p, 2); i++ {
 		h.tick(p, 1)
 	}
-	p.OnSwitch(1, 2)
+	p.OnSwitch(1, 2, 0)
 	if got := p.ReadValue(2, isa.X2); got != 20 {
 		t.Errorf("t2.x2 = %d, want 20", got)
 	}
@@ -291,7 +291,7 @@ func TestPrefetchExactOnDemandFallback(t *testing.T) {
 	for i := 0; i < 1000 && !canSwitch(p, 0); i++ {
 		h.tick(p, 1)
 	}
-	p.OnSwitch(-1, 0)
+	p.OnSwitch(-1, 0, 1)
 	in := &isa.Inst{Op: isa.ADDI, Rd: isa.X3, Rn: isa.X2, Imm: 0}
 	need := []isa.Reg{isa.X2}
 	if acquire(p, 0, in, need) {
@@ -305,6 +305,59 @@ func TestPrefetchExactOnDemandFallback(t *testing.T) {
 	}
 	if p.OnDemandFills != 1 {
 		t.Errorf("OnDemandFills = %d, want 1", p.OnDemandFills)
+	}
+}
+
+// TestPrefetchAnySchedule switches Prefetch out of round-robin order: t0
+// starts with t1 named as its successor and prefetched, but t2 runs next,
+// then t1, t0, t2 and t1 again. While a switch is pending the running
+// thread must keep its bank and acquire, and the value each thread last
+// wrote to x9 must read back when it runs again. x9 is outside the exact
+// oracle set, so it comes back only through the store-back.
+func TestPrefetchAnySchedule(t *testing.T) {
+	steps := []struct{ next, succ int }{{0, 1}, {2, 1}, {1, 0}, {0, 2}, {2, 1}, {1, 0}}
+	write := &isa.Inst{Op: isa.MOVZ, Rd: isa.X9}
+	read := &isa.Inst{Op: isa.ADDI, Rd: isa.X2, Rn: isa.X9}
+	for _, kind := range []PrefetchKind{PrefetchFull, PrefetchExact} {
+		t.Run(kind.String(), func(t *testing.T) {
+			h := newHarness(2)
+			p := NewPrefetch(kind, 3, h.dev, h.memory, h.layout)
+			for th := 0; th < 3; th++ {
+				p.SetUsedRegs(th, []isa.Reg{isa.X1})
+			}
+			var last [3]uint64
+			cur := -1
+			for i, st := range steps {
+				for n := 0; !canSwitch(p, st.next); n++ {
+					if cur >= 0 && !acquire(p, cur, write, nil) {
+						t.Fatalf("step %d: t%d lost its bank while t%d loads", i, cur, st.next)
+					}
+					if n == 1000 {
+						t.Fatalf("step %d: switch to t%d never ready", i, st.next)
+					}
+					h.tick(p, 1)
+				}
+				p.OnSwitch(cur, st.next, st.succ)
+				cur = st.next
+				if last[cur] != 0 {
+					need := []isa.Reg{isa.X9}
+					for n := 0; !acquire(p, cur, read, need); n++ {
+						if n == 1000 {
+							t.Fatalf("step %d: t%d never acquired x9", i, cur)
+						}
+						h.tick(p, 1)
+					}
+					if got := p.ReadValue(cur, isa.X9); got != last[cur] {
+						t.Errorf("step %d: t%d x9 = %d, want %d", i, cur, got, last[cur])
+					}
+				}
+				if !acquire(p, cur, write, nil) {
+					t.Fatalf("step %d: t%d cannot acquire after its switch", i, cur)
+				}
+				last[cur] = uint64(1000 + 10*i + cur)
+				p.WriteValue(cur, isa.X9, last[cur])
+			}
+		})
 	}
 }
 
@@ -437,12 +490,12 @@ func TestPrefetchFullStoreBackIsOneRun(t *testing.T) {
 	for i := 0; i < 1000 && !canSwitch(p, 0); i++ {
 		h.tick(p, 1)
 	}
-	p.OnSwitch(-1, 0) // prefetches t1 into the other bank
+	p.OnSwitch(-1, 0, 1) // prefetches t1 into the other bank
 	for i := 0; i < 1000 && p.bsi.Outstanding() > 0; i++ {
 		h.tick(p, 1)
 	}
 	// Running t1 recycles t0's bank for t2: t0's context goes back.
-	p.OnSwitch(0, 1)
+	p.OnSwitch(0, 1, 2)
 	const ops = isa.NumRegs + 1
 	st := &p.bsi.stores
 	if st.entries != 1 || st.n != ops {
@@ -533,24 +586,6 @@ func TestBlockingBSISerializes(t *testing.T) {
 	}
 }
 
-func TestNextOfSkipsHalted(t *testing.T) {
-	b := newBase(nil, nil, cpu.RegLayout{}, 4)
-	if got := b.nextOf(0); got != 1 {
-		t.Errorf("nextOf(0) = %d, want 1", got)
-	}
-	b.halted[1] = true
-	if got := b.nextOf(0); got != 2 {
-		t.Errorf("nextOf(0) with t1 halted = %d, want 2", got)
-	}
-	b.halted[0], b.halted[2], b.halted[3] = true, true, true
-	if got := b.nextOf(0); got != -1 {
-		t.Errorf("nextOf with all halted = %d, want -1", got)
-	}
-	if b.liveThreads() != 0 {
-		t.Errorf("liveThreads = %d, want 0", b.liveThreads())
-	}
-}
-
 func TestViReCGroupEviction(t *testing.T) {
 	h := newHarness(5)
 	p := NewViReC(ViReCConfig{PhysRegs: 8, Policy: vrmu.LRC, GroupEvict: true},
@@ -565,7 +600,7 @@ func TestViReCGroupEviction(t *testing.T) {
 		p.WriteValue(0, r, 300+uint64(r))
 		p.InstCommitted(0, uint64(r)+1)
 	}
-	p.OnSwitch(0, 1)
+	p.OnSwitch(0, 1, 0)
 	// One miss from thread 1 should group-evict several of thread 0's
 	// same-line registers at once.
 	h.seed(1, isa.X9, 1)
@@ -599,7 +634,7 @@ func TestViReCPrefetchNext(t *testing.T) {
 	for i := 0; i < 500 && !canSwitch(p, 0); i++ {
 		h.tick(p, 1)
 	}
-	p.OnSwitch(-1, 0)
+	p.OnSwitch(-1, 0, 1)
 	h.tick(p, 200)
 	if p.Prefetches == 0 {
 		t.Fatal("no prefetches issued")
@@ -608,7 +643,7 @@ func TestViReCPrefetchNext(t *testing.T) {
 		t.Error("prefetched registers not resident")
 	}
 	// When thread 1 runs, its prefetched registers hit with real values.
-	p.OnSwitch(0, 1)
+	p.OnSwitch(0, 1, 2)
 	in := &isa.Inst{Op: isa.ADD, Rd: isa.X4, Rn: isa.X2, Rm: isa.X3}
 	need := []isa.Reg{isa.X2, isa.X3}
 	if !acquire(p, 1, in, need) {
@@ -635,7 +670,7 @@ func TestViReCCommitReallocAfterEviction(t *testing.T) {
 	// does this when the instruction commits post-replay while its
 	// register has been displaced).
 	p.PipelineFlushed(0)
-	p.OnSwitch(0, 1)
+	p.OnSwitch(0, 1, 0)
 	seq := uint64(10)
 	for r := isa.Reg(0); r < 8; r++ {
 		in2 := &isa.Inst{Op: isa.MOVZ, Rd: r, Imm: 1}
@@ -682,16 +717,16 @@ func TestPrefetchFullHandlesHaltedRotation(t *testing.T) {
 	for i := 0; i < 1000 && !canSwitch(p, 0); i++ {
 		h.tick(p, 1)
 	}
-	p.OnSwitch(-1, 0)
+	p.OnSwitch(-1, 0, 1)
 	p.ThreadHalted(0)
 	for i := 0; i < 1000 && !canSwitch(p, 1); i++ {
 		h.tick(p, 1)
 	}
-	p.OnSwitch(0, 1)
+	p.OnSwitch(0, 1, 2)
 	for i := 0; i < 1000 && !canSwitch(p, 2); i++ {
 		h.tick(p, 1)
 	}
-	p.OnSwitch(1, 2)
+	p.OnSwitch(1, 2, 1)
 	// Back to 1.
 	for i := 0; i < 1000 && !canSwitch(p, 1); i++ {
 		h.tick(p, 1)

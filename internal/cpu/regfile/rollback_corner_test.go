@@ -172,7 +172,7 @@ func TestDummyRollbackElidesSpill(t *testing.T) {
 	// LRC retains the rolled-back (C = 0) entry against same-thread
 	// pressure — that is the policy working as designed — so suspend
 	// thread 0 and let thread 1's allocations force the eviction.
-	p.OnSwitch(0, 1)
+	p.OnSwitch(0, 1, 0)
 	seq := uint64(10)
 	for r := isa.Reg(10); r < 26; r++ {
 		in := &isa.Inst{Op: isa.MOVZ, Rd: r, Imm: 7}

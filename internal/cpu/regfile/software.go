@@ -29,7 +29,7 @@ type Software struct {
 // NewSoftware builds a software-switched provider.
 func NewSoftware(threads int, dcache mem.Device, memory *mem.Memory, layout cpu.RegLayout) *Software {
 	p := &Software{
-		base:   newBase(dcache, memory, layout, threads),
+		base:   newBase(memory, layout, threads),
 		owner:  -1,
 		target: -1,
 	}
@@ -132,7 +132,7 @@ func (p *Software) CanSwitchTo(next int, probe bool) (ready, acts bool) {
 // enqueue/complete time; the BSI models the timing.
 func (p *Software) beginSwitch(next int) {
 	p.target = next
-	if p.owner >= 0 && !p.halted[p.owner] {
+	if p.owner >= 0 {
 		out := p.owner
 		for r := 0; r < isa.NumRegs; r++ {
 			addr := p.layout.RegAddr(out, isa.Reg(r))
@@ -173,7 +173,7 @@ func (p *Software) BlockSwitch() bool { return false }
 func (p *Software) SkipQuiescent() bool { return p.bsi.quiet() }
 
 // OnSwitch installs the new owner.
-func (p *Software) OnSwitch(prev, next int) {
+func (p *Software) OnSwitch(prev, next, succ int) {
 	p.owner = next
 	p.target = -1
 	p.reloading = false
@@ -183,9 +183,8 @@ func (p *Software) OnSwitch(prev, next int) {
 // ThreadStarted is handled by the restore path in CanSwitchTo.
 func (p *Software) ThreadStarted(thread int) {}
 
-// ThreadHalted marks the thread dead so its context is not saved again.
+// ThreadHalted releases the bank so a dead context is not saved again.
 func (p *Software) ThreadHalted(thread int) {
-	p.halted[thread] = true
 	if p.owner == thread {
 		p.owner = -1
 	}

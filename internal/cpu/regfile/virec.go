@@ -41,9 +41,9 @@ type ViReCConfig struct {
 	// free slots.
 	GroupEvict bool
 	// PrefetchNext enables the future-work prefetch-combined-caching
-	// extension: on a context switch the round-robin successor's
-	// predicted registers (its active set) that are not already resident
-	// are prefetched into the register file in the background.
+	// extension: on a context switch the successor's predicted registers
+	// (its active set) that are not already resident are prefetched into
+	// the register file in the background.
 	PrefetchNext bool
 }
 
@@ -169,7 +169,7 @@ func NewViReC(cfg ViReCConfig, threads int, dcache mem.Device, memory *mem.Memor
 	tags := vrmu.NewTagStore(cfg.PhysRegs, cfg.Policy)
 	tags.Reserve(threads)
 	p := &ViReC{
-		base:        newBase(dcache, memory, layout, threads),
+		base:        newBase(memory, layout, threads),
 		cfg:         cfg,
 		tags:        tags,
 		rq:          vrmu.NewRollbackQueue(rollbackDepth, tags),
@@ -782,9 +782,9 @@ func (p *ViReC) SkipQuiescent() bool {
 }
 
 // OnSwitch updates the T bits and rotates the system-register ping-pong
-// buffer: the previous thread's line is written back and the following
-// thread's line is prefetched, overlapping pipeline warmup.
-func (p *ViReC) OnSwitch(prev, next int) {
+// buffer: the previous thread's line is written back and the successor's
+// line is prefetched, overlapping pipeline warmup.
+func (p *ViReC) OnSwitch(prev, next, succ int) {
 	if prev < 0 {
 		p.tags.SetCurrent(next)
 	} else {
@@ -793,9 +793,8 @@ func (p *ViReC) OnSwitch(prev, next int) {
 	if p.cfg.NoSysregPrefetch {
 		return
 	}
-	// Prefetch the round-robin successor into the slot vacated by prev
-	// (or any slot not holding next).
-	succ := p.nextOf(next)
+	// Prefetch the successor into the slot vacated by prev (or any slot
+	// not holding next).
 	if succ < 0 || succ == next || p.sysSlotOf(succ) >= 0 {
 		return
 	}
@@ -852,7 +851,6 @@ func (p *ViReC) ThreadStarted(thread int) {}
 // ThreadHalted drops the dead thread's registers. Pin counters in the
 // backing store are balanced with metadata-only writes.
 func (p *ViReC) ThreadHalted(thread int) {
-	p.halted[thread] = true
 	for r := isa.Reg(0); r < isa.NumRegs; r++ {
 		key := regKey{thread, r}
 		if phys, filling := p.pending[key]; filling {

@@ -101,7 +101,8 @@ func ParseScenario(text string) (Scenario, error) {
 
 // Matrix returns the standard co-simulation matrix: both conventional
 // providers and ViReC under every replacement policy across 1..8
-// threads, plus capacity-squeezed and fault-injected corners.
+// threads, plus capacity-squeezed and fault-injected corners and both
+// prefetch providers.
 func Matrix() []Scenario {
 	threads := []int{1, 2, 4, 8}
 	var out []Scenario
@@ -149,12 +150,12 @@ func Matrix() []Scenario {
 		Scenario{Kind: sim.ViReC, Policy: vrmu.LRC, Threads: 4, Faults: "all", NoSkip: true},
 		Scenario{Kind: sim.Banked, Threads: 4, NoSkip: true},
 		Scenario{Kind: sim.Software, Threads: 4, NoSkip: true})
-	// Full-context prefetch rotates whole contexts through two banks.
-	// Exact prefetch stays out: its store-back writes only the oracle set,
-	// so a register written outside it is lost (DESIGN.md §11).
-	out = append(out,
-		Scenario{Kind: sim.PrefetchFull, Threads: 4},
-		Scenario{Kind: sim.PrefetchFull, Threads: 4, NoSkip: true})
+	// Both prefetch providers rotate contexts through two banks.
+	for _, kind := range []sim.CoreKind{sim.PrefetchFull, sim.PrefetchExact} {
+		out = append(out,
+			Scenario{Kind: kind, Threads: 4},
+			Scenario{Kind: kind, Threads: 4, NoSkip: true})
+	}
 	return out
 }
 

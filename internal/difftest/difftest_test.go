@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"github.com/virec/virec/internal/asm"
 	"github.com/virec/virec/internal/asm/check"
 	"github.com/virec/virec/internal/cpu"
 	"github.com/virec/virec/internal/isa"
@@ -67,6 +68,32 @@ func TestKernelsMatchAcrossSmallMatrix(t *testing.T) {
 		}
 		if rep.Commits == 0 {
 			t.Fatalf("seed %d: checker compared zero commits", seed)
+		}
+	}
+}
+
+// TestExactPrefetchKeepsValues is the shrunk repro of seed 1 under exact
+// prefetch. The kernel has no loop, so its oracle set is empty and every
+// register arrives by on-demand fill. asrv reads x3 while x3's fill may
+// be in flight and also writes it: x3 must not count as resident until the
+// fill lands, or the next Acquire reads the stale value the bank's
+// previous occupant left. Banks are recycled only with three or more
+// threads, and a recycled bank must store back every resident register,
+// not just the oracle set.
+func TestExactPrefetchKeepsValues(t *testing.T) {
+	prog := asm.MustAssemble("repro", `
+		movz x3, #23745
+		movz x5, #21854
+		and x5, x5, #4095
+		ldrb x7, [x2, x5]
+		asrv x3, x5, x3
+		halt
+	`)
+	k := KernelFromProgram(1, GenConfigForSeed(1), prog)
+	for _, threads := range []int{3, 4, 8} {
+		sc := Scenario{Kind: sim.PrefetchExact, Threads: threads}
+		if rep := Check(k, CheckOpts{Scenarios: []Scenario{sc}}); !rep.Clean() {
+			t.Errorf("%s: %v", sc, rep.Divergence)
 		}
 	}
 }
