@@ -32,8 +32,10 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -57,20 +59,44 @@ func isCrash(d *difftest.Divergence) bool {
 }
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command: it parses args, writes its report to stdout
+// and its diagnostics to stderr, and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("virec-difftest", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		n        = flag.Int("n", 0, "check seeds 0..n-1 (shorthand for -seeds 0:n)")
-		seedsStr = flag.String("seeds", "", "seed range lo:hi (hi exclusive) or a single seed")
-		parallel = flag.Int("parallel", 0, "worker goroutines (default GOMAXPROCS)")
-		outDir   = flag.String("out", "difftest-repros", "directory for repro artifacts")
-		replay   = flag.String("replay", "", "replay a repro artifact instead of sweeping")
-		scStr    = flag.String("scenarios", "", "comma-separated scenario subset (default: full matrix)")
-		shrinkN  = flag.Int("shrink-attempts", 800, "max differential checks the shrinker may spend (0 disables shrinking)")
-		maxCyc   = flag.Uint64("max-cycles", 0, "per-scenario cycle budget (default 20M)")
-		quiet    = flag.Bool("q", false, "only print failures and the final summary")
-		farmURL  = flag.String("farm", "", "run each seed as a job on this virec-farm server")
-		skipMode = flag.String("skipahead", "on", "timed-model clock skip-ahead: on or off (off ticks every cycle in every scenario)")
+		n        = fs.Int("n", 0, "check seeds 0..n-1 (shorthand for -seeds 0:n)")
+		seedsStr = fs.String("seeds", "", "seed range lo:hi (hi exclusive) or a single seed")
+		parallel = fs.Int("parallel", 0, "worker goroutines (default GOMAXPROCS)")
+		outDir   = fs.String("out", "difftest-repros", "directory for repro artifacts")
+		replay   = fs.String("replay", "", "replay a repro artifact instead of sweeping")
+		scStr    = fs.String("scenarios", "", "comma-separated scenario subset (default: full matrix)")
+		shrinkN  = fs.Int("shrink-attempts", 800, "max differential checks the shrinker may spend (0 disables shrinking)")
+		maxCyc   = fs.Uint64("max-cycles", 0, "per-scenario cycle budget (default 20M)")
+		quiet    = fs.Bool("q", false, "only print failures and the final summary")
+		farmURL  = fs.String("farm", "", "run each seed as a job on this virec-farm server")
+		skipMode = fs.String("skipahead", "on", "timed-model clock skip-ahead: on or off (off ticks every cycle in every scenario)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return exitClean
+		}
+		return exitUsage
+	}
+	// usage reports a command-line problem; crash reports harness
+	// breakage: the sweep or the farm failed in a way that is neither
+	// clean nor a verified divergence.
+	usage := func(err error) int {
+		fmt.Fprintln(stderr, "virec-difftest:", err)
+		return exitUsage
+	}
+	crash := func(err error) int {
+		fmt.Fprintln(stderr, "virec-difftest:", err)
+		return exitCrash
+	}
 
 	opts := difftest.CheckOpts{MaxCycles: *maxCyc}
 	switch *skipMode {
@@ -78,17 +104,17 @@ func main() {
 	case "off":
 		opts.ForceNoSkip = true
 	default:
-		fatalUsage(fmt.Errorf("bad -skipahead %q: want on or off", *skipMode))
+		return usage(fmt.Errorf("bad -skipahead %q: want on or off", *skipMode))
 	}
 	if opts.ForceNoSkip && *farmURL != "" {
-		fatalUsage(fmt.Errorf("-skipahead=off runs locally; it cannot be combined with -farm"))
+		return usage(fmt.Errorf("-skipahead=off runs locally; it cannot be combined with -farm"))
 	}
 	var scenarioNames []string
 	if *scStr != "" {
 		for _, s := range strings.Split(*scStr, ",") {
 			sc, err := difftest.ParseScenario(strings.TrimSpace(s))
 			if err != nil {
-				fatalUsage(err)
+				return usage(err)
 			}
 			opts.Scenarios = append(opts.Scenarios, sc)
 			scenarioNames = append(scenarioNames, strings.TrimSpace(s))
@@ -97,9 +123,9 @@ func main() {
 
 	if *replay != "" {
 		if *farmURL != "" {
-			fatalUsage(fmt.Errorf("-replay runs locally; it cannot be combined with -farm"))
+			return usage(fmt.Errorf("-replay runs locally; it cannot be combined with -farm"))
 		}
-		os.Exit(replayArtifact(*replay, opts))
+		return replayArtifact(*replay, opts, stdout, stderr)
 	}
 
 	lo, hi := uint64(0), uint64(0)
@@ -107,12 +133,12 @@ func main() {
 	case *seedsStr != "":
 		var err error
 		if lo, hi, err = parseSeeds(*seedsStr); err != nil {
-			fatalUsage(err)
+			return usage(err)
 		}
 	case *n > 0:
 		hi = uint64(*n)
 	default:
-		fatalUsage(fmt.Errorf("nothing to do: pass -n, -seeds or -replay"))
+		return usage(fmt.Errorf("nothing to do: pass -n, -seeds or -replay"))
 	}
 
 	seeds := make([]uint64, 0, hi-lo)
@@ -128,41 +154,40 @@ func main() {
 	divergences, crashes := 0, 0
 	if *farmURL != "" {
 		if !*quiet {
-			fmt.Printf("difftest: %d seeds x %d scenarios via farm %s\n",
+			fmt.Fprintf(stdout, "difftest: %d seeds x %d scenarios via farm %s\n",
 				len(seeds), nScenarios, *farmURL)
 		}
 		var err error
 		commits, divergences, crashes, err = runOnFarm(
-			*farmURL, seeds, scenarioNames, opts, *maxCyc, *shrinkN, *outDir)
+			*farmURL, seeds, scenarioNames, opts, *maxCyc, *shrinkN, *outDir, stderr)
 		if err != nil {
-			fatalCrash(err)
+			return crash(err)
 		}
 	} else {
 		if !*quiet {
-			fmt.Printf("difftest: %d seeds x %d scenarios, %d workers\n",
+			fmt.Fprintf(stdout, "difftest: %d seeds x %d scenarios, %d workers\n",
 				len(seeds), nScenarios, sweep.New(*parallel).Workers())
 		}
 		var err error
-		commits, divergences, crashes, err = runLocal(seeds, opts, *parallel, *shrinkN, *outDir)
+		commits, divergences, crashes, err = runLocal(seeds, opts, *parallel, *shrinkN, *outDir, stderr)
 		if err != nil {
-			fatalCrash(err)
+			return crash(err)
 		}
 	}
 
-	if !*quiet || divergences > 0 || crashes > 0 {
-		fmt.Printf("difftest: %d seeds, %d commits compared, %d divergences, %d harness crashes\n",
-			len(seeds), commits, divergences, crashes)
-	}
+	fmt.Fprintf(stdout, "difftest: %d seeds, %d commits compared, %d divergences, %d harness crashes\n",
+		len(seeds), commits, divergences, crashes)
 	switch {
 	case divergences > 0:
-		os.Exit(exitDivergence)
+		return exitDivergence
 	case crashes > 0:
-		os.Exit(exitCrash)
+		return exitCrash
 	}
+	return exitClean
 }
 
 // runLocal sweeps the seeds in-process with a worker pool.
-func runLocal(seeds []uint64, opts difftest.CheckOpts, parallel, shrinkN int, outDir string) (commits uint64, divergences, crashes int, err error) {
+func runLocal(seeds []uint64, opts difftest.CheckOpts, parallel, shrinkN int, outDir string, stderr io.Writer) (commits uint64, divergences, crashes int, err error) {
 	type verdict struct {
 		rep *difftest.Report
 		sr  *difftest.ShrinkResult
@@ -180,7 +205,7 @@ func runLocal(seeds []uint64, opts difftest.CheckOpts, parallel, shrinkN int, ou
 				}
 			}
 			if rep.Divergence != nil {
-				reportDivergence(seed, k, rep.Divergence, v.sr, outDir)
+				reportDivergence(seed, k, rep.Divergence, v.sr, outDir, stderr)
 			}
 			return v, nil
 		})
@@ -203,7 +228,7 @@ func runLocal(seeds []uint64, opts difftest.CheckOpts, parallel, shrinkN int, ou
 // and post-processes divergences locally: the kernel is regenerated from
 // the seed (generation is deterministic), shrunk, and written as a repro
 // artifact exactly as the in-process sweep would have done.
-func runOnFarm(url string, seeds []uint64, scenarioNames []string, opts difftest.CheckOpts, maxCyc uint64, shrinkN int, outDir string) (commits uint64, divergences, crashes int, err error) {
+func runOnFarm(url string, seeds []uint64, scenarioNames []string, opts difftest.CheckOpts, maxCyc uint64, shrinkN int, outDir string, stderr io.Writer) (commits uint64, divergences, crashes int, err error) {
 	ctx := context.Background()
 	client := farm.NewClient(url)
 
@@ -227,7 +252,7 @@ func runOnFarm(url string, seeds []uint64, scenarioNames []string, opts difftest
 		if err != nil {
 			// The job itself failed (crash, deadline): harness
 			// trouble, not a verified divergence.
-			fmt.Fprintf(os.Stderr, "difftest: seed %d: %v\n", seeds[i], err)
+			fmt.Fprintf(stderr, "difftest: seed %d: %v\n", seeds[i], err)
 			crashes++
 			continue
 		}
@@ -241,7 +266,7 @@ func runOnFarm(url string, seeds []uint64, scenarioNames []string, opts difftest
 		}
 		if isCrash(res.Divergence) {
 			crashes++
-			fmt.Fprintf(os.Stderr, "difftest: seed %d: %v\n", seeds[i], res.Divergence)
+			fmt.Fprintf(stderr, "difftest: seed %d: %v\n", seeds[i], res.Divergence)
 			continue
 		}
 		divergences++
@@ -252,44 +277,44 @@ func runOnFarm(url string, seeds []uint64, scenarioNames []string, opts difftest
 				sr = difftest.Shrink(k, sc, opts, shrinkN)
 			}
 		}
-		reportDivergence(seeds[i], k, res.Divergence, sr, outDir)
+		reportDivergence(seeds[i], k, res.Divergence, sr, outDir, stderr)
 	}
 	return commits, divergences, crashes, nil
 }
 
 // reportDivergence writes the repro artifact and a stderr notice for one
 // diverged seed.
-func reportDivergence(seed uint64, k *difftest.Kernel, d *difftest.Divergence, sr *difftest.ShrinkResult, outDir string) {
+func reportDivergence(seed uint64, k *difftest.Kernel, d *difftest.Divergence, sr *difftest.ShrinkResult, outDir string, stderr io.Writer) {
 	sc, _ := difftest.ParseScenario(d.Scenario)
 	art := difftest.NewArtifact(k, sc, d, sr)
 	if path, werr := art.Write(outDir); werr == nil {
-		fmt.Fprintf(os.Stderr, "difftest: seed %d: %v\n  repro: %s\n", seed, d, path)
+		fmt.Fprintf(stderr, "difftest: seed %d: %v\n  repro: %s\n", seed, d, path)
 	} else {
-		fmt.Fprintf(os.Stderr, "difftest: seed %d: %v\n  (artifact write failed: %v)\n", seed, d, werr)
+		fmt.Fprintf(stderr, "difftest: seed %d: %v\n  (artifact write failed: %v)\n", seed, d, werr)
 	}
 }
 
-func replayArtifact(path string, opts difftest.CheckOpts) int {
+func replayArtifact(path string, opts difftest.CheckOpts, stdout, stderr io.Writer) int {
 	art, err := difftest.LoadArtifact(path)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "virec-difftest:", err)
+		fmt.Fprintln(stderr, "virec-difftest:", err)
 		return exitCrash
 	}
-	fmt.Printf("replaying seed %d under %s\n", art.Seed, art.Scenario)
+	fmt.Fprintf(stdout, "replaying seed %d under %s\n", art.Seed, art.Scenario)
 	rep, err := art.Replay(opts)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "virec-difftest:", err)
+		fmt.Fprintln(stderr, "virec-difftest:", err)
 		return exitCrash
 	}
 	switch {
 	case isCrash(rep.Divergence):
-		fmt.Printf("harness crash: %v\n", rep.Divergence)
+		fmt.Fprintf(stdout, "harness crash: %v\n", rep.Divergence)
 		return exitCrash
 	case rep.Divergence != nil:
-		fmt.Printf("reproduced: %v\n", rep.Divergence)
+		fmt.Fprintf(stdout, "reproduced: %v\n", rep.Divergence)
 		return exitDivergence
 	}
-	fmt.Printf("clean: %d commits matched (the recorded divergence did not reproduce)\n", rep.Commits)
+	fmt.Fprintf(stdout, "clean: %d commits matched (the recorded divergence did not reproduce)\n", rep.Commits)
 	return exitClean
 }
 
@@ -310,17 +335,4 @@ func parseSeeds(s string) (lo, hi uint64, err error) {
 		return 0, 0, fmt.Errorf("bad seed %q: %v", s, err)
 	}
 	return lo, lo + 1, nil
-}
-
-// fatalUsage reports a command-line problem (exit 1).
-func fatalUsage(err error) {
-	fmt.Fprintln(os.Stderr, "virec-difftest:", err)
-	os.Exit(exitUsage)
-}
-
-// fatalCrash reports harness breakage (exit 3): the sweep or the farm
-// failed in a way that is neither clean nor a verified divergence.
-func fatalCrash(err error) {
-	fmt.Fprintln(os.Stderr, "virec-difftest:", err)
-	os.Exit(exitCrash)
 }

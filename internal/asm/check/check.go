@@ -96,21 +96,50 @@ func (s flowState) meet(o flowState) flowState {
 // initialized before the program starts (a workload's Setup set() calls);
 // XZR and SP are always treated as defined.
 func Analyze(prog *asm.Program, entryDefined []isa.Reg) *Report {
-	rep := &Report{Name: prog.Name, MaxLivePC: -1}
-	n := prog.Len()
-	if n == 0 {
-		return rep
+	if prog.Len() == 0 {
+		return &Report{Name: prog.Name, MaxLivePC: -1}
 	}
+	return analyze(prog, newFlowGraph(prog), entryDefined)
+}
 
+// ApplyAndAnalyze is Apply followed by Analyze over one CFG: it writes the
+// synthesized hints into prog and returns the hint report and the
+// analyzer's report, building the program's successor lists and
+// reachability once for both. Hints change neither the CFG nor any
+// dataflow fact, so each report equals what Apply or Analyze returns.
+func ApplyAndAnalyze(prog *asm.Program, entryDefined []isa.Reg) (*Hints, *Report) {
+	if prog.Len() == 0 {
+		return Apply(prog), Analyze(prog, entryDefined)
+	}
+	g := newFlowGraph(prog)
+	h := synthesize(prog, g)
+	h.writeTo(prog)
+	return h, analyze(prog, g, entryDefined)
+}
+
+// flowGraph is what every pass runs over: each instruction's successors,
+// the findings for branch targets outside the text, and which
+// instructions entry reaches.
+type flowGraph struct {
+	succs      []succList
+	badTargets []Finding
+	reachable  []bool
+}
+
+// newFlowGraph builds prog's flow graph; prog must not be empty.
+func newFlowGraph(prog *asm.Program) flowGraph {
 	succs, badTargets := buildCFG(prog)
-	rep.Findings = append(rep.Findings, badTargets...)
+	return flowGraph{succs: succs, badTargets: badTargets, reachable: reach(succs, prog.Len())}
+}
 
-	reachable := reach(succs, n)
-	rep.Findings = append(rep.Findings, unreachableRanges(reachable)...)
+// analyze runs every analysis of Analyze over g, prog's flow graph.
+func analyze(prog *asm.Program, g flowGraph, entryDefined []isa.Reg) *Report {
+	rep := &Report{Name: prog.Name, MaxLivePC: -1}
+	rep.Findings = append(rep.Findings, g.badTargets...)
+	rep.Findings = append(rep.Findings, unreachableRanges(g.reachable)...)
+	rep.Findings = append(rep.Findings, useBeforeDef(prog, g.succs, g.reachable, entryDefined)...)
 
-	rep.Findings = append(rep.Findings, useBeforeDef(prog, succs, reachable, entryDefined)...)
-
-	rep.MaxLive, rep.MaxLivePC, rep.LiveRegs = pressure(prog, succs, reachable)
+	rep.MaxLive, rep.MaxLivePC, rep.LiveRegs = pressure(prog, g.succs, g.reachable)
 
 	sort.SliceStable(rep.Findings, func(i, j int) bool {
 		if rep.Findings[i].PC != rep.Findings[j].PC {

@@ -247,3 +247,47 @@ func TestAnalysisAllocsIndependentOfLength(t *testing.T) {
 		t.Errorf("Synthesize: %v allocs at 40 instructions, %v at 400; want the same", a40, a400)
 	}
 }
+
+// TestApplyAndAnalyzeBuildsOneCFG: the combined pass hands one CFG and
+// reachability to hint synthesis and to the analyzer, so it allocates
+// what Apply and Analyze allocate apart less one flow graph, and its
+// reports and written hints equal theirs.
+func TestApplyAndAnalyzeBuildsOneCFG(t *testing.T) {
+	p := loopProgram(t, 197)
+	per := func(f func()) float64 { return testing.AllocsPerRun(50, f) }
+	apart := per(func() { check.Apply(p) }) + per(func() { check.Analyze(p, nil) })
+	graph := per(func() { check.BuildFlowGraph(p) })
+	if graph == 0 {
+		t.Fatal("building the flow graph allocated nothing")
+	}
+	if got := per(func() { check.ApplyAndAnalyze(p, nil) }); got != apart-graph {
+		t.Errorf("ApplyAndAnalyze made %v allocations; Apply and Analyze make %v, one flow graph %v",
+			got, apart, graph)
+	}
+
+	// A program with a bad branch and dead text, so both reports carry
+	// findings; its hints start cleared.
+	q := mustAssemble(t, `
+		movz x1, #1
+		cbz  x1, done
+		add  x2, x1, x3
+		b    done
+		add  x4, x4, x4
+	done:
+		halt
+	`)
+	q.Insts[1].Target = 99
+	wantH, wantR := check.Synthesize(q), check.Analyze(q, nil)
+	h, rep := check.ApplyAndAnalyze(q, nil)
+	if fmt.Sprint(h) != fmt.Sprint(wantH) || fmt.Sprint(rep) != fmt.Sprint(wantR) {
+		t.Errorf("ApplyAndAnalyze = %+v, %+v; want %+v, %+v", h, rep, wantH, wantR)
+	}
+	if len(rep.Findings) < 3 {
+		t.Errorf("findings %v, want a bad branch target, dead text and a use before def", rep.Findings)
+	}
+	for i := range q.Insts {
+		if q.Insts[i].Hints != h.PerInst[i] {
+			t.Errorf("pc %d: hints %v written, report says %v", i, q.Insts[i].Hints, h.PerInst[i])
+		}
+	}
+}

@@ -40,21 +40,24 @@ type Hints struct {
 //   - remat: MOVZ fully determines its destination from the immediate, so
 //     a clean copy in memory is never worth writing back.
 func Synthesize(prog *asm.Program) *Hints {
+	if prog.Len() == 0 {
+		return &Hints{Name: prog.Name, PerInst: []isa.Hint{}}
+	}
+	return synthesize(prog, newFlowGraph(prog))
+}
+
+// synthesize runs the hint synthesis pass of Synthesize over g, prog's
+// flow graph.
+func synthesize(prog *asm.Program, g flowGraph) *Hints {
 	n := prog.Len()
 	h := &Hints{
 		Name:    prog.Name,
 		PerInst: make([]isa.Hint, n),
 	}
-	if n == 0 {
-		return h
-	}
-	succs, _ := buildCFG(prog)
-	reachable := reach(succs, n)
-
-	liveOut := hintLiveness(prog, succs, reachable)
+	liveOut := hintLiveness(prog, g.succs, g.reachable)
 
 	for i := 0; i < n; i++ {
-		if !reachable[i] {
+		if !g.reachable[i] {
 			continue
 		}
 		in := &prog.Insts[i]
@@ -89,10 +92,15 @@ func Synthesize(prog *asm.Program) *Hints {
 // idempotent: synthesis never reads the existing hint flags.
 func Apply(prog *asm.Program) *Hints {
 	h := Synthesize(prog)
+	h.writeTo(prog)
+	return h
+}
+
+// writeTo writes the synthesized flags into prog's instructions.
+func (h *Hints) writeTo(prog *asm.Program) {
 	for i := range prog.Insts {
 		prog.Insts[i].Hints = h.PerInst[i]
 	}
-	return h
 }
 
 // hintLiveness is the backward liveness pass specialized for hint

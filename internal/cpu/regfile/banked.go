@@ -32,6 +32,10 @@ func NewBanked(threads int, dcache mem.Device, memory *mem.Memory, layout cpu.Re
 
 var _ cpu.Provider = (*Banked)(nil)
 
+// Release hands the BSI's buffers to the shared pools. Call it once the
+// provider's system is done; a released provider cannot run again.
+func (p *Banked) Release() { p.bsi.release() }
+
 // Acquire always succeeds: every register of every thread is resident.
 func (p *Banked) Acquire(thread int, in *isa.Inst, needSrcs []isa.Reg, probe bool) (ready, acts bool) {
 	return true, false

@@ -70,6 +70,10 @@ func NewPrefetch(kind PrefetchKind, threads int, dcache mem.Device, memory *mem.
 
 var _ cpu.Provider = (*Prefetch)(nil)
 
+// Release hands the BSI's buffers to the shared pools. Call it once the
+// provider's system is done; a released provider cannot run again.
+func (p *Prefetch) Release() { p.bsi.release() }
+
 // SetUsedRegs installs the oracle's predicted register set for a thread
 // (PrefetchExact); unset threads fall back to the full context.
 func (p *Prefetch) SetUsedRegs(thread int, regs []isa.Reg) {

@@ -18,6 +18,7 @@ package regfile
 
 import (
 	"math"
+	"sync"
 
 	"github.com/virec/virec/internal/cpu"
 	"github.com/virec/virec/internal/isa"
@@ -86,12 +87,20 @@ type bsiOwner interface {
 // run of ops equal in every field but addr, which steps by one register
 // (8 bytes): a full-context store-back is one entry, not 65. Runs change
 // only how the ops are held, never which ops come out or in what order.
+// An empty queue's first growth takes a ring a released queue left in
+// opRings.
 type opQueue struct {
 	buf     []bsiOp
+	ring    *[]bsiOp // the opRings holder buf came from, nil if none
 	head    int
 	entries int // ring slots in use
 	n       int // ops queued
 }
+
+// opRings holds the rings of released queues, each as a *[]bsiOp so that
+// Put allocates nothing. An op holds no pointers, so a ring goes back
+// without being cleared.
+var opRings sync.Pool
 
 func (q *opQueue) push(op bsiOp) {
 	q.n++
@@ -132,6 +141,12 @@ func (q *opQueue) pop() {
 }
 
 func (q *opQueue) grow() {
+	if q.buf == nil {
+		if r, ok := opRings.Get().(*[]bsiOp); ok {
+			q.buf, q.ring = *r, r
+			return
+		}
+	}
 	//virec:alloc-ok queue growth, bounded by the most runs a simulation's backlog holds
 	buf := make([]bsiOp, max(8, 2*len(q.buf)))
 	for i := 0; i < q.entries; i++ {
@@ -140,12 +155,27 @@ func (q *opQueue) grow() {
 	q.buf, q.head = buf, 0
 }
 
+// release hands the ring to opRings and leaves q empty.
+func (q *opQueue) release() {
+	if q.buf == nil {
+		return
+	}
+	r := q.ring
+	if r == nil {
+		r = new([]bsiOp)
+	}
+	*r = q.buf
+	opRings.Put(r)
+	*q = opQueue{}
+}
+
 // bsiReq is a recycled dcache request carrying one issued op. It returns
 // to its bsi's free list inside its own completion, or at once when the
 // dcache rejects it, so a port-busy retry reuses the same request.
 type bsiReq struct {
 	req      mem.Request
 	b        *bsi
+	next     *bsiReq // the holder below this one on a free list
 	op       bsiOp
 	issuedAt uint64
 	track    bool         // observe fill latency / trace the fill's return
@@ -154,7 +184,7 @@ type bsiReq struct {
 
 func (h *bsiReq) complete(cy uint64) {
 	b, op, issuedAt, track := h.b, h.op, h.issuedAt, h.track
-	b.free = append(b.free, h)
+	b.putReq(h)
 	b.outstanding--
 	if track {
 		b.fillLat.Observe(cy - issuedAt)
@@ -177,7 +207,7 @@ type bsi struct {
 	owner       bsiOwner
 	loads       opQueue
 	stores      opQueue
-	free        []*bsiReq
+	free        *bsiReq // a stack of idle holders, linked through next
 	outstanding int
 	nonBlocking bool
 	perCycle    int
@@ -210,17 +240,46 @@ func (b *bsi) Outstanding() int {
 // callbacks and need no BSI ticks, so they do not block clock skip-ahead.
 func (b *bsi) quiet() bool { return b.loads.n == 0 && b.stores.n == 0 }
 
-// newReq takes a request holder off the free list.
+// freeReqs holds the free lists of released BSIs, each as its top
+// holder. A holder still lent to a dead system's dcache is on no free
+// list, so it is never handed out again.
+var freeReqs sync.Pool
+
+// newReq takes a request holder off the free list. An empty list takes a
+// released BSI's list from freeReqs before it allocates; a taken holder
+// is rebound to b.
 func (b *bsi) newReq() *bsiReq {
-	if n := len(b.free); n > 0 {
-		h := b.free[n-1]
-		b.free = b.free[:n-1]
-		return h
+	h := b.free
+	if h == nil {
+		h, _ = freeReqs.Get().(*bsiReq)
 	}
-	//virec:alloc-ok free-list growth, bounded by the transactions in flight at once
-	h := &bsiReq{b: b}
-	h.done = h.complete
+	if h == nil {
+		//virec:alloc-ok free-list growth, bounded by the transactions in flight at once
+		h = &bsiReq{}
+		h.done = h.complete
+	}
+	b.free, h.next = h.next, nil
+	h.b = b
 	return h
+}
+
+// putReq pushes an idle holder onto the free list.
+func (b *bsi) putReq(h *bsiReq) { h.next, b.free = b.free, h }
+
+// release hands the BSI's idle holders to freeReqs and its op rings to
+// opRings, for the next BSI to take. Call it once the BSI's system is
+// done: transactions still queued are dropped, and holders still in
+// flight stay with the dead system's dcache.
+func (b *bsi) release() {
+	if b.free != nil {
+		for h := b.free; h != nil; h = h.next {
+			h.b = nil
+		}
+		freeReqs.Put(b.free)
+		b.free = nil
+	}
+	b.loads.release()
+	b.stores.release()
 }
 
 // Tick issues queued transactions to the dcache, loads first.
@@ -255,7 +314,7 @@ func (b *bsi) Tick(cycle uint64) {
 			Done:         h.done,
 		}
 		if !b.dcache.Access(&h.req) {
-			b.free = append(b.free, h)
+			b.putReq(h)
 			return // dcache port busy (LSQ has priority); retry next cycle
 		}
 		b.outstanding++

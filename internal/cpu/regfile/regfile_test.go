@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"slices"
+	"sync"
 	"testing"
 	"unsafe"
 
@@ -778,6 +779,197 @@ func TestOracleDistanceMatchesLinearScan(t *testing.T) {
 	for _, r := range regs {
 		if got := p.oracleDistance(0, r); got != 0 {
 			t.Errorf("thread without a sequence, %v: distance %d, want 0", r, got)
+		}
+	}
+}
+
+// raceEnabled is set when the race detector is on (race_test.go). Its
+// sync.Pool drops a quarter of what it is given, so allocation bounds on
+// pooled buffers loosen under it.
+var raceEnabled bool
+
+// heldDev accepts every request and completes none until the test says
+// so: a request it holds is still lent out.
+type heldDev struct {
+	reqs []*mem.Request
+}
+
+func (d *heldDev) Access(r *mem.Request) bool {
+	d.reqs = append(d.reqs, r)
+	return true
+}
+
+func (d *heldDev) Tick(uint64) {}
+
+// TestReleasedBSIBuffersServeTheNext checks that a BSI built after a
+// released one takes its request holders and both op rings from the
+// pools: its first transactions allocate nothing beyond the BSI itself.
+func TestReleasedBSIBuffersServeTheNext(t *testing.T) {
+	dev := mem.NewDelayDevice(3)
+	owner := opRecorder(func(bsiOp) {})
+	var cycle uint64
+	run := func() {
+		b := newBSI(dev, true, owner)
+		for i := 0; i < 12; i++ {
+			// A gap between addresses keeps every op its own queue entry.
+			b.pushLoad(bsiOp{addr: regBase + mem.Addr(16*i), kind: mem.Read, done: doneFill})
+			b.pushStore(bsiOp{addr: regBase + 0x1000 + mem.Addr(16*i), kind: mem.Write})
+		}
+		for i := 0; b.Outstanding() > 0; i++ {
+			if i == 1000 {
+				t.Fatalf("%d transactions still outstanding after %d cycles", b.Outstanding(), i)
+			}
+			cycle++
+			b.Tick(cycle)
+			dev.Tick(cycle)
+		}
+		b.release()
+	}
+	run()
+	allocs := testing.AllocsPerRun(20, run)
+	limit := 1.0
+	if raceEnabled {
+		limit = 8
+	}
+	if allocs > limit {
+		t.Errorf("a BSI built after a release made %.1f allocations for 24 transactions, want at most %.0f",
+			allocs, limit)
+	}
+}
+
+// TestBSIReleaseKeepsLentHolders checks which holders a release hands
+// on: only idle ones, rebound to the BSI that takes them. A holder still
+// lent to the dead BSI's dcache never reaches another BSI, and its late
+// completion reaches only the dead BSI's owner.
+func TestBSIReleaseKeepsLentHolders(t *testing.T) {
+	var oldDone, newDone int
+	held := &heldDev{}
+	old := newBSI(held, true, opRecorder(func(bsiOp) { oldDone++ }))
+	old.pushLoad(bsiOp{addr: regBase, kind: mem.Read, done: doneFill})
+	old.pushLoad(bsiOp{addr: regBase + 0x100, kind: mem.Read, done: doneFill})
+	old.Tick(1)
+	old.Tick(2)
+	if len(held.reqs) != 2 {
+		t.Fatalf("the old BSI issued %d requests, want 2", len(held.reqs))
+	}
+	idle, lent := held.reqs[0], held.reqs[1]
+	idle.Complete(3)
+	old.release()
+
+	next := &heldDev{}
+	fresh := newBSI(next, true, opRecorder(func(bsiOp) { newDone++ }))
+	for i := 0; i < 3; i++ {
+		fresh.pushLoad(bsiOp{addr: regBase + mem.Addr(0x100*i), kind: mem.Read, done: doneFill})
+		fresh.Tick(uint64(4 + i))
+	}
+	for _, r := range next.reqs {
+		if r == lent {
+			t.Fatal("a holder still lent to the released BSI's dcache was handed to a new BSI")
+		}
+	}
+	if !raceEnabled && next.reqs[0] != idle {
+		t.Error("the new BSI allocated a holder while the released BSI's idle one was pooled")
+	}
+	for _, r := range next.reqs {
+		r.Complete(10)
+	}
+	lent.Complete(11)
+	if oldDone != 2 || newDone != 3 {
+		t.Errorf("completions: old owner %d, new owner %d; want 2 and 3", oldDone, newDone)
+	}
+	if fresh.Outstanding() != 0 {
+		t.Errorf("the new BSI still counts %d transactions", fresh.Outstanding())
+	}
+}
+
+// TestBSIPoolsConcurrent builds, runs and releases BSIs from several
+// goroutines at once, as parallel sweep workers do. Every completion must
+// reach the BSI that issued it, whichever goroutine released the holder
+// and ring it took.
+func TestBSIPoolsConcurrent(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			dev := mem.NewDelayDevice(uint64(1 + g))
+			var cycle uint64
+			for round := 0; round < 50; round++ {
+				done := 0
+				b := newBSI(dev, true, opRecorder(func(bsiOp) { done++ }))
+				n := 4 + round%8
+				for i := 0; i < n; i++ {
+					b.pushLoad(bsiOp{addr: regBase + mem.Addr(16*i), kind: mem.Read, done: doneFill})
+					b.pushStore(bsiOp{addr: regBase + 0x1000 + mem.Addr(16*i), kind: mem.Write, done: doneCount})
+				}
+				for i := 0; b.Outstanding() > 0; i++ {
+					if i == 1000 {
+						t.Errorf("goroutine %d round %d: %d transactions stuck", g, round, b.Outstanding())
+						return
+					}
+					cycle++
+					b.Tick(cycle)
+					dev.Tick(cycle)
+				}
+				if done != 2*n {
+					t.Errorf("goroutine %d round %d: %d completions, want %d", g, round, done, 2*n)
+					return
+				}
+				b.release()
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestOracleSeqSharedByEqualNeighbours installs sequences A, A, B, B on
+// four threads, where B holds A's registers in another order. Threads 0
+// and 1 share one set of position lists and threads 2 and 3 another, and
+// none is shared across the pairs. With every thread's cursor at its own
+// place, each thread's distances equal those of a provider given its
+// sequence on its own.
+func TestOracleSeqSharedByEqualNeighbours(t *testing.T) {
+	a := []isa.Reg{isa.X1, isa.X4, isa.XZR, isa.X1, isa.X2, isa.X4, isa.X1, isa.V0, isa.X1, isa.X4}
+	b := []isa.Reg{isa.X4, isa.X1, isa.XZR, isa.X1, isa.X2, isa.X4, isa.X1, isa.V0, isa.X1, isa.X4}
+	seqs := [][]isa.Reg{a, a, b, b}
+	h := newHarness(1)
+	cfg := ViReCConfig{PhysRegs: 8, Policy: vrmu.Belady}
+	p := NewViReC(cfg, len(seqs), h.dev, h.memory, h.layout)
+	buf := make([]isa.Reg, len(a))
+	for th, seq := range seqs {
+		copy(buf, seq)
+		p.SetOracleSeq(th, buf)
+	}
+	clear(buf)
+	occ := p.oracleOcc
+	if occ[0] != occ[1] || occ[2] != occ[3] {
+		t.Error("threads with equal sequences hold separate position lists")
+	}
+	if occ[1] == occ[2] {
+		t.Error("threads with different sequences share position lists")
+	}
+	for _, seq := range [][]isa.Reg{a[:len(a)-1], append(slices.Clone(a), isa.X1)} {
+		if sameSeq(occ[0], seq) {
+			t.Errorf("sequence %v matched the lists of %v", seq, a)
+		}
+	}
+
+	alone := make([]*ViReC, len(seqs))
+	for th, seq := range seqs {
+		alone[th] = NewViReC(cfg, 1, h.dev, h.memory, h.layout)
+		alone[th].SetOracleSeq(0, seq)
+	}
+	for cur := 0; cur <= len(a)+2; cur++ {
+		for th := range seqs {
+			p.oracleCursor[th] = uint32(cur + 3*th)
+			alone[th].oracleCursor[0] = uint32(cur + 3*th)
+		}
+		for th := range seqs {
+			for r := isa.Reg(0); r < isa.NumRegs; r++ {
+				if got, want := p.oracleDistance(th, r), alone[th].oracleDistance(0, r); got != want {
+					t.Errorf("thread %d, cursor %d, %v: distance %d, alone %d", th, cur+3*th, r, got, want)
+				}
+			}
 		}
 	}
 }

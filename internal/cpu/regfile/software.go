@@ -39,6 +39,10 @@ func NewSoftware(threads int, dcache mem.Device, memory *mem.Memory, layout cpu.
 
 var _ cpu.Provider = (*Software)(nil)
 
+// Release hands the BSI's buffers to the shared pools. Call it once the
+// provider's system is done; a released provider cannot run again.
+func (p *Software) Release() { p.bsi.release() }
+
 // Acquire succeeds whenever the thread owns the bank and no switch is in
 // progress: once a save/restore sequence has started (target set), the
 // bank's contents are no longer the running thread's. If the core

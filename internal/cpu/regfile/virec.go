@@ -76,7 +76,8 @@ type ViReC struct {
 
 	// Oracle state for the Belady policy: per-thread occurrence lists of
 	// each register in the thread's recorded access sequence (nil until
-	// SetOracleSeq), a cursor counting committed accesses, and the
+	// SetOracleSeq; read-only, and shared by neighbouring threads with
+	// equal sequences), a cursor counting committed accesses, and the
 	// register-access counts of in-flight (decoded, uncommitted)
 	// instructions.
 	oracleOcc        []*[isa.NumRegs][]uint32
@@ -200,8 +201,17 @@ func NewViReC(cfg ViReCConfig, threads int, dcache mem.Device, memory *mem.Memor
 // SetOracleSeq installs a thread's recorded register access sequence (the
 // per-instruction in.Regs order from a functional pre-run) for the Belady
 // policy's perfect intra-thread future knowledge. It keeps no reference to
-// seq, so the caller may reuse the buffer.
+// seq, so the caller may reuse the buffer. Threads running the same
+// kernel often record the same sequence: when seq equals the previous
+// thread's, the thread shares that thread's position lists, which nothing
+// writes once built. Each thread keeps its own cursor.
 func (p *ViReC) SetOracleSeq(thread int, seq []isa.Reg) {
+	if thread > 0 {
+		if prev := p.oracleOcc[thread-1]; prev != nil && sameSeq(prev, seq) {
+			p.oracleOcc[thread] = prev
+			return
+		}
+	}
 	// Count each register's uses, then cut one position array into
 	// per-register lists of exactly that length.
 	var n [isa.NumRegs]int
@@ -223,6 +233,29 @@ func (p *ViReC) SetOracleSeq(thread int, seq []isa.Reg) {
 		}
 	}
 	p.oracleOcc[thread] = occ
+}
+
+// sameSeq reports whether occ lists exactly the positions of seq's
+// registers, XZR aside. It walks seq position by position and allocates
+// nothing.
+func sameSeq(occ *[isa.NumRegs][]uint32, seq []isa.Reg) bool {
+	var next [isa.NumRegs]int
+	for i, r := range seq {
+		if r == isa.XZR {
+			continue
+		}
+		k := next[r]
+		if k == len(occ[r]) || occ[r][k] != uint32(i) {
+			return false
+		}
+		next[r] = k + 1
+	}
+	for r, k := range next {
+		if k != len(occ[r]) {
+			return false
+		}
+	}
+	return true
 }
 
 // oracleDistance returns how many committed accesses lie between the
@@ -259,6 +292,15 @@ func (p *ViReC) SetPrefetchRegs(thread int, regs []isa.Reg) {
 }
 
 var _ cpu.Provider = (*ViReC)(nil)
+
+// Release hands the three BSI engines' buffers to the shared pools. Call
+// it once the provider's system is done; a released provider cannot run
+// again.
+func (p *ViReC) Release() {
+	for _, b := range [...]*bsi{p.bsi, p.sysBsi, p.pfBsi} {
+		b.release()
+	}
+}
 
 // SetTelemetry attaches the cycle-level tracer to the provider and its
 // three BSI engines. A nil tracer keeps every emit path disabled.

@@ -101,8 +101,8 @@ func ParseScenario(text string) (Scenario, error) {
 
 // Matrix returns the standard co-simulation matrix: both conventional
 // providers and ViReC under every replacement policy across 1..8
-// threads, plus capacity-squeezed and fault-injected corners and both
-// prefetch providers.
+// threads, plus capacity-squeezed and fault-injected corners, both
+// prefetch providers and the Belady bound.
 func Matrix() []Scenario {
 	threads := []int{1, 2, 4, 8}
 	var out []Scenario
@@ -156,6 +156,11 @@ func Matrix() []Scenario {
 			Scenario{Kind: kind, Threads: 4},
 			Scenario{Kind: kind, Threads: 4, NoSkip: true})
 	}
+	// Belady evicts by each thread's recorded future (the oracle pre-run),
+	// so its victims differ from every other policy's. This is the
+	// configuration the hints experiment runs it in, whose generated
+	// kernels check no values of their own.
+	out = append(out, Scenario{Kind: sim.ViReC, Policy: vrmu.Belady, Threads: 4, CtxPct: 50})
 	return out
 }
 

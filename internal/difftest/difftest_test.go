@@ -23,6 +23,7 @@ func smallMatrix() []Scenario {
 		{Kind: sim.ViReC, Policy: vrmu.LRC, Threads: 4},
 		{Kind: sim.ViReC, Policy: vrmu.PLRU, Threads: 2, CtxPct: 50},
 		{Kind: sim.ViReC, Policy: vrmu.MRTLRU, Threads: 2, Faults: "jitter"},
+		{Kind: sim.ViReC, Policy: vrmu.Belady, Threads: 4, CtxPct: 50},
 	}
 }
 

@@ -248,8 +248,7 @@ func Generate(seed uint64, cfg GenConfig) *Kernel {
 	ir = append(ir, g.block(0, 1, cfg.Insts)...)
 
 	k := &Kernel{Seed: seed, Cfg: cfg, ir: ir, MaxDyn: g.dyn + len(ir) + 16}
-	k.rebuild()
-	if rep := check.Analyze(k.Prog, EntryRegs()); !rep.Clean() {
+	if rep := k.rebuild(); !rep.Clean() {
 		// Unreachable by construction; a finding here is a generator bug.
 		panic(fmt.Sprintf("difftest: seed %#x generated an unclean program: %v", seed, rep.Findings[0]))
 	}
@@ -257,17 +256,19 @@ func Generate(seed uint64, cfg GenConfig) *Kernel {
 }
 
 // rebuild re-emits Prog and Spec from the IR (after generation or a
-// shrinker mutation).
-func (k *Kernel) rebuild() {
+// shrinker mutation) and returns the analyzer's report on the new
+// program.
+func (k *Kernel) rebuild() *check.Report {
 	insts := emit(k.ir)
 	name := fmt.Sprintf("difftest-%016x", k.Seed)
 	k.Prog = &asm.Program{Name: name, Insts: insts}
 	// Hints ride on every generated kernel, so LRC+H gets exercised by
 	// the same seed population as everything else; synthesis is
 	// deterministic, so a shrunk or replayed kernel re-derives the same
-	// flags.
-	check.Apply(k.Prog)
+	// flags. The analyzer runs over the same CFG.
+	_, rep := check.ApplyAndAnalyze(k.Prog, EntryRegs())
 	k.Spec = makeSpec(name, k.Prog, k.Cfg.ArenaBytes)
+	return rep
 }
 
 // prologue materializes every writable register so any later subsequence

@@ -1,9 +1,5 @@
 package difftest
 
-import (
-	"github.com/virec/virec/internal/asm/check"
-)
-
 // The shrinker is a greedy delta-debugger over the generator's IR tree.
 // Operating on the tree rather than the instruction list means every
 // candidate is structurally legal for free: removing a node can never
@@ -170,8 +166,7 @@ func Shrink(k *Kernel, sc Scenario, opts CheckOpts, maxAttempts int) *ShrinkResu
 					continue
 				}
 				cand := &Kernel{Seed: best.Seed, Cfg: best.Cfg, ir: ir, MaxDyn: best.MaxDyn}
-				cand.rebuild()
-				if !check.Analyze(cand.Prog, EntryRegs()).Clean() {
+				if !cand.rebuild().Clean() {
 					continue // mutation broke dataflow; structurally dead end
 				}
 				if dd := run(cand, bestSc); dd != nil {

@@ -253,26 +253,34 @@ func TestMemoryOverlay(t *testing.T) {
 	}
 }
 
+// raceEnabled is set when the race detector is on (race_test.go). Its
+// sync.Pool drops a quarter of what it is given, so allocation bounds on
+// pooled buffers loosen under it.
+var raceEnabled bool
+
 // TestMemoryReleaseRecyclesZeroedPages checks that pages Release hands to
 // the pool come back zeroed, so a new memory never sees an old one's data,
-// and that a memory built after a release takes its pages from the pool
-// instead of allocating them.
+// and that a memory or overlay built after a release takes its pages and
+// its grown page table from the pools instead of allocating them.
 func TestMemoryReleaseRecyclesZeroedPages(t *testing.T) {
 	const pages = 256
-	touch := func(m *Memory) {
-		for i := Addr(0); i < pages; i++ {
+	touch := func(m *Memory, n Addr) {
+		for i := Addr(0); i < n; i++ {
 			m.Write64(i*pageBytes, ^uint64(0))
 			m.Write64(i*pageBytes+pageBytes/2, ^uint64(0))
 			m.Write64(i*pageBytes+pageBytes-8, ^uint64(0))
 		}
 	}
 	old := NewMemory()
-	touch(old)
+	touch(old, pages)
 	old.Release()
 	if old.Footprint() != 0 || old.Read64(0) != 0 {
 		t.Error("a released memory still holds data")
 	}
 	fresh := NewMemory()
+	if fresh.Footprint() != 0 {
+		t.Errorf("a new memory starts with %d bytes", fresh.Footprint())
+	}
 	for i := Addr(0); i < pages; i++ {
 		fresh.SetByte(i*pageBytes+1, 0)
 		for off, b := range fresh.pages[i*pageBytes].data {
@@ -280,18 +288,38 @@ func TestMemoryReleaseRecyclesZeroedPages(t *testing.T) {
 				t.Fatalf("page %d of the new memory has byte %#x at offset %d", i, b, off)
 			}
 		}
+		if got := fresh.Footprint(); got != int(i+1)*pageBytes {
+			t.Fatalf("a new memory that wrote %d pages holds %d bytes", i+1, got)
+		}
 	}
 	fresh.Release()
+	if fresh.pages != nil {
+		t.Error("a released memory still holds its page table")
+	}
 
-	// The map and the Memory itself still allocate; the pages must not.
-	// (The race detector's pool drops a quarter of what it is given.)
-	allocs := testing.AllocsPerRun(5, func() {
-		m := NewMemory()
-		touch(m)
-		m.Release()
-	})
-	if allocs > pages/2 {
-		t.Errorf("a %d-page memory built after a release made %.0f allocations", pages, allocs)
+	// A memory and its overlay allocate as much at 256 pages as at 4:
+	// the pages and the grown page tables come from the pools, and only
+	// the Memory structs and their small starting tables are new. (The
+	// race detector's pool drops a quarter of what it is given, so under
+	// it the pages and tables that are dropped allocate again.)
+	build := func(n Addr) float64 {
+		return testing.AllocsPerRun(5, func() {
+			m := NewMemory()
+			touch(m, n)
+			o := m.Overlay()
+			touch(o, n)
+			o.Release()
+			m.Release()
+		})
+	}
+	small, large := build(4), build(pages)
+	limit := small
+	if raceEnabled {
+		limit += pages
+	}
+	if large > limit {
+		t.Errorf("a %d-page memory and its overlay built after a release made %.0f allocations, want at most %.0f (4 pages: %.0f)",
+			pages, large, limit, small)
 	}
 }
 

@@ -191,6 +191,13 @@ func (c *Config) PhysRegsFor() int {
 	return n
 }
 
+// builtProvider is a register provider as New builds it: Release hands
+// its BSI buffers to the shared pools.
+type builtProvider interface {
+	cpu.Provider
+	Release()
+}
+
 // System is a composed simulation ready to run.
 type System struct {
 	cfg     Config
@@ -203,6 +210,9 @@ type System struct {
 	fixed   *mem.DelayDevice
 	layouts []cpu.RegLayout
 	oracles []*regfile.ViReC // Belady-policy providers awaiting sequences
+	// providers are the register providers as New built them, before
+	// WrapProvider; Release hands back their BSI buffers.
+	providers []builtProvider
 
 	// Injectors, when fault injection is enabled, sit between each core
 	// (pipeline, store queue, register provider) and its dcache.
@@ -330,7 +340,7 @@ func New(cfg Config) (*System, error) {
 		ic.RegisterMetrics(s.Registry, fmt.Sprintf("icache%d", coreID))
 		s.ICaches = append(s.ICaches, ic)
 
-		var provider cpu.Provider
+		var provider builtProvider
 		switch cfg.Kind {
 		case Banked:
 			provider = regfile.NewBanked(cfg.ThreadsPerCore, dcDev, s.Memory, layout)
@@ -370,13 +380,15 @@ func New(cfg Config) (*System, error) {
 			v.RegisterMetrics(s.Registry, fmt.Sprintf("rf%d", coreID))
 			v.SetTelemetry(s.Tracer, coreID)
 		}
+		s.providers = append(s.providers, provider)
+		var coreProvider cpu.Provider = provider
 		if cfg.WrapProvider != nil {
 			if w := cfg.WrapProvider(coreID, provider); w != nil {
-				provider = w
+				coreProvider = w
 			}
 		}
 
-		core := cpu.New(pipeCfg, provider, dcDev, s.Memory)
+		core := cpu.New(pipeCfg, coreProvider, dcDev, s.Memory)
 		core.RegisterMetrics(s.Registry, fmt.Sprintf("core%d", coreID))
 		core.SetTelemetry(s.Tracer, coreID)
 		core.SetICache(ic)
@@ -410,7 +422,8 @@ func (s *System) recordOracles() {
 	// the threaded-code form, so a mix pays one pre-decode per kernel,
 	// not one per thread.
 	precoded := make(map[*asm.Program]*interp.Precoded)
-	// One sequence buffer serves every thread; SetOracleSeq copies it.
+	// One sequence buffer serves every thread; SetOracleSeq keeps no
+	// reference to it.
 	var seq []isa.Reg
 	for coreID, v := range s.oracles {
 		layout := s.layouts[coreID]
@@ -768,11 +781,15 @@ func (s *System) skipTarget(now uint64, wd *harden.Watchdog) uint64 {
 }
 
 // Release hands back what New built from shared pools: the functional
-// memory's pages and every cache's line array. Call it once, when nothing
-// reads the system any more; the Result of Run holds no reference to
-// either. A released system cannot run again.
+// memory's pages and page table, every register provider's BSI buffers
+// and every cache's line array. Call it once, when nothing reads the
+// system any more; the Result of Run holds no reference to any of them.
+// A released system cannot run again.
 func (s *System) Release() {
 	s.Memory.Release()
+	for _, p := range s.providers {
+		p.Release()
+	}
 	for _, c := range s.DCaches {
 		c.Release()
 	}
