@@ -17,7 +17,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -54,6 +53,11 @@ func main() {
 			os.Exit(2)
 		}
 		return
+	}
+
+	if err := experiments.CheckFormat(*format); err != nil {
+		fmt.Fprintln(os.Stderr, "virec-experiments:", err)
+		os.Exit(2)
 	}
 
 	if *cpuProf != "" {
@@ -125,19 +129,12 @@ func main() {
 			fmt.Fprintf(os.Stderr, "virec-experiments: %v\n", err)
 			os.Exit(1)
 		}
-		switch *format {
-		case "csv":
-			fmt.Print(rep.CSV())
-		case "json":
-			out, err := json.MarshalIndent(rep, "", "  ")
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "virec-experiments:", err)
-				os.Exit(1)
-			}
-			fmt.Println(string(out))
-		default:
-			fmt.Println(rep.String())
+		out, err := rep.Render(*format)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "virec-experiments:", err)
+			os.Exit(1)
 		}
+		os.Stdout.Write(out)
 	}
 
 	if *metrics != "" {

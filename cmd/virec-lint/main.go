@@ -1,53 +1,25 @@
-// Command virec-lint runs the simulator's custom analyzer suite
+// Command virec-lint runs the simulator's determinism analyzer
 // (internal/lint) over the given packages, in the style of go vet:
 //
 //	go run ./cmd/virec-lint ./...
-//	go run ./cmd/virec-lint -analyzers determinism,hotpath ./internal/cpu
+//	go run ./cmd/virec-lint ./internal/farm ./internal/experiments
 //
-// Findings print as "file:line:col: message [analyzer]" and the command
-// exits 1 when any are reported. It is wired into CI next to go vet; see
-// DESIGN.md for the rules each analyzer enforces and the //virec:
-// directives that steer them.
+// It takes only package patterns (default ./...). Findings print as
+// "file:line:col: message [analyzer]" and the command exits 1 when any
+// are reported. It is wired into CI next to go vet; see DESIGN.md for the
+// rules the analyzer enforces and the //virec: directives that steer it.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"github.com/virec/virec/internal/lint"
 )
 
 func main() {
-	names := flag.String("analyzers", "", "comma-separated analyzer subset (default: all)")
-	list := flag.Bool("list", false, "list available analyzers and exit")
 	flag.Parse()
-
-	if *list {
-		for _, a := range lint.All() {
-			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
-		}
-		return
-	}
-
-	analyzers := lint.All()
-	if *names != "" {
-		byName := make(map[string]*lint.Analyzer)
-		for _, a := range analyzers {
-			byName[a.Name] = a
-		}
-		analyzers = nil
-		for _, n := range strings.Split(*names, ",") {
-			a, ok := byName[strings.TrimSpace(n)]
-			if !ok {
-				fmt.Fprintf(os.Stderr, "virec-lint: unknown analyzer %q\n", n)
-				os.Exit(2)
-			}
-			analyzers = append(analyzers, a)
-		}
-	}
-
 	patterns := flag.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -59,7 +31,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	diags := lint.Run(fset, pkgs, analyzers)
+	diags := lint.Run(fset, pkgs, lint.All())
 	for _, d := range diags {
 		fmt.Println(d)
 	}

@@ -44,7 +44,7 @@ func main() {
 		iters     = flag.Int("iters", 256, "inner-loop iterations per thread")
 		ctx       = flag.Int("ctx", 100, "ViReC context percentage (40-100)")
 		physRegs  = flag.Int("regs", 0, "ViReC physical registers (overrides -ctx)")
-		policy    = flag.String("policy", "LRC", "replacement policy: PLRU|LRU|MRT-PLRU|MRT-LRU|LRC")
+		policy    = flag.String("policy", "LRC", "replacement policy: PLRU|LRU|MRT-PLRU|MRT-LRU|LRC|Belady|LRC+H")
 		dcacheKB  = flag.Int("dcache-kb", 8, "dcache size in KB")
 		dcacheLat = flag.Int("dcache-lat", 2, "dcache hit latency in cycles")
 		validate  = flag.Bool("validate", true, "golden-model value checking")

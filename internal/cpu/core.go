@@ -384,8 +384,6 @@ func (c *Core) Cur() int { return c.cur }
 
 // Tick advances one cycle. The caller ticks the memory hierarchy after
 // all cores so that accesses issued this cycle are seen by the caches.
-//
-//virec:hotpath
 func (c *Core) Tick(cycle uint64) {
 	c.cycle = cycle
 	if c.stamper != nil {
@@ -663,7 +661,7 @@ func (c *Core) newLoadReq() *loadReq {
 		c.loadFree = c.loadFree[:n-1]
 		return h
 	}
-	//virec:alloc-ok free-list growth, bounded by the loads in flight at once
+	// Free-list growth, bounded by the loads in flight at once.
 	h := &loadReq{core: c}
 	h.done, h.miss = h.complete, h.missed
 	return h
@@ -1082,7 +1080,7 @@ func (c *Core) newFetchReq() *fetchReq {
 		c.fetchFree = c.fetchFree[:n-1]
 		return h
 	}
-	//virec:alloc-ok free-list growth, bounded by the fetches in flight at once
+	// Free-list growth, bounded by the fetches in flight at once.
 	h := &fetchReq{core: c}
 	h.done = h.complete
 	return h
@@ -1347,8 +1345,6 @@ func (c *Core) NextEvent(now uint64) (uint64, bool) {
 // policy timestamps stay byte-identical with the unskipped run). The
 // caller must have validated the run with NextEvent on every component:
 // each cycle in (c.cycle, last] is a pure stall.
-//
-//virec:hotpath
 func (c *Core) SkipTo(last uint64) {
 	if last <= c.cycle {
 		return

@@ -42,8 +42,6 @@ func (p *Banked) Acquire(thread int, in *isa.Inst, needSrcs []isa.Reg, probe boo
 }
 
 // ReadValue returns the banked value.
-//
-//virec:hotpath
 func (p *Banked) ReadValue(thread int, r isa.Reg) uint64 {
 	if r == isa.XZR {
 		return 0
@@ -52,8 +50,6 @@ func (p *Banked) ReadValue(thread int, r isa.Reg) uint64 {
 }
 
 // WriteValue updates the banked value.
-//
-//virec:hotpath
 func (p *Banked) WriteValue(thread int, r isa.Reg, v uint64) {
 	if r != isa.XZR {
 		p.banks[thread][r] = v

@@ -147,7 +147,7 @@ func (q *opQueue) grow() {
 			return
 		}
 	}
-	//virec:alloc-ok queue growth, bounded by the most runs a simulation's backlog holds
+	// Queue growth, bounded by the most runs a simulation's backlog holds.
 	buf := make([]bsiOp, max(8, 2*len(q.buf)))
 	for i := 0; i < q.entries; i++ {
 		buf[i] = q.buf[(q.head+i)%len(q.buf)]
@@ -254,7 +254,7 @@ func (b *bsi) newReq() *bsiReq {
 		h, _ = freeReqs.Get().(*bsiReq)
 	}
 	if h == nil {
-		//virec:alloc-ok free-list growth, bounded by the transactions in flight at once
+		// Free-list growth, bounded by the transactions in flight at once.
 		h = &bsiReq{}
 		h.done = h.complete
 	}
@@ -283,8 +283,6 @@ func (b *bsi) release() {
 }
 
 // Tick issues queued transactions to the dcache, loads first.
-//
-//virec:hotpath
 func (b *bsi) Tick(cycle uint64) {
 	issued := 0
 	for issued < b.perCycle {

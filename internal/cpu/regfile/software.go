@@ -49,8 +49,6 @@ func (p *Software) Release() { p.bsi.release() }
 // abandoned a prepared switch (the missing load returned first), the
 // owner's own context is reloaded before execution continues — the price
 // of software switching being irrevocable once the trap handler runs.
-//
-//virec:hotpath
 func (p *Software) Acquire(thread int, in *isa.Inst, needSrcs []isa.Reg, probe bool) (ready, acts bool) {
 	if p.owner != thread || p.pending > 0 {
 		return false, false
@@ -77,8 +75,6 @@ func (p *Software) Acquire(thread int, in *isa.Inst, needSrcs []isa.Reg, probe b
 }
 
 // ReadValue reads the single bank.
-//
-//virec:hotpath
 func (p *Software) ReadValue(thread int, r isa.Reg) uint64 {
 	if r == isa.XZR {
 		return 0
@@ -94,8 +90,6 @@ func (p *Software) ReadValue(thread int, r isa.Reg) uint64 {
 // outgoing thread must not clobber the restored context — its value
 // survives in the memory context and returns with the thread's next
 // restore.
-//
-//virec:hotpath
 func (p *Software) WriteValue(thread int, r isa.Reg, v uint64) {
 	if r == isa.XZR {
 		return

@@ -486,8 +486,6 @@ func (p *ViReC) bsiDone(op bsiOp) {
 // store lookups for every source and destination, miss handling through
 // victim selection, eviction and fill, and the dummy-value optimization
 // for destination-only registers.
-//
-//virec:hotpath
 func (p *ViReC) Acquire(thread int, in *isa.Inst, needSrcs []isa.Reg, probe bool) (ready, acts bool) {
 	if p.rq.Full() {
 		return false, false
@@ -609,8 +607,6 @@ func (p *ViReC) Acquire(thread int, in *isa.Inst, needSrcs []isa.Reg, probe bool
 
 // ReadValue returns the cached value after touching the entry (pseudo-LRU
 // age reset plus speculative C-bit set).
-//
-//virec:hotpath
 func (p *ViReC) ReadValue(thread int, r isa.Reg) uint64 {
 	if r == isa.XZR {
 		return 0
@@ -630,8 +626,6 @@ func (p *ViReC) ReadValue(thread int, r isa.Reg) uint64 {
 // WriteValue installs a committed result. If the register was evicted
 // between decode and commit it is re-allocated (allocate-on-write); if a
 // fill is in flight the fill is superseded so its stale value is dropped.
-//
-//virec:hotpath
 func (p *ViReC) WriteValue(thread int, r isa.Reg, v uint64) {
 	if r == isa.XZR {
 		return
@@ -662,8 +656,6 @@ func (p *ViReC) WriteValue(thread int, r isa.Reg, v uint64) {
 
 // InstDecoded pushes the instruction's physical registers into the
 // rollback queue and releases the decode locks.
-//
-//virec:hotpath
 func (p *ViReC) InstDecoded(thread int, seq uint64, in *isa.Inst) {
 	var regs [6]isa.Reg
 	var physBuf [6]int
@@ -712,8 +704,6 @@ func (p *ViReC) InstDecoded(thread int, seq uint64, in *isa.Inst) {
 // applyHintMark installs one committed instruction's hint marks into the
 // tag store. Registers no longer resident simply lose their mark (the
 // eviction already happened; nothing to steer).
-//
-//virec:hotpath
 func (p *ViReC) applyHintMark(hm hintMark) {
 	for i := 0; i < int(hm.nDead); i++ {
 		if phys, ok := p.tags.Lookup(hm.thread, hm.dead[i]); ok {
@@ -730,8 +720,6 @@ func (p *ViReC) applyHintMark(hm hintMark) {
 // InstCommitted retires the oldest rollback-queue entry and, under the
 // Belady policy, advances the thread's future-knowledge cursor past the
 // instruction's register accesses.
-//
-//virec:hotpath
 func (p *ViReC) InstCommitted(thread int, seq uint64) {
 	p.rq.Commit(seq)
 	if p.inflightAccesses != nil {

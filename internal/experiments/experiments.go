@@ -141,6 +141,33 @@ func (r *Report) MarshalJSON() ([]byte, error) {
 	}{r.Name, r.Title, tables, r.Notes})
 }
 
+// Render returns the bytes virec-experiments prints for the report in
+// format, and a farm experiment job returns: "text" ("" selects it too)
+// and "json" get a newline after the document, while "csv" ends with its
+// last row's. Any other format is an error.
+func (r *Report) Render(format string) ([]byte, error) {
+	switch format {
+	case "", "text":
+		return []byte(r.String() + "\n"), nil
+	case "csv":
+		return []byte(r.CSV()), nil
+	case "json":
+		out, err := json.MarshalIndent(r, "", "  ")
+		if err != nil {
+			return nil, err
+		}
+		return append(out, '\n'), nil
+	}
+	return nil, fmt.Errorf("experiments: unknown format %q (want text|csv|json)", format)
+}
+
+// CheckFormat returns the error Render gives for format, so a caller can
+// reject a bad format before running anything.
+func CheckFormat(format string) error {
+	_, err := (&Report{}).Render(format)
+	return err
+}
+
 // runner is one experiment implementation.
 type runner struct {
 	title string

@@ -128,3 +128,38 @@ func TestReportCSVAndJSON(t *testing.T) {
 		t.Errorf("JSON incomplete: %+v", decoded)
 	}
 }
+
+// TestRenderFormats pins the bytes virec-experiments prints for each
+// format, and that any other format is an error before anything runs.
+func TestRenderFormats(t *testing.T) {
+	rep, err := Run("table1", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	js, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for format, want := range map[string]string{
+		"":     rep.String() + "\n",
+		"text": rep.String() + "\n",
+		"csv":  rep.CSV(),
+		"json": string(js) + "\n",
+	} {
+		if err := CheckFormat(format); err != nil {
+			t.Errorf("CheckFormat(%q) = %v", format, err)
+		}
+		got, err := rep.Render(format)
+		if err != nil || string(got) != want {
+			t.Errorf("Render(%q) = %.80q, %v; want %.80q", format, got, err, want)
+		}
+	}
+	for _, format := range []string{"xml", "TEXT", "csv "} {
+		if err := CheckFormat(format); err == nil || !strings.Contains(err.Error(), "unknown format") {
+			t.Errorf("CheckFormat(%q) = %v, want an unknown-format error", format, err)
+		}
+		if out, err := rep.Render(format); err == nil {
+			t.Errorf("Render(%q) = %.80q, want an error", format, out)
+		}
+	}
+}

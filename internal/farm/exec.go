@@ -124,22 +124,7 @@ func execExperiment(ctx context.Context, s *ExperimentSpec) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Each arm reproduces the CLI's inline rendering byte-for-byte:
-	// text and json go through Println there (hence the extra newline),
-	// csv through Print.
-	switch s.Format {
-	case "", "text":
-		return append([]byte(rep.String()), '\n'), nil
-	case "csv":
-		return []byte(rep.CSV()), nil
-	case "json":
-		out, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return nil, err
-		}
-		return append(out, '\n'), nil
-	}
-	return nil, fmt.Errorf("farm: unknown experiment format %q", s.Format)
+	return rep.Render(s.Format)
 }
 
 // marshalCanonical renders a result document as indented JSON with a

@@ -184,6 +184,42 @@ func TestQueueFullRejectsSubmission(t *testing.T) {
 	close(gate) // let the queued work finish before Kill
 }
 
+// TestSubmitRejectsUnbuildableSimSizes: a sim spec that sim.New would
+// refuse is rejected at admission, so it is never journaled and never
+// fails on a worker.
+func TestSubmitRejectsUnbuildableSimSizes(t *testing.T) {
+	opt := testOptions(t)
+	f := openFarm(t, opt)
+	for _, tc := range []struct {
+		name string
+		edit func(*SimSpec)
+		want string
+	}{
+		{"negative threads", func(s *SimSpec) { s.Threads = -1 }, "negative"},
+		{"negative cores", func(s *SimSpec) { s.Cores = -2 }, "negative"},
+		{"3 ViReC registers", func(s *SimSpec) { s.PhysRegs = 3 }, "at least 8 physical registers"},
+		{"9 banked threads", func(s *SimSpec) { s.CoreKind, s.Threads = "banked", 9 }, "at most 8 threads"},
+		{"past the kernel's capacity", func(s *SimSpec) { s.Iters = 9000 }, "vecadd holds at most 8192"},
+	} {
+		spec := testSpec(1)
+		tc.edit(spec.Sim)
+		if _, err := f.Submit(spec); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Submit returned %v, want an error containing %q", tc.name, err, tc.want)
+		}
+	}
+	if st := f.StatsSnapshot(); st.Submitted != 0 {
+		t.Errorf("Submitted = %d, want 0", st.Submitted)
+	}
+	f.Kill()
+	jobs, _, err := recoverState(opt.Dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(jobs) != 0 {
+		t.Errorf("the journal holds %d jobs, want none", len(jobs))
+	}
+}
+
 func TestDedupCoalescesLiveSubmissions(t *testing.T) {
 	opt := testOptions(t)
 	gate := make(chan struct{})

@@ -75,10 +75,11 @@ type DifftestSpec struct {
 	MaxCycles uint64   `json:"max_cycles,omitempty"`
 }
 
-// ExperimentSpec describes one experiment regeneration, rendered in the
-// given format ("text", "csv" or "json"; "text" when empty). The result
-// bytes are exactly what `virec-experiments -exp Name` prints inline, so
-// the CLI's farm mode is byte-identical to its local mode.
+// ExperimentSpec describes one experiment regeneration, rendered by
+// experiments.Report.Render in the given format ("text", "csv" or "json";
+// "text" when empty). The result bytes are exactly what
+// `virec-experiments -exp Name` prints inline, so the CLI's farm mode is
+// byte-identical to its local mode.
 type ExperimentSpec struct {
 	Name   string `json:"name"`
 	Quick  bool   `json:"quick,omitempty"`
@@ -126,10 +127,8 @@ func (s *Spec) Validate() error {
 		if experiments.Title(e.Name) == "" {
 			return fmt.Errorf("farm: unknown experiment %q (have %v)", e.Name, experiments.Names())
 		}
-		switch e.Format {
-		case "", "text", "csv", "json":
-		default:
-			return fmt.Errorf("farm: unknown experiment format %q (want text|csv|json)", e.Format)
+		if err := experiments.CheckFormat(e.Format); err != nil {
+			return fmt.Errorf("farm: %w", err)
 		}
 		return nil
 	default:
@@ -138,7 +137,7 @@ func (s *Spec) Validate() error {
 }
 
 // simConfig resolves a SimSpec into a runnable sim.Config, validating
-// every symbolic reference.
+// every symbolic reference and every size sim.New would refuse.
 func (s *SimSpec) simConfig() (sim.Config, error) {
 	var cfg sim.Config
 	kind, err := sim.ParseCoreKind(s.CoreKind)
@@ -178,6 +177,9 @@ func (s *SimSpec) simConfig() (sim.Config, error) {
 				cfg.Harden.FaultSeed = 0xfa17d1ff
 			}
 		}
+	}
+	if err := cfg.Check(); err != nil {
+		return cfg, fmt.Errorf("farm: %w", err)
 	}
 	return cfg, nil
 }

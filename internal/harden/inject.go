@@ -129,7 +129,7 @@ func (inj *Injector) newStormFetch() *stormFetch {
 		inj.fetches = inj.fetches[:n-1]
 		return f
 	}
-	//virec:alloc-ok free-list growth, bounded by the storm fetches in flight at once
+	// Free-list growth, bounded by the storm fetches in flight at once.
 	f := &stormFetch{inj: inj}
 	f.done = f.complete
 	return f
@@ -142,7 +142,7 @@ func (inj *Injector) newJitter() *jitter {
 		inj.free = inj.free[:n-1]
 		return j
 	}
-	//virec:alloc-ok free-list growth, bounded by the jittered accesses in flight at once
+	// Free-list growth, bounded by the jittered accesses in flight at once.
 	j := &jitter{inj: inj}
 	j.done = j.hold
 	return j
@@ -152,8 +152,6 @@ func (inj *Injector) newJitter() *jitter {
 // burst, blocked fill) or arming a delayed completion (jitter). A
 // rejected request leaves the caller's retry loop to present it again, so
 // its Done callback is restored untouched.
-//
-//virec:hotpath
 func (inj *Injector) Access(r *mem.Request) bool {
 	if inj.plan.BlockRegisterFills && r.RegisterFill && r.Kind == mem.Read && !r.PinSticky {
 		inj.Stats.BlockedFills++
@@ -185,8 +183,6 @@ func (inj *Injector) Access(r *mem.Request) bool {
 // Tick releases due delayed completions and rolls the dice for new busy
 // bursts and eviction storms. The simulation loop calls it once per cycle
 // after the memory hierarchy has ticked.
-//
-//virec:hotpath
 func (inj *Injector) Tick(cycle uint64) {
 	inj.now = cycle
 	for inj.delayed.Due(cycle) {

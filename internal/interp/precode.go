@@ -204,8 +204,6 @@ func lower(in *isa.Inst) uop {
 // case, resolved once). Pre-decode guarantees no micro-op writes the slot,
 // and the loop's one exit restores the saved value, so the pin is
 // invisible to callers.
-//
-//virec:hotpath
 func (p *Precoded) Run(ctx *Context, m *mem.Memory, maxInsts uint64, trace func(TraceEntry)) Result {
 	regs := &ctx.Regs
 	savedXZR := regs[isa.XZR]

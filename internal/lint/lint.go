@@ -1,15 +1,17 @@
-// Package lint is the simulator's static-analysis suite: custom analyzers
-// that mechanically enforce invariants established by hand —
-// byte-identical serial/parallel experiment output (determinism) and
-// allocation-free simulator tick paths (hotpath).
+// Package lint is the simulator's static-analysis suite: a custom
+// analyzer that mechanically enforces an invariant established by hand,
+// byte-identical serial/parallel experiment output (determinism).
+// Allocation-free tick paths are not checked here: runtime allocation
+// gates measure them, through the interface and func-value calls a static
+// walk cannot follow (DESIGN.md §10).
 //
 // The suite is built on the standard library's go/parser + go/types only.
 // The usual foundation for custom vet passes, golang.org/x/tools/go/analysis,
 // is deliberately not used: the repository vendors no third-party modules,
 // and the loader in load.go (go list -export + the gc importer) provides
-// the same whole-program type information from the toolchain's own export
-// data. The Analyzer/Pass shapes below mirror go/analysis closely enough
-// that porting to the upstream framework later is mechanical.
+// the same type information from the toolchain's own export data. The
+// Analyzer/Pass shapes below mirror go/analysis closely enough that
+// porting to the upstream framework later is mechanical.
 //
 // Analyzers communicate findings as Diagnostics; cmd/virec-lint renders
 // them like vet ("file:line:col: message [analyzer]") and exits non-zero
@@ -17,18 +19,14 @@
 //
 // # Directives
 //
-// Source comments steer the analyzers:
+// Source comments steer the analyzer:
 //
-//	//virec:hotpath      on a function: the hotpath analyzer checks it and
-//	                     every statically-resolvable callee for allocations,
-//	                     closures, interface boxing, map literals and fmt.
-//	//virec:alloc-ok     on (or immediately above) a statement inside a hot
-//	                     path: the allocation is intentional — amortized per
-//	                     memory operation or a grow-once buffer — and the
-//	                     runtime benchmarks guard it instead.
 //	//virec:nondet-ok    on (or immediately above) a map-range statement:
 //	                     the iteration's effects are order-independent in a
 //	                     way the analyzer cannot prove.
+//	//virec:wallclock-ok on (or immediately above) a time.Now, Since or
+//	                     Until call: the reading never reaches simulation
+//	                     state or result bytes.
 package lint
 
 import (
@@ -45,9 +43,7 @@ type Analyzer struct {
 	Name string
 	Doc  string
 	// Run inspects the whole loaded program (every target package) and
-	// reports findings through pass.Report. Unlike go/analysis, a pass
-	// sees all packages at once: the hotpath analyzer follows calls
-	// across package boundaries.
+	// reports findings through pass.Report.
 	Run func(pass *Pass)
 }
 
@@ -82,7 +78,7 @@ func (d Diagnostic) String() string {
 
 // All returns the suite in a fixed order.
 func All() []*Analyzer {
-	return []*Analyzer{Determinism, Hotpath}
+	return []*Analyzer{Determinism}
 }
 
 // Run executes the given analyzers over the loaded packages and returns
@@ -112,7 +108,7 @@ func Run(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) []Diagnost
 // ---- directive comments ----
 
 // directives holds, per file, the lines carrying each //virec: directive.
-// A directive suppresses or marks the statement that starts on the same
+// A directive suppresses findings on the statement that starts on the same
 // line or on the line directly below the comment.
 type directives struct {
 	fset  *token.FileSet
@@ -182,18 +178,4 @@ func isBuiltinCall(info *types.Info, call *ast.CallExpr, name string) bool {
 	}
 	_, isBuiltin := info.Uses[id].(*types.Builtin)
 	return isBuiltin
-}
-
-// funcHasDirective reports whether fn's doc comment carries the named
-// directive.
-func funcHasDirective(fn *ast.FuncDecl, name string) bool {
-	if fn.Doc == nil {
-		return false
-	}
-	for _, c := range fn.Doc.List {
-		if n, ok := parseDirective(c.Text); ok && n == name {
-			return true
-		}
-	}
-	return false
 }

@@ -53,7 +53,6 @@ func TestAnalyzers(t *testing.T) {
 		analyzer *Analyzer
 	}{
 		{"det", Determinism},
-		{"hot", Hotpath},
 	}
 	for _, tc := range cases {
 		t.Run(tc.analyzer.Name, func(t *testing.T) {

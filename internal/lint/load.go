@@ -148,8 +148,7 @@ func typecheck(fset *token.FileSet, imp types.Importer, lp listPkg) (*Package, e
 
 // newExportImporter returns a shared gc importer reading export data from
 // the build-cache files go list reported. Sharing one importer across all
-// target packages keeps types identical between packages, which the
-// cross-package hotpath walk relies on.
+// target packages keeps types identical between packages.
 func newExportImporter(fset *token.FileSet, exports map[string]string) types.Importer {
 	lookup := func(path string) (io.ReadCloser, error) {
 		file, ok := exports[path]

@@ -225,7 +225,7 @@ func (c *Cache) newMSHR() *mshr {
 		c.free = c.free[:n-1]
 		return m
 	}
-	//virec:alloc-ok free-list growth, bounded by Config.MSHRs
+	// Free-list growth, bounded by Config.MSHRs.
 	m := &mshr{c: c}
 	m.done = m.fillDone
 	return m
@@ -234,8 +234,6 @@ func (c *Cache) newMSHR() *mshr {
 // Access presents a request to the cache. It returns false if the port is
 // saturated this cycle, no MSHR is free for a miss, or every way in the
 // target set is pinned or filling.
-//
-//virec:hotpath
 func (c *Cache) Access(r *mem.Request) bool {
 	if c.acceptedNow >= c.cfg.Ports {
 		c.Stats.PortRejects++
@@ -418,7 +416,7 @@ func (c *Cache) newWriteback() *writeback {
 		c.freeWB = c.freeWB[:n-1]
 		return w
 	}
-	//virec:alloc-ok free-list growth, bounded by the writebacks in flight at once
+	// Free-list growth, bounded by the writebacks in flight at once.
 	w := &writeback{c: c}
 	w.done = w.complete
 	return w
@@ -471,8 +469,6 @@ func (c *Cache) fillDone(m *mshr, cycle uint64) {
 
 // Tick retires due hits, retries unissued fills and drains the writeback
 // queue. It must be called once per cycle before the lower level's Tick.
-//
-//virec:hotpath
 func (c *Cache) Tick(cycle uint64) {
 	c.now = cycle
 	c.acceptedNow = 0

@@ -183,8 +183,6 @@ func (d *DRAM) route(a mem.Addr) (ch, bk int, row int64) {
 
 // Access enqueues a request. It returns false when the channel queue is
 // full; the caller must retry.
-//
-//virec:hotpath
 func (d *DRAM) Access(r *mem.Request) bool {
 	ch, _, _ := d.route(r.Addr)
 	c := &d.channels[ch]
@@ -200,8 +198,6 @@ func (d *DRAM) Access(r *mem.Request) bool {
 // and issues at most one request per channel using FCFS with bank-bypass
 // (the first queued request whose bank and bus are available goes next,
 // which exposes bank-level parallelism without full FR-FCFS reordering).
-//
-//virec:hotpath
 func (d *DRAM) Tick(cycle uint64) {
 	d.now = cycle
 	for d.pending.Due(cycle) {

@@ -161,14 +161,14 @@ func (m *Memory) page(a Addr, create bool) *page {
 		return src
 	}
 	if m.pages == nil {
-		//virec:alloc-ok a small page table, one map group per Memory
+		// A small page table, one map group per Memory.
 		m.pages = make(map[Addr]*page, smallTable)
 	} else if len(m.pages) == smallTable {
 		grown := pageTables.Get().(map[Addr]*page)
 		maps.Copy(grown, m.pages)
 		m.pages = grown
 	}
-	//virec:alloc-ok a pooled page, allocated only when the pool is empty; Release returns it
+	// A pooled page, allocated only when the pool is empty; Release returns it.
 	p := pagePool.Get().(*page)
 	if src != nil {
 		*p = *src

@@ -58,8 +58,6 @@ func (q *EventQueue[T]) Next(now uint64) (cycle uint64, ok bool) {
 
 // Push queues v to fire at cycle, after every event already queued for
 // the same cycle.
-//
-//virec:hotpath
 func (q *EventQueue[T]) Push(cycle uint64, v T) {
 	q.seq++
 	q.h = append(q.h, event[T]{cycle: cycle, seq: q.seq, v: v})
@@ -77,8 +75,6 @@ func (q *EventQueue[T]) Push(cycle uint64, v T) {
 // Pop removes the earliest event and returns its cycle and value. The
 // queue must not be empty. The vacated slot is zeroed, so the queue keeps
 // no reference to a popped value.
-//
-//virec:hotpath
 func (q *EventQueue[T]) Pop() (cycle uint64, v T) {
 	h := q.h
 	top := h[0]

@@ -110,7 +110,7 @@ func (x *Xbar) newForward() *forward {
 		x.free = x.free[:n-1]
 		return f
 	}
-	//virec:alloc-ok free-list growth, bounded by the requests below the crossbar at once
+	// Free-list growth, bounded by the requests below the crossbar at once.
 	f := &forward{x: x}
 	f.done = f.complete
 	return f
@@ -118,8 +118,6 @@ func (x *Xbar) newForward() *forward {
 
 // Tick moves arrived requests to the controller (bounded per cycle) and
 // delivers delayed responses.
-//
-//virec:hotpath
 func (x *Xbar) Tick(cycle uint64) {
 	x.now = cycle
 	for x.respQ.Due(cycle) {

@@ -165,7 +165,42 @@ func (c *Config) withDefaults() Config {
 	if out.Seed == 0 {
 		out.Seed = 0x9e3779b97f4a7c15
 	}
+	if out.Workload == nil && len(out.WorkloadMix) > 0 {
+		out.Workload = out.WorkloadMix[0]
+	}
 	return out
+}
+
+// Check returns an error for a config New cannot build, after zero fields
+// take their defaults: no workload, a negative core or thread count, more
+// banked threads than Table 1's eight banks, an explicit ViReC register
+// file below eight registers, or more iterations than a kernel's data
+// layout holds.
+func (c *Config) Check() error {
+	cfg := c.withDefaults()
+	if cfg.Workload == nil {
+		return fmt.Errorf("sim: config needs a workload")
+	}
+	if cfg.Cores < 0 || cfg.ThreadsPerCore < 0 {
+		return fmt.Errorf("sim: core and thread counts must not be negative, got %d cores of %d threads", cfg.Cores, cfg.ThreadsPerCore)
+	}
+	if cfg.Kind == Banked && cfg.ThreadsPerCore > 8 {
+		return fmt.Errorf("sim: banked core supports at most 8 threads (Table 1), got %d", cfg.ThreadsPerCore)
+	}
+	if cfg.Kind == ViReC && cfg.PhysRegs != 0 && cfg.PhysRegs < 8 {
+		return fmt.Errorf("sim: ViReC needs at least 8 physical registers, got %d", cfg.PhysRegs)
+	}
+	// The threads run the mix when one is set, and Workload otherwise.
+	kernels := cfg.WorkloadMix
+	if len(kernels) == 0 {
+		kernels = []*workloads.Spec{cfg.Workload}
+	}
+	for _, w := range kernels {
+		if w.MaxIters > 0 && cfg.Iters > w.MaxIters {
+			return fmt.Errorf("sim: %s holds at most %d iterations per thread, got %d", w.Name, w.MaxIters, cfg.Iters)
+		}
+	}
+	return nil
 }
 
 // PhysRegsFor resolves the physical register count for a ViReC core:
@@ -253,18 +288,12 @@ const (
 	slabSkew      = 0x2c0
 )
 
-// New builds a system. The workload must be set.
+// New builds a system, or returns the error Check finds in cfg.
 func New(cfg Config) (*System, error) {
+	if err := cfg.Check(); err != nil {
+		return nil, err
+	}
 	cfg = cfg.withDefaults()
-	if cfg.Workload == nil && len(cfg.WorkloadMix) > 0 {
-		cfg.Workload = cfg.WorkloadMix[0]
-	}
-	if cfg.Workload == nil {
-		return nil, fmt.Errorf("sim: config needs a workload")
-	}
-	if cfg.Kind == Banked && cfg.ThreadsPerCore > 8 {
-		return nil, fmt.Errorf("sim: banked core supports at most 8 threads (Table 1), got %d", cfg.ThreadsPerCore)
-	}
 
 	s := &System{cfg: cfg, Memory: mem.NewMemory()}
 	s.Registry = telemetry.NewRegistry()
@@ -712,8 +741,6 @@ func (s *System) Run() (res *Result, err error) {
 // no event due, and no watchdog deadline or CheckEvery invariant-sweep
 // boundary falls inside the window. The loop may then jump the clock
 // without changing any observable behavior.
-//
-//virec:hotpath
 func (s *System) skipTarget(now uint64, wd *harden.Watchdog) uint64 {
 	cfg := s.cfg
 	t := cfg.MaxCycles

@@ -1,6 +1,8 @@
 package sim_test
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/virec/virec/internal/sim"
@@ -114,6 +116,57 @@ func TestBankedThreadLimit(t *testing.T) {
 	})
 	if err == nil {
 		t.Error("banked with 10 threads must be rejected (8 banks in Table 1)")
+	}
+}
+
+// TestNewRejectsUnbuildableSizes holds sim.New to an error, never a
+// panic, for every size it cannot build, including an iteration count
+// past the kernel's data layout; each boundary value still builds.
+func TestNewRejectsUnbuildableSizes(t *testing.T) {
+	g := gather(t)
+	spmv, _ := workloads.ByName("spmv")
+	chase, _ := workloads.ByName("chase")
+	build := func(cfg sim.Config) (err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("panicked: %v", r)
+			}
+		}()
+		s, err := sim.New(cfg)
+		if err == nil {
+			s.Release()
+		}
+		return err
+	}
+	bad := []struct {
+		name string
+		cfg  sim.Config
+		want string // a substring of the error
+	}{
+		{"virec-threads-negative", sim.Config{Kind: sim.ViReC, ThreadsPerCore: -1, Workload: g}, "negative"},
+		{"banked-threads-negative", sim.Config{Kind: sim.Banked, ThreadsPerCore: -1, Workload: g}, "negative"},
+		{"cores-negative", sim.Config{Kind: sim.Software, Cores: -2, Workload: g}, "negative"},
+		{"banked-9-threads", sim.Config{Kind: sim.Banked, ThreadsPerCore: 9, Workload: g}, "at most 8 threads"},
+		{"virec-3-regs", sim.Config{Kind: sim.ViReC, PhysRegs: 3, Workload: g}, "at least 8 physical registers"},
+		{"virec-negative-regs", sim.Config{Kind: sim.ViReC, PhysRegs: -5, Workload: g}, "at least 8 physical registers"},
+		{"gather-past-capacity", sim.Config{Kind: sim.Banked, ThreadsPerCore: 1, Workload: g, Iters: 9000}, "gather holds at most 8192"},
+		{"spmv-past-capacity", sim.Config{Kind: sim.ViReC, Workload: spmv, Iters: 4097}, "spmv holds at most 4096"},
+		{"mix-past-capacity", sim.Config{Kind: sim.ViReC, WorkloadMix: []*workloads.Spec{chase, spmv}, Iters: 5000}, "spmv holds at most 4096"},
+	}
+	for _, row := range bad {
+		if err := build(row.cfg); err == nil || !strings.Contains(err.Error(), row.want) {
+			t.Errorf("%s: New returned %v, want an error containing %q", row.name, err, row.want)
+		}
+	}
+	good := []sim.Config{
+		{Kind: sim.Banked, ThreadsPerCore: 8, Workload: g, Iters: 8192},
+		{Kind: sim.ViReC, ThreadsPerCore: 1, PhysRegs: 8, Workload: spmv, Iters: 4096},
+		{Kind: sim.ViReC, ThreadsPerCore: 2, Workload: chase, Iters: 100_000},
+	}
+	for _, cfg := range good {
+		if err := build(cfg); err != nil {
+			t.Errorf("%s/%s/t%d at %d iters: %v", cfg.Kind, cfg.Workload.Name, cfg.ThreadsPerCore, cfg.Iters, err)
+		}
 	}
 }
 

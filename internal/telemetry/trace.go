@@ -140,8 +140,6 @@ func (t *Tracer) SetSink(fn func([]Event)) {
 }
 
 // Emit records one event. Nil-safe and allocation-free.
-//
-//virec:hotpath
 func (t *Tracer) Emit(cycle uint64, kind EventKind, core, thread int32, a0, a1, a2 uint64) {
 	if t == nil {
 		return

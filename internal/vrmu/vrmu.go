@@ -249,8 +249,6 @@ func (t *TagStore) Entry(i int) Entry { return t.entries[i] }
 // replacement state or hit/miss statistics: the provider counts one
 // access per operand via CountAccess, while Lookup is also used for
 // internal bookkeeping.
-//
-//virec:hotpath
 func (t *TagStore) Lookup(thread int, reg isa.Reg) (int, bool) {
 	s := camSlot(thread, reg)
 	if s >= len(t.cam) || t.cam[s] < 0 {
@@ -288,8 +286,6 @@ const agingEpoch = 4
 // the C bit is speculatively set (the rollback queue clears it again if
 // the using instruction is flushed). Every agingEpoch touches, all other
 // valid entries age by one (3-bit saturating).
-//
-//virec:hotpath
 func (t *TagStore) Touch(phys int) {
 	t.clock++
 	// The full-file aging scan only happens on the epoch tick; ordinary
@@ -372,7 +368,7 @@ func (t *TagStore) lruRanks() []uint64 {
 		return nil
 	}
 	if cap(t.ranks) < len(t.entries) {
-		//virec:alloc-ok rank buffer grows once to the tag-store size, then is reused
+		// Rank buffer grows once to the tag-store size, then is reused.
 		t.ranks = make([]uint64, len(t.entries))
 	}
 	ranks := t.ranks[:len(t.entries)]
@@ -394,8 +390,6 @@ func (t *TagStore) lruRanks() []uint64 {
 // bits are broken toward the least recently used entry — the
 // arbitrary-but-reasonable hardware tie-break — so policy comparisons
 // isolate the T/C/A bits themselves.
-//
-//virec:hotpath
 func (t *TagStore) SelectVictim(locked func(int) bool) int {
 	ranks := t.lruRanks()
 	best := -1
@@ -489,8 +483,6 @@ func (t *TagStore) FillDummy(phys int) {
 // and its spill leaves the critical path. The mark is
 // applied at commit (a flushed instruction's hints are discarded by the
 // provider) and clears on any later touch, write or fill of the entry.
-//
-//virec:hotpath
 func (t *TagStore) MarkDead(phys int) {
 	if e := &t.entries[phys]; e.Valid {
 		e.Dead = true
@@ -500,8 +492,6 @@ func (t *TagStore) MarkDead(phys int) {
 // MarkRemat records a compiler hint that the value cached at phys is
 // rematerializable from its producing instruction's immediate: a dirty
 // copy is never worth a critical-path writeback.
-//
-//virec:hotpath
 func (t *TagStore) MarkRemat(phys int) {
 	if e := &t.entries[phys]; e.Valid {
 		e.Remat = true

@@ -16,6 +16,7 @@ var selSpec = &Spec{
 	Suite:       "prim",
 	Description: "out[j++] = in[i] if in[i] > threshold (stream compaction)",
 	SlabBytes:   2*8*8192 + 8192,
+	MaxIters:    8192,
 	Prog: asm.MustAssemble("sel", `
 		mov x5, #0
 		mov x7, #0
@@ -60,6 +61,7 @@ var copySpec = &Spec{
 	Suite:       "coral2",
 	Description: "b[i] = a[i] (STREAM copy)",
 	SlabBytes:   2*8*8192 + 8192,
+	MaxIters:    8192,
 	Prog: asm.MustAssemble("copy", `
 		mov x5, #0
 	loop:
@@ -94,6 +96,7 @@ var scanSpec = &Spec{
 	Suite:       "prim",
 	Description: "a[i] += a[i-1] (inclusive prefix sum, serial chain)",
 	SlabBytes:   8*8192 + 8192,
+	MaxIters:    8192,
 	Prog: asm.MustAssemble("scan", `
 		mov x5, #1
 	loop:
@@ -130,6 +133,7 @@ var transposeSpec = &Spec{
 	Suite:       "prim",
 	Description: "B[j][i] = A[i][j]: unit-stride reads, strided writes",
 	SlabBytes:   2*8*64*64 + 4096,
+	MaxIters:    0, // Setup clamps the row count to the matrix
 	Prog: asm.MustAssemble("transpose", `
 		// x1 = n (rows), x9 = 64 (row length), x2 = A, x3 = B
 		mov x5, #0

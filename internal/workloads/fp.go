@@ -30,6 +30,7 @@ var fpdotSpec = &Spec{
 	Suite:       "coral2",
 	Description: "acc = fmadd(a[i], b[i], acc): double-precision dot product",
 	SlabBytes:   2*8*8192 + 8192,
+	MaxIters:    8192,
 	Prog: asm.MustAssemble("fpdot", `
 		scvtf d4, xzr
 		mov x5, #0
@@ -66,6 +67,7 @@ var fptriadSpec = &Spec{
 	Suite:       "coral2",
 	Description: "a[i] = b[i] + k*c[i] on binary64 (STREAM triad, FP registers)",
 	SlabBytes:   3*8*8192 + 8192,
+	MaxIters:    8192,
 	Prog: asm.MustAssemble("fptriad", `
 		mov x5, #0
 	loop:
@@ -108,6 +110,7 @@ var nbodySpec = &Spec{
 	Suite:       "coral2",
 	Description: "acc += 1/sqrt(x[i]^2 + eps): long FP chains (sqrt, divide)",
 	SlabBytes:   8*8192 + 8192,
+	MaxIters:    8192,
 	Prog: asm.MustAssemble("nbody", `
 		scvtf d4, xzr
 		mov x5, #0

@@ -109,3 +109,39 @@ func TestSetupAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestKernelsHoldTheirCapacity runs every kernel at its MaxIters (at the
+// benchmark's 32768 when unbounded) through the interpreter and its golden
+// model. Two threads sit SlabBytes apart, closer than the simulator packs
+// them, and are set up in order: data past a thread's slab is overwritten
+// by the next thread's Setup, and data past one of its arrays by its own,
+// so either fails verification.
+func TestKernelsHoldTheirCapacity(t *testing.T) {
+	for _, spec := range workloads.All() {
+		iters := spec.MaxIters
+		if iters == 0 {
+			iters = 32768
+		}
+		m := mem.NewMemory()
+		var ctxs [2]interp.Context
+		var verify [2]workloads.Verify
+		for th := range ctxs {
+			p := workloads.DefaultParams(th)
+			p.Iters = iters
+			base := dataBase + mem.Addr(uint64(th)*spec.SlabBytes)
+			verify[th] = spec.Setup(m, base, p, ctxs[th].Set)
+		}
+		pre := interp.Precode(spec.Prog)
+		for th := range ctxs {
+			if res := pre.Run(&ctxs[th], m, 100_000_000, nil); !res.Halted {
+				t.Fatalf("%s thread %d at %d iters did not halt", spec.Name, th, iters)
+			}
+		}
+		for th := range ctxs {
+			if err := verify[th](ctxs[th].Get, m); err != nil {
+				t.Errorf("%s thread %d at %d iters: %v", spec.Name, th, iters, err)
+			}
+		}
+		m.Release()
+	}
+}

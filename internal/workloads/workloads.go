@@ -56,6 +56,12 @@ type Spec struct {
 
 	// SlabBytes is the per-thread data footprint the setup needs.
 	SlabBytes uint64
+	// MaxIters is the largest Params.Iters the data layout holds, 0 when
+	// the footprint does not grow with Iters. Past it, Setup's
+	// per-iteration arrays run into the kernel's next array or past
+	// SlabBytes into the next thread's slab, and the run fails its golden
+	// model.
+	MaxIters int
 }
 
 // ActiveRegs returns the registers used inside the kernel's loops — the
@@ -170,6 +176,7 @@ var gatherSpec = &Spec{
 	Suite:       "spatter",
 	Description: "sum += values[idx[i]] with a cache-defeating index stream",
 	SlabBytes:   4*8192 + 8*tableSize + 4096,
+	MaxIters:    8192,
 	Prog: asm.MustAssemble("gather", `
 		mov x4, #0
 		mov x5, #0
@@ -208,6 +215,7 @@ var scatterSpec = &Spec{
 	Suite:       "spatter",
 	Description: "dst[idx[i]] = src[i] with a cache-defeating index stream",
 	SlabBytes:   4*8192 + 8*8192 + 8*tableSize + 4096,
+	MaxIters:    8192,
 	Prog: asm.MustAssemble("scatter", `
 		mov x5, #0
 	loop:
@@ -246,6 +254,7 @@ var gsSpec = &Spec{
 	Suite:       "spatter",
 	Description: "dst[idx2[i]] = src[idx1[i]] (gather-scatter)",
 	SlabBytes:   2*4*8192 + 2*8*tableSize + 8192,
+	MaxIters:    8192,
 	Prog: asm.MustAssemble("gs", `
 		mov x5, #0
 	loop:
@@ -290,6 +299,7 @@ var strideSpec = &Spec{
 	Suite:       "spatter",
 	Description: "sum += a[8*i]: unit work per cache line",
 	SlabBytes:   64 * 8192,
+	MaxIters:    8192,
 	Prog: asm.MustAssemble("stride", `
 		mov x4, #0
 		mov x5, #0
@@ -321,6 +331,7 @@ var chaseSpec = &Spec{
 	Suite:       "spatter",
 	Description: "p = *p pointer chase: one dependent miss per iteration",
 	SlabBytes:   8 * tableSize * 8,
+	MaxIters:    0, // the chase cycles through a fixed node set
 	Prog: asm.MustAssemble("chase", `
 		mov x5, #0
 	loop:
@@ -366,6 +377,7 @@ var meaboSpec = &Spec{
 	Suite:       "meabo",
 	Description: "compute chain + streaming load + irregular store per iteration",
 	SlabBytes:   8*8192 + 8*64 + 4096,
+	MaxIters:    8192,
 	Prog: asm.MustAssemble("meabo", `
 		mov x9, #0
 		mov x5, #0
@@ -410,6 +422,7 @@ var lookupSpec = &Spec{
 	Suite:       "coral2",
 	Description: "LCG-randomized table lookup with light compute (XSBench-like)",
 	SlabBytes:   8 * tableSize,
+	MaxIters:    0, // the lookups index a fixed table
 	Prog: asm.MustAssemble("lookup", `
 		mov x7, #0
 		mov x5, #0
@@ -456,6 +469,7 @@ var triadSpec = &Spec{
 	Suite:       "coral2",
 	Description: "a[i] = b[i] + k*c[i] (STREAM triad)",
 	SlabBytes:   3*8*8192 + 8192,
+	MaxIters:    8192,
 	Prog: asm.MustAssemble("triad", `
 		mov x5, #0
 	loop:
@@ -499,6 +513,7 @@ var vecaddSpec = &Spec{
 	Suite:       "prim",
 	Description: "c[i] = a[i] + b[i]",
 	SlabBytes:   3*8*8192 + 8192,
+	MaxIters:    8192,
 	Prog: asm.MustAssemble("vecadd", `
 		mov x5, #0
 	loop:
@@ -537,6 +552,7 @@ var reductionSpec = &Spec{
 	Suite:       "prim",
 	Description: "sum += a[i] (sequential reduction)",
 	SlabBytes:   8*8192 + 4096,
+	MaxIters:    8192,
 	Prog: asm.MustAssemble("reduction", `
 		mov x4, #0
 		mov x5, #0
@@ -568,6 +584,7 @@ var histogramSpec = &Spec{
 	Suite:       "prim",
 	Description: "bins[a[i] & 255]++ (indirect read-modify-write)",
 	SlabBytes:   8*8192 + 8*256 + 4096,
+	MaxIters:    8192,
 	Prog: asm.MustAssemble("histogram", `
 		mov x5, #0
 	loop:
@@ -611,6 +628,7 @@ var spmvSpec = &Spec{
 	Suite:       "prim",
 	Description: "y = A*x over CSR with irregular column accesses",
 	SlabBytes:   8*1024 + 8*16384 + 8*16384 + 8*tableSize + 8*1024 + 8192,
+	MaxIters:    4096, // four nonzeros per row, 1024 rows
 	Prog: asm.MustAssemble("spmv", `
 		mov x5, #0
 	row:
@@ -682,6 +700,7 @@ var bfsSpec = &Spec{
 	Suite:       "prim",
 	Description: "frontier walk: chained node->offset->neighbor loads",
 	SlabBytes:   8*8192 + 8*tableSize + 8*tableSize + 8192,
+	MaxIters:    8192,
 	Prog: asm.MustAssemble("bfs", `
 		mov x9, #0
 		mov x5, #0
