@@ -200,6 +200,8 @@ func TestSubmitRejectsUnbuildableSimSizes(t *testing.T) {
 		{"3 ViReC registers", func(s *SimSpec) { s.PhysRegs = 3 }, "at least 8 physical registers"},
 		{"9 banked threads", func(s *SimSpec) { s.CoreKind, s.Threads = "banked", 9 }, "at most 8 threads"},
 		{"past the kernel's capacity", func(s *SimSpec) { s.Iters = 9000 }, "vecadd holds at most 8192"},
+		{"negative iterations", func(s *SimSpec) { s.Iters = -5 }, "must not be negative, got -5"},
+		{"ViReC past the tag store", func(s *SimSpec) { s.Threads = 6000 }, "exceeds the tag store limit of 32768"},
 	} {
 		spec := testSpec(1)
 		tc.edit(spec.Sim)

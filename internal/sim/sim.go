@@ -172,9 +172,10 @@ func (c *Config) withDefaults() Config {
 }
 
 // Check returns an error for a config New cannot build, after zero fields
-// take their defaults: no workload, a negative core or thread count, more
-// banked threads than Table 1's eight banks, an explicit ViReC register
-// file below eight registers, or more iterations than a kernel's data
+// take their defaults: no workload, a negative core, thread or iteration
+// count, more banked threads than Table 1's eight banks, a ViReC register
+// file below eight registers or above what the tag store holds (explicit
+// or derived from ContextPct), or more iterations than a kernel's data
 // layout holds.
 func (c *Config) Check() error {
 	cfg := c.withDefaults()
@@ -184,11 +185,19 @@ func (c *Config) Check() error {
 	if cfg.Cores < 0 || cfg.ThreadsPerCore < 0 {
 		return fmt.Errorf("sim: core and thread counts must not be negative, got %d cores of %d threads", cfg.Cores, cfg.ThreadsPerCore)
 	}
+	if cfg.Iters < 0 {
+		return fmt.Errorf("sim: iteration count must not be negative, got %d", cfg.Iters)
+	}
 	if cfg.Kind == Banked && cfg.ThreadsPerCore > 8 {
 		return fmt.Errorf("sim: banked core supports at most 8 threads (Table 1), got %d", cfg.ThreadsPerCore)
 	}
-	if cfg.Kind == ViReC && cfg.PhysRegs != 0 && cfg.PhysRegs < 8 {
-		return fmt.Errorf("sim: ViReC needs at least 8 physical registers, got %d", cfg.PhysRegs)
+	if cfg.Kind == ViReC {
+		if cfg.PhysRegs != 0 && cfg.PhysRegs < 8 {
+			return fmt.Errorf("sim: ViReC needs at least 8 physical registers, got %d", cfg.PhysRegs)
+		}
+		if n := cfg.PhysRegsFor(); n > vrmu.MaxPhysRegs {
+			return fmt.Errorf("sim: ViReC register file of %d physical registers exceeds the tag store limit of %d", n, vrmu.MaxPhysRegs)
+		}
 	}
 	// The threads run the mix when one is set, and Workload otherwise.
 	kernels := cfg.WorkloadMix
@@ -397,8 +406,9 @@ func New(cfg Config) (*System, error) {
 			provider = regfile.NewPrefetch(regfile.PrefetchFull, cfg.ThreadsPerCore, dcDev, s.Memory, layout)
 		case PrefetchExact:
 			pf := regfile.NewPrefetch(regfile.PrefetchExact, cfg.ThreadsPerCore, dcDev, s.Memory, layout)
+			active := cfg.Workload.ActiveRegs()
 			for th := 0; th < cfg.ThreadsPerCore; th++ {
-				pf.SetUsedRegs(th, cfg.Workload.ActiveRegs())
+				pf.SetUsedRegs(th, active)
 			}
 			provider = pf
 		default:

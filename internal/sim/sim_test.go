@@ -121,7 +121,9 @@ func TestBankedThreadLimit(t *testing.T) {
 
 // TestNewRejectsUnbuildableSizes holds sim.New to an error, never a
 // panic, for every size it cannot build, including an iteration count
-// past the kernel's data layout; each boundary value still builds.
+// past the kernel's data layout and a ViReC register file past the tag
+// store's; each boundary value still builds, or at the tag store's limit
+// passes Check.
 func TestNewRejectsUnbuildableSizes(t *testing.T) {
 	g := gather(t)
 	spmv, _ := workloads.ByName("spmv")
@@ -149,6 +151,10 @@ func TestNewRejectsUnbuildableSizes(t *testing.T) {
 		{"banked-9-threads", sim.Config{Kind: sim.Banked, ThreadsPerCore: 9, Workload: g}, "at most 8 threads"},
 		{"virec-3-regs", sim.Config{Kind: sim.ViReC, PhysRegs: 3, Workload: g}, "at least 8 physical registers"},
 		{"virec-negative-regs", sim.Config{Kind: sim.ViReC, PhysRegs: -5, Workload: g}, "at least 8 physical registers"},
+		{"virec-regs-past-tag-store", sim.Config{Kind: sim.ViReC, PhysRegs: vrmu.MaxPhysRegs + 1, Workload: g}, "32769 physical registers exceeds the tag store limit of 32768"},
+		// gather's 7 active registers for each of 6000 threads.
+		{"virec-context-past-tag-store", sim.Config{Kind: sim.ViReC, ThreadsPerCore: 6000, Workload: g, Iters: 1}, "42000 physical registers exceeds the tag store limit of 32768"},
+		{"iters-negative", sim.Config{Kind: sim.Banked, ThreadsPerCore: 2, Workload: g, Iters: -5}, "must not be negative, got -5"},
 		{"gather-past-capacity", sim.Config{Kind: sim.Banked, ThreadsPerCore: 1, Workload: g, Iters: 9000}, "gather holds at most 8192"},
 		{"spmv-past-capacity", sim.Config{Kind: sim.ViReC, Workload: spmv, Iters: 4097}, "spmv holds at most 4096"},
 		{"mix-past-capacity", sim.Config{Kind: sim.ViReC, WorkloadMix: []*workloads.Spec{chase, spmv}, Iters: 5000}, "spmv holds at most 4096"},
@@ -160,12 +166,22 @@ func TestNewRejectsUnbuildableSizes(t *testing.T) {
 	}
 	good := []sim.Config{
 		{Kind: sim.Banked, ThreadsPerCore: 8, Workload: g, Iters: 8192},
+		{Kind: sim.Banked, ThreadsPerCore: 1, Workload: g, Iters: 0}, // the default 256
 		{Kind: sim.ViReC, ThreadsPerCore: 1, PhysRegs: 8, Workload: spmv, Iters: 4096},
 		{Kind: sim.ViReC, ThreadsPerCore: 2, Workload: chase, Iters: 100_000},
 	}
 	for _, cfg := range good {
 		if err := build(cfg); err != nil {
 			t.Errorf("%s/%s/t%d at %d iters: %v", cfg.Kind, cfg.Workload.Name, cfg.ThreadsPerCore, cfg.Iters, err)
+		}
+	}
+	// Register files at the tag store's limit, too large to build here.
+	for _, cfg := range []sim.Config{
+		{Kind: sim.ViReC, PhysRegs: vrmu.MaxPhysRegs, Workload: g},
+		{Kind: sim.ViReC, ThreadsPerCore: vrmu.MaxPhysRegs / 7, Workload: g},
+	} {
+		if err := cfg.Check(); err != nil {
+			t.Errorf("virec/%s/t%d with %d registers: %v", cfg.Workload.Name, cfg.ThreadsPerCore, cfg.PhysRegsFor(), err)
 		}
 	}
 }

@@ -180,13 +180,17 @@ type TagStore struct {
 	Stats Stats
 }
 
+// MaxPhysRegs is the largest physical register file a tag store holds:
+// its CAM keeps physical indices as int16.
+const MaxPhysRegs = 1 << 15
+
 // NewTagStore builds a tag store for numPhys physical registers.
 func NewTagStore(numPhys int, policy Policy) *TagStore {
 	if numPhys <= 0 {
 		panic("vrmu: tag store needs at least one physical register")
 	}
-	if numPhys > 1<<15 {
-		panic("vrmu: tag store limited to 32768 physical registers")
+	if numPhys > MaxPhysRegs {
+		panic(fmt.Sprintf("vrmu: tag store limited to %d physical registers", MaxPhysRegs))
 	}
 	return &TagStore{
 		entries: make([]Entry, numPhys),

@@ -2,6 +2,9 @@ package workloads_test
 
 import (
 	"fmt"
+	"maps"
+	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -89,24 +92,113 @@ func TestSetupNegativeIters(t *testing.T) {
 	}
 }
 
-// TestSetupAllocs bounds what a kernel's Setup allocates once its slab's
-// pages are touched: the expected-word list, the verifier closures and
-// nothing per iteration. Four covers a kernel that checks a register and
-// memory (both verifiers, their combination and the word list).
+// allocsPerRun calls f once to warm it up, then returns the heap
+// allocations and bytes a call makes, averaged over ten more.
+func allocsPerRun(f func()) (allocs, bytes uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.Mallocs - before.Mallocs) / runs, (after.TotalAlloc - before.TotalAlloc) / runs
+}
+
+// TestSetupAllocs: the golden models recompute the words they check from
+// Params, so once a kernel's slab pages are touched its Setup allocates
+// its verifier and nothing that grows with Iters (the same count and
+// bytes at 160 and at 1024 iterations), and a passing verifier allocates
+// nothing.
 func TestSetupAllocs(t *testing.T) {
-	m := mem.NewMemory()
-	defer m.Release()
-	set := func(isa.Reg, uint64) {}
 	for _, spec := range workloads.All() {
-		for _, iters := range []int{160, 1024} {
+		var allocs, bytes [2]uint64
+		for k, iters := range []int{160, 1024} {
+			m := mem.NewMemory()
+			var ctx interp.Context
+			set, get := ctx.Set, ctx.Get
 			p := workloads.DefaultParams(0)
 			p.Iters = iters
-			// AllocsPerRun's warm-up call touches the pages.
-			allocs := testing.AllocsPerRun(3, func() { spec.Setup(m, dataBase, p, set) })
-			if allocs > 4 {
-				t.Errorf("%s at %d iterations: Setup makes %v allocations, want at most 4", spec.Name, iters, allocs)
+			var verify workloads.Verify
+			allocs[k], bytes[k] = allocsPerRun(func() { verify = spec.Setup(m, dataBase, p, set) })
+			if allocs[k] > 1 {
+				t.Errorf("%s at %d iterations: Setup makes %d allocations, want at most 1", spec.Name, iters, allocs[k])
 			}
+			if res := interp.Precode(spec.Prog).Run(&ctx, m, 100_000_000, nil); !res.Halted {
+				t.Fatalf("%s at %d iterations did not halt", spec.Name, iters)
+			}
+			var err error
+			if n, _ := allocsPerRun(func() { err = verify(get, m) }); n != 0 || err != nil {
+				t.Errorf("%s at %d iterations: the verifier makes %d allocations and returns %v, want none and nil", spec.Name, iters, n, err)
+			}
+			m.Release()
 		}
+		if allocs[0] != allocs[1] || bytes[0] != bytes[1] {
+			t.Errorf("%s: Setup makes %d allocations of %d bytes at 160 iterations, %d of %d at 1024",
+				spec.Name, allocs[0], bytes[0], allocs[1], bytes[1])
+		}
+	}
+}
+
+// TestGoldenModelsLastStoreWins runs the kernels that store to an
+// address more than once (scatter, gs and meabo) at 1024 iterations. An
+// earlier store's value left at such an address must fail the golden
+// model, which expects the last store's; and with two checked words
+// corrupted, the model must name the lower address.
+func TestGoldenModelsLastStoreWins(t *testing.T) {
+	for _, name := range []string{"scatter", "gs", "meabo"} {
+		t.Run(name, func(t *testing.T) {
+			spec, _ := workloads.ByName(name)
+			m := mem.NewMemory()
+			defer m.Release()
+			var ctx interp.Context
+			p := workloads.DefaultParams(1)
+			p.Iters = 1024
+			verify := spec.Setup(m, dataBase, p, ctx.Set)
+			stores := map[mem.Addr][]uint64{} // each address's stored values, in order
+			res := interp.Precode(spec.Prog).Run(&ctx, m, 100_000_000, func(e interp.TraceEntry) {
+				if e.Inst.IsStore() {
+					stores[e.Addr] = append(stores[e.Addr], e.Data)
+				}
+			})
+			if !res.Halted {
+				t.Fatalf("did not halt (%d insts)", res.Insts)
+			}
+			if err := verify(ctx.Get, m); err != nil {
+				t.Fatalf("final state: %v", err)
+			}
+			addrs := slices.Sorted(maps.Keys(stores))
+
+			overwritten := 0
+			for _, a := range addrs {
+				vals := stores[a]
+				last := vals[len(vals)-1]
+				i := slices.IndexFunc(vals, func(v uint64) bool { return v != last })
+				if i < 0 {
+					continue
+				}
+				m.Write64(a, vals[i])
+				err := verify(ctx.Get, m)
+				m.Write64(a, last)
+				if want := fmt.Sprintf("mem[%#x] = %d, want %d", a, vals[i], last); err == nil || err.Error() != want {
+					t.Errorf("earlier store left at mem[%#x]: got %v, want %q", a, err, want)
+				}
+				overwritten++
+			}
+			if overwritten == 0 {
+				t.Fatal("no address holds two different stores")
+			}
+
+			lo, hi := addrs[len(addrs)/3], addrs[2*len(addrs)/3]
+			for _, a := range []mem.Addr{hi, lo} {
+				m.Write64(a, ^m.Read64(a))
+				if err := verify(ctx.Get, m); err == nil || !strings.HasPrefix(err.Error(), fmt.Sprintf("mem[%#x] = ", a)) {
+					t.Errorf("after corrupting mem[%#x]: got %v, want it named", a, err)
+				}
+			}
+		})
 	}
 }
 

@@ -1,8 +1,6 @@
 package workloads
 
 import (
-	"sort"
-
 	"github.com/virec/virec/internal/asm"
 	"github.com/virec/virec/internal/isa"
 )
@@ -18,40 +16,44 @@ import (
 //   - total: every register the program references anywhere, including
 //     setup code that runs once.
 func RegisterUsage(p *asm.Program) (loops, total []isa.Reg) {
-	inLoop := make([]bool, p.Len())
-	for i := range p.Insts {
+	var inLoops, inTotal [isa.NumRegs]bool
+	// Walking back from the end, lowest is the lowest target of a backward
+	// branch at or after pc i, so pc i lies in a body exactly when
+	// lowest <= i. A target below zero executes as a halt (Program.At), so
+	// the body it delimits starts at the program's first pc.
+	lowest := len(p.Insts)
+	var buf [6]isa.Reg
+	for i := len(p.Insts) - 1; i >= 0; i-- {
 		in := &p.Insts[i]
 		if in.IsBranch() && in.Op != isa.RET && int(in.Target) <= i {
-			// A target below zero executes as a halt (Program.At), so
-			// the body it delimits starts at the program's first pc.
-			for j := max(int(in.Target), 0); j <= i; j++ {
-				inLoop[j] = true
-			}
+			lowest = min(lowest, int(in.Target))
 		}
-	}
-	loopSet := map[isa.Reg]bool{}
-	totalSet := map[isa.Reg]bool{}
-	var buf [6]isa.Reg
-	for i := range p.Insts {
-		for _, r := range p.Insts[i].Regs(buf[:0]) {
+		for _, r := range in.Regs(buf[:0]) {
 			if r == isa.XZR {
 				continue
 			}
-			totalSet[r] = true
-			if inLoop[i] {
-				loopSet[r] = true
-			}
+			inTotal[r] = true
+			inLoops[r] = inLoops[r] || lowest <= i
 		}
 	}
-	return sortRegs(loopSet), sortRegs(totalSet)
+	return regList(&inLoops), regList(&inTotal)
 }
 
-func sortRegs(set map[isa.Reg]bool) []isa.Reg {
-	out := make([]isa.Reg, 0, len(set))
-	for r := range set {
-		out = append(out, r)
+// regList returns the registers set in in, ascending, in a slice of
+// exactly their number.
+func regList(in *[isa.NumRegs]bool) []isa.Reg {
+	n := 0
+	for _, ok := range in {
+		if ok {
+			n++
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := make([]isa.Reg, 0, n)
+	for r, ok := range in {
+		if ok {
+			out = append(out, isa.Reg(r))
+		}
+	}
 	return out
 }
 

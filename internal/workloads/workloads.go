@@ -16,9 +16,7 @@
 package workloads
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"github.com/virec/virec/internal/asm"
 	"github.com/virec/virec/internal/isa"
@@ -39,7 +37,10 @@ func DefaultParams(thread int) Params {
 
 // Verify checks a thread's final architectural state against the golden
 // model. shadow reads a register's committed value; m is the functional
-// memory.
+// memory. A model recomputes the words it checks from Params when it runs,
+// so Setup keeps nothing that grows with Iters. It checks each address the
+// kernel stores to once, against the last store's value, in ascending
+// address order: a run with several wrong words always reports the lowest.
 type Verify func(shadow func(isa.Reg) uint64, m *mem.Memory) error
 
 // SetupFn initializes one thread's slab of memory and initial registers,
@@ -85,24 +86,21 @@ func (s *Spec) EntryRegs(p Params) []isa.Reg {
 		}
 	})
 	m.Release()
-	var regs []isa.Reg
-	for r := isa.Reg(0); r < isa.NumRegs; r++ {
-		if seen[r] {
-			regs = append(regs, r)
-		}
-	}
-	return regs
+	return regList(&seen)
 }
 
 // rng is a splitmix64 generator for deterministic data.
 type rng struct{ state uint64 }
 
+// gamma is splitmix64's state increment: every draw adds it once.
+const gamma = 0x9e3779b97f4a7c15
+
 func newRng(p Params) *rng {
-	return &rng{state: p.Seed + uint64(p.ThreadID)*0x9e3779b97f4a7c15 + 0x632be59bd9b4e019}
+	return &rng{state: p.Seed + uint64(p.ThreadID)*gamma + 0x632be59bd9b4e019}
 }
 
 func (r *rng) next() uint64 {
-	r.state += 0x9e3779b97f4a7c15
+	r.state += gamma
 	z := r.state
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
@@ -111,59 +109,54 @@ func (r *rng) next() uint64 {
 
 func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
 
+// skip moves the stream past n draws without making them. A draw adds
+// gamma to the state and nothing else, so n draws add n times gamma.
+func (r *rng) skip(n int) { r.state += uint64(n) * gamma }
+
+// draw returns draw number n, counting from 0, of p's stream without
+// making the draws before it.
+func draw(p Params, n int) uint64 {
+	r := newRng(p)
+	r.skip(n)
+	return r.next()
+}
+
+// checkReg compares a register's final value with the golden model's.
+func checkReg(shadow func(isa.Reg) uint64, reg isa.Reg, want uint64) error {
+	if got := shadow(reg); got != want {
+		return fmt.Errorf("%s = %d, want %d", reg, got, want)
+	}
+	return nil
+}
+
 // expectReg builds a Verify for a single accumulator register.
 func expectReg(reg isa.Reg, want uint64) Verify {
 	return func(shadow func(isa.Reg) uint64, _ *mem.Memory) error {
-		if got := shadow(reg); got != want {
-			return fmt.Errorf("%s = %d, want %d", reg, got, want)
-		}
-		return nil
+		return checkReg(shadow, reg, want)
 	}
 }
 
-// word is one 64-bit memory word a golden model expects.
-type word struct {
-	addr mem.Addr
-	val  uint64
+// checkWord compares the memory word at a with the golden model's value.
+func checkWord(m *mem.Memory, a mem.Addr, want uint64) error {
+	if got := m.Read64(a); got != want {
+		return fmt.Errorf("mem[%#x] = %d, want %d", a, got, want)
+	}
+	return nil
 }
 
-// words returns an empty word list with room for n stores. A Setup given
-// a negative iteration count stores nothing.
-func words(n int) []word { return make([]word, 0, max(n, 0)) }
-
-// expectMem builds a Verify over memory words. want lists the golden
-// model's stores in program order, so the last word for an address is the
-// one expected; expectMem takes ownership of it. Addresses are checked in
-// ascending order so a multi-mismatch failure always reports the same
-// (lowest) address.
-func expectMem(want []word) Verify {
-	slices.SortStableFunc(want, func(a, b word) int { return cmp.Compare(a.addr, b.addr) })
-	n := 0
-	for i, w := range want {
-		if i+1 < len(want) && want[i+1].addr == w.addr {
-			continue // a later store to the same address wins
+// checkTable checks a table of words at base that a kernel stores into
+// in any order: entry i holds last[i] wherever stored[i], the value of
+// the last store to it. The callers keep both arrays on the stack.
+func checkTable(m *mem.Memory, base mem.Addr, last []uint64, stored []bool) error {
+	for i, ok := range stored {
+		if !ok {
+			continue
 		}
-		want[n] = w
-		n++
-	}
-	want = want[:n]
-	return func(_ func(isa.Reg) uint64, m *mem.Memory) error {
-		for _, w := range want {
-			if got := m.Read64(w.addr); got != w.val {
-				return fmt.Errorf("mem[%#x] = %d, want %d", w.addr, got, w.val)
-			}
-		}
-		return nil
-	}
-}
-
-func both(a, b Verify) Verify {
-	return func(shadow func(isa.Reg) uint64, m *mem.Memory) error {
-		if err := a(shadow, m); err != nil {
+		if err := checkWord(m, base+mem.Addr(8*i), last[i]); err != nil {
 			return err
 		}
-		return b(shadow, m)
 	}
+	return nil
 }
 
 // ---- Spatter suite ----
@@ -232,19 +225,26 @@ var scatterSpec = &Spec{
 		idxBase := base
 		srcBase := base + 4*8192 + 0x140
 		dstBase := srcBase + 8*8192 + 0x1c0
-		want := words(p.Iters)
 		for i := 0; i < p.Iters; i++ {
 			idx := (i*531 + r.intn(7)) % tableSize
 			v := r.next() % 1000000
 			m.Write(idxBase+mem.Addr(4*i), 4, uint64(idx))
 			m.Write64(srcBase+mem.Addr(8*i), v)
-			want = append(want, word{dstBase + mem.Addr(8*idx), v})
 		}
 		set(isa.X1, uint64(p.Iters))
 		set(isa.X2, uint64(idxBase))
 		set(isa.X3, uint64(srcBase))
 		set(isa.X4, uint64(dstBase))
-		return expectMem(want)
+		return func(_ func(isa.Reg) uint64, m *mem.Memory) error {
+			var last [tableSize]uint64
+			var stored [tableSize]bool
+			r := newRng(p)
+			for i := 0; i < p.Iters; i++ {
+				idx := (i*531 + r.intn(7)) % tableSize
+				last[idx], stored[idx] = r.next()%1000000, true
+			}
+			return checkTable(m, dstBase, last[:], stored[:])
+		}
 	},
 }
 
@@ -276,20 +276,29 @@ var gsSpec = &Spec{
 		for i := 0; i < tableSize; i++ {
 			m.Write64(src+mem.Addr(8*i), r.next()%1000000)
 		}
-		want := words(p.Iters)
 		for i := 0; i < p.Iters; i++ {
 			a := (i*379 + r.intn(11)) % tableSize
 			b := (i*523 + r.intn(13)) % tableSize
 			m.Write(idx1+mem.Addr(4*i), 4, uint64(a))
 			m.Write(idx2+mem.Addr(4*i), 4, uint64(b))
-			want = append(want, word{dst + mem.Addr(8*b), m.Read64(src + mem.Addr(8*a))})
 		}
 		set(isa.X1, uint64(p.Iters))
 		set(isa.X2, uint64(idx1))
 		set(isa.X3, uint64(idx2))
 		set(isa.X9, uint64(src))
 		set(isa.X10, uint64(dst))
-		return expectMem(want)
+		return func(_ func(isa.Reg) uint64, m *mem.Memory) error {
+			var last [tableSize]uint64
+			var stored [tableSize]bool
+			r := newRng(p)
+			r.skip(tableSize) // the src table: src[a] is draw a
+			for i := 0; i < p.Iters; i++ {
+				a := (i*379 + r.intn(11)) % tableSize
+				b := (i*523 + r.intn(13)) % tableSize
+				last[b], stored[b] = draw(p, a)%1000000, true
+			}
+			return checkTable(m, dst, last[:], stored[:])
+		}
 	},
 }
 
@@ -399,18 +408,27 @@ var meaboSpec = &Spec{
 		src := base
 		tbl := base + 8*8192 + 0x140
 		var sum uint64
-		want := words(p.Iters)
 		for i := 0; i < p.Iters; i++ {
 			v := r.next() % (1 << 20)
 			m.Write64(src+mem.Addr(8*i), v)
-			x := (v*v + v) ^ v
-			sum += x
-			want = append(want, word{tbl + mem.Addr(8*(v&63)), x})
+			sum += (v*v + v) ^ v
 		}
 		set(isa.X1, uint64(p.Iters))
 		set(isa.X2, uint64(src))
 		set(isa.X3, uint64(tbl))
-		return both(expectReg(isa.X9, sum), expectMem(want))
+		return func(shadow func(isa.Reg) uint64, m *mem.Memory) error {
+			if err := checkReg(shadow, isa.X9, sum); err != nil {
+				return err
+			}
+			var last [64]uint64
+			var stored [64]bool
+			r := newRng(p)
+			for i := 0; i < p.Iters; i++ {
+				v := r.next() % (1 << 20)
+				last[v&63], stored[v&63] = (v*v+v)^v, true
+			}
+			return checkTable(m, tbl, last[:], stored[:])
+		}
 	},
 }
 
@@ -489,19 +507,26 @@ var triadSpec = &Spec{
 		c := base + 8*8192 + 0x140
 		a := c + 8*8192 + 0x1c0
 		const k = 3
-		want := words(p.Iters)
 		for i := 0; i < p.Iters; i++ {
 			vb, vc := r.next()%(1<<30), r.next()%(1<<30)
 			m.Write64(b+mem.Addr(8*i), vb)
 			m.Write64(c+mem.Addr(8*i), vc)
-			want = append(want, word{a + mem.Addr(8*i), vb + k*vc})
 		}
 		set(isa.X1, uint64(p.Iters))
 		set(isa.X2, uint64(b))
 		set(isa.X3, uint64(c))
 		set(isa.X4, uint64(a))
 		set(isa.X10, k)
-		return expectMem(want)
+		return func(_ func(isa.Reg) uint64, m *mem.Memory) error {
+			r := newRng(p)
+			for i := 0; i < p.Iters; i++ {
+				vb, vc := r.next()%(1<<30), r.next()%(1<<30)
+				if err := checkWord(m, a+mem.Addr(8*i), vb+k*vc); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
 	},
 }
 
@@ -531,18 +556,25 @@ var vecaddSpec = &Spec{
 		a := base
 		b := base + 8*8192 + 0x140
 		c := b + 8*8192 + 0x1c0
-		want := words(p.Iters)
 		for i := 0; i < p.Iters; i++ {
 			va, vb := r.next()%(1<<30), r.next()%(1<<30)
 			m.Write64(a+mem.Addr(8*i), va)
 			m.Write64(b+mem.Addr(8*i), vb)
-			want = append(want, word{c + mem.Addr(8*i), va + vb})
 		}
 		set(isa.X1, uint64(p.Iters))
 		set(isa.X2, uint64(a))
 		set(isa.X3, uint64(b))
 		set(isa.X4, uint64(c))
-		return expectMem(want)
+		return func(_ func(isa.Reg) uint64, m *mem.Memory) error {
+			r := newRng(p)
+			for i := 0; i < p.Iters; i++ {
+				va, vb := r.next()%(1<<30), r.next()%(1<<30)
+				if err := checkWord(m, c+mem.Addr(8*i), va+vb); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
 	},
 }
 
@@ -602,23 +634,29 @@ var histogramSpec = &Spec{
 		r := newRng(p)
 		src := base
 		bins := base + 8*8192 + 0x140
-		var counts [256]uint64
 		for i := 0; i < p.Iters; i++ {
-			v := r.next()
-			m.Write64(src+mem.Addr(8*i), v)
-			counts[v&255]++
-		}
-		// Only the bins the kernel writes are checked.
-		want := words(min(len(counts), p.Iters))
-		for b, n := range counts {
-			if n > 0 {
-				want = append(want, word{bins + mem.Addr(8*b), n})
-			}
+			m.Write64(src+mem.Addr(8*i), r.next())
 		}
 		set(isa.X1, uint64(p.Iters))
 		set(isa.X2, uint64(src))
 		set(isa.X3, uint64(bins))
-		return expectMem(want)
+		return func(_ func(isa.Reg) uint64, m *mem.Memory) error {
+			var counts [256]uint64
+			r := newRng(p)
+			for i := 0; i < p.Iters; i++ {
+				counts[r.next()&255]++
+			}
+			// Only the bins the kernel writes are checked.
+			for b, n := range counts {
+				if n == 0 {
+					continue
+				}
+				if err := checkWord(m, bins+mem.Addr(8*b), n); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
 	},
 }
 
@@ -659,7 +697,7 @@ var spmvSpec = &Spec{
 		if rows == 0 {
 			rows = 1
 		}
-		nnzPerRow := 4
+		const nnzPerRow = 4
 		rowptr := base
 		colidx := rowptr + 8*1024 + 0x140
 		vals := colidx + 8*16384 + 0x1c0
@@ -668,20 +706,16 @@ var spmvSpec = &Spec{
 		for i := 0; i < tableSize; i++ {
 			m.Write64(x+mem.Addr(8*i), r.next()%1000)
 		}
-		want := words(rows)
 		nnz := 0
 		for row := 0; row < rows; row++ {
 			m.Write64(rowptr+mem.Addr(8*row), uint64(nnz))
-			var acc uint64
 			for k := 0; k < nnzPerRow; k++ {
 				col := (row*977 + k*613 + r.intn(31)) % tableSize
 				v := r.next() % 100
 				m.Write64(colidx+mem.Addr(8*nnz), uint64(col))
 				m.Write64(vals+mem.Addr(8*nnz), v)
-				acc += v * m.Read64(x+mem.Addr(8*col))
 				nnz++
 			}
-			want = append(want, word{y + mem.Addr(8*row), acc})
 		}
 		m.Write64(rowptr+mem.Addr(8*rows), uint64(nnz))
 		set(isa.X1, uint64(rows))
@@ -690,7 +724,22 @@ var spmvSpec = &Spec{
 		set(isa.X4, uint64(vals))
 		set(isa.X6, uint64(x))
 		set(isa.X7, uint64(y))
-		return expectMem(want)
+		return func(_ func(isa.Reg) uint64, m *mem.Memory) error {
+			r := newRng(p)
+			r.skip(tableSize) // the x table: x[col] is draw col
+			for row := 0; row < rows; row++ {
+				var acc uint64
+				for k := 0; k < nnzPerRow; k++ {
+					col := (row*977 + k*613 + r.intn(31)) % tableSize
+					v := r.next() % 100
+					acc += v * (draw(p, col) % 1000)
+				}
+				if err := checkWord(m, y+mem.Addr(8*row), acc); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
 	},
 }
 

@@ -182,6 +182,35 @@ func TestRegisterUsageNegativeBranchTarget(t *testing.T) {
 	}
 }
 
+// TestRegisterUsageAllocs: the analysis collects its register sets in
+// fixed arrays, so a 300-instruction program touching every register
+// costs as many allocations as a 10-instruction one touching eight: the
+// two result slices.
+func TestRegisterUsageAllocs(t *testing.T) {
+	program := func(n int) *asm.Program {
+		p := &asm.Program{Name: "regs", Insts: make([]isa.Inst, n)}
+		for i := range n - 2 {
+			x, d := isa.Reg(i/2%int(isa.XZR)), isa.V0+isa.Reg(i/2%isa.NumFPRegs)
+			p.Insts[i] = isa.Inst{Op: isa.ADD, Rd: x, Rn: x, Rm: isa.X1}
+			if i%2 == 1 {
+				p.Insts[i] = isa.Inst{Op: isa.FADD, Rd: d, Rn: d, Rm: isa.V0}
+			}
+		}
+		p.Insts[n-2] = isa.Inst{Op: isa.CBNZ, Rn: isa.X1, Target: int32(n / 2)}
+		p.Insts[n-1] = isa.Inst{Op: isa.HALT}
+		return p
+	}
+	short, long := program(10), program(300)
+	if _, total := workloads.RegisterUsage(long); len(total) != isa.NumRegs-1 {
+		t.Fatalf("the long program uses %d registers, want every one but xzr", len(total))
+	}
+	a10 := testing.AllocsPerRun(10, func() { workloads.RegisterUsage(short) })
+	a300 := testing.AllocsPerRun(10, func() { workloads.RegisterUsage(long) })
+	if a10 != a300 {
+		t.Errorf("RegisterUsage makes %v allocations at 10 instructions, %v at 300", a10, a300)
+	}
+}
+
 // TestFigure2Property: the paper's motivation — memory-intensive kernels
 // use well under the full 32-register context in their loops.
 func TestFigure2Property(t *testing.T) {
