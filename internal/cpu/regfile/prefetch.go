@@ -54,6 +54,12 @@ type Prefetch struct {
 	onDemand      map[regKey]bool
 }
 
+// regKey names one thread's architectural register.
+type regKey struct {
+	thread int
+	reg    isa.Reg
+}
+
 // NewPrefetch builds a prefetching provider.
 func NewPrefetch(kind PrefetchKind, threads int, dcache mem.Device, memory *mem.Memory, layout cpu.RegLayout) *Prefetch {
 	p := &Prefetch{

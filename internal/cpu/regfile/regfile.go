@@ -199,9 +199,9 @@ func (h *bsiReq) complete(cy uint64) {
 }
 
 // bsi is the backing store interface: it issues register loads and stores
-// to the dcache, loads before stores (fills are on the critical path),
-// with a configurable issue width. A blocking BSI allows one outstanding
-// transaction; the non-blocking BSI pipelines them (Section 5.3).
+// to the dcache, one per cycle, loads before stores (fills are on the
+// critical path). A blocking BSI allows one outstanding transaction; the
+// non-blocking BSI pipelines them (Section 5.3).
 type bsi struct {
 	dcache      mem.Device
 	owner       bsiOwner
@@ -210,7 +210,6 @@ type bsi struct {
 	free        *bsiReq // a stack of idle holders, linked through next
 	outstanding int
 	nonBlocking bool
-	perCycle    int
 
 	// Telemetry (nil when disabled; Emit/Observe are nil-safe).
 	tracer    *telemetry.Tracer
@@ -223,7 +222,7 @@ type bsi struct {
 }
 
 func newBSI(dcache mem.Device, nonBlocking bool, owner bsiOwner) *bsi {
-	return &bsi{dcache: dcache, owner: owner, nonBlocking: nonBlocking, perCycle: 1}
+	return &bsi{dcache: dcache, owner: owner, nonBlocking: nonBlocking}
 }
 
 func (b *bsi) pushLoad(op bsiOp)  { b.loads.push(op) }
@@ -282,54 +281,50 @@ func (b *bsi) release() {
 	b.stores.release()
 }
 
-// Tick issues queued transactions to the dcache, loads first.
+// Tick issues the oldest queued transaction to the dcache, loads first.
 func (b *bsi) Tick(cycle uint64) {
-	issued := 0
-	for issued < b.perCycle {
-		if !b.nonBlocking && b.outstanding > 0 {
+	if !b.nonBlocking && b.outstanding > 0 {
+		return
+	}
+	q, fromLoads := &b.loads, true
+	if q.n == 0 {
+		q, fromLoads = &b.stores, false
+		if q.n == 0 {
 			return
 		}
-		q, fromLoads := &b.loads, true
-		if q.n == 0 {
-			q, fromLoads = &b.stores, false
-			if q.n == 0 {
-				return
-			}
+	}
+	op := q.front()
+	h := b.newReq()
+	h.op = op
+	h.issuedAt = cycle
+	h.track = fromLoads && !op.noCrit && (b.fillLat != nil || b.tracer != nil)
+	h.req = mem.Request{
+		Addr:         op.addr,
+		Size:         8,
+		Kind:         op.kind,
+		RegisterFill: true,
+		NoCritical:   op.noCrit,
+		PinSticky:    op.sticky,
+		Unpin:        op.unpin,
+		Done:         h.done,
+	}
+	if !b.dcache.Access(&h.req) {
+		b.putReq(h)
+		return // dcache port busy (LSQ has priority); retry next cycle
+	}
+	b.outstanding++
+	q.pop()
+	if fromLoads {
+		b.FillsIssued++
+		if b.tracer != nil {
+			b.tracer.Emit(cycle, telemetry.EvFill, b.traceCore, h.op.thread,
+				uint64(h.op.addr), uint64(h.op.reg), 0)
 		}
-		op := q.front()
-		h := b.newReq()
-		h.op = op
-		h.issuedAt = cycle
-		h.track = fromLoads && !op.noCrit && (b.fillLat != nil || b.tracer != nil)
-		h.req = mem.Request{
-			Addr:         op.addr,
-			Size:         8,
-			Kind:         op.kind,
-			RegisterFill: true,
-			NoCritical:   op.noCrit,
-			PinSticky:    op.sticky,
-			Unpin:        op.unpin,
-			Done:         h.done,
+	} else {
+		b.SpillsIssued++
+		if b.tracer != nil {
+			b.tracer.Emit(cycle, telemetry.EvSpill, b.traceCore, h.op.thread,
+				uint64(h.op.addr), uint64(h.op.reg), 0)
 		}
-		if !b.dcache.Access(&h.req) {
-			b.putReq(h)
-			return // dcache port busy (LSQ has priority); retry next cycle
-		}
-		b.outstanding++
-		q.pop()
-		if fromLoads {
-			b.FillsIssued++
-			if b.tracer != nil {
-				b.tracer.Emit(cycle, telemetry.EvFill, b.traceCore, h.op.thread,
-					uint64(h.op.addr), uint64(h.op.reg), 0)
-			}
-		} else {
-			b.SpillsIssued++
-			if b.tracer != nil {
-				b.tracer.Emit(cycle, telemetry.EvSpill, b.traceCore, h.op.thread,
-					uint64(h.op.addr), uint64(h.op.reg), 0)
-			}
-		}
-		issued++
 	}
 }

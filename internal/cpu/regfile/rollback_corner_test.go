@@ -34,22 +34,24 @@ func acquireUntil(t *testing.T, h *harness, p *ViReC, thread int, in *isa.Inst, 
 // TestFlushWhileFillInFlight covers the flush-vs-fill race table: a fill
 // for a register is outstanding when the pipeline flushes (switch-on-miss
 // squashes the very instruction that requested it). Whether the register
-// is then re-read, overwritten by a replayed older instruction, or both,
-// the architectural value must win and the late fill must never clobber a
-// newer write.
+// is then re-read, overwritten by a replayed older instruction, or its
+// thread halts, the architectural value must win and the late fill must
+// never clobber a newer write.
 func TestFlushWhileFillInFlight(t *testing.T) {
 	cases := []struct {
 		name string
-		// after: runs immediately after the flush, with the fill still
-		// in flight; returns the value ReadValue must yield once the
-		// provider settles.
-		after func(t *testing.T, h *harness, p *ViReC) uint64
+		// after: runs immediately after the flush, with thread 0's fill
+		// of x3 still in flight; returns the register ReadValue must
+		// read once the provider settles, and its value.
+		after func(t *testing.T, h *harness, p *ViReC) (thread int, r isa.Reg, want uint64)
 	}{
 		{
 			// Plain replay: the fill lands after the flush and the
 			// backing-store value is read.
-			name:  "flush-then-refill",
-			after: func(t *testing.T, h *harness, p *ViReC) uint64 { return 1234 },
+			name: "flush-then-refill",
+			after: func(t *testing.T, h *harness, p *ViReC) (int, isa.Reg, uint64) {
+				return 0, isa.X3, 1234
+			},
 		},
 		{
 			// A replayed older instruction writes the register while the
@@ -57,13 +59,42 @@ func TestFlushWhileFillInFlight(t *testing.T) {
 			// and the stale backing value must not overwrite it when the
 			// fill completes.
 			name: "flush-then-write-supersedes-fill",
-			after: func(t *testing.T, h *harness, p *ViReC) uint64 {
+			after: func(t *testing.T, h *harness, p *ViReC) (int, isa.Reg, uint64) {
 				wr := &isa.Inst{Op: isa.MOVZ, Rd: isa.X3, Imm: 999}
 				acquireUntil(t, h, p, 0, wr, nil)
 				p.InstDecoded(0, 10, wr)
 				p.WriteValue(0, isa.X3, 999)
 				p.InstCommitted(0, 10)
-				return 999
+				return 0, isa.X3, 999
+			},
+		},
+		{
+			// Thread 0 halts with the fill in flight. Its slot stays out
+			// of victim choice until the fill lands, so thread 1's miss
+			// takes another slot, and the landing value neither revives
+			// thread 0's x3 nor reaches the slot's next occupant.
+			name: "halt-drops-fill",
+			after: func(t *testing.T, h *harness, p *ViReC) (int, isa.Reg, uint64) {
+				filling, _ := p.Tags().Lookup(0, isa.X3)
+				// Thread 1 takes the six free slots, so only thread 0's
+				// two slots are left once it halts.
+				for r := isa.X10; r < isa.X16; r++ {
+					acquireUntil(t, h, p, 1, &isa.Inst{Op: isa.MOVZ, Rd: r}, nil)
+				}
+				p.ThreadHalted(0)
+				if msg := p.CheckInvariants(); msg != "" {
+					t.Errorf("invariants with the dropped fill in flight: %s", msg)
+				}
+				h.seed(1, isa.X5, 777)
+				acquire(p, 1, &isa.Inst{Op: isa.ADDI, Rd: isa.X6, Rn: isa.X5, Imm: 1}, []isa.Reg{isa.X5})
+				if phys, _ := p.Tags().Lookup(1, isa.X5); phys == filling {
+					t.Errorf("thread 1's x5 took slot %d while the halted thread's fill was in flight", phys)
+				}
+				h.tick(p, 200)
+				if p.Tags().Contains(0, isa.X3) {
+					t.Error("the landing fill revived the halted thread's x3")
+				}
+				return 1, isa.X5, 777
 			},
 		},
 	}
@@ -80,12 +111,13 @@ func TestFlushWhileFillInFlight(t *testing.T) {
 			h.tick(p, 2) // fill issued, still outstanding
 			p.PipelineFlushed(0)
 
-			want := tc.after(t, h, p)
+			thread, r, want := tc.after(t, h, p)
 			h.tick(p, 200) // let the (possibly superseded) fill land
 
-			acquireUntil(t, h, p, 0, in, []isa.Reg{isa.X3})
-			if got := p.ReadValue(0, isa.X3); got != want {
-				t.Errorf("x3 = %d after %s, want %d", got, tc.name, want)
+			rd := &isa.Inst{Op: isa.ADDI, Rd: isa.X4, Rn: r, Imm: 1}
+			acquireUntil(t, h, p, thread, rd, []isa.Reg{r})
+			if got := p.ReadValue(thread, r); got != want {
+				t.Errorf("t%d %s = %d after %s, want %d", thread, r, got, tc.name, want)
 			}
 			if msg := p.CheckInvariants(); msg != "" {
 				t.Errorf("invariants: %s", msg)
@@ -141,6 +173,82 @@ func TestCommitRacesFlushSameCycle(t *testing.T) {
 	}
 	if msg := p.CheckInvariants(); msg != "" {
 		t.Errorf("invariants: %s", msg)
+	}
+}
+
+// TestHintsAndOracleApplyAtCommit: an instruction's LRC+H dead and remat
+// marks and its Belady accesses take effect when it commits, never at
+// decode, and a flush before commit discards them, with or without the
+// rollback queue's C-bit resets; a stale commit after the flush applies
+// nothing. Only LRC+H marks, and only Belady moves its cursor.
+func TestHintsAndOracleApplyAtCommit(t *testing.T) {
+	// add x4, x3, x5 with both sources dead after it (3 accesses), then
+	// movz x7, #9, rematerializable (1 access).
+	add := &isa.Inst{Op: isa.ADD, Rd: isa.X4, Rn: isa.X3, Rm: isa.X5, Hints: isa.HintDeadRn | isa.HintDeadRm}
+	movz := &isa.Inst{Op: isa.MOVZ, Rd: isa.X7, Imm: 9, Hints: isa.HintRemat}
+	cases := []struct {
+		name       string
+		noRollback bool
+		settle     func(p *ViReC)
+		applied    bool
+	}{
+		{name: "commit", applied: true, settle: func(p *ViReC) {
+			p.WriteValue(0, isa.X4, 3)
+			p.InstCommitted(0, 1)
+			p.WriteValue(0, isa.X7, 9)
+			p.InstCommitted(0, 2)
+		}},
+		{name: "flush", settle: func(p *ViReC) { p.PipelineFlushed(0) }},
+		{name: "flush-no-rollback", noRollback: true, settle: func(p *ViReC) { p.PipelineFlushed(0) }},
+		{name: "flush-then-stale-commit", settle: func(p *ViReC) {
+			p.PipelineFlushed(0)
+			p.InstCommitted(0, 1)
+		}},
+	}
+	for _, tc := range cases {
+		for _, pol := range []vrmu.Policy{vrmu.LRCH, vrmu.Belady} {
+			t.Run(tc.name+"/"+pol.String(), func(t *testing.T) {
+				h := newHarness(2)
+				p := NewViReC(ViReCConfig{PhysRegs: 8, Policy: pol, NoRollback: tc.noRollback},
+					2, h.dev, h.memory, h.layout)
+				effects := func() (dead, remat int, cursor uint32) {
+					for _, r := range []isa.Reg{isa.X3, isa.X5} {
+						if phys, ok := p.Tags().Lookup(0, r); ok && p.Tags().Entry(phys).Dead {
+							dead++
+						}
+					}
+					if phys, ok := p.Tags().Lookup(0, isa.X7); ok && p.Tags().Entry(phys).Remat {
+						remat++
+					}
+					if p.oracleCursor != nil {
+						cursor = p.oracleCursor[0]
+					}
+					return dead, remat, cursor
+				}
+
+				acquireUntil(t, h, p, 0, add, []isa.Reg{isa.X3, isa.X5})
+				p.InstDecoded(0, 1, add)
+				acquireUntil(t, h, p, 0, movz, nil)
+				p.InstDecoded(0, 2, movz)
+				if dead, remat, cursor := effects(); dead+remat != 0 || cursor != 0 {
+					t.Fatalf("at decode: %d dead, %d remat, cursor %d; want none before commit", dead, remat, cursor)
+				}
+
+				tc.settle(p)
+				var wantDead, wantRemat int
+				var wantCursor uint32
+				switch {
+				case tc.applied && pol == vrmu.LRCH:
+					wantDead, wantRemat = 2, 1
+				case tc.applied && pol == vrmu.Belady:
+					wantCursor = 4
+				}
+				if dead, remat, cursor := effects(); dead != wantDead || remat != wantRemat || cursor != wantCursor {
+					t.Errorf("%d dead, %d remat, cursor %d; want %d, %d, %d",
+						dead, remat, cursor, wantDead, wantRemat, wantCursor)
+				}
+			})
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package regfile
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"github.com/virec/virec/internal/cpu"
@@ -77,33 +76,18 @@ type ViReC struct {
 	// Oracle state for the Belady policy: per-thread occurrence lists of
 	// each register in the thread's recorded access sequence (nil until
 	// SetOracleSeq; read-only, and shared by neighbouring threads with
-	// equal sequences), a cursor counting committed accesses, and the
-	// register-access counts of in-flight (decoded, uncommitted)
-	// instructions.
-	oracleOcc        []*[isa.NumRegs][]uint32
-	oracleCursor     []uint32
-	inflightAccesses map[uint64]uint32
+	// equal sequences), and a cursor counting each thread's committed
+	// accesses, which InstCommitted advances.
+	oracleOcc    []*[isa.NumRegs][]uint32
+	oracleCursor []uint32
 
-	// hintPend holds the compiler-hint marks of decoded-but-uncommitted
-	// instructions, keyed by sequence number like inflightAccesses. Marks are
-	// applied to the tag store only at commit — a flushed instruction
-	// replays, so its marks are discarded with the flush — keeping hints
-	// exactly as speculative as the instructions that carry them. Nil
-	// unless the policy is hint-aware.
-	hintPend map[uint64]hintMark
-
-	// pending tracks fills in flight: (thread,reg) -> physical slot.
-	pending map[regKey]int
-	// pendingPhys marks physical slots with fills in flight (never
-	// eviction victims); a dense bitmap indexed by physical register.
-	pendingPhys []bool
-	// superseded marks in-flight fills whose value was overwritten at
-	// commit before the fill landed; the fill completes without
-	// installing its stale value.
-	superseded map[regKey]bool
+	// fill holds each physical register's fill state, beside its
+	// tag-store entry. A register with a fill in flight is never an
+	// eviction victim.
+	fill []fillState
 	// lockedPhys holds the registers of the instruction currently in
-	// decode; they are exempt from eviction. Dense bitmap like
-	// pendingPhys.
+	// decode; they are exempt from eviction. It is a bitmap of its own,
+	// apart from fill, so that one clear releases every lock.
 	lockedPhys   []bool
 	lockedInst   *isa.Inst
 	lockedThread int
@@ -137,25 +121,25 @@ type Stats struct {
 	HintSpillsElided uint64 `metric:"hint_spills_elided"` // dirty spills demoted off the critical path by a hint
 }
 
-type regKey struct {
-	thread int
-	reg    isa.Reg
-}
+// fillState is where a physical register's backing-store fill stands:
+// none in flight, pending (its value lands in the slot's valid entry), or
+// stale (a commit overwrote the register or its thread halted, so the
+// value is dropped when it lands). At most one fill is in flight per
+// slot: the slot is not a victim, so no other register can claim it until
+// the fill lands.
+type fillState uint8
 
-// hintMark is the value-typed record of one instruction's hint marks,
-// applied at commit. A fixed-size array keeps the decode path allocation
-// free (dead ≤ 4 operand fields).
-type hintMark struct {
-	thread int
-	dead   [4]isa.Reg
-	nDead  uint8
-	remat  isa.Reg // destination to mark rematerializable; XZR = none
-}
+const (
+	fillNone fillState = iota
+	fillPending
+	fillStale
+)
 
+// sysSlot is one entry of the system-register ping-pong buffer. A slot
+// holding a thread that is not ready is loading.
 type sysSlot struct {
-	thread  int
-	ready   bool
-	loading bool
+	thread int
+	ready  bool
 }
 
 // rollbackDepth is the rollback queue depth: the most instructions the
@@ -170,30 +154,24 @@ func NewViReC(cfg ViReCConfig, threads int, dcache mem.Device, memory *mem.Memor
 	tags := vrmu.NewTagStore(cfg.PhysRegs, cfg.Policy)
 	tags.Reserve(threads)
 	p := &ViReC{
-		base:        newBase(memory, layout, threads),
-		cfg:         cfg,
-		tags:        tags,
-		rq:          vrmu.NewRollbackQueue(rollbackDepth, tags),
-		pending:     make(map[regKey]int),
-		pendingPhys: make([]bool, cfg.PhysRegs),
-		superseded:  make(map[regKey]bool),
-		lockedPhys:  make([]bool, cfg.PhysRegs),
+		base:       newBase(memory, layout, threads),
+		cfg:        cfg,
+		tags:       tags,
+		rq:         vrmu.NewRollbackQueue(rollbackDepth, tags),
+		fill:       make([]fillState, cfg.PhysRegs),
+		lockedPhys: make([]bool, cfg.PhysRegs),
 	}
 	p.bsi = newBSI(dcache, !cfg.BlockingBSI, p)
 	p.sysBsi = newBSI(dcache, true, p)
 	p.pfBsi = newBSI(dcache, true, p)
-	p.excluded = func(i int) bool { return p.lockedPhys[i] || p.pendingPhys[i] }
+	p.excluded = func(i int) bool { return p.lockedPhys[i] || p.fill[i] != fillNone }
 	p.sysBuf[0].thread = -1
 	p.sysBuf[1].thread = -1
 	p.prefetchRegs = make([][]isa.Reg, threads)
 	if cfg.Policy == vrmu.Belady {
 		p.oracleOcc = make([]*[isa.NumRegs][]uint32, threads)
 		p.oracleCursor = make([]uint32, threads)
-		p.inflightAccesses = make(map[uint64]uint32)
 		tags.SetOracle(p.oracleDistance)
-	}
-	if cfg.Policy.HintAware() {
-		p.hintPend = make(map[uint64]hintMark)
 	}
 	return p
 }
@@ -343,13 +321,11 @@ func (p *ViReC) RegisterMetrics(r *telemetry.Registry, prefix string) {
 // Tags exposes the tag store for statistics (hit rates, Figure 12).
 func (p *ViReC) Tags() *vrmu.TagStore { return p.tags }
 
-// resident reports whether (thread,reg) has a valid value in the RF.
+// resident reports whether (thread,reg) has a valid value in the RF: it is
+// mapped, and no fill to its slot is pending.
 func (p *ViReC) resident(thread int, r isa.Reg) bool {
-	if !p.tags.Contains(thread, r) {
-		return false
-	}
-	_, filling := p.pending[regKey{thread, r}]
-	return !filling
+	phys, ok := p.tags.Lookup(thread, r)
+	return ok && p.fill[phys] != fillPending
 }
 
 // lockIfPresent adds the physical slot of (thread,reg) to the decode lock
@@ -358,17 +334,6 @@ func (p *ViReC) lockIfPresent(thread int, r isa.Reg) {
 	if phys, ok := p.tags.Lookup(thread, r); ok {
 		p.lockedPhys[phys] = true
 	}
-}
-
-// countTrue reports the population of a dense bitmap (diagnostics only).
-func countTrue(bits []bool) int {
-	n := 0
-	for _, b := range bits {
-		if b {
-			n++
-		}
-	}
-	return n
 }
 
 // allocate selects a victim, spills it, and installs (thread,reg) in its
@@ -452,32 +417,22 @@ func (p *ViReC) fillOp(thread int, r isa.Reg, phys int) bsiOp {
 // startFill begins fetching (thread,reg) from the backing store into slot
 // phys.
 func (p *ViReC) startFill(thread int, r isa.Reg, phys int) {
-	p.pending[regKey{thread, r}] = phys
-	p.pendingPhys[phys] = true
+	p.fill[phys] = fillPending
 	p.bsi.pushLoad(p.fillOp(thread, r, phys))
 }
 
 // bsiDone runs the completion of a landed fill or system-register load,
 // for all three of the provider's BSI engines.
 func (p *ViReC) bsiDone(op bsiOp) {
-	thread, phys := int(op.thread), int(op.slot)
 	switch op.done {
 	case doneFill:
-		key := regKey{thread, op.reg}
-		p.pendingPhys[phys] = false
-		if p.superseded[key] {
-			delete(p.superseded, key)
-			delete(p.pending, key)
-			return
+		if p.fill[op.slot] == fillPending {
+			p.tags.FillValue(int(op.slot), p.memory.Read64(op.addr))
 		}
-		if cur, ok := p.pending[key]; ok && cur == phys && p.tags.Contains(thread, op.reg) {
-			p.tags.FillValue(phys, p.memory.Read64(op.addr))
-		}
-		delete(p.pending, key)
+		p.fill[op.slot] = fillNone
 	case doneSysregs:
-		if s := &p.sysBuf[op.slot]; s.thread == thread {
+		if s := &p.sysBuf[op.slot]; s.thread == int(op.thread) {
 			s.ready = true
-			s.loading = false
 		}
 	}
 }
@@ -539,8 +494,8 @@ func (p *ViReC) Acquire(thread int, in *isa.Inst, needSrcs []isa.Reg, probe bool
 			continue
 		}
 		ready = false
-		if _, filling := p.pending[regKey{thread, r}]; filling {
-			continue // fill already under way
+		if p.tags.Contains(thread, r) {
+			continue // mapped but not resident: its fill is under way
 		}
 		if probe {
 			return false, true
@@ -557,12 +512,12 @@ func (p *ViReC) Acquire(thread int, in *isa.Inst, needSrcs []isa.Reg, probe bool
 		if d == isa.XZR {
 			continue
 		}
-		if p.tags.Contains(thread, d) {
-			p.lockIfPresent(thread, d)
+		if phys, ok := p.tags.Lookup(thread, d); ok {
+			p.lockedPhys[phys] = true
 			// A destination with a fill still in flight (NoDummyDest
 			// path) is allocated but not yet writable-consistent; hold
 			// the instruction until the fill lands.
-			if _, filling := p.pending[regKey{thread, d}]; filling {
+			if p.fill[phys] == fillPending {
 				ready = false
 			}
 			continue
@@ -625,17 +580,15 @@ func (p *ViReC) ReadValue(thread int, r isa.Reg) uint64 {
 
 // WriteValue installs a committed result. If the register was evicted
 // between decode and commit it is re-allocated (allocate-on-write); if a
-// fill is in flight the fill is superseded so its stale value is dropped.
+// fill is in flight the fill goes stale so its value is dropped.
 func (p *ViReC) WriteValue(thread int, r isa.Reg, v uint64) {
 	if r == isa.XZR {
 		return
 	}
-	key := regKey{thread, r}
-	if _, filling := p.pending[key]; filling {
-		p.superseded[key] = true
-		delete(p.pending, key)
-	}
 	phys, ok := p.tags.Lookup(thread, r)
+	if ok && p.fill[phys] == fillPending {
+		p.fill[phys] = fillStale
+	}
 	if !ok {
 		phys = p.allocate(thread, r)
 		if phys < 0 {
@@ -654,11 +607,11 @@ func (p *ViReC) WriteValue(thread int, r isa.Reg, v uint64) {
 	p.tags.WriteValue(phys, v)
 }
 
-// InstDecoded pushes the instruction's physical registers into the
+// InstDecoded pushes the instruction and its physical registers into the
 // rollback queue and releases the decode locks.
 func (p *ViReC) InstDecoded(thread int, seq uint64, in *isa.Inst) {
 	var regs [6]isa.Reg
-	var physBuf [6]int
+	var physBuf [4]int
 	phys := physBuf[:0]
 	for _, r := range in.Regs(regs[:0]) {
 		if r == isa.XZR {
@@ -679,75 +632,57 @@ func (p *ViReC) InstDecoded(thread int, seq uint64, in *isa.Inst) {
 			phys = append(phys, idx)
 		}
 	}
-	p.rq.Push(seq, phys, in.IsMem())
-	if p.inflightAccesses != nil {
-		var n uint32
-		for _, r := range in.Regs(regs[:0]) {
-			if r != isa.XZR {
-				n++
-			}
-		}
-		p.inflightAccesses[seq] = n
-	}
-	if p.hintPend != nil && in.Hints != 0 {
-		hm := hintMark{thread: thread, remat: isa.XZR}
-		hm.nDead = uint8(len(in.DeadRegs(hm.dead[:0])))
-		if in.Hints&isa.HintRemat != 0 {
-			hm.remat = in.Rd
-		}
-		p.hintPend[seq] = hm
-	}
+	p.rq.Push(seq, phys, in)
 	p.lockedInst = nil
 	clear(p.lockedPhys)
 }
 
-// applyHintMark installs one committed instruction's hint marks into the
-// tag store. Registers no longer resident simply lose their mark (the
-// eviction already happened; nothing to steer).
-func (p *ViReC) applyHintMark(hm hintMark) {
-	for i := 0; i < int(hm.nDead); i++ {
-		if phys, ok := p.tags.Lookup(hm.thread, hm.dead[i]); ok {
-			p.tags.MarkDead(phys)
+// InstCommitted retires the oldest rollback-queue entry and applies what
+// its instruction carries: under Belady, the thread's future-knowledge
+// cursor moves past the instruction's register accesses; under LRC+H, its
+// compiler-hint marks reach the tag store. Both wait for commit, so they
+// are exactly as speculative as the instruction: a flush drops the entry,
+// and the replayed decode pushes it again.
+func (p *ViReC) InstCommitted(thread int, seq uint64) {
+	in := p.rq.Commit(seq)
+	if in == nil {
+		return
+	}
+	if p.oracleCursor != nil {
+		var regs [6]isa.Reg
+		for _, r := range in.Regs(regs[:0]) {
+			if r != isa.XZR {
+				p.oracleCursor[thread]++
+			}
 		}
 	}
-	if hm.remat != isa.XZR {
-		if phys, ok := p.tags.Lookup(hm.thread, hm.remat); ok {
-			p.tags.MarkRemat(phys)
-		}
+	if p.cfg.Policy.HintAware() && in.Hints != 0 {
+		p.applyHints(thread, in)
 	}
 }
 
-// InstCommitted retires the oldest rollback-queue entry and, under the
-// Belady policy, advances the thread's future-knowledge cursor past the
-// instruction's register accesses.
-func (p *ViReC) InstCommitted(thread int, seq uint64) {
-	p.rq.Commit(seq)
-	if p.inflightAccesses != nil {
-		p.oracleCursor[thread] += p.inflightAccesses[seq]
-		delete(p.inflightAccesses, seq)
+// applyHints installs a committed instruction's dead and remat marks into
+// the tag store. Registers no longer resident simply lose their mark (the
+// eviction already happened; nothing to steer).
+func (p *ViReC) applyHints(thread int, in *isa.Inst) {
+	var dead [4]isa.Reg
+	for _, r := range in.DeadRegs(dead[:0]) {
+		if phys, ok := p.tags.Lookup(thread, r); ok {
+			p.tags.MarkDead(phys)
+		}
 	}
-	if p.hintPend != nil {
-		if hm, ok := p.hintPend[seq]; ok {
-			p.applyHintMark(hm)
-			delete(p.hintPend, seq)
+	if in.Hints&isa.HintRemat != 0 {
+		if phys, ok := p.tags.Lookup(thread, in.Rd); ok {
+			p.tags.MarkRemat(phys)
 		}
 	}
 }
 
 // PipelineFlushed resets the C bits of all in-flight registers (unless
 // the rollback ablation is active, in which case the queue is drained
-// without resets).
+// without resets). Either way the flushed instructions' entries go, with
+// their Belady accesses and hint marks.
 func (p *ViReC) PipelineFlushed(thread int) {
-	if p.inflightAccesses != nil {
-		// Flushed instructions replay: their accesses stay in the future.
-		clear(p.inflightAccesses)
-	}
-	if p.hintPend != nil {
-		// The rollback path for hints: flushed instructions replay, so
-		// their unapplied marks are discarded with them (they will be
-		// re-recorded at the replayed decode).
-		clear(p.hintPend)
-	}
 	if p.cfg.NoRollback {
 		p.rq.Drop()
 		return
@@ -767,7 +702,7 @@ func (p *ViReC) sysSlotOf(thread int) int {
 
 // loadSysregs begins fetching a thread's system-register line into slot i.
 func (p *ViReC) loadSysregs(i, thread int) {
-	p.sysBuf[i] = sysSlot{thread: thread, loading: true}
+	p.sysBuf[i] = sysSlot{thread: thread}
 	p.sysBsi.pushLoad(bsiOp{
 		addr:   p.layout.SysRegAddr(thread),
 		kind:   mem.Read,
@@ -850,11 +785,7 @@ func (p *ViReC) OnSwitch(prev, next, succ int) {
 func (p *ViReC) prefetchThread(thread int) {
 	for _, r := range p.prefetchRegs[thread] {
 		if r == isa.XZR || p.tags.Contains(thread, r) {
-			continue
-		}
-		key := regKey{thread, r}
-		if _, filling := p.pending[key]; filling {
-			continue
+			continue // resident, or its fill is under way
 		}
 		phys := p.tags.SelectVictim(p.excluded)
 		if phys < 0 {
@@ -868,8 +799,7 @@ func (p *ViReC) prefetchThread(thread int) {
 		if evicted {
 			p.spill(victim)
 		}
-		p.pending[key] = phys
-		p.pendingPhys[phys] = true
+		p.fill[phys] = fillPending
 		p.Prefetches++
 		p.pfBsi.pushLoad(p.fillOp(thread, r, phys))
 	}
@@ -879,18 +809,20 @@ func (p *ViReC) prefetchThread(thread int) {
 func (p *ViReC) ThreadStarted(thread int) {}
 
 // ThreadHalted drops the dead thread's registers. Pin counters in the
-// backing store are balanced with metadata-only writes.
+// backing store are balanced with metadata-only writes. A fill still in
+// flight goes stale: its slot stays out of victim choice until it lands,
+// and it installs nothing.
 func (p *ViReC) ThreadHalted(thread int) {
 	for r := isa.Reg(0); r < isa.NumRegs; r++ {
-		key := regKey{thread, r}
-		if phys, filling := p.pending[key]; filling {
-			p.superseded[key] = true
-			_ = phys
+		phys, ok := p.tags.Lookup(thread, r)
+		if !ok {
+			continue
 		}
-		if p.tags.Contains(thread, r) {
-			p.bsi.pushStore(bsiOp{addr: p.layout.RegAddr(thread, r), kind: mem.Write,
-				noCrit: true, thread: int32(thread), reg: r})
+		if p.fill[phys] == fillPending {
+			p.fill[phys] = fillStale
 		}
+		p.bsi.pushStore(bsiOp{addr: p.layout.RegAddr(thread, r), kind: mem.Write,
+			noCrit: true, thread: int32(thread), reg: r})
 	}
 	p.tags.InvalidateThread(thread)
 	if i := p.sysSlotOf(thread); i >= 0 {
@@ -913,9 +845,20 @@ func (p *ViReC) Tick(cycle uint64) {
 
 // DebugState returns a snapshot of internal queue sizes for diagnostics.
 func (p *ViReC) DebugState() string {
-	return fmt.Sprintf("pending=%d pendingPhys=%d superseded=%d locked=%d bsiOut=%d loads=%d stores=%d sys=[%+v %+v]",
-		len(p.pending), countTrue(p.pendingPhys), len(p.superseded), countTrue(p.lockedPhys),
-		p.bsi.outstanding, p.bsi.loads.n, p.bsi.stores.n, p.sysBuf[0], p.sysBuf[1])
+	var pending, stale, locked int
+	for phys, f := range p.fill {
+		switch f {
+		case fillPending:
+			pending++
+		case fillStale:
+			stale++
+		}
+		if p.lockedPhys[phys] {
+			locked++
+		}
+	}
+	return fmt.Sprintf("pending=%d stale=%d locked=%d bsiOut=%d loads=%d stores=%d sys=[%+v %+v]",
+		pending, stale, locked, p.bsi.outstanding, p.bsi.loads.n, p.bsi.stores.n, p.sysBuf[0], p.sysBuf[1])
 }
 
 // ---- hardening-layer hooks (diagnostics and invariants) ----
@@ -940,10 +883,8 @@ func (p *ViReC) OutstandingOps() int {
 }
 
 // CheckInvariants validates the provider's internal consistency: the tag
-// store's index, the rollback queue's ordering and bounds, and the
-// pending-fill bookkeeping (every in-flight fill must mark its physical
-// slot busy so it cannot be chosen as an eviction victim, and a resident
-// mapping for a filling register must target the filling slot). Returns
+// store's index, the rollback queue's ordering and bounds, and that a slot
+// with a pending fill holds a valid entry for the fill to land in. Returns
 // "" when everything holds.
 func (p *ViReC) CheckInvariants() string {
 	if msg := p.tags.CheckInvariants(); msg != "" {
@@ -952,34 +893,10 @@ func (p *ViReC) CheckInvariants() string {
 	if msg := p.rq.CheckInvariants(p.tags.Size()); msg != "" {
 		return "rollback queue: " + msg
 	}
-	// Check pending fills in (thread, reg) order so a multi-violation
-	// state always reports the same one.
-	pendKeys := make([]regKey, 0, len(p.pending))
-	for key := range p.pending {
-		pendKeys = append(pendKeys, key)
-	}
-	sort.Slice(pendKeys, func(i, j int) bool {
-		if pendKeys[i].thread != pendKeys[j].thread {
-			return pendKeys[i].thread < pendKeys[j].thread
+	for phys, f := range p.fill {
+		if f == fillPending && !p.tags.Entry(phys).Valid {
+			return fmt.Sprintf("physical register %d has a pending fill but no valid entry", phys)
 		}
-		return pendKeys[i].reg < pendKeys[j].reg
-	})
-	for _, key := range pendKeys {
-		phys := p.pending[key]
-		if phys < 0 || phys >= p.tags.Size() {
-			return fmt.Sprintf("pending fill t%d %s targets physical register %d outside [0,%d)",
-				key.thread, key.reg, phys, p.tags.Size())
-		}
-		if !p.pendingPhys[phys] {
-			return fmt.Sprintf("pending fill t%d %s -> phys %d not marked fill-busy", key.thread, key.reg, phys)
-		}
-		if idx, ok := p.tags.Lookup(key.thread, key.reg); ok && idx != phys {
-			return fmt.Sprintf("pending fill t%d %s targets phys %d but tag store maps it to %d",
-				key.thread, key.reg, phys, idx)
-		}
-	}
-	if n := countTrue(p.pendingPhys); n > p.tags.Size() {
-		return fmt.Sprintf("%d fill-busy slots exceed %d physical registers", n, p.tags.Size())
 	}
 	return ""
 }
@@ -995,20 +912,18 @@ func (p *ViReC) DiagDump() string {
 		p.tags.Size(), p.tags.Occupancy(), p.tags.Policy(), p.rq.Len(), p.rq.Depth(),
 		p.bsi.outstanding, p.bsi.loads.n, p.bsi.stores.n,
 		p.sysBsi.Outstanding(), p.pfBsi.Outstanding())
-	byThread := make(map[int][]vrmu.Entry)
-	for i := 0; i < p.tags.Size(); i++ {
-		if e := p.tags.Entry(i); e.Valid {
-			byThread[e.Thread] = append(byThread[e.Thread], e)
-		}
-	}
 	for th := 0; th < p.nThreads; th++ {
-		es := byThread[th]
-		if len(es) == 0 {
-			continue
-		}
-		sort.Slice(es, func(i, j int) bool { return es[i].Reg < es[j].Reg })
-		fmt.Fprintf(&b, "t%d resident:", th)
-		for _, e := range es {
+		first := true
+		for r := isa.Reg(0); r < isa.NumRegs; r++ {
+			phys, ok := p.tags.Lookup(th, r)
+			if !ok {
+				continue
+			}
+			if first {
+				fmt.Fprintf(&b, "t%d resident:", th)
+				first = false
+			}
+			e := p.tags.Entry(phys)
 			c := 0
 			if e.C {
 				c = 1
@@ -1028,23 +943,17 @@ func (p *ViReC) DiagDump() string {
 			}
 			fmt.Fprintf(&b, " %s(T=%d,C=%d,A=%d%s)", e.Reg, e.T, c, e.A, flags)
 		}
-		b.WriteByte('\n')
-	}
-	keys := make([]regKey, 0, len(p.pending))
-	for k := range p.pending {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].thread != keys[j].thread {
-			return keys[i].thread < keys[j].thread
+		if !first {
+			b.WriteByte('\n')
 		}
-		return keys[i].reg < keys[j].reg
-	})
-	for _, k := range keys {
-		fmt.Fprintf(&b, "pending fill t%d %s (phys %d, non-resident)\n", k.thread, k.reg, p.pending[k])
 	}
-	fmt.Fprintf(&b, "sysbuf: [t%d ready=%v loading=%v] [t%d ready=%v loading=%v]\n",
-		p.sysBuf[0].thread, p.sysBuf[0].ready, p.sysBuf[0].loading,
-		p.sysBuf[1].thread, p.sysBuf[1].ready, p.sysBuf[1].loading)
+	for phys, f := range p.fill {
+		if f == fillPending {
+			e := p.tags.Entry(phys)
+			fmt.Fprintf(&b, "pending fill t%d %s (phys %d, non-resident)\n", e.Thread, e.Reg, phys)
+		}
+	}
+	fmt.Fprintf(&b, "sysbuf: [t%d ready=%v] [t%d ready=%v]\n",
+		p.sysBuf[0].thread, p.sysBuf[0].ready, p.sysBuf[1].thread, p.sysBuf[1].ready)
 	return b.String()
 }

@@ -543,20 +543,21 @@ func (s *System) offload() {
 	slab := s.cfg.slabStride()
 	for coreID, core := range s.Cores {
 		s.verifies[coreID] = make([]workloads.Verify, cfg.ThreadsPerCore)
-		for th := 0; th < cfg.ThreadsPerCore; th++ {
+		// One set callback per core: Setup calls it only while it runs,
+		// for the thread th names.
+		layout := s.layouts[coreID]
+		var th int
+		set := func(r isa.Reg, v uint64) {
+			s.Memory.Write64(layout.RegAddr(th, r), v)
+			core.Thread(th).SetShadow(r, v)
+		}
+		for th = 0; th < cfg.ThreadsPerCore; th++ {
 			spec := s.specFor(th)
 			global := coreID*cfg.ThreadsPerCore + th
 			base := dataBase + mem.Addr(uint64(global)*slab)
 			p := workloads.Params{Iters: cfg.Iters, Seed: cfg.Seed, ThreadID: global}
-			thread := core.Thread(th)
-			thread.Prog = spec.Prog
-			layout := s.layouts[coreID]
-			tid := th
-			s.verifies[coreID][th] = spec.Setup(s.Memory, base, p,
-				func(r isa.Reg, v uint64) {
-					s.Memory.Write64(layout.RegAddr(tid, r), v)
-					thread.SetShadow(r, v)
-				})
+			core.Thread(th).Prog = spec.Prog
+			s.verifies[coreID][th] = spec.Setup(s.Memory, base, p, set)
 		}
 		core.Start()
 	}
@@ -724,8 +725,11 @@ func (s *System) Run() (res *Result, err error) {
 		if v, ok := c.Provider().(*regfile.ViReC); ok {
 			res.TagStats = append(res.TagStats, v.Tags().Stats)
 		}
-		for th := 0; th < cfg.ThreadsPerCore; th++ {
-			if err := s.verifies[coreID][th](c.Thread(th).Shadow, s.Memory); err != nil {
+		// One shadow reader per core, reading the thread th names.
+		var th int
+		shadow := func(r isa.Reg) uint64 { return c.Thread(th).Shadow(r) }
+		for th = 0; th < cfg.ThreadsPerCore; th++ {
+			if err := s.verifies[coreID][th](shadow, s.Memory); err != nil {
 				return nil, fmt.Errorf("sim: core %d thread %d (%s): %w",
 					coreID, th, s.specFor(th).Name, err)
 			}

@@ -15,8 +15,8 @@ import (
 func TestRollbackCommitPanicNamesSequences(t *testing.T) {
 	ts := NewTagStore(4, LRC)
 	q := NewRollbackQueue(4, ts)
-	q.Push(10, []int{0}, false)
-	q.Push(11, []int{1}, false)
+	q.Push(10, []int{0}, nil)
+	q.Push(11, []int{1}, nil)
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -46,14 +46,14 @@ func TestRollbackCommitEmptyIsNoop(t *testing.T) {
 func TestRollbackCheckInvariants(t *testing.T) {
 	ts := NewTagStore(4, LRC)
 	q := NewRollbackQueue(2, ts)
-	q.Push(1, []int{0}, false)
-	q.Push(2, []int{1}, true)
+	q.Push(1, []int{0}, nil)
+	q.Push(2, []int{1}, nil)
 	if msg := q.CheckInvariants(ts.Size()); msg != "" {
 		t.Fatalf("healthy queue reports %q", msg)
 	}
 
 	// Occupancy above depth (Push does not enforce Full; decode does).
-	q.Push(3, []int{2}, false)
+	q.Push(3, []int{2}, nil)
 	if msg := q.CheckInvariants(ts.Size()); !strings.Contains(msg, "exceed depth") {
 		t.Errorf("over-depth queue reports %q", msg)
 	}

@@ -1,14 +1,21 @@
 package vrmu
 
-import "fmt"
+import (
+	"fmt"
 
-// RollbackEntry records the physical registers touched by one in-flight
-// instruction, plus whether that instruction is a memory operation (the
-// context switching logic needs the memory status of the oldest entry).
+	"github.com/virec/virec/internal/isa"
+)
+
+// RollbackEntry records one in-flight instruction: the instruction itself,
+// handed back at commit so the provider can apply what it carries, and the
+// distinct physical registers it touched. An instruction touches at most
+// four registers (three sources and a destination), so they fit in a
+// fixed array.
 type RollbackEntry struct {
-	Phys  []int
-	IsMem bool
 	Seq   uint64 // instruction sequence number, for matching on commit
+	Inst  *isa.Inst
+	Phys  [4]int
+	NPhys int
 }
 
 // RollbackQueue is the FIFO of in-flight instructions' register indices.
@@ -35,7 +42,7 @@ func NewRollbackQueue(depth int, tags *TagStore) *RollbackQueue {
 	if depth <= 0 {
 		depth = 1
 	}
-	q := &RollbackQueue{depth: depth, tags: tags}
+	q := &RollbackQueue{entries: make([]RollbackEntry, 0, depth), depth: depth, tags: tags}
 	if tags != nil {
 		q.seen = make([]bool, tags.Size())
 	}
@@ -64,7 +71,7 @@ func (q *RollbackQueue) CheckInvariants(physSize int) string {
 		if i > 0 && e.Seq <= q.entries[i-1].Seq {
 			return fmt.Sprintf("entry %d seq %d not after predecessor seq %d", i, e.Seq, q.entries[i-1].Seq)
 		}
-		for _, p := range e.Phys {
+		for _, p := range e.Phys[:e.NPhys] {
 			if p < 0 || p >= physSize {
 				return fmt.Sprintf("entry %d (seq %d) records physical register %d outside [0,%d)", i, e.Seq, p, physSize)
 			}
@@ -73,50 +80,36 @@ func (q *RollbackQueue) CheckInvariants(physSize int) string {
 	return ""
 }
 
-// Push records an instruction that passed decode. phys is copied into
-// storage recycled from committed entries, so steady-state pushes (after
-// the entry slice and each entry's Phys have grown to the backend's
-// working size) allocate nothing — Push runs once per decoded
+// Push records an instruction that passed decode together with the
+// distinct physical registers it touched. Entries are values in a slice
+// sized to the depth, so Push allocates nothing — it runs once per decoded
 // instruction, on the core's tick path.
-func (q *RollbackQueue) Push(seq uint64, phys []int, isMem bool) {
-	n := len(q.entries)
-	if n < cap(q.entries) {
-		q.entries = q.entries[:n+1]
-	} else {
-		q.entries = append(q.entries, RollbackEntry{})
+func (q *RollbackQueue) Push(seq uint64, phys []int, in *isa.Inst) {
+	e := RollbackEntry{Seq: seq, Inst: in}
+	if len(phys) > len(e.Phys) {
+		panic(fmt.Sprintf("vrmu: instruction seq %d touches %d physical registers, an entry holds %d",
+			seq, len(phys), len(e.Phys)))
 	}
-	e := &q.entries[n]
-	e.Phys = append(e.Phys[:0], phys...)
-	e.IsMem = isMem
-	e.Seq = seq
+	e.NPhys = copy(e.Phys[:], phys)
+	q.entries = append(q.entries, e)
 }
 
-// Commit removes the oldest entry; the commit stage signals it when an
-// instruction completes. Committing out of order is a programming error
-// and panics (the core is in-order). The removed entry's Phys storage
-// rotates to the slice's tail, where the next Push reuses it.
-func (q *RollbackQueue) Commit(seq uint64) {
+// Commit removes the oldest entry and returns its instruction; the commit
+// stage signals it when an instruction completes. A commit against an
+// empty queue, whose instruction a flush already discarded, returns nil.
+// Committing out of order is a programming error and panics (the core is
+// in-order).
+func (q *RollbackQueue) Commit(seq uint64) *isa.Inst {
 	if len(q.entries) == 0 {
-		return
+		return nil
 	}
 	if q.entries[0].Seq != seq {
 		panic(fmt.Sprintf("vrmu: out-of-order commit against rollback queue: committed seq %d, oldest in-flight seq %d (%d queued)",
 			seq, q.entries[0].Seq, len(q.entries)))
 	}
-	head := q.entries[0].Phys
-	n := copy(q.entries, q.entries[1:])
-	q.entries[n] = RollbackEntry{Phys: head[:0]}
-	q.entries = q.entries[:n]
-}
-
-// OldestIsMem reports whether the oldest in-flight instruction is a memory
-// operation. The CSL uses it to delay context switches until long-running
-// non-memory instructions ahead of the missing load have drained.
-func (q *RollbackQueue) OldestIsMem() (bool, bool) {
-	if len(q.entries) == 0 {
-		return false, false
-	}
-	return q.entries[0].IsMem, true
+	in := q.entries[0].Inst
+	q.entries = append(q.entries[:0], q.entries[1:]...)
+	return in
 }
 
 // Drop empties the queue without resetting any C bits (the NoRollback
@@ -137,7 +130,7 @@ func (q *RollbackQueue) Flush() int {
 	}
 	q.phys = q.phys[:0]
 	for _, e := range q.entries {
-		for _, p := range e.Phys {
+		for _, p := range e.Phys[:e.NPhys] {
 			for p >= len(q.seen) {
 				q.seen = append(q.seen, false)
 			}

@@ -30,8 +30,8 @@ func TestRollbackQueueCommitFlushRaces(t *testing.T) {
 			// will then retain p0 for B's replay.
 			name: "commit-then-flush-shared-phys",
 			run: func(t *testing.T, ts *TagStore, q *RollbackQueue, phys []int) {
-				q.Push(1, []int{phys[0]}, false)
-				q.Push(2, []int{phys[0], phys[1]}, true)
+				q.Push(1, []int{phys[0]}, nil)
+				q.Push(2, []int{phys[0], phys[1]}, nil)
 				q.Commit(1)
 				if n := q.Flush(); n != 2 {
 					t.Fatalf("Flush rolled back %d registers, want 2", n)
@@ -48,9 +48,12 @@ func TestRollbackQueueCommitFlushRaces(t *testing.T) {
 			// again under a fresh sequence number).
 			name: "flush-then-stale-commit",
 			run: func(t *testing.T, ts *TagStore, q *RollbackQueue, phys []int) {
-				q.Push(1, []int{phys[0]}, false)
+				q.Push(1, []int{phys[0]}, nil)
 				q.Flush()
-				q.Commit(1) // empty queue: must be a no-op
+				// Empty queue: the stale commit must be a no-op.
+				if in := q.Commit(1); in != nil {
+					t.Fatalf("stale commit returned %v, want nil", in)
+				}
 				if q.Len() != 0 {
 					t.Fatalf("queue not empty after flush+stale commit: %d", q.Len())
 				}
@@ -65,8 +68,8 @@ func TestRollbackQueueCommitFlushRaces(t *testing.T) {
 			// under LRC, exactly right for retired state).
 			name: "flush-after-full-drain",
 			run: func(t *testing.T, ts *TagStore, q *RollbackQueue, phys []int) {
-				q.Push(1, []int{phys[0]}, false)
-				q.Push(2, []int{phys[1], phys[2]}, false)
+				q.Push(1, []int{phys[0]}, nil)
+				q.Push(2, []int{phys[1], phys[2]}, nil)
 				q.Commit(1)
 				q.Commit(2)
 				if n := q.Flush(); n != 0 {
@@ -82,9 +85,9 @@ func TestRollbackQueueCommitFlushRaces(t *testing.T) {
 			// exactly once (CResets counts distinct resets of set bits).
 			name: "flush-dedupes-shared-phys",
 			run: func(t *testing.T, ts *TagStore, q *RollbackQueue, phys []int) {
-				q.Push(1, []int{phys[0], phys[1]}, false)
-				q.Push(2, []int{phys[1], phys[0]}, false)
-				q.Push(3, []int{phys[0]}, true)
+				q.Push(1, []int{phys[0], phys[1]}, nil)
+				q.Push(2, []int{phys[1], phys[0]}, nil)
+				q.Push(3, []int{phys[0]}, nil)
 				if n := q.Flush(); n != 2 {
 					t.Fatalf("Flush rolled back %d distinct registers, want 2", n)
 				}
@@ -135,7 +138,7 @@ func TestRollbackOfDummyEntryKeepsSpillElision(t *testing.T) {
 	}
 
 	q := NewRollbackQueue(4, ts)
-	q.Push(1, []int{p}, false)
+	q.Push(1, []int{p}, nil)
 	q.Flush() // the defining instruction was squashed before commit
 
 	e := ts.Entry(p)

@@ -239,31 +239,29 @@ func TestRollbackQueueFIFO(t *testing.T) {
 	if q.Full() {
 		t.Error("empty queue reports full")
 	}
-	q.Push(1, []int{0, 1}, false)
-	q.Push(2, []int{2}, true)
-	q.Push(3, []int{3}, false)
+	ins := []*isa.Inst{{Op: isa.ADD}, {Op: isa.LDR}, {Op: isa.ADD}}
+	q.Push(1, []int{0, 1}, ins[0])
+	q.Push(2, []int{2}, ins[1])
+	q.Push(3, []int{3}, ins[2])
 	if !q.Full() {
 		t.Error("queue of depth 3 with 3 entries must be full")
 	}
-	isMem, ok := q.OldestIsMem()
-	if !ok || isMem {
-		t.Error("oldest entry is not a memory op")
-	}
-	q.Commit(1)
-	isMem, ok = q.OldestIsMem()
-	if !ok || !isMem {
-		t.Error("after commit, oldest entry is the memory op")
+	if got := q.Commit(1); got != ins[0] {
+		t.Errorf("Commit(1) returned %v, want the first instruction", got)
 	}
 	if q.Len() != 2 {
 		t.Errorf("len = %d, want 2", q.Len())
+	}
+	if got := q.Commit(2); got != ins[1] {
+		t.Errorf("Commit(2) returned %v, want the second instruction", got)
 	}
 }
 
 func TestRollbackQueueOutOfOrderCommitPanics(t *testing.T) {
 	ts := NewTagStore(4, LRC)
 	q := NewRollbackQueue(4, ts)
-	q.Push(1, []int{0}, false)
-	q.Push(2, []int{1}, false)
+	q.Push(1, []int{0}, nil)
+	q.Push(2, []int{1}, nil)
 	defer func() {
 		if recover() == nil {
 			t.Error("out-of-order commit must panic")
@@ -279,8 +277,8 @@ func TestRollbackFlushResetsCBits(t *testing.T) {
 		ts.Touch(p) // C speculatively set
 	}
 	q := NewRollbackQueue(8, ts)
-	q.Push(1, []int{phys[0], phys[1]}, false)
-	q.Push(2, []int{phys[1], phys[2]}, true)
+	q.Push(1, []int{phys[0], phys[1]}, nil)
+	q.Push(2, []int{phys[1], phys[2]}, nil)
 	n := q.Flush()
 	if n != 3 {
 		t.Errorf("flush rolled back %d regs, want 3 distinct", n)
@@ -293,9 +291,6 @@ func TestRollbackFlushResetsCBits(t *testing.T) {
 	if q.Len() != 0 {
 		t.Error("queue must be empty after flush")
 	}
-	if _, ok := q.OldestIsMem(); ok {
-		t.Error("OldestIsMem on empty queue must report !ok")
-	}
 }
 
 func TestCommittedEntriesKeepCBit(t *testing.T) {
@@ -304,8 +299,8 @@ func TestCommittedEntriesKeepCBit(t *testing.T) {
 	ts.Touch(phys[0])
 	ts.Touch(phys[1])
 	q := NewRollbackQueue(8, ts)
-	q.Push(1, []int{phys[0]}, false)
-	q.Push(2, []int{phys[1]}, false)
+	q.Push(1, []int{phys[0]}, nil)
+	q.Push(2, []int{phys[1]}, nil)
 	q.Commit(1) // instruction using phys[0] committed
 	q.Flush()   // instruction using phys[1] flushed
 	if !ts.Entry(phys[0]).C {
