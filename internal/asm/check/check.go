@@ -31,9 +31,12 @@
 package check
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
+	"strings"
+	"sync"
 
 	"github.com/virec/virec/internal/asm"
 	"github.com/virec/virec/internal/isa"
@@ -99,7 +102,9 @@ func Analyze(prog *asm.Program, entryDefined []isa.Reg) *Report {
 	if prog.Len() == 0 {
 		return &Report{Name: prog.Name, MaxLivePC: -1}
 	}
-	return analyze(prog, newFlowGraph(prog), entryDefined)
+	s := getScratch(prog)
+	defer scratchPool.Put(s)
+	return s.analyze(prog, entryDefined)
 }
 
 // ApplyAndAnalyze is Apply followed by Analyze over one CFG: it writes the
@@ -111,41 +116,64 @@ func ApplyAndAnalyze(prog *asm.Program, entryDefined []isa.Reg) (*Hints, *Report
 	if prog.Len() == 0 {
 		return Apply(prog), Analyze(prog, entryDefined)
 	}
-	g := newFlowGraph(prog)
-	h := synthesize(prog, g)
+	s := getScratch(prog)
+	defer scratchPool.Put(s)
+	h := s.synthesize(prog)
 	h.writeTo(prog)
-	return h, analyze(prog, g, entryDefined)
+	return h, s.analyze(prog, entryDefined)
 }
 
-// flowGraph is what every pass runs over: each instruction's successors,
-// the findings for branch targets outside the text, and which
-// instructions entry reaches.
-type flowGraph struct {
+// scratch holds one analysis's per-instruction working arrays: the flow
+// graph every pass runs over (each instruction's successors, findings
+// for branch targets outside the text, which instructions entry reaches)
+// and the arrays of the dataflow passes. Each entry point takes one from
+// scratchPool for the duration of the call and returns it afterwards, so
+// analyzing a program no longer than one seen before allocates only the
+// reports. Nothing a caller receives aliases a scratch.
+type scratch struct {
 	succs      []succList
 	badTargets []Finding
 	reachable  []bool
+	stack      []int32     // reach's work list
+	defined    []flowState // useBeforeDef's must-defined state in
+	liveIn     []regMask   // liveness in, for pressure and hintLiveness in turn
+	liveOut    []regMask   // hintLiveness's liveness out
 }
 
-// newFlowGraph builds prog's flow graph; prog must not be empty.
-func newFlowGraph(prog *asm.Program) flowGraph {
-	succs, badTargets := buildCFG(prog)
-	return flowGraph{succs: succs, badTargets: badTargets, reachable: reach(succs, prog.Len())}
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// getScratch takes a scratch from the pool and builds prog's flow graph
+// in it; prog must not be empty.
+func getScratch(prog *asm.Program) *scratch {
+	s := scratchPool.Get().(*scratch)
+	s.buildCFG(prog)
+	s.reach()
+	return s
 }
 
-// analyze runs every analysis of Analyze over g, prog's flow graph.
-func analyze(prog *asm.Program, g flowGraph, entryDefined []isa.Reg) *Report {
+// resize returns buf at length n, reusing its array when it is large
+// enough. The elements keep whatever they held.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// analyze runs every analysis of Analyze over s's flow graph of prog.
+func (s *scratch) analyze(prog *asm.Program, entryDefined []isa.Reg) *Report {
 	rep := &Report{Name: prog.Name, MaxLivePC: -1}
-	rep.Findings = append(rep.Findings, g.badTargets...)
-	rep.Findings = append(rep.Findings, unreachableRanges(g.reachable)...)
-	rep.Findings = append(rep.Findings, useBeforeDef(prog, g.succs, g.reachable, entryDefined)...)
+	rep.Findings = append(rep.Findings, s.badTargets...)
+	rep.Findings = append(rep.Findings, unreachableRanges(s.reachable)...)
+	rep.Findings = append(rep.Findings, s.useBeforeDef(prog, entryDefined)...)
 
-	rep.MaxLive, rep.MaxLivePC, rep.LiveRegs = pressure(prog, g.succs, g.reachable)
+	rep.MaxLive, rep.MaxLivePC, rep.LiveRegs = s.pressure(prog)
 
-	sort.SliceStable(rep.Findings, func(i, j int) bool {
-		if rep.Findings[i].PC != rep.Findings[j].PC {
-			return rep.Findings[i].PC < rep.Findings[j].PC
+	slices.SortStableFunc(rep.Findings, func(a, b Finding) int {
+		if a.PC != b.PC {
+			return cmp.Compare(a.PC, b.PC)
 		}
-		return rep.Findings[i].Kind < rep.Findings[j].Kind
+		return strings.Compare(a.Kind, b.Kind)
 	})
 	return rep
 }
@@ -166,23 +194,24 @@ func (s *succList) add(pc int) {
 // all returns the successors, branch target first.
 func (s *succList) all() []int32 { return s.pc[:s.n] }
 
-// buildCFG returns each instruction's successors and findings for branch
-// targets outside the text. Edges through a bad target are dropped (the
-// finding already covers them).
-func buildCFG(prog *asm.Program) ([]succList, []Finding) {
+// buildCFG fills in each instruction's successors and the findings for
+// branch targets outside the text. Edges through a bad target are dropped
+// (the finding already covers them).
+func (s *scratch) buildCFG(prog *asm.Program) {
 	n := prog.Len()
-	succs := make([]succList, n)
-	var findings []Finding
+	s.succs = resize(s.succs, n)
+	clear(s.succs)
+	s.badTargets = s.badTargets[:0]
 	for i := 0; i < n; i++ {
 		in := &prog.Insts[i]
 		target := int(in.Target)
 		branch := in.IsBranch()
 		if branch && in.Op != isa.RET {
 			if target < 0 || target >= n {
-				findings = append(findings, Finding{PC: i, Kind: BadBranchTarget,
+				s.badTargets = append(s.badTargets, Finding{PC: i, Kind: BadBranchTarget,
 					Msg: fmt.Sprintf("%s targets instruction %d, text is [0,%d)", in.Op, target, n)})
 			} else {
-				succs[i].add(target)
+				s.succs[i].add(target)
 			}
 		}
 		switch {
@@ -196,30 +225,31 @@ func buildCFG(prog *asm.Program) ([]succList, []Finding) {
 			// eventually returns to the next instruction). Falling off the
 			// end is an implicit HALT (asm.Program.At), not an edge.
 			if i+1 < n {
-				succs[i].add(i + 1)
+				s.succs[i].add(i + 1)
 			}
 		}
 	}
-	return succs, findings
 }
 
 // reach marks every instruction reachable from entry. Each instruction is
 // pushed at most once, so the stack never outgrows n.
-func reach(succs []succList, n int) []bool {
-	reachable := make([]bool, n)
-	stack := make([]int32, 1, n)
-	reachable[0] = true
+func (s *scratch) reach() {
+	n := len(s.succs)
+	s.reachable = resize(s.reachable, n)
+	clear(s.reachable)
+	s.stack = resize(s.stack, n)
+	stack := append(s.stack[:0], 0)
+	s.reachable[0] = true
 	for len(stack) > 0 {
 		i := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, s := range succs[i].all() {
-			if !reachable[s] {
-				reachable[s] = true
-				stack = append(stack, s)
+		for _, succ := range s.succs[i].all() {
+			if !s.reachable[succ] {
+				s.reachable[succ] = true
+				stack = append(stack, succ)
 			}
 		}
 	}
-	return reachable
 }
 
 // unreachableRanges groups consecutive unreachable instructions into one
@@ -247,8 +277,9 @@ func unreachableRanges(reachable []bool) []Finding {
 
 // useBeforeDef runs the forward must-defined pass and reports reads of
 // registers (or flags) not written on every path from entry.
-func useBeforeDef(prog *asm.Program, succs []succList, reachable []bool, entryDefined []isa.Reg) []Finding {
+func (s *scratch) useBeforeDef(prog *asm.Program, entryDefined []isa.Reg) []Finding {
 	n := prog.Len()
+	succs, reachable := s.succs, s.reachable
 	entry := flowState{}
 	entry.regs.add(isa.XZR)
 	entry.regs.add(isa.SP)
@@ -259,7 +290,8 @@ func useBeforeDef(prog *asm.Program, succs []succList, reachable []bool, entryDe
 	// in[i] is the meet over predecessors' outs; ⊤ (everything defined)
 	// until a path reaches the instruction.
 	top := flowState{regs: ^regMask(0), flags: true}
-	in := make([]flowState, n)
+	s.defined = resize(s.defined, n)
+	in := s.defined
 	for i := range in {
 		in[i] = top
 	}
@@ -268,15 +300,15 @@ func useBeforeDef(prog *asm.Program, succs []succList, reachable []bool, entryDe
 	var buf [4]isa.Reg // an instruction has at most three sources
 	scratch := buf[:0]
 	out := func(i int) flowState {
-		s := in[i]
+		st := in[i]
 		scratch = prog.Insts[i].DstRegs(scratch[:0])
 		for _, r := range scratch {
-			s.regs.add(r)
+			st.regs.add(r)
 		}
 		if prog.Insts[i].SetsFlags() {
-			s.flags = true
+			st.flags = true
 		}
-		return s
+		return st
 	}
 
 	for changed := true; changed; {
@@ -286,10 +318,10 @@ func useBeforeDef(prog *asm.Program, succs []succList, reachable []bool, entryDe
 				continue
 			}
 			o := out(i)
-			for _, s := range succs[i].all() {
-				next := in[s].meet(o)
-				if next != in[s] {
-					in[s] = next
+			for _, succ := range succs[i].all() {
+				next := in[succ].meet(o)
+				if next != in[succ] {
+					in[succ] = next
 					changed = true
 				}
 			}
@@ -320,9 +352,12 @@ func useBeforeDef(prog *asm.Program, succs []succList, reachable []bool, entryDe
 // pressure runs the backward liveness pass and returns the maximal live
 // register count, the first instruction where it occurs, and the registers
 // live there.
-func pressure(prog *asm.Program, succs []succList, reachable []bool) (int, int, []isa.Reg) {
+func (s *scratch) pressure(prog *asm.Program) (int, int, []isa.Reg) {
 	n := prog.Len()
-	liveIn := make([]regMask, n)
+	succs, reachable := s.succs, s.reachable
+	s.liveIn = resize(s.liveIn, n)
+	liveIn := s.liveIn
+	clear(liveIn)
 	var buf [4]isa.Reg
 	scratch := buf[:0]
 
@@ -333,8 +368,8 @@ func pressure(prog *asm.Program, succs []succList, reachable []bool) (int, int, 
 				continue
 			}
 			var liveOut regMask
-			for _, s := range succs[i].all() {
-				liveOut |= liveIn[s]
+			for _, succ := range succs[i].all() {
+				liveOut |= liveIn[succ]
 			}
 			next := liveOut
 			scratch = prog.Insts[i].DstRegs(scratch[:0])

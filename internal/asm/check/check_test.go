@@ -227,9 +227,9 @@ func loopProgram(t *testing.T, k int) *asm.Program {
 }
 
 // TestAnalysisAllocsIndependentOfLength: the CFG is one slice of two-slot
-// successor lists and every dataflow pass works in fixed or exactly sized
-// buffers, so analyzing or synthesizing hints for a clean program costs
-// the same number of allocations at 40 instructions as at 400.
+// successor lists and every dataflow pass works in the pooled scratch, so
+// analyzing or synthesizing hints for a clean program costs the same
+// number of allocations at 40 instructions as at 400.
 func TestAnalysisAllocsIndependentOfLength(t *testing.T) {
 	short, long := loopProgram(t, 17), loopProgram(t, 197)
 	for _, p := range []*asm.Program{short, long} {
@@ -240,29 +240,44 @@ func TestAnalysisAllocsIndependentOfLength(t *testing.T) {
 	allocs := func(f func(*asm.Program)) (float64, float64) {
 		return testing.AllocsPerRun(50, func() { f(short) }), testing.AllocsPerRun(50, func() { f(long) })
 	}
-	if a40, a400 := allocs(func(p *asm.Program) { check.Analyze(p, nil) }); a40 != a400 {
+	if a40, a400 := allocs(func(p *asm.Program) { check.Analyze(p, nil) }); !sameAllocs(a40, a400) {
 		t.Errorf("Analyze: %v allocs at 40 instructions, %v at 400; want the same", a40, a400)
 	}
-	if a40, a400 := allocs(func(p *asm.Program) { check.Synthesize(p) }); a40 != a400 {
+	if a40, a400 := allocs(func(p *asm.Program) { check.Synthesize(p) }); !sameAllocs(a40, a400) {
 		t.Errorf("Synthesize: %v allocs at 40 instructions, %v at 400; want the same", a40, a400)
 	}
 }
 
+// scratchAllocs is what building a scratch again costs: the struct and
+// its six arrays.
+const scratchAllocs = 7
+
+// sameAllocs reports whether two allocation counts are equal, up to one
+// scratch rebuilt when the race detector's pool dropped it.
+func sameAllocs(a, b float64) bool {
+	return a == b || raceEnabled && a-b <= scratchAllocs && b-a <= scratchAllocs
+}
+
+// raceEnabled is set when the race detector is on (race_test.go). Its
+// sync.Pool drops a quarter of what it is given, so a call sometimes
+// builds its scratch again under it.
+var raceEnabled bool
+
 // TestApplyAndAnalyzeBuildsOneCFG: the combined pass hands one CFG and
-// reachability to hint synthesis and to the analyzer, so it allocates
-// what Apply and Analyze allocate apart less one flow graph, and its
-// reports and written hints equal theirs.
+// reachability to hint synthesis and to the analyzer, and works in the
+// pooled scratch, so after a warm-up call it allocates only its reports
+// (the Hints and their per-instruction flags, the Report and its live
+// registers), at 40 instructions as at 400. Its reports and written hints
+// equal Apply's and Analyze's.
 func TestApplyAndAnalyzeBuildsOneCFG(t *testing.T) {
-	p := loopProgram(t, 197)
-	per := func(f func()) float64 { return testing.AllocsPerRun(50, f) }
-	apart := per(func() { check.Apply(p) }) + per(func() { check.Analyze(p, nil) })
-	graph := per(func() { check.BuildFlowGraph(p) })
-	if graph == 0 {
-		t.Fatal("building the flow graph allocated nothing")
-	}
-	if got := per(func() { check.ApplyAndAnalyze(p, nil) }); got != apart-graph {
-		t.Errorf("ApplyAndAnalyze made %v allocations; Apply and Analyze make %v, one flow graph %v",
-			got, apart, graph)
+	const reports = 4
+	for _, p := range []*asm.Program{loopProgram(t, 17), loopProgram(t, 197)} {
+		check.ApplyAndAnalyze(p, nil)
+		got := testing.AllocsPerRun(50, func() { check.ApplyAndAnalyze(p, nil) })
+		if got != reports && !(raceEnabled && got <= reports+scratchAllocs) {
+			t.Errorf("ApplyAndAnalyze on %d instructions made %v allocations after a warm-up; want its %d reports",
+				p.Len(), got, reports)
+		}
 	}
 
 	// A program with a bad branch and dead text, so both reports carry

@@ -43,21 +43,23 @@ func Synthesize(prog *asm.Program) *Hints {
 	if prog.Len() == 0 {
 		return &Hints{Name: prog.Name, PerInst: []isa.Hint{}}
 	}
-	return synthesize(prog, newFlowGraph(prog))
+	s := getScratch(prog)
+	defer scratchPool.Put(s)
+	return s.synthesize(prog)
 }
 
-// synthesize runs the hint synthesis pass of Synthesize over g, prog's
-// flow graph.
-func synthesize(prog *asm.Program, g flowGraph) *Hints {
+// synthesize runs the hint synthesis pass of Synthesize over s's flow
+// graph of prog.
+func (s *scratch) synthesize(prog *asm.Program) *Hints {
 	n := prog.Len()
 	h := &Hints{
 		Name:    prog.Name,
 		PerInst: make([]isa.Hint, n),
 	}
-	liveOut := hintLiveness(prog, g.succs, g.reachable)
+	liveOut := s.hintLiveness(prog)
 
 	for i := 0; i < n; i++ {
-		if !g.reachable[i] {
+		if !s.reachable[i] {
 			continue
 		}
 		in := &prog.Insts[i]
@@ -106,10 +108,12 @@ func (h *Hints) writeTo(prog *asm.Program) {
 // hintLiveness is the backward liveness pass specialized for hint
 // synthesis: unlike pressure, RET makes every register live (the analysis
 // cannot see the caller, so nothing may be called dead across a return).
-func hintLiveness(prog *asm.Program, succs []succList, reachable []bool) []regMask {
+func (s *scratch) hintLiveness(prog *asm.Program) []regMask {
 	n := prog.Len()
-	liveIn := make([]regMask, n)
-	liveOut := make([]regMask, n)
+	succs, reachable := s.succs, s.reachable
+	s.liveIn, s.liveOut = resize(s.liveIn, n), resize(s.liveOut, n)
+	liveIn, liveOut := s.liveIn, s.liveOut
+	clear(liveIn)
 	var buf [4]isa.Reg
 	scratch := buf[:0]
 	for changed := true; changed; {
@@ -122,8 +126,8 @@ func hintLiveness(prog *asm.Program, succs []succList, reachable []bool) []regMa
 			if prog.Insts[i].Op == isa.RET {
 				out = ^regMask(0)
 			}
-			for _, s := range succs[i].all() {
-				out |= liveIn[s]
+			for _, succ := range succs[i].all() {
+				out |= liveIn[succ]
 			}
 			liveOut[i] = out
 			next := out

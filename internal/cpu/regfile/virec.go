@@ -941,7 +941,7 @@ func (p *ViReC) DiagDump() string {
 			if e.Remat {
 				flags += ",remat"
 			}
-			fmt.Fprintf(&b, " %s(T=%d,C=%d,A=%d%s)", e.Reg, e.T, c, e.A, flags)
+			fmt.Fprintf(&b, " %s(T=%d,C=%d,A=%d%s)", e.Reg, e.T, c, p.tags.Age(phys), flags)
 		}
 		if !first {
 			b.WriteByte('\n')

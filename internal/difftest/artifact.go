@@ -79,7 +79,7 @@ func LoadArtifact(path string) (*Artifact, error) {
 
 // Kernels reassembles the artifact's programs: the original kernel and,
 // when present, the shrunk one (nil otherwise). Reassembled kernels check
-// and replay but do not shrink further (the generator IR is gone).
+// and replay but do not shrink further (text carries no construct table).
 func (a *Artifact) Kernels() (orig, shrunk *Kernel, err error) {
 	prog, err := asm.Assemble(a.Program)
 	if err != nil {

@@ -178,30 +178,28 @@ func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
 
 func (r *rng) pct(p int) bool { return r.intn(100) < p }
 
-func (r *rng) reg(pool []isa.Reg) isa.Reg { return pool[r.intn(len(pool))] }
+// ---- construct table ----
 
-// ---- program IR ----
-
-// The generator builds a tree, not a flat instruction list, so the
-// shrinker can remove whole constructs without ever breaking a branch
-// target or un-sandboxing a memory access: compare+select pairs,
-// mask+access pairs and compare+branch blocks are atomic nodes.
-type nodeKind uint8
+// The generator writes the program directly and records beside it, in
+// pre-order, one construct per leaf, loop and if: its kind and the
+// instructions it spans. The shrinker edits whole constructs through the
+// table, so it can never strand a branch target or un-sandbox a memory
+// access: compare+select pairs, mask+access pairs and compare+branch
+// heads sit inside one construct.
+type consKind uint8
 
 const (
-	leafNode nodeKind = iota
-	loopNode
-	ifNode
+	leafCons consKind = iota // 1..3 instructions, no control flow
+	loopCons                 // movz counter; body; subi counter; cbnz counter, body
+	ifCons                   // optional compare; branch past the body; body
 )
 
-type node struct {
-	kind    nodeKind
-	insts   []isa.Inst // leaf: 1..3 instructions, no control flow
-	counter isa.Reg    // loop: reserved counter register
-	trip    int64      // loop: trip count (>= 1)
-	cmp     []isa.Inst // if: optional flag-setting instruction before the branch
-	br      isa.Inst   // if: conditional branch skipping the body (Target set at emit)
-	body    []*node    // loop / if
+// construct is one table entry: its kind and the instructions
+// [start, end) it spans, body included. A construct's start is its
+// first instruction, so pre-order is ascending start.
+type construct struct {
+	kind       consKind
+	start, end int32
 }
 
 // Kernel is one generated program plus everything needed to run and
@@ -215,17 +213,21 @@ type Kernel struct {
 	// (all conditional bodies taken); interpreter budgets derive from it.
 	MaxDyn int
 
-	ir []*node // nil for kernels reassembled from artifact text
+	cons []construct // pre-order; nil for kernels reassembled from artifact text
 }
 
-// gen carries generation state.
+// gen carries generation state. Generate runs it twice over the same
+// seed: the counting pass leaves prog and cons nil and only counts, and
+// the recording pass writes both, allocated at exactly those counts.
 type gen struct {
-	cfg  GenConfig
-	rng  *rng
-	pool []isa.Reg // writable integer scratch registers
-	fp   []isa.Reg // writable fp registers
-	srcs []isa.Reg // readable integer registers (pool + tid + counters)
-	dyn  int       // worst-case dynamic instructions emitted so far
+	cfg GenConfig
+	rng rng
+	dyn int // worst-case dynamic instructions emitted so far
+
+	prog []isa.Inst  // recording pass: the program, HALT included
+	cons []construct // recording pass: the construct table
+	n    int         // instructions emitted so far
+	nc   int         // constructs opened so far
 }
 
 // Generate builds the kernel for a seed. Same seed, same configuration —
@@ -234,32 +236,24 @@ type gen struct {
 // branches are counted loops whose counters nothing else writes).
 func Generate(seed uint64, cfg GenConfig) *Kernel {
 	cfg = cfg.clamped()
-	g := &gen{cfg: cfg, rng: newRng(seed)}
-	for i := 0; i < cfg.IntRegs; i++ {
-		g.pool = append(g.pool, poolLo+isa.Reg(i))
-	}
-	for i := 0; i < cfg.FPRegs; i++ {
-		g.fp = append(g.fp, isa.V0+isa.Reg(i))
-	}
-	g.srcs = append(append([]isa.Reg{}, g.pool...), tidReg)
-	g.srcs = append(g.srcs, counterRegs[:]...)
+	count := gen{cfg: cfg, rng: rng{seed}}
+	count.kernel()
+	g := gen{cfg: cfg, rng: rng{seed},
+		prog: make([]isa.Inst, count.n+1), cons: make([]construct, count.nc)}
+	top := g.kernel()
+	g.prog[g.n] = isa.Inst{Op: isa.HALT}
 
-	ir := g.prologue()
-	ir = append(ir, g.block(0, 1, cfg.Insts)...)
-
-	k := &Kernel{Seed: seed, Cfg: cfg, ir: ir, MaxDyn: g.dyn + len(ir) + 16}
-	if rep := k.rebuild(); !rep.Clean() {
+	k := &Kernel{Seed: seed, Cfg: cfg, cons: g.cons, MaxDyn: g.dyn + top + 16}
+	if rep := k.rebuild(g.prog); !rep.Clean() {
 		// Unreachable by construction; a finding here is a generator bug.
 		panic(fmt.Sprintf("difftest: seed %#x generated an unclean program: %v", seed, rep.Findings[0]))
 	}
 	return k
 }
 
-// rebuild re-emits Prog and Spec from the IR (after generation or a
-// shrinker mutation) and returns the analyzer's report on the new
-// program.
-func (k *Kernel) rebuild() *check.Report {
-	insts := emit(k.ir)
+// rebuild installs insts as the kernel's program (after generation or a
+// shrinker edit) and returns the analyzer's report on it.
+func (k *Kernel) rebuild(insts []isa.Inst) *check.Report {
 	name := fmt.Sprintf("difftest-%016x", k.Seed)
 	k.Prog = &asm.Program{Name: name, Insts: insts}
 	// Hints ride on every generated kernel, so LRC+H gets exercised by
@@ -271,47 +265,96 @@ func (k *Kernel) rebuild() *check.Report {
 	return rep
 }
 
+// kernel generates the prologue and the top-level block, and returns the
+// number of top-level constructs.
+func (g *gen) kernel() int {
+	return g.prologue() + g.block(0, 1, g.cfg.Insts)
+}
+
+// put writes in as the next instruction (recording pass) or counts it.
+func (g *gen) put(in isa.Inst) {
+	if g.prog != nil {
+		g.prog[g.n] = in
+	}
+	g.n++
+}
+
+// open starts a construct at the next instruction and returns its table
+// index; end closes it after the last instruction put.
+func (g *gen) open(kind consKind) int {
+	if g.cons != nil {
+		g.cons[g.nc] = construct{kind: kind, start: int32(g.n)}
+	}
+	g.nc++
+	return g.nc - 1
+}
+
+func (g *gen) end(c int) {
+	if g.cons != nil {
+		g.cons[c].end = int32(g.n)
+	}
+}
+
+// The register draws. The scratch pool is x3..x3+IntRegs-1 and the FP
+// pool d0..d0+FPRegs-1; the readable integer registers are the scratch
+// pool, then the thread id, then the three loop counters.
+func (g *gen) poolReg() isa.Reg { return poolLo + isa.Reg(g.rng.intn(g.cfg.IntRegs)) }
+
+func (g *gen) fpReg() isa.Reg { return isa.V0 + isa.Reg(g.rng.intn(g.cfg.FPRegs)) }
+
+func (g *gen) srcReg() isa.Reg {
+	i := g.rng.intn(g.cfg.IntRegs + 1 + len(counterRegs))
+	switch {
+	case i < g.cfg.IntRegs:
+		return poolLo + isa.Reg(i)
+	case i == g.cfg.IntRegs:
+		return tidReg
+	}
+	return counterRegs[i-g.cfg.IntRegs-1]
+}
+
 // prologue materializes every writable register so any later subsequence
 // of reads is defined: immediates into the scratch pool and counters,
-// int-to-float conversions into the FP pool.
-func (g *gen) prologue() []*node {
-	var out []*node
+// int-to-float conversions into the FP pool. Each definition is a
+// construct of its own; it returns their number.
+func (g *gen) prologue() int {
 	define := func(in isa.Inst) {
-		out = append(out, &node{kind: leafNode, insts: []isa.Inst{in}})
+		c := g.open(leafCons)
+		g.put(in)
+		g.end(c)
 		g.dyn++
 	}
-	for _, r := range g.pool {
-		define(isa.Inst{Op: isa.MOVZ, Rd: r, Imm: int64(g.rng.next() & 0xffff)})
+	for i := 0; i < g.cfg.IntRegs; i++ {
+		define(isa.Inst{Op: isa.MOVZ, Rd: poolLo + isa.Reg(i), Imm: int64(g.rng.next() & 0xffff)})
 	}
 	for _, r := range counterRegs {
 		define(isa.Inst{Op: isa.MOVZ, Rd: r, Imm: int64(g.rng.next() & 0xff)})
 	}
-	for _, r := range g.fp {
-		define(isa.Inst{Op: isa.SCVTF, Rd: r, Rn: g.rng.reg(g.pool)})
+	for i := 0; i < g.cfg.FPRegs; i++ {
+		define(isa.Inst{Op: isa.SCVTF, Rd: isa.V0 + isa.Reg(i), Rn: g.poolReg()})
 	}
-	return out
+	return g.cfg.IntRegs + len(counterRegs) + g.cfg.FPRegs
 }
 
-// block generates n constructs at the given loop depth; mult is the
+// block generates up to n constructs at the given loop depth; mult is the
 // product of enclosing trip counts (the dynamic weight of one emitted
-// instruction here).
-func (g *gen) block(depth, mult, n int) []*node {
-	var out []*node
+// instruction here). It returns the number of constructs generated.
+func (g *gen) block(depth, mult, n int) int {
 	for i := 0; i < n; i++ {
 		if g.dyn >= maxDynBudget {
-			break
+			return i
 		}
 		r := g.rng.intn(100)
 		switch {
 		case depth < g.cfg.LoopDepth && r < loopPct && n >= 3:
-			out = append(out, g.loop(depth, mult))
+			g.loop(depth, mult)
 		case r < loopPct+g.cfg.BranchPct:
-			out = append(out, g.ifBlock(depth, mult))
+			g.ifBlock(depth, mult)
 		default:
-			out = append(out, g.leaf(mult))
+			g.leaf(mult)
 		}
 	}
-	return out
+	return n
 }
 
 const (
@@ -319,168 +362,182 @@ const (
 	maxDynBudget = 4_000 // worst-case dynamic instructions per thread
 )
 
-func (g *gen) loop(depth, mult int) *node {
+// loop emits a counted loop: its reserved counter register is set to the
+// trip count, and the body repeats until the counter reaches zero.
+func (g *gen) loop(depth, mult int) {
 	trip := int64(1 + g.rng.intn(g.cfg.MaxTrip))
 	inner := mult * int(trip)
 	// Loop overhead: movz + (sub+cbnz) per iteration.
 	g.dyn += mult + 2*inner
 	bodyN := 2 + g.rng.intn(6)
-	return &node{
-		kind:    loopNode,
-		counter: counterRegs[depth],
-		trip:    trip,
-		body:    g.block(depth+1, inner, bodyN),
-	}
+	counter := counterRegs[depth]
+	c := g.open(loopCons)
+	g.put(isa.Inst{Op: isa.MOVZ, Rd: counter, Imm: trip})
+	top := int32(g.n)
+	g.block(depth+1, inner, bodyN)
+	g.put(isa.Inst{Op: isa.SUBI, Rd: counter, Rn: counter, Imm: 1})
+	g.put(isa.Inst{Op: isa.CBNZ, Rn: counter, Target: top})
+	g.end(c)
 }
 
-func (g *gen) ifBlock(depth, mult int) *node {
-	n := &node{kind: ifNode}
+// ifBlock emits a conditional branch over a body, after a compare unless
+// the branch tests a register itself.
+func (g *gen) ifBlock(depth, mult int) {
+	c := g.open(ifCons)
+	var br isa.Inst
 	switch g.rng.intn(3) {
 	case 0: // cbz/cbnz directly on a register
 		op := isa.CBZ
 		if g.rng.pct(50) {
 			op = isa.CBNZ
 		}
-		n.br = isa.Inst{Op: op, Rn: g.rng.reg(g.srcs)}
+		br = isa.Inst{Op: op, Rn: g.srcReg()}
 		g.dyn += mult
 	default: // compare then conditional branch
-		n.cmp = []isa.Inst{g.compare()}
+		g.put(g.compare())
 		ops := [...]isa.Op{isa.BEQ, isa.BNE, isa.BLT, isa.BLE, isa.BGT, isa.BGE, isa.BLO, isa.BHS}
-		n.br = isa.Inst{Op: ops[g.rng.intn(len(ops))]}
+		br = isa.Inst{Op: ops[g.rng.intn(len(ops))]}
 		g.dyn += 2 * mult
 	}
+	hole := g.n
+	g.put(br)
 	bodyN := 1 + g.rng.intn(4)
-	n.body = g.block(depth, mult, bodyN)
-	return n
+	g.block(depth, mult, bodyN)
+	if g.prog != nil {
+		g.prog[hole].Target = int32(g.n)
+	}
+	g.end(c)
 }
 
-// compare emits one flag-setting instruction.
+// compare returns one flag-setting instruction.
 func (g *gen) compare() isa.Inst {
-	if len(g.fp) > 0 && g.rng.pct(20) {
-		return isa.Inst{Op: isa.FCMP, Rn: g.rng.reg(g.fp), Rm: g.rng.reg(g.fp)}
+	if g.cfg.FPRegs > 0 && g.rng.pct(20) {
+		return isa.Inst{Op: isa.FCMP, Rn: g.fpReg(), Rm: g.fpReg()}
 	}
 	switch g.rng.intn(3) {
 	case 0:
-		return isa.Inst{Op: isa.CMPI, Rn: g.rng.reg(g.srcs), Imm: int64(g.rng.intn(1 << 12))}
+		return isa.Inst{Op: isa.CMPI, Rn: g.srcReg(), Imm: int64(g.rng.intn(1 << 12))}
 	case 1:
-		return isa.Inst{Op: isa.TST, Rn: g.rng.reg(g.srcs), Rm: g.rng.reg(g.srcs)}
+		return isa.Inst{Op: isa.TST, Rn: g.srcReg(), Rm: g.srcReg()}
 	default:
-		return isa.Inst{Op: isa.CMP, Rn: g.rng.reg(g.srcs), Rm: g.rng.reg(g.srcs)}
+		return isa.Inst{Op: isa.CMP, Rn: g.srcReg(), Rm: g.srcReg()}
 	}
 }
 
-// leaf generates one straight-line construct.
-func (g *gen) leaf(mult int) *node {
+// leaf emits one straight-line construct.
+func (g *gen) leaf(mult int) {
+	c := g.open(leafCons)
 	r := g.rng.intn(100)
 	switch {
 	case r < g.cfg.MemPct:
-		return g.memLeaf(mult)
-	case r < g.cfg.MemPct+g.cfg.FPPct && len(g.fp) > 0:
-		return g.fpLeaf(mult)
+		g.memLeaf(mult)
+	case r < g.cfg.MemPct+g.cfg.FPPct && g.cfg.FPRegs > 0:
+		g.fpLeaf(mult)
 	case r < g.cfg.MemPct+g.cfg.FPPct+g.cfg.YieldPct:
 		g.dyn += mult
-		return &node{kind: leafNode, insts: []isa.Inst{{Op: isa.YIELD}}}
+		g.put(isa.Inst{Op: isa.YIELD})
 	case r < g.cfg.MemPct+g.cfg.FPPct+g.cfg.YieldPct+8:
-		return g.selectLeaf(mult)
+		g.selectLeaf(mult)
 	default:
-		return g.aluLeaf(mult)
+		g.aluLeaf(mult)
 	}
+	g.end(c)
 }
 
-func (g *gen) aluLeaf(mult int) *node {
+func (g *gen) aluLeaf(mult int) {
 	var in isa.Inst
-	rd := g.rng.reg(g.pool)
+	rd := g.poolReg()
 	switch g.rng.intn(12) {
 	case 0:
 		in = isa.Inst{Op: isa.MOVZ, Rd: rd, Imm: int64(g.rng.next() & 0xffff), Shift: uint8(g.rng.intn(4))}
 	case 1:
 		in = isa.Inst{Op: isa.MOVK, Rd: rd, Imm: int64(g.rng.next() & 0xffff), Shift: uint8(g.rng.intn(4))}
 	case 2:
-		in = isa.Inst{Op: isa.MOV, Rd: rd, Rn: g.rng.reg(g.srcs)}
+		in = isa.Inst{Op: isa.MOV, Rd: rd, Rn: g.srcReg()}
 	case 3:
 		ops := [...]isa.Op{isa.ADDI, isa.SUBI, isa.ANDI, isa.ORRI, isa.EORI}
-		in = isa.Inst{Op: ops[g.rng.intn(len(ops))], Rd: rd, Rn: g.rng.reg(g.srcs),
+		in = isa.Inst{Op: ops[g.rng.intn(len(ops))], Rd: rd, Rn: g.srcReg(),
 			Imm: int64(g.rng.intn(1 << 12))}
 	case 4:
 		ops := [...]isa.Op{isa.LSLI, isa.LSRI, isa.ASRI}
-		in = isa.Inst{Op: ops[g.rng.intn(len(ops))], Rd: rd, Rn: g.rng.reg(g.srcs),
+		in = isa.Inst{Op: ops[g.rng.intn(len(ops))], Rd: rd, Rn: g.srcReg(),
 			Shift: uint8(g.rng.intn(64))}
 	case 5:
-		in = isa.Inst{Op: isa.MADD, Rd: rd, Rn: g.rng.reg(g.srcs), Rm: g.rng.reg(g.srcs),
-			Ra: g.rng.reg(g.srcs)}
+		in = isa.Inst{Op: isa.MADD, Rd: rd, Rn: g.srcReg(), Rm: g.srcReg(), Ra: g.srcReg()}
 	case 6:
 		ops := [...]isa.Op{isa.UDIV, isa.SDIV}
-		in = isa.Inst{Op: ops[g.rng.intn(2)], Rd: rd, Rn: g.rng.reg(g.srcs), Rm: g.rng.reg(g.srcs)}
+		in = isa.Inst{Op: ops[g.rng.intn(2)], Rd: rd, Rn: g.srcReg(), Rm: g.srcReg()}
 	case 7:
 		ops := [...]isa.Op{isa.LSLV, isa.LSRV, isa.ASRV}
-		in = isa.Inst{Op: ops[g.rng.intn(3)], Rd: rd, Rn: g.rng.reg(g.srcs), Rm: g.rng.reg(g.srcs)}
+		in = isa.Inst{Op: ops[g.rng.intn(3)], Rd: rd, Rn: g.srcReg(), Rm: g.srcReg()}
 	default:
 		ops := [...]isa.Op{isa.ADD, isa.SUB, isa.MUL, isa.AND, isa.ORR, isa.EOR}
-		rm := g.rng.reg(g.srcs)
+		rm := g.srcReg()
 		if g.rng.pct(5) {
 			rm = isa.XZR
 		}
-		in = isa.Inst{Op: ops[g.rng.intn(len(ops))], Rd: rd, Rn: g.rng.reg(g.srcs), Rm: rm}
+		in = isa.Inst{Op: ops[g.rng.intn(len(ops))], Rd: rd, Rn: g.srcReg(), Rm: rm}
 	}
 	g.dyn += mult
-	return &node{kind: leafNode, insts: []isa.Inst{in}}
+	g.put(in)
 }
 
-func (g *gen) fpLeaf(mult int) *node {
+func (g *gen) fpLeaf(mult int) {
 	var in isa.Inst
-	rd := g.rng.reg(g.fp)
+	rd := g.fpReg()
 	switch g.rng.intn(8) {
 	case 0:
-		in = isa.Inst{Op: isa.SCVTF, Rd: rd, Rn: g.rng.reg(g.srcs)}
+		in = isa.Inst{Op: isa.SCVTF, Rd: rd, Rn: g.srcReg()}
 	case 1:
-		in = isa.Inst{Op: isa.FCVTZS, Rd: g.rng.reg(g.pool), Rn: g.rng.reg(g.fp)}
+		in = isa.Inst{Op: isa.FCVTZS, Rd: g.poolReg(), Rn: g.fpReg()}
 	case 2:
 		ops := [...]isa.Op{isa.FNEG, isa.FABS, isa.FSQRT, isa.FMOV}
-		in = isa.Inst{Op: ops[g.rng.intn(4)], Rd: rd, Rn: g.rng.reg(g.fp)}
+		in = isa.Inst{Op: ops[g.rng.intn(4)], Rd: rd, Rn: g.fpReg()}
 	case 3:
-		in = isa.Inst{Op: isa.FMADD, Rd: rd, Rn: g.rng.reg(g.fp), Rm: g.rng.reg(g.fp),
-			Ra: g.rng.reg(g.fp)}
+		in = isa.Inst{Op: isa.FMADD, Rd: rd, Rn: g.fpReg(), Rm: g.fpReg(), Ra: g.fpReg()}
 	case 4:
-		in = isa.Inst{Op: isa.FDIV, Rd: rd, Rn: g.rng.reg(g.fp), Rm: g.rng.reg(g.fp)}
+		in = isa.Inst{Op: isa.FDIV, Rd: rd, Rn: g.fpReg(), Rm: g.fpReg()}
 	default:
 		ops := [...]isa.Op{isa.FADD, isa.FSUB, isa.FMUL}
-		in = isa.Inst{Op: ops[g.rng.intn(3)], Rd: rd, Rn: g.rng.reg(g.fp), Rm: g.rng.reg(g.fp)}
+		in = isa.Inst{Op: ops[g.rng.intn(3)], Rd: rd, Rn: g.fpReg(), Rm: g.fpReg()}
 	}
 	g.dyn += mult
-	return &node{kind: leafNode, insts: []isa.Inst{in}}
+	g.put(in)
 }
 
 // selectLeaf pairs a compare with a conditional select so the flag use
 // always has a dominating flag setter regardless of surrounding shrinks.
-func (g *gen) selectLeaf(mult int) *node {
+// The select is drawn before the compare it follows.
+func (g *gen) selectLeaf(mult int) {
 	op := isa.CSEL
 	if g.rng.pct(40) {
 		op = isa.CSINC
 	}
-	sel := isa.Inst{Op: op, Rd: g.rng.reg(g.pool), Rn: g.rng.reg(g.srcs),
-		Rm: g.rng.reg(g.srcs), Cond: isa.Cond(g.rng.intn(8))}
+	sel := isa.Inst{Op: op, Rd: g.poolReg(), Rn: g.srcReg(),
+		Rm: g.srcReg(), Cond: isa.Cond(g.rng.intn(8))}
 	g.dyn += 2 * mult
-	return &node{kind: leafNode, insts: []isa.Inst{g.compare(), sel}}
+	g.put(g.compare())
+	g.put(sel)
 }
 
 // memLeaf emits a sandboxed load or store as an atomic mask+access pair:
 // the index register is masked into the arena immediately before the
 // access, so no shrink or data value can ever escape the thread's slab.
-func (g *gen) memLeaf(mult int) *node {
+func (g *gen) memLeaf(mult int) {
 	widths := [...]int{8, 8, 8, 4, 4, 2, 1}
 	w := widths[g.rng.intn(len(widths))]
-	idx := g.rng.reg(g.pool)
-	src := g.rng.reg(g.srcs)
+	idx := g.poolReg()
+	src := g.srcReg()
 	isLoad := g.rng.pct(55)
-	fpData := w == 8 && len(g.fp) > 0 && g.rng.pct(25)
+	fpData := w == 8 && g.cfg.FPRegs > 0 && g.rng.pct(25)
 
 	var dataReg isa.Reg
 	if fpData {
-		dataReg = g.rng.reg(g.fp)
+		dataReg = g.fpReg()
 	} else if isLoad {
-		dataReg = g.rng.reg(g.pool)
+		dataReg = g.poolReg()
 	} else {
-		dataReg = g.rng.reg(g.srcs)
+		dataReg = g.srcReg()
 	}
 
 	var loadOp, storeOp isa.Op
@@ -502,14 +559,13 @@ func (g *gen) memLeaf(mult int) *node {
 		op = loadOp
 	}
 
-	insts := make([]isa.Inst, 0, 3)
+	start := g.n
 	access := isa.Inst{Op: op, Rd: dataReg}
 	switch g.rng.intn(10) {
 	case 0, 1: // [idx, #imm]: absolute address in idx, aligned immediate
 		alignedMask := int64(g.cfg.ArenaBytes-1) &^ 7
-		insts = append(insts,
-			isa.Inst{Op: isa.ANDI, Rd: idx, Rn: src, Imm: alignedMask},
-			isa.Inst{Op: isa.ADD, Rd: idx, Rn: baseReg, Rm: idx})
+		g.put(isa.Inst{Op: isa.ANDI, Rd: idx, Rn: src, Imm: alignedMask})
+		g.put(isa.Inst{Op: isa.ADD, Rd: idx, Rn: baseReg, Rm: idx})
 		access.Rn, access.Mode = idx, isa.AddrImm
 		access.Imm = int64(w * g.rng.intn(8)) // stays inside the slab's 64-byte slack
 	case 2, 3, 4: // [x2, idx, lsl #log2(w)]: element index, scaled
@@ -517,68 +573,14 @@ func (g *gen) memLeaf(mult int) *node {
 		for 1<<shift < w {
 			shift++
 		}
-		insts = append(insts,
-			isa.Inst{Op: isa.ANDI, Rd: idx, Rn: src, Imm: int64(g.cfg.ArenaBytes/uint64(w) - 1)})
+		g.put(isa.Inst{Op: isa.ANDI, Rd: idx, Rn: src, Imm: int64(g.cfg.ArenaBytes/uint64(w) - 1)})
 		access.Rn, access.Rm, access.Mode, access.Shift = baseReg, idx, isa.AddrRegShift, shift
 	default: // [x2, idx]: byte offset, aligned to the access width
-		insts = append(insts,
-			isa.Inst{Op: isa.ANDI, Rd: idx, Rn: src, Imm: int64(g.cfg.ArenaBytes-1) &^ int64(w-1)})
+		g.put(isa.Inst{Op: isa.ANDI, Rd: idx, Rn: src, Imm: int64(g.cfg.ArenaBytes-1) &^ int64(w-1)})
 		access.Rn, access.Rm, access.Mode = baseReg, idx, isa.AddrReg
 	}
-	insts = append(insts, access)
-	g.dyn += mult * len(insts)
-	return &node{kind: leafNode, insts: insts}
-}
-
-// ---- emission ----
-
-// emit flattens the IR into instructions, resolving every branch target
-// to an absolute instruction index, and terminates with HALT. The program
-// is allocated once, at its exact length.
-func emit(nodes []*node) []isa.Inst {
-	out := emitNodes(make([]isa.Inst, 0, emitLen(nodes)+1), nodes)
-	return append(out, isa.Inst{Op: isa.HALT})
-}
-
-// emitLen returns the number of instructions emitNodes appends for nodes.
-func emitLen(nodes []*node) int {
-	n := 0
-	for _, nd := range nodes {
-		switch nd.kind {
-		case leafNode:
-			n += len(nd.insts)
-		case loopNode:
-			n += 3 + emitLen(nd.body) // movz, body, subi, cbnz
-		case ifNode:
-			n += len(nd.cmp) + 1 + emitLen(nd.body)
-		}
-	}
-	return n
-}
-
-// emitNodes appends the instructions of nodes to out. Branch targets are
-// indexes into out, which holds the program from its first instruction.
-func emitNodes(out []isa.Inst, nodes []*node) []isa.Inst {
-	for _, n := range nodes {
-		switch n.kind {
-		case leafNode:
-			out = append(out, n.insts...)
-		case loopNode:
-			out = append(out, isa.Inst{Op: isa.MOVZ, Rd: n.counter, Imm: n.trip})
-			top := int32(len(out))
-			out = emitNodes(out, n.body)
-			out = append(out,
-				isa.Inst{Op: isa.SUBI, Rd: n.counter, Rn: n.counter, Imm: 1},
-				isa.Inst{Op: isa.CBNZ, Rn: n.counter, Target: top})
-		case ifNode:
-			out = append(out, n.cmp...)
-			hole := len(out)
-			out = append(out, n.br)
-			out = emitNodes(out, n.body)
-			out[hole].Target = int32(len(out))
-		}
-	}
-	return out
+	g.put(access)
+	g.dyn += mult * (g.n - start)
 }
 
 // makeSpec wraps a generated program as a workload: the offload payload
@@ -610,8 +612,8 @@ func makeSpec(name string, prog *asm.Program, arena uint64) *workloads.Spec {
 func (k *Kernel) Text() string { return asm.Disassemble(k.Prog) }
 
 // KernelFromProgram wraps an existing program (a reassembled artifact) as
-// a kernel. The IR is gone, so such kernels check and replay but do not
-// shrink.
+// a kernel. It has no construct table, so such kernels check and replay
+// but do not shrink.
 func KernelFromProgram(seed uint64, cfg GenConfig, prog *asm.Program) *Kernel {
 	cfg = cfg.clamped()
 	name := fmt.Sprintf("difftest-%016x", seed)

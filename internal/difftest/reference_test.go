@@ -140,18 +140,3 @@ func TestReferenceFieldsAreCompared(t *testing.T) {
 		})
 	}
 }
-
-// TestGeneratedProgramsAllocatedOnce: emit sizes the IR before it
-// allocates, so every generated program is one allocation at its exact
-// length.
-func TestGeneratedProgramsAllocatedOnce(t *testing.T) {
-	for seed := uint64(0); seed < 200; seed++ {
-		k := Generate(seed, GenConfigForSeed(seed))
-		if n, c := len(k.Prog.Insts), cap(k.Prog.Insts); n != c {
-			t.Fatalf("seed %d: program has %d instructions in a slice of capacity %d", seed, n, c)
-		}
-		if a := testing.AllocsPerRun(5, func() { emit(k.ir) }); a != 1 {
-			t.Fatalf("seed %d: emit made %v allocations, want 1", seed, a)
-		}
-	}
-}

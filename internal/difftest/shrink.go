@@ -1,12 +1,19 @@
 package difftest
 
-// The shrinker is a greedy delta-debugger over the generator's IR tree.
-// Operating on the tree rather than the instruction list means every
-// candidate is structurally legal for free: removing a node can never
-// strand a branch target, split a compare from its conditional select,
-// or separate a mask from the memory access it sandboxes. Candidates
-// that break dataflow (removing a prologue definition something still
-// reads) are rejected by the static analyzer before any simulation runs.
+import (
+	"slices"
+
+	"github.com/virec/virec/internal/isa"
+)
+
+// The shrinker is a greedy delta-debugger over the generator's construct
+// table. Editing whole constructs rather than single instructions means
+// every candidate is structurally legal for free: removing a construct
+// can never strand a branch target, split a compare from its conditional
+// select, or separate a mask from the memory access it sandboxes.
+// Candidates that break dataflow (removing a prologue definition
+// something still reads) are rejected by the static analyzer before any
+// simulation runs.
 
 // ShrinkResult is a minimized failing kernel.
 type ShrinkResult struct {
@@ -20,94 +27,98 @@ type ShrinkResult struct {
 type mutMode uint8
 
 const (
-	mRemove   mutMode = iota // drop the node (and its subtree)
-	mUnwrap                  // replace a loop/if with its body
+	mRemove   mutMode = iota // delete the construct, body included
+	mUnwrap                  // delete a loop's or an if's own instructions, keeping its body
 	mTrip1                   // force a loop's trip count to 1
 	mTripHalf                // halve a loop's trip count
 )
 
-func subtreeSize(n *node) int {
-	s := 1
-	for _, b := range n.body {
-		s += subtreeSize(b)
-	}
-	return s
-}
+// span is the instruction range [lo, hi).
+type span struct{ lo, hi int32 }
 
-func countTree(ns []*node) int {
-	s := 0
-	for _, n := range ns {
-		s += subtreeSize(n)
-	}
-	return s
-}
+// before returns how many of the span's instructions lie before p.
+func (s span) before(p int32) int32 { return max(0, min(p, s.hi)-s.lo) }
 
-// applyAt clones the tree and applies one mutation to the node at the
-// given pre-order index. Returns the new tree and whether the mutation
-// actually applied (e.g. mTrip1 on a leaf does not).
-func applyAt(ns []*node, target int, mode mutMode) ([]*node, bool) {
-	idx := 0
-	applied := false
-	var walk func(ns []*node) []*node
-	walk = func(ns []*node) []*node {
-		var out []*node
-		for _, n := range ns {
-			me := idx
-			idx++
-			if me == target {
-				switch mode {
-				case mRemove:
-					idx += subtreeSize(n) - 1
-					applied = true
-					continue
-				case mUnwrap:
-					if n.kind != leafNode {
-						applied = true
-						out = append(out, walk(n.body)...)
-						continue
-					}
-				case mTrip1:
-					if n.kind == loopNode && n.trip > 1 {
-						applied = true
-						c := *n
-						c.trip = 1
-						c.body = walk(n.body)
-						out = append(out, &c)
-						continue
-					}
-				case mTripHalf:
-					if n.kind == loopNode && n.trip > 1 {
-						applied = true
-						c := *n
-						c.trip = n.trip / 2
-						c.body = walk(n.body)
-						out = append(out, &c)
-						continue
-					}
-				}
-			}
-			c := *n
-			c.insts = n.insts
-			c.cmp = n.cmp
-			c.body = walk(n.body)
-			out = append(out, &c)
+// mutate returns k's program and construct table with mode applied to
+// the construct at pre-order index i, and whether the mode applies there:
+// only loops and ifs unwrap, and only a loop of more than one trip has
+// its trip count cut. k's own program and table are left as they are.
+func (k *Kernel) mutate(i int, mode mutMode) ([]isa.Inst, []construct, bool) {
+	c := k.cons[i]
+	insts := k.Prog.Insts
+	switch mode {
+	case mRemove:
+		// The construct's descendants are the entries after it that
+		// start inside it.
+		last := i + 1
+		for last < len(k.cons) && k.cons[last].start < c.end {
+			last++
 		}
-		return out
+		prog, cons := cut(insts, k.cons, i, last, span{c.start, c.end}, span{c.end, c.end})
+		return prog, cons, true
+	case mUnwrap:
+		var head, tail int32
+		switch {
+		case c.kind == loopCons: // movz; ... subi, cbnz
+			head, tail = 1, 2
+		case c.kind == ifCons && insts[c.start].IsBranch(): // cbz/cbnz
+			head = 1
+		case c.kind == ifCons: // compare, branch
+			head = 2
+		default:
+			return nil, nil, false
+		}
+		prog, cons := cut(insts, k.cons, i, i+1, span{c.start, c.start + head}, span{c.end - tail, c.end})
+		return prog, cons, true
+	default: // mTrip1, mTripHalf rewrite the loop's movz
+		if c.kind != loopCons || insts[c.start].Imm <= 1 {
+			return nil, nil, false
+		}
+		prog := slices.Clone(insts)
+		if mode == mTrip1 {
+			prog[c.start].Imm = 1
+		} else {
+			prog[c.start].Imm /= 2
+		}
+		return prog, k.cons, true
 	}
-	return walk(ns), applied
+}
+
+// cut returns a copy of insts without the instructions of a and b (a
+// lies before b; either may be empty) and a copy of cons without entries
+// [from, to). Every branch target and every kept construct bound moves
+// down by the number of deleted instructions before it.
+func cut(insts []isa.Inst, cons []construct, from, to int, a, b span) ([]isa.Inst, []construct) {
+	shift := func(p int32) int32 { return p - a.before(p) - b.before(p) }
+	prog := make([]isa.Inst, 0, len(insts)-int(a.hi-a.lo)-int(b.hi-b.lo))
+	prog = append(prog, insts[:a.lo]...)
+	prog = append(prog, insts[a.hi:b.lo]...)
+	prog = append(prog, insts[b.hi:]...)
+	for j := range prog {
+		if prog[j].IsBranch() {
+			prog[j].Target = shift(prog[j].Target)
+		}
+	}
+	out := make([]construct, 0, len(cons)-(to-from))
+	out = append(out, cons[:from]...)
+	out = append(out, cons[to:]...)
+	for j := range out {
+		out[j].start, out[j].end = shift(out[j].start), shift(out[j].end)
+	}
+	return prog, out
 }
 
 // Shrink minimizes a kernel that diverges under the given scenario. It
 // first reduces the scenario (fewest threads that still fail, then drops
-// fault injection and capacity pressure), then greedily removes IR nodes,
+// fault injection and capacity pressure), then greedily removes constructs,
 // unwraps control flow and shrinks trip counts to a fixpoint. Any
 // divergence counts as reproduction — the minimal program may fail with a
 // different symptom than the original, which is exactly what a
 // delta-debugger wants. Returns nil if the kernel does not actually
-// diverge (not a repro), or if the kernel has no IR (reassembled from an
-// artifact).
+// diverge (not a repro), or if the kernel has no construct table
+// (reassembled from an artifact).
 func Shrink(k *Kernel, sc Scenario, opts CheckOpts, maxAttempts int) *ShrinkResult {
-	if k.ir == nil {
+	if k.cons == nil {
 		return nil
 	}
 	if maxAttempts <= 0 {
@@ -159,14 +170,14 @@ func Shrink(k *Kernel, sc Scenario, opts CheckOpts, maxAttempts int) *ShrinkResu
 	modes := [...]mutMode{mRemove, mUnwrap, mTrip1, mTripHalf}
 	for changed := true; changed && attempts < maxAttempts; {
 		changed = false
-		for i := 0; i < countTree(best.ir) && attempts < maxAttempts; i++ {
+		for i := 0; i < len(best.cons) && attempts < maxAttempts; i++ {
 			for _, mode := range modes {
-				ir, applied := applyAt(best.ir, i, mode)
+				insts, cons, applied := best.mutate(i, mode)
 				if !applied {
 					continue
 				}
-				cand := &Kernel{Seed: best.Seed, Cfg: best.Cfg, ir: ir, MaxDyn: best.MaxDyn}
-				if !cand.rebuild().Clean() {
+				cand := &Kernel{Seed: best.Seed, Cfg: best.Cfg, cons: cons, MaxDyn: best.MaxDyn}
+				if !cand.rebuild(insts).Clean() {
 					continue // mutation broke dataflow; structurally dead end
 				}
 				if dd := run(cand, bestSc); dd != nil {

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"encoding/json"
+	"fmt"
+	"os"
 	"strings"
 	"testing"
 )
@@ -160,6 +162,65 @@ func TestRenderFormats(t *testing.T) {
 		}
 		if out, err := rep.Render(format); err == nil {
 			t.Errorf("Render(%q) = %.80q, want an error", format, out)
+		}
+	}
+}
+
+// TestParseTextRoundTrip: the committed output parses into one report per
+// experiment, cells with spaces intact, and rendering the reports again
+// reproduces the file byte for byte.
+func TestParseTextRoundTrip(t *testing.T) {
+	data, err := os.ReadFile("../../experiments_output.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reps, err := ParseText(string(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	names := make([]string, len(reps))
+	for i, rep := range reps {
+		out, err := rep.Render("text")
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Write(out)
+		names[i] = rep.Name
+	}
+	if b.String() != string(data) {
+		t.Fatal("rendering the parsed reports does not reproduce experiments_output.txt")
+	}
+	if fmt.Sprint(names) != fmt.Sprint(Names()) {
+		t.Errorf("parsed reports %v, want one per experiment %v", names, Names())
+	}
+	if got := reps[0].Tables[0].Rows()[0][0]; got != "full virec (60% ctx)" {
+		t.Errorf("first ablation row is %q, want %q", got, "full virec (60% ctx)")
+	}
+	// Malformed text is an error; the empty text and a report with
+	// neither tables nor notes are well formed.
+	for _, bad := range []string{
+		"no header\n",
+		"== fig1: title ==",
+		"== fig1: title ==\n",
+		"== fig1: title ==\n\nconfig  perf\n",
+		"== fig1: title ==\n\nconfig  perf\n------ ----\n\n",
+		"== fig1: title ==\n\nnote: a\n",
+		"== fig1: title ==\n\nnote: a\nnot a note\n\n",
+	} {
+		if _, err := ParseText(bad); err == nil {
+			t.Errorf("ParseText(%q) accepted malformed text", bad)
+		}
+	}
+	for _, good := range []string{"", "== fig1: title ==\n\n"} {
+		reps, err := ParseText(good)
+		var b strings.Builder
+		for _, rep := range reps {
+			out, _ := rep.Render("text")
+			b.Write(out)
+		}
+		if err != nil || b.String() != good {
+			t.Errorf("ParseText(%q) = %d reports rendering %q, %v", good, len(reps), b.String(), err)
 		}
 	}
 }

@@ -113,13 +113,9 @@ func TestTagStoreCheckInvariantsFailureModes(t *testing.T) {
 	})
 
 	t.Run("out-of-range replacement bits", func(t *testing.T) {
+		// The age is derived from an epoch stamp and cannot leave its
+		// range; the thread recency is stored and can.
 		ts := mk()
-		ts.entries[mappedPhys(t, ts)].A = maxAge + 1
-		if msg := ts.CheckInvariants(); !strings.Contains(msg, "out-of-range bits") {
-			t.Errorf("A-bit overflow: got %q", msg)
-		}
-
-		ts = mk()
 		ts.entries[mappedPhys(t, ts)].T = maxT + 1
 		if msg := ts.CheckInvariants(); !strings.Contains(msg, "out-of-range bits") {
 			t.Errorf("T-bit overflow: got %q", msg)

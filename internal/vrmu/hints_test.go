@@ -39,7 +39,7 @@ func TestDeadMarkDominatesVictimChoice(t *testing.T) {
 	for _, p := range phys {
 		ts.entries[p].C = true
 	}
-	ts.entries[phys[0]].A = maxAge
+	ts.entries[phys[0]].stamp = ts.epoch - maxAge
 	ts.MarkDead(phys[2])
 	v := ts.SelectVictim(nil)
 	if ts.Entry(v).Reg != isa.X2 {

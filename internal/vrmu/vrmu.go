@@ -5,7 +5,8 @@
 //
 //   - the tag store: a CAM holding one entry per physical register with
 //     Thread-recency (T, 3 bits), Commit (C, 1 bit) and Age (A, 3 bits)
-//     replacement-policy state;
+//     replacement-policy state (A is derived from an epoch stamp, see
+//     TagStore.Age);
 //   - the replacement policies of Section 4: PLRU, perfect LRU, MRT-PLRU,
 //     MRT-LRU and the paper's Least Recently Committed (LRC) policy;
 //   - the rollback queue: a FIFO as deep as the processor backend that
@@ -96,19 +97,21 @@ const (
 	maxAge = 7 // 3-bit pseudo-LRU age
 )
 
-// Entry is one tag-store entry describing a physical register.
+// Entry is one tag-store entry describing a physical register. Its
+// one-byte fields sit together, so an entry is 40 bytes.
 type Entry struct {
-	Valid  bool
 	Thread int
-	Reg    isa.Reg
+	Value  uint64 // cached register value
 
-	T uint8 // thread recency: 0 = current thread, grows with suspension recency
-	C bool  // commit bit: true once a using instruction commits
-	A uint8 // pseudo-LRU age: 0 = just used
+	lastUse uint64 // perfect-LRU timestamp
+	stamp   uint64 // aging epoch of the last touch or insert; see TagStore.Age
 
-	Value uint64 // cached register value
-	Dirty bool   // value differs from the backing store
-	Dummy bool   // allocated via the dummy-destination optimization; the
+	Valid bool
+	Reg   isa.Reg
+	T     uint8 // thread recency: 0 = current thread, grows with suspension recency
+	C     bool  // commit bit: true once a using instruction commits
+	Dirty bool  // value differs from the backing store
+	Dummy bool  // allocated via the dummy-destination optimization; the
 	// value is a placeholder and must not be spilled
 
 	// Compiler-hint bits, set at commit of a hinted instruction and
@@ -117,8 +120,6 @@ type Entry struct {
 	// spill scheduling only, never values.
 	Dead  bool // architecturally dead on every path; ideal victim
 	Remat bool // value reproducible from an immediate; writeback is waste
-
-	lastUse uint64 // perfect-LRU timestamp
 }
 
 // Victim describes an evicted entry so the BSI can spill it. A Dummy
@@ -169,7 +170,8 @@ type TagStore struct {
 	cam     []int16
 	policy  Policy
 	clock   uint64
-	current int // currently running thread
+	epoch   uint64 // aging epochs so far: touches that ended on a multiple of agingEpoch
+	current int    // currently running thread
 	oracle  func(thread int, reg isa.Reg) uint64
 
 	// ranks is the scratch buffer for perfect-LRU rank computation, reused
@@ -286,27 +288,27 @@ func (t *TagStore) Contains(thread int, reg isa.Reg) bool {
 // motivation for the LRC commit bit (Figure 6).
 const agingEpoch = 4
 
+// Age returns the 3-bit pseudo-LRU age A of the entry at physical index
+// i: 0 just after a touch or insert, one more for every aging epoch since,
+// saturating at 7. That is what a scan aging every other valid entry on
+// each epoch tick would hold; the entry records the epoch of its last
+// touch or insert instead, so no access walks the store.
+func (t *TagStore) Age(i int) uint8 { return uint8(t.entries[i].age(t.epoch)) }
+
+func (e *Entry) age(epoch uint64) uint64 { return min(maxAge, epoch-e.stamp) }
+
 // Touch records an access to physical register phys: its age resets and
 // the C bit is speculatively set (the rollback queue clears it again if
 // the using instruction is flushed). Every agingEpoch touches, all other
-// valid entries age by one (3-bit saturating).
+// valid entries age by one (3-bit saturating): the epoch advances, and
+// phys alone is stamped with the new one.
 func (t *TagStore) Touch(phys int) {
 	t.clock++
-	// The full-file aging scan only happens on the epoch tick; ordinary
-	// touches update just the accessed entry, keeping the per-operand cost
-	// O(1) instead of O(physical registers).
 	if t.clock%agingEpoch == 0 {
-		for i := range t.entries {
-			if i == phys {
-				continue
-			}
-			if e := &t.entries[i]; e.Valid && e.A < maxAge {
-				e.A++
-			}
-		}
+		t.epoch++
 	}
 	if e := &t.entries[phys]; e.Valid {
-		e.A = 0
+		e.stamp = t.epoch
 		e.C = true
 		// Any reuse invalidates the per-lifetime hints: the instruction
 		// touching the register proves the dead hint described an earlier
@@ -332,15 +334,15 @@ func (t *TagStore) retention(i int, oldestRank []uint64) uint64 {
 	}
 	switch t.policy {
 	case PLRU:
-		return uint64(e.A)
+		return e.age(t.epoch)
 	case LRU:
 		return oldestRank[i] // older => higher rank
 	case MRTPLRU:
-		return uint64(e.T)<<3 | uint64(e.A)
+		return uint64(e.T)<<3 | e.age(t.epoch)
 	case MRTLRU:
 		return uint64(e.T)<<32 | oldestRank[i]
 	case LRC:
-		return uint64(e.T)<<4 | cBit<<3 | uint64(e.A)
+		return uint64(e.T)<<4 | cBit<<3 | e.age(t.epoch)
 	case LRCH:
 		// LRC order, with the dead bit above the recency bits: a dead
 		// entry beats every live one (its value is unreachable, eviction
@@ -349,7 +351,7 @@ func (t *TagStore) retention(i int, oldestRank []uint64) uint64 {
 		if e.Dead {
 			deadBit = 1
 		}
-		return deadBit<<7 | uint64(e.T)<<4 | cBit<<3 | uint64(e.A)
+		return deadBit<<7 | uint64(e.T)<<4 | cBit<<3 | e.age(t.epoch)
 	case Belady:
 		var dist uint64
 		if t.oracle != nil {
@@ -360,7 +362,7 @@ func (t *TagStore) retention(i int, oldestRank []uint64) uint64 {
 		}
 		return uint64(e.T)<<32 | dist
 	}
-	return uint64(e.A)
+	return e.age(t.epoch)
 }
 
 // lruRanks fills the scratch rank array: entry i gets a rank where the
@@ -414,7 +416,8 @@ func (t *TagStore) SelectVictim(locked func(int) bool) int {
 
 // Insert installs (thread, reg) into physical slot phys, evicting whatever
 // occupied it. The returned Victim is valid when a live entry was
-// displaced. The new entry starts clean with A=0, C set speculatively.
+// displaced. The new entry starts clean with A=0 (stamped with the
+// current epoch), C set speculatively.
 func (t *TagStore) Insert(thread int, reg isa.Reg, phys int) (Victim, bool) {
 	e := &t.entries[phys]
 	var v Victim
@@ -441,8 +444,8 @@ func (t *TagStore) Insert(thread int, reg isa.Reg, phys int) (Victim, bool) {
 	}
 	*e = Entry{
 		Valid: true, Thread: thread, Reg: reg,
-		T: tBits, C: true, A: 0,
-		lastUse: t.clock,
+		T: tBits, C: true,
+		lastUse: t.clock, stamp: t.epoch,
 	}
 	t.camSet(thread, reg, phys)
 	return v, evicted
@@ -639,7 +642,7 @@ func (t *TagStore) CheckInvariants() string {
 	for i := range t.entries {
 		if t.entries[i].Valid {
 			n++
-			if t.entries[i].A > maxAge || t.entries[i].T > maxT {
+			if t.entries[i].T > maxT {
 				return fmt.Sprintf("entry %d has out-of-range bits %+v", i, t.entries[i])
 			}
 		}

@@ -127,10 +127,8 @@ func TestLRCPrefersCommittedWithinThread(t *testing.T) {
 	ts.SetCurrent(0)
 	phys := fill(ts, [2]int{0, 2}, [2]int{0, 5}, [2]int{0, 0})
 	// Saturate all ages identically.
-	for i := 0; i < 10; i++ {
-		for _, p := range phys {
-			ts.entries[p].A = maxAge
-		}
+	for _, p := range phys {
+		ts.entries[p].stamp = ts.epoch - maxAge
 	}
 	// x0 committed; x2, x5 were in flight when the switch happened.
 	ts.entries[phys[0]].C = false
@@ -149,7 +147,7 @@ func TestLRCPrefersCommittedWithinThread(t *testing.T) {
 	ts2.SetCurrent(0)
 	phys2 := fill(ts2, [2]int{0, 2}, [2]int{0, 5}, [2]int{0, 0})
 	for _, p := range phys2 {
-		ts2.entries[p].A = maxAge
+		ts2.entries[p].stamp = ts2.epoch - maxAge
 	}
 	ts2.entries[phys2[0]].C = false
 	ts2.entries[phys2[1]].C = false
@@ -517,5 +515,74 @@ func TestFillDummyLifecycle(t *testing.T) {
 	ts.WriteValue(p2, 7)
 	if e := ts.Entry(p2); e.Dummy || !e.Dirty {
 		t.Errorf("written entry state = %+v", e)
+	}
+}
+
+// TestAgesMatchAgingScan runs random Touch, Insert, Evict and
+// InvalidateThread sequences against a model of the aging scan that ages
+// are derived from: on every agingEpoch-th touch, each valid entry other
+// than the touched one ages by one, saturating at 7, and a touch or
+// insert resets the entry's age to 0. Every valid entry's Age must match
+// the model after every operation.
+func TestAgesMatchAgingScan(t *testing.T) {
+	const size, threads = 12, 3
+	rng := uint64(0x9e3779b97f4a7c15)
+	next := func(n int) int {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		return int(rng % uint64(n))
+	}
+	for run := 0; run < 50; run++ {
+		ts := NewTagStore(size, LRC)
+		var clock uint64
+		var valid [size]bool
+		var owner [size]int
+		var age [size]uint8
+		for op := 0; op < 400; op++ {
+			phys := next(size)
+			switch next(10) {
+			case 0, 1, 2: // insert a register no entry holds yet
+				thread, reg := next(threads), isa.Reg(next(16))
+				if ts.Contains(thread, reg) {
+					continue
+				}
+				ts.Insert(thread, reg, phys)
+				clock++
+				valid[phys], owner[phys], age[phys] = true, thread, 0
+			case 3:
+				ts.Evict(phys)
+				valid[phys] = false
+			case 4:
+				thread := next(threads)
+				ts.InvalidateThread(thread)
+				for i := range valid {
+					if owner[i] == thread {
+						valid[i] = false
+					}
+				}
+			default:
+				ts.Touch(phys)
+				clock++
+				if clock%agingEpoch == 0 {
+					for i := range age {
+						if i != phys && valid[i] && age[i] < maxAge {
+							age[i]++
+						}
+					}
+				}
+				if valid[phys] {
+					age[phys] = 0
+				}
+			}
+			for i := 0; i < size; i++ {
+				if ts.Entry(i).Valid != valid[i] {
+					t.Fatalf("run %d op %d: entry %d valid %v, model %v", run, op, i, ts.Entry(i).Valid, valid[i])
+				}
+				if valid[i] && ts.Age(i) != age[i] {
+					t.Fatalf("run %d op %d: entry %d has age %d, the aging scan gives %d", run, op, i, ts.Age(i), age[i])
+				}
+			}
+		}
 	}
 }
