@@ -17,7 +17,9 @@ package cpu
 
 import (
 	"fmt"
+	"slices"
 	"strings"
+	"sync"
 
 	"github.com/virec/virec/internal/asm"
 	"github.com/virec/virec/internal/isa"
@@ -173,8 +175,6 @@ type ring[T any] struct {
 	n    int
 }
 
-func newRing[T any](size int) ring[T] { return ring[T]{buf: make([]T, size)} }
-
 // at returns the i-th oldest entry.
 func (r *ring[T]) at(i int) *T { return &r.buf[(r.head+i)%len(r.buf)] }
 
@@ -231,7 +231,7 @@ type Core struct {
 	dcache   mem.Device
 	icache   mem.Device // nil = fixed-latency fetch pipe
 	memory   *mem.Memory
-	threads  []*Thread
+	threads  []Thread
 
 	cur     int // running thread, -1 before first schedule
 	seq     uint64
@@ -293,6 +293,11 @@ type Core struct {
 	Stats Stats
 }
 
+// corePool holds released cores. A core built from one keeps its thread
+// array, rings, scratch buffers and idle request holders, whose method
+// values stay bound to it; everything else starts from zero.
+var corePool sync.Pool
+
 // New builds a core over the given provider, dcache and functional memory.
 // Threads are created halted-less with zero contexts; use Thread to set
 // programs and initial registers, then Start.
@@ -322,33 +327,55 @@ func New(cfg Config, provider Provider, dcache mem.Device, memory *mem.Memory) *
 	if cfg.FPDivLatency == 0 {
 		cfg.FPDivLatency = def.FPDivLatency
 	}
-	c := &Core{
+	c, _ := corePool.Get().(*Core)
+	if c == nil {
+		c = &Core{
+			scratchSrc:  make([]isa.Reg, 0, 8),
+			scratchDst:  make([]isa.Reg, 0, 4),
+			scratchNeed: make([]isa.Reg, 0, 8),
+		}
+	}
+	threads := slices.Grow(c.threads[:0], cfg.Threads)[:cfg.Threads]
+	clear(threads)
+	insts := slices.Grow(c.Stats.InstsPerThread[:0], cfg.Threads)[:cfg.Threads]
+	clear(insts)
+	*c = Core{
 		cfg:      cfg,
 		provider: provider,
 		dcache:   dcache,
 		memory:   memory,
-		threads:  make([]*Thread, cfg.Threads),
+		threads:  threads,
 		cur:      -1,
-		fetchQ:   newRing[fetchSlot](cfg.FetchBufSize),
-		sq:       newRing[sqEntry](cfg.SQEntries),
+		// Push overwrites a fetch slot whole, and a store-queue entry all
+		// but its completion, which is bound once.
+		fetchQ: ring[fetchSlot]{buf: slices.Grow(c.fetchQ.buf[:0], cfg.FetchBufSize)[:cfg.FetchBufSize]},
+		sq:     ring[sqEntry]{buf: slices.Grow(c.sq.buf[:0], cfg.SQEntries)[:cfg.SQEntries]},
 
-		scratchSrc:  make([]isa.Reg, 0, 8),
-		scratchDst:  make([]isa.Reg, 0, 4),
-		scratchNeed: make([]isa.Reg, 0, 8),
+		// Only idle holders are on the lists: one still lent to the old
+		// system's caches stays there, and their rebuild drops it.
+		loadFree: c.loadFree, fetchFree: c.fetchFree,
+
+		scratchSrc: c.scratchSrc, scratchDst: c.scratchDst, scratchNeed: c.scratchNeed,
+
+		Stats: Stats{InstsPerThread: insts},
 	}
 	for i := range c.threads {
-		c.threads[i] = &Thread{ID: i}
+		c.threads[i].ID = i
 	}
 	for i := range c.sq.buf {
-		e := &c.sq.buf[i]
-		e.doneFn = e.complete
+		if e := &c.sq.buf[i]; e.doneFn == nil {
+			e.doneFn = e.complete
+		}
 	}
-	c.Stats.InstsPerThread = make([]uint64, cfg.Threads)
 	return c
 }
 
+// Release hands the core to the next New. Call it once, when nothing
+// ticks or reads the core any more; a released core cannot run again.
+func (c *Core) Release() { corePool.Put(c) }
+
 // Thread returns hardware thread i for setup.
-func (c *Core) Thread(i int) *Thread { return c.threads[i] }
+func (c *Core) Thread(i int) *Thread { return &c.threads[i] }
 
 // SetICache routes instruction-fetch timing through an icache device
 // (requests carry Inst=true). Without one, fetch is a fixed-latency
@@ -364,8 +391,8 @@ func (c *Core) Provider() Provider { return c.provider }
 // Start marks setup complete: the first schedule targets thread 0.
 func (c *Core) Start() {
 	c.halted = 0
-	for _, t := range c.threads {
-		if t.Prog == nil {
+	for i := range c.threads {
+		if t := &c.threads[i]; t.Prog == nil {
 			t.Halted = true
 			c.halted++
 		}
@@ -514,7 +541,7 @@ func (c *Core) commitStage(probe bool) bool {
 		c.sqOccupancy.Observe(uint64(c.sq.n))
 	}
 
-	th := c.threads[f.thread]
+	th := &c.threads[f.thread]
 	rd := isa.XZR
 	var val uint64
 	wrote := false
@@ -985,7 +1012,7 @@ func (c *Core) fetchStage(probe bool, st *step) bool {
 		}
 		pc := c.fetchQ.at(0).pc
 		c.fetchQ.pop()
-		th := c.threads[c.cur]
+		th := &c.threads[c.cur]
 		c.seq++
 		f := c.freeRecord()
 		*f = inflight{
@@ -1168,7 +1195,7 @@ func (c *Core) csl(probe bool, st *step) bool {
 		c.pendingSwitch = switchNone
 		return false
 	}
-	th := c.threads[next]
+	th := &c.threads[next]
 	if !th.Started {
 		if probe {
 			return true
@@ -1393,14 +1420,25 @@ func (c *Core) SetTelemetry(tr *telemetry.Tracer, coreID int) {
 // by every core's histogram and never modified.
 var switchIntervalBuckets = telemetry.Pow2Buckets(8, 12)
 
+// sqBuckets are the store-queue occupancy bounds 0, 1, 2, ...: an n-entry
+// queue uses the first n+1, so every depth shares one layout, never modified.
+var sqBuckets = telemetry.LinearBuckets(0, 1, 64)
+
+// sqOccupancyBuckets returns the occupancy bounds of an n-entry queue.
+func sqOccupancyBuckets(n int) []uint64 {
+	if n < len(sqBuckets) {
+		return sqBuckets[: n+1 : n+1]
+	}
+	return telemetry.LinearBuckets(0, 1, n+1)
+}
+
 // RegisterMetrics wires the core's counters and histograms into a
 // registry under prefix (e.g. "core0"). Counters alias the Stats fields,
 // so registered metrics reconcile exactly with the reported tables.
 func (c *Core) RegisterMetrics(r *telemetry.Registry, prefix string) {
 	r.Stats(prefix, &c.Stats)
 	c.switchInterval = r.Histogram(prefix+"/switch_interval_cycles", switchIntervalBuckets)
-	c.sqOccupancy = r.Histogram(prefix+"/sq_occupancy",
-		telemetry.LinearBuckets(0, 1, c.cfg.SQEntries+1))
+	c.sqOccupancy = r.Histogram(prefix+"/sq_occupancy", sqOccupancyBuckets(c.cfg.SQEntries))
 }
 
 // ---- diagnostics & invariants (the hardening layer's window) ----
@@ -1422,7 +1460,8 @@ func (c *Core) DebugDump() string {
 		c.fetchQ.n, c.cfg.FetchBufSize, c.sq.n, c.cfg.SQEntries)
 	fmt.Fprintf(&b, "stages: dec=%s ex=%s mem=%s wb=%s\n",
 		stageStr(c.dec), stageStr(c.ex), stageStr(c.mm), stageStr(c.wb))
-	for _, t := range c.threads {
+	for i := range c.threads {
+		t := &c.threads[i]
 		state := "ready"
 		switch {
 		case t.Halted:
@@ -1449,8 +1488,8 @@ func (c *Core) CheckInvariants() string {
 		return fmt.Sprintf("store queue holds %d entries, limit %d", c.sq.n, c.cfg.SQEntries)
 	}
 	halted := 0
-	for _, t := range c.threads {
-		if t.Halted {
+	for i := range c.threads {
+		if c.threads[i].Halted {
 			halted++
 		}
 	}

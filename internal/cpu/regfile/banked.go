@@ -1,6 +1,8 @@
 package regfile
 
 import (
+	"sync"
+
 	"github.com/virec/virec/internal/cpu"
 	"github.com/virec/virec/internal/isa"
 	"github.com/virec/virec/internal/mem"
@@ -19,22 +21,29 @@ type Banked struct {
 	loading []int // outstanding initial-context loads per thread
 }
 
-// NewBanked builds a banked provider with one bank per thread.
+var bankedPool sync.Pool
+
+// NewBanked builds a banked provider with one bank per thread, into a
+// released one when there is one.
 func NewBanked(threads int, dcache mem.Device, memory *mem.Memory, layout cpu.RegLayout) *Banked {
-	p := &Banked{
-		base:    newBase(memory, layout, threads),
-		banks:   make([][isa.NumRegs]uint64, threads),
-		loading: make([]int, threads),
+	p, _ := bankedPool.Get().(*Banked)
+	if p == nil {
+		p = new(Banked)
 	}
-	p.bsi = newBSI(dcache, true, p)
+	*p = Banked{
+		base:    newBase(memory, layout, threads),
+		bsi:     newBSI(p.bsi, dcache, true, p),
+		banks:   resized(p.banks, threads),
+		loading: resized(p.loading, threads),
+	}
 	return p
 }
 
 var _ cpu.Provider = (*Banked)(nil)
 
-// Release hands the BSI's buffers to the shared pools. Call it once the
+// Release hands the provider to the next NewBanked. Call it once the
 // provider's system is done; a released provider cannot run again.
-func (p *Banked) Release() { p.bsi.release() }
+func (p *Banked) Release() { bankedPool.Put(p) }
 
 // Acquire always succeeds: every register of every thread is resident.
 func (p *Banked) Acquire(thread int, in *isa.Inst, needSrcs []isa.Reg, probe bool) (ready, acts bool) {

@@ -1,6 +1,8 @@
 package regfile
 
 import (
+	"sync"
+
 	"github.com/virec/virec/internal/cpu"
 	"github.com/virec/virec/internal/isa"
 	"github.com/virec/virec/internal/mem"
@@ -46,7 +48,8 @@ type Prefetch struct {
 	loading  [2]int // outstanding loads into each bank
 	resident [2][isa.NumRegs]bool
 
-	// usedSet is the oracle's per-thread register set for PrefetchExact.
+	// usedSet is the oracle's per-thread register set for PrefetchExact,
+	// nil for a thread with none installed.
 	usedSet [][]isa.Reg
 
 	// OnDemandFills counts fills for registers the oracle missed.
@@ -60,33 +63,32 @@ type regKey struct {
 	reg    isa.Reg
 }
 
-// NewPrefetch builds a prefetching provider.
+var prefetchPool sync.Pool
+
+// NewPrefetch builds a prefetching provider, into a released one when
+// there is one.
 func NewPrefetch(kind PrefetchKind, threads int, dcache mem.Device, memory *mem.Memory, layout cpu.RegLayout) *Prefetch {
-	p := &Prefetch{
-		base:     newBase(memory, layout, threads),
-		kind:     kind,
-		cur:      -1,
-		usedSet:  make([][]isa.Reg, threads),
-		onDemand: make(map[regKey]bool),
+	p, _ := prefetchPool.Get().(*Prefetch)
+	if p == nil {
+		p = &Prefetch{onDemand: make(map[regKey]bool)}
 	}
-	p.bsi = newBSI(dcache, true, p)
-	p.bankOf[0], p.bankOf[1] = -1, -1
+	clear(p.onDemand)
+	*p = Prefetch{base: newBase(memory, layout, threads), bsi: newBSI(p.bsi, dcache, true, p),
+		kind: kind, cur: -1, bankOf: [2]int{-1, -1},
+		usedSet: resized(p.usedSet, threads), onDemand: p.onDemand}
 	return p
 }
 
 var _ cpu.Provider = (*Prefetch)(nil)
 
-// Release hands the BSI's buffers to the shared pools. Call it once the
+// Release hands the provider to the next NewPrefetch. Call it once the
 // provider's system is done; a released provider cannot run again.
-func (p *Prefetch) Release() { p.bsi.release() }
+func (p *Prefetch) Release() { prefetchPool.Put(p) }
 
 // SetUsedRegs installs the oracle's predicted register set for a thread
-// (PrefetchExact); unset threads fall back to the full context.
-func (p *Prefetch) SetUsedRegs(thread int, regs []isa.Reg) {
-	cp := make([]isa.Reg, len(regs))
-	copy(cp, regs)
-	p.usedSet[thread] = cp
-}
+// (PrefetchExact); unset threads fall back to the full context. The
+// provider keeps regs, so the caller must not change it afterwards.
+func (p *Prefetch) SetUsedRegs(thread int, regs []isa.Reg) { p.usedSet[thread] = regs }
 
 // allRegs is the full register context, x0 upward.
 var allRegs = func() (all [isa.NumRegs]isa.Reg) {

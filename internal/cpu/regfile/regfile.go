@@ -18,7 +18,6 @@ package regfile
 
 import (
 	"math"
-	"sync"
 
 	"github.com/virec/virec/internal/cpu"
 	"github.com/virec/virec/internal/isa"
@@ -37,6 +36,23 @@ type base struct {
 
 func newBase(memory *mem.Memory, layout cpu.RegLayout, nThreads int) base {
 	return base{memory: memory, layout: layout, nThreads: nThreads}
+}
+
+// Each provider type keeps the released providers of its type in a pool,
+// and its constructor rebuilds one of them with a single struct literal:
+// what carries over is storage whose size is checked (through resized or
+// newBSI) and request holders bound to it; everything else starts from
+// zero, so no state of the old system survives the rebuild.
+
+// resized returns s cut to n zeroed elements, or a new slice when s holds
+// fewer than n.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // bsiOp is one register transaction queued at the backing store interface.
@@ -87,20 +103,16 @@ type bsiOwner interface {
 // run of ops equal in every field but addr, which steps by one register
 // (8 bytes): a full-context store-back is one entry, not 65. Runs change
 // only how the ops are held, never which ops come out or in what order.
-// An empty queue's first growth takes a ring a released queue left in
-// opRings.
 type opQueue struct {
 	buf     []bsiOp
-	ring    *[]bsiOp // the opRings holder buf came from, nil if none
 	head    int
 	entries int // ring slots in use
 	n       int // ops queued
 }
 
-// opRings holds the rings of released queues, each as a *[]bsiOp so that
-// Put allocates nothing. An op holds no pointers, so a ring goes back
-// without being cleared.
-var opRings sync.Pool
+// emptied returns an empty queue on q's ring. An op holds no pointers, so
+// the ring is not cleared.
+func (q *opQueue) emptied() opQueue { return opQueue{buf: q.buf} }
 
 func (q *opQueue) push(op bsiOp) {
 	q.n++
@@ -141,12 +153,6 @@ func (q *opQueue) pop() {
 }
 
 func (q *opQueue) grow() {
-	if q.buf == nil {
-		if r, ok := opRings.Get().(*[]bsiOp); ok {
-			q.buf, q.ring = *r, r
-			return
-		}
-	}
 	// Queue growth, bounded by the most runs a simulation's backlog holds.
 	buf := make([]bsiOp, max(8, 2*len(q.buf)))
 	for i := 0; i < q.entries; i++ {
@@ -155,23 +161,10 @@ func (q *opQueue) grow() {
 	q.buf, q.head = buf, 0
 }
 
-// release hands the ring to opRings and leaves q empty.
-func (q *opQueue) release() {
-	if q.buf == nil {
-		return
-	}
-	r := q.ring
-	if r == nil {
-		r = new([]bsiOp)
-	}
-	*r = q.buf
-	opRings.Put(r)
-	*q = opQueue{}
-}
-
 // bsiReq is a recycled dcache request carrying one issued op. It returns
 // to its bsi's free list inside its own completion, or at once when the
-// dcache rejects it, so a port-busy retry reuses the same request.
+// dcache rejects it, so a port-busy retry reuses the same request. It is
+// bound to its bsi for good.
 type bsiReq struct {
 	req      mem.Request
 	b        *bsi
@@ -221,8 +214,17 @@ type bsi struct {
 	SpillsIssued uint64
 }
 
-func newBSI(dcache mem.Device, nonBlocking bool, owner bsiOwner) *bsi {
-	return &bsi{dcache: dcache, owner: owner, nonBlocking: nonBlocking}
+// newBSI builds a BSI into b, a released provider's BSI, or into a new one
+// when b is nil. A rebuilt BSI keeps its idle holders and its queue rings
+// and starts with nothing queued or outstanding. A holder still lent to the
+// old system's dcache is on no free list, so it is never issued again.
+func newBSI(b *bsi, dcache mem.Device, nonBlocking bool, owner bsiOwner) *bsi {
+	if b == nil {
+		b = new(bsi)
+	}
+	*b = bsi{dcache: dcache, owner: owner, nonBlocking: nonBlocking, free: b.free,
+		loads: b.loads.emptied(), stores: b.stores.emptied()}
+	return b
 }
 
 func (b *bsi) pushLoad(op bsiOp)  { b.loads.push(op) }
@@ -239,47 +241,20 @@ func (b *bsi) Outstanding() int {
 // callbacks and need no BSI ticks, so they do not block clock skip-ahead.
 func (b *bsi) quiet() bool { return b.loads.n == 0 && b.stores.n == 0 }
 
-// freeReqs holds the free lists of released BSIs, each as its top
-// holder. A holder still lent to a dead system's dcache is on no free
-// list, so it is never handed out again.
-var freeReqs sync.Pool
-
-// newReq takes a request holder off the free list. An empty list takes a
-// released BSI's list from freeReqs before it allocates; a taken holder
-// is rebound to b.
+// newReq takes a request holder off the free list.
 func (b *bsi) newReq() *bsiReq {
 	h := b.free
 	if h == nil {
-		h, _ = freeReqs.Get().(*bsiReq)
-	}
-	if h == nil {
 		// Free-list growth, bounded by the transactions in flight at once.
-		h = &bsiReq{}
+		h = &bsiReq{b: b}
 		h.done = h.complete
 	}
 	b.free, h.next = h.next, nil
-	h.b = b
 	return h
 }
 
 // putReq pushes an idle holder onto the free list.
 func (b *bsi) putReq(h *bsiReq) { h.next, b.free = b.free, h }
-
-// release hands the BSI's idle holders to freeReqs and its op rings to
-// opRings, for the next BSI to take. Call it once the BSI's system is
-// done: transactions still queued are dropped, and holders still in
-// flight stay with the dead system's dcache.
-func (b *bsi) release() {
-	if b.free != nil {
-		for h := b.free; h != nil; h = h.next {
-			h.b = nil
-		}
-		freeReqs.Put(b.free)
-		b.free = nil
-	}
-	b.loads.release()
-	b.stores.release()
-}
 
 // Tick issues the oldest queued transaction to the dcache, loads first.
 func (b *bsi) Tick(cycle uint64) {

@@ -545,7 +545,7 @@ func TestOpQueueSteadyStateAllocs(t *testing.T) {
 func TestBSIPrioritizesLoads(t *testing.T) {
 	dev := mem.NewDelayDevice(5)
 	var order []string
-	b := newBSI(dev, true, opRecorder(func(op bsiOp) {
+	b := newBSI(nil, dev, true, opRecorder(func(op bsiOp) {
 		if op.kind == mem.Write {
 			order = append(order, "store")
 		} else {
@@ -566,7 +566,7 @@ func TestBSIPrioritizesLoads(t *testing.T) {
 func TestBlockingBSISerializes(t *testing.T) {
 	dev := mem.NewDelayDevice(10)
 	done := 0
-	b := newBSI(dev, false, opRecorder(func(bsiOp) { done++ })) // blocking
+	b := newBSI(nil, dev, false, opRecorder(func(bsiOp) { done++ })) // blocking
 	for i := 0; i < 3; i++ {
 		b.pushLoad(bsiOp{addr: regBase + mem.Addr(8*i), kind: mem.Read, done: doneCount})
 	}
@@ -783,11 +783,6 @@ func TestOracleDistanceMatchesLinearScan(t *testing.T) {
 	}
 }
 
-// raceEnabled is set when the race detector is on (race_test.go). Its
-// sync.Pool drops a quarter of what it is given, so allocation bounds on
-// pooled buffers loosen under it.
-var raceEnabled bool
-
 // heldDev accepts every request and completes none until the test says
 // so: a request it holds is still lent out.
 type heldDev struct {
@@ -801,15 +796,16 @@ func (d *heldDev) Access(r *mem.Request) bool {
 
 func (d *heldDev) Tick(uint64) {}
 
-// TestReleasedBSIBuffersServeTheNext checks that a BSI built after a
-// released one takes its request holders and both op rings from the
-// pools: its first transactions allocate nothing beyond the BSI itself.
+// TestReleasedBSIBuffersServeTheNext checks that a BSI rebuilt from a
+// released one keeps its request holders and both op rings: once they
+// have grown, a rebuilt BSI's transactions allocate nothing.
 func TestReleasedBSIBuffersServeTheNext(t *testing.T) {
 	dev := mem.NewDelayDevice(3)
 	owner := opRecorder(func(bsiOp) {})
+	var b *bsi
 	var cycle uint64
 	run := func() {
-		b := newBSI(dev, true, owner)
+		b = newBSI(b, dev, true, owner)
 		for i := 0; i < 12; i++ {
 			// A gap between addresses keeps every op its own queue entry.
 			b.pushLoad(bsiOp{addr: regBase + mem.Addr(16*i), kind: mem.Read, done: doneFill})
@@ -823,99 +819,98 @@ func TestReleasedBSIBuffersServeTheNext(t *testing.T) {
 			b.Tick(cycle)
 			dev.Tick(cycle)
 		}
-		b.release()
 	}
 	run()
-	allocs := testing.AllocsPerRun(20, run)
-	limit := 1.0
-	if raceEnabled {
-		limit = 8
-	}
-	if allocs > limit {
-		t.Errorf("a BSI built after a release made %.1f allocations for 24 transactions, want at most %.0f",
-			allocs, limit)
+	if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
+		t.Errorf("a rebuilt BSI made %.1f allocations for 24 transactions, want 0", allocs)
 	}
 }
 
-// TestBSIReleaseKeepsLentHolders checks which holders a release hands
-// on: only idle ones, rebound to the BSI that takes them. A holder still
-// lent to the dead BSI's dcache never reaches another BSI, and its late
-// completion reaches only the dead BSI's owner.
+// TestBSIReleaseKeepsLentHolders checks which holders a rebuilt BSI
+// issues: the ones idle when it was released, never one still lent to the
+// old system's dcache. That dcache's own rebuild drops the lent holder
+// without completing it.
 func TestBSIReleaseKeepsLentHolders(t *testing.T) {
 	var oldDone, newDone int
 	held := &heldDev{}
-	old := newBSI(held, true, opRecorder(func(bsiOp) { oldDone++ }))
-	old.pushLoad(bsiOp{addr: regBase, kind: mem.Read, done: doneFill})
-	old.pushLoad(bsiOp{addr: regBase + 0x100, kind: mem.Read, done: doneFill})
-	old.Tick(1)
-	old.Tick(2)
+	b := newBSI(nil, held, true, opRecorder(func(bsiOp) { oldDone++ }))
+	b.pushLoad(bsiOp{addr: regBase, kind: mem.Read, done: doneFill})
+	b.pushLoad(bsiOp{addr: regBase + 0x100, kind: mem.Read, done: doneFill})
+	b.Tick(1)
+	b.Tick(2)
 	if len(held.reqs) != 2 {
 		t.Fatalf("the old BSI issued %d requests, want 2", len(held.reqs))
 	}
 	idle, lent := held.reqs[0], held.reqs[1]
 	idle.Complete(3)
-	old.release()
 
 	next := &heldDev{}
-	fresh := newBSI(next, true, opRecorder(func(bsiOp) { newDone++ }))
+	b = newBSI(b, next, true, opRecorder(func(bsiOp) { newDone++ }))
+	if b.Outstanding() != 0 {
+		t.Fatalf("the rebuilt BSI starts with %d transactions", b.Outstanding())
+	}
 	for i := 0; i < 3; i++ {
-		fresh.pushLoad(bsiOp{addr: regBase + mem.Addr(0x100*i), kind: mem.Read, done: doneFill})
-		fresh.Tick(uint64(4 + i))
+		b.pushLoad(bsiOp{addr: regBase + mem.Addr(0x100*i), kind: mem.Read, done: doneFill})
+		b.Tick(uint64(4 + i))
 	}
 	for _, r := range next.reqs {
 		if r == lent {
-			t.Fatal("a holder still lent to the released BSI's dcache was handed to a new BSI")
+			t.Fatal("a holder still lent to the old dcache was issued again")
 		}
 	}
-	if !raceEnabled && next.reqs[0] != idle {
-		t.Error("the new BSI allocated a holder while the released BSI's idle one was pooled")
+	if next.reqs[0] != idle {
+		t.Error("the rebuilt BSI allocated a holder while the released BSI's idle one was free")
 	}
 	for _, r := range next.reqs {
 		r.Complete(10)
 	}
-	lent.Complete(11)
-	if oldDone != 2 || newDone != 3 {
-		t.Errorf("completions: old owner %d, new owner %d; want 2 and 3", oldDone, newDone)
+	if oldDone != 1 || newDone != 3 {
+		t.Errorf("completions: old owner %d, new owner %d; want 1 and 3", oldDone, newDone)
 	}
-	if fresh.Outstanding() != 0 {
-		t.Errorf("the new BSI still counts %d transactions", fresh.Outstanding())
+	if b.Outstanding() != 0 {
+		t.Errorf("the rebuilt BSI still counts %d transactions", b.Outstanding())
 	}
 }
 
-// TestBSIPoolsConcurrent builds, runs and releases BSIs from several
-// goroutines at once, as parallel sweep workers do. Every completion must
-// reach the BSI that issued it, whichever goroutine released the holder
-// and ring it took.
+// TestBSIPoolsConcurrent builds, runs and releases banked providers of
+// several sizes from several goroutines at once, as parallel sweep workers
+// do. Each round loads every thread's context through the BSI of a
+// provider some goroutine released, and every bank must end up holding
+// its own thread's registers.
 func TestBSIPoolsConcurrent(t *testing.T) {
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			dev := mem.NewDelayDevice(uint64(1 + g))
-			var cycle uint64
+			h := newHarness(uint64(1 + g))
 			for round := 0; round < 50; round++ {
-				done := 0
-				b := newBSI(dev, true, opRecorder(func(bsiOp) { done++ }))
-				n := 4 + round%8
-				for i := 0; i < n; i++ {
-					b.pushLoad(bsiOp{addr: regBase + mem.Addr(16*i), kind: mem.Read, done: doneFill})
-					b.pushStore(bsiOp{addr: regBase + 0x1000 + mem.Addr(16*i), kind: mem.Write, done: doneCount})
+				threads := 1 + (g+round)%4
+				for th := 0; th < threads; th++ {
+					for r := isa.Reg(0); r < isa.NumRegs; r++ {
+						h.seed(th, r, uint64(g<<24|round<<16|th<<8)|uint64(r))
+					}
 				}
-				for i := 0; b.Outstanding() > 0; i++ {
-					if i == 1000 {
-						t.Errorf("goroutine %d round %d: %d transactions stuck", g, round, b.Outstanding())
+				p := NewBanked(threads, h.dev, h.memory, h.layout)
+				for th := 0; th < threads; th++ {
+					p.ThreadStarted(th)
+				}
+				for i := 0; p.bsi.Outstanding() > 0; i++ {
+					if i == 10000 {
+						t.Errorf("goroutine %d round %d: %d transactions stuck", g, round, p.bsi.Outstanding())
 						return
 					}
-					cycle++
-					b.Tick(cycle)
-					dev.Tick(cycle)
+					h.tick(p, 1)
 				}
-				if done != 2*n {
-					t.Errorf("goroutine %d round %d: %d completions, want %d", g, round, done, 2*n)
-					return
+				for th := 0; th < threads; th++ {
+					for r := isa.Reg(0); r < isa.NumRegs; r++ {
+						if got, want := p.ReadValue(th, r), h.memory.Read64(h.layout.RegAddr(th, r)); r != isa.XZR && got != want {
+							t.Errorf("goroutine %d round %d: t%d %v = %#x, want %#x", g, round, th, r, got, want)
+							return
+						}
+					}
 				}
-				b.release()
+				p.Release()
 			}
 		}(g)
 	}

@@ -1,6 +1,8 @@
 package regfile
 
 import (
+	"sync"
+
 	"github.com/virec/virec/internal/cpu"
 	"github.com/virec/virec/internal/isa"
 	"github.com/virec/virec/internal/mem"
@@ -26,22 +28,29 @@ type Software struct {
 	Switches uint64
 }
 
-// NewSoftware builds a software-switched provider.
+var softwarePool sync.Pool
+
+// NewSoftware builds a software-switched provider, into a released one
+// when there is one.
 func NewSoftware(threads int, dcache mem.Device, memory *mem.Memory, layout cpu.RegLayout) *Software {
-	p := &Software{
+	p, _ := softwarePool.Get().(*Software)
+	if p == nil {
+		p = new(Software)
+	}
+	*p = Software{
 		base:   newBase(memory, layout, threads),
+		bsi:    newBSI(p.bsi, dcache, true, p), // software save/restore is serial
 		owner:  -1,
 		target: -1,
 	}
-	p.bsi = newBSI(dcache, true, p) // software save/restore is serial
 	return p
 }
 
 var _ cpu.Provider = (*Software)(nil)
 
-// Release hands the BSI's buffers to the shared pools. Call it once the
+// Release hands the provider to the next NewSoftware. Call it once the
 // provider's system is done; a released provider cannot run again.
-func (p *Software) Release() { p.bsi.release() }
+func (p *Software) Release() { softwarePool.Put(p) }
 
 // Acquire succeeds whenever the thread owns the bank and no switch is in
 // progress: once a save/restore sequence has started (target set), the

@@ -2,7 +2,9 @@ package regfile
 
 import (
 	"fmt"
+	"slices"
 	"strings"
+	"sync"
 
 	"github.com/virec/virec/internal/cpu"
 	"github.com/virec/virec/internal/isa"
@@ -77,9 +79,14 @@ type ViReC struct {
 	// each register in the thread's recorded access sequence (nil until
 	// SetOracleSeq; read-only, and shared by neighbouring threads with
 	// equal sequences), and a cursor counting each thread's committed
-	// accesses, which InstCommitted advances.
+	// accesses, which InstCommitted advances. The lists are cut from
+	// oracleLists and oraclePos, which a rebuild keeps. oracle is
+	// oracleDistance, bound once.
 	oracleOcc    []*[isa.NumRegs][]uint32
 	oracleCursor []uint32
+	oracleLists  [][isa.NumRegs][]uint32
+	oraclePos    []uint32
+	oracle       func(thread int, reg isa.Reg) uint64
 
 	// fill holds each physical register's fill state, beside its
 	// tag-store entry. A register with a fill in flight is never an
@@ -92,7 +99,7 @@ type ViReC struct {
 	lockedInst   *isa.Inst
 	lockedThread int
 	// excluded is the victim-exclusion predicate handed to SelectVictim,
-	// built once so the decode hot path allocates nothing.
+	// bound once so the decode hot path allocates nothing.
 	excluded func(int) bool
 
 	// sysBuf is the system-register ping-pong buffer of Section 5.2.
@@ -146,32 +153,44 @@ type sysSlot struct {
 // in-order backend holds.
 const rollbackDepth = 4
 
-// NewViReC builds the ViReC provider.
+var virecPool sync.Pool
+
+// NewViReC builds the ViReC provider, into a released one when there is
+// one.
 func NewViReC(cfg ViReCConfig, threads int, dcache mem.Device, memory *mem.Memory, layout cpu.RegLayout) *ViReC {
 	if cfg.PhysRegs < 8 {
 		panic(fmt.Sprintf("regfile: ViReC needs >= 8 physical registers, got %d", cfg.PhysRegs))
 	}
+	p, _ := virecPool.Get().(*ViReC)
+	if p == nil {
+		p = new(ViReC)
+		p.excluded = func(i int) bool { return p.lockedPhys[i] || p.fill[i] != fillNone }
+		p.oracle = p.oracleDistance
+	}
 	tags := vrmu.NewTagStore(cfg.PhysRegs, cfg.Policy)
 	tags.Reserve(threads)
-	p := &ViReC{
-		base:       newBase(memory, layout, threads),
-		cfg:        cfg,
-		tags:       tags,
-		rq:         vrmu.NewRollbackQueue(rollbackDepth, tags),
-		fill:       make([]fillState, cfg.PhysRegs),
-		lockedPhys: make([]bool, cfg.PhysRegs),
+	*p = ViReC{
+		base: newBase(memory, layout, threads),
+		cfg:  cfg,
+		tags: tags,
+		rq:   vrmu.NewRollbackQueue(rollbackDepth, tags),
+
+		bsi:    newBSI(p.bsi, dcache, !cfg.BlockingBSI, p),
+		sysBsi: newBSI(p.sysBsi, dcache, true, p),
+		pfBsi:  newBSI(p.pfBsi, dcache, true, p),
+
+		prefetchRegs: resized(p.prefetchRegs, threads),
+		oracleOcc:    resized(p.oracleOcc, threads),
+		oracleCursor: resized(p.oracleCursor, threads),
+		oracleLists:  p.oracleLists[:0], oraclePos: p.oraclePos[:0], oracle: p.oracle,
+
+		fill:       resized(p.fill, cfg.PhysRegs),
+		lockedPhys: resized(p.lockedPhys, cfg.PhysRegs),
+		excluded:   p.excluded,
+		sysBuf:     [2]sysSlot{{thread: -1}, {thread: -1}},
 	}
-	p.bsi = newBSI(dcache, !cfg.BlockingBSI, p)
-	p.sysBsi = newBSI(dcache, true, p)
-	p.pfBsi = newBSI(dcache, true, p)
-	p.excluded = func(i int) bool { return p.lockedPhys[i] || p.fill[i] != fillNone }
-	p.sysBuf[0].thread = -1
-	p.sysBuf[1].thread = -1
-	p.prefetchRegs = make([][]isa.Reg, threads)
 	if cfg.Policy == vrmu.Belady {
-		p.oracleOcc = make([]*[isa.NumRegs][]uint32, threads)
-		p.oracleCursor = make([]uint32, threads)
-		tags.SetOracle(p.oracleDistance)
+		tags.SetOracle(p.oracle)
 	}
 	return p
 }
@@ -190,8 +209,9 @@ func (p *ViReC) SetOracleSeq(thread int, seq []isa.Reg) {
 			return
 		}
 	}
-	// Count each register's uses, then cut one position array into
-	// per-register lists of exactly that length.
+	// Count each register's uses, then cut the thread's stretch of the
+	// position store into per-register lists of exactly that length. A
+	// store that grows leaves earlier threads' lists where they were.
 	var n [isa.NumRegs]int
 	used := 0
 	for _, r := range seq {
@@ -200,8 +220,11 @@ func (p *ViReC) SetOracleSeq(thread int, seq []isa.Reg) {
 			used++
 		}
 	}
-	all := make([]uint32, used)
-	occ := new([isa.NumRegs][]uint32)
+	start := len(p.oraclePos)
+	p.oraclePos = slices.Grow(p.oraclePos, used)[:start+used]
+	all := p.oraclePos[start:]
+	p.oracleLists = append(p.oracleLists, [isa.NumRegs][]uint32{})
+	occ := &p.oracleLists[len(p.oracleLists)-1]
 	for r, k := range n {
 		occ[r], all = all[:0:k], all[k:]
 	}
@@ -262,22 +285,19 @@ func (p *ViReC) oracleDistance(thread int, reg isa.Reg) uint64 {
 }
 
 // SetPrefetchRegs installs the predicted register set PrefetchNext loads
-// for a thread ahead of its scheduling.
-func (p *ViReC) SetPrefetchRegs(thread int, regs []isa.Reg) {
-	cp := make([]isa.Reg, len(regs))
-	copy(cp, regs)
-	p.prefetchRegs[thread] = cp
-}
+// for a thread ahead of its scheduling. The provider keeps regs, so the
+// caller must not change it afterwards.
+func (p *ViReC) SetPrefetchRegs(thread int, regs []isa.Reg) { p.prefetchRegs[thread] = regs }
 
 var _ cpu.Provider = (*ViReC)(nil)
 
-// Release hands the three BSI engines' buffers to the shared pools. Call
-// it once the provider's system is done; a released provider cannot run
-// again.
+// Release hands the provider, its tag store and its rollback queue to the
+// next NewViReC. Call it once the provider's system is done; a released
+// provider cannot run again.
 func (p *ViReC) Release() {
-	for _, b := range [...]*bsi{p.bsi, p.sysBsi, p.pfBsi} {
-		b.release()
-	}
+	p.tags.Release()
+	p.rq.Release()
+	virecPool.Put(p)
 }
 
 // SetTelemetry attaches the cycle-level tracer to the provider and its
@@ -648,7 +668,7 @@ func (p *ViReC) InstCommitted(thread int, seq uint64) {
 	if in == nil {
 		return
 	}
-	if p.oracleCursor != nil {
+	if p.cfg.Policy == vrmu.Belady {
 		var regs [6]isa.Reg
 		for _, r := range in.Regs(regs[:0]) {
 			if r != isa.XZR {

@@ -64,6 +64,10 @@ type batch struct {
 	cfgs []sim.Config
 }
 
+// newBatch returns a batch with room for n configs. Each experiment sizes
+// its batch from its own loop bounds, so queuing never grows the list.
+func newBatch(n int) batch { return batch{cfgs: make([]sim.Config, 0, n)} }
+
 // add enqueues a config and returns its job index into run's results.
 func (b *batch) add(cfg sim.Config) int {
 	b.cfgs = append(b.cfgs, cfg)

@@ -29,7 +29,7 @@ func extensions(opt Options) (*Report, error) {
 		{GroupEvict: true, PrefetchNext: true},
 	}
 
-	var jobs batch
+	jobs := newBatch(len(pcts) * len(variants) * len(wls))
 	for _, pct := range pcts {
 		for _, vc := range variants {
 			for _, w := range wls {

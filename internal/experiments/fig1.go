@@ -42,7 +42,15 @@ func fig1(opt Options) (*Report, error) {
 
 	// Every cycle-level sim rides one sweep; only the trace-driven OoO
 	// model runs inline (it is not a sim.Config job).
-	var jobs batch
+	// Banked cores: 256 registers = 4 banks/threads, 512 = 8.
+	bankedThreads := []int{4, 8}
+	// ViReC sweep: 40-100% context at 4 and 8 threads.
+	pcts := []int{40, 60, 80, 100}
+	if opt.Quick {
+		pcts = []int{40, 100}
+	}
+	virecThreads := []int{4, 8}
+	jobs := newBatch(2 + len(bankedThreads) + len(virecThreads)*len(pcts))
 
 	// Single in-order core, one thread (the gray point).
 	ino := jobs.add(sim.Config{
@@ -54,8 +62,6 @@ func fig1(opt Options) (*Report, error) {
 		Kind: sim.Banked, Cores: 8, ThreadsPerCore: 1,
 		Workload: w, Iters: iters,
 	})
-	// Banked cores: 256 registers = 4 banks/threads, 512 = 8.
-	bankedThreads := []int{4, 8}
 	bankedJobs := make([]int, len(bankedThreads))
 	for i, threads := range bankedThreads {
 		bankedJobs[i] = jobs.add(sim.Config{
@@ -63,16 +69,11 @@ func fig1(opt Options) (*Report, error) {
 			Workload: w, Iters: iters,
 		})
 	}
-	// ViReC sweep: 40-100% context at 4 and 8 threads.
-	pcts := []int{40, 60, 80, 100}
-	if opt.Quick {
-		pcts = []int{40, 100}
-	}
 	type virecPoint struct {
 		threads, pct, regs, job int
 	}
 	var virecJobs []virecPoint
-	for _, threads := range []int{4, 8} {
+	for _, threads := range virecThreads {
 		for _, pct := range pcts {
 			cfg := sim.Config{
 				Kind: sim.ViReC, ThreadsPerCore: threads,

@@ -29,7 +29,9 @@ func fig10(opt Options) (*Report, error) {
 	table := stats.NewTable("config", "threads", "registers", "perf(iters/us)", "perf_per_reg")
 	rep := &Report{}
 
-	var jobs batch
+	// A banked row for each thread count up to 8 (at most one per count),
+	// a ViReC row per context size, and the four budget points.
+	jobs := newBatch(len(threadCounts)*(1+len(pcts)) + 4)
 	type row struct {
 		name    string
 		threads int

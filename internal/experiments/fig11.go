@@ -27,11 +27,12 @@ func fig11(opt Options) (*Report, error) {
 	type cell struct{ perf, lat float64 }
 	results := map[[2]int]cell{}
 
-	var jobs batch
+	threadCounts := []int{8, 10}
+	jobs := newBatch(len(coreCounts) * len(threadCounts))
 	type point struct{ cores, threads, job int }
 	var points []point
 	for _, cores := range coreCounts {
-		for _, threads := range []int{8, 10} {
+		for _, threads := range threadCounts {
 			points = append(points, point{cores, threads, jobs.add(sim.Config{
 				Kind: sim.ViReC, Cores: cores, ThreadsPerCore: threads,
 				Workload: w, Iters: iters,

@@ -33,7 +33,7 @@ func fig12(opt Options) (*Report, error) {
 	hits := map[key][]float64{}
 	perfs := map[key][]float64{}
 
-	var jobs batch
+	jobs := newBatch(len(wls) * len(pcts) * len(policies))
 	for _, w := range wls {
 		for _, pct := range pcts {
 			for _, pol := range policies {

@@ -26,7 +26,7 @@ func fig13(opt Options) (*Report, error) {
 	// Each table cell is a geomean of IPC over the workloads; queue every
 	// (kind, latency, capacity, workload) run into one sweep and reduce
 	// per-cell afterwards.
-	var jobs batch
+	jobs := newBatch(2 * len(wls) * (len(latencies) + len(capacities)))
 	queueGeo := func(kind sim.CoreKind, hitLat, capKB int) []int {
 		idx := make([]int, 0, len(wls))
 		for _, w := range wls {

@@ -53,7 +53,7 @@ func fig9(opt Options) (*Report, error) {
 	}
 
 	// Declare every run up front, fan them out, then reduce in order.
-	var jobs batch
+	jobs := newBatch(len(wls) * len(threadCounts) * (1 + len(cols)))
 	type cell struct {
 		w       *workloads.Spec
 		threads int

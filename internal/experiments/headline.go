@@ -52,7 +52,7 @@ func headline(opt Options) (*Report, error) {
 	}
 
 	// One job per (config row, workload); each row reduces to a geomean.
-	var jobs batch
+	jobs := newBatch(len(rows) * len(wls))
 	for _, r := range rows {
 		for _, w := range wls {
 			c := r.cfg
@@ -128,7 +128,7 @@ func ablations(opt Options) (*Report, error) {
 		{"no register-line pinning", regfile.ViReCConfig{}, true},
 	}
 
-	var jobs batch
+	jobs := newBatch(len(cases) * len(wls))
 	for _, c := range cases {
 		for _, w := range wls {
 			jobs.add(sim.Config{

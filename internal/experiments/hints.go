@@ -50,7 +50,7 @@ func hints(opt Options) (*Report, error) {
 	}
 	activity := map[key]*hintAgg{}
 
-	var jobs batch
+	jobs := newBatch(len(wls) * len(pcts) * len(policies))
 	for _, w := range wls {
 		for _, pct := range pcts {
 			for _, pol := range policies {
@@ -140,7 +140,7 @@ func hints(opt Options) (*Report, error) {
 	// generated-kernel population from the difftest generator, one short
 	// capacity-squeezed run per (seed, policy) via the sweep engine.
 	seeds := hintPopSeeds(opt.Quick)
-	var popJobs batch
+	popJobs := newBatch(seeds * len(policies))
 	for s := 0; s < seeds; s++ {
 		seed := uint64(s + 1)
 		k := difftest.Generate(seed, difftest.GenConfigForSeed(seed))

@@ -37,13 +37,13 @@ func mixExp(opt Options) (*Report, error) {
 
 	table := stats.NewTable("config", "phys_regs", "cycles", "rel_perf", "rf_hit%")
 
-	var jobs batch
+	fracs := []int{100, 75, 50}
+	jobs := newBatch(1 + len(fracs))
 	jobs.add(sim.Config{
 		Kind: sim.Banked, ThreadsPerCore: threads,
 		WorkloadMix: mix, Iters: iters,
 		ValidateValues: true,
 	})
-	fracs := []int{100, 75, 50}
 	regsFor := func(frac int) int {
 		regs := demand * frac / 100
 		if regs < 8 {

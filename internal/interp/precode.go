@@ -91,8 +91,16 @@ type Precoded struct {
 // Precode lowers prog into its threaded-code form. Hint bytes and every
 // other codec-level field are resolved here, once; the dispatch loop
 // never touches the instruction encoding again.
-func Precode(prog *asm.Program) *Precoded {
-	p := &Precoded{Name: prog.Name, uops: make([]uop, len(prog.Insts))}
+func Precode(prog *asm.Program) *Precoded { return new(Precoded).Reset(prog) }
+
+// Reset lowers prog into p in place, reusing p's micro-op array when it
+// holds enough, and returns p. Whatever p ran before is gone.
+func (p *Precoded) Reset(prog *asm.Program) *Precoded {
+	uops := p.uops
+	if cap(uops) < len(prog.Insts) {
+		uops = make([]uop, len(prog.Insts))
+	}
+	*p = Precoded{Name: prog.Name, uops: uops[:len(prog.Insts)]}
 	for i := range prog.Insts {
 		p.uops[i] = lower(&prog.Insts[i])
 	}

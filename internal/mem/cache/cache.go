@@ -99,28 +99,24 @@ type writeback struct {
 
 func (w *writeback) complete(uint64) { w.c.freeWB = append(w.c.freeWB, w) }
 
-// linePools holds zeroed line arrays by line count. Every cache shares
-// them, so a released cache's array serves the next cache of its size.
-// Each pool holds *[]line, so Put allocates nothing.
-var linePools struct {
+// cachePools holds released caches by line count, so a released cache's
+// line array serves the next cache of its size. Every cache shares them.
+var cachePools struct {
 	sync.Mutex
 	m map[int]*sync.Pool
 }
 
-// linePool returns the pool of n-line arrays.
-func linePool(n int) *sync.Pool {
-	linePools.Lock()
-	defer linePools.Unlock()
-	p := linePools.m[n]
+// cachePool returns the pool of n-line caches.
+func cachePool(n int) *sync.Pool {
+	cachePools.Lock()
+	defer cachePools.Unlock()
+	p := cachePools.m[n]
 	if p == nil {
-		if linePools.m == nil {
-			linePools.m = make(map[int]*sync.Pool)
+		if cachePools.m == nil {
+			cachePools.m = make(map[int]*sync.Pool)
 		}
-		p = &sync.Pool{New: func() any {
-			lines := make([]line, n)
-			return &lines
-		}}
-		linePools.m[n] = p
+		p = new(sync.Pool)
+		cachePools.m[n] = p
 	}
 	return p
 }
@@ -128,8 +124,7 @@ func linePool(n int) *sync.Pool {
 // Cache is a set-associative write-back cache. It implements mem.Device.
 type Cache struct {
 	cfg     Config
-	lines   []line  // way w of set s is lines[s*cfg.Assoc+w]
-	pooled  *[]line // the holder lines came from; nil once released
+	lines   []line // way w of set s is lines[s*cfg.Assoc+w]
 	numSets int
 	mshrs   map[mem.Addr]*mshr
 	free    []*mshr      // MSHRs not in use, at most Config.MSHRs
@@ -148,16 +143,23 @@ type Cache struct {
 	// full-array scan PinnedLines() does.
 	pinnedNow int
 
-	// Telemetry (nil when disabled; Emit/Observe are nil-safe).
-	tracer     *telemetry.Tracer
-	traceCore  int32
-	pinnedHist *telemetry.Histogram
+	// Telemetry (nil when disabled; Emit/Observe are nil-safe). The
+	// gauges' funcs are bound once.
+	tracer      *telemetry.Tracer
+	traceCore   int32
+	pinnedHist  *telemetry.Histogram
+	pinnedGauge func() float64
+	mshrGauge   func() float64
 
 	// Stats is exported read-only for reporting.
 	Stats Stats
 }
 
-// New builds a cache over the given lower-level device.
+// New builds a cache over the given lower-level device. It rebuilds a
+// released cache of the same line count when there is one: the line array
+// comes back zeroed, and the idle MSHRs and writebacks and the queues'
+// storage carry over, but nothing queued or in flight does. Those requests
+// are dropped, never completed.
 func New(cfg Config, below mem.Device) *Cache {
 	if cfg.SizeBytes <= 0 || cfg.Assoc <= 0 {
 		panic(fmt.Sprintf("cache %s: bad geometry %+v", cfg.Name, cfg))
@@ -174,29 +176,26 @@ func New(cfg Config, below mem.Device) *Cache {
 	if cfg.MSHRs <= 0 {
 		cfg.MSHRs = 1
 	}
-	pooled := linePool(numSets * cfg.Assoc).Get().(*[]line)
-	return &Cache{
-		cfg:     cfg,
-		lines:   *pooled,
-		pooled:  pooled,
-		numSets: numSets,
-		mshrs:   make(map[mem.Addr]*mshr),
-		below:   below,
-	}
-}
-
-// Release zeroes the cache's line array and returns it to the shared
-// pool, where the next cache of the same size finds it. Only the cache's
-// owner may release it, and only once nothing accesses, ticks or inspects
-// it any more: a released cache has no lines, and an access panics.
-func (c *Cache) Release() {
-	if c.pooled == nil {
-		return
+	c, _ := cachePool(numSets * cfg.Assoc).Get().(*Cache)
+	if c == nil {
+		c = &Cache{lines: make([]line, numSets*cfg.Assoc), mshrs: make(map[mem.Addr]*mshr)}
+		c.pinnedGauge = func() float64 { return float64(c.PinnedLines()) }
+		c.mshrGauge = func() float64 { return float64(len(c.mshrs)) }
 	}
 	clear(c.lines)
-	linePool(len(c.lines)).Put(c.pooled)
-	c.lines, c.pooled = nil, nil
+	clear(c.mshrs)
+	clear(c.writebackQ)
+	clear(c.fillRetryQ)
+	*c = Cache{cfg: cfg, lines: c.lines, numSets: numSets, mshrs: c.mshrs, free: c.free,
+		freeWB: c.freeWB, below: below, pendingHits: c.pendingHits.Emptied(),
+		writebackQ: c.writebackQ[:0], fillRetryQ: c.fillRetryQ[:0],
+		pinnedGauge: c.pinnedGauge, mshrGauge: c.mshrGauge}
+	return c
 }
+
+// Release hands the cache to the next New of its line count. Only its
+// owner may release it, once, when nothing uses it any more.
+func (c *Cache) Release() { cachePool(len(c.lines)).Put(c) }
 
 // set returns the ways of set s.
 func (c *Cache) set(s int) []line {
@@ -556,8 +555,8 @@ var pinnedBuckets = telemetry.LinearBuckets(0, 4, 16)
 // pinned-line histogram into a registry under prefix (e.g. "dcache0").
 func (c *Cache) RegisterMetrics(r *telemetry.Registry, prefix string) {
 	r.Stats(prefix, &c.Stats)
-	r.Gauge(prefix+"/pinned_lines", func() float64 { return float64(c.PinnedLines()) })
-	r.Gauge(prefix+"/mshrs_in_use", func() float64 { return float64(len(c.mshrs)) })
+	r.Gauge(prefix+"/pinned_lines", c.pinnedGauge)
+	r.Gauge(prefix+"/mshrs_in_use", c.mshrGauge)
 	c.pinnedHist = r.Histogram(prefix+"/pinned_lines_hist", pinnedBuckets)
 }
 

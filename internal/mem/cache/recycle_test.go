@@ -9,34 +9,48 @@ import (
 	"github.com/virec/virec/internal/mem"
 )
 
-// TestReleaseRecyclesZeroedLines checks that a line array Release hands
-// to the pool comes back zeroed, so a new cache never sees an old one's
-// lines, that a released cache holds no lines, and that a cache built
-// after a release takes its array from the pool instead of allocating it.
+// TestReleaseRecyclesZeroedLines checks that a cache built after a
+// release of its line count starts as a new cache would: every line zero,
+// and a hit, a miss and a writeback in flight at the release all dropped,
+// so none completes into it. Once released caches are pooled, building
+// one allocates nothing; the race detector's pool drops a quarter of what
+// it is given, so the bound is half a line array.
 func TestReleaseRecyclesZeroedLines(t *testing.T) {
-	cfg := Config{Name: "l1", SizeBytes: 64 << 10, Assoc: 4, HitLatency: 2, MSHRs: 4, Ports: 1}
-	below := mem.NewDelayDevice(1)
+	cfg := Config{Name: "l1", SizeBytes: 64 << 10, Assoc: 4, HitLatency: 2, MSHRs: 4, Ports: 2}
+	below := &heldBelow{}
 	old := New(cfg, below)
 	for i := range old.lines {
 		old.lines[i] = line{tag: ^uint64(0), valid: true, dirty: true, isReg: true,
 			pin: maxPin, sticky: true, lastUse: ^uint64(0)}
 	}
-	old.Release()
-	if old.lines != nil || old.PinnedLines() != 0 {
-		t.Error("a released cache still holds lines")
+	old.lines[0] = line{valid: true, dirty: true}
+	completed := 0
+	done := func(uint64) { completed++ }
+	hit := mem.Request{Addr: 0, Size: 8, Kind: mem.Read, Done: done}
+	miss := mem.Request{Addr: 1 << 30, Size: 8, Kind: mem.Read, Done: done}
+	if !old.Access(&hit) || !old.Access(&miss) {
+		t.Fatal("the old cache rejected an access")
 	}
-	old.Release() // releasing twice hands nothing back twice
-	fresh := New(cfg, below)
+	old.writebackQ = append(old.writebackQ, &mem.Request{Addr: 64, Size: mem.LineBytes, Kind: mem.Write})
+	old.Release()
+
+	fresh := New(cfg, mem.NewDelayDevice(1))
 	for i, ln := range fresh.lines {
 		if ln != (line{}) {
 			t.Fatalf("line %d of the new cache is %+v", i, ln)
 		}
 	}
+	if !fresh.Idle() || fresh.MSHRsInUse() != 0 || len(fresh.fillRetryQ) != 0 {
+		t.Fatalf("the new cache starts busy: %d MSHRs, idle=%v", fresh.MSHRsInUse(), fresh.Idle())
+	}
+	for cycle := uint64(0); cycle < 10; cycle++ {
+		fresh.Tick(cycle)
+	}
+	if completed != 0 {
+		t.Errorf("%d requests in flight at the release completed into the new cache", completed)
+	}
 	fresh.Release()
 
-	// The cache itself and its MSHR map still allocate; the line array
-	// must not. (The race detector's pool drops a quarter of what it is
-	// given.)
 	arrayBytes := uint64(cfg.SizeBytes/mem.LineBytes) * uint64(unsafe.Sizeof(line{}))
 	const runs = 20
 	var before, after runtime.MemStats
@@ -49,6 +63,16 @@ func TestReleaseRecyclesZeroedLines(t *testing.T) {
 		t.Errorf("a cache built after a release allocated %d bytes; its line array alone is %d", per, arrayBytes)
 	}
 }
+
+// heldBelow accepts every request and completes none.
+type heldBelow struct{ reqs []*mem.Request }
+
+func (d *heldBelow) Access(r *mem.Request) bool {
+	d.reqs = append(d.reqs, r)
+	return true
+}
+
+func (d *heldBelow) Tick(uint64) {}
 
 // TestLinePoolConcurrent builds, fills and releases caches of two sizes
 // from several goroutines at once, as parallel sweep workers do. Each

@@ -10,6 +10,7 @@ package dram
 
 import (
 	"fmt"
+	"sync"
 
 	"github.com/virec/virec/internal/mem"
 	"github.com/virec/virec/internal/telemetry"
@@ -74,8 +75,8 @@ func (s *Stats) AvgReadLatency() float64 {
 // registry under prefix (e.g. "dram"). Counters alias the Stats fields.
 func (d *DRAM) RegisterMetrics(r *telemetry.Registry, prefix string) {
 	r.Stats(prefix, &d.Stats)
-	r.Gauge(prefix+"/avg_read_latency", d.Stats.AvgReadLatency)
-	r.Gauge(prefix+"/queue_occupancy", func() float64 { return float64(d.QueueOccupancy()) })
+	r.Gauge(prefix+"/avg_read_latency", d.latencyGauge)
+	r.Gauge(prefix+"/queue_occupancy", d.queueGauge)
 }
 
 type bank struct {
@@ -110,6 +111,9 @@ type DRAM struct {
 	channels []channel
 	pending  mem.EventQueue[completion]
 	now      uint64
+
+	// The gauges' funcs, bound once.
+	latencyGauge, queueGauge func() float64
 
 	// Stats is exported read-only for reporting.
 	Stats Stats
@@ -154,19 +158,40 @@ func New(cfg Config) *DRAM {
 	if cfg.WindowSize == 0 {
 		cfg.WindowSize = def.WindowSize
 	}
-	d := &DRAM{cfg: cfg, channels: make([]channel, cfg.Channels)}
-	for i := range d.channels {
-		banks := make([]bank, cfg.BanksPerCh)
-		for b := range banks {
-			banks[b].openRow = -1
-		}
-		d.channels[i].banks = banks
-		for a := range d.channels[i].acts {
-			d.channels[i].acts[a] = -1 << 40
-		}
+	d, _ := dramPool.Get().(*DRAM)
+	if d == nil {
+		d = new(DRAM)
+		d.latencyGauge = d.Stats.AvgReadLatency
+		d.queueGauge = func() float64 { return float64(d.QueueOccupancy()) }
 	}
+	channels := d.channels
+	if len(channels) != cfg.Channels {
+		channels = make([]channel, cfg.Channels)
+	}
+	for i := range channels {
+		c := &channels[i]
+		banks := c.banks
+		if len(banks) != cfg.BanksPerCh {
+			banks = make([]bank, cfg.BanksPerCh)
+		}
+		for b := range banks {
+			banks[b] = bank{openRow: -1}
+		}
+		clear(c.queue)
+		*c = channel{queue: c.queue[:0], banks: banks, acts: [4]int64{-1 << 40, -1 << 40, -1 << 40, -1 << 40}}
+	}
+	*d = DRAM{cfg: cfg, channels: channels, pending: d.pending.Emptied(),
+		latencyGauge: d.latencyGauge, queueGauge: d.queueGauge}
 	return d
 }
+
+// dramPool holds released controllers. New rebuilds one with its channel,
+// bank and queue storage, every bank closed and nothing queued or in
+// flight: those requests are dropped, never completed.
+var dramPool sync.Pool
+
+// Release hands the controller to the next New, once nothing uses it.
+func (d *DRAM) Release() { dramPool.Put(d) }
 
 // route maps a line address to (channel, bank, row). Channel bits come
 // from the line address so sequential lines interleave across channels.

@@ -37,6 +37,16 @@ func (h events[T]) less(i, j int) bool {
 	return h[i].seq < h[j].seq
 }
 
+// Emptied returns an empty queue on q's storage, leaving q empty too. The
+// events q held are dropped, never fired; a device rebuilt from a released
+// one starts its queues this way.
+func (q *EventQueue[T]) Emptied() EventQueue[T] {
+	clear(q.h)
+	h := q.h[:0]
+	*q = EventQueue[T]{}
+	return EventQueue[T]{h: h}
+}
+
 // Len returns the number of queued events.
 func (q *EventQueue[T]) Len() int { return len(q.h) }
 

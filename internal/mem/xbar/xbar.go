@@ -6,6 +6,8 @@
 package xbar
 
 import (
+	"sync"
+
 	"github.com/virec/virec/internal/mem"
 	"github.com/virec/virec/internal/telemetry"
 )
@@ -35,7 +37,7 @@ type Stats struct {
 // under prefix (e.g. "xbar"). Counters alias the Stats fields.
 func (x *Xbar) RegisterMetrics(r *telemetry.Registry, prefix string) {
 	r.Stats(prefix, &x.Stats)
-	r.Gauge(prefix+"/max_queue", func() float64 { return float64(x.Stats.MaxQueue) })
+	r.Gauge(prefix+"/max_queue", x.maxQueueGauge)
 }
 
 // forward is a recycled copy of a request passed to the controller. Its
@@ -70,6 +72,8 @@ type Xbar struct {
 	free  []*forward                   // forward holders not in flight
 	now   uint64
 
+	maxQueueGauge func() float64 // bound once
+
 	// Stats is exported read-only for reporting.
 	Stats Stats
 }
@@ -86,8 +90,24 @@ func New(cfg Config, below mem.Device) *Xbar {
 	if cfg.QueueDepth == 0 {
 		cfg.QueueDepth = def.QueueDepth
 	}
-	return &Xbar{cfg: cfg, below: below}
+	x, _ := xbarPool.Get().(*Xbar)
+	if x == nil {
+		x = new(Xbar)
+		x.maxQueueGauge = func() float64 { return float64(x.Stats.MaxQueue) }
+	}
+	clear(x.ready)
+	*x = Xbar{cfg: cfg, below: below, inQ: x.inQ.Emptied(), respQ: x.respQ.Emptied(),
+		ready: x.ready[:0], free: x.free, maxQueueGauge: x.maxQueueGauge}
+	return x
 }
+
+// xbarPool holds released crossbars. New rebuilds one with its idle
+// forward holders and its queues' storage, and nothing queued or in
+// flight: those requests are dropped, never completed.
+var xbarPool sync.Pool
+
+// Release hands the crossbar to the next New, once nothing uses it.
+func (x *Xbar) Release() { xbarPool.Put(x) }
 
 // Access accepts a request for traversal. Returns false under
 // back-pressure (full queue).

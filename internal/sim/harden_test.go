@@ -142,9 +142,9 @@ func TestInjectionIsDeterministic(t *testing.T) {
 
 // TestSimulateTwiceOnPooledArrays runs one faulted config twice through
 // Simulate and demands byte-identical metrics. The first call releases
-// its pages and cache line arrays, so the second runs on pooled ones: a
-// line or byte that came back from the pool without being zeroed would
-// turn a miss into a hit. The small dcache and the scatter stores make
+// its pages and components, so the second runs on recycled ones: a line
+// or byte that came back from a pool without being zeroed would turn a
+// miss into a hit. The small dcache and the scatter stores make
 // many dirty evictions, and the default plan fires eviction storms, so
 // recycled writebacks and storm fetches run too.
 func TestSimulateTwiceOnPooledArrays(t *testing.T) {

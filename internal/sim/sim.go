@@ -10,6 +10,8 @@ package sim
 import (
 	"fmt"
 	"runtime/debug"
+	"slices"
+	"sync"
 
 	"github.com/virec/virec/internal/asm"
 	"github.com/virec/virec/internal/cpu"
@@ -236,7 +238,7 @@ func (c *Config) PhysRegsFor() int {
 }
 
 // builtProvider is a register provider as New builds it: Release hands
-// its BSI buffers to the shared pools.
+// it to the next system that builds one of its type.
 type builtProvider interface {
 	cpu.Provider
 	Release()
@@ -255,7 +257,7 @@ type System struct {
 	layouts []cpu.RegLayout
 	oracles []*regfile.ViReC // Belady-policy providers awaiting sequences
 	// providers are the register providers as New built them, before
-	// WrapProvider; Release hands back their BSI buffers.
+	// WrapProvider; Release hands them back.
 	providers []builtProvider
 
 	// Injectors, when fault injection is enabled, sit between each core
@@ -281,7 +283,20 @@ type System struct {
 	skipped uint64
 
 	verifies [][]workloads.Verify
+
+	// The Belady pre-run's scratch, which a rebuild keeps: the threaded
+	// code of each distinct kernel in oracleCode, lowered from the program
+	// at the same index of oracleProgs, and the access-sequence buffer.
+	oracleProgs []*asm.Program
+	oracleCode  []*interp.Precoded
+	oracleSeq   []isa.Reg
 }
+
+// systemPool holds released systems. New rebuilds one with a single
+// struct literal: the component lists, the verifier lists and the Belady
+// scratch keep their storage, and every component is built anew from its
+// own type's pool.
+var systemPool sync.Pool
 
 // SkipAheadCycles reports how many cycles the last Run jumped over via
 // clock skip-ahead (zero when disabled or never engaged).
@@ -304,8 +319,15 @@ func New(cfg Config) (*System, error) {
 	}
 	cfg = cfg.withDefaults()
 
-	s := &System{cfg: cfg, Memory: mem.NewMemory()}
-	s.Registry = telemetry.NewRegistry()
+	s, _ := systemPool.Get().(*System)
+	if s == nil {
+		s = new(System)
+	}
+	*s = System{cfg: cfg, Memory: mem.NewMemory(), Registry: telemetry.NewRegistry(),
+		Cores: s.Cores[:0], DCaches: s.DCaches[:0], ICaches: s.ICaches[:0],
+		Injectors: s.Injectors[:0], layouts: s.layouts[:0], oracles: s.oracles[:0],
+		providers: s.providers[:0], verifies: s.verifies,
+		oracleProgs: s.oracleProgs[:0], oracleCode: s.oracleCode, oracleSeq: s.oracleSeq}
 	if cfg.TraceEvents > 0 {
 		s.Tracer = telemetry.NewTracer(cfg.TraceEvents)
 		if cfg.TraceSink != nil {
@@ -457,41 +479,46 @@ func (s *System) recordOracles() {
 	if len(s.oracles) == 0 {
 		return
 	}
-	// Each distinct kernel is pre-decoded once and every thread replays
-	// the threaded-code form, so a mix pays one pre-decode per kernel,
-	// not one per thread.
-	precoded := make(map[*asm.Program]*interp.Precoded)
-	// One sequence buffer serves every thread; SetOracleSeq keeps no
-	// reference to it.
-	var seq []isa.Reg
+	var buf [6]isa.Reg
+	record := func(e interp.TraceEntry) {
+		for _, r := range e.Inst.Regs(buf[:0]) {
+			if r != isa.XZR {
+				s.oracleSeq = append(s.oracleSeq, r)
+			}
+		}
+	}
 	for coreID, v := range s.oracles {
 		layout := s.layouts[coreID]
 		for th := 0; th < s.cfg.ThreadsPerCore; th++ {
-			prog := s.specFor(th).Prog
-			p := precoded[prog]
-			if p == nil {
-				p = interp.Precode(prog)
-				precoded[prog] = p
-			}
 			var ctx interp.Context
 			for r := isa.Reg(0); r < isa.NumRegs; r++ {
 				ctx.Set(r, s.Memory.Read64(layout.RegAddr(th, r)))
 			}
-			seq = seq[:0]
-			var buf [6]isa.Reg
+			// One sequence buffer serves every thread; SetOracleSeq keeps
+			// no reference to it.
+			s.oracleSeq = s.oracleSeq[:0]
 			scratch := s.Memory.Overlay()
-			p.Run(&ctx, scratch, 100_000_000,
-				func(e interp.TraceEntry) {
-					for _, r := range e.Inst.Regs(buf[:0]) {
-						if r != isa.XZR {
-							seq = append(seq, r)
-						}
-					}
-				})
+			s.precoded(s.specFor(th).Prog).Run(&ctx, scratch, 100_000_000, record)
 			scratch.Release()
-			v.SetOracleSeq(th, seq)
+			v.SetOracleSeq(th, s.oracleSeq)
 		}
 	}
+}
+
+// precoded returns prog's threaded code. Each distinct kernel is lowered
+// once per system and every thread replays it, so a mix pays one lowering
+// per kernel, not one per thread.
+func (s *System) precoded(prog *asm.Program) *interp.Precoded {
+	i := slices.Index(s.oracleProgs, prog)
+	if i < 0 {
+		i = len(s.oracleProgs)
+		s.oracleProgs = append(s.oracleProgs, prog)
+		if i == len(s.oracleCode) {
+			s.oracleCode = append(s.oracleCode, new(interp.Precoded))
+		}
+		s.oracleCode[i].Reset(prog)
+	}
+	return s.oracleCode[i]
 }
 
 // SetOnCommit installs a per-commit observer on every core; the callback
@@ -539,10 +566,10 @@ func (s *System) specFor(th int) *workloads.Spec {
 // the golden shadow for validation.
 func (s *System) offload() {
 	cfg := s.cfg
-	s.verifies = make([][]workloads.Verify, cfg.Cores)
+	s.verifies = slices.Grow(s.verifies[:0], cfg.Cores)[:cfg.Cores]
 	slab := s.cfg.slabStride()
 	for coreID, core := range s.Cores {
-		s.verifies[coreID] = make([]workloads.Verify, cfg.ThreadsPerCore)
+		s.verifies[coreID] = slices.Grow(s.verifies[coreID][:0], cfg.ThreadsPerCore)[:cfg.ThreadsPerCore]
 		// One set callback per core: Setup calls it only while it runs,
 		// for the thread th names.
 		layout := s.layouts[coreID]
@@ -718,7 +745,10 @@ func (s *System) Run() (res *Result, err error) {
 
 	res = &Result{Cycles: cycle + 1}
 	for coreID, c := range s.Cores {
-		res.CoreStats = append(res.CoreStats, c.Stats)
+		// A copy: the core's slice goes back to the pool with the core.
+		st := c.Stats
+		st.InstsPerThread = slices.Clone(st.InstsPerThread)
+		res.CoreStats = append(res.CoreStats, st)
 		res.Insts += c.Stats.Insts
 		res.CacheStats = append(res.CacheStats, s.DCaches[coreID].Stats)
 		res.ICacheStats = append(res.ICacheStats, s.ICaches[coreID].Stats)
@@ -821,15 +851,21 @@ func (s *System) skipTarget(now uint64, wd *harden.Watchdog) uint64 {
 	return t
 }
 
-// Release hands back what New built from shared pools: the functional
-// memory's pages and page table, every register provider's BSI buffers
-// and every cache's line array. Call it once, when nothing reads the
-// system any more; the Result of Run holds no reference to any of them.
-// A released system cannot run again.
+// Release hands to the pools the next New takes from: the memory's pages
+// and page table, every core, register provider (with its BSIs, tag store
+// and rollback queue), dcache and icache, the crossbar, the DRAM
+// controller, the registry with its histograms, and the system with its
+// Belady scratch. Each rebuild starts with empty queues, MSHRs and event
+// heaps, so a request in flight now never completes into another system.
+// Call it once, when nothing reads the system; the Result of Run shares
+// no storage with it. A released system cannot run again.
 func (s *System) Release() {
 	s.Memory.Release()
 	for _, p := range s.providers {
 		p.Release()
+	}
+	for _, c := range s.Cores {
+		c.Release()
 	}
 	for _, c := range s.DCaches {
 		c.Release()
@@ -837,6 +873,12 @@ func (s *System) Release() {
 	for _, c := range s.ICaches {
 		c.Release()
 	}
+	s.Xbar.Release()
+	if s.DRAM != nil {
+		s.DRAM.Release()
+	}
+	s.Registry.Release()
+	systemPool.Put(s)
 }
 
 // Simulate is the one-call convenience: build, run and release.

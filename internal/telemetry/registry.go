@@ -45,6 +45,9 @@ type Registry struct {
 	metrics []metric
 	// Names registered of each kind, so Snapshot sizes its maps exactly.
 	counters, gauges, hists int
+	// histograms holds every histogram the registry ever handed out: the
+	// first hists are this run's, the rest wait to be reused.
+	histograms []*Histogram
 }
 
 // metric is one registration: a named counter, gauge or histogram, or a
@@ -101,10 +104,27 @@ func fieldsOf(t reflect.Type, prefix string) *statsFields {
 	return fs
 }
 
+// registryPool holds released registries.
+var registryPool sync.Pool
+
 // NewRegistry returns an empty registry with room for a one-core
 // system's registrations (25 with a ViReC provider), so most simulations
-// never grow the list.
-func NewRegistry() *Registry { return &Registry{metrics: make([]metric, 0, 32)} }
+// never grow the list. It rebuilds a released registry when there is one,
+// keeping its list's storage and its histograms for reuse.
+func NewRegistry() *Registry {
+	r, _ := registryPool.Get().(*Registry)
+	if r == nil {
+		r = &Registry{metrics: make([]metric, 0, 32)}
+	}
+	clear(r.metrics)
+	*r = Registry{metrics: r.metrics[:0], histograms: r.histograms}
+	return r
+}
+
+// Release hands the registry and its histograms to the next NewRegistry,
+// once no owner observes into them; snapshots already taken keep their
+// values.
+func (r *Registry) Release() { registryPool.Put(r) }
 
 // add appends one named registration. A repeated name is caught by
 // Snapshot, which sees every name at once.
@@ -155,7 +175,10 @@ func (r *Registry) Gauge(name string, fn func() float64) {
 // register one layout in every simulation build it once, as a package
 // variable.
 func (r *Registry) Histogram(name string, bounds []uint64) *Histogram {
-	h := newHistogram(bounds)
+	if r.hists == len(r.histograms) {
+		r.histograms = append(r.histograms, new(Histogram))
+	}
+	h := r.histograms[r.hists].reset(bounds)
 	r.add(name, h)
 	r.hists++
 	return h
@@ -235,7 +258,9 @@ type Histogram struct {
 	max    uint64
 }
 
-func newHistogram(bounds []uint64) *Histogram {
+// reset empties h for bounds, keeping its count array if it is large
+// enough, and returns h.
+func (h *Histogram) reset(bounds []uint64) *Histogram {
 	if len(bounds) == 0 {
 		panic("telemetry: histogram needs at least one bucket bound")
 	}
@@ -244,7 +269,14 @@ func newHistogram(bounds []uint64) *Histogram {
 			panic(fmt.Sprintf("telemetry: histogram bounds not ascending: %v", bounds))
 		}
 	}
-	return &Histogram{bounds: bounds, counts: make([]uint64, len(bounds)+1)}
+	counts := h.counts
+	if cap(counts) < len(bounds)+1 {
+		counts = make([]uint64, len(bounds)+1)
+	}
+	counts = counts[:len(bounds)+1]
+	clear(counts)
+	*h = Histogram{bounds: bounds, counts: counts}
+	return h
 }
 
 // Observe records one sample. Values at or below the first bound land in

@@ -2,6 +2,8 @@ package vrmu
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"github.com/virec/virec/internal/isa"
 )
@@ -36,18 +38,33 @@ type RollbackQueue struct {
 	phys []int
 }
 
+// rollbackPool holds released rollback queues.
+var rollbackPool sync.Pool
+
 // NewRollbackQueue builds a rollback queue of the given depth bound to the
-// tag store whose C bits it maintains.
+// tag store whose C bits it maintains. It rebuilds a released queue when
+// there is one, keeping its entry and scratch arrays, empty.
 func NewRollbackQueue(depth int, tags *TagStore) *RollbackQueue {
 	if depth <= 0 {
 		depth = 1
 	}
-	q := &RollbackQueue{entries: make([]RollbackEntry, 0, depth), depth: depth, tags: tags}
-	if tags != nil {
-		q.seen = make([]bool, tags.Size())
+	q, _ := rollbackPool.Get().(*RollbackQueue)
+	if q == nil {
+		q = new(RollbackQueue)
 	}
+	entries := slices.Grow(q.entries[:0], depth)
+	// seen grows on demand past the store's size.
+	seen := q.seen
+	if tags != nil && len(seen) < tags.Size() {
+		seen = make([]bool, tags.Size())
+	}
+	clear(seen)
+	*q = RollbackQueue{entries: entries, depth: depth, tags: tags, seen: seen, phys: q.phys[:0]}
 	return q
 }
+
+// Release hands the queue to the next NewRollbackQueue, once nothing uses it.
+func (q *RollbackQueue) Release() { rollbackPool.Put(q) }
 
 // Full reports whether the queue cannot accept another instruction; the
 // decode stage stalls while full (the backend is saturated).

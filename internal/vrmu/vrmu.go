@@ -22,6 +22,7 @@ package vrmu
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"github.com/virec/virec/internal/isa"
 	"github.com/virec/virec/internal/telemetry"
@@ -178,6 +179,9 @@ type TagStore struct {
 	// across SelectVictim calls so victim selection never allocates.
 	ranks []uint64
 
+	// occupancy is the occupancy gauge's func, bound once.
+	occupancy func() float64
+
 	// Stats is exported read-only for reporting.
 	Stats Stats
 }
@@ -186,7 +190,13 @@ type TagStore struct {
 // its CAM keeps physical indices as int16.
 const MaxPhysRegs = 1 << 15
 
-// NewTagStore builds a tag store for numPhys physical registers.
+// tagStorePool holds released tag stores.
+var tagStorePool sync.Pool
+
+// NewTagStore builds a tag store for numPhys physical registers. It
+// rebuilds a released store when there is one, keeping the entry array,
+// the CAM table and the rank buffer if they are large enough; every entry
+// starts invalid and every CAM slot unmapped.
 func NewTagStore(numPhys int, policy Policy) *TagStore {
 	if numPhys <= 0 {
 		panic("vrmu: tag store needs at least one physical register")
@@ -194,17 +204,25 @@ func NewTagStore(numPhys int, policy Policy) *TagStore {
 	if numPhys > MaxPhysRegs {
 		panic(fmt.Sprintf("vrmu: tag store limited to %d physical registers", MaxPhysRegs))
 	}
-	return &TagStore{
-		entries: make([]Entry, numPhys),
-		policy:  policy,
+	t, _ := tagStorePool.Get().(*TagStore)
+	if t == nil {
+		t = new(TagStore)
+		t.occupancy = func() float64 { return float64(t.Occupancy()) }
 	}
+	entries := slices.Grow(t.entries[:0], numPhys)[:numPhys]
+	clear(entries)
+	*t = TagStore{entries: entries, cam: t.cam[:0], policy: policy, ranks: t.ranks, occupancy: t.occupancy}
+	return t
 }
+
+// Release hands the tag store to the next NewTagStore, once nothing uses it.
+func (t *TagStore) Release() { tagStorePool.Put(t) }
 
 // RegisterMetrics wires the tag store's counters into a registry under
 // prefix (e.g. "vrmu0"). Counters alias the Stats fields.
 func (t *TagStore) RegisterMetrics(r *telemetry.Registry, prefix string) {
 	r.Stats(prefix, &t.Stats)
-	r.Gauge(prefix+"/occupancy", func() float64 { return float64(t.Occupancy()) })
+	r.Gauge(prefix+"/occupancy", t.occupancy)
 }
 
 // camSlot flattens a (thread, reg) pair into a CAM table index.
