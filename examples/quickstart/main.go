@@ -1,5 +1,5 @@
 // Quickstart: assemble a small kernel, run it on a ViReC near-memory core,
-// and print the results.
+// and print the results. It exits 1 if any thread's sum is wrong.
 //
 //	go run ./examples/quickstart
 package main
@@ -7,6 +7,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"os"
 
 	"github.com/virec/virec/internal/asm"
 	"github.com/virec/virec/internal/cpu"
@@ -76,11 +77,12 @@ func main() {
 		}
 		thread := core.Thread(th)
 		thread.Prog = prog
-		for reg, v := range map[isa.Reg]uint64{
-			isa.X1: n, isa.X2: uint64(idxBase), isa.X3: uint64(valBase),
-		} {
-			memory.Write64(layout.RegAddr(th, reg), v) // offload payload
-			thread.SetShadow(reg, v)                   // golden model
+		for _, arg := range []struct {
+			reg isa.Reg
+			v   uint64
+		}{{isa.X1, n}, {isa.X2, uint64(idxBase)}, {isa.X3, uint64(valBase)}} {
+			memory.Write64(layout.RegAddr(th, arg.reg), arg.v) // offload payload
+			thread.SetShadow(arg.reg, arg.v)                   // golden model
 		}
 	}
 
@@ -98,12 +100,17 @@ func main() {
 		core.Stats.Cycles, core.Stats.Insts, core.Stats.IPC(), core.Stats.ContextSwitches)
 	fmt.Printf("register file: %.1f%% hit rate over %d physical registers for %d threads\n",
 		100*provider.Tags().Stats.HitRate(), provider.Tags().Size(), threads)
+	failed := false
 	for th := 0; th < threads; th++ {
 		got := core.Thread(th).Shadow(isa.X4)
 		status := "ok"
 		if got != expected[th] {
 			status = fmt.Sprintf("MISMATCH want %d", expected[th])
+			failed = true
 		}
 		fmt.Printf("thread %d: sum = %-8d %s\n", th, got, status)
+	}
+	if failed {
+		os.Exit(1)
 	}
 }

@@ -10,7 +10,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"github.com/virec/virec/internal/sim"
 	"github.com/virec/virec/internal/stats"
@@ -186,12 +187,7 @@ func register(name, title string, run func(opt Options) (*Report, error)) {
 
 // Names lists available experiments in a stable order.
 func Names() []string {
-	out := make([]string, 0, len(registry))
-	for n := range registry {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
+	return slices.Sorted(maps.Keys(registry))
 }
 
 // Title returns an experiment's description.

@@ -70,7 +70,6 @@ func (j *Job) appendEvent(rec *record) {
 // metadata (see package comment); it is minted here so the journal, the
 // in-memory job and a post-recovery job all carry the same instant.
 func (f *Farm) record(job *Job, rec *record) {
-	//virec:wallclock-ok lifecycle event timestamp, never in result bytes
 	rec.TS = time.Now().UnixNano()
 	job.appendEvent(rec)
 	f.append(rec)

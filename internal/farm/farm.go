@@ -25,9 +25,10 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"maps"
 	"path/filepath"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -216,12 +217,7 @@ func Open(opt Options) (*Farm, error) {
 
 	// Re-queue recovered pending work in job-id order (deterministic and
 	// FIFO-faithful: ids are assigned in submission order).
-	ids := make([]uint64, 0, len(jobs))
-	for id := range jobs {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-	for _, id := range ids {
+	for _, id := range slices.Sorted(maps.Keys(jobs)) {
 		job := jobs[id]
 		f.byKey[job.Key] = id
 		if job.State == StatePending {

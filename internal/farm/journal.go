@@ -30,9 +30,10 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 )
 
 // record is one journal line.
@@ -114,13 +115,8 @@ func (j *journal) append(rec *record) error {
 // folded into the checkpoint — every record's effect is idempotent under
 // replay (set-state, not increment), so the double-application is safe.
 func (j *journal) checkpoint(nextID uint64, jobs map[uint64]*Job) error {
-	ids := make([]uint64, 0, len(jobs))
-	for id := range jobs {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
 	doc := checkpointDoc{NextID: nextID}
-	for _, id := range ids {
+	for _, id := range slices.Sorted(maps.Keys(jobs)) {
 		doc.Jobs = append(doc.Jobs, jobs[id])
 	}
 	data, err := json.MarshalIndent(&doc, "", " ")

@@ -1,3 +1,12 @@
+// Package lint loads the module's packages with full type information
+// for source checks that run as tests. Its one check, TestTreeIsClean,
+// bans visiting a map in map order outside a reviewed allowlist
+// (DESIGN.md §10); every other determinism property is held at run time
+// by the byte-identity tests.
+//
+// The loader is built on the standard library only: the repository
+// vendors no third-party modules, so golang.org/x/tools/go/packages is
+// not used.
 package lint
 
 import (

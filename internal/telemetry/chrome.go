@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"maps"
 	"slices"
 )
 
@@ -159,12 +160,7 @@ func (cw *ChromeWriter) Close(endCycle uint64) error {
 		return cw.err
 	}
 	// Deterministic order: laneKey sorts by (core, tid).
-	keys := make([]int64, 0, len(cw.running))
-	for k := range cw.running {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	for _, k := range keys {
+	for _, k := range slices.Sorted(maps.Keys(cw.running)) {
 		start := cw.running[k]
 		core := int32(k >> 32)
 		tid := int32(uint32(k))

@@ -8,10 +8,9 @@ import (
 )
 
 // BenchmarkSelectVictim exercises the victim-selection hot path with a
-// full tag store under every policy. The dense ranks scratch and the
-// predicate-based lock check keep this at 0 allocs/op — the sim calls
-// this once per register allocation, so a per-call map would dominate
-// the profile.
+// full tag store under every policy. The predicate-based lock check
+// keeps this at 0 allocs/op — the sim calls this once per register
+// allocation, so a per-call map would dominate the profile.
 func BenchmarkSelectVictim(b *testing.B) {
 	const phys = 96
 	for _, pol := range []Policy{PLRU, LRU, MRTPLRU, MRTLRU, LRC} {

@@ -175,10 +175,6 @@ type TagStore struct {
 	current int    // currently running thread
 	oracle  func(thread int, reg isa.Reg) uint64
 
-	// ranks is the scratch buffer for perfect-LRU rank computation, reused
-	// across SelectVictim calls so victim selection never allocates.
-	ranks []uint64
-
 	// occupancy is the occupancy gauge's func, bound once.
 	occupancy func() float64
 
@@ -194,9 +190,9 @@ const MaxPhysRegs = 1 << 15
 var tagStorePool sync.Pool
 
 // NewTagStore builds a tag store for numPhys physical registers. It
-// rebuilds a released store when there is one, keeping the entry array,
-// the CAM table and the rank buffer if they are large enough; every entry
-// starts invalid and every CAM slot unmapped.
+// rebuilds a released store when there is one, keeping the entry array
+// and the CAM table if they are large enough; every entry starts invalid
+// and every CAM slot unmapped.
 func NewTagStore(numPhys int, policy Policy) *TagStore {
 	if numPhys <= 0 {
 		panic("vrmu: tag store needs at least one physical register")
@@ -211,7 +207,7 @@ func NewTagStore(numPhys int, policy Policy) *TagStore {
 	}
 	entries := slices.Grow(t.entries[:0], numPhys)[:numPhys]
 	clear(entries)
-	*t = TagStore{entries: entries, cam: t.cam[:0], policy: policy, ranks: t.ranks, occupancy: t.occupancy}
+	*t = TagStore{entries: entries, cam: t.cam[:0], policy: policy, occupancy: t.occupancy}
 	return t
 }
 
@@ -339,9 +335,10 @@ func (t *TagStore) Touch(phys int) {
 
 // retention returns the eviction priority of entry i under the active
 // policy; the highest value is evicted first. Invalid entries always win.
-// oldestRank is the dense rank array from lruRanks (nil for policies that
-// do not need perfect recency).
-func (t *TagStore) retention(i int, oldestRank []uint64) uint64 {
+// The perfect-LRU policies leave recency to SelectVictim's tie-break: LRU
+// ranks every valid entry equal and MRT-LRU ranks by T alone, so the least
+// recently used entry of the highest class is the victim.
+func (t *TagStore) retention(i int) uint64 {
 	e := &t.entries[i]
 	if !e.Valid {
 		return ^uint64(0)
@@ -354,11 +351,11 @@ func (t *TagStore) retention(i int, oldestRank []uint64) uint64 {
 	case PLRU:
 		return e.age(t.epoch)
 	case LRU:
-		return oldestRank[i] // older => higher rank
+		return 0
 	case MRTPLRU:
 		return uint64(e.T)<<3 | e.age(t.epoch)
 	case MRTLRU:
-		return uint64(e.T)<<32 | oldestRank[i]
+		return uint64(e.T)
 	case LRC:
 		return uint64(e.T)<<4 | cBit<<3 | e.age(t.epoch)
 	case LRCH:
@@ -383,30 +380,6 @@ func (t *TagStore) retention(i int, oldestRank []uint64) uint64 {
 	return e.age(t.epoch)
 }
 
-// lruRanks fills the scratch rank array: entry i gets a rank where the
-// least recently used valid entry has the highest value. Only built for
-// perfect-LRU policies; the buffer lives on the TagStore so repeated
-// victim selections never allocate.
-func (t *TagStore) lruRanks() []uint64 {
-	if t.policy != LRU && t.policy != MRTLRU {
-		return nil
-	}
-	if cap(t.ranks) < len(t.entries) {
-		// Rank buffer grows once to the tag-store size, then is reused.
-		t.ranks = make([]uint64, len(t.entries))
-	}
-	ranks := t.ranks[:len(t.entries)]
-	for i := range t.entries {
-		if t.entries[i].Valid {
-			// Smaller lastUse (older) => larger rank.
-			ranks[i] = ^t.entries[i].lastUse & 0xffffffff
-		} else {
-			ranks[i] = 0
-		}
-	}
-	return ranks
-}
-
 // SelectVictim returns the physical index to evict, skipping any index
 // locked reports true for (the registers of the instruction currently
 // decoding must not be displaced by its own fills; nil means nothing is
@@ -415,7 +388,6 @@ func (t *TagStore) lruRanks() []uint64 {
 // arbitrary-but-reasonable hardware tie-break — so policy comparisons
 // isolate the T/C/A bits themselves.
 func (t *TagStore) SelectVictim(locked func(int) bool) int {
-	ranks := t.lruRanks()
 	best := -1
 	var bestPri uint64
 	var bestUse uint64
@@ -423,7 +395,7 @@ func (t *TagStore) SelectVictim(locked func(int) bool) int {
 		if locked != nil && locked(i) {
 			continue
 		}
-		pri := t.retention(i, ranks)
+		pri := t.retention(i)
 		use := t.entries[i].lastUse
 		if best < 0 || pri > bestPri || (pri == bestPri && use < bestUse) {
 			best, bestPri, bestUse = i, pri, use

@@ -1,6 +1,7 @@
 package vrmu
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -518,12 +519,19 @@ func TestFillDummyLifecycle(t *testing.T) {
 	}
 }
 
-// TestAgesMatchAgingScan runs random Touch, Insert, Evict and
-// InvalidateThread sequences against a model of the aging scan that ages
-// are derived from: on every agingEpoch-th touch, each valid entry other
-// than the touched one ages by one, saturating at 7, and a touch or
-// insert resets the entry's age to 0. Every valid entry's Age must match
-// the model after every operation.
+// TestAgesMatchAgingScan runs random Touch, Insert, Evict,
+// InvalidateThread and OnContextSwitch sequences against a model of the
+// aging scan that ages are derived from: on every agingEpoch-th touch,
+// each valid entry other than the touched one ages by one, saturating at
+// 7, and a touch or insert resets the entry's age to 0. Every valid
+// entry's Age must match the model after every operation.
+//
+// The same sequence drives a store of every age- and recency-based
+// policy. An entry's age never falls as its last use grows older, so
+// pseudo-LRU with least-recent-use tie-breaks picks exactly the LRU
+// victim: after every operation the LRU and PLRU stores must both choose
+// an invalid entry if there is one and otherwise the least recently used
+// entry, and MRT-PLRU must choose the MRT-LRU victim.
 func TestAgesMatchAgingScan(t *testing.T) {
 	const size, threads = 12, 3
 	rng := uint64(0x9e3779b97f4a7c15)
@@ -533,36 +541,60 @@ func TestAgesMatchAgingScan(t *testing.T) {
 		rng ^= rng << 17
 		return int(rng % uint64(n))
 	}
+	policies := []Policy{LRC, LRU, PLRU, MRTLRU, MRTPLRU}
 	for run := 0; run < 50; run++ {
-		ts := NewTagStore(size, LRC)
+		stores := make([]*TagStore, len(policies))
+		for i, pol := range policies {
+			stores[i] = NewTagStore(size, pol)
+		}
 		var clock uint64
 		var valid [size]bool
 		var owner [size]int
 		var age [size]uint8
+		var lastUse [size]uint64
 		for op := 0; op < 400; op++ {
 			phys := next(size)
-			switch next(10) {
-			case 0, 1, 2: // insert a register no entry holds yet
+			switch next(16) {
+			case 0, 1, 2, 3, 4: // insert a register no entry holds yet, into a free entry if there is one
 				thread, reg := next(threads), isa.Reg(next(16))
-				if ts.Contains(thread, reg) {
+				if stores[0].Contains(thread, reg) {
 					continue
 				}
-				ts.Insert(thread, reg, phys)
+				if free := slices.Index(valid[:], false); free >= 0 {
+					phys = free
+				}
+				for _, ts := range stores {
+					ts.Insert(thread, reg, phys)
+				}
 				clock++
-				valid[phys], owner[phys], age[phys] = true, thread, 0
-			case 3:
-				ts.Evict(phys)
+				valid[phys], owner[phys], age[phys], lastUse[phys] = true, thread, 0, clock
+			case 5:
+				for _, ts := range stores {
+					ts.Evict(phys)
+				}
 				valid[phys] = false
-			case 4:
+			case 6:
+				if next(4) != 0 { // rare: it empties a third of the store
+					continue
+				}
 				thread := next(threads)
-				ts.InvalidateThread(thread)
+				for _, ts := range stores {
+					ts.InvalidateThread(thread)
+				}
 				for i := range valid {
 					if owner[i] == thread {
 						valid[i] = false
 					}
 				}
+			case 7:
+				suspended, resumed := next(threads), next(threads)
+				for _, ts := range stores {
+					ts.OnContextSwitch(suspended, resumed)
+				}
 			default:
-				ts.Touch(phys)
+				for _, ts := range stores {
+					ts.Touch(phys)
+				}
 				clock++
 				if clock%agingEpoch == 0 {
 					for i := range age {
@@ -572,16 +604,37 @@ func TestAgesMatchAgingScan(t *testing.T) {
 					}
 				}
 				if valid[phys] {
-					age[phys] = 0
+					age[phys], lastUse[phys] = 0, clock
 				}
 			}
-			for i := 0; i < size; i++ {
-				if ts.Entry(i).Valid != valid[i] {
-					t.Fatalf("run %d op %d: entry %d valid %v, model %v", run, op, i, ts.Entry(i).Valid, valid[i])
+			for _, ts := range stores {
+				for i := 0; i < size; i++ {
+					if ts.Entry(i).Valid != valid[i] {
+						t.Fatalf("run %d op %d %v: entry %d valid %v, model %v", run, op, ts.Policy(), i, ts.Entry(i).Valid, valid[i])
+					}
+					if valid[i] && ts.Age(i) != age[i] {
+						t.Fatalf("run %d op %d %v: entry %d has age %d, the aging scan gives %d", run, op, ts.Policy(), i, ts.Age(i), age[i])
+					}
 				}
-				if valid[i] && ts.Age(i) != age[i] {
-					t.Fatalf("run %d op %d: entry %d has age %d, the aging scan gives %d", run, op, i, ts.Age(i), age[i])
+			}
+			want := -1
+			for i := range valid {
+				if !valid[i] {
+					want = i
+					break
 				}
+				if want < 0 || lastUse[i] < lastUse[want] {
+					want = i
+				}
+			}
+			for _, ts := range stores[1:3] { // LRU, PLRU
+				v := ts.SelectVictim(nil)
+				if v < 0 || valid[v] != valid[want] || (valid[v] && v != want) {
+					t.Fatalf("run %d op %d %v: victim %d, want %d (the least recently used, or any invalid entry)", run, op, ts.Policy(), v, want)
+				}
+			}
+			if got, want := stores[4].SelectVictim(nil), stores[3].SelectVictim(nil); got != want {
+				t.Fatalf("run %d op %d: MRT-PLRU victim %d, MRT-LRU victim %d", run, op, got, want)
 			}
 		}
 	}
