@@ -1437,8 +1437,8 @@ func sqOccupancyBuckets(n int) []uint64 {
 // so registered metrics reconcile exactly with the reported tables.
 func (c *Core) RegisterMetrics(r *telemetry.Registry, prefix string) {
 	r.Stats(prefix, &c.Stats)
-	c.switchInterval = r.Histogram(prefix+"/switch_interval_cycles", switchIntervalBuckets)
-	c.sqOccupancy = r.Histogram(prefix+"/sq_occupancy", sqOccupancyBuckets(c.cfg.SQEntries))
+	c.switchInterval = r.Histogram(telemetry.Name(prefix, "/switch_interval_cycles"), switchIntervalBuckets)
+	c.sqOccupancy = r.Histogram(telemetry.Name(prefix, "/sq_occupancy"), sqOccupancyBuckets(c.cfg.SQEntries))
 }
 
 // ---- diagnostics & invariants (the hardening layer's window) ----

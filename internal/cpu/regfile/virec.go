@@ -326,16 +326,16 @@ var fillLatencyBuckets = telemetry.Pow2Buckets(4, 10)
 // prefix (e.g. "rf0"). Counters alias the exported stats fields, so the
 // registry reconciles exactly with the experiment tables.
 func (p *ViReC) RegisterMetrics(r *telemetry.Registry, prefix string) {
-	p.tags.RegisterMetrics(r, prefix+"/vrmu")
+	p.tags.RegisterMetrics(r, telemetry.Name(prefix, "/vrmu"))
 	r.Stats(prefix, &p.Stats)
 	// The three BSI engines share one type, so their counters are named
 	// here rather than by tags.
-	r.Counter(prefix+"/fills_issued", &p.bsi.FillsIssued)
-	r.Counter(prefix+"/spills_issued", &p.bsi.SpillsIssued)
-	r.Counter(prefix+"/sysreg_fills", &p.sysBsi.FillsIssued)
-	r.Counter(prefix+"/sysreg_spills", &p.sysBsi.SpillsIssued)
-	r.Counter(prefix+"/prefetch_fills", &p.pfBsi.FillsIssued)
-	p.bsi.fillLat = r.Histogram(prefix+"/fill_latency_cycles", fillLatencyBuckets)
+	r.Counter(telemetry.Name(prefix, "/fills_issued"), &p.bsi.FillsIssued)
+	r.Counter(telemetry.Name(prefix, "/spills_issued"), &p.bsi.SpillsIssued)
+	r.Counter(telemetry.Name(prefix, "/sysreg_fills"), &p.sysBsi.FillsIssued)
+	r.Counter(telemetry.Name(prefix, "/sysreg_spills"), &p.sysBsi.SpillsIssued)
+	r.Counter(telemetry.Name(prefix, "/prefetch_fills"), &p.pfBsi.FillsIssued)
+	p.bsi.fillLat = r.Histogram(telemetry.Name(prefix, "/fill_latency_cycles"), fillLatencyBuckets)
 }
 
 // Tags exposes the tag store for statistics (hit rates, Figure 12).

@@ -2,8 +2,10 @@ package difftest
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 
 	"github.com/virec/virec/internal/cpu"
 	"github.com/virec/virec/internal/harden"
@@ -225,7 +227,7 @@ func Check(k *Kernel, opts CheckOpts) *Report {
 		}
 	}
 	ref := buildReference(k, scenarioConfig(k, widest, opts), widest.Threads)
-	defer ref.mem.Release()
+	defer ref.release()
 	for _, sc := range scenarios {
 		commits, d := runScenario(k, sc, opts, ref)
 		rep.Commits += commits
@@ -258,11 +260,26 @@ type refEntry struct {
 }
 
 // reference is a kernel's golden execution for its first threads. It is
-// read-only once built.
+// read-only once built, until release hands it to the next build.
 type reference struct {
 	threads []refThread // the threads that halted, in order
 	mem     *mem.Memory
-	err     error // why thread len(threads) has no reference, if it has none
+	err     error           // why thread len(threads) has no reference, if it has none
+	pre     interp.Precoded // the kernel's threaded code, lowered anew per build
+}
+
+// referencePool holds released references. A build keeps the thread
+// array, each thread's trace storage and the threaded code; nothing else
+// carries over.
+var referencePool sync.Pool
+
+// release hands the reference, its memory released, to the next
+// buildReference. Nothing may read it afterwards: a Divergence copies
+// what it reports.
+func (r *reference) release() {
+	r.mem.Release()
+	r.mem = nil
+	referencePool.Put(r)
 }
 
 func effSeed(s uint64) uint64 {
@@ -308,40 +325,51 @@ func scenarioConfig(k *Kernel, sc Scenario, opts CheckOpts) sim.Config {
 //
 // Each thread runs twice: untraced from a copy of its entry context on a
 // throwaway overlay of the reference memory, which counts its commits,
-// then traced into a trace allocated once at that exact length.
+// then traced into the thread's trace storage, grown first to that exact
+// length if a released reference left it shorter.
 func buildReference(k *Kernel, cfg sim.Config, threads int) *reference {
-	refMem := mem.NewMemory()
-	refs := make([]refThread, threads)
+	ref, _ := referencePool.Get().(*reference)
+	if ref == nil {
+		ref = new(reference)
+	}
+	ref.threads = slices.Grow(ref.threads[:0], threads)[:threads]
+	ref.mem, ref.err = mem.NewMemory(), nil
 	seed := effSeed(k.Seed)
-	// Setup for every thread first (as offload does), then run each.
-	for th := 0; th < threads; th++ {
-		base := cfg.ThreadSlabBase(0, th)
+	// Setup for every thread first (as offload does), then run each. One
+	// set callback serves every thread: Setup calls it only while it runs,
+	// for the thread rt names.
+	var rt *refThread
+	set := func(r isa.Reg, v uint64) { rt.final.Set(r, v) }
+	for th := range ref.threads {
+		rt = &ref.threads[th]
+		rt.final = interp.Context{}
 		p := workloads.Params{Iters: 1, Seed: seed, ThreadID: th}
-		ctx := &refs[th].final
-		k.Spec.Setup(refMem, base, p, func(r isa.Reg, v uint64) { ctx.Set(r, v) })
+		k.Spec.Setup(ref.mem, cfg.ThreadSlabBase(0, th), p, set)
 	}
 	budget := uint64(k.MaxDyn)*2 + 4096
 	// One pre-decode of the kernel serves every thread: the golden side
 	// runs through the threaded-code interpreter, so the difftest matrix
 	// also cross-checks Precode lowering against the timed model.
-	pre := interp.Precode(k.Spec.Prog)
-	for th := 0; th < threads; th++ {
-		ref := &refs[th]
-		entry := ref.final
-		scratch := refMem.Overlay()
+	pre := ref.pre.Reset(k.Spec.Prog)
+	record := func(e interp.TraceEntry) {
+		rt.entries = append(rt.entries, refEntry{pc: e.PC, rd: e.Rd, wrote: e.Wrote,
+			addr: e.Addr, val: e.Val, data: e.Data})
+	}
+	for th := range ref.threads {
+		rt = &ref.threads[th]
+		entry := rt.final
+		scratch := ref.mem.Overlay()
 		res := pre.Run(&entry, scratch, budget, nil)
 		scratch.Release()
 		if !res.Halted {
-			return &reference{threads: refs[:th], mem: refMem,
-				err: fmt.Errorf("reference thread %d did not halt within %d instructions", th, budget)}
+			ref.threads = ref.threads[:th]
+			ref.err = fmt.Errorf("reference thread %d did not halt within %d instructions", th, budget)
+			return ref
 		}
-		ref.entries = make([]refEntry, 0, res.Insts)
-		pre.Run(&ref.final, refMem, budget, func(e interp.TraceEntry) {
-			ref.entries = append(ref.entries, refEntry{pc: e.PC, rd: e.Rd, wrote: e.Wrote,
-				addr: e.Addr, val: e.Val, data: e.Data})
-		})
+		rt.entries = slices.Grow(rt.entries[:0], int(res.Insts))
+		pre.Run(&rt.final, ref.mem, budget, record)
 	}
-	return &reference{threads: refs, mem: refMem}
+	return ref
 }
 
 // runScenario co-simulates one scenario in lock step against the first
@@ -349,9 +377,8 @@ func buildReference(k *Kernel, cfg sim.Config, threads int) *reference {
 // plus the first divergence, if any.
 func runScenario(k *Kernel, sc Scenario, opts CheckOpts, ref *reference) (uint64, *Divergence) {
 	cfg := scenarioConfig(k, sc, opts)
-	name := sc.String()
 	fail := func(kind string, th, idx, pc int, format string, args ...any) *Divergence {
-		return &Divergence{Scenario: name, Kind: kind, Thread: th, Index: idx,
+		return &Divergence{Scenario: sc.String(), Kind: kind, Thread: th, Index: idx,
 			PC: pc, Detail: fmt.Sprintf(format, args...)}
 	}
 
@@ -407,7 +434,7 @@ func runScenario(k *Kernel, sc Scenario, opts CheckOpts, ref *reference) (uint64
 		}
 	})
 
-	_, err = sys.Run()
+	err = sys.Exec()
 	if d != nil {
 		// A lock-step mismatch explains any downstream run error.
 		return commits, d

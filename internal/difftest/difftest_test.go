@@ -3,6 +3,8 @@ package difftest
 import (
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"github.com/virec/virec/internal/asm"
@@ -259,5 +261,49 @@ func TestArtifactRoundTripAndReplay(t *testing.T) {
 	}
 	if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
 		t.Fatalf("artifact file missing or empty: %v", err)
+	}
+}
+
+// TestLockStepAllocsPerScenario holds a warm lock-step check to the
+// allocations the compare itself needs. A scenario runs the Result-free
+// Exec, so no Result or metrics snapshot is built only to be dropped, and
+// the golden reference, the systems and their components come back from
+// pools. With the collector off, so that no pool is emptied, and on one
+// P, so that what a release puts in a pool is what the next build gets,
+// one Check of generated seeds 0–3 over Matrix() warms the pools; a second
+// Check of each seed must then stay under 2 KiB per scenario. Seeds 0–3
+// measure 770, 831, 919 and 1,346 bytes, so the bound leaves about 50%
+// over the largest; with a Result and snapshot per scenario and a
+// reference built anew they took 8–12 KiB. The race detector's pool drops
+// a quarter of what it is given, so components are sometimes built anew
+// under it; there 56 samples measured 16–28 KiB.
+func TestLockStepAllocsPerScenario(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	bound := uint64(2 << 10)
+	if raceEnabled {
+		bound = 40 << 10
+	}
+	scenarios := Matrix()
+	kernels := make([]*Kernel, 4)
+	for seed := range kernels {
+		kernels[seed] = Generate(uint64(seed), GenConfigForSeed(uint64(seed)))
+		if rep := Check(kernels[seed], CheckOpts{Scenarios: scenarios}); !rep.Clean() {
+			t.Fatalf("seed %d: %v", seed, rep.Divergence)
+		}
+	}
+	for seed, k := range kernels {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rep := Check(k, CheckOpts{Scenarios: scenarios})
+		runtime.ReadMemStats(&after)
+		per := (after.TotalAlloc - before.TotalAlloc) / uint64(rep.Scenarios)
+		t.Logf("seed %d: %d scenarios, %d bytes each", seed, rep.Scenarios, per)
+		if !rep.Clean() || rep.Scenarios != len(scenarios) {
+			t.Fatalf("seed %d: %d of %d scenarios, divergence %v", seed, rep.Scenarios, len(scenarios), rep.Divergence)
+		}
+		if per > bound {
+			t.Errorf("seed %d: a warm check allocated %d bytes per scenario, want at most %d", seed, per, bound)
+		}
 	}
 }

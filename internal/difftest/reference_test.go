@@ -2,6 +2,7 @@ package difftest
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -36,34 +37,61 @@ func interpTrace(k *Kernel, cfg sim.Config, threads int) [][]interp.TraceEntry {
 }
 
 // TestReferenceMatchesInterpTrace: each thread's compact reference holds
-// exactly the interpreter's trace, field by field, in a slice allocated at
-// its final length.
+// exactly the interpreter's trace, field by field and at exactly its
+// length. The 50 seeds' references are built through the pool, longest
+// first, and each is released before the next is built, so every later
+// reference lives in storage that a longer trace used: an entry, a final
+// context or a thread left over from an earlier kernel shows here.
 func TestReferenceMatchesInterpTrace(t *testing.T) {
 	const threads = 8
 	sc := Scenario{Kind: sim.ViReC, Policy: vrmu.LRC, Threads: threads}
+	type golden struct {
+		k       *Kernel
+		cfg     sim.Config
+		want    [][]interp.TraceEntry
+		commits int
+	}
+	var seeds []golden
 	for seed := uint64(0); seed < 50; seed++ {
 		k := Generate(seed, GenConfigForSeed(seed))
 		cfg := scenarioConfig(k, sc, CheckOpts{})
-		ref := buildReference(k, cfg, threads)
-		want := interpTrace(k, cfg, threads)
+		g := golden{k: k, cfg: cfg, want: interpTrace(k, cfg, threads)}
+		for _, w := range g.want {
+			g.commits += len(w)
+		}
+		seeds = append(seeds, g)
+	}
+	slices.SortStableFunc(seeds, func(a, b golden) int { return b.commits - a.commits })
+
+	var last *reference
+	recycled := 0
+	for _, g := range seeds {
+		seed := g.k.Seed
+		ref := buildReference(g.k, g.cfg, threads)
+		if ref == last {
+			recycled++
+		}
 		if ref.err != nil || len(ref.threads) != threads {
-			ref.mem.Release()
 			t.Fatalf("seed %d: %d reference threads, err %v", seed, len(ref.threads), ref.err)
 		}
 		for th, rt := range ref.threads {
-			if len(rt.entries) != len(want[th]) || cap(rt.entries) != len(rt.entries) {
-				t.Fatalf("seed %d t%d: %d entries (cap %d), interpreter executed %d",
-					seed, th, len(rt.entries), cap(rt.entries), len(want[th]))
+			if len(rt.entries) != len(g.want[th]) {
+				t.Fatalf("seed %d t%d: %d entries, interpreter executed %d",
+					seed, th, len(rt.entries), len(g.want[th]))
 			}
 			for i, e := range rt.entries {
-				w := want[th][i]
+				w := g.want[th][i]
 				if e.pc != w.PC || e.rd != w.Rd || e.wrote != w.Wrote ||
 					e.addr != w.Addr || e.val != w.Val || e.data != w.Data {
 					t.Fatalf("seed %d t%d entry %d: reference %+v, interpreter %+v", seed, th, i, e, w)
 				}
 			}
 		}
-		ref.mem.Release()
+		ref.release()
+		last = ref
+	}
+	if recycled == 0 {
+		t.Fatal("no reference was built from a released one")
 	}
 }
 
@@ -86,13 +114,13 @@ func TestReferenceFieldsAreCompared(t *testing.T) {
 			}
 		}
 		if k == nil {
-			r.mem.Release()
+			r.release()
 		}
 	}
 	if k == nil {
 		t.Fatal("no seed in 0..19 commits a store on thread 0")
 	}
-	defer ref.mem.Release()
+	defer ref.release()
 	if _, d := runScenario(k, sc, CheckOpts{}, ref); d != nil {
 		t.Fatalf("seed %d: the uncorrupted reference diverges: %v", k.Seed, d)
 	}

@@ -17,9 +17,10 @@ import (
 // running a sweep-shaped experiment with a worker pool must render the
 // exact same report, byte for byte, as the serial loop. fig9 covers the
 // multi-workload multi-config shape; mix covers WorkloadMix configs with
-// value validation enabled.
+// value validation enabled; fig12 and headline reduce across policies and
+// kinds; hints runs the generated population and its activity tables.
 func TestParallelMatchesSerial(t *testing.T) {
-	for _, name := range []string{"fig9", "mix"} {
+	for _, name := range []string{"fig9", "mix", "fig12", "headline", "hints"} {
 		t.Run(name, func(t *testing.T) {
 			serial, err := Run(name, Options{Quick: true, Iters: 16, Parallel: 1})
 			if err != nil {

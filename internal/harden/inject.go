@@ -2,6 +2,7 @@ package harden
 
 import (
 	"fmt"
+	"sync"
 
 	"github.com/virec/virec/internal/mem"
 	"github.com/virec/virec/internal/mem/cache"
@@ -57,34 +58,51 @@ type Injector struct {
 // slabs, reserved register regions, program text).
 const stormRegion = 0xC000_0000
 
+// injectorPool holds released injectors.
+var injectorPool sync.Pool
+
 // NewInjector builds an injector over the given dcache with a per-core
 // seed. The cache's geometry and register-region configuration steer the
-// eviction storms toward the sets that hold pinned register lines.
+// eviction storms toward the sets that hold pinned register lines. It
+// rebuilds a released injector when there is one: its idle jitter holders
+// and storm fetches, still bound to it, and its set list's storage carry
+// over, but a completion it was holding back does not. That is dropped,
+// never completed, so no holder is issued twice.
 func NewInjector(plan FaultPlan, seed uint64, target *cache.Cache) *Injector {
 	cfg := target.Config()
 	numSets := cfg.SizeBytes / mem.LineBytes / cfg.Assoc
 	if numSets <= 0 {
 		numSets = 1
 	}
-	inj := &Injector{
+	inj, _ := injectorPool.Get().(*Injector)
+	if inj == nil {
+		inj = new(Injector)
+	}
+	*inj = Injector{
 		plan:     plan,
 		rng:      seed,
 		target:   target,
 		numSets:  numSets,
+		regSets:  inj.regSets[:0],
 		stormTag: stormRegion/(uint64(numSets)*mem.LineBytes) + 1,
+		delayed:  inj.delayed.Emptied(),
+		free:     inj.free,
+		fetches:  inj.fetches,
 	}
-	if cfg.RegRegionSize > 0 {
-		seen := make(map[int]bool)
-		for off := uint64(0); off < cfg.RegRegionSize; off += mem.LineBytes {
-			set := int(uint64(cfg.RegRegionBase+mem.Addr(off)) / mem.LineBytes % uint64(numSets))
-			if !seen[set] {
-				seen[set] = true
-				inj.regSets = append(inj.regSets, set)
-			}
-		}
+	// The region's lines fall in consecutive sets, wrapping at numSets, so
+	// its first numSets lines name each set it covers once, in the order
+	// the lines reach them.
+	first := uint64(cfg.RegRegionBase) / mem.LineBytes
+	lines := (cfg.RegRegionSize + mem.LineBytes - 1) / mem.LineBytes
+	for i := uint64(0); i < min(lines, uint64(numSets)); i++ {
+		inj.regSets = append(inj.regSets, int((first+i)%uint64(numSets)))
 	}
 	return inj
 }
+
+// Release hands the injector to the next NewInjector. Only its owner may
+// release it, once, when nothing uses it any more.
+func (inj *Injector) Release() { injectorPool.Put(inj) }
 
 // splitmixNext advances a splitmix64 stream in place.
 func splitmixNext(s *uint64) uint64 {

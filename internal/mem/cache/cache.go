@@ -555,9 +555,9 @@ var pinnedBuckets = telemetry.LinearBuckets(0, 4, 16)
 // pinned-line histogram into a registry under prefix (e.g. "dcache0").
 func (c *Cache) RegisterMetrics(r *telemetry.Registry, prefix string) {
 	r.Stats(prefix, &c.Stats)
-	r.Gauge(prefix+"/pinned_lines", c.pinnedGauge)
-	r.Gauge(prefix+"/mshrs_in_use", c.mshrGauge)
-	c.pinnedHist = r.Histogram(prefix+"/pinned_lines_hist", pinnedBuckets)
+	r.Gauge(telemetry.Name(prefix, "/pinned_lines"), c.pinnedGauge)
+	r.Gauge(telemetry.Name(prefix, "/mshrs_in_use"), c.mshrGauge)
+	c.pinnedHist = r.Histogram(telemetry.Name(prefix, "/pinned_lines_hist"), pinnedBuckets)
 }
 
 // CheckInvariants validates internal consistency; tests call it after

@@ -75,8 +75,8 @@ func (s *Stats) AvgReadLatency() float64 {
 // registry under prefix (e.g. "dram"). Counters alias the Stats fields.
 func (d *DRAM) RegisterMetrics(r *telemetry.Registry, prefix string) {
 	r.Stats(prefix, &d.Stats)
-	r.Gauge(prefix+"/avg_read_latency", d.latencyGauge)
-	r.Gauge(prefix+"/queue_occupancy", d.queueGauge)
+	r.Gauge(telemetry.Name(prefix, "/avg_read_latency"), d.latencyGauge)
+	r.Gauge(telemetry.Name(prefix, "/queue_occupancy"), d.queueGauge)
 }
 
 type bank struct {

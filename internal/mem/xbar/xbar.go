@@ -37,7 +37,7 @@ type Stats struct {
 // under prefix (e.g. "xbar"). Counters alias the Stats fields.
 func (x *Xbar) RegisterMetrics(r *telemetry.Registry, prefix string) {
 	r.Stats(prefix, &x.Stats)
-	r.Gauge(prefix+"/max_queue", x.maxQueueGauge)
+	r.Gauge(telemetry.Name(prefix, "/max_queue"), x.maxQueueGauge)
 }
 
 // forward is a recycled copy of a request passed to the controller. Its

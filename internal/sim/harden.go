@@ -1,5 +1,5 @@
 // Hardening integration: rich error types carrying diagnostic dumps, and
-// the view the harden package gets onto a composed system. sim.Run wires
+// the view the harden package gets onto a composed system. System.Exec wires
 // the fault injector, livelock watchdog and continuous invariant checker
 // from internal/harden into the cycle loop.
 package sim

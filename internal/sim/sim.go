@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"runtime/debug"
 	"slices"
+	"strconv"
 	"sync"
 
 	"github.com/virec/virec/internal/asm"
@@ -281,6 +282,8 @@ type System struct {
 	// and registering it would make skip and no-skip metric snapshots
 	// differ by construction.
 	skipped uint64
+	// cycle is the last cycle of a finished Exec.
+	cycle uint64
 
 	verifies [][]workloads.Verify
 
@@ -343,11 +346,9 @@ func New(cfg Config) (*System, error) {
 		below = s.fixed
 	} else {
 		s.DRAM = dram.New(dram.DefaultConfig())
-		s.DRAM.RegisterMetrics(s.Registry, "dram")
 		below = s.DRAM
 	}
 	s.Xbar = xbar.New(xbar.DefaultConfig(), below)
-	s.Xbar.RegisterMetrics(s.Registry, "xbar")
 
 	pipeCfg := cpu.DefaultConfig()
 	pipeCfg.Threads = cfg.ThreadsPerCore
@@ -359,8 +360,9 @@ func New(cfg Config) (*System, error) {
 		}
 		s.layouts = append(s.layouts, layout)
 
+		id := strconv.Itoa(coreID)
 		ccfg := cache.Config{
-			Name:            fmt.Sprintf("dcache%d", coreID),
+			Name:            telemetry.Name("dcache", id),
 			SizeBytes:       cfg.DCacheBytes,
 			Assoc:           4,
 			HitLatency:      cfg.DCacheHitLatency,
@@ -373,7 +375,6 @@ func New(cfg Config) (*System, error) {
 			ccfg.RegRegionSize = layout.Size(cfg.ThreadsPerCore)
 		}
 		dc := cache.New(ccfg, s.Xbar)
-		dc.RegisterMetrics(s.Registry, fmt.Sprintf("dcache%d", coreID))
 		dc.SetTelemetry(s.Tracer, coreID)
 		s.DCaches = append(s.DCaches, dc)
 
@@ -384,20 +385,18 @@ func New(cfg Config) (*System, error) {
 		if cfg.Harden.FaultSeed != 0 {
 			inj := harden.NewInjector(cfg.Harden.ResolvedPlan(),
 				cfg.Harden.FaultSeed+uint64(coreID)*0x9e3779b97f4a7c15, dc)
-			inj.RegisterMetrics(s.Registry, fmt.Sprintf("inject%d", coreID))
 			s.Injectors = append(s.Injectors, inj)
 			dcDev = inj
 		}
 
 		ic := cache.New(cache.Config{
-			Name:       fmt.Sprintf("icache%d", coreID),
+			Name:       telemetry.Name("icache", id),
 			SizeBytes:  32 * 1024,
 			Assoc:      4,
 			HitLatency: 2,
 			MSHRs:      4,
 			Ports:      1,
 		}, s.Xbar)
-		ic.RegisterMetrics(s.Registry, fmt.Sprintf("icache%d", coreID))
 		s.ICaches = append(s.ICaches, ic)
 
 		var provider builtProvider
@@ -438,7 +437,6 @@ func New(cfg Config) (*System, error) {
 		}
 
 		if v, ok := provider.(*regfile.ViReC); ok {
-			v.RegisterMetrics(s.Registry, fmt.Sprintf("rf%d", coreID))
 			v.SetTelemetry(s.Tracer, coreID)
 		}
 		s.providers = append(s.providers, provider)
@@ -450,7 +448,6 @@ func New(cfg Config) (*System, error) {
 		}
 
 		core := cpu.New(pipeCfg, coreProvider, dcDev, s.Memory)
-		core.RegisterMetrics(s.Registry, fmt.Sprintf("core%d", coreID))
 		core.SetTelemetry(s.Tracer, coreID)
 		core.SetICache(ic)
 		base := progBase + mem.Addr(coreID)*0x10_0000
@@ -465,10 +462,35 @@ func New(cfg Config) (*System, error) {
 		}
 		s.Cores = append(s.Cores, core)
 	}
+	s.registerMetrics(s.Registry)
 
 	s.offload()
 	s.recordOracles()
 	return s, nil
+}
+
+// registerMetrics wires every structure into r: the memory side under
+// dram and xbar, then each core's dcache, fault injector, icache, ViReC
+// provider and pipeline under dcacheN, injectN, icacheN, rfN and coreN.
+// Every prefix and name comes from telemetry.Name, so once a process has
+// registered a namespace, registering it again builds no string.
+func (s *System) registerMetrics(r *telemetry.Registry) {
+	if s.DRAM != nil {
+		s.DRAM.RegisterMetrics(r, "dram")
+	}
+	s.Xbar.RegisterMetrics(r, "xbar")
+	for coreID, core := range s.Cores {
+		id := strconv.Itoa(coreID)
+		s.DCaches[coreID].RegisterMetrics(r, telemetry.Name("dcache", id))
+		if len(s.Injectors) > 0 {
+			s.Injectors[coreID].RegisterMetrics(r, telemetry.Name("inject", id))
+		}
+		s.ICaches[coreID].RegisterMetrics(r, telemetry.Name("icache", id))
+		if v, ok := s.providers[coreID].(*regfile.ViReC); ok {
+			v.RegisterMetrics(r, telemetry.Name("rf", id))
+		}
+		core.RegisterMetrics(r, telemetry.Name("core", id))
+	}
 }
 
 // recordOracles runs each thread functionally on a copy-on-write overlay
@@ -608,23 +630,16 @@ type Result struct {
 	Metrics *telemetry.Snapshot
 }
 
-// Run simulates until every core finishes (or MaxCycles elapse) and
-// verifies every thread's final state against the workload golden model.
-func (s *System) Run() (res *Result, err error) {
+// Exec simulates until every core finishes (or MaxCycles elapse), sweeps
+// the invariants of the final machine and verifies every thread's final
+// state against the workload golden model. It builds no Result: Run is
+// Exec followed by the Result and its metrics snapshot, and a caller that
+// judges the run by other means, as difftest's lock-step compare does,
+// calls Exec alone. A panic inside returns as a *CrashError.
+func (s *System) Exec() (err error) {
 	cfg := s.cfg
 	var cycle uint64
-	defer func() {
-		if r := recover(); r != nil {
-			res = nil
-			err = &CrashError{
-				Panic:    r,
-				Cycle:    cycle,
-				Dump:     harden.Dump(s.view()),
-				Stack:    debug.Stack(),
-				Scenario: cfg.scenario(),
-			}
-		}
-	}()
+	defer s.recoverCrash(&err, &cycle)
 
 	wd := harden.Watchdog{Window: cfg.Harden.WatchdogWindow}
 	lastInsts := make([]uint64, len(s.Cores))
@@ -673,7 +688,7 @@ func (s *System) Run() (res *Result, err error) {
 			break
 		}
 		if wd.Window > 0 && wd.Observe(cycle, total) {
-			return nil, &LivelockError{
+			return &LivelockError{
 				Cycle:        cycle,
 				Window:       wd.Window,
 				LastProgress: wd.LastProgress(),
@@ -682,7 +697,7 @@ func (s *System) Run() (res *Result, err error) {
 		}
 		if k := cfg.Harden.CheckEvery; k > 0 && cycle%k == k-1 {
 			if msg := harden.CheckSystem(s.view()); msg != "" {
-				return nil, &InvariantError{
+				return &InvariantError{
 					Cycle:     cycle,
 					Violation: msg,
 					Dump:      harden.Dump(s.view()),
@@ -730,20 +745,44 @@ func (s *System) Run() (res *Result, err error) {
 		}
 	}
 	if cycle >= cfg.MaxCycles {
-		return nil, s.maxCyclesError(lastInsts, lastCommit)
+		return s.maxCyclesError(lastInsts, lastCommit)
 	}
 
 	// Final unconditional invariant sweep: every run, faulted or not,
 	// must end with a self-consistent machine.
 	if msg := harden.CheckSystem(s.view()); msg != "" {
-		return nil, &InvariantError{
+		return &InvariantError{
 			Cycle:     cycle,
 			Violation: msg,
 			Dump:      harden.Dump(s.view()),
 		}
 	}
 
-	res = &Result{Cycles: cycle + 1}
+	s.cycle = cycle
+	for coreID, c := range s.Cores {
+		// One shadow reader per core, reading the thread th names.
+		var th int
+		shadow := func(r isa.Reg) uint64 { return c.Thread(th).Shadow(r) }
+		for th = 0; th < cfg.ThreadsPerCore; th++ {
+			if err := s.verifies[coreID][th](shadow, s.Memory); err != nil {
+				return fmt.Errorf("sim: core %d thread %d (%s): %w",
+					coreID, th, s.specFor(th).Name, err)
+			}
+		}
+	}
+	s.Tracer.Flush()
+	return nil
+}
+
+// Run is Exec followed by the Result: every structure's statistics and
+// the end-of-run snapshot of the metrics registry. Its errors are Exec's,
+// and a panic while it builds the Result returns as a *CrashError too.
+func (s *System) Run() (_ *Result, err error) {
+	defer s.recoverCrash(&err, &s.cycle)
+	if err := s.Exec(); err != nil {
+		return nil, err
+	}
+	res := &Result{Cycles: s.cycle + 1}
 	for coreID, c := range s.Cores {
 		// A copy: the core's slice goes back to the pool with the core.
 		st := c.Stats
@@ -755,15 +794,6 @@ func (s *System) Run() (res *Result, err error) {
 		if v, ok := c.Provider().(*regfile.ViReC); ok {
 			res.TagStats = append(res.TagStats, v.Tags().Stats)
 		}
-		// One shadow reader per core, reading the thread th names.
-		var th int
-		shadow := func(r isa.Reg) uint64 { return c.Thread(th).Shadow(r) }
-		for th = 0; th < cfg.ThreadsPerCore; th++ {
-			if err := s.verifies[coreID][th](shadow, s.Memory); err != nil {
-				return nil, fmt.Errorf("sim: core %d thread %d (%s): %w",
-					coreID, th, s.specFor(th).Name, err)
-			}
-		}
 	}
 	if s.DRAM != nil {
 		st := s.DRAM.Stats
@@ -772,10 +802,22 @@ func (s *System) Run() (res *Result, err error) {
 	if res.Cycles > 0 {
 		res.IPC = float64(res.Insts) / float64(res.Cycles)
 	}
-	s.Tracer.Flush()
 	res.Metrics = s.Registry.Snapshot()
 	res.Metrics.Cycle = res.Cycles
 	return res, nil
+}
+
+// recoverCrash, deferred, turns a panic into a *CrashError at *cycle.
+func (s *System) recoverCrash(err *error, cycle *uint64) {
+	if r := recover(); r != nil {
+		*err = &CrashError{
+			Panic:    r,
+			Cycle:    *cycle,
+			Dump:     harden.Dump(s.view()),
+			Stack:    debug.Stack(),
+			Scenario: s.cfg.scenario(),
+		}
+	}
 }
 
 // skipTarget returns the earliest cycle after now that must be ticked
@@ -853,9 +895,9 @@ func (s *System) skipTarget(now uint64, wd *harden.Watchdog) uint64 {
 
 // Release hands to the pools the next New takes from: the memory's pages
 // and page table, every core, register provider (with its BSIs, tag store
-// and rollback queue), dcache and icache, the crossbar, the DRAM
-// controller, the registry with its histograms, and the system with its
-// Belady scratch. Each rebuild starts with empty queues, MSHRs and event
+// and rollback queue), dcache, icache and fault injector, the crossbar,
+// the DRAM controller, the registry with its histograms, and the system
+// with its Belady scratch. Each rebuild starts with empty queues, MSHRs and event
 // heaps, so a request in flight now never completes into another system.
 // Call it once, when nothing reads the system; the Result of Run shares
 // no storage with it. A released system cannot run again.
@@ -872,6 +914,9 @@ func (s *System) Release() {
 	}
 	for _, c := range s.ICaches {
 		c.Release()
+	}
+	for _, inj := range s.Injectors {
+		inj.Release()
 	}
 	s.Xbar.Release()
 	if s.DRAM != nil {

@@ -18,8 +18,8 @@
 //     Trace emission behind a nil *Tracer is a load and a branch.
 //   - Registration is cheap too: every simulation registers its whole
 //     namespace, so a Stats struct costs one entry however many counters
-//     it holds, and each (type, prefix) pair's metric names are built
-//     once per process.
+//     it holds, each (type, prefix) pair's metric names are built once
+//     per process, and Name joins every other name once per process.
 //   - One run, one namespace. Metric names are slash-separated labels
 //     ("core0/ctx_switches", "vrmu0/misses", "dram/row_hits"); a name
 //     registered twice panics when the registry is snapshotted, so a
@@ -102,6 +102,30 @@ func fieldsOf(t reflect.Type, prefix string) *statsFields {
 	}
 	fieldCache.m[key] = fs
 	return fs
+}
+
+// names holds every name Name has joined in the process, under its two
+// parts. Like fieldCache it only grows, by the names of the structure
+// prefixes the runs wire.
+var names = struct {
+	sync.Mutex
+	m map[[2]string]string
+}{m: make(map[[2]string]string)}
+
+// Name returns prefix+leaf, joined once per process. Structures name
+// their metrics with it (Name(prefix, "/occupancy")) and systems their
+// per-core prefixes (Name("core", "0")), so a simulation registers its
+// namespace without building a string.
+func Name(prefix, leaf string) string {
+	names.Lock()
+	defer names.Unlock()
+	key := [2]string{prefix, leaf}
+	name, ok := names.m[key]
+	if !ok {
+		name = prefix + leaf
+		names.m[key] = name
+	}
+	return name
 }
 
 // registryPool holds released registries.

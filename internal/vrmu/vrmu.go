@@ -218,7 +218,7 @@ func (t *TagStore) Release() { tagStorePool.Put(t) }
 // prefix (e.g. "vrmu0"). Counters alias the Stats fields.
 func (t *TagStore) RegisterMetrics(r *telemetry.Registry, prefix string) {
 	r.Stats(prefix, &t.Stats)
-	r.Gauge(prefix+"/occupancy", t.occupancy)
+	r.Gauge(telemetry.Name(prefix, "/occupancy"), t.occupancy)
 }
 
 // camSlot flattens a (thread, reg) pair into a CAM table index.
