@@ -39,6 +39,12 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 	return b, true
 }
 
+// open opens the entry for key, to be read in place. Entries are
+// immutable once renamed into place, so the file stays whole while open.
+func (c *Cache) open(key string) (*os.File, error) {
+	return os.Open(c.path(key))
+}
+
 // Put stores result bytes under key, atomically. A concurrent Put of the
 // same key is harmless: both writers hold identical bytes (the key is a
 // content address), and rename is atomic, so readers see one of them.

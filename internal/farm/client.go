@@ -26,7 +26,7 @@ type Client struct {
 	HTTP *http.Client
 	// PollInterval is unused: WaitResult sends one request and never
 	// polls. cmd/virec-bench still sets it, so it goes with the next
-	// change to the benchmark (ROADMAP item 9).
+	// change to the benchmark (ROADMAP item 8).
 	PollInterval time.Duration
 	// SubmitBackoff spaces retries after a 429 (default 500ms); a
 	// rejected submission retries until ctx expires.

@@ -3,10 +3,16 @@ package farm
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"testing"
+
+	"github.com/virec/virec/internal/asm"
+	"github.com/virec/virec/internal/isa"
+	"github.com/virec/virec/internal/workloads"
 )
 
 // TestResultBytesIdenticalAcrossExecutionPaths is the farm's counterpart
@@ -40,6 +46,19 @@ func TestResultBytesIdenticalAcrossExecutionPaths(t *testing.T) {
 			t.Fatalf("inline Execute(%s): %v", spec.Summary(), err)
 		}
 		inline[i] = out
+	}
+
+	// Sim and difftest results are compact JSON plus one newline.
+	for i, spec := range specs[:3] {
+		var compact bytes.Buffer
+		if err := json.Compact(&compact, inline[i]); err != nil {
+			t.Fatalf("%s: result is not JSON: %v", spec.Summary(), err)
+		}
+		compact.WriteByte('\n')
+		if !bytes.Equal(compact.Bytes(), inline[i]) {
+			t.Errorf("%s: result is not compact JSON and one newline (%d bytes, compact %d)",
+				spec.Summary(), len(inline[i]), compact.Len())
+		}
 	}
 
 	// Path 2: farm worker.
@@ -180,11 +199,36 @@ func TestCacheKeySensitivity(t *testing.T) {
 		}
 		seen[k] = fmt.Sprintf("variant %d", i)
 	}
-	bumped, err := base.CacheKey("virec-farm/2")
+	bumped, err := base.CacheKey(CodeVersion + "+1")
 	if err != nil {
 		t.Fatalf("CacheKey: %v", err)
 	}
 	if bumped == k1 {
 		t.Fatal("code-version bump did not move the cache key")
+	}
+}
+
+// TestKernelEditMovesDigest: a sim job's key frames its kernel's program
+// digest, so editing a kernel moves the key even under an unbumped code
+// version. One instruction changed gives another digest; the registered
+// kernel's digest is taken once.
+func TestKernelEditMovesDigest(t *testing.T) {
+	w, ok := workloads.ByName("vecadd")
+	if !ok {
+		t.Fatal("no vecadd kernel")
+	}
+	d := programDigest(w)
+	if again := programDigest(w); again != d {
+		t.Fatal("a registered kernel's digest was taken twice")
+	}
+	insts := slices.Clone(w.Prog.Insts)
+	i := slices.IndexFunc(insts, func(in isa.Inst) bool { return in.Op == isa.ADD })
+	if i < 0 {
+		t.Fatal("no ADD to edit in vecadd")
+	}
+	insts[i].Rm++ // add x6, x6, x7 reads x8 instead
+	edited := &workloads.Spec{Name: w.Name, Prog: &asm.Program{Name: w.Prog.Name, Insts: insts}}
+	if *programDigest(edited) == *d {
+		t.Fatal("a kernel one instruction apart has the same program digest")
 	}
 }

@@ -127,12 +127,12 @@ func execExperiment(ctx context.Context, s *ExperimentSpec) ([]byte, error) {
 	return rep.Render(s.Format)
 }
 
-// marshalCanonical renders a result document as indented JSON with a
+// marshalCanonical renders a result document as compact JSON with a
 // trailing newline. encoding/json sorts map keys (the telemetry snapshot
 // maps) and emits struct fields in declaration order, so the bytes are
 // deterministic.
 func marshalCanonical(v any) ([]byte, error) {
-	out, err := json.MarshalIndent(v, "", "  ")
+	out, err := json.Marshal(v)
 	if err != nil {
 		return nil, err
 	}

@@ -25,7 +25,9 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"maps"
+	"os"
 	"path/filepath"
 	"runtime"
 	"slices"
@@ -481,14 +483,34 @@ func (f *Farm) Result(id uint64) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if job.State != StateDone {
-		return nil, fmt.Errorf("farm: job %d is %s, no result", id, job.State)
+	entry, size, err := f.openResult(job)
+	if err != nil {
+		return nil, err
 	}
-	out, ok := f.cache.Get(job.Key)
-	if !ok {
-		return nil, fmt.Errorf("farm: job %d done but result %s missing from cache", id, job.Key)
+	defer entry.Close()
+	out := make([]byte, size)
+	if _, err := io.ReadFull(entry, out); err != nil {
+		return nil, fmt.Errorf("farm: job %d result: %w", id, err)
 	}
 	return out, nil
+}
+
+// openResult opens the cache entry holding a done job's result and
+// returns it with its size. The caller closes it.
+func (f *Farm) openResult(job *Job) (*os.File, int64, error) {
+	if job.State != StateDone {
+		return nil, 0, fmt.Errorf("farm: job %d is %s, no result", job.ID, job.State)
+	}
+	entry, err := f.cache.open(job.Key)
+	if err != nil {
+		return nil, 0, fmt.Errorf("farm: job %d done but result %s missing from cache", job.ID, job.Key)
+	}
+	fi, err := entry.Stat()
+	if err != nil {
+		entry.Close()
+		return nil, 0, fmt.Errorf("farm: job %d result: %w", job.ID, err)
+	}
+	return entry, fi.Size(), nil
 }
 
 // WaitJob blocks until the job reaches a terminal state and returns it.

@@ -12,6 +12,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"sync"
 
 	"github.com/virec/virec/internal/difftest"
 	"github.com/virec/virec/internal/experiments"
@@ -25,7 +26,7 @@ import (
 // to the simulator, the workloads, the difftest generator or the
 // experiment definitions can alter result bytes for an unchanged spec —
 // stale cache entries then miss instead of serving wrong answers.
-const CodeVersion = "virec-farm/1"
+const CodeVersion = "virec-farm/2"
 
 // Job kinds.
 const (
@@ -45,8 +46,8 @@ type Spec struct {
 
 // SimSpec describes a single simulation: the serializable subset of
 // sim.Config the farm accepts over the wire. Workloads are referenced by
-// name and resolved against the built-in kernel registry; the kernel's
-// program bytes are folded into the cache key so a recompiled kernel
+// name and resolved against the built-in kernel registry; a digest of the
+// kernel's program is folded into the cache key so a recompiled kernel
 // cannot hit a stale entry even under an unbumped code version.
 type SimSpec struct {
 	CoreKind string `json:"core_kind"` // sim.ParseCoreKind name
@@ -191,38 +192,55 @@ func (s *Spec) canonicalBytes() ([]byte, error) {
 	return json.Marshal(s)
 }
 
-// workloadBytes returns the encoded program bytes of every kernel the
-// spec's execution depends on: the named kernel for sim jobs, every
-// registered kernel for experiment jobs (experiments sweep across the
-// suite), and nothing for difftest jobs (their kernels are generated
-// from the seed, which is already in the spec; generator changes are
-// covered by the code version).
-func (s *Spec) workloadBytes() []byte {
-	var specs []*workloads.Spec
+// kernelDigests memoizes programDigest: a kernel is hashed the first
+// time a spec names it, and looked up after that.
+var kernelDigests sync.Map // *workloads.Spec → *[sha256.Size]byte
+
+// programDigest hashes a kernel's name and encoded program, once per
+// kernel per process, so an edited kernel moves every cache key that
+// names it.
+func programDigest(w *workloads.Spec) *[sha256.Size]byte {
+	if d, ok := kernelDigests.Load(w); ok {
+		return d.(*[sha256.Size]byte)
+	}
+	b := append([]byte(w.Name), 0)
+	for i := range w.Prog.Insts {
+		b = w.Prog.Insts[i].Encode(b)
+	}
+	d := sha256.Sum256(b)
+	got, _ := kernelDigests.LoadOrStore(w, &d)
+	return got.(*[sha256.Size]byte)
+}
+
+// workloadDigests returns the program digests of every kernel the spec's
+// execution depends on, one after another: the named kernel for sim
+// jobs, every registered kernel for experiment jobs (experiments sweep
+// across the suite), and nothing for difftest jobs (their kernels are
+// generated from the seed, which is already in the spec; generator
+// changes are covered by the code version).
+func (s *Spec) workloadDigests() []byte {
 	switch s.Kind {
 	case KindSim:
 		if w, ok := workloads.ByName(s.Sim.Workload); ok {
-			specs = append(specs, w)
+			return programDigest(w)[:]
 		}
 	case KindExperiment:
-		specs = workloads.All()
-	}
-	var out []byte
-	for _, w := range specs {
-		out = append(out, w.Name...)
-		out = append(out, 0)
-		for i := range w.Prog.Insts {
-			out = w.Prog.Insts[i].Encode(out)
+		all := workloads.All()
+		out := make([]byte, 0, len(all)*sha256.Size)
+		for _, w := range all {
+			out = append(out, programDigest(w)[:]...)
 		}
+		return out
 	}
-	return out
+	return nil
 }
 
 // CacheKey derives the content address of the job's result: a SHA-256
-// over the canonical spec bytes, the workload program bytes and the code
-// version, each length-framed so field boundaries cannot alias. Identical
-// keys guarantee identical result bytes (the determinism tests assert the
-// converse direction: one key, one byte sequence, however computed).
+// over the code version, the canonical spec bytes and the program
+// digests of the spec's kernels, each length-framed so field boundaries
+// cannot alias. Identical keys guarantee identical result bytes (the
+// determinism tests assert the converse direction: one key, one byte
+// sequence, however computed).
 func (s *Spec) CacheKey(codeVersion string) (string, error) {
 	if err := s.Validate(); err != nil {
 		return "", err
@@ -242,7 +260,7 @@ func (s *Spec) CacheKey(codeVersion string) (string, error) {
 	}
 	frame([]byte(codeVersion))
 	frame(spec)
-	frame(s.workloadBytes())
+	frame(s.workloadDigests())
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
 

@@ -61,8 +61,9 @@ type checkpointDoc struct {
 type journal struct {
 	dir  string
 	f    *os.File
-	w    *bufio.Writer
-	sync bool // fsync each append (off in tests for speed)
+	w    *bufio.Writer // buffers f; reset onto the new file at a checkpoint
+	enc  *json.Encoder // encodes records into w
+	sync bool          // fsync each append (off in tests for speed)
 
 	appends int // records since the last checkpoint
 }
@@ -79,7 +80,8 @@ func openJournal(dir string, sync bool) (*journal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("farm: journal: %w", err)
 	}
-	return &journal{dir: dir, f: f, w: bufio.NewWriter(f), sync: sync}, nil
+	w := bufio.NewWriter(f)
+	return &journal{dir: dir, f: f, w: w, enc: json.NewEncoder(w), sync: sync}, nil
 }
 
 // append durably records one state transition. The record is on disk (or
@@ -89,12 +91,9 @@ func (j *journal) append(rec *record) error {
 	if j.f == nil {
 		return fmt.Errorf("farm: journal closed")
 	}
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("farm: journal: %w", err)
-	}
-	line = append(line, '\n')
-	if _, err := j.w.Write(line); err != nil {
+	// Encode writes the record and its newline straight into w, the same
+	// bytes json.Marshal gives plus the line end.
+	if err := j.enc.Encode(rec); err != nil {
 		return fmt.Errorf("farm: journal: %w", err)
 	}
 	if err := j.w.Flush(); err != nil {
@@ -119,7 +118,7 @@ func (j *journal) checkpoint(nextID uint64, jobs map[uint64]*Job) error {
 	for _, id := range slices.Sorted(maps.Keys(jobs)) {
 		doc.Jobs = append(doc.Jobs, jobs[id])
 	}
-	data, err := json.MarshalIndent(&doc, "", " ")
+	data, err := json.Marshal(&doc)
 	if err != nil {
 		return fmt.Errorf("farm: checkpoint: %w", err)
 	}
@@ -137,7 +136,8 @@ func (j *journal) checkpoint(nextID uint64, jobs map[uint64]*Job) error {
 	if err != nil {
 		return fmt.Errorf("farm: checkpoint: %w", err)
 	}
-	j.f, j.w, j.appends = f, bufio.NewWriter(f), 0
+	j.w.Reset(f)
+	j.f, j.appends = f, 0
 	return nil
 }
 

@@ -15,8 +15,8 @@
 // the farm stops (Drain or Kill). Every answer that names the job (200,
 // 202, 500 failed) carries it in a Farm-Job header: the JSON that
 // GET /api/v1/jobs/{id} serves, without its trailing newline. A 200's
-// body is the result bytes, with an explicit Content-Length; a 202's and
-// a 500's is the job again.
+// body is the job's cache entry, sent from its file with an explicit
+// Content-Length; a 202's and a 500's is the job again.
 package farm
 
 import (
@@ -24,8 +24,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
+	"strings"
 	"time"
 )
 
@@ -97,16 +99,21 @@ func NewServerWith(f *Farm, so ServerOptions) http.Handler {
 		case job.State == StateFailed:
 			writeJob(w, http.StatusInternalServerError, job)
 		default:
-			out, err := f.Result(id)
+			entry, size, err := f.openResult(job)
 			if err != nil {
 				httpError(w, http.StatusInternalServerError, err)
 				return
 			}
+			defer entry.Close()
 			setJobHeader(w, job)
 			w.Header().Set("Content-Type", "application/json")
-			w.Header().Set("Content-Length", strconv.Itoa(len(out)))
+			w.Header().Set("Content-Length", strconv.FormatInt(size, 10))
 			w.WriteHeader(http.StatusOK)
-			w.Write(out)
+			// The limit wraps the file in an io.LimitedReader, which has
+			// no WriteTo, so the copy goes to the response's ReadFrom and
+			// net/http sends the file with sendfile. A failed copy cannot
+			// be reported: the 200 and its Content-Length are committed.
+			io.CopyN(w, entry, size)
 		}
 	})
 	mux.HandleFunc("GET /api/v1/jobs/{id}/events", func(w http.ResponseWriter, r *http.Request) {
@@ -198,8 +205,9 @@ func lookupJob(f *Farm, w http.ResponseWriter, r *http.Request) (*Job, bool) {
 // setJobHeader puts the job in the Farm-Job header, as the status
 // endpoint serves it minus the trailing newline.
 func setJobHeader(w http.ResponseWriter, job *Job) {
-	meta, _ := json.Marshal(job) // a Job always marshals
-	w.Header().Set("Farm-Job", string(meta))
+	var meta strings.Builder
+	json.NewEncoder(&meta).Encode(job) // a Job always marshals
+	w.Header().Set("Farm-Job", strings.TrimSuffix(meta.String(), "\n"))
 }
 
 // writeJob answers with the job in both the Farm-Job header and the body.

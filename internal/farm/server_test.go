@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"reflect"
 	"runtime"
 	"strconv"
@@ -259,6 +260,64 @@ func TestHTTPResultLifecycle(t *testing.T) {
 	}
 	if got, want := a.resp.Header.Get("Farm-Job"), strings.TrimSuffix(string(status), "\n"); got != want {
 		t.Fatalf("Farm-Job header\n  %s\nwant the status JSON\n  %s", got, want)
+	}
+}
+
+// TestResultServedFromCacheFile: /result sends a done job's cache entry
+// from its file, so serving an 8 MiB result allocates under 1 MiB in the
+// process, server and client together. The body is the entry, and
+// Content-Length is its size.
+func TestResultServedFromCacheFile(t *testing.T) {
+	const size = 8 << 20
+	opt := testOptions(t)
+	opt.ExecWrap = func(job *Job, attempt int, next func() ([]byte, error)) ([]byte, error) {
+		return bytes.Repeat([]byte("0123456789abcdef"), size/16), nil
+	}
+	f, client := testServer(t, opt)
+	job, err := f.Submit(testSpec(0xeb))
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	done := waitDone(t, f, job.ID)
+	if done.State != StateDone {
+		t.Fatalf("state = %s (error %q), want done", done.State, done.Error)
+	}
+	entry, err := os.ReadFile(f.cache.path(done.Key))
+	if err != nil {
+		t.Fatalf("reading the cache entry: %v", err)
+	}
+	url := fmt.Sprintf("%s/api/v1/jobs/%d/result", client.Base, job.ID)
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatalf("GET result: %v", err)
+	}
+	n, err := io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatalf("reading the result: %v", err)
+	}
+	if resp.StatusCode != http.StatusOK || n != size || resp.ContentLength != int64(len(entry)) {
+		t.Fatalf("status %d, %d bytes, Content-Length %d; want 200 and the entry's %d bytes",
+			resp.StatusCode, n, resp.ContentLength, len(entry))
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("serving the %d-byte result allocated %d bytes, want under 1 MiB", size, alloc)
+	}
+
+	a := <-getAsync(url)
+	if a.err != nil {
+		t.Fatalf("GET result: %v", a.err)
+	}
+	if !bytes.Equal(a.body, entry) {
+		t.Fatalf("result body (%d bytes) differs from the cache entry (%d bytes)", len(a.body), len(entry))
+	}
+	if got := a.resp.Header.Get("Content-Length"); got != strconv.Itoa(len(entry)) {
+		t.Fatalf("Content-Length = %q, want %d", got, len(entry))
 	}
 }
 
