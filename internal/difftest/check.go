@@ -218,19 +218,19 @@ func Check(k *Kernel, opts CheckOpts) *Report {
 	if len(scenarios) == 0 {
 		return rep
 	}
-	// One golden reference serves every scenario: it runs the most threads
-	// any scenario does, and a scenario reads its first sc.Threads.
+	// One golden reference serves every scenario: it holds the most threads
+	// any scenario runs, and a scenario steps its first sc.Threads.
 	widest := scenarios[0]
 	for _, sc := range scenarios[1:] {
 		if sc.Threads > widest.Threads {
 			widest = sc
 		}
 	}
-	ref := buildReference(k, scenarioConfig(k, widest, opts), widest.Threads)
-	defer ref.release()
+	ls := newLockstep(k, scenarioConfig(k, widest, opts), widest.Threads)
+	defer ls.release()
 	for _, sc := range scenarios {
-		commits, d := runScenario(k, sc, opts, ref)
-		rep.Commits += commits
+		d := ls.run(sc, opts)
+		rep.Commits += ls.commits
 		rep.Scenarios++
 		if d != nil {
 			rep.Divergence = d
@@ -240,46 +240,106 @@ func Check(k *Kernel, opts CheckOpts) *Report {
 	return rep
 }
 
-// refThread is one thread's golden execution.
+// refThread is one thread's golden reference: its context after Setup,
+// and how many instructions it executes up to and including its halt.
 type refThread struct {
-	entries []refEntry // exactly as long as the thread's execution
-	final   interp.Context
+	entry interp.Context
+	insts int
 }
 
-// refEntry is one reference commit: the six fields runScenario compares,
-// in 40 bytes. The instruction is named through the program
-// (Prog.At(pc)), and only when a divergence is reported. pc keeps its
-// full width: a ret can halt a thread at any address.
-type refEntry struct {
-	pc    int
-	rd    isa.Reg
-	wrote bool
-	addr  mem.Addr
-	val   uint64
-	data  uint64
+// stepThread is one thread's golden side in a scenario: a copy of its
+// entry context, stepped one instruction per commit, and the commits
+// compared so far.
+type stepThread struct {
+	ctx     interp.Context
+	commits int
 }
 
-// reference is a kernel's golden execution for its first threads. It is
-// read-only once built, until release hands it to the next build.
-type reference struct {
-	threads []refThread // the threads that halted, in order
-	mem     *mem.Memory
-	err     error           // why thread len(threads) has no reference, if it has none
-	pre     interp.Precoded // the kernel's threaded code, lowered anew per build
+// lockstep is a kernel's golden side. Nothing in it grows with how long
+// the kernel runs: per kernel it holds the memory after every thread's
+// Setup and each thread's refThread; per scenario, the stepped threads,
+// the copy-on-write overlay they run on, the commit count and the
+// divergence. One lockstep serves every scenario of a Check, and is
+// handed to the next Check when this one returns.
+type lockstep struct {
+	k    *Kernel
+	pre  interp.Precoded // the kernel's threaded code, lowered anew per kernel
+	mem  mem.Memory      // after every thread's Setup; read-only once built
+	refs []refThread     // the threads that halt, in order
+	err  error           // why thread len(refs) has no reference, if it has none
+
+	// One scenario's state, reset by run.
+	sc      Scenario
+	steps   []stepThread
+	over    *mem.Memory // the golden side's memory: an overlay of mem
+	commits uint64
+	div     *Divergence
+	step    interp.TraceEntry // what the last step executed
+
+	// Bound once per lockstep, so that a scenario builds no closure.
+	onCommit func(cpu.CommitEvent)
+	record   func(interp.TraceEntry)
 }
 
-// referencePool holds released references. A build keeps the thread
-// array, each thread's trace storage and the threaded code; nothing else
-// carries over.
-var referencePool sync.Pool
+// lockstepPool holds released lock-step states. A new one keeps its
+// thread arrays, its threaded code and its bound callbacks.
+var lockstepPool sync.Pool
 
-// release hands the reference, its memory released, to the next
-// buildReference. Nothing may read it afterwards: a Divergence copies
-// what it reports.
-func (r *reference) release() {
-	r.mem.Release()
-	r.mem = nil
-	referencePool.Put(r)
+// newLockstep builds the kernel's golden reference against the exact
+// address-space layout and offload payload the simulator will use. Setup
+// runs for every thread first (as offload does); then each thread runs
+// once, untraced, on a throwaway overlay of the reference memory, to count
+// its instructions. Threads touch disjoint slabs by construction, so they
+// share one reference memory, and thread th's reference does not depend
+// on how many threads follow it. It stops at the first thread that does
+// not halt.
+func newLockstep(k *Kernel, cfg sim.Config, threads int) *lockstep {
+	ls, _ := lockstepPool.Get().(*lockstep)
+	if ls == nil {
+		ls = new(lockstep)
+		ls.onCommit, ls.record = ls.commit, ls.recordStep
+	}
+	ls.k, ls.err = k, nil
+	ls.refs = slices.Grow(ls.refs[:0], threads)[:threads]
+	ls.steps = slices.Grow(ls.steps[:0], threads)
+	seed := effSeed(k.Seed)
+	// One set callback serves every thread: Setup calls it only while it
+	// runs, for the thread rt names.
+	var rt *refThread
+	set := func(r isa.Reg, v uint64) { rt.entry.Set(r, v) }
+	for th := range ls.refs {
+		rt = &ls.refs[th]
+		rt.entry = interp.Context{}
+		p := workloads.Params{Iters: 1, Seed: seed, ThreadID: th}
+		k.Spec.Setup(&ls.mem, cfg.ThreadSlabBase(0, th), p, set)
+	}
+	budget := uint64(k.MaxDyn)*2 + 4096
+	// The golden side runs through the threaded-code interpreter, so the
+	// difftest matrix also cross-checks Precode lowering against the timed
+	// model.
+	ls.pre.Reset(k.Spec.Prog)
+	scratch := ls.mem.Overlay()
+	defer scratch.Release()
+	for th := range ls.refs {
+		ctx := ls.refs[th].entry
+		res := ls.pre.Run(&ctx, scratch, budget, nil)
+		if !res.Halted {
+			ls.refs = ls.refs[:th]
+			ls.err = fmt.Errorf("reference thread %d did not halt within %d instructions", th, budget)
+			break
+		}
+		ls.refs[th].insts = int(res.Insts)
+	}
+	return ls
+}
+
+// release hands the lock-step state, its memory released, to the next
+// newLockstep. Nothing may read it afterwards: a Divergence copies what it
+// reports.
+func (ls *lockstep) release() {
+	ls.mem.Release()
+	ls.k, ls.err, ls.div = nil, nil, nil
+	lockstepPool.Put(ls)
 }
 
 func effSeed(s uint64) uint64 {
@@ -316,159 +376,122 @@ func scenarioConfig(k *Kernel, sc Scenario, opts CheckOpts) sim.Config {
 	return cfg
 }
 
-// buildReference executes the kernel functionally, once per hardware
-// thread, against the exact address-space layout and offload payload the
-// simulator will use. Threads touch disjoint slabs by construction, so
-// they share one reference memory, and thread th's reference does not
-// depend on how many threads follow it. It stops at the first thread that
-// does not halt.
-//
-// Each thread runs twice: untraced from a copy of its entry context on a
-// throwaway overlay of the reference memory, which counts its commits,
-// then traced into the thread's trace storage, grown first to that exact
-// length if a released reference left it shorter.
-func buildReference(k *Kernel, cfg sim.Config, threads int) *reference {
-	ref, _ := referencePool.Get().(*reference)
-	if ref == nil {
-		ref = new(reference)
+// run co-simulates one scenario in lock step against the first
+// sc.Threads reference threads, leaves the number of commits compared in
+// ls.commits and returns the first divergence, if any.
+func (ls *lockstep) run(sc Scenario, opts CheckOpts) *Divergence {
+	ls.sc, ls.commits, ls.div = sc, 0, nil
+	if sc.Threads > len(ls.refs) {
+		return ls.diverge("run-error", 0, 0, 0, ls.err.Error())
 	}
-	ref.threads = slices.Grow(ref.threads[:0], threads)[:threads]
-	ref.mem, ref.err = mem.NewMemory(), nil
-	seed := effSeed(k.Seed)
-	// Setup for every thread first (as offload does), then run each. One
-	// set callback serves every thread: Setup calls it only while it runs,
-	// for the thread rt names.
-	var rt *refThread
-	set := func(r isa.Reg, v uint64) { rt.final.Set(r, v) }
-	for th := range ref.threads {
-		rt = &ref.threads[th]
-		rt.final = interp.Context{}
-		p := workloads.Params{Iters: 1, Seed: seed, ThreadID: th}
-		k.Spec.Setup(ref.mem, cfg.ThreadSlabBase(0, th), p, set)
-	}
-	budget := uint64(k.MaxDyn)*2 + 4096
-	// One pre-decode of the kernel serves every thread: the golden side
-	// runs through the threaded-code interpreter, so the difftest matrix
-	// also cross-checks Precode lowering against the timed model.
-	pre := ref.pre.Reset(k.Spec.Prog)
-	record := func(e interp.TraceEntry) {
-		rt.entries = append(rt.entries, refEntry{pc: e.PC, rd: e.Rd, wrote: e.Wrote,
-			addr: e.Addr, val: e.Val, data: e.Data})
-	}
-	for th := range ref.threads {
-		rt = &ref.threads[th]
-		entry := rt.final
-		scratch := ref.mem.Overlay()
-		res := pre.Run(&entry, scratch, budget, nil)
-		scratch.Release()
-		if !res.Halted {
-			ref.threads = ref.threads[:th]
-			ref.err = fmt.Errorf("reference thread %d did not halt within %d instructions", th, budget)
-			return ref
-		}
-		rt.entries = slices.Grow(rt.entries[:0], int(res.Insts))
-		pre.Run(&rt.final, ref.mem, budget, record)
-	}
-	return ref
-}
-
-// runScenario co-simulates one scenario in lock step against the first
-// sc.Threads threads of ref and returns the number of commits compared
-// plus the first divergence, if any.
-func runScenario(k *Kernel, sc Scenario, opts CheckOpts, ref *reference) (uint64, *Divergence) {
-	cfg := scenarioConfig(k, sc, opts)
-	fail := func(kind string, th, idx, pc int, format string, args ...any) *Divergence {
-		return &Divergence{Scenario: sc.String(), Kind: kind, Thread: th, Index: idx,
-			PC: pc, Detail: fmt.Sprintf(format, args...)}
-	}
-
-	if sc.Threads > len(ref.threads) {
-		return 0, fail("run-error", 0, 0, 0, "%v", ref.err)
-	}
-	refs, refMem := ref.threads, ref.mem
-
+	cfg := scenarioConfig(ls.k, sc, opts)
 	sys, err := sim.New(cfg)
 	if err != nil {
-		return 0, fail("run-error", 0, 0, 0, "sim.New: %v", err)
+		return ls.diverge("run-error", 0, 0, 0, "sim.New: "+err.Error())
 	}
 	defer sys.Release()
-
-	var commits uint64
-	var d *Divergence
-	cursors := make([]int, sc.Threads)
-	sys.SetOnCommit(func(coreID int, ev cpu.CommitEvent) {
-		if d != nil {
-			return
-		}
-		th := ev.Thread
-		i := cursors[th]
-		ref := refs[th]
-		if i >= len(ref.entries) {
-			d = fail("extra-commit", th, i, ev.PC,
-				"pipeline committed %s after the reference halted (%d entries)",
-				ev.Inst, len(ref.entries))
-			return
-		}
-		e := &ref.entries[i]
-		cursors[th]++
-		commits++
-		switch {
-		case ev.PC != e.pc:
-			d = fail("pc", th, i, ev.PC, "pipeline committed pc %d (%s), reference executed pc %d (%s)",
-				ev.PC, ev.Inst, e.pc, k.Spec.Prog.At(e.pc))
-		case ev.Wrote != e.wrote:
-			d = fail("writeback", th, i, ev.PC, "%s: pipeline wrote-reg=%v, reference wrote-reg=%v",
-				ev.Inst, ev.Wrote, e.wrote)
-		case ev.Wrote && ev.Rd != e.rd:
-			d = fail("writeback", th, i, ev.PC, "%s: pipeline wrote %s, reference wrote %s",
-				ev.Inst, ev.Rd, e.rd)
-		case ev.Wrote && ev.Val != e.val:
-			d = fail("writeback", th, i, ev.PC, "%s: %s = %#x, reference %#x",
-				ev.Inst, ev.Rd, ev.Val, e.val)
-		case ev.Inst.IsMem() && ev.Addr != e.addr:
-			d = fail("mem-addr", th, i, ev.PC, "%s: effective address %#x, reference %#x",
-				ev.Inst, ev.Addr, e.addr)
-		case ev.Inst.IsStore() && ev.Data != e.data:
-			d = fail("store-data", th, i, ev.PC, "%s: store data %#x, reference %#x",
-				ev.Inst, ev.Data, e.data)
-		}
-	})
+	ls.steps = ls.steps[:sc.Threads]
+	for th := range ls.steps {
+		ls.steps[th] = stepThread{ctx: ls.refs[th].entry}
+	}
+	ls.over = ls.mem.Overlay()
+	defer ls.over.Release()
+	sys.SetOnCommit(ls.onCommit)
 
 	err = sys.Exec()
-	if d != nil {
+	if ls.div != nil {
 		// A lock-step mismatch explains any downstream run error.
-		return commits, d
+		return ls.div
 	}
 	if err != nil {
-		return commits, fail("run-error", 0, 0, 0, "%v", err)
+		return ls.diverge("run-error", 0, 0, 0, err.Error())
 	}
-
-	for th := 0; th < sc.Threads; th++ {
-		if cursors[th] != len(refs[th].entries) {
-			return commits, fail("missing-commits", th, cursors[th], 0,
-				"pipeline committed %d instructions, reference executed %d",
-				cursors[th], len(refs[th].entries))
+	for th := range ls.steps {
+		if got, want := ls.steps[th].commits, ls.refs[th].insts; got != want {
+			return ls.diverge("missing-commits", th, got, 0, fmt.Sprintf(
+				"pipeline committed %d instructions, reference executed %d", got, want))
 		}
 	}
 	// Final architectural state: every register (the commit-order shadow
 	// is fed by the pipeline's actual writeback values) and every byte of
 	// every thread's data slab.
 	core := sys.Cores[0]
-	for th := 0; th < sc.Threads; th++ {
+	for th := range ls.steps {
+		idx, golden := ls.steps[th].commits, &ls.steps[th].ctx
 		for r := isa.Reg(0); r < isa.NumRegs; r++ {
-			if got, want := core.Thread(th).Shadow(r), refs[th].final.Get(r); got != want {
-				return commits, fail("final-reg", th, cursors[th], 0,
-					"final %s = %#x, reference %#x", r, got, want)
+			if got, want := core.Thread(th).Shadow(r), golden.Get(r); got != want {
+				return ls.diverge("final-reg", th, idx, 0, fmt.Sprintf(
+					"final %s = %#x, reference %#x", r, got, want))
 			}
 		}
 		base := cfg.ThreadSlabBase(0, th)
-		for off := uint64(0); off < k.Spec.SlabBytes; off += 8 {
+		for off := uint64(0); off < ls.k.Spec.SlabBytes; off += 8 {
 			a := base + mem.Addr(off)
-			if got, want := sys.Memory.Read64(a), refMem.Read64(a); got != want {
-				return commits, fail("final-mem", th, cursors[th], 0,
-					"final mem[%#x] = %#x, reference %#x", a, got, want)
+			if got, want := sys.Memory.Read64(a), ls.over.Read64(a); got != want {
+				return ls.diverge("final-mem", th, idx, 0, fmt.Sprintf(
+					"final mem[%#x] = %#x, reference %#x", a, got, want))
 			}
 		}
 	}
-	return commits, nil
+	return nil
+}
+
+// commit is the pipeline's commit hook: it steps the committing thread's
+// golden context by one instruction and compares the two.
+func (ls *lockstep) commit(ev cpu.CommitEvent) {
+	if ls.div != nil {
+		return
+	}
+	th := ev.Thread
+	st := &ls.steps[th]
+	i := st.commits
+	if i >= ls.refs[th].insts {
+		ls.div = ls.diverge("extra-commit", th, i, ev.PC, fmt.Sprintf(
+			"pipeline committed %s after the reference halted (%d instructions)", ev.Inst, i))
+		return
+	}
+	ls.pre.Run(&st.ctx, ls.over, 1, ls.record)
+	st.commits++
+	ls.commits++
+	if kind, detail := compareCommit(ev, ls.step); kind != "" {
+		ls.div = ls.diverge(kind, th, i, ev.PC, detail)
+	}
+}
+
+func (ls *lockstep) recordStep(e interp.TraceEntry) { ls.step = e }
+
+// diverge reports a divergence in the running scenario. Only a diverging
+// scenario formats its name.
+func (ls *lockstep) diverge(kind string, th, idx, pc int, detail string) *Divergence {
+	return &Divergence{Scenario: ls.sc.String(), Kind: kind, Thread: th, Index: idx,
+		PC: pc, Detail: detail}
+}
+
+// compareCommit compares one pipeline commit with the golden step at the
+// same point of the same thread: the pc, the writeback (flag, register
+// and value), the effective address and the store data. It returns the
+// divergence kind of the first field that differs, with a detail naming
+// the instruction, or "" when all six agree; a match formats nothing.
+func compareCommit(ev cpu.CommitEvent, e interp.TraceEntry) (kind, detail string) {
+	switch {
+	case ev.PC != e.PC:
+		return "pc", fmt.Sprintf("pipeline committed pc %d (%s), reference executed pc %d (%s)",
+			ev.PC, ev.Inst, e.PC, e.Inst)
+	case ev.Wrote != e.Wrote:
+		return "writeback", fmt.Sprintf("%s: pipeline wrote-reg=%v, reference wrote-reg=%v",
+			ev.Inst, ev.Wrote, e.Wrote)
+	case ev.Wrote && ev.Rd != e.Rd:
+		return "writeback", fmt.Sprintf("%s: pipeline wrote %s, reference wrote %s",
+			ev.Inst, ev.Rd, e.Rd)
+	case ev.Wrote && ev.Val != e.Val:
+		return "writeback", fmt.Sprintf("%s: %s = %#x, reference %#x",
+			ev.Inst, ev.Rd, ev.Val, e.Val)
+	case ev.Inst.IsMem() && ev.Addr != e.Addr:
+		return "mem-addr", fmt.Sprintf("%s: effective address %#x, reference %#x",
+			ev.Inst, ev.Addr, e.Addr)
+	case ev.Inst.IsStore() && ev.Data != e.Data:
+		return "store-data", fmt.Sprintf("%s: store data %#x, reference %#x",
+			ev.Inst, ev.Data, e.Data)
+	}
+	return "", ""
 }

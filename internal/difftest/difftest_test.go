@@ -265,22 +265,25 @@ func TestArtifactRoundTripAndReplay(t *testing.T) {
 }
 
 // TestLockStepAllocsPerScenario holds a warm lock-step check to the
-// allocations the compare itself needs. A scenario runs the Result-free
-// Exec, so no Result or metrics snapshot is built only to be dropped, and
-// the golden reference, the systems and their components come back from
-// pools. With the collector off, so that no pool is emptied, and on one
-// P, so that what a release puts in a pool is what the next build gets,
-// one Check of generated seeds 0–3 over Matrix() warms the pools; a second
-// Check of each seed must then stay under 2 KiB per scenario. Seeds 0–3
-// measure 770, 831, 919 and 1,346 bytes, so the bound leaves about 50%
-// over the largest; with a Result and snapshot per scenario and a
-// reference built anew they took 8–12 KiB. The race detector's pool drops
-// a quarter of what it is given, so components are sometimes built anew
-// under it; there 56 samples measured 16–28 KiB.
+// allocations the compare itself needs. A warm scenario builds no Result,
+// no new reference and no trace: it runs the Result-free Exec, the golden
+// side steps beside the pipeline in the one lock-step state its Check
+// holds, and that state, the systems and their components, and the memory
+// pages and page tables come back from pools. With the collector off, so
+// that no pool is emptied, and on one P, so that what a release puts in a
+// pool is what the next build gets, one Check of generated seeds 0–3 over
+// Matrix() warms the pools; a second Check of each seed must then stay
+// under 1,350 bytes per scenario. Seeds 0–3 measure 333, 373, 888 and 460
+// bytes, so the bound leaves about 50% over the largest; with a golden
+// trace, a commit closure per scenario and a page table per memory they
+// took 770–1,346 bytes, and with a Result and snapshot per scenario and a
+// reference built anew 8–12 KiB. The race detector's pool drops a quarter
+// of what it is given, so components are sometimes built anew under it;
+// there 12 samples measured 16–30 KiB.
 func TestLockStepAllocsPerScenario(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	bound := uint64(2 << 10)
+	bound := uint64(1350)
 	if raceEnabled {
 		bound = 40 << 10
 	}
@@ -305,5 +308,47 @@ func TestLockStepAllocsPerScenario(t *testing.T) {
 		if per > bound {
 			t.Errorf("seed %d: a warm check allocated %d bytes per scenario, want at most %d", seed, per, bound)
 		}
+	}
+}
+
+// TestCheckAllocationIndependentOfLength holds a cold lock-step check to
+// storage that does not grow with the kernel's run: the golden side is
+// stepped at each commit, so nothing is kept per commit. On one P, with
+// the pools drained by two collections and the collector then off, one
+// LRC scenario at 8 threads checks generated seed 13 (9,166 commits) and
+// seed 5 (518 commits); seed 13 may allocate at most 64 KiB more. Both
+// rebuild every pooled structure, so the difference is what the longer
+// run alone costs. Seed 13 measured 128 KB against 97 KB for seed 5; with a
+// 40-byte trace entry per reference commit it took 500 KB against 107 KB.
+// Under the race detector, whose pool drops a quarter of what it is
+// given, the difference measured 35–43 KB, and the bound doubles.
+func TestCheckAllocationIndependentOfLength(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	scenarios := []Scenario{{Kind: sim.ViReC, Policy: vrmu.LRC, Threads: 8}}
+	cold := func(seed uint64) (alloc, commits uint64) {
+		k := Generate(seed, GenConfigForSeed(seed))
+		runtime.GC()
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rep := Check(k, CheckOpts{Scenarios: scenarios})
+		runtime.ReadMemStats(&after)
+		if !rep.Clean() {
+			t.Fatalf("seed %d: %v", seed, rep.Divergence)
+		}
+		return after.TotalAlloc - before.TotalAlloc, rep.Commits
+	}
+	cold(5) // process-wide, built-once state (metric names, bounds)
+	long, longCommits := cold(13)
+	short, shortCommits := cold(5)
+	t.Logf("seed 13: %d commits, %d bytes; seed 5: %d commits, %d bytes", longCommits, long, shortCommits, short)
+	bound := uint64(64 << 10)
+	if raceEnabled {
+		bound *= 2
+	}
+	if long > short+bound {
+		t.Errorf("checking %d commits allocated %d bytes, %d commits %d: want at most %d more",
+			longCommits, long, shortCommits, short, bound)
 	}
 }

@@ -108,8 +108,8 @@ type Device interface {
 // Memory is the flat functional backing store. It takes 4 KiB pages
 // lazily from a pool of zeroed pages shared by every Memory, so sparse
 // address spaces (per-core data regions, register regions) stay cheap and
-// a released Memory's pages and grown page table serve the next one. The
-// zero value is ready to use.
+// a released Memory's pages and page table serve the next one. The zero
+// value is ready to use.
 type Memory struct {
 	pages map[Addr]*page
 	// parent, when set, makes this Memory a copy-on-write overlay of it
@@ -129,15 +129,19 @@ var pagePool = sync.Pool{New: func() any { return new(page) }}
 
 // smallTable is the most pages a page table holds in Go's small-map form:
 // one group, whose lookups compare keys without hashing. A Memory starts
-// with a table of that form and moves to a grown table from pageTables
-// when it outgrows it, so a memory of a few pages never hashes its
-// lookups into a large recycled table.
+// with a table of that form from smallTables and moves to a grown table
+// from pageTables when it outgrows it, so a memory of a few pages never
+// hashes its lookups into a large recycled table.
 const smallTable = 8
 
-// pageTables holds empty grown page tables. A cleared map keeps its
-// buckets, so a table grown by one Memory serves the next without growing
-// again. A map is pointer-shaped, so Put allocates nothing.
-var pageTables = sync.Pool{New: func() any { return make(map[Addr]*page) }}
+// smallTables and pageTables hold empty small and grown page tables. A
+// cleared map keeps its group or buckets, so a table one Memory filled
+// serves the next without allocating again. A map is pointer-shaped, so
+// Put allocates nothing.
+var (
+	smallTables = sync.Pool{New: func() any { return make(map[Addr]*page, smallTable) }}
+	pageTables  = sync.Pool{New: func() any { return make(map[Addr]*page) }}
+)
 
 // NewMemory returns an empty flat memory.
 func NewMemory() *Memory {
@@ -161,11 +165,12 @@ func (m *Memory) page(a Addr, create bool) *page {
 		return src
 	}
 	if m.pages == nil {
-		// A small page table, one map group per Memory.
-		m.pages = make(map[Addr]*page, smallTable)
+		m.pages = smallTables.Get().(map[Addr]*page)
 	} else if len(m.pages) == smallTable {
 		grown := pageTables.Get().(map[Addr]*page)
 		maps.Copy(grown, m.pages)
+		clear(m.pages)
+		smallTables.Put(m.pages)
 		m.pages = grown
 	}
 	// A pooled page, allocated only when the pool is empty; Release returns it.
@@ -178,10 +183,10 @@ func (m *Memory) page(a Addr, create bool) *page {
 }
 
 // Release zeroes the memory's pages and returns them to the shared pool,
-// then clears a grown page table and returns that too, leaving m empty.
-// The table is cleared before it goes back because its entries point at
-// pages the pool may already have handed to another Memory. Only m's
-// owner may release it, and only once nothing (a core, a provider, a
+// then clears the page table and returns that to its pool too, leaving m
+// empty. The table is cleared before it goes back because its entries
+// point at pages the pool may already have handed to another Memory. Only
+// m's owner may release it, and only once nothing (a core, a provider, a
 // verifier) reads m any more. Releasing an overlay returns only the pages
 // it copied, never its parent's.
 func (m *Memory) Release() {
@@ -189,9 +194,13 @@ func (m *Memory) Release() {
 		*p = page{}
 		pagePool.Put(p)
 	}
-	if len(m.pages) > smallTable {
+	if m.pages != nil {
+		tables := &smallTables
+		if len(m.pages) > smallTable {
+			tables = &pageTables
+		}
 		clear(m.pages)
-		pageTables.Put(m.pages)
+		tables.Put(m.pages)
 	}
 	m.pages = nil
 	m.parent = nil

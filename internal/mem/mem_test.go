@@ -298,10 +298,10 @@ func TestMemoryReleaseRecyclesZeroedPages(t *testing.T) {
 	}
 
 	// A memory and its overlay allocate as much at 256 pages as at 4:
-	// the pages and the grown page tables come from the pools, and only
-	// the Memory structs and their small starting tables are new. (The
-	// race detector's pool drops a quarter of what it is given, so under
-	// it the pages and tables that are dropped allocate again.)
+	// the pages and the small and grown page tables come from the pools,
+	// and only the two Memory structs are new. (The race detector's pool
+	// drops a quarter of what it is given, so under it the pages and
+	// tables that are dropped allocate again.)
 	build := func(n Addr) float64 {
 		return testing.AllocsPerRun(5, func() {
 			m := NewMemory()
@@ -313,6 +313,9 @@ func TestMemoryReleaseRecyclesZeroedPages(t *testing.T) {
 		})
 	}
 	small, large := build(4), build(pages)
+	if small > 2 && !raceEnabled {
+		t.Errorf("a 4-page memory and its overlay built after a release made %.0f allocations, want its 2 Memory structs", small)
+	}
 	limit := small
 	if raceEnabled {
 		limit += pages
@@ -326,16 +329,17 @@ func TestMemoryReleaseRecyclesZeroedPages(t *testing.T) {
 // TestMemoryPoolConcurrent builds, overlays and releases memories from
 // several goroutines at once, as parallel sweep workers do. Each must see
 // only its own writes: a fresh page is zero, and a released page never
-// reaches two memories at once.
+// reaches two memories at once. The memories hold 1 to 16 pages, so both
+// small page tables and grown ones pass between goroutines.
 func TestMemoryPoolConcurrent(t *testing.T) {
-	const pages = 16
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for round := 0; round < 50; round++ {
+			for round := 0; round < 64; round++ {
 				v := uint64(g+1)<<32 | uint64(round)
+				pages := Addr(1 + (g+round)%16)
 				m := NewMemory()
 				for i := Addr(0); i < pages; i++ {
 					m.Write64(i*pageBytes, v)
@@ -343,6 +347,10 @@ func TestMemoryPoolConcurrent(t *testing.T) {
 						t.Errorf("goroutine %d: fresh page holds %#x", g, got)
 						return
 					}
+				}
+				if got := m.Footprint(); got != int(pages)*pageBytes {
+					t.Errorf("goroutine %d: a memory that wrote %d pages holds %d bytes", g, pages, got)
+					return
 				}
 				o := m.Overlay()
 				o.Write64(0, ^v)

@@ -28,7 +28,7 @@ func TestRunRecoversPanicsToCrashError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SetOnCommit(func(int, cpu.CommitEvent) { panic("commit hook exploded") })
+	s.SetOnCommit(func(cpu.CommitEvent) { panic("commit hook exploded") })
 
 	_, err = s.Run()
 	var ce *sim.CrashError

@@ -543,13 +543,12 @@ func (s *System) precoded(prog *asm.Program) *interp.Precoded {
 	return s.oracleCode[i]
 }
 
-// SetOnCommit installs a per-commit observer on every core; the callback
-// fires once per committed instruction with the core's id, in each core's
-// commit order. Install before Run.
-func (s *System) SetOnCommit(fn func(coreID int, ev cpu.CommitEvent)) {
-	for id, c := range s.Cores {
-		id := id
-		c.SetOnCommit(func(ev cpu.CommitEvent) { fn(id, ev) })
+// SetOnCommit installs one per-commit observer on every core; the
+// callback fires once per committed instruction, in each core's commit
+// order. Install before Run.
+func (s *System) SetOnCommit(fn func(cpu.CommitEvent)) {
+	for _, c := range s.Cores {
+		c.SetOnCommit(fn)
 	}
 }
 

@@ -42,7 +42,7 @@ func runCaptured(t *testing.T, cfg sim.Config) trace {
 	var tr trace
 	var commits int
 	var sampleErr error
-	s.SetOnCommit(func(int, cpu.CommitEvent) {
+	s.SetOnCommit(func(cpu.CommitEvent) {
 		if commits++; commits%sampleEvery != 0 || sampleErr != nil {
 			return
 		}
