@@ -273,17 +273,19 @@ func TestArtifactRoundTripAndReplay(t *testing.T) {
 // that no pool is emptied, and on one P, so that what a release puts in a
 // pool is what the next build gets, one Check of generated seeds 0–3 over
 // Matrix() warms the pools; a second Check of each seed must then stay
-// under 1,350 bytes per scenario. Seeds 0–3 measure 333, 373, 888 and 460
-// bytes, so the bound leaves about 50% over the largest; with a golden
-// trace, a commit closure per scenario and a page table per memory they
-// took 770–1,346 bytes, and with a Result and snapshot per scenario and a
-// reference built anew 8–12 KiB. The race detector's pool drops a quarter
-// of what it is given, so components are sometimes built anew under it;
-// there 12 samples measured 16–30 KiB.
+// under 1,120 bytes per scenario. Seeds 0–3 measure 192, 232, 746 and 319
+// bytes, so the bound leaves about 50% over the largest; with progress
+// slices and Setup and verifier callbacks built per simulation and a heap
+// rng per thread they took 333–888 bytes, with a golden trace, a commit
+// closure per scenario and a page table per memory 770–1,346 bytes, and
+// with a Result and snapshot per scenario and a reference built anew
+// 8–12 KiB. The race detector's pool drops a quarter of what it is given,
+// so components are sometimes built anew under it; there 12 samples
+// measured 16–30 KiB.
 func TestLockStepAllocsPerScenario(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	bound := uint64(1350)
+	bound := uint64(1120)
 	if raceEnabled {
 		bound = 40 << 10
 	}

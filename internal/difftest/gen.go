@@ -129,7 +129,7 @@ func (g GenConfig) clamped() GenConfig {
 // from 4 registers to the full pool, FP on/off, loop depth, arena size —
 // so a seed range covers the whole configuration space deterministically.
 func GenConfigForSeed(seed uint64) GenConfig {
-	r := newRng(seed ^ 0x6a09e667f3bcc909)
+	r := rng{seed ^ 0x6a09e667f3bcc909}
 	cfg := DefaultGenConfig()
 	cfg.IntRegs = []int{2, 4, 6, 10, 14, 22}[r.intn(6)]
 	cfg.FPRegs = []int{0, 0, 2, 4, 8, 16}[r.intn(6)]
@@ -163,8 +163,6 @@ func EntryRegs() []isa.Reg { return []isa.Reg{tidReg, baseReg} }
 
 // splitmix64 generator: the repo-wide deterministic stream.
 type rng struct{ s uint64 }
-
-func newRng(seed uint64) *rng { return &rng{s: seed} }
 
 func (r *rng) next() uint64 {
 	r.s += 0x9e3779b97f4a7c15
@@ -596,7 +594,7 @@ func makeSpec(name string, prog *asm.Program, arena uint64) *workloads.Spec {
 		Prog:        prog,
 		SlabBytes:   arena + 64, // slack for the immediate-offset addressing form
 		Setup: func(m *mem.Memory, base mem.Addr, p workloads.Params, set func(isa.Reg, uint64)) workloads.Verify {
-			r := newRng(p.Seed ^ (uint64(p.ThreadID)+1)*0x9e3779b97f4a7c15)
+			r := rng{p.Seed ^ (uint64(p.ThreadID)+1)*0x9e3779b97f4a7c15}
 			for off := uint64(0); off < arena+64; off += 8 {
 				m.Write64(base+mem.Addr(off), r.next())
 			}

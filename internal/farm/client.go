@@ -72,9 +72,12 @@ func (c *Client) Submit(ctx context.Context, spec *Spec) (*Job, error) {
 		}
 		switch resp.StatusCode {
 		case http.StatusOK:
-			var job Job
-			err := json.NewDecoder(resp.Body).Decode(&job)
+			out, err := readBody(resp)
 			resp.Body.Close()
+			var job Job
+			if err == nil {
+				err = json.Unmarshal(out, &job)
+			}
 			if err != nil {
 				return nil, fmt.Errorf("farm: submit: %w", err)
 			}

@@ -6,10 +6,12 @@
 package farm
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"strconv"
+	"sync"
 
 	"github.com/virec/virec/internal/difftest"
 	"github.com/virec/virec/internal/experiments"
@@ -38,7 +40,9 @@ func Execute(ctx context.Context, spec *Spec) ([]byte, error) {
 	return nil, fmt.Errorf("farm: unknown job kind %q", spec.Kind)
 }
 
-// SimResult is the canonical result document of a sim job.
+// SimResult is the canonical result document of a sim job. A sim job
+// writes it without building it (simResult), in the bytes
+// marshalCanonical gives it; clients decode results into it.
 type SimResult struct {
 	Spec    *SimSpec            `json:"spec"`
 	Cycles  uint64              `json:"cycles"`
@@ -52,18 +56,50 @@ func execSim(s *SimSpec) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := sim.Simulate(cfg)
+	return simResult(s, cfg)
+}
+
+// resultBufs holds the buffers sim results are written into.
+var resultBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// simResult runs cfg and returns the result document of spec s: the
+// bytes marshalCanonical gives the SimResult of sim.Simulate(cfg), with
+// Run's cycles, instructions and IPC. It builds neither the Result nor its
+// snapshot: the run's registry writes the metrics into a pooled buffer,
+// and the document leaves as a copy of its length.
+func simResult(s *SimSpec, cfg sim.Config) ([]byte, error) {
+	spec, err := json.Marshal(s)
 	if err != nil {
 		return nil, err
 	}
-	doc := SimResult{
-		Spec:    s,
-		Cycles:  res.Cycles,
-		Insts:   res.Insts,
-		IPC:     strconv.FormatFloat(res.IPC, 'f', 6, 64),
-		Metrics: res.Metrics,
+	sys, err := sim.New(cfg)
+	if err != nil {
+		return nil, err
 	}
-	return marshalCanonical(doc)
+	defer sys.Release()
+	if err := sys.Exec(); err != nil {
+		return nil, err
+	}
+	var insts uint64
+	for _, c := range sys.Cores {
+		insts += c.Stats.Insts
+	}
+	cycles := sys.Cycles()
+
+	buf := resultBufs.Get().(*[]byte)
+	defer resultBufs.Put(buf)
+	b := append((*buf)[:0], `{"spec":`...)
+	b = append(b, spec...)
+	b = strconv.AppendUint(append(b, `,"cycles":`...), cycles, 10)
+	b = strconv.AppendUint(append(b, `,"insts":`...), insts, 10)
+	b = strconv.AppendFloat(append(b, `,"ipc":"`...), float64(insts)/float64(cycles), 'f', 6, 64)
+	b, err = sys.Registry.AppendJSON(append(b, `","metrics":`...), cycles)
+	b = append(b, "}\n"...)
+	*buf = b
+	if err != nil {
+		return nil, err
+	}
+	return bytes.Clone(b), nil
 }
 
 // DifftestResult is the canonical result document of a difftest job. A

@@ -284,8 +284,18 @@ type System struct {
 	skipped uint64
 	// cycle is the last cycle of a finished Exec.
 	cycle uint64
+	// lastInsts and lastCommit are Exec's per-core progress: instructions
+	// committed and the cycle of the last commit, which a MaxCycles error
+	// reports. Each run resizes them.
+	lastInsts, lastCommit []uint64
 
 	verifies [][]workloads.Verify
+	// setReg and shadowReg are the callbacks offload hands each thread's
+	// Setup and Exec each verifier. They are bound once, when the system is
+	// first made, and act on thread curThread of core curCore.
+	setReg             func(isa.Reg, uint64)
+	shadowReg          func(isa.Reg) uint64
+	curCore, curThread int
 
 	// The Belady pre-run's scratch, which a rebuild keeps: the threaded
 	// code of each distinct kernel in oracleCode, lowered from the program
@@ -304,6 +314,10 @@ var systemPool sync.Pool
 // SkipAheadCycles reports how many cycles the last Run jumped over via
 // clock skip-ahead (zero when disabled or never engaged).
 func (s *System) SkipAheadCycles() uint64 { return s.skipped }
+
+// Cycles reports the cycles a finished Exec simulated: the Cycles of the
+// Result Run would build.
+func (s *System) Cycles() uint64 { return s.cycle + 1 }
 
 // Address-space layout: reserved register regions first, then per-thread
 // data slabs, all separated by odd line offsets to avoid pathological
@@ -325,11 +339,13 @@ func New(cfg Config) (*System, error) {
 	s, _ := systemPool.Get().(*System)
 	if s == nil {
 		s = new(System)
+		s.setReg, s.shadowReg = s.setContextReg, s.threadShadow
 	}
 	*s = System{cfg: cfg, Memory: mem.NewMemory(), Registry: telemetry.NewRegistry(),
 		Cores: s.Cores[:0], DCaches: s.DCaches[:0], ICaches: s.ICaches[:0],
 		Injectors: s.Injectors[:0], layouts: s.layouts[:0], oracles: s.oracles[:0],
-		providers: s.providers[:0], verifies: s.verifies,
+		providers: s.providers[:0], lastInsts: s.lastInsts, lastCommit: s.lastCommit,
+		verifies: s.verifies, setReg: s.setReg, shadowReg: s.shadowReg,
 		oracleProgs: s.oracleProgs[:0], oracleCode: s.oracleCode, oracleSeq: s.oracleSeq}
 	if cfg.TraceEvents > 0 {
 		s.Tracer = telemetry.NewTracer(cfg.TraceEvents)
@@ -591,24 +607,31 @@ func (s *System) offload() {
 	slab := s.cfg.slabStride()
 	for coreID, core := range s.Cores {
 		s.verifies[coreID] = slices.Grow(s.verifies[coreID][:0], cfg.ThreadsPerCore)[:cfg.ThreadsPerCore]
-		// One set callback per core: Setup calls it only while it runs,
-		// for the thread th names.
-		layout := s.layouts[coreID]
-		var th int
-		set := func(r isa.Reg, v uint64) {
-			s.Memory.Write64(layout.RegAddr(th, r), v)
-			core.Thread(th).SetShadow(r, v)
-		}
-		for th = 0; th < cfg.ThreadsPerCore; th++ {
+		s.curCore = coreID
+		for th := 0; th < cfg.ThreadsPerCore; th++ {
 			spec := s.specFor(th)
 			global := coreID*cfg.ThreadsPerCore + th
 			base := dataBase + mem.Addr(uint64(global)*slab)
 			p := workloads.Params{Iters: cfg.Iters, Seed: cfg.Seed, ThreadID: global}
 			core.Thread(th).Prog = spec.Prog
-			s.verifies[coreID][th] = spec.Setup(s.Memory, base, p, set)
+			s.curThread = th
+			s.verifies[coreID][th] = spec.Setup(s.Memory, base, p, s.setReg)
 		}
 		core.Start()
 	}
+}
+
+// setContextReg is setReg: it writes register r of the current thread's
+// offloaded context and the thread's golden shadow.
+func (s *System) setContextReg(r isa.Reg, v uint64) {
+	s.Memory.Write64(s.layouts[s.curCore].RegAddr(s.curThread, r), v)
+	s.Cores[s.curCore].Thread(s.curThread).SetShadow(r, v)
+}
+
+// threadShadow is shadowReg: it reads register r of the current thread's
+// golden shadow.
+func (s *System) threadShadow(r isa.Reg) uint64 {
+	return s.Cores[s.curCore].Thread(s.curThread).Shadow(r)
 }
 
 // Result carries the measurements of one run.
@@ -641,8 +664,12 @@ func (s *System) Exec() (err error) {
 	defer s.recoverCrash(&err, &cycle)
 
 	wd := harden.Watchdog{Window: cfg.Harden.WatchdogWindow}
-	lastInsts := make([]uint64, len(s.Cores))
-	lastCommit := make([]uint64, len(s.Cores))
+	n := len(s.Cores)
+	s.lastInsts = slices.Grow(s.lastInsts[:0], n)[:n]
+	s.lastCommit = slices.Grow(s.lastCommit[:0], n)[:n]
+	lastInsts, lastCommit := s.lastInsts, s.lastCommit
+	clear(lastInsts)
+	clear(lastCommit)
 	// skipProbe gates the skip-ahead attempt. Ticking is always correct,
 	// so a probe may be deferred freely: a failed probe (some component
 	// was busy) backs off exponentially up to 15 cycles, making busy
@@ -758,12 +785,11 @@ func (s *System) Exec() (err error) {
 	}
 
 	s.cycle = cycle
-	for coreID, c := range s.Cores {
-		// One shadow reader per core, reading the thread th names.
-		var th int
-		shadow := func(r isa.Reg) uint64 { return c.Thread(th).Shadow(r) }
-		for th = 0; th < cfg.ThreadsPerCore; th++ {
-			if err := s.verifies[coreID][th](shadow, s.Memory); err != nil {
+	for coreID := range s.Cores {
+		s.curCore = coreID
+		for th := 0; th < cfg.ThreadsPerCore; th++ {
+			s.curThread = th
+			if err := s.verifies[coreID][th](s.shadowReg, s.Memory); err != nil {
 				return fmt.Errorf("sim: core %d thread %d (%s): %w",
 					coreID, th, s.specFor(th).Name, err)
 			}
@@ -781,7 +807,7 @@ func (s *System) Run() (_ *Result, err error) {
 	if err := s.Exec(); err != nil {
 		return nil, err
 	}
-	res := &Result{Cycles: s.cycle + 1}
+	res := &Result{Cycles: s.Cycles()}
 	for coreID, c := range s.Cores {
 		// A copy: the core's slice goes back to the pool with the core.
 		st := c.Stats

@@ -27,14 +27,20 @@
 //   - Snapshots are deterministic. Snapshot JSON sorts keys (Go's
 //     encoding/json orders map keys), so the same run always produces the
 //     same bytes — the property the sweep engine's byte-identity contract
-//     extends to telemetry.
+//     extends to telemetry. AppendJSON writes those same bytes straight
+//     from the registry, without the maps.
 package telemetry
 
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"reflect"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
+	"unicode/utf8"
 )
 
 // Registry is one simulation's metric namespace: an ordered list of
@@ -270,6 +276,145 @@ func panicRepeated(name string) {
 	panic(fmt.Sprintf("telemetry: metric %q registered twice", name))
 }
 
+// entry is one metric AppendJSON writes: its name and its value.
+type entry[V any] struct {
+	name string
+	v    V
+}
+
+// jsonScratch holds AppendJSON's entry lists, one per kind, between calls.
+type jsonScratch struct {
+	counters []entry[uint64]
+	gauges   []entry[float64]
+	hists    []entry[*Histogram]
+}
+
+var jsonScratchPool = sync.Pool{New: func() any { return new(jsonScratch) }}
+
+// AppendJSON appends to dst the bytes json.Marshal gives for the
+// registry's Snapshot with Cycle set to cycle, and returns the extended
+// buffer. It builds no snapshot: it reads every counter, calls every gauge
+// once in registration order, as Snapshot does, and writes each kind's
+// names in bytewise order from lists it keeps in a pooled scratch. So into
+// a buffer with room for the document it allocates nothing. A repeated
+// name panics with Snapshot's message. A NaN or infinite gauge returns
+// encoding/json's error, and dst as it was given.
+func (r *Registry) AppendJSON(dst []byte, cycle uint64) ([]byte, error) {
+	sc := jsonScratchPool.Get().(*jsonScratch)
+	defer jsonScratchPool.Put(sc)
+	sc.counters, sc.gauges, sc.hists = sc.counters[:0], sc.gauges[:0], sc.hists[:0]
+	for _, m := range r.metrics {
+		switch v := m.val.(type) {
+		case *uint64:
+			sc.counters = append(sc.counters, entry[uint64]{m.name, *v})
+		case func() float64:
+			sc.gauges = append(sc.gauges, entry[float64]{m.name, v()})
+		case *Histogram:
+			sc.hists = append(sc.hists, entry[*Histogram]{m.name, v})
+		default:
+			sv := reflect.ValueOf(v).Elem()
+			fs := fieldsOf(sv.Type(), m.name)
+			for i, f := range fs.index {
+				sc.counters = append(sc.counters, entry[uint64]{fs.names[i], sv.Field(f).Uint()})
+			}
+		}
+	}
+	c, g, h := sortByName(sc.counters), sortByName(sc.gauges), sortByName(sc.hists)
+	if c || g || h || overlap(sc.gauges, sc.counters) || overlap(sc.gauges, sc.hists) ||
+		overlap(sc.hists, sc.counters) {
+		r.Snapshot() // panics, naming the repeat as every snapshot does
+	}
+
+	out := append(dst, `{"cycle":`...)
+	out = strconv.AppendUint(out, cycle, 10)
+	out = append(out, `,"counters":{`...)
+	for i, e := range sc.counters {
+		out = appendKey(out, i, e.name)
+		out = strconv.AppendUint(out, e.v, 10)
+	}
+	out = append(out, `},"gauges":{`...)
+	for i, e := range sc.gauges {
+		out = appendKey(out, i, e.name)
+		var err error
+		if out, err = appendFloat(out, e.v); err != nil {
+			return dst, err
+		}
+	}
+	out = append(out, `},"histograms":{`...)
+	for i, e := range sc.hists {
+		out = appendKey(out, i, e.name)
+		out = e.v.appendJSON(out)
+	}
+	return append(out, "}}"...), nil
+}
+
+// sortByName sorts es bytewise by name, the order encoding/json writes a
+// map's keys in, and reports whether a name repeats.
+func sortByName[V any](es []entry[V]) (repeats bool) {
+	slices.SortFunc(es, func(a, b entry[V]) int { return strings.Compare(a.name, b.name) })
+	for i := 1; i < len(es); i++ {
+		if es[i].name == es[i-1].name {
+			return true
+		}
+	}
+	return false
+}
+
+// overlap reports whether two lists sorted by sortByName share a name.
+func overlap[A, B any](a []entry[A], b []entry[B]) bool {
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch c := strings.Compare(a[i].name, b[j].name); {
+		case c < 0:
+			i++
+		case c > 0:
+			j++
+		default:
+			return true
+		}
+	}
+	return false
+}
+
+// appendKey appends the i-th name of a JSON object, with the comma before
+// it and the colon after it. A name of printable ASCII that encoding/json
+// leaves as it is, as every structure's name is, is copied; any other
+// name is quoted by encoding/json itself.
+func appendKey(dst []byte, i int, name string) []byte {
+	if i > 0 {
+		dst = append(dst, ',')
+	}
+	for j := 0; j < len(name); j++ {
+		if c := name[j]; c < ' ' || c >= utf8.RuneSelf || c == '"' || c == '\\' ||
+			c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(name)
+			return append(append(dst, q...), ':')
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, name...)
+	return append(dst, '"', ':')
+}
+
+// appendFloat appends f as encoding/json writes a float64: the shortest
+// form that reads back as f, in exponent form below 1e-6 or from 1e21 on,
+// with no leading zero in a negative exponent. A NaN or an infinity gets
+// the error json.Marshal gives it.
+func appendFloat(dst []byte, f float64) ([]byte, error) {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		return dst, &json.UnsupportedValueError{Value: reflect.ValueOf(f), Str: strconv.FormatFloat(f, 'g', -1, 64)}
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if n := len(dst); format == 'e' && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1]
+		dst = dst[:n-1]
+	}
+	return dst, nil
+}
+
 // Histogram is a fixed-bucket histogram of uint64 samples. Observe is
 // nil-safe: a structure that was never wired into a registry holds a nil
 // handle and pays one branch per event.
@@ -338,6 +483,34 @@ func (h *Histogram) snapshot() HistSnapshot {
 		out.Min, out.Max = h.min, h.max
 	}
 	return out
+}
+
+// appendJSON appends the JSON encoding/json gives h's snapshot: the
+// bounds h shares, its counts, and a min and max of 0 while it is empty.
+func (h *Histogram) appendJSON(dst []byte) []byte {
+	lo, hi := h.min, h.max
+	if h.count == 0 {
+		lo, hi = 0, 0
+	}
+	dst = appendUints(append(dst, `{"bounds":`...), h.bounds)
+	dst = appendUints(append(dst, `,"counts":`...), h.counts)
+	dst = strconv.AppendUint(append(dst, `,"count":`...), h.count, 10)
+	dst = strconv.AppendUint(append(dst, `,"sum":`...), h.sum, 10)
+	dst = strconv.AppendUint(append(dst, `,"min":`...), lo, 10)
+	dst = strconv.AppendUint(append(dst, `,"max":`...), hi, 10)
+	return append(dst, '}')
+}
+
+// appendUints appends vs as a JSON array.
+func appendUints(dst []byte, vs []uint64) []byte {
+	dst = append(dst, '[')
+	for i, v := range vs {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = strconv.AppendUint(dst, v, 10)
+	}
+	return append(dst, ']')
 }
 
 // LinearBuckets returns n ascending bounds start, start+width, ...
